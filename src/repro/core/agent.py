@@ -1,11 +1,17 @@
 """Distributed inference: one DRL agent per node (Fig. 4b).
 
 After centralized training, the trained actor network is *copied to every
-node*.  Each :class:`NodeAgent` then makes decisions for flows arriving at
-its node using only local observations — its own and its direct neighbors'
-state — in O(Δ_G) time, independent of network size.  The
-:class:`DistributedCoordinator` is the collection of these agents and
-doubles as a simulator policy callable.
+node* (Alg. 1 line 14).  Each :class:`NodeAgent` then makes decisions for
+flows arriving at its node using only local observations — its own and
+its direct neighbors' state — in O(Δ_G) time, independent of network
+size.  The :class:`DistributedCoordinator` is the collection of these
+agents and doubles as a simulator policy callable.
+
+In this process the per-node copies are *logical*: inference never writes
+a weight, so every agent reads one frozen snapshot held by the
+coordinator and decides bit-for-bit as a private copy would, while
+deployment costs one array copy whatever the network size (see
+:class:`DistributedCoordinator`).
 """
 
 from __future__ import annotations
@@ -27,10 +33,12 @@ __all__ = ["NodeAgent", "DistributedCoordinator"]
 class NodeAgent:
     """The DRL agent deployed at one network node.
 
-    Holds its own *copy* of the trained policy network (the paper copies
-    the selected best network π_θ to each node, Alg. 1 line 14) and an
-    observation adapter.  All information it uses is local: the incoming
-    flow's attributes and the state of the node and its direct neighbors.
+    Reads the trained policy network it is given (under a
+    :class:`DistributedCoordinator` that is the deployment's shared frozen
+    snapshot — this node's logical copy of π_θ, Alg. 1 line 14) and owns
+    its rng stream and decision counter.  All information it uses is
+    local: the incoming flow's attributes and the state of the node and
+    its direct neighbors.
 
     Args:
         node: The node this agent controls.
@@ -39,12 +47,13 @@ class NodeAgent:
         deterministic: Greedy (argmax) actions when True — the default for
             online inference; sampling is used during training only.
         rng: Generator for stochastic action selection.
-        dtype: Inference dtype.  Float64 (default) runs the exact
-            historical ``act_single`` path; float32 routes decisions
-            through a workspace-backed batch-1
-            :class:`~repro.nn.mlp.MLPInference` forward (fast mode, last
-            ulps may differ).  Stochastic float32 sampling consumes the
-            rng stream in the same ``(1, K)`` draws as the serial path.
+        inference: ``None`` (default) runs the exact float64
+            ``act_single`` path.  A float32
+            :class:`~repro.nn.mlp.MLPInference` over ``policy.actor``
+            routes decisions through its workspace-backed batch-1 forward
+            instead (fast mode, last ulps may differ); the agent must be
+            its only user.  Stochastic float32 sampling consumes the rng
+            stream in the same ``(1, K)`` draws as the serial path.
     """
 
     def __init__(
@@ -54,21 +63,14 @@ class NodeAgent:
         adapter: ObservationAdapter,
         deterministic: bool = True,
         rng: Optional[np.random.Generator] = None,
-        dtype: Any = np.float64,
+        inference: Optional[MLPInference] = None,
     ) -> None:
-        from repro.rl.batched import resolve_eval_dtype
-
         self.node = node
         self.policy = policy
         self.adapter = adapter
         self.deterministic = deterministic
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.dtype = resolve_eval_dtype(dtype)
-        self._inference: Optional[MLPInference] = (
-            None
-            if self.dtype == np.dtype(np.float64)
-            else policy.actor_inference(dtype=self.dtype)
-        )
+        self._inference = inference
         #: Decisions taken by this agent (per-node load statistics).
         self.decisions_taken = 0
 
@@ -96,10 +98,20 @@ class NodeAgent:
 class DistributedCoordinator:
     """All per-node agents of a network; usable as a simulator policy.
 
-    Every node gets an agent holding a *clone* of the trained policy, so
-    inference at different nodes is fully independent (no shared mutable
-    state beyond the frozen weights) — mirroring the paper's deployment
-    where each node runs its own copy of the neural network.
+    Construction takes **one** snapshot of ``policy`` — a copy decoupled
+    from the trainer's live weights, every array marked read-only — and
+    exposes it as :attr:`policy`; each node's agent references it.  The
+    agents share nothing mutable: rng streams and counters are per agent,
+    and ``write=False`` turns the one thing that could couple them (an
+    in-place write to a deployed weight, e.g. an optimiser stepping the
+    wrong object) into a ``ValueError`` at the write.  Deployment cost and
+    resident weights are therefore independent of network size, while
+    decisions are those of the paper's one-network-per-node deployment.
+
+    Pickling keeps the sharing (one weight set per coordinator, whatever
+    the node count) but numpy does not carry the read-only flag across;
+    pool workers rebuild through :meth:`fresh`, which snapshots and
+    freezes again.
 
     Args:
         network: Substrate network (one agent per node).
@@ -107,8 +119,10 @@ class DistributedCoordinator:
         policy: The trained policy selected by multi-seed training.
         deterministic: Greedy decisions (default for inference).
         seed: Base seed for per-agent stochastic sampling.
-        dtype: Per-agent inference dtype (``"f64"``/``"f32"`` or a numpy
-            dtype) — see :class:`NodeAgent`.
+        dtype: Inference dtype (``"f64"``/``"f32"`` or a numpy dtype).
+            Float64 is the bit-exact default; float32 casts the snapshot's
+            actor once and gives every agent a private workspace over
+            that one cast — see :class:`NodeAgent`.
     """
 
     def __init__(
@@ -124,6 +138,7 @@ class DistributedCoordinator:
 
         self.network = network
         self.seed = seed
+        self.deterministic = deterministic
         self.dtype = resolve_eval_dtype(dtype)
         self.adapter = ObservationAdapter(network, catalog)
         if policy.obs_dim != self.adapter.size:
@@ -132,15 +147,22 @@ class DistributedCoordinator:
                 f"network's degree gives size {self.adapter.size}; train on a "
                 "network with the same degree or retrain"
             )
+        #: The deployment's frozen snapshot of the trained policy.
+        self.policy = policy.clone().freeze()
+        cast = (
+            None
+            if self.dtype == np.dtype(np.float64)
+            else self.policy.actor_inference(dtype=self.dtype)
+        )
         seeds = np.random.SeedSequence(seed).spawn(network.num_nodes)
         self.agents: Dict[str, NodeAgent] = {
             node: NodeAgent(
                 node,
-                policy.clone(),
+                self.policy,
                 self.adapter,
                 deterministic=deterministic,
                 rng=np.random.default_rng(child),
-                dtype=self.dtype,
+                inference=None if cast is None else cast.fork(),
             )
             for node, child in zip(network.node_names, seeds)
         }
@@ -150,14 +172,14 @@ class DistributedCoordinator:
         return self.agents[decision.node].act(decision, sim)
 
     def fresh(self) -> "DistributedCoordinator":
-        """A new coordinator sharing the trained weights with reset
-        per-agent runtime state (rng streams, decision counters)."""
-        any_agent = next(iter(self.agents.values()))
+        """A new coordinator over the same trained weights (its own frozen
+        snapshot) with reset per-agent runtime state (rng streams,
+        decision counters)."""
         return DistributedCoordinator(
             self.network,
             self.adapter.catalog,
-            any_agent.policy,
-            deterministic=any_agent.deterministic,
+            self.policy,
+            deterministic=self.deterministic,
             seed=self.seed,
             dtype=self.dtype,
         )

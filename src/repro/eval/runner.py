@@ -348,12 +348,11 @@ class AlgorithmSuite:
                 raise RuntimeError(
                     "suite lists distributed DRL but holds no trained coordinator"
                 )
-            trained_policy = next(iter(self.coordinator.agents.values())).policy
             factories[DISTRIBUTED_DRL] = partial(
                 DistributedCoordinator,
                 network,
                 catalog,
-                trained_policy,
+                self.coordinator.policy,
                 dtype=self.coordinator.dtype,
             )
         if CENTRAL_DRL in self.factories:

@@ -31,6 +31,10 @@ class Dense:
         grad: Gradient of the loss w.r.t. ``weight`` after backward().
         last_input_aug: Cached ``ā`` from the last forward pass.
         last_output_grad: Cached ``g = dL/dz`` from the last backward pass.
+
+    ``weight=`` builds the layer around a private float64 copy of an
+    existing ``(in_dim + 1, out_dim)`` matrix: no initialiser runs and
+    ``rng`` is never touched (checkpoint loading and policy cloning).
     """
 
     def __init__(
@@ -40,19 +44,30 @@ class Dense:
         init: str = "orthogonal",
         gain: float = 1.0,
         rng: RNGLike = None,
+        weight: Optional[np.ndarray] = None,
     ) -> None:
         if in_dim < 1 or out_dim < 1:
             raise ValueError(f"invalid Dense dims ({in_dim}, {out_dim})")
         self.in_dim = in_dim
         self.out_dim = out_dim
-        if init == "orthogonal":
-            core = orthogonal((in_dim, out_dim), gain=gain, rng=rng)
-        elif init == "xavier":
-            core = xavier_uniform((in_dim, out_dim), gain=gain, rng=rng)
+        if weight is not None:
+            if weight.shape != (in_dim + 1, out_dim):
+                raise ValueError(
+                    f"parameter shape mismatch: {weight.shape} vs "
+                    f"{(in_dim + 1, out_dim)}"
+                )
+            self.weight = np.array(weight, dtype=np.float64)
         else:
-            raise ValueError(f"unknown init {init!r}")
-        self.weight = np.vstack([core, np.zeros((1, out_dim))])
-        self.grad = np.zeros_like(self.weight)
+            if init == "orthogonal":
+                core = orthogonal((in_dim, out_dim), gain=gain, rng=rng)
+            elif init == "xavier":
+                core = xavier_uniform((in_dim, out_dim), gain=gain, rng=rng)
+            else:
+                raise ValueError(f"unknown init {init!r}")
+            self.weight = np.vstack([core, np.zeros((1, out_dim))])
+        # np.zeros, not zeros_like: calloc'd pages stay untouched until a
+        # backward pass writes them, which an inference-only copy never does.
+        self.grad = np.zeros(self.weight.shape)
         self.last_input_aug: Optional[np.ndarray] = None
         self.last_output_grad: Optional[np.ndarray] = None
         # Reusable bias-augmented input buffers, keyed by batch size: the

@@ -31,6 +31,8 @@ class MLP:
         out_gain: Initialisation gain of the output layer; a small value
             (0.01) keeps an actor's initial policy near-uniform.
         rng: Numpy generator or seed for weight initialisation.
+        weights: Existing weight matrices, one per layer, to copy in place
+            of initialising (shape-checked; ``out_gain``/``rng`` unused).
     """
 
     def __init__(
@@ -41,21 +43,30 @@ class MLP:
         activation: str = "tanh",
         out_gain: float = 0.01,
         rng: RNGLike = None,
+        weights: Optional[Sequence[np.ndarray]] = None,
     ) -> None:
         if activation not in _ACTIVATIONS:
             raise ValueError(
                 f"unknown activation {activation!r}; choose from {sorted(_ACTIVATIONS)}"
             )
-        rng = np.random.default_rng(rng)
         act_cls: Type[Activation] = _ACTIVATIONS[activation]
-        self.dense_layers: List[Dense] = []
-        self.activations: List[Activation] = []
-        prev = in_dim
-        for width in hidden:
-            self.dense_layers.append(Dense(prev, width, gain=np.sqrt(2.0), rng=rng))
-            self.activations.append(act_cls())
-            prev = width
-        self.dense_layers.append(Dense(prev, out_dim, gain=out_gain, rng=rng))
+        dims = [in_dim, *hidden, out_dim]
+        shapes = list(zip(dims[:-1], dims[1:]))
+        if weights is None:
+            rng = np.random.default_rng(rng)
+            gains = [np.sqrt(2.0)] * len(hidden) + [out_gain]
+            self.dense_layers: List[Dense] = [
+                Dense(i, o, gain=g, rng=rng) for (i, o), g in zip(shapes, gains)
+            ]
+        else:
+            if len(weights) != len(shapes):
+                raise ValueError(
+                    f"expected {len(shapes)} parameter arrays, got {len(weights)}"
+                )
+            self.dense_layers = [
+                Dense(i, o, weight=w) for (i, o), w in zip(shapes, weights)
+            ]
+        self.activations: List[Activation] = [act_cls() for _ in hidden]
         self.activations.append(Identity())
         self.in_dim = in_dim
         self.out_dim = out_dim
@@ -152,8 +163,8 @@ class MLP:
         return sum(w.size for w in self.parameters)
 
     def set_parameters(self, params: Sequence[np.ndarray]) -> None:
-        """Overwrite all weights (shape-checked) — used to copy the trained
-        network to every node's agent for distributed inference."""
+        """Overwrite all weights of an existing network with copies
+        (shape-checked) — e.g. installing federated averages."""
         if len(params) != len(self.dense_layers):
             raise ValueError(
                 f"expected {len(self.dense_layers)} parameter arrays, got {len(params)}"
@@ -265,18 +276,36 @@ class MLPInference:
         logits of the paper's 2x256 tanh network).  Use it only where bit
         equality with the float64 path is not required; the batched
         evaluation engine disables its exactness guarantee in this mode.
+
+    cast_weights:
+        An already-cast weight set to read instead of casting again —
+        what :meth:`fork` passes; callers otherwise leave it ``None``.
     """
 
-    def __init__(self, mlp: MLP, dtype: Any = np.float64) -> None:
+    def __init__(
+        self,
+        mlp: MLP,
+        dtype: Any = np.float64,
+        cast_weights: Optional[List[np.ndarray]] = None,
+    ) -> None:
         self.mlp = mlp
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError(f"MLPInference supports float64/float32, got {dtype}")
-        self._weights: Optional[List[np.ndarray]] = None
-        self.refresh_weights()
+        self._weights = cast_weights
+        if cast_weights is None:
+            self.refresh_weights()
         self._capacity = 0
         self._aug: List[np.ndarray] = []
         self._out: List[np.ndarray] = []
+
+    def fork(self) -> "MLPInference":
+        """A second forward over the same network *and the same cast
+        weight set*, with a workspace of its own — how the per-node agents
+        of a float32 deployment share one cast instead of holding one
+        each.  A later :meth:`refresh_weights` rebinds only the instance
+        it is called on."""
+        return MLPInference(self.mlp, self.dtype, cast_weights=self._weights)
 
     def refresh_weights(self) -> None:
         """Re-snapshot weights (float32 mode casts; float64 mode just

@@ -27,6 +27,10 @@ class ActorCriticPolicy:
         hidden: Hidden layer widths (paper: 2x 256).
         activation: Hidden activation (paper: tanh).
         rng: Seed/generator for weight initialisation.
+        parameters: ``(actor_weights, critic_weights)`` to copy in place of
+            initialising — the one construction path :meth:`clone` and
+            :meth:`load` share; no initialiser runs and no randomness is
+            drawn.
     """
 
     def __init__(
@@ -36,16 +40,21 @@ class ActorCriticPolicy:
         hidden: Sequence[int] = (256, 256),
         activation: str = "tanh",
         rng=None,
+        parameters: Optional[
+            Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]
+        ] = None,
     ) -> None:
         if num_actions < 1:
             raise ValueError(f"num_actions must be >= 1, got {num_actions}")
-        rng = np.random.default_rng(rng)
+        actor_weights, critic_weights = parameters or (None, None)
+        if parameters is None:
+            rng = np.random.default_rng(rng)
         self.obs_dim = obs_dim
         self.num_actions = num_actions
         self.actor = MLP(obs_dim, hidden, num_actions, activation=activation,
-                         out_gain=0.01, rng=rng)
+                         out_gain=0.01, rng=rng, weights=actor_weights)
         self.critic = MLP(obs_dim, hidden, 1, activation=activation,
-                          out_gain=1.0, rng=rng)
+                          out_gain=1.0, rng=rng, weights=critic_weights)
 
     # ------------------------------------------------------------------
 
@@ -109,21 +118,34 @@ class ActorCriticPolicy:
     # ------------------------------------------------------------------
 
     def clone(self) -> "ActorCriticPolicy":
-        """Deep copy — deploying the trained network to each node's agent."""
-        twin = ActorCriticPolicy(
+        """Independent, writable copy (same architecture and activation)."""
+        return ActorCriticPolicy(
             self.obs_dim,
             self.num_actions,
-            hidden=[d.weight.shape[1] for d in self.actor.dense_layers[:-1]],
+            hidden=self.actor.hidden,
+            activation=self.actor.activation,
+            parameters=(self.actor.parameters, self.critic.parameters),
         )
-        twin.actor.set_parameters(self.actor.parameters)
-        twin.critic.set_parameters(self.critic.parameters)
-        return twin
+
+    def freeze(self) -> "ActorCriticPolicy":
+        """Mark every weight array read-only and return ``self``.
+
+        Inference never writes weights, so a frozen policy decides exactly
+        as before; an optimiser step or any other in-place write now
+        raises ``ValueError`` instead of silently changing every reader
+        of a shared deployment snapshot.  :meth:`clone` of a frozen policy
+        is writable again.
+        """
+        for weight in self.actor.parameters + self.critic.parameters:
+            weight.setflags(write=False)
+        return self
 
     def save(self, path) -> None:
         """Persist both networks to one ``.npz`` file."""
         arrays = {f"actor_w{i}": w for i, w in enumerate(self.actor.parameters)}
         arrays.update({f"critic_w{i}": w for i, w in enumerate(self.critic.parameters)})
         arrays["meta"] = np.array([self.obs_dim, self.num_actions])
+        arrays["activation"] = np.array(self.actor.activation)
         np.savez(Path(path), **arrays)
 
     @classmethod
@@ -134,21 +156,23 @@ class ActorCriticPolicy:
         saved ``actor_w{i}`` matrix has shape ``(in + 1, out)``, so the
         hidden widths are the output dims of all but the last layer.
         Checkpoints trained with any ``hidden=`` therefore load without
-        the caller having to know (or guess) the layer sizes.
+        the caller having to know (or guess) the layer sizes.  Files
+        written before ``activation`` was saved load as ``tanh``.
         """
-        data = np.load(Path(path))
-        obs_dim, num_actions = (int(x) for x in data["meta"])
-        num_layers = sum(1 for key in data.files if key.startswith("actor_w"))
-        if num_layers < 1:
-            raise ValueError(f"{path}: checkpoint holds no actor weights")
-        hidden = [
-            int(data[f"actor_w{i}"].shape[1]) for i in range(num_layers - 1)
-        ]
-        policy = cls(obs_dim, num_actions, hidden=hidden)
-        policy.actor.set_parameters(
-            [data[f"actor_w{i}"] for i in range(num_layers)]
+        with np.load(Path(path)) as data:
+            obs_dim, num_actions = (int(x) for x in data["meta"])
+            num_layers = sum(1 for key in data.files if key.startswith("actor_w"))
+            if num_layers < 1:
+                raise ValueError(f"{path}: checkpoint holds no actor weights")
+            actor = [data[f"actor_w{i}"] for i in range(num_layers)]
+            critic = [data[f"critic_w{i}"] for i in range(num_layers)]
+            activation = (
+                str(data["activation"]) if "activation" in data.files else "tanh"
+            )
+        return cls(
+            obs_dim,
+            num_actions,
+            hidden=[int(w.shape[1]) for w in actor[:-1]],
+            activation=activation,
+            parameters=(actor, critic),
         )
-        policy.critic.set_parameters(
-            [data[f"critic_w{i}"] for i in range(num_layers)]
-        )
-        return policy

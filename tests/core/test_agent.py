@@ -1,5 +1,7 @@
 """Tests for distributed inference (per-node agents)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,20 @@ def setup():
     adapter = ObservationAdapter(net, catalog)
     policy = ActorCriticPolicy(adapter.size, net.degree + 1, hidden=(8,), rng=0)
     return net, catalog, adapter, policy
+
+
+def _agent_actions(coordinator, observations):
+    """Every agent's actions on the same observation batch, through the
+    policy and rng the agent itself holds."""
+    return {
+        node: [
+            agent.policy.act_single(
+                o, rng=agent.rng, deterministic=agent.deterministic
+            )
+            for o in observations
+        ]
+        for node, agent in coordinator.agents.items()
+    }
 
 
 class TestNodeAgent:
@@ -44,16 +60,106 @@ class TestDistributedCoordinator:
         coordinator = DistributedCoordinator(net, catalog, policy)
         assert set(coordinator.agents) == set(net.node_names)
 
-    def test_agents_hold_independent_copies(self):
-        """Each node gets its own *copy* of the network (Fig. 4b)."""
+    def test_deployment_is_decoupled_from_the_source_policy(self):
+        """Each node decides from the network *as deployed* (Fig. 4b):
+        later in-place changes to the trainer's weights reach no agent."""
         net, catalog, adapter, policy = setup()
         coordinator = DistributedCoordinator(net, catalog, policy)
-        policies = [agent.policy for agent in coordinator.agents.values()]
-        assert len({id(p) for p in policies}) == len(policies)
-        # ... with identical weights.
-        obs = np.zeros((1, adapter.size))
-        outputs = [p.actor.forward(obs) for p in policies]
-        assert all(np.allclose(outputs[0], o) for o in outputs)
+        obs = np.random.default_rng(3).normal(size=(12, adapter.size))
+        before = _agent_actions(coordinator, obs)
+        reference = [policy.act_single(o) for o in obs]
+        assert all(actions == reference for actions in before.values())
+        for weight in policy.actor.parameters + policy.critic.parameters:
+            weight += 1.0
+        assert [policy.act_single(o) for o in obs] != reference
+        assert _agent_actions(coordinator, obs) == before
+
+    def test_deployed_weights_are_read_only(self):
+        net, catalog, adapter, policy = setup()
+        coordinator = DistributedCoordinator(net, catalog, policy)
+        deployed = coordinator.policy
+        assert all(a.policy is deployed for a in coordinator.agents.values())
+        for weight in deployed.actor.parameters + deployed.critic.parameters:
+            with pytest.raises(ValueError, match="read-only"):
+                weight[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                weight -= 0.1
+        # The source stays trainable, and so does a clone of the snapshot.
+        policy.actor.parameters[0][0, 0] = 1.0
+        deployed.clone().actor.parameters[0][0, 0] = 1.0
+
+    def test_agents_keep_independent_runtime_state(self):
+        net, catalog, adapter, policy = setup()
+        coordinator = DistributedCoordinator(
+            net, catalog, policy, deterministic=False, seed=5
+        )
+        agents = list(coordinator.agents.values())
+        assert len({id(a.rng) for a in agents}) == len(agents)
+        draws = [a.rng.integers(1 << 62) for a in agents]
+        assert len(set(draws)) == len(agents)
+        # Using one agent moves neither another's stream nor its counter.
+        twin = DistributedCoordinator(
+            net, catalog, policy, deterministic=False, seed=5
+        )
+        sim = make_simulator(net, catalog, make_flow_specs([1.0]))
+        twin.agents["v1"].act(sim.next_decision(), sim)
+        assert twin.decision_counts() == {"v1": 1, "v2": 0, "v3": 0}
+        assert twin.agents["v2"].rng.integers(1 << 62) == draws[1]
+
+    def test_deployment_clones_once_whatever_the_node_count(self, monkeypatch):
+        _, catalog, _, policy = setup()
+        big = line_network(24, node_capacity=10.0, link_capacity=10.0)
+        calls = []
+        original = ActorCriticPolicy.clone
+
+        def counting_clone(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ActorCriticPolicy, "clone", counting_clone)
+        coordinator = DistributedCoordinator(big, catalog, policy)
+        assert len(coordinator.agents) == 24
+        assert calls == [policy]
+
+    def test_pickle_ships_one_weight_set_and_reproduces_actions(self):
+        """Pool tasks ship ``coordinator.fresh`` by pickle: the payload must
+        not grow with the node count, and the far side must decide alike."""
+        net = line_network(24, node_capacity=10.0, link_capacity=10.0)
+        catalog = make_simple_catalog()
+        adapter = ObservationAdapter(net, catalog)
+        policy = ActorCriticPolicy(adapter.size, net.degree + 1, rng=0)
+        obs = np.random.default_rng(4).normal(size=(6, adapter.size))
+        for deterministic in (True, False):
+            coordinator = DistributedCoordinator(
+                net, catalog, policy, deterministic=deterministic, seed=9
+            )
+            payload = pickle.dumps(coordinator)
+            assert len(payload) < 2 * len(pickle.dumps(policy))
+            restored = pickle.loads(payload)
+            assert _agent_actions(restored, obs) == _agent_actions(coordinator, obs)
+            # What the pool actually calls on the far side.
+            rebuilt = pickle.loads(pickle.dumps(coordinator.fresh))()
+            assert _agent_actions(rebuilt, obs) == _agent_actions(
+                coordinator.fresh(), obs
+            )
+
+    def test_f32_agents_share_one_cast_with_private_workspaces(self):
+        net, catalog, adapter, policy = setup()
+        coordinator = DistributedCoordinator(net, catalog, policy, dtype="f32")
+        inferences = [a._inference for a in coordinator.agents.values()]
+        assert len({id(i) for i in inferences}) == len(inferences)
+        first = inferences[0]._weights
+        assert first[0].dtype == np.float32
+        assert all(i._weights is first for i in inferences)
+        reference = policy.actor_inference(dtype=np.float32)
+        sims = [
+            make_simulator(net, catalog, make_flow_specs([1.0, 5.0]))
+            for _ in range(2)
+        ]
+        decision = sims[0].next_decision()
+        obs = adapter.build(decision, sims[0]).copy()
+        expected = int(np.argmax(reference.forward(obs[None, :])[0]))
+        assert coordinator(sims[1].next_decision(), sims[1]) == expected
 
     def test_usable_as_simulator_policy(self):
         net, catalog, adapter, policy = setup()

@@ -195,6 +195,20 @@ class TestMLPInference:
             assert all(a is b for a, b in zip(inference._out, out_bases))
         assert inference._capacity == 32
 
+    def test_fork_shares_the_cast_but_not_the_workspace(self):
+        from repro.nn.mlp import MLPInference
+
+        mlp, _ = self._pair()
+        x = np.random.default_rng(1).normal(size=(3, mlp.in_dim))
+        first = MLPInference(mlp, dtype=np.float32)
+        second = first.fork()
+        assert second._weights is first._weights
+        kept = first.forward(x).copy()
+        other = second.forward(-x)
+        assert not np.shares_memory(other, first.forward(x))
+        assert np.array_equal(first.forward(x), kept)
+        assert np.array_equal(second.forward(x), kept)
+
     def test_rejects_unsupported_dtype(self):
         from repro.nn.mlp import MLPInference
 

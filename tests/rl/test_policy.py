@@ -73,6 +73,70 @@ class TestActorCriticPolicy:
         assert np.array_equal(policy.actor.forward(obs), loaded.actor.forward(obs))
         assert np.array_equal(policy.values(obs), loaded.values(obs))
 
+    @pytest.mark.parametrize("activation", ["relu", "identity", "tanh"])
+    def test_clone_and_checkpoint_keep_the_activation(self, tmp_path, activation):
+        """Regression: clone() and load() rebuilt every policy as tanh, so a
+        relu/identity policy silently decided differently once deployed."""
+        policy = ActorCriticPolicy(6, 4, hidden=(16, 8), activation=activation, rng=3)
+        path = tmp_path / "policy.npz"
+        policy.save(path)
+        obs = np.random.default_rng(1).normal(size=(7, 6))
+        for copy in (policy.clone(), ActorCriticPolicy.load(path)):
+            assert copy.actor.activation == copy.critic.activation == activation
+            assert copy.actor.hidden == (16, 8)
+            assert np.array_equal(policy.actor.forward(obs), copy.actor.forward(obs))
+            assert np.array_equal(policy.values(obs), copy.values(obs))
+
+    def test_checkpoint_without_activation_key_loads_as_tanh(self, tmp_path):
+        policy = ActorCriticPolicy(5, 3, hidden=(8,), rng=0)
+        path = tmp_path / "old.npz"
+        policy.save(path)
+        with np.load(path) as data:
+            legacy = {k: data[k] for k in data.files if k != "activation"}
+        np.savez(path, **legacy)
+        loaded = ActorCriticPolicy.load(path)
+        assert loaded.actor.activation == "tanh"
+        obs = np.random.default_rng(1).normal(size=(4, 5))
+        assert np.array_equal(policy.actor.forward(obs), loaded.actor.forward(obs))
+
+    def test_clone_and_load_run_no_initialiser(self, tmp_path, monkeypatch):
+        """The copy path is an array copy: no orthogonal init, no entropy."""
+        import repro.nn.layers as layers
+
+        policy = ActorCriticPolicy(5, 3, hidden=(8, 8), rng=0)
+        path = tmp_path / "policy.npz"
+        policy.save(path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("weight initialiser ran on the copy path")
+
+        monkeypatch.setattr(layers, "orthogonal", forbidden)
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        policy.clone()
+        ActorCriticPolicy.load(path)
+
+    def test_load_rejects_mismatched_layer_shapes(self, tmp_path):
+        policy = ActorCriticPolicy(5, 3, hidden=(8,), rng=0)
+        path = tmp_path / "bad.npz"
+        policy.save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["critic_w0"] = np.zeros((6, 9))
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ActorCriticPolicy.load(path)
+
+    def test_frozen_policy_decides_alike_and_refuses_writes(self):
+        policy = ActorCriticPolicy(6, 4, hidden=(8,), rng=0)
+        frozen = policy.clone().freeze()
+        obs = np.random.default_rng(2).normal(size=(9, 6))
+        assert [frozen.act_single(o) for o in obs] == [
+            policy.act_single(o) for o in obs
+        ]
+        with pytest.raises(ValueError, match="read-only"):
+            frozen.actor.parameters[0][0, 0] = 1.0
+        frozen.clone().actor.parameters[0][0, 0] = 1.0  # copies are writable
+
     def test_invalid_action_count(self):
         with pytest.raises(ValueError):
             ActorCriticPolicy(3, 0)
