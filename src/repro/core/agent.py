@@ -36,7 +36,8 @@ class NodeAgent:
     Reads the trained policy network it is given (under a
     :class:`DistributedCoordinator` that is the deployment's shared frozen
     snapshot — this node's logical copy of π_θ, Alg. 1 line 14) and owns
-    its rng stream and decision counter.  All information it uses is
+    its rng stream and decision counter; the batch-1 workspace it decides
+    in is the deployment's, not its own.  All information it uses is
     local: the incoming flow's attributes and the state of the node and
     its direct neighbors.
 
@@ -47,13 +48,16 @@ class NodeAgent:
         deterministic: Greedy (argmax) actions when True — the default for
             online inference; sampling is used during training only.
         rng: Generator for stochastic action selection.
-        inference: ``None`` (default) runs the exact float64
-            ``act_single`` path.  A float32
-            :class:`~repro.nn.mlp.MLPInference` over ``policy.actor``
-            routes decisions through its workspace-backed batch-1 forward
-            instead (fast mode, last ulps may differ); the agent must be
-            its only user.  Stochastic float32 sampling consumes the rng
-            stream in the same ``(1, K)`` draws as the serial path.
+        inference: The actor workspace ``act_single`` runs on.  ``None``
+            (default) is ``policy.workspace``, the exact float64 path; a
+            float32 :class:`~repro.nn.mlp.MLPInference` over
+            ``policy.actor`` is the fast mode (last ulps may differ, same
+            ``(1, K)`` rng draws).  Either way the observation is built
+            straight into the workspace's input row and never copied, and
+            the workspace is shared by every agent of the deployment: an
+            agent holds no state in it between two ``act`` calls, which
+            must not run concurrently (as before, when the agents shared
+            the snapshot's ``MLP.forward`` caches).
     """
 
     def __init__(
@@ -80,19 +84,16 @@ class NodeAgent:
             raise ValueError(
                 f"agent at {self.node!r} asked to act for node {decision.node!r}"
             )
-        observation = self.adapter.build(decision, sim)
+        inference = self._inference or self.policy.workspace
+        rows = inference.input_rows(1)
+        self.adapter.build(decision, sim, out=rows[0])
         self.decisions_taken += 1
-        if self._inference is None:
-            return self.policy.act_single(
-                observation, rng=self.rng, deterministic=self.deterministic
-            )
-        logits = self._inference.forward(
-            np.asarray(observation, dtype=np.float64)[None, :]
+        return self.policy.act_single(
+            rows,
+            rng=self.rng,
+            deterministic=self.deterministic,
+            inference=inference,
         )
-        if self.deterministic:
-            return int(np.argmax(logits[0]))
-        gumbel = -np.log(-np.log(self.rng.uniform(1e-12, 1.0, size=logits.shape)))
-        return int(np.argmax(logits[0] + gumbel[0]))
 
 
 class DistributedCoordinator:
@@ -101,10 +102,13 @@ class DistributedCoordinator:
     Construction takes **one** snapshot of ``policy`` — a copy decoupled
     from the trainer's live weights, every array marked read-only — and
     exposes it as :attr:`policy`; each node's agent references it.  The
-    agents share nothing mutable: rng streams and counters are per agent,
-    and ``write=False`` turns the one thing that could couple them (an
-    in-place write to a deployed weight, e.g. an optimiser stepping the
-    wrong object) into a ``ValueError`` at the write.  Deployment cost and
+    agents share no state that outlives a decision: rng streams and
+    counters are per agent, the one actor workspace (the snapshot's
+    ``policy.workspace``, or one float32 cast) is overwritten by every
+    decision, and ``write=False`` turns the one thing that could couple
+    them (an in-place write to a deployed weight, e.g. an optimiser
+    stepping the wrong object) into a ``ValueError`` at the write.  One
+    thread drives a coordinator.  Deployment cost and
     resident weights are therefore independent of network size, while
     decisions are those of the paper's one-network-per-node deployment.
 
@@ -121,8 +125,8 @@ class DistributedCoordinator:
         seed: Base seed for per-agent stochastic sampling.
         dtype: Inference dtype (``"f64"``/``"f32"`` or a numpy dtype).
             Float64 is the bit-exact default; float32 casts the snapshot's
-            actor once and gives every agent a private workspace over
-            that one cast — see :class:`NodeAgent`.
+            actor once into a workspace all agents decide in — see
+            :class:`NodeAgent`.
     """
 
     def __init__(
@@ -149,7 +153,7 @@ class DistributedCoordinator:
             )
         #: The deployment's frozen snapshot of the trained policy.
         self.policy = policy.clone().freeze()
-        cast = (
+        inference = (
             None
             if self.dtype == np.dtype(np.float64)
             else self.policy.actor_inference(dtype=self.dtype)
@@ -162,7 +166,7 @@ class DistributedCoordinator:
                 self.adapter,
                 deterministic=deterministic,
                 rng=np.random.default_rng(child),
-                inference=None if cast is None else cast.fork(),
+                inference=inference,
             )
             for node, child in zip(network.node_names, seeds)
         }

@@ -89,10 +89,10 @@ class ServiceCoordinationEnv:
         self._entropy = seed_seq.entropy
         self._spawn_key = seed_seq.spawn_key
         self._next_episode = 0
-        #: When set (a float64 vector of shape ``(observation_size,)``),
+        #: When set (a float vector of shape ``(observation_size,)``),
         #: observations are written into this array in place and it is
         #: returned from reset/step — the batched evaluation engine binds
-        #: one row of its decision matrix per env clone.
+        #: one input row of its actor workspace per env clone.
         self.observation_out: Optional[np.ndarray] = None
         #: When False (and ``observation_out`` is unset), reset/step return
         #: the observation adapter's scratch buffer instead of a copy; only

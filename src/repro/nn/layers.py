@@ -95,24 +95,6 @@ class Dense:
         self.last_input_aug = aug
         return aug @ self.weight
 
-    def forward_into(
-        self,
-        aug: np.ndarray,
-        out: np.ndarray,
-        weight: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Inference-only forward ``out[:] = aug @ W`` with zero allocation.
-
-        ``aug`` is the caller-maintained bias-augmented input (its last
-        column must already be 1).  Unlike :meth:`forward` this neither
-        allocates nor touches the training caches, so it is safe to run
-        between a training forward and its backward.  ``weight`` lets a
-        caller substitute a cast copy (float32 inference) for
-        ``self.weight``.
-        """
-        np.matmul(aug, self.weight if weight is None else weight, out=out)
-        return out
-
     def backward(self, dz: np.ndarray, accumulate: bool = False) -> np.ndarray:
         """Given ``dL/dz``, set ``self.grad`` and return ``dL/dx``.
 
@@ -168,8 +150,9 @@ class Activation:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def forward_inplace(self, x: np.ndarray) -> np.ndarray:
-        """Inference-only forward overwriting ``x``; no backward cache."""
+    def forward_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Inference-only forward written into ``out`` (which may be ``x``
+        itself) and returned; no backward cache."""
         raise NotImplementedError
 
 
@@ -188,8 +171,8 @@ class Tanh(Activation):
             raise RuntimeError("Tanh.backward() called before forward()")
         return dout * (1.0 - self._out**2)
 
-    def forward_inplace(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x, out=x)
+    def forward_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.tanh(x, out=out)
 
 
 class ReLU(Activation):
@@ -207,8 +190,8 @@ class ReLU(Activation):
             raise RuntimeError("ReLU.backward() called before forward()")
         return dout * self._mask
 
-    def forward_inplace(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0, out=x)
+    def forward_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.maximum(x, 0.0, out=out)
 
 
 class Identity(Activation):
@@ -220,5 +203,7 @@ class Identity(Activation):
     def backward(self, dout: np.ndarray) -> np.ndarray:
         return dout
 
-    def forward_inplace(self, x: np.ndarray) -> np.ndarray:
-        return x
+    def forward_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if out is not x:
+            np.copyto(out, x)
+        return out

@@ -188,8 +188,10 @@ class MLP:
 
     def load(self, path: "Union[str, Path]") -> None:
         """Load weights saved by :meth:`save` into this (same-shape) MLP."""
-        data = np.load(Path(path))
-        self.set_parameters([data[f"w{i}"] for i in range(len(self.dense_layers))])
+        with np.load(Path(path)) as data:
+            self.set_parameters(
+                [data[f"w{i}"] for i in range(len(self.dense_layers))]
+            )
 
 
 #: Cache of probe results keyed by (in_dim, hidden, out_dim, batch,
@@ -251,7 +253,7 @@ def fused_backward_is_exact(
 
 
 class MLPInference:
-    """Allocation-free batched forward passes over an :class:`MLP`.
+    """Allocation-free, zero-copy batched forward passes over an :class:`MLP`.
 
     The training :meth:`MLP.forward` allocates a bias-augmented copy and a
     fresh output per layer — the right thing for backprop, pure overhead
@@ -259,75 +261,93 @@ class MLPInference:
     ufunc-dispatch time.  This wrapper keeps one workspace pair per layer
     (bias-augmented input, pre-activation output), sized to the largest
     batch seen so far; a request for ``n`` rows runs on contiguous prefix
-    views ``buf[:n]``, so lockstep evaluation rounds with a shrinking
-    batch never reallocate.  Activations run in place and training caches
-    (``last_input_aug``, Tanh outputs) are never touched, so an instance
-    can be used between a training forward and its backward.
+    views ``buf[:n]`` that are sliced once per width and cached, so
+    lockstep evaluation rounds with a shrinking batch neither reallocate
+    nor re-slice.  Each activation is written straight into the next
+    layer's augmented input and training caches (``last_input_aug``, Tanh
+    outputs) are never touched, so an instance can be used between a
+    training forward and its backward.
+
+    Zero-copy contract: :meth:`input_rows` hands out the first layer's
+    data columns, so a producer (observation builder, request queue)
+    writes its rows in place and :meth:`forward` on that very view copies
+    nothing.  Input rows and returned logits are views of the workspace,
+    valid until the next :meth:`forward` (logits) or the next growth past
+    the current capacity (both).  One driver owns an instance: nothing
+    here is thread-safe, exactly like the ``Dense._aug_buffers`` /
+    ``Tanh._out`` caches that callers of one ``MLP.forward`` share.
 
     dtype:
         ``np.float64`` (default) computes exactly what ``MLP.forward``
         computes for the same batch — same ufuncs, same GEMM — and reads
-        the live weight references, so it tracks in-place optimiser
-        updates (call :meth:`refresh_weights` only if layers' ``weight``
-        arrays were *rebound*, e.g. via ``set_parameters``).
-        ``np.float32`` casts the weights once and runs the whole forward
-        in single precision — roughly 2x less memory traffic, at ~1e-6
-        relative error per layer (empirically <1e-4 relative on the
-        logits of the paper's 2x256 tanh network).  Use it only where bit
-        equality with the float64 path is not required; the batched
-        evaluation engine disables its exactness guarantee in this mode.
-
-    cast_weights:
-        An already-cast weight set to read instead of casting again —
-        what :meth:`fork` passes; callers otherwise leave it ``None``.
+        the live weight references on every forward, so it tracks both
+        in-place optimiser updates and ``set_parameters`` rebinding.
+        ``np.float32`` casts the weights once (:meth:`refresh_weights`
+        re-casts) and runs the whole forward in single precision —
+        roughly 2x less memory traffic, at ~1e-6 relative error per layer
+        (empirically <1e-4 relative on the logits of the paper's 2x256
+        tanh network).  Use it only where bit equality with the float64
+        path is not required; the batched evaluation engine disables its
+        exactness guarantee in this mode.
     """
 
-    def __init__(
-        self,
-        mlp: MLP,
-        dtype: Any = np.float64,
-        cast_weights: Optional[List[np.ndarray]] = None,
-    ) -> None:
-        self.mlp = mlp
+    def __init__(self, mlp: MLP, dtype: Any = np.float64) -> None:
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError(f"MLPInference supports float64/float32, got {dtype}")
-        self._weights = cast_weights
-        if cast_weights is None:
-            self.refresh_weights()
+        self.mlp = mlp
         self._capacity = 0
         self._aug: List[np.ndarray] = []
         self._out: List[np.ndarray] = []
+        self.rebind(mlp)
 
-    def fork(self) -> "MLPInference":
-        """A second forward over the same network *and the same cast
-        weight set*, with a workspace of its own — how the per-node agents
-        of a float32 deployment share one cast instead of holding one
-        each.  A later :meth:`refresh_weights` rebinds only the instance
-        it is called on."""
-        return MLPInference(self.mlp, self.dtype, cast_weights=self._weights)
+    def rebind(self, mlp: MLP) -> None:
+        """Serve ``mlp`` from now on (a weight hot-swap); the workspaces
+        stay when its layer shapes are the current network's."""
+        if [w.shape for w in mlp.parameters] != [w.shape for w in self.mlp.parameters]:
+            self._capacity = 0
+        self.mlp = mlp
+        # Per-width (input rows, per-layer steps): views sliced once.
+        self._plans: Dict[int, Tuple[np.ndarray, List[Tuple[Any, ...]]]] = {}
+        self.refresh_weights()
 
     def refresh_weights(self) -> None:
-        """Re-snapshot weights (float32 mode casts; float64 mode just
-        re-reads the live references)."""
-        if self.dtype == np.dtype(np.float64):
-            self._weights = None  # read d.weight live on every forward
-        else:
-            self._weights = [
-                d.weight.astype(self.dtype) for d in self.mlp.dense_layers
-            ]
+        """Re-snapshot weights (float32 mode casts; float64 mode reads
+        the live references on every forward and needs no refresh)."""
+        self._weights: Optional[List[np.ndarray]] = (
+            None
+            if self.dtype == np.dtype(np.float64)
+            else [d.weight.astype(self.dtype) for d in self.mlp.dense_layers]
+        )
 
-    def _ensure_capacity(self, n: int) -> None:
-        if n <= self._capacity:
-            return
-        self._aug = []
-        self._out = []
-        for dense in self.mlp.dense_layers:
-            aug = np.empty((n, dense.in_dim + 1), dtype=self.dtype)
-            aug[:, -1] = 1.0  # bias column, set once
-            self._aug.append(aug)
-            self._out.append(np.empty((n, dense.out_dim), dtype=self.dtype))
-        self._capacity = n
+    def _plan(self, n: int) -> Tuple[np.ndarray, List[Tuple[Any, ...]]]:
+        if n > self._capacity:
+            self._aug = []
+            self._out = []
+            for dense in self.mlp.dense_layers:
+                aug = np.empty((n, dense.in_dim + 1), dtype=self.dtype)
+                aug[:, -1] = 1.0  # bias column, set once
+                self._aug.append(aug)
+                self._out.append(np.empty((n, dense.out_dim), dtype=self.dtype))
+            self._capacity = n
+            self._plans = {}
+        augs = [aug[:n] for aug in self._aug]
+        outs = [out[:n] for out in self._out]
+        # Layer i's activation lands in layer i+1's data columns; the last
+        # (identity) activation stays in its own pre-activation buffer.
+        dsts = [aug[:, :-1] for aug in augs[1:]] + [outs[-1]]
+        plan = self._plans[n] = (
+            augs[0][:, :-1],
+            list(zip(self.mlp.dense_layers, self.mlp.activations, augs, outs, dsts)),
+        )
+        return plan
+
+    def input_rows(self, n: int) -> np.ndarray:
+        """The ``(n, in_dim)`` view of the first layer's input that
+        :meth:`forward` reads: fill it in place, then pass *this object*
+        to :meth:`forward` and no input copy is made.  All widths are
+        prefixes of one buffer, so ask for the largest width first."""
+        return (self._plans.get(n) or self._plan(n))[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """``(n, in_dim) -> (n, out_dim)`` into a reused workspace.
@@ -336,19 +356,12 @@ class MLPInference:
         until the next :meth:`forward` call and must not be kept or
         mutated by the caller.
         """
-        n = x.shape[0]
-        self._ensure_capacity(n)
-        src: np.ndarray = x
-        out: np.ndarray = x
-        for i, (dense, act) in enumerate(
-            zip(self.mlp.dense_layers, self.mlp.activations)
-        ):
-            aug = self._aug[i][:n]
-            out = self._out[i][:n]
-            aug[:, :-1] = src  # casts on assignment in float32 mode
-            dense.forward_into(
-                aug, out, weight=None if self._weights is None else self._weights[i]
-            )
-            out = act.forward_inplace(out)
-            src = out
+        rows, steps = self._plans.get(len(x)) or self._plan(len(x))
+        if x is not rows:
+            rows[...] = x  # casts on assignment in float32 mode
+        weights = self._weights
+        out = rows
+        for i, (dense, act, aug, z, dst) in enumerate(steps):
+            np.matmul(aug, dense.weight if weights is None else weights[i], out=z)
+            out = act.forward_into(z, dst)
         return out

@@ -417,7 +417,9 @@ class BatchedEpisodeRunner:
             raise InvariantViolation("lockstep run reached without an inference")
         m = min(self.batch, n)
         k_actions = self.policy.num_actions
-        obs_mat = np.zeros((m, self.env.observation_size), dtype=np.float64)
+        # Each env clone builds its observation straight into its row of
+        # the forward's own input (prefix views of one buffer per width).
+        obs_mat = inference.input_rows(m)
         slots: List[Any] = [self.env.clone() for _ in range(m)]
         episode_of = [0] * m  # relative episode index per slot
         totals = [0.0] * m
@@ -462,7 +464,7 @@ class BatchedEpisodeRunner:
         # assign_next fills slots 0..live-1 contiguously, so no swap needed.
 
         while live:
-            x = obs_mat[:live]
+            x = inference.input_rows(live)
             t0 = time.perf_counter()
             logits = inference.forward(x)
             stats.forward_seconds += time.perf_counter() - t0

@@ -7,7 +7,7 @@ Matches the paper's hyperparameters when left at defaults: two networks
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ class ActorCriticPolicy:
                          out_gain=0.01, rng=rng, weights=actor_weights)
         self.critic = MLP(obs_dim, hidden, 1, activation=activation,
                           out_gain=1.0, rng=rng, weights=critic_weights)
+        self._workspace: Optional[MLPInference] = None
 
     # ------------------------------------------------------------------
 
@@ -88,27 +89,52 @@ class ActorCriticPolicy:
         obs: np.ndarray,
         rng: Optional[np.random.Generator] = None,
         deterministic: bool = True,
+        inference: Optional[MLPInference] = None,
     ) -> int:
-        """Select one action for a single observation vector (inference)."""
-        obs = np.asarray(obs, dtype=np.float64)[None, :]
-        dist = self.distribution(obs)
+        """Select one action for a single observation vector (inference):
+        the argmax of :meth:`logits_single`, plus Gumbel noise from one
+        ``(1, K)`` uniform draw when sampling — what
+        :class:`~repro.nn.distributions.Categorical` does on raw logits."""
+        logits = self.logits_single(obs, inference)
         if deterministic:
-            return int(dist.mode()[0])
+            return int(logits.argmax())
         if rng is None:
             raise ValueError("stochastic act_single needs an rng")
-        return int(dist.sample(rng)[0])
+        gumbel = -np.log(-np.log(rng.uniform(1e-12, 1.0, size=(1, len(logits)))))
+        return int((logits + gumbel[0]).argmax())
 
-    def logits_single(self, obs: np.ndarray) -> np.ndarray:
+    def logits_single(
+        self, obs: np.ndarray, inference: Optional[MLPInference] = None
+    ) -> np.ndarray:
         """Actor logits for one observation through the exact batch-1
-        forward that :meth:`act_single` runs.
+        forward that :meth:`act_single` runs — bitwise
+        ``actor.forward(obs[None, :])[0]``, and so the reference the
+        batched evaluation engine recomputes near argmax ties.
 
-        :class:`~repro.nn.distributions.Categorical` acts on raw logits
-        (mode = argmax, sample = argmax of logits + Gumbel noise), so
-        these logits fully determine act_single's choice — the reference
-        the batched evaluation engine recomputes near argmax ties to stay
-        bit-identical to the serial path.
+        Runs on ``inference`` (default: :attr:`workspace`).  Pass that
+        workspace's ``input_rows(1)``, filled in place, and nothing is
+        copied; the result is a view, valid until its next forward.
         """
-        return self.actor.forward(np.asarray(obs, dtype=np.float64)[None, :])[0]
+        if inference is None:
+            inference = self.workspace
+        rows = inference.input_rows(1)
+        if obs is not rows:
+            rows[0] = obs
+        return inference.forward(rows)[0]
+
+    @property
+    def workspace(self) -> MLPInference:
+        """This policy's float64 batch-1 actor workspace, created on first
+        use; :meth:`clone` and pickling leave it behind.  Every caller of
+        one policy object shares it — a deployment's per-node agents too,
+        as they shared ``MLP.forward``'s layer caches before — so, like
+        those, it serves one thread at a time."""
+        if self._workspace is None:
+            self._workspace = MLPInference(self.actor)
+        return self._workspace
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {**self.__dict__, "_workspace": None}
 
     def actor_inference(self, dtype=np.float64) -> MLPInference:
         """Workspace-backed batched actor forward for evaluation loops

@@ -158,10 +158,10 @@ class ServingEngine:
         )
         self._next_id = 0
         self._flush_index = 0
-        # Preallocated flush workspaces (batch rows, ids, times, actions,
-        # Gumbel noise, tie-margin scratch) — no per-flush allocation.
+        # Preallocated flush workspaces (ids, times, actions, Gumbel noise,
+        # tie-margin scratch) — no per-flush allocation; the batch rows
+        # are the actor workspace's own input rows.
         b, k = config.max_batch, policy.num_actions
-        self._batch_obs = np.empty((b, policy.obs_dim), dtype=np.float64)
         self._batch_ids = np.empty(b, dtype=np.int64)
         self._batch_times = np.empty(b, dtype=np.float64)
         self._actions = np.empty(b, dtype=np.intp)
@@ -275,7 +275,7 @@ class ServingEngine:
             return
         policy, version = staged
         self._policy = policy
-        self._inference = policy.actor_inference(dtype=self._dtype)
+        self._inference.rebind(policy.actor)
         self._version = self._version + 1 if version is None else version
         self.stats.swaps += 1
 
@@ -286,13 +286,17 @@ class ServingEngine:
         # batch is drained, so the entire flush is served by one version.
         self._apply_staged_swap()
         start = self.clock()
+        # The queue pops straight into the forward's input rows; every
+        # width is a prefix of the widest, so x below aliases what was
+        # popped and the forward copies nothing.
+        max_batch = self.config.max_batch
         n = self._queue.pop_into(
-            self._batch_obs, self._batch_ids, self._batch_times,
-            self.config.max_batch,
+            self._inference.input_rows(max_batch),
+            self._batch_ids, self._batch_times, max_batch,
         )
         if n == 0:
             raise InvariantViolation("flush fired on an empty queue")
-        x = self._batch_obs[:n]
+        x = self._inference.input_rows(n)
         f0 = self.clock()
         logits = self._inference.forward(x)
         forward_seconds = self.clock() - f0

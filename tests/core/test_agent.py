@@ -7,7 +7,9 @@ import pytest
 
 from repro.core.agent import DistributedCoordinator, NodeAgent
 from repro.core.observations import ObservationAdapter
+from repro.eval.scenarios import base_scenario
 from repro.rl.policy import ActorCriticPolicy
+from repro.sim.simulator import Simulator
 from repro.topology import line_network
 
 from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
@@ -143,14 +145,13 @@ class TestDistributedCoordinator:
                 coordinator.fresh(), obs
             )
 
-    def test_f32_agents_share_one_cast_with_private_workspaces(self):
+    def test_f32_agents_share_one_cast_and_workspace(self):
         net, catalog, adapter, policy = setup()
         coordinator = DistributedCoordinator(net, catalog, policy, dtype="f32")
-        inferences = [a._inference for a in coordinator.agents.values()]
-        assert len({id(i) for i in inferences}) == len(inferences)
-        first = inferences[0]._weights
-        assert first[0].dtype == np.float32
-        assert all(i._weights is first for i in inferences)
+        inferences = {id(a._inference) for a in coordinator.agents.values()}
+        assert len(inferences) == 1
+        shared = coordinator.agents["v1"]._inference
+        assert shared._weights[0].dtype == np.float32
         reference = policy.actor_inference(dtype=np.float32)
         sims = [
             make_simulator(net, catalog, make_flow_specs([1.0, 5.0]))
@@ -160,6 +161,63 @@ class TestDistributedCoordinator:
         obs = adapter.build(decision, sims[0]).copy()
         expected = int(np.argmax(reference.forward(obs[None, :])[0]))
         assert coordinator(sims[1].next_decision(), sims[1]) == expected
+        # The observation went straight into the workspace's input row.
+        assert np.array_equal(shared.input_rows(1)[0], obs.astype(np.float32))
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_agent_act_equals_act_single_on_a_built_observation(
+        self, dtype, deterministic
+    ):
+        """A full Abilene episode: building the observation in place in
+        the shared workspace and deciding there equals deciding from a
+        private copy of the observation — per agent, per rng stream."""
+        scenario = base_scenario(pattern="poisson", num_ingress=2, horizon=1000.0)
+        net, catalog = scenario.network, scenario.catalog
+        adapter = ObservationAdapter(net, catalog)
+        policy = ActorCriticPolicy(adapter.size, net.degree + 1, rng=3)
+        coordinator = DistributedCoordinator(
+            net, catalog, policy, deterministic=deterministic, seed=4, dtype=dtype
+        )
+        # Same weights, same per-node streams, its own workspaces.
+        twin = coordinator.fresh()
+        reference = (
+            None if dtype == "f64" else twin.policy.actor_inference(np.float32)
+        )
+        seen = []
+
+        def checked(decision, sim):
+            action = coordinator(decision, sim)
+            expected = twin.policy.act_single(
+                adapter.build(decision, sim),
+                rng=twin.agents[decision.node].rng,
+                deterministic=deterministic,
+                inference=reference,
+            )
+            assert action == expected
+            seen.append(action)
+            return action
+
+        sim = Simulator(
+            net,
+            catalog,
+            scenario.traffic_factory(np.random.default_rng(11)),
+            scenario.sim_config,
+        )
+        metrics = sim.run(checked)
+        assert metrics.decisions == len(seen) > 200
+        assert len(set(seen)) > 1
+        assert sum(coordinator.decision_counts().values()) == len(seen)
+
+    def test_pickled_coordinator_leaves_the_workspace_behind(self):
+        net, catalog, adapter, policy = setup()
+        coordinator = DistributedCoordinator(net, catalog, policy)
+        sim = make_simulator(net, catalog, make_flow_specs([1.0]))
+        coordinator(sim.next_decision(), sim)
+        assert coordinator.policy._workspace is not None
+        restored = pickle.loads(pickle.dumps(coordinator))
+        assert restored.policy._workspace is None
+        assert all(a.policy is restored.policy for a in restored.agents.values())
 
     def test_usable_as_simulator_policy(self):
         net, catalog, adapter, policy = setup()

@@ -1,5 +1,8 @@
 """Tests for the MLP: shapes, gradients, parameter plumbing, persistence."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,32 @@ class TestParameters:
         x = np.random.default_rng(0).normal(size=(5, 4))
         assert np.allclose(mlp.forward(x), other.forward(x))
 
+    def test_load_closes_the_checkpoint(self, tmp_path, monkeypatch):
+        """``load`` must close the ``.npz`` itself.  CPython's refcounting
+        hides a missing close (the handle dies with the frame), so the
+        test keeps the opened archive alive and looks at it directly; the
+        ResourceWarning filter covers interpreters that do warn."""
+        mlp = MLP(4, [8], 3, rng=0)
+        path = tmp_path / "weights.npz"
+        mlp.save(path)
+        opened = []
+        real_load = np.load
+
+        def recording_load(*args, **kwargs):
+            opened.append(real_load(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(np, "load", recording_load)
+        other = MLP(4, [8], 3, rng=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            other.load(path)
+            gc.collect()
+        assert [archive.fid for archive in opened] == [None]
+        assert all(
+            np.array_equal(a, b) for a, b in zip(mlp.parameters, other.parameters)
+        )
+
 
 class TestMLPInference:
     """Workspace-backed inference path vs the allocating training forward."""
@@ -195,19 +224,81 @@ class TestMLPInference:
             assert all(a is b for a, b in zip(inference._out, out_bases))
         assert inference._capacity == 32
 
-    def test_fork_shares_the_cast_but_not_the_workspace(self):
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    @pytest.mark.parametrize("width", [1, 4, 32])
+    def test_bitwise_equal_across_widths_and_activations(self, activation, width):
+        """Same ufunc, same GEMM, same operands as the training forward —
+        also after an in-place optimiser step and after the weight arrays
+        were rebound, with no refresh call in between."""
+        from repro.nn.mlp import MLPInference
+        from repro.nn.optim import SGD
+
+        rng = np.random.default_rng(width)
+        mlp = MLP(6, [16, 8], 4, activation=activation, rng=3)
+        inference = MLPInference(mlp)
+        x = rng.normal(size=(width, 6))
+        assert np.array_equal(inference.forward(x), mlp.forward(x))
+
+        mlp.backward(rng.normal(size=(width, 4)))
+        SGD(mlp.parameters, lr=0.1).step(mlp.gradients)
+        stepped = inference.forward(x).copy()
+        assert np.array_equal(stepped, mlp.forward(x))
+
+        mlp.set_parameters(MLP(6, [16, 8], 4, rng=99).copy_parameters())
+        rebound = inference.forward(x)
+        assert not np.array_equal(rebound, stepped)
+        assert np.array_equal(rebound, mlp.forward(x))
+
+    def test_forward_on_input_rows_copies_nothing_and_equals_the_copy_path(self):
+        mlp, inference = self._pair()
+        x = np.random.default_rng(6).normal(size=(32, 6))
+        expected = inference.forward(x).copy()
+        rows = inference.input_rows(32)
+        assert inference.input_rows(32) is rows
+        assert rows.base is inference._aug[0]
+        rows[...] = x
+        assert np.array_equal(inference.forward(rows), expected)
+        assert np.array_equal(rows, x)  # the forward leaves its input alone
+        # Narrower widths are prefixes of the same buffer: what a producer
+        # wrote through the wide view is what the narrow forward reads.
+        head = inference.input_rows(5)
+        assert np.shares_memory(head, rows) and np.array_equal(head, x[:5])
+        assert np.array_equal(inference.forward(head), mlp.forward(x[:5]))
+
+    def test_growing_past_capacity_replaces_the_input_rows(self):
+        """Documented limit of the zero-copy contract: ask for the widest
+        view first, a later growth hands out new buffers."""
+        mlp, inference = self._pair()
+        small = inference.input_rows(2)
+        wide = inference.input_rows(8)
+        assert not np.shares_memory(small, wide)
+        assert inference.input_rows(2) is not small
+        x = np.random.default_rng(7).normal(size=(2, 6))
+        small[...] = x  # a stale view still works, through the copy path
+        assert np.array_equal(inference.forward(small), mlp.forward(x))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_rebind_keeps_the_workspaces_for_an_equal_architecture(self, dtype):
         from repro.nn.mlp import MLPInference
 
         mlp, _ = self._pair()
-        x = np.random.default_rng(1).normal(size=(3, mlp.in_dim))
-        first = MLPInference(mlp, dtype=np.float32)
-        second = first.fork()
-        assert second._weights is first._weights
-        kept = first.forward(x).copy()
-        other = second.forward(-x)
-        assert not np.shares_memory(other, first.forward(x))
-        assert np.array_equal(first.forward(x), kept)
-        assert np.array_equal(second.forward(x), kept)
+        other = MLP(6, [16, 8], 4, activation="relu", rng=11)
+        inference = MLPInference(mlp, dtype=dtype)
+        x = np.random.default_rng(8).normal(size=(5, 6))
+        inference.forward(x)
+        buffers = inference._aug + inference._out
+        inference.rebind(other)
+        out = inference.forward(x)
+        assert all(a is b for a, b in zip(inference._aug + inference._out, buffers))
+        assert np.array_equal(out, MLPInference(other, dtype=dtype).forward(x))
+
+    def test_rebind_to_another_architecture_rebuilds_the_workspaces(self):
+        mlp, inference = self._pair()
+        x = np.random.default_rng(9).normal(size=(5, 6))
+        inference.forward(x)
+        wider = MLP(6, [32], 4, rng=12)
+        inference.rebind(wider)
+        assert np.array_equal(inference.forward(x), wider.forward(x))
 
     def test_rejects_unsupported_dtype(self):
         from repro.nn.mlp import MLPInference

@@ -1,8 +1,12 @@
 """Tests for the actor-critic policy wrapper."""
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.nn.distributions import Categorical
 from repro.rl.policy import ActorCriticPolicy
 
 
@@ -180,3 +184,105 @@ class TestActSingleEquivalence:
         assert np.array_equal(
             policy.logits_single(obs), policy.actor.forward(obs[None, :])[0]
         )
+
+
+def historical_act_single(policy, obs, rng=None, deterministic=True):
+    """``act_single`` as it was before the batch-1 workspace: the training
+    forward on a one-row batch, then ``Categorical`` mode / sample."""
+    dist = Categorical(policy.actor.forward(np.asarray(obs)[None, :]))
+    return int(dist.mode()[0] if deterministic else dist.sample(rng)[0])
+
+
+class TestBatchOneWorkspace:
+    """``act_single``/``logits_single`` on the policy-owned workspace."""
+
+    def _policy(self, activation="tanh"):
+        return ActorCriticPolicy(6, 5, hidden=(16, 16), activation=activation, rng=7)
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_frozen_snapshot_decides_as_before_on_the_same_rng_stream(
+        self, deterministic
+    ):
+        snapshot = self._policy().clone().freeze()
+        observations = np.random.default_rng(5).normal(size=(200, 6))
+        rng, reference_rng = np.random.default_rng(31), np.random.default_rng(31)
+        actions = [
+            snapshot.act_single(o, rng=rng, deterministic=deterministic)
+            for o in observations
+        ]
+        assert actions == [
+            historical_act_single(snapshot, o, reference_rng, deterministic)
+            for o in observations
+        ]
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert len(set(actions)) > 1
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    def test_logits_track_inplace_steps_and_rebinding(self, activation):
+        policy = self._policy(activation)
+        obs = np.random.default_rng(6).normal(size=6)
+
+        def check():
+            assert np.array_equal(
+                policy.logits_single(obs), policy.actor.forward(obs[None, :])[0]
+            )
+
+        check()
+        for weight in policy.actor.parameters:
+            weight -= 0.05 * np.sign(weight)  # optimiser-style in-place step
+        check()
+        policy.actor.set_parameters(self._policy().clone().actor.parameters)
+        policy.actor.parameters[0][0, 0] += 1.0
+        check()
+
+    def test_input_row_filled_in_place_is_not_copied(self):
+        policy = self._policy()
+        obs = np.random.default_rng(8).normal(size=6)
+        expected = policy.logits_single(obs).copy()
+        rows = policy.workspace.input_rows(1)
+        rows[0] = 0.0
+        rows[0] = obs
+        assert np.array_equal(policy.logits_single(rows), expected)
+        assert policy.act_single(rows) == policy.act_single(obs)
+        # A caller's own workspace (the float32 deployment) serves too.
+        fast = policy.actor_inference(dtype=np.float32)
+        logits = policy.logits_single(obs, fast)
+        assert logits.dtype == np.float32
+        assert np.allclose(logits, expected, rtol=1e-4, atol=1e-5)
+
+    def test_steady_state_act_single_allocates_no_array(self):
+        """The batch-1 path may create small Python objects (views, the
+        int it returns) but no array data: traced memory never rises by
+        even one hidden activation of the paper's network (256 float64 =
+        2 KiB; the training forward peaks at ~14 KiB here)."""
+        policy = ActorCriticPolicy(16, 4, rng=0)  # 2x256, as deployed
+        observations = np.random.default_rng(9).normal(size=(64, 16))
+        rows = policy.workspace.input_rows(1)
+        for obs in observations:
+            policy.act_single(obs)
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for obs in observations:
+                policy.act_single(obs)
+                rows[0] = obs
+                policy.act_single(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - baseline < 256 * 8
+
+    def test_clone_and_pickle_leave_the_workspace_behind(self):
+        policy = self._policy()
+        obs = np.random.default_rng(10).normal(size=6)
+        bare = len(pickle.dumps(policy))
+        action = policy.act_single(obs)
+        assert policy._workspace is not None
+        assert policy.clone()._workspace is None
+        payload = pickle.dumps(policy)
+        assert len(payload) == bare
+        restored = pickle.loads(payload)
+        assert restored._workspace is None
+        assert restored.act_single(obs) == action
+        assert policy._workspace is not None  # pickling did not drop ours

@@ -250,6 +250,46 @@ class TestHotSwap:
         assert {d.policy_version for d in decisions} == {20}
         assert engine.stats.swaps == 1
 
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_swap_rebinds_the_workspace_it_already_has(self, dtype):
+        """An applied swap allocates no workspace array: the engine keeps
+        its one ``MLPInference`` and every buffer in it, answers as a new
+        engine over the new policy would, and versions as before."""
+        old, new = make_policy(rng=0), make_policy(rng=99)
+        engine = make_engine(policy=old, max_batch=8, dtype=dtype)
+        obs = make_obs(8)
+        for row in obs:
+            engine.submit(row)
+        engine.flush()
+        inference = engine._inference
+        buffers = inference._aug + inference._out
+        engine.install(new)
+        for row in obs:
+            engine.submit(row)
+        decisions = engine.flush()
+        assert engine._inference is inference
+        assert all(a is b for a, b in zip(inference._aug + inference._out, buffers))
+        assert engine.policy is new and engine.policy_version == 1
+        assert {d.policy_version for d in decisions} == {1}
+        fresh = make_engine(policy=new, max_batch=8, dtype=dtype)
+        for row in obs:
+            fresh.submit(row)
+        assert [d.action for d in decisions] == [d.action for d in fresh.flush()]
+        if dtype == "f64":
+            assert [d.action for d in decisions] == serial_actions(new, obs)
+
+    def test_swap_to_other_hidden_sizes_rebuilds_the_workspace(self):
+        engine = make_engine(policy=make_policy(rng=0), max_batch=4)
+        obs = make_obs(4)
+        for row in obs:
+            engine.submit(row)
+        engine.flush()
+        wider = ActorCriticPolicy(OBS_DIM, NUM_ACTIONS, hidden=(48,), rng=3)
+        engine.install(wider)
+        for row in obs:
+            engine.submit(row)
+        assert [d.action for d in engine.flush()] == serial_actions(wider, obs)
+
     def test_install_validates_shapes(self):
         engine = make_engine()
         with pytest.raises(ValueError, match="shape mismatch"):
