@@ -231,7 +231,8 @@ class ServiceCoordinationEnv:
         completed or dropped in the meantime.  Pooling credit this way is
         what lets one shared network learn from all agents' experience.
         """
-        if self._sim is None:
+        sim = self._sim
+        if sim is None:
             raise RuntimeError("call reset() before step()")
         if self._episode_done:
             raise RuntimeError("episode finished; call reset()")
@@ -241,32 +242,29 @@ class ServiceCoordinationEnv:
             )
         prof = self.profiler
         start = perf_counter() if prof is not None else 0.0
-        self._sim.apply_action(action)
-        next_decision = self._sim.next_decision()
-        reward = self.reward_function.total(self._sim.drain_outcomes())
+        sim.apply_action(action)
+        next_decision = sim.next_decision()
+        reward = float(self.reward_function.total(sim.drain_outcomes()))
         self._decision = next_decision
-        info: Dict[str, Any] = {}
         if next_decision is None:
             self._episode_done = True
-            metrics = self._sim.finalize()
-            info = {
+            metrics = sim.finalize()
+            if prof is not None:
+                prof.sim_advance += perf_counter() - start
+                prof.steps += 1
+            return self._zero_observation(), reward, True, {
                 "success_ratio": metrics.success_ratio,
                 "flows_generated": metrics.flows_generated,
                 "flows_succeeded": metrics.flows_succeeded,
                 "flows_dropped": metrics.flows_dropped,
                 "avg_end_to_end_delay": metrics.avg_end_to_end_delay,
             }
-            if prof is not None:
-                prof.sim_advance += perf_counter() - start
-                prof.steps += 1
-            obs = self._zero_observation()
+        if prof is None:
+            obs = self._observe(next_decision)
         else:
-            if prof is None:
-                obs = self._observe(next_decision)
-            else:
-                mid = perf_counter()
-                prof.sim_advance += mid - start
-                prof.steps += 1
-                obs = self._observe(next_decision)
-                prof.obs_build += perf_counter() - mid
-        return obs, float(reward), self._episode_done, info
+            mid = perf_counter()
+            prof.sim_advance += mid - start
+            prof.steps += 1
+            obs = self._observe(next_decision)
+            prof.obs_build += perf_counter() - mid
+        return obs, reward, False, {}

@@ -89,17 +89,17 @@ class ObservationAdapter:
             v: max(network.max_link_capacity_at(v), 1e-12)
             for v in network.node_names
         }
-        # Preallocated assembly buffer plus cached neighbor tuples: build()
-        # fills the buffer in place and returns one copy, so the per-decision
-        # hot path allocates a single vector instead of five parts plus
-        # their clipped/concatenated intermediates.
+        # Preallocated destination plus cached neighbor tuples: build()
+        # assembles the row as a list of python floats, writes it here (or
+        # into ``out=``) in one assignment and returns one copy, instead of
+        # five parts plus their clipped/concatenated intermediates.
         self._scratch = np.empty(self.size, dtype=np.float64)
         self._neighbors = {v: tuple(network.neighbors(v)) for v in network.node_names}
         # Integer gather tables per node, one dict lookup per build():
         # (degree k, combined gather ids, capacities as a python-float
         # tuple, link norm, self+neighbor node ids).  The combined ids
         # address NetworkState.loads_vector — k outgoing-link slots
-        # followed by 1+k node slots — so one ``take`` fetches every load
+        # followed by 1+k node slots — so one gather fetches every load
         # the observation needs; the arithmetic then runs on python floats
         # (via ``tolist``), which beats a pile of length-≤5 ufunc
         # dispatches while performing the exact same IEEE operations per
@@ -123,7 +123,6 @@ class ObservationAdapter:
             )
             for v in network.node_names
         }
-        self._gather = np.empty(2 * self.degree + 1, dtype=np.float64)
         # Scratch for effective capacities under fault injection; the
         # fault-free hot path never touches it (static cached caps).
         self._caps_scratch = np.empty(2 * self.degree + 1, dtype=np.float64)
@@ -184,9 +183,9 @@ class ObservationAdapter:
         """Observation vector for a pending decision.
 
         Numerically identical to ``build_parts(...).concatenate()``, but
-        assembled in the preallocated scratch buffer: the hot path pays a
-        single allocation (the returned copy) per decision — or none at
-        all with ``out=`` / ``copy=False``.
+        computed on python floats and written to the destination as one
+        row: no per-part arrays, and no ndarray result either with
+        ``out=`` / ``copy=False``.
 
         Args:
             out: Optional destination vector of shape ``(size,)`` written
@@ -200,7 +199,7 @@ class ObservationAdapter:
                 callers (RolloutRunner, the batched runner) that consume
                 or copy the vector before then.
         """
-        flow, node, now = decision.flow, decision.node, decision.time
+        now, flow, node = decision
         d = self.degree
         if out is None:
             target = self._scratch
@@ -218,9 +217,7 @@ class ObservationAdapter:
         # python floats: the per-element arithmetic below is then plain
         # float math — the exact same IEEE ops, in the same order, as the
         # scalar reference implementations in build_parts.
-        gather = self._gather[: 2 * k + 1]
-        state.loads_vector.take(combo_ids, out=gather)
-        loads = gather.tolist()
+        loads = state.loads_vector[combo_ids].tolist()
 
         # Under fault injection the static capacity cache is replaced by
         # the state's *effective* capacities: a failed neighbor link/node
@@ -231,25 +228,31 @@ class ObservationAdapter:
             eff = self._caps_scratch[: 2 * k + 1]
             state.effective_link_capacities.take(combo_ids[:k], out=eff[:k])
             state.effective_node_capacities.take(sn_ids, out=eff[k:])
-            caps = tuple(eff.tolist())
+            caps = eff.tolist()
 
         spec = flow.spec
         ci = flow.component_index
         deadline = spec.deadline
         remaining = deadline - (now - spec.arrival_time)
+        # Dummy entries for nodes below the maximum degree, appended after
+        # each per-neighbor part.
+        pad = [DUMMY] * (d - k)
 
+        # The row is assembled as a list of python floats and written to
+        # the target in one assignment at the end.
         # F_f = <p̂_f, τ̂_f>
-        target[0] = 1.0 if ci is None else ci / flow.chain_length
-        target[1] = max(0.0, remaining / deadline)
+        values = [
+            1.0 if ci is None else ci / flow.chain_length,
+            max(0.0, remaining / deadline),
+        ]
+        append = values.append
 
         # R^L_v: free rate minus λ_f per outgoing link, clipped to [-1, 1].
         rate = spec.data_rate
-        i = 2
         for j in range(k):
             value = (caps[j] - loads[j] - rate) / link_norm
-            target[i + j] = (
-                -1.0 if value < -1.0 else (1.0 if value > 1.0 else value)
-            )
+            append(-1.0 if value < -1.0 else (1.0 if value > 1.0 else value))
+        values += pad
 
         # R^V_v: free compute minus r_c(λ_f) at v and neighbors, clipped.
         component_name: Optional[str]
@@ -267,47 +270,40 @@ class ObservationAdapter:
                 component_name = component.name
                 demand = component.resources(rate)
         node_norm = self._max_node_capacity
-        i = 2 + d
-        for j in range(1 + k):
-            value = (caps[k + j] - loads[k + j] - demand) / node_norm
-            target[i + j] = (
-                -1.0 if value < -1.0 else (1.0 if value > 1.0 else value)
-            )
+        for j in range(k, 2 * k + 1):
+            value = (caps[j] - loads[j] - demand) / node_norm
+            append(-1.0 if value < -1.0 else (1.0 if value > 1.0 else value))
+        values += pad
 
         # D_{v,f}: deadline margin via each neighbor (no upper clip).
-        i = 3 + 2 * d
         if remaining <= 0:
-            target[i : i + k] = -1.0
+            values += [-1.0] * k
         else:
-            via, bad = self._delays_via(node, flow.egress)
-            for j in range(k):
-                value = (remaining - via[j]) / remaining
-                target[i + j] = -1.0 if value < -1.0 else value
-            if bad is not None:
-                for j in bad:
-                    target[i + j] = -1.0
+            via, bad = self._delays_via(node, spec.egress)
+            if bad is None:
+                for delay in via:
+                    value = (remaining - delay) / remaining
+                    append(-1.0 if value < -1.0 else value)
+            else:
+                for j in range(k):
+                    value = (remaining - via[j]) / remaining
+                    append(-1.0 if j in bad or value < -1.0 else value)
+        values += pad
 
         # X_v: instance of the requested component at v / neighbors, read
         # as one gather from the state's per-component presence vector.
-        i = 3 + 3 * d
-        seg = target[i : i + 1 + k]
         presence = (
             state.instance_presence(component_name)
             if component_name is not None
             else None
         )
         if presence is None:
-            seg[:] = 0.0
+            values += [0.0] * (1 + k)
         else:
-            presence.take(sn_ids, out=seg)
+            values += presence[sn_ids].tolist()
+        values += pad
 
-        # Dummy padding for nodes below the maximum degree.
-        if k != d:
-            target[2 + k : 2 + d] = DUMMY
-            target[3 + d + k : 3 + 2 * d] = DUMMY
-            target[3 + 2 * d + k : 3 + 3 * d] = DUMMY
-            target[4 + 3 * d + k : self.size] = DUMMY
-
+        target[:] = values
         if out is not None or not copy:
             return target
         return target.copy()

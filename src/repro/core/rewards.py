@@ -24,6 +24,12 @@ from repro.topology.network import Network
 
 __all__ = ["RewardConfig", "RewardFunction"]
 
+_FLOW_SUCCESS = OutcomeKind.FLOW_SUCCESS
+_FLOW_DROP = OutcomeKind.FLOW_DROP
+_INSTANCE_TRAVERSED = OutcomeKind.INSTANCE_TRAVERSED
+_LINK_TRAVERSED = OutcomeKind.LINK_TRAVERSED
+_FLOW_KEPT = OutcomeKind.FLOW_KEPT
+
 
 @dataclass(frozen=True)
 class RewardConfig:
@@ -114,5 +120,30 @@ class RewardFunction:
         raise ValueError(f"unhandled outcome kind {outcome.kind}")  # pragma: no cover
 
     def total(self, outcomes: Iterable[Outcome]) -> float:
-        """Summed reward of a batch of outcomes (one env step's worth)."""
-        return sum(self.outcome_reward(o) for o in outcomes)
+        """Summed reward of a batch of outcomes (one env step's worth).
+
+        Adds the terms of :meth:`outcome_reward` in order, in one loop:
+        the environment calls this once per decision.  A malformed
+        outcome is handed to :meth:`outcome_reward`, which raises.
+        """
+        cfg = self.config
+        shaping = cfg.enable_shaping
+        diameter = self.diameter
+        total = 0.0
+        for outcome in outcomes:
+            kind = outcome.kind
+            if kind is _FLOW_SUCCESS:
+                total += cfg.success_reward
+            elif kind is _FLOW_DROP:
+                total += cfg.drop_penalty
+            elif not shaping:
+                continue
+            elif kind is _INSTANCE_TRAVERSED and outcome.chain_length is not None:
+                total += cfg.instance_bonus_scale / outcome.chain_length
+            elif kind is _LINK_TRAVERSED and outcome.link_delay is not None:
+                total += -cfg.link_penalty_scale * outcome.link_delay / diameter
+            elif kind is _FLOW_KEPT:
+                total += -cfg.keep_penalty_scale / diameter
+            else:
+                total += self.outcome_reward(outcome)
+        return total

@@ -329,24 +329,25 @@ class ServingEngine:
             scores, work, actions, serial_row, exact=self._exact
         )
         completion = self.clock()
-        self._flush_index += 1
+        flush_index = self._flush_index
+        self._flush_index = flush_index + 1
+        version = self._version
+        # One tolist() per column turns the batch into python ints and
+        # floats, instead of three scalar conversions per row.
+        enqueue_times = self._batch_times[:n].tolist()
         decisions = [
             Decision(
-                request_id=int(self._batch_ids[j]),
-                action=int(actions[j]),
-                policy_version=self._version,
-                enqueue_time=float(self._batch_times[j]),
-                completion_time=completion,
-                batch_size=n,
-                flush_index=self._flush_index - 1,
-                trigger=trigger,
+                request_id, action, version, enqueue_time,
+                completion, n, flush_index, trigger,
             )
-            for j in range(n)
+            for request_id, action, enqueue_time in zip(
+                self._batch_ids[:n].tolist(), actions.tolist(), enqueue_times
+            )
         ]
         self.stats.record_flush(
             batch_size=n,
             trigger=trigger,
-            latencies=[d.latency_seconds for d in decisions],
+            latencies=[completion - t for t in enqueue_times],
             flush_seconds=completion - start,
             forward_seconds=forward_seconds,
             tie_fallbacks=tie_fallbacks,

@@ -117,8 +117,13 @@ class EventQueue:
 
     def push(self, event: Event) -> Event:
         """Schedule ``event``; returns it (handy for keeping cancel handles)."""
-        if event.time < 0:
-            raise ValueError(f"cannot schedule event in negative time: {event.time}")
+        # ``not (t >= 0)`` rather than ``t < 0``: NaN fails every ordering
+        # comparison, so it would pass a ``<`` guard and then sit in the
+        # heap unordered.
+        if not (event.time >= 0):
+            raise ValueError(
+                f"cannot schedule event at negative or NaN time: {event.time}"
+            )
         if event._queue is not None:
             raise ValueError("event is already scheduled in a queue")
         event._queue = self
@@ -143,6 +148,19 @@ class EventQueue:
             _, _, event = heapq.heappop(self._heap)
             event._queue = None
         return self._heap[0][0] if self._heap else None
+
+    def has_due(self, now: float) -> bool:
+        """True when an entry is queued at or before ``now``.
+
+        Reads the heap's head only, so a cancelled entry still waiting
+        for lazy deletion counts as due.  The simulator asks this before
+        handing a decision straight to its caller: a yes sends the
+        decision through the heap instead, which is always correct.
+        """
+        heap = self._heap
+        if not heap:
+            return False
+        return heap[0][0] <= now
 
     def pop_due(self, horizon: float) -> Optional[Event]:
         """Pop the earliest live event with ``time <= horizon``, or None.

@@ -33,9 +33,20 @@ of the DRL environment is computed from those.
 from __future__ import annotations
 
 import time as _time
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import (
+    Callable,
+    DefaultDict,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.analysis.invariants import InvariantViolation, check, invariants_enabled
 from repro.faults.injector import FaultInjector
@@ -61,9 +72,12 @@ __all__ = [
 ACTION_PROCESS_LOCALLY = 0
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionPoint:
+class DecisionPoint(NamedTuple):
     """A pending coordination decision.
+
+    A named tuple — immutable, equal by value, keyword-constructible —
+    because the simulator builds one per decision and a frozen slots
+    dataclass costs three times as much to construct.
 
     Attributes:
         time: Simulation time of the decision.
@@ -86,9 +100,8 @@ class OutcomeKind(Enum):
     FLOW_KEPT = auto()          # -1 / D_G
 
 
-@dataclass(frozen=True, slots=True)
-class Outcome:
-    """One semantic outcome.
+class Outcome(NamedTuple):
+    """One semantic outcome (a named tuple, see :class:`DecisionPoint`).
 
     Attributes:
         kind: What happened.
@@ -105,6 +118,25 @@ class Outcome:
     chain_length: Optional[int] = None
     link_delay: Optional[float] = None
     drop_reason: Optional[str] = None
+
+
+# Enum members the per-event paths compare against, bound once at import:
+# ``EventKind.DECISION`` is a global plus an attribute lookup at every use.
+_DECISION = EventKind.DECISION
+_LINK_ARRIVAL = EventKind.LINK_ARRIVAL
+_RELEASE_NODE = EventKind.RELEASE_NODE
+_RELEASE_LINK = EventKind.RELEASE_LINK
+_PROCESSING_DONE = EventKind.PROCESSING_DONE
+_INSTANCE_TIMEOUT = EventKind.INSTANCE_TIMEOUT
+_FLOW_INJECTION = EventKind.FLOW_INJECTION
+_FLOW_EXPIRY = EventKind.FLOW_EXPIRY
+_FAULT = EventKind.FAULT
+_ACTIVE = FlowStatus.ACTIVE
+_FLOW_SUCCESS = OutcomeKind.FLOW_SUCCESS
+_FLOW_DROP = OutcomeKind.FLOW_DROP
+_INSTANCE_TRAVERSED = OutcomeKind.INSTANCE_TRAVERSED
+_LINK_TRAVERSED = OutcomeKind.LINK_TRAVERSED
+_FLOW_KEPT = OutcomeKind.FLOW_KEPT
 
 
 @dataclass(slots=True)
@@ -140,6 +172,10 @@ class Simulator:
         self.catalog = catalog
         self.config = config
         self.state = NetworkState(network)
+        # Topology tables the per-decision paths read, bound once.
+        self._hops = network.hop_table
+        self._node_index = network.node_index
+        self._degree = network.degree
 
         #: Fault injector, or None for fault-free runs.  The None path
         #: adds zero events and zero state copies, keeping fault-free
@@ -164,7 +200,7 @@ class Simulator:
         self._traffic: Iterator[FlowSpec] = iter(traffic)
         self._pending: Optional[DecisionPoint] = None
         self._outcomes: List[Outcome] = []
-        self._allocations: Dict[int, List[Allocation]] = {}
+        self._allocations: DefaultDict[int, List[Allocation]] = defaultdict(list)
         self._residences: Dict[int, _Residence] = {}
         self._expiry_events: Dict[int, Event] = {}
         self._active_flows: Dict[int, Flow] = {}
@@ -199,18 +235,23 @@ class Simulator:
             raise RuntimeError(
                 "previous decision not resolved; call apply_action() first"
             )
+        pop_due = self._queue.pop_due
+        horizon = self.config.horizon
+        sanitize = self._sanitize
         while True:
-            event = self._queue.pop_due(self.config.horizon)
+            event = pop_due(horizon)
             if event is None:
                 return None
-            if self._sanitize:
+            if sanitize:
                 check(event.time >= self.now,
                       "event time moved backwards (monotonicity broken)",
                       event_time=event.time, now=self.now, kind=event.kind.name)
             self.now = event.time
             self._dispatch(event)
-            if self._sanitize:
+            if sanitize:
                 self._check_invariants()
+            # Set either by a DECISION event or, when nothing else was due
+            # at this instant, directly by the handler (_flow_at_node).
             if self._pending is not None:
                 return self._pending
 
@@ -221,36 +262,39 @@ class Simulator:
         ``a > 0`` forwards it to the node's a-th neighbor (sorted order).
         An action pointing at a non-existing neighbor drops the flow.
         """
-        if self._pending is None:
+        decision = self._pending
+        if decision is None:
             raise RuntimeError("no pending decision; call next_decision() first")
-        if action < 0 or action > self.network.degree:
+        if action < 0 or action > self._degree:
             # Reject before consuming the pending decision so the caller
             # can retry with a valid action.
             raise ValueError(
-                f"action {action} outside action space [0, {self.network.degree}]"
+                f"action {action} outside action space [0, {self._degree}]"
             )
-        decision = self._pending
         self._pending = None
-        self.metrics.record_decision()
-        flow, node = decision.flow, decision.node
+        self.metrics.decisions += 1
+        flow = decision.flow
 
-        if flow.status is not FlowStatus.ACTIVE:
+        if flow.status is not _ACTIVE:
             return  # dropped by a simultaneous event (e.g. exact-deadline expiry)
-        if flow.expired(self.now):
+        spec = flow.spec
+        if spec.deadline - (self.now - spec.arrival_time) <= 0.0:
             self._drop(flow, DropReason.DEADLINE_EXPIRED)
             return
 
         if action == ACTION_PROCESS_LOCALLY:
-            if flow.fully_processed:
-                self._keep_flow(flow, node)
+            if flow.component_index is None:
+                self._keep_flow(flow)
             else:
-                self._process_locally(flow, node)
-        elif action > len(self.network.neighbor_names(node)):
+                self._process_locally(flow, decision.node)
+            return
+        hops = self._hops[decision.node]
+        if action > len(hops[0]):
             # Valid action index, but this node has fewer neighbors: the
             # flow is sent to a dummy neighbor and dropped (high penalty).
             self._drop(flow, DropReason.INVALID_ACTION)
         else:
-            self._forward(flow, node, action - 1)
+            self._forward(flow, hops, action - 1)
 
     def drain_outcomes(self) -> List[Outcome]:
         """Return and clear the semantic outcomes accumulated so far."""
@@ -366,25 +410,25 @@ class Simulator:
         # then link traffic and releases); dispatch order has no semantic
         # effect since kinds are disjoint.
         kind = event.kind
-        if kind is EventKind.DECISION:
+        if kind is _DECISION:
             flow: Flow = event.payload
-            if flow.status is FlowStatus.ACTIVE:
+            if flow.status is _ACTIVE:
                 self._pending = DecisionPoint(self.now, flow, flow.current_node)
-        elif kind is EventKind.LINK_ARRIVAL:
+        elif kind is _LINK_ARRIVAL:
             self._link_arrival(event.payload, event.node)
-        elif kind is EventKind.RELEASE_NODE or kind is EventKind.RELEASE_LINK:
+        elif kind is _RELEASE_NODE or kind is _RELEASE_LINK:
             self.state.release(event.payload)
-        elif kind is EventKind.PROCESSING_DONE:
+        elif kind is _PROCESSING_DONE:
             self._processing_done(event.payload)
-        elif kind is EventKind.INSTANCE_TIMEOUT:
+        elif kind is _INSTANCE_TIMEOUT:
             self._instance_timeout(*event.payload)
-        elif kind is EventKind.FLOW_INJECTION:
+        elif kind is _FLOW_INJECTION:
             self._inject(event.payload)
-        elif kind is EventKind.FLOW_EXPIRY:
+        elif kind is _FLOW_EXPIRY:
             flow = event.payload
-            if flow.status is FlowStatus.ACTIVE:
+            if flow.status is _ACTIVE:
                 self._drop(flow, DropReason.DEADLINE_EXPIRED)
-        elif kind is EventKind.FAULT:
+        elif kind is _FAULT:
             self._apply_fault(*event.payload)
         else:  # pragma: no cover - taxonomy is closed
             raise ValueError(f"unhandled event kind {kind}")
@@ -397,13 +441,15 @@ class Simulator:
         spec = next(self._traffic, None)
         if spec is None:
             return
-        if spec.arrival_time < self._last_injection_time:
+        # Negated so a NaN arrival time (false under every ordering) is
+        # refused as well.
+        if not (spec.arrival_time >= self._last_injection_time):
             raise ValueError(
                 f"traffic out of order: flow at t={spec.arrival_time} after "
                 f"t={self._last_injection_time}"
             )
         self._last_injection_time = spec.arrival_time
-        self._queue.push(Event(spec.arrival_time, EventKind.FLOW_INJECTION, spec))
+        self._queue.push(Event(spec.arrival_time, _FLOW_INJECTION, spec))
 
     def _inject(self, spec: FlowSpec) -> None:
         # Keep exactly one future injection scheduled: lazy merge with the
@@ -418,7 +464,7 @@ class Simulator:
         self._active_flows[flow.flow_id] = flow
         self.metrics.record_generated(flow)
         self._expiry_events[flow.flow_id] = self._queue.push(
-            Event(spec.arrival_time + spec.deadline, EventKind.FLOW_EXPIRY, flow)
+            Event(spec.arrival_time + spec.deadline, _FLOW_EXPIRY, flow)
         )
         if self.faults is not None and self.faults.node_is_failed(spec.ingress):
             # Injection at a dead ingress: the flow is generated (it
@@ -429,17 +475,28 @@ class Simulator:
 
     def _flow_at_node(self, flow: Flow) -> None:
         """The flow's head is at ``flow.current_node``: finish or ask for a decision."""
-        if flow.fully_processed and flow.current_node == flow.egress:
+        node = flow.current_node
+        if flow.component_index is None and node == flow.spec.egress:
             self._succeed(flow)
             return
-        self._queue.push(Event(self.now, EventKind.DECISION, flow))
+        now = self.now
+        queue = self._queue
+        if queue.has_due(now):
+            # Other events share this instant: the decision queues up
+            # behind them, as simultaneous events resolve in FIFO order.
+            queue.push(Event(now, _DECISION, flow))
+        else:
+            # Nothing else can fire before the decision would be popped
+            # again, so next_decision() returns it without the heap
+            # round-trip.
+            self._pending = DecisionPoint(now, flow, node)
 
     def _succeed(self, flow: Flow) -> None:
         flow.mark_succeeded(self.now)
         self._finish(flow)
         self.metrics.record_success(flow)
         self._outcomes.append(
-            Outcome(OutcomeKind.FLOW_SUCCESS, self.now, flow.flow_id)
+            Outcome(_FLOW_SUCCESS, self.now, flow.flow_id)
         )
 
     def _drop(self, flow: Flow, reason: str) -> None:
@@ -457,7 +514,7 @@ class Simulator:
         self._finish(flow)
         self.metrics.record_drop(flow, reason)
         self._outcomes.append(
-            Outcome(OutcomeKind.FLOW_DROP, self.now, flow.flow_id, drop_reason=reason)
+            Outcome(_FLOW_DROP, self.now, flow.flow_id, None, None, reason)
         )
 
     def _finish(self, flow: Flow) -> None:
@@ -471,12 +528,12 @@ class Simulator:
     # Actions
     # ------------------------------------------------------------------
 
-    def _keep_flow(self, flow: Flow, node: str) -> None:
+    def _keep_flow(self, flow: Flow) -> None:
         """Action 0 on a fully processed flow away from its egress: the flow
         waits one time step and the agent is queried again (small penalty)."""
-        self._outcomes.append(Outcome(OutcomeKind.FLOW_KEPT, self.now, flow.flow_id))
+        self._outcomes.append(Outcome(_FLOW_KEPT, self.now, flow.flow_id))
         self._queue.push(
-            Event(self.now + self.config.keep_duration, EventKind.DECISION, flow)
+            Event(self.now + self.config.keep_duration, _DECISION, flow)
         )
 
     def _process_locally(self, flow: Flow, node: str) -> None:
@@ -486,22 +543,27 @@ class Simulator:
         service = flow.service_obj
         if service is None:
             service = self.catalog.service(flow.service)
-        if flow.component_index is None:
+        index = flow.component_index
+        if index is None:
             raise InvariantViolation(
                 "flow asked to process locally but its chain is already complete",
                 flow_id=flow.flow_id, node=node,
             )
-        component = service.components[flow.component_index]
+        component = service.components[index]
         demands = flow.demands
+        spec = flow.spec
         demand = (
-            demands[flow.component_index]
+            demands[index]
             if demands is not None
-            else component.resources(flow.data_rate)
+            else component.resources(spec.data_rate)
         )
+        flow_id = flow.flow_id
+        state = self.state
+        now = self.now
 
         try:
-            allocation = self.state.allocate_node_id(
-                self.network.node_index[node], demand, flow.flow_id
+            allocation = state.allocate_node_id(
+                self._node_index[node], demand, flow_id
             )
         except CapacityError:
             self._drop(flow, DropReason.NODE_CAPACITY)
@@ -509,93 +571,84 @@ class Simulator:
 
         # Scaling & placement are derived from the processing decision
         # (Sec. IV-A): ensure an instance exists, starting one if needed.
-        instance = self.state.instance(node, component.name)
+        name = component.name
+        instance = state.instance(node, name)
         if instance is None:
-            instance = self.state.place_instance(
-                node, component.name, self.now, component.startup_delay
+            instance = state.place_instance(
+                node, name, now, component.startup_delay
             )
-        start = max(self.now, instance.ready_at)
+        start = max(now, instance.ready_at)
         done_time = start + component.processing_delay
-        release_time = done_time + flow.duration
+        release_time = done_time + spec.duration
 
-        self.state.instance_begin_flow(node, component.name)
-        done_event = self._queue.push(Event(done_time, EventKind.PROCESSING_DONE, flow))
-        release_event = self._queue.push(
-            Event(release_time, EventKind.RELEASE_NODE, allocation)
-        )
-        self._allocations.setdefault(flow.flow_id, []).append(allocation)
-        self._residences[flow.flow_id] = _Residence(
-            node, component.name, done_event, release_event
+        state.instance_begin_flow(node, name)
+        push = self._queue.push
+        done_event = push(Event(done_time, _PROCESSING_DONE, flow))
+        release_event = push(Event(release_time, _RELEASE_NODE, allocation))
+        self._allocations[flow_id].append(allocation)
+        self._residences[flow_id] = _Residence(
+            node, name, done_event, release_event
         )
 
     def _processing_done(self, flow: Flow) -> None:
-        if flow.status is not FlowStatus.ACTIVE:
+        if flow.status is not _ACTIVE:
             return
-        residence = self._residences.pop(flow.flow_id, None)
+        flow_id = flow.flow_id
+        residence = self._residences.pop(flow_id, None)
         if residence is None:
             raise InvariantViolation(
                 "flow finished processing with no residence record",
-                flow_id=flow.flow_id, node=flow.current_node,
+                flow_id=flow_id, node=flow.current_node,
             )
-        # The instance stays busy until the flow's tail leaves (duration
-        # later); schedule that transition via the release event's time by
-        # ending the residence when the node allocation releases.  We end it
-        # here plus duration using a dedicated callback through the release
-        # event: simplest is to end the busy count now + duration.
-        node, component = residence.node, residence.component
+        # The instance stays busy until the flow's tail leaves, one flow
+        # duration from now: an INSTANCE_TIMEOUT event with the sentinel
+        # due time -1 means "tail left; decrement busy and maybe arm the
+        # idle timer".
+        now = self.now
         self._queue.push(
             Event(
-                self.now + flow.duration,
-                EventKind.INSTANCE_TIMEOUT,
-                # Reuse the timeout event with a sentinel due time of -1 to
-                # mean "flow tail left; decrement busy and maybe arm timer".
-                (node, component, -1.0),
+                now + flow.spec.duration,
+                _INSTANCE_TIMEOUT,
+                (residence.node, residence.component, -1.0),
             )
         )
         flow.advance_component()
         self._outcomes.append(
-            Outcome(
-                OutcomeKind.INSTANCE_TRAVERSED,
-                self.now,
-                flow.flow_id,
-                chain_length=flow.chain_length,
-            )
+            Outcome(_INSTANCE_TRAVERSED, now, flow_id, flow.chain_length)
         )
         self._flow_at_node(flow)
 
-    def _forward(self, flow: Flow, node: str, neighbor_index: int) -> None:
-        network = self.network
-        neighbor = network.neighbor_names(node)[neighbor_index]
-        link_delay = network.neighbor_link_delays(node)[neighbor_index]
-        link_id = network.neighbor_link_id_tuple(node)[neighbor_index]
+    def _forward(
+        self,
+        flow: Flow,
+        hops: Tuple[Tuple[str, ...], Tuple[float, ...], Tuple[int, ...]],
+        neighbor_index: int,
+    ) -> None:
+        """Send ``flow`` over the ``neighbor_index``-th link of the node
+        whose :attr:`Network.hop_table` entry is ``hops``."""
+        link_delay = hops[1][neighbor_index]
+        link_id = hops[2][neighbor_index]
         if self.faults is not None and self.faults.link_is_failed(link_id):
             self._drop(flow, DropReason.NETWORK_FAILURE)
             return
+        spec = flow.spec
+        flow_id = flow.flow_id
         try:
-            allocation = self.state.allocate_link_id(
-                link_id, flow.data_rate, flow.flow_id
-            )
+            allocation = self.state.allocate_link_id(link_id, spec.data_rate, flow_id)
         except CapacityError:
             self._drop(flow, DropReason.LINK_CAPACITY)
             return
-        self._allocations.setdefault(flow.flow_id, []).append(allocation)
-        self._queue.push(
-            Event(self.now + link_delay, EventKind.LINK_ARRIVAL, flow, node=neighbor)
-        )
-        self._queue.push(
-            Event(self.now + link_delay + flow.duration, EventKind.RELEASE_LINK, allocation)
-        )
+        self._allocations[flow_id].append(allocation)
+        now = self.now
+        push = self._queue.push
+        push(Event(now + link_delay, _LINK_ARRIVAL, flow, hops[0][neighbor_index]))
+        push(Event(now + link_delay + spec.duration, _RELEASE_LINK, allocation))
         self._outcomes.append(
-            Outcome(
-                OutcomeKind.LINK_TRAVERSED,
-                self.now,
-                flow.flow_id,
-                link_delay=link_delay,
-            )
+            Outcome(_LINK_TRAVERSED, now, flow_id, None, link_delay)
         )
 
     def _link_arrival(self, flow: Flow, node: Optional[str]) -> None:
-        if flow.status is not FlowStatus.ACTIVE:
+        if flow.status is not _ACTIVE:
             return
         if node is None:
             raise InvariantViolation(
@@ -648,7 +701,7 @@ class Simulator:
         dropped = 0
         for flow_id in sorted(self._allocations):
             flow = self._active_flows.get(flow_id)
-            if flow is None or flow.status is not FlowStatus.ACTIVE:
+            if flow is None or flow.status is not _ACTIVE:
                 continue
             if any(
                 a.kind == "link" and not a.released and a.index == link_id
@@ -665,7 +718,7 @@ class Simulator:
         dropped = 0
         for flow_id in sorted(self._active_flows):
             flow = self._active_flows.get(flow_id)
-            if flow is None or flow.status is not FlowStatus.ACTIVE:
+            if flow is None or flow.status is not _ACTIVE:
                 continue
             residence = self._residences.get(flow_id)
             if (
@@ -735,7 +788,7 @@ class Simulator:
         self._queue.push(
             Event(
                 instance.idle_since + timeout,
-                EventKind.INSTANCE_TIMEOUT,
+                _INSTANCE_TIMEOUT,
                 (node, component, instance.idle_since + timeout),
             )
         )

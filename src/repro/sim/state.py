@@ -89,6 +89,10 @@ class NetworkState:
         self.network = network
         self._node_index = network.node_index
         self._link_index = network.link_index
+        # Names by integer id (both index dicts are in id order): the
+        # allocation records carry the name next to the id.
+        self._node_names: Tuple[str, ...] = tuple(self._node_index)
+        self._link_keys: Tuple[Tuple[str, str], ...] = tuple(self._link_index)
         # Effective capacities start out *aliasing* the network's static
         # arrays; :meth:`enable_capacity_overrides` swaps in private
         # copies so fault injection can mask entries without touching the
@@ -230,23 +234,31 @@ class NetworkState:
         return self.allocate_node_id(self._node_index[node], amount, flow_id)
 
     def allocate_node_id(self, node_id: int, amount: float, flow_id: int) -> Allocation:
-        """:meth:`allocate_node` by integer node id (simulator hot path)."""
+        """:meth:`allocate_node` by integer node id (simulator hot path).
+
+        Each array slot is read once with ``.item()`` and written once;
+        the add and the comparisons in between run on Python floats,
+        which are the same IEEE-754 doubles the ndarray ``+=`` operates
+        on, so the stored loads are bitwise what in-place array
+        arithmetic produces.
+        """
         loads = self._node_loads
-        capacity = self._node_caps[node_id]
+        load = loads.item(node_id)
+        capacity = self._node_caps.item(node_id)
+        new_load = load + amount
         # Small epsilon tolerates float accumulation across release/allocate
         # cycles; a genuinely over-capacity request still fails.
-        if loads[node_id] + amount > capacity + 1e-9:
-            node = self.network.node_name_at(node_id)
+        if new_load > capacity + 1e-9:
             raise CapacityError(
-                f"node {node}: load {loads[node_id]:.4f} + {amount:.4f} "
+                f"node {self._node_names[node_id]}: load {load:.4f} + {amount:.4f} "
                 f"exceeds capacity {capacity:.4f}"
             )
-        loads[node_id] += amount
-        if loads[node_id] > self._peak_node_loads[node_id]:
-            self._peak_node_loads[node_id] = loads[node_id]
+        loads[node_id] = new_load
+        peaks = self._peak_node_loads
+        if new_load > peaks.item(node_id):
+            peaks[node_id] = new_load
         return Allocation(
-            "node", self.network.node_name_at(node_id), amount, flow_id,
-            index=node_id,
+            "node", self._node_names[node_id], amount, flow_id, False, node_id
         )
 
     def allocate_link(self, u: str, v: str, rate: float, flow_id: int) -> Allocation:
@@ -258,19 +270,20 @@ class NetworkState:
     def allocate_link_id(self, link_id: int, rate: float, flow_id: int) -> Allocation:
         """:meth:`allocate_link` by integer link id (simulator hot path)."""
         loads = self._link_loads
-        capacity = self._link_caps[link_id]
-        if loads[link_id] + rate > capacity + 1e-9:
-            key = self.network.link_key_at(link_id)
+        load = loads.item(link_id)
+        capacity = self._link_caps.item(link_id)
+        new_load = load + rate
+        if new_load > capacity + 1e-9:
             raise CapacityError(
-                f"link {key}: load {loads[link_id]:.4f} + {rate:.4f} "
+                f"link {self._link_keys[link_id]}: load {load:.4f} + {rate:.4f} "
                 f"exceeds capacity {capacity:.4f}"
             )
-        loads[link_id] += rate
-        if loads[link_id] > self._peak_link_loads[link_id]:
-            self._peak_link_loads[link_id] = loads[link_id]
+        loads[link_id] = new_load
+        peaks = self._peak_link_loads
+        if new_load > peaks.item(link_id):
+            peaks[link_id] = new_load
         return Allocation(
-            "link", self.network.link_key_at(link_id), rate, flow_id,
-            index=link_id,
+            "link", self._link_keys[link_id], rate, flow_id, False, link_id
         )
 
     def release(self, allocation: Allocation) -> None:
@@ -278,8 +291,9 @@ class NetworkState:
         if allocation.released:
             return
         allocation.released = True
-        if allocation.kind == "node":
-            i = allocation.index
+        kind = allocation.kind
+        i = allocation.index
+        if kind == "node":
             if i < 0:
                 if not isinstance(allocation.key, str):
                     raise InvariantViolation(
@@ -287,16 +301,7 @@ class NetworkState:
                     )
                 i = self._node_index[allocation.key]
             loads = self._node_loads
-            loads[i] -= allocation.amount
-            # Clamp float dust so long simulations cannot drift negative.
-            if -1e-9 < loads[i] < 0:
-                loads[i] = 0.0
-            if not loads[i] >= 0:
-                check(False, "negative node load after release",
-                      node=allocation.key, load=float(loads[i]),
-                      released=allocation.amount, flow_id=allocation.flow_id)
-        elif allocation.kind == "link":
-            i = allocation.index
+        elif kind == "link":
             if i < 0:
                 if not isinstance(allocation.key, tuple):
                     raise InvariantViolation(
@@ -304,15 +309,19 @@ class NetworkState:
                     )
                 i = self._link_index[allocation.key]
             loads = self._link_loads
-            loads[i] -= allocation.amount
-            if -1e-9 < loads[i] < 0:
-                loads[i] = 0.0
-            if not loads[i] >= 0:
-                check(False, "negative link load after release",
-                      link=allocation.key, load=float(loads[i]),
-                      released=allocation.amount, flow_id=allocation.flow_id)
         else:  # pragma: no cover - allocation kinds are fixed above
-            raise ValueError(f"unknown allocation kind {allocation.kind!r}")
+            raise ValueError(f"unknown allocation kind {kind!r}")
+        load = loads.item(i) - allocation.amount
+        # Clamp float dust so long simulations cannot drift negative.
+        if -1e-9 < load < 0:
+            load = 0.0
+        loads[i] = load
+        if not load >= 0:
+            raise InvariantViolation(
+                f"negative {kind} load after release",
+                **{kind: allocation.key}, load=load,
+                released=allocation.amount, flow_id=allocation.flow_id,
+            )
 
     # ------------------------------------------------------------------
     # Instances (scaling & placement state x_{c,v})

@@ -187,16 +187,18 @@ class Network:
             [link.capacity for link in self._links.values()], dtype=np.float64
         )
         idx = self.node_index
-        self._neighbor_names: Dict[str, Tuple[str, ...]] = {}
+        #: Per-node ``(neighbor names, link delays, link ids)``, each
+        #: aligned with the sorted neighbor order: everything the
+        #: simulator needs to resolve a forwarding action, in one lookup.
+        self._hop_table: Dict[
+            str, Tuple[Tuple[str, ...], Tuple[float, ...], Tuple[int, ...]]
+        ] = {}
         self._neighbor_node_ids: Dict[str, np.ndarray] = {}
         self._neighbor_link_ids: Dict[str, np.ndarray] = {}
         self._self_and_neighbor_ids: Dict[str, np.ndarray] = {}
         self._neighbor_link_caps: Dict[str, np.ndarray] = {}
         self._self_and_neighbor_caps: Dict[str, np.ndarray] = {}
-        self._neighbor_link_delay_tuple: Dict[str, Tuple[float, ...]] = {}
-        self._neighbor_link_id_tuple: Dict[str, Tuple[int, ...]] = {}
         for name, adjacent in self._adjacency.items():
-            self._neighbor_names[name] = tuple(adjacent)
             node_ids = np.array([idx[nb] for nb in adjacent], dtype=np.intp)
             link_ids = [self.link_index[link_key(name, nb)] for nb in adjacent]
             self._neighbor_node_ids[name] = node_ids
@@ -210,10 +212,11 @@ class Network:
             self._self_and_neighbor_caps[name] = self._node_capacities[
                 self._self_and_neighbor_ids[name]
             ].copy()
-            self._neighbor_link_delay_tuple[name] = tuple(
-                self._links[link_key(name, nb)].delay for nb in adjacent
+            self._hop_table[name] = (
+                tuple(adjacent),
+                tuple(self._links[link_key(name, nb)].delay for nb in adjacent),
+                tuple(link_ids),
             )
-            self._neighbor_link_id_tuple[name] = tuple(link_ids)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -267,13 +270,17 @@ class Network:
     # Integer-indexed hot-path accessors (see _build_index_tables)
     # ------------------------------------------------------------------
 
-    def neighbor_names(self, name: str) -> Tuple[str, ...]:
-        """Sorted neighbors of ``name`` as a shared (immutable) tuple.
+    @property
+    def hop_table(
+        self,
+    ) -> Dict[str, Tuple[Tuple[str, ...], Tuple[float, ...], Tuple[int, ...]]]:
+        """``node -> (neighbor names, link delays, link ids)``, each tuple
+        in sorted-neighbor order (position ``a - 1`` is DRL action ``a``).
 
-        Same order as :meth:`neighbors` without the per-call list copy —
-        the simulator resolves every decision through this.
+        The simulator resolves every forwarding action through one lookup
+        here.  Treat as read-only.
         """
-        return self._neighbor_names[name]
+        return self._hop_table
 
     def node_name_at(self, node_id: int) -> str:
         """Node name for an integer node id (insertion order)."""
@@ -301,10 +308,6 @@ class Network:
         """Link ids of ``name``'s incident links, in sorted-neighbor order."""
         return self._neighbor_link_ids[name]
 
-    def neighbor_link_id_tuple(self, name: str) -> Tuple[int, ...]:
-        """Same as :meth:`neighbor_link_ids` but as plain Python ints."""
-        return self._neighbor_link_id_tuple[name]
-
     def self_and_neighbor_ids(self, name: str) -> np.ndarray:
         """Node ids of ``[name] + neighbors`` — the observation gather index."""
         return self._self_and_neighbor_ids[name]
@@ -316,10 +319,6 @@ class Network:
     def self_and_neighbor_capacities(self, name: str) -> np.ndarray:
         """Node capacities of ``[name] + neighbors``."""
         return self._self_and_neighbor_caps[name]
-
-    def neighbor_link_delays(self, name: str) -> Tuple[float, ...]:
-        """Delays of ``name``'s incident links, aligned with neighbors."""
-        return self._neighbor_link_delay_tuple[name]
 
     # ------------------------------------------------------------------
     # Derived quantities used by the POMDP

@@ -57,13 +57,14 @@ class FlowSpec:
     deadline: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.data_rate <= 0:
+        # Negated comparisons so NaN (false under every ordering) is refused.
+        if not (self.data_rate > 0):
             raise ValueError(f"flow data_rate must be > 0, got {self.data_rate}")
-        if self.duration <= 0:
+        if not (self.duration > 0):
             raise ValueError(f"flow duration must be > 0, got {self.duration}")
-        if self.deadline <= 0:
+        if not (self.deadline > 0):
             raise ValueError(f"flow deadline must be > 0, got {self.deadline}")
-        if self.arrival_time < 0:
+        if not (self.arrival_time >= 0):
             raise ValueError(f"flow arrival_time must be >= 0, got {self.arrival_time}")
 
 

@@ -1,7 +1,9 @@
 """Tests for the shaped reward function (Sec. IV-B3)."""
 
+import numpy as np
 import pytest
 
+from repro.analysis.invariants import InvariantViolation
 from repro.core.rewards import RewardConfig, RewardFunction
 from repro.sim.simulator import Outcome, OutcomeKind
 from repro.topology import line_network
@@ -108,3 +110,47 @@ class TestShapingGuard:
         assert fn.outcome_reward(
             outcome(OutcomeKind.LINK_TRAVERSED, link_delay=3.0)
         ) == pytest.approx(-0.5)
+
+
+class TestTotalIsTheInOrderSum:
+    """``total`` carries its own loop (one call per env step); the
+    per-outcome method is its reference."""
+
+    @pytest.mark.parametrize("shaping", [True, False])
+    def test_bitwise_equal_to_summing_outcome_reward(self, shaping):
+        fn = RewardFunction(
+            line_network(5, link_delay=0.7),
+            RewardConfig(enable_shaping=shaping, link_penalty_scale=0.3),
+        )
+        rng = np.random.default_rng(0)
+        makers = [
+            lambda: outcome(OutcomeKind.FLOW_SUCCESS),
+            lambda: outcome(OutcomeKind.FLOW_DROP, drop_reason="x"),
+            lambda: outcome(OutcomeKind.INSTANCE_TRAVERSED,
+                            chain_length=int(rng.integers(1, 8))),
+            lambda: outcome(OutcomeKind.LINK_TRAVERSED,
+                            link_delay=float(rng.uniform(0.0, 9.0))),
+            lambda: outcome(OutcomeKind.FLOW_KEPT),
+        ]
+        for _ in range(300):
+            batch = [
+                makers[int(rng.integers(len(makers)))]()
+                for _ in range(int(rng.integers(0, 7)))
+            ]
+            expected = 0.0
+            for item in batch:
+                expected += fn.outcome_reward(item)
+            assert repr(fn.total(batch)) == repr(expected)
+
+    def test_accepts_any_iterable_and_empty_is_zero(self, reward_fn):
+        assert reward_fn.total(iter([])) == 0.0
+        assert reward_fn.total(
+            o for o in [outcome(OutcomeKind.FLOW_SUCCESS)]
+        ) == 10.0
+
+    @pytest.mark.parametrize(
+        "kind", [OutcomeKind.INSTANCE_TRAVERSED, OutcomeKind.LINK_TRAVERSED]
+    )
+    def test_malformed_outcome_raises_like_outcome_reward(self, reward_fn, kind):
+        with pytest.raises(InvariantViolation, match="lacks"):
+            reward_fn.total([outcome(OutcomeKind.FLOW_SUCCESS), outcome(kind)])

@@ -1,5 +1,7 @@
 """Tests for the event queue."""
 
+import math
+
 import pytest
 
 from repro.sim.events import Event, EventKind, EventQueue
@@ -59,6 +61,44 @@ class TestEventQueue:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             EventQueue().push(ev(-1.0))
+
+    @pytest.mark.parametrize("time", [math.nan, -math.inf])
+    def test_unordered_or_negative_infinite_time_rejected(self, time):
+        # NaN compares false both ways: accepted, it sat in the heap
+        # unordered and popped as [0.5, nan, 1.0].
+        q = EventQueue()
+        q.push(ev(0.5))
+        with pytest.raises(ValueError, match="negative or NaN"):
+            q.push(ev(time))
+        q.push(ev(1.0))
+        assert [q.pop().time for _ in range(2)] == [0.5, 1.0]
+        assert q.pop() is None
+
+    def test_positive_infinite_time_sorts_last_and_is_never_due(self):
+        q = EventQueue()
+        q.push(ev(math.inf, "never"))
+        q.push(ev(2.0, "finite"))
+        assert q.pop_due(1e300).payload == "finite"
+        assert q.pop_due(1e300) is None
+        assert len(q) == 1
+
+    def test_has_due_reads_the_head_time(self):
+        q = EventQueue()
+        assert not q.has_due(5.0)
+        q.push(ev(3.0))
+        assert not q.has_due(2.999)
+        assert q.has_due(3.0)
+        assert q.has_due(4.0)
+        q.pop()
+        assert not q.has_due(4.0)
+
+    def test_has_due_counts_a_cancelled_head(self):
+        # Conservative on purpose: the caller then takes the heap path,
+        # where lazy deletion skips the dead entry.
+        q = EventQueue()
+        q.push(ev(1.0)).cancelled = True
+        assert len(q) == 0
+        assert q.has_due(1.0)
 
     def test_push_returns_handle(self):
         q = EventQueue()

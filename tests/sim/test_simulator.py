@@ -5,6 +5,8 @@ exact lifecycle: which decisions occur, when flows finish, what delays
 accumulate, what gets dropped why, and which outcomes are emitted.
 """
 
+import math
+
 import pytest
 
 from repro.sim.metrics import DropReason
@@ -314,6 +316,25 @@ class TestValidationAndConfig:
             # first one, which is when the ordering violation surfaces.
             while sim.next_decision() is not None:
                 sim.apply_action(0)
+
+    @pytest.mark.parametrize("arrival", [math.nan, -math.inf])
+    def test_unordered_arrival_time_rejected(self, line3, simple_catalog, arrival):
+        flows = make_flow_specs([10.0, 15.0])
+        # Bypass FlowSpec validation, as a hand-rolled trace loader could.
+        # NaN is neither before nor after 10.0; a ``<`` guard accepted it.
+        object.__setattr__(flows[1], "arrival_time", arrival)
+        sim = make_simulator(line3, simple_catalog, flows)
+        with pytest.raises(ValueError, match="out of order"):
+            while sim.next_decision() is not None:
+                sim.apply_action(0)
+
+    def test_infinite_arrival_time_is_in_order_and_never_injected(
+        self, line3, simple_catalog
+    ):
+        flows = make_flow_specs([10.0, math.inf])
+        sim = make_simulator(line3, simple_catalog, flows)
+        metrics = sim.run(process_then_forward_policy(line3, simple_catalog))
+        assert metrics.flows_generated == 1
 
     def test_horizon_cuts_late_flows(self, line3, simple_catalog):
         flows = make_flow_specs([5.0, 150.0])

@@ -1,5 +1,6 @@
 """Tests for mutable network runtime state."""
 
+import numpy as np
 import pytest
 
 from repro.sim.state import CapacityError, NetworkState
@@ -59,6 +60,55 @@ class TestNodeAllocation:
             state.release(alloc)
             state.release(alloc2)
         state.allocate_node("b", 1.0, 9999)
+
+
+class TestScalarAccountingIsTheArrayArithmetic:
+    """allocate/release read a slot with ``.item()``, compute on Python
+    floats and write back; the reference below is the in-place ndarray
+    arithmetic (``+=``, ``-=``, clamp).  Loads and peaks must agree
+    byte for byte over a long random sequence, refusals included."""
+
+    def test_bitwise_equal_to_inplace_ndarray_updates(self):
+        nodes = [Node(f"n{i}", capacity=c) for i, c in enumerate((2.0, 1.0, 3.5))]
+        links = [Link("n0", "n1", capacity=1.5), Link("n1", "n2", capacity=2.25)]
+        state = NetworkState(Network("t", nodes, links))
+        caps = {"node": np.array([2.0, 1.0, 3.5]), "link": np.array([1.5, 2.25])}
+        loads = {"node": np.zeros(3), "link": np.zeros(2)}
+        peaks = {"node": np.zeros(3), "link": np.zeros(2)}
+        allocate = {"node": state.allocate_node_id, "link": state.allocate_link_id}
+        rng = np.random.default_rng(7)
+        held, refused = [], 0
+        for step in range(4000):
+            if held and rng.random() < 0.4:
+                kind, i, amount, allocation = held.pop(int(rng.integers(len(held))))
+                state.release(allocation)
+                loads[kind][i] -= amount
+                if -1e-9 < loads[kind][i] < 0:
+                    loads[kind][i] = 0.0
+            else:
+                kind = "node" if rng.random() < 0.5 else "link"
+                i = int(rng.integers(len(loads[kind])))
+                amount = float(rng.uniform(0.0, 1.0)) / 3.0
+                if loads[kind][i] + amount > caps[kind][i] + 1e-9:
+                    refused += 1
+                    with pytest.raises(CapacityError):
+                        allocate[kind](i, amount, step)
+                else:
+                    held.append((kind, i, amount, allocate[kind](i, amount, step)))
+                    loads[kind][i] += amount
+                    peaks[kind][i] = max(peaks[kind][i], loads[kind][i])
+            assert state.node_loads.tobytes() == loads["node"].tobytes()
+            assert state.link_loads.tobytes() == loads["link"].tobytes()
+        assert refused > 100 and held
+        assert list(state.peak_node_load.values()) == peaks["node"].tolist()
+        assert list(state.peak_link_load.values()) == peaks["link"].tolist()
+
+    def test_allocation_record_names_the_slot(self, state):
+        node = state.allocate_node_id(1, 0.5, flow_id=3)
+        link = state.allocate_link_id(0, 0.5, flow_id=4)
+        assert (node.kind, node.key, node.index, node.flow_id) == ("node", "b", 1, 3)
+        assert (link.kind, link.key, link.index, link.flow_id) == ("link", ("a", "b"), 0, 4)
+        assert not node.released and not link.released
 
 
 class TestLinkAllocation:

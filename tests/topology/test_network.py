@@ -88,6 +88,18 @@ class TestNetworkConstruction:
         net = Network("star", nodes, links)
         assert net.neighbors("m") == ["a", "k", "z"]
 
+    def test_hop_table_is_aligned_with_the_sorted_neighbors(self):
+        net = small_net()
+        assert set(net.hop_table) == {"a", "b", "c"}
+        for name, (names, delays, link_ids) in net.hop_table.items():
+            assert list(names) == net.neighbors(name)
+            assert list(delays) == [net.link(name, nb).delay for nb in names]
+            assert list(link_ids) == net.neighbor_link_ids(name).tolist()
+            assert [net.link_key_at(i) for i in link_ids] == [
+                link_key(name, nb) for nb in names
+            ]
+        assert net.hop_table["b"] == (("a", "c"), (1.0, 2.0), (0, 1))
+
     def test_degree_metrics(self):
         net = small_net()
         assert net.degree == 2  # node b

@@ -1,5 +1,7 @@
 """Tests for the flow model."""
 
+import math
+
 import pytest
 
 from repro.traffic.flows import Flow, FlowSpec, FlowStatus
@@ -23,11 +25,25 @@ class TestFlowSpec:
             {"duration": 0.0},
             {"deadline": 0.0},
             {"arrival_time": -1.0},
+            # NaN is false under every ordering, so a ``< 0`` / ``<= 0``
+            # guard lets it through; -inf is just very negative.
+            {"data_rate": math.nan},
+            {"duration": math.nan},
+            {"deadline": math.nan},
+            {"arrival_time": math.nan},
+            {"data_rate": -math.inf},
+            {"duration": -math.inf},
+            {"deadline": -math.inf},
+            {"arrival_time": -math.inf},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             spec(**kwargs)
+
+    def test_positive_infinity_means_unbounded(self):
+        # +inf satisfies "> 0": a flow without a deadline is expressible.
+        assert spec(deadline=math.inf).deadline == math.inf
 
     def test_immutability(self):
         s = spec()
