@@ -57,11 +57,7 @@ def _resolved_eval_dtype(args: argparse.Namespace) -> str:
     return "f32" if dtype == np.dtype(np.float32) else "f64"
 
 
-def _add_optimizer_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kfac-threads", type=int, default=None,
-                        help="ACKTR actor/critic update concurrency; 1 = "
-                             "serial, 2 = overlapped (bit-identical results "
-                             "either way; default: $REPRO_KFAC_THREADS, else 2)")
+def _add_stat_interval_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stat-interval", type=int, default=1,
                         help="refresh ACKTR's Kronecker-factor statistics "
                              "every N updates (1 = every update, the exact "
@@ -157,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_arg(train)
     _add_eval_batch_arg(train)
     _add_eval_dtype_arg(train)
-    _add_optimizer_args(train)
+    _add_stat_interval_arg(train)
     _add_telemetry_arg(train)
 
     evaluate = sub.add_parser("evaluate", help="evaluate a policy on a scenario")
@@ -180,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_arg(compare)
     _add_eval_batch_arg(compare)
     _add_eval_dtype_arg(compare)
-    _add_optimizer_args(compare)
+    _add_stat_interval_arg(compare)
     _add_telemetry_arg(compare)
 
     serve = sub.add_parser(
@@ -290,7 +286,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         workers=args.workers,
         eval_batch=args.eval_batch,
         eval_dtype=_resolved_eval_dtype(args),
-        kfac_threads=args.kfac_threads,
         stat_interval=args.stat_interval,
     )
     if not args.quiet:
@@ -383,7 +378,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             workers=args.workers,
             eval_batch=args.eval_batch,
             eval_dtype=_resolved_eval_dtype(args),
-            kfac_threads=args.kfac_threads,
             stat_interval=args.stat_interval,
         ),
     )

@@ -69,9 +69,6 @@ class TrainingConfig:
         eval_dtype: Inference dtype of the batched selection evaluation
             and of the deployed per-node agents (``"f64"``/``"f32"``;
             None reads ``REPRO_EVAL_DTYPE``, float64 when unset).
-        kfac_threads: ACKTR actor/critic update concurrency (None reads
-            ``REPRO_KFAC_THREADS``, default 2; 1 = serial; bit-identical
-            either way).
         stat_interval: Refresh ACKTR's Kronecker-factor statistics every
             this many updates (default 1 = every update, the historical
             bit-identical behaviour; larger values amortize the Fisher
@@ -95,7 +92,6 @@ class TrainingConfig:
     workers: Optional[int] = None
     eval_batch: Optional[int] = None
     eval_dtype: Optional[str] = None
-    kfac_threads: Optional[int] = None
     stat_interval: int = 1
     seed_timeout: Optional[float] = None
 
@@ -109,7 +105,6 @@ class TrainingConfig:
             n_steps=self.n_steps,
             n_envs=self.n_envs,
             kl_clip=self.kl_clip,
-            kfac_threads=self.kfac_threads,
             stat_interval=self.stat_interval,
         )
 

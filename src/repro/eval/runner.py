@@ -300,7 +300,7 @@ class SuiteConfig:
     ``eval_dtype`` selects the inference dtype of both the selection
     evaluations and the deployed distributed agents (``"f64"``/``"f32"``;
     None reads ``REPRO_EVAL_DTYPE``, float64 when unset);
-    ``kfac_threads``/``stat_interval`` tune the ACKTR optimizer path of
+    ``stat_interval`` is the ACKTR statistics-refresh hyperparameter of
     the training runs (see :class:`~repro.rl.acktr.ACKTRConfig`).
     """
 
@@ -313,7 +313,6 @@ class SuiteConfig:
     workers: Optional[int] = None
     eval_batch: Optional[int] = None
     eval_dtype: Optional[str] = None
-    kfac_threads: Optional[int] = None
     stat_interval: int = 1
 
 
@@ -468,7 +467,6 @@ def build_algorithm_suite(
             workers=suite.workers,
             eval_batch=suite.eval_batch,
             eval_dtype=suite.eval_dtype,
-            kfac_threads=suite.kfac_threads,
             stat_interval=suite.stat_interval,
         )
         result = train_coordinator(env_config, training, verbose=verbose)

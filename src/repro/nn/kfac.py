@@ -112,12 +112,9 @@ class KFAC:
         #: :meth:`step` (0.0 until the first step, or when clipping is
         #: disabled) — surfaced as ``grad_norm`` in training telemetry.
         self.last_grad_norm: float = 0.0
-        #: When True, :meth:`step` records wall-clock attribution of its
-        #: two sub-phases into ``last_inversion_seconds`` /
-        #: ``last_precondition_seconds`` (read by the trainer's phase
-        #: profiler; two clock reads per step when enabled, zero cost
-        #: otherwise).
-        self.profile: bool = False
+        #: Wall-clock split of the most recent :meth:`step` (factor
+        #: inversions / everything after), read by the trainer's phase
+        #: profiler; three clock reads per step.
         self.last_inversion_seconds: float = 0.0
         self.last_precondition_seconds: float = 0.0
 
@@ -187,14 +184,12 @@ class KFAC:
         if self.max_grad_norm is not None:
             self.last_grad_norm = clip_grads_by_norm(grads, self.max_grad_norm)
 
-        profile = self.profile
-        t0 = t1 = time.perf_counter() if profile else 0.0
+        t0 = time.perf_counter()
         if self._steps % self.inversion_interval == 0:
             self._refresh_inverses()
         self._steps += 1
-        if profile:
-            t1 = time.perf_counter()
-            self.last_inversion_seconds = t1 - t0
+        t1 = time.perf_counter()
+        self.last_inversion_seconds = t1 - t0
 
         # Preconditioned (natural) gradients per layer, written into the
         # preallocated ``_u_buf`` scratch (``A⁻¹ ∇W G⁻¹`` via two out=
@@ -231,6 +226,5 @@ class KFAC:
         for weight, update, tmp in zip(self.model.parameters, updates, self._t_buf):
             np.multiply(update, step_size, out=tmp)
             weight -= tmp
-        if profile:
-            self.last_precondition_seconds = time.perf_counter() - t1
+        self.last_precondition_seconds = time.perf_counter() - t1
         return float(scale)

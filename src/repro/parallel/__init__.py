@@ -19,6 +19,7 @@ from repro.parallel.pool import (
     WorkerTimeoutError,
     resolve_workers,
     run_tasks,
+    usable_cpus,
 )
 from repro.parallel.protocol import CountingEnvFactory, EnvBuilder
 from repro.parallel.timing import TaskTiming, TimingReport
@@ -36,4 +37,5 @@ __all__ = [
     "WorkerTimeoutError",
     "resolve_workers",
     "run_tasks",
+    "usable_cpus",
 ]

@@ -41,11 +41,12 @@ __all__ = [
     "ParallelResult",
     "resolve_workers",
     "run_tasks",
+    "usable_cpus",
 ]
 
 #: Environment knob: default worker count when callers pass ``workers=None``.
-#: Unset/empty/"1" = serial; "auto"/"0" = one worker per CPU; any other
-#: integer = that many workers (bounded by ``os.cpu_count()``).
+#: Unset/empty/"1" = serial; "auto"/"0" = one worker per usable CPU; any
+#: other integer = that many workers (bounded by :func:`usable_cpus`).
 WORKERS_ENV = "REPRO_WORKERS"
 
 #: Environment knob: multiprocessing start method ("fork", "spawn",
@@ -90,6 +91,15 @@ class ParallelResult:
     timing: TimingReport
 
 
+def usable_cpus() -> int:
+    """Cores this process may run on: its scheduler affinity where the
+    platform exposes one (so ``taskset`` and cgroup cpusets count), else
+    the installed core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_workers(
     workers: Optional[int] = None, num_tasks: Optional[int] = None
 ) -> int:
@@ -98,10 +108,10 @@ def resolve_workers(
     An explicit ``workers`` argument is honoured as given (so tests can
     exercise the pool even on single-core machines); ``None`` falls back
     to the ``REPRO_WORKERS`` environment variable, bounded by
-    ``os.cpu_count()``.  The result is never more than ``num_tasks`` and
+    :func:`usable_cpus`.  The result is never more than ``num_tasks`` and
     never less than 1.
     """
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "").strip().lower()
         if raw in ("", "1"):

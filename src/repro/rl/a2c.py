@@ -267,23 +267,18 @@ class A2CTrainer:
                 )
         prof = self.profiler
         if prof is not None and self.recorder.enabled:
-            fields: Dict[str, Any] = {
-                name: seconds for name, seconds in prof.phases
-            }
-            subphases = {name: s for name, s in prof.optimizer_subphases}
-            if any(subphases.values()):
-                # ACKTR optimizer-update split (busy time per thread, so
-                # the sum may exceed optimizer_update under concurrency).
-                fields.update(subphases)
-                fields["stat_skips"] = prof.stat_skips
             self.recorder.emit(
                 "train_phases",
                 seed=self.seed,
                 updates=total_updates,
                 wall_seconds=_time.perf_counter() - wall_start,
-                **fields,
+                **self._train_phase_fields(prof),
             )
         return history
+
+    def _train_phase_fields(self, prof: PhaseAccumulator) -> Dict[str, Any]:
+        """Trainer-specific payload of the ``train_phases`` record."""
+        return dict(prof.phases)
 
     def mean_recent_episode_reward(self, window: int = 20) -> float:
         """Mean total reward over the last ``window`` finished episodes."""

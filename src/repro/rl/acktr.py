@@ -10,24 +10,24 @@ K-FAC natural gradients under a KL trust region:
   current value prediction (equivalent to the Fisher of a unit-variance
   Gaussian observation model).
 
-Optimizer-path throughput machinery (all bit-identical at the default
-configuration; see DESIGN.md §8):
+Optimizer-path schedule (the trainer picks it from what it observes;
+every combination produces the same floats, see DESIGN.md §8b):
 
 - **Concurrent actor/critic updates** — the two K-FAC updates touch
   disjoint state (separate MLPs, separate :class:`KFAC` instances), so
   once the shared-rng draws are hoisted into a serial prologue the two
   network updates run on separate threads (numpy's BLAS releases the GIL
   during GEMMs).  Identical floats by construction: every array each
-  thread touches is private to its network.  ``kfac_threads`` /
-  ``--kfac-threads`` / ``REPRO_KFAC_THREADS`` knob, default 2 (1 on
-  single-core hosts, where overlap cannot pay for dispatch).
+  thread touches is private to its network.  Two threads when the
+  process may run on two or more cores (150 updates: 3.17 s → 2.37 s on
+  the 2-core bench host), serial on one core, where overlap cannot pay
+  for dispatch.
 - **Fused dual backward** — each network needs two backward passes per
   update through the same cached activations (sampled-Fisher pass +
   loss pass); :meth:`MLP.backward_pair` stacks both into one ``(2B,
-  out)`` delta chain.  Gated by a runtime bitwise-exactness probe
-  (:func:`fused_backward_is_exact`): exact on this BLAS → default on,
-  else the serial two-pass path is kept (``fused_backward="off"``/
-  ``"on"`` force either).
+  out)`` delta chain (1.6 ms against 2.05 ms per network).  Used iff a
+  runtime probe (:func:`fused_backward_is_exact`) finds it bitwise-exact
+  on this BLAS; else the two-pass path is kept.
 - **Amortized Fisher statistics** — ``stat_interval > 1`` refreshes the
   Kronecker-factor EMAs (Fisher backward + ``update_stats`` + both rng
   draws) only every N-th update, in the spirit of stable-baselines'
@@ -41,34 +41,18 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.distributions import Categorical
 from repro.nn.kfac import KFAC
 from repro.nn.mlp import MLP, fused_backward_is_exact
+from repro.parallel import usable_cpus
+from repro.profiling import PhaseAccumulator
 from repro.rl.a2c import A2CConfig, A2CTrainer, UpdateStats
 
-__all__ = ["ACKTRConfig", "ACKTRTrainer", "resolve_kfac_threads"]
-
-
-def resolve_kfac_threads(value: Optional[int]) -> int:
-    """Effective K-FAC update concurrency: explicit ``value``, else the
-    ``REPRO_KFAC_THREADS`` environment variable, else 2 on multi-core
-    hosts (concurrent actor/critic updates — bit-identical to serial, so
-    safe by default) and 1 on single-core hosts (where dispatch overhead
-    cannot be bought back by overlap; results are identical either way).
-    1 disables threading entirely; values above 2 are accepted but there
-    are only two network updates to overlap."""
-    if value is None:
-        raw = os.environ.get("REPRO_KFAC_THREADS", "").strip()
-        if not raw:
-            return 2 if (os.cpu_count() or 1) >= 2 else 1
-        value = int(raw)
-    if value < 1:
-        raise ValueError(f"kfac threads must be >= 1, got {value}")
-    return int(value)
+__all__ = ["ACKTRConfig", "ACKTRTrainer"]
 
 
 # One lazily created pool shared by every trainer in the process: the
@@ -96,6 +80,47 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch
     os.register_at_fork(after_in_child=_reset_executor_after_fork)
 
 
+def _network_update(
+    network: MLP,
+    kfac: KFAC,
+    stat_dout: Optional[np.ndarray],
+    loss_dout: np.ndarray,
+    fused: bool,
+) -> Tuple[float, float]:
+    """One network's Fisher-stats refresh + loss backward + K-FAC step.
+
+    Self-contained per network — touches only ``network``'s layers and
+    ``kfac``'s factors — so the actor and critic calls can run
+    concurrently on separate threads without synchronisation.
+    ``stat_dout`` is the sampled-Fisher output gradient, or ``None`` on
+    a ``stat_interval`` skip update; ``fused`` selects the stacked dual
+    backward over the two-pass schedule (same floats either way).
+
+    Returns ``(fisher_stats_seconds, grad_pass_seconds)`` busy times;
+    inversion and preconditioning times are recorded on ``kfac`` itself.
+    """
+    fisher_seconds = 0.0
+    t0 = time.perf_counter()
+    if stat_dout is None:
+        network.backward(loss_dout)
+        grad_seconds = time.perf_counter() - t0
+    elif fused:
+        network.backward_pair(stat_dout, loss_dout)
+        t1 = time.perf_counter()
+        kfac.update_stats()
+        grad_seconds = t1 - t0
+        fisher_seconds = time.perf_counter() - t1
+    else:
+        network.backward(stat_dout)
+        kfac.update_stats()
+        t1 = time.perf_counter()
+        network.backward(loss_dout)
+        fisher_seconds = t1 - t0
+        grad_seconds = time.perf_counter() - t1
+    kfac.step([d.grad for d in network.dense_layers])
+    return fisher_seconds, grad_seconds
+
+
 @dataclass(frozen=True)
 class ACKTRConfig(A2CConfig):
     """ACKTR hyperparameters (paper Sec. V-A2 + stable-baselines defaults).
@@ -108,17 +133,10 @@ class ACKTRConfig(A2CConfig):
         damping: Tikhonov damping for the K-FAC factor inversions.
         stat_decay: EMA decay of the Kronecker factors.
         inversion_interval: Updates between factor re-inversions.
-        kfac_threads: Actor/critic update concurrency (1 = serial, >= 2
-            = overlapped on two threads, bit-identical either way);
-            ``None`` reads ``REPRO_KFAC_THREADS``, then defaults to 2
-            on multi-core hosts and 1 on single-core hosts.
         stat_interval: Refresh the Kronecker-factor statistics every
             this many updates (1 = every update, bit-identical to the
             historical behaviour; larger values amortize the Fisher
             backward + EMA cost and *change the rng stream*).
-        fused_backward: ``"auto"`` (default) uses the fused dual
-            backward iff the runtime probe shows it bitwise-exact for
-            this architecture/batch; ``"on"``/``"off"`` force it.
     """
 
     kl_clip: float = 0.001
@@ -126,9 +144,7 @@ class ACKTRConfig(A2CConfig):
     damping: float = 0.01
     stat_decay: float = 0.95
     inversion_interval: int = 10
-    kfac_threads: Optional[int] = None
     stat_interval: int = 1
-    fused_backward: str = "auto"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -138,25 +154,18 @@ class ACKTRConfig(A2CConfig):
             raise ValueError(
                 f"stat_interval must be >= 1, got {self.stat_interval}"
             )
-        if self.kfac_threads is not None and self.kfac_threads < 1:
-            raise ValueError(
-                f"kfac_threads must be >= 1, got {self.kfac_threads}"
-            )
-        if self.fused_backward not in ("auto", "on", "off"):
-            raise ValueError(
-                'fused_backward must be "auto", "on", or "off", '
-                f"got {self.fused_backward!r}"
-            )
 
 
 class ACKTRTrainer(A2CTrainer):
     """A2C data flow + K-FAC trust-region updates for actor and critic.
 
     Attributes (beyond :class:`A2CTrainer`):
-        kfac_threads: Resolved update concurrency (see
-            :func:`resolve_kfac_threads`).
+        kfac_threads: Update threads, 2 when the process may run on two
+            or more cores, else 1 (serial).
         fused_backward_active: Whether the fused dual backward is in use
-            (resolved from config + runtime exactness probe).
+            (the runtime exactness probe's answer for this trainer's
+            shapes).  Both are plain attributes: reports read them and
+            the bitwise-equivalence tests flip them.
         fisher_stat_skips: Updates that skipped the Fisher-statistics
             refresh under ``stat_interval`` amortization.
     """
@@ -190,80 +199,28 @@ class ACKTRTrainer(A2CTrainer):
             inversion_interval=cfg.inversion_interval,
             max_grad_norm=cfg.max_grad_norm,
         )
-        self.kfac_threads = resolve_kfac_threads(cfg.kfac_threads)
+        self.kfac_threads = min(2, usable_cpus())
         self.fisher_stat_skips = 0
-        if cfg.fused_backward == "on":
-            self.fused_backward_active = True
-        elif cfg.fused_backward == "off":
-            self.fused_backward_active = False
-        else:
-            # Probe with the trainer's real shapes and update-batch size;
-            # results are cached per (architecture, batch) per process.
-            batch = cfg.n_steps * cfg.n_envs
-            self.fused_backward_active = all(
-                fused_backward_is_exact(
-                    net.in_dim, net.hidden, net.out_dim, batch, net.activation
-                )
-                for net in (self.policy.actor, self.policy.critic)
+        # Probe with the trainer's real shapes and update-batch size;
+        # results are cached per (architecture, batch) per process.
+        batch = cfg.n_steps * cfg.n_envs
+        self.fused_backward_active = all(
+            fused_backward_is_exact(
+                net.in_dim, net.hidden, net.out_dim, batch, net.activation
             )
+            for net in (self.policy.actor, self.policy.critic)
+        )
 
-    def attach_profiler(self, profiler):
-        """Additionally arm the K-FAC instances' sub-phase clocks."""
-        super().attach_profiler(profiler)
-        self.actor_kfac.profile = True
-        self.critic_kfac.profile = True
-        return profiler
-
-    # ------------------------------------------------------------------
-
-    def _network_update(
-        self,
-        network: MLP,
-        kfac: KFAC,
-        stat_dout: Optional[np.ndarray],
-        loss_dout: np.ndarray,
-    ) -> Tuple[float, float]:
-        """One network's Fisher-stats refresh + loss backward + K-FAC step.
-
-        Self-contained per network — touches only ``network``'s layers
-        and ``kfac``'s factors — so the actor and critic instances can
-        run concurrently on separate threads without synchronisation.
-        ``stat_dout`` is the sampled-Fisher output gradient, or ``None``
-        on a ``stat_interval`` skip update.
-
-        Returns ``(fisher_stats_seconds, grad_pass_seconds)`` busy times
-        for the profiler (zeros when profiling is off); inversion and
-        preconditioning times are recorded on ``kfac`` itself.
-        """
-        profile = kfac.profile
-        fisher_seconds = grad_seconds = 0.0
-        if stat_dout is None:
-            t0 = time.perf_counter() if profile else 0.0
-            network.backward(loss_dout)
-            if profile:
-                grad_seconds = time.perf_counter() - t0
-        elif self.fused_backward_active:
-            t0 = time.perf_counter() if profile else 0.0
-            network.backward_pair(stat_dout, loss_dout)
-            if profile:
-                t1 = time.perf_counter()
-                grad_seconds = t1 - t0
-            kfac.update_stats()
-            if profile:
-                fisher_seconds = time.perf_counter() - t1
-        else:
-            t0 = time.perf_counter() if profile else 0.0
-            network.backward(stat_dout)
-            kfac.update_stats()
-            if profile:
-                t1 = time.perf_counter()
-                fisher_seconds = t1 - t0
-            network.backward(loss_dout)
-            if profile:
-                t2 = time.perf_counter()
-                grad_seconds = t2 - t1
-        kfac.step([d.grad for d in network.dense_layers])
-        return fisher_seconds, grad_seconds
+    def _train_phase_fields(self, prof: PhaseAccumulator) -> Dict[str, Any]:
+        """Adds the optimizer-update split (busy seconds per thread, so
+        the sum may exceed ``optimizer_update`` when the two updates
+        overlap) and the schedule that produced the run."""
+        fields = super()._train_phase_fields(prof)
+        fields.update(prof.optimizer_subphases)
+        fields["stat_skips"] = prof.stat_skips
+        fields["kfac_threads"] = self.kfac_threads
+        fields["fused_backward_active"] = self.fused_backward_active
+        return fields
 
     def _apply_update(
         self,
@@ -313,23 +270,23 @@ class ACKTRTrainer(A2CTrainer):
         ) / batch
         dvalues = (cfg.value_loss_coef * td / batch)[:, None]
 
-        # --- disjoint network updates: overlap when allowed ------------
+        # --- disjoint network updates: overlap given a second core -----
+        fused = self.fused_backward_active
         if self.kfac_threads >= 2:
             future = _kfac_executor().submit(
-                self._network_update,
-                self.policy.actor, self.actor_kfac, fisher_grad, dlogits,
+                _network_update,
+                self.policy.actor, self.actor_kfac, fisher_grad, dlogits, fused,
             )
-            # repro: allow[REP105] in-flight actor task touches only actor-side state; critic_kfac is disjoint
-            critic_times = self._network_update(
-                self.policy.critic, self.critic_kfac, noise, dvalues
+            critic_times = _network_update(
+                self.policy.critic, self.critic_kfac, noise, dvalues, fused
             )
             actor_times = future.result()
         else:
-            actor_times = self._network_update(
-                self.policy.actor, self.actor_kfac, fisher_grad, dlogits
+            actor_times = _network_update(
+                self.policy.actor, self.actor_kfac, fisher_grad, dlogits, fused
             )
-            critic_times = self._network_update(
-                self.policy.critic, self.critic_kfac, noise, dvalues
+            critic_times = _network_update(
+                self.policy.critic, self.critic_kfac, noise, dvalues, fused
             )
 
         if prof is not None:

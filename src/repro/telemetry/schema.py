@@ -80,8 +80,11 @@ Record kinds
     so their sum may exceed ``optimizer_update`` wall time when the
     actor/critic updates run concurrently) and ``stat_skips`` (updates
     that skipped the Fisher-statistics refresh under ``stat_interval``
-    amortization).  Purely timing-valued, so determinism checks drop
-    it entirely.
+    amortization), plus the optimizer schedule the trainer picked for
+    this host: ``kfac_threads`` (2 = actor/critic updates overlapped,
+    1 = serial) and ``fused_backward_active`` (bool; fused dual
+    backward vs two-pass).  Timing- and host-valued, so determinism
+    checks drop it entirely.
 
 ``serving``
     One serving-engine run (:class:`repro.serving.ServingEngine`):

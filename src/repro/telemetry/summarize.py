@@ -141,6 +141,19 @@ def _train_phase_lines(records: List[Dict[str, Any]]) -> List[str]:
         )
         suffix = f" | stat skips {skips}" if skips else ""
         lines.append(f"  optimizer busy: {rendered}{suffix}")
+    schedules = sorted(
+        {
+            (int(r["kfac_threads"]), bool(r["fused_backward_active"]))
+            for r in records
+            if "kfac_threads" in r and "fused_backward_active" in r
+        }
+    )
+    if schedules:
+        rendered = ", ".join(
+            f"kfac_threads={threads} fused_backward_active={fused}"
+            for threads, fused in schedules
+        )
+        lines.append(f"  optimizer schedule: {rendered}")
     return lines
 
 

@@ -11,6 +11,7 @@ from repro.parallel import (
     WorkerTimeoutError,
     resolve_workers,
     run_tasks,
+    usable_cpus,
 )
 
 
@@ -47,13 +48,30 @@ class TestResolveWorkers:
 
     def test_env_auto_uses_cpu_count(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "auto")
-        assert resolve_workers() == (os.cpu_count() or 1)
+        assert resolve_workers() == usable_cpus()
         monkeypatch.setenv(WORKERS_ENV, "0")
-        assert resolve_workers() == (os.cpu_count() or 1)
+        assert resolve_workers() == usable_cpus()
 
     def test_env_integer_bounded_by_cpus(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "64")
-        assert resolve_workers() == min(64, os.cpu_count() or 1)
+        assert resolve_workers() == min(64, usable_cpus())
+
+    @pytest.mark.parametrize("cores", [1, 8])
+    def test_default_follows_affinity_not_installed_cores(self, monkeypatch, cores):
+        """A pinned process (taskset / cgroup cpuset) sizes its pool by
+        the cores it may run on, whatever the host has installed."""
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cpus() == cores
+        monkeypatch.setenv(WORKERS_ENV, "auto")
+        assert resolve_workers() == cores
+
+    def test_usable_cpus_without_affinity_support(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
 
     def test_env_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "many")

@@ -1,10 +1,17 @@
 """Tests for the ACKTR trainer."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.core.trainer import CoordinationEnvBuilder
+from repro.nn.mlp import fused_backward_is_exact
+from repro.parallel import CountingEnvFactory
 from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
+from repro.topology import line_network
 
+from tests.conftest import make_env_config, make_simple_catalog
 from tests.rl.toy_envs import ContextualBanditEnv
 
 
@@ -68,85 +75,103 @@ class TestACKTRTrainer:
 class TestOptimizerPathConfig:
     def test_new_knob_defaults(self):
         cfg = ACKTRConfig()
-        assert cfg.kfac_threads is None
         assert cfg.stat_interval == 1
-        assert cfg.fused_backward == "auto"
 
     def test_new_knob_validation(self):
         with pytest.raises(ValueError, match="stat_interval"):
             ACKTRConfig(stat_interval=0)
-        with pytest.raises(ValueError, match="kfac_threads"):
-            ACKTRConfig(kfac_threads=0)
-        with pytest.raises(ValueError, match="fused_backward"):
-            ACKTRConfig(fused_backward="maybe")
 
-    def test_resolve_kfac_threads(self, monkeypatch):
-        from repro.rl.acktr import resolve_kfac_threads
-
-        assert resolve_kfac_threads(3) == 3
-        monkeypatch.setenv("REPRO_KFAC_THREADS", "1")
-        assert resolve_kfac_threads(None) == 1
-        monkeypatch.delenv("REPRO_KFAC_THREADS")
-        # Adaptive default: 2 on multi-core hosts, 1 on single-core.
-        assert resolve_kfac_threads(None) in (1, 2)
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_kfac_threads(0)
+    def test_schedule_is_not_configurable(self):
+        """The optimizer schedule is picked by the trainer, never by a
+        config field."""
+        with pytest.raises(TypeError):
+            ACKTRConfig(kfac_threads=2)
+        with pytest.raises(TypeError):
+            ACKTRConfig(fused_backward="on")
 
 
-def _trained(updates=6, **overrides):
-    trainer = ACKTRTrainer(
+def _bandit_trainer(**overrides):
+    return ACKTRTrainer(
         lambda: ContextualBanditEnv(),
         ACKTRConfig(n_steps=8, n_envs=2, **overrides),
         seed=0,
     )
+
+
+def _trained(updates, **overrides):
+    trainer = _bandit_trainer(**overrides)
     trainer.train(updates)
-    params = (
+    return trainer
+
+
+class TestOptimizerSchedule:
+    @pytest.mark.parametrize("cores, threads", [(1, 1), (2, 2), (8, 2)])
+    def test_threads_follow_usable_cores(self, monkeypatch, cores, threads):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False
+        )
+        assert _bandit_trainer().kfac_threads == threads
+
+
+def _scheduled_weights(env_config, threads, fused):
+    trainer = ACKTRTrainer(
+        CountingEnvFactory(CoordinationEnvBuilder(env_config)),
+        ACKTRConfig(n_steps=8, n_envs=2),
+        seed=0,
+    )
+    trainer.kfac_threads = threads
+    trainer.fused_backward_active = fused
+    trainer.train(6)
+    return (
         trainer.policy.actor.copy_parameters()
         + trainer.policy.critic.copy_parameters()
     )
-    return trainer, params
 
 
 class TestOptimizerPathBitIdentity:
-    def test_threads2_matches_serial_bitwise(self):
-        """Concurrent actor/critic K-FAC updates must produce the exact
-        floats of the serial schedule — the dispatch overlaps work, it
-        never reorders arithmetic."""
-        _, serial = _trained(kfac_threads=1)
-        _, threaded = _trained(kfac_threads=2)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a, b)
+    """Threads {1, 2} x fused {on, off}: overlap and fusion reschedule the
+    update's work, they never reorder its arithmetic — so all four
+    schedules train bitwise-equal weights (simulator invariant checks on)."""
 
-    def test_fused_backward_matches_two_pass_bitwise(self):
-        """Where the runtime probe admits the fused dual backward, it must
-        be bitwise interchangeable with the serial two-pass schedule."""
-        t_on, fused = _trained(fused_backward="on")
-        t_off, serial = _trained(fused_backward="off")
-        assert t_on.fused_backward_active
-        assert not t_off.fused_backward_active
-        for a, b in zip(fused, serial):
+    @pytest.fixture(scope="class")
+    def env_config(self):
+        network = line_network(3, node_capacity=10.0, link_capacity=10.0)
+        return make_env_config(network, make_simple_catalog(), horizon=100.0)
+
+    @pytest.fixture(scope="class")
+    def serial_two_pass(self, env_config):
+        return _scheduled_weights(env_config, threads=1, fused=False)
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_schedule_matrix_bitwise(self, env_config, serial_two_pass, threads, fused):
+        assert env_config.sim_config.check_invariants
+        weights = _scheduled_weights(env_config, threads, fused)
+        for a, b in zip(serial_two_pass, weights):
             assert np.array_equal(a, b)
 
     def test_auto_probe_resolves(self):
-        trainer = ACKTRTrainer(
-            lambda: ContextualBanditEnv(),
-            ACKTRConfig(n_steps=4, n_envs=1),
-            seed=0,
+        trainer = _bandit_trainer()
+        batch = trainer.config.n_steps * trainer.config.n_envs
+        assert trainer.fused_backward_active is all(
+            fused_backward_is_exact(
+                net.in_dim, net.hidden, net.out_dim, batch, net.activation
+            )
+            for net in (trainer.policy.actor, trainer.policy.critic)
         )
-        assert isinstance(trainer.fused_backward_active, bool)
 
 
 class TestStatInterval:
     def test_skip_cadence(self):
         """stat_interval=3 over 7 updates refreshes the Fisher statistics
         at updates 0, 3, 6 and skips the other four."""
-        trainer, _ = _trained(updates=7, stat_interval=3)
+        trainer = _trained(updates=7, stat_interval=3)
         assert trainer.fisher_stat_skips == 4
         assert trainer.actor_kfac._stat_updates == 3
         assert trainer.critic_kfac._stat_updates == 3
 
     def test_interval_one_never_skips(self):
-        trainer, _ = _trained(updates=5, stat_interval=1)
+        trainer = _trained(updates=5, stat_interval=1)
         assert trainer.fisher_stat_skips == 0
         assert trainer.actor_kfac._stat_updates == 5
 

@@ -58,6 +58,7 @@ EXAMPLES = {
         "kind": "train_phases", "seed": 0, "updates": 30,
         "wall_seconds": 4.0, "sim_advance": 0.5, "obs_build": 0.2,
         "policy_forward": 0.6, "optimizer_update": 2.5,
+        "kfac_threads": 2, "fused_backward_active": True,
     },
     "serving": {
         "kind": "serving", "requests": 128, "served": 120, "shed": 8,

@@ -111,3 +111,30 @@ class TestSummarizeRun:
     def test_missing_stream_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             summarize_run(tmp_path)
+
+    def test_train_phases_round_trip_names_the_optimizer_schedule(self, tmp_path):
+        """An ACKTR run's ``train_phases`` record states which schedule
+        the trainer picked; the stream validates and the report shows it."""
+        from repro.profiling import PhaseAccumulator
+        from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
+        from tests.rl.toy_envs import ContextualBanditEnv
+
+        with start_run(tmp_path, "train") as run:
+            trainer = ACKTRTrainer(
+                ContextualBanditEnv, ACKTRConfig(n_steps=8, n_envs=2),
+                seed=0, recorder=run.recorder,
+            )
+            trainer.attach_profiler(PhaseAccumulator())
+            trainer.kfac_threads = 1
+            trainer.train(3)
+        (record,) = [
+            r for r in load_stream(run.stream_path) if r["kind"] == "train_phases"
+        ]
+        assert record["kfac_threads"] == 1
+        assert record["fused_backward_active"] is trainer.fused_backward_active
+        assert record["precondition"] > 0.0
+        assert (
+            "optimizer schedule: kfac_threads=1 "
+            f"fused_backward_active={trainer.fused_backward_active}"
+            in summarize_run(tmp_path)
+        )
