@@ -155,6 +155,13 @@ class Activation:
         itself) and returned; no backward cache."""
         raise NotImplementedError
 
+    def adopt_forward(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Take ``out = forward_into(x, out)``, computed elsewhere, as this
+        layer's backward cache, as if :meth:`forward` had produced it.
+        The arrays are kept, not copied: they must stay untouched until
+        the backward passes are done."""
+        raise NotImplementedError
+
 
 class Tanh(Activation):
     """tanh — the paper's hidden activation (2x256 tanh units)."""
@@ -173,6 +180,9 @@ class Tanh(Activation):
 
     def forward_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         return np.tanh(x, out=out)
+
+    def adopt_forward(self, x: np.ndarray, out: np.ndarray) -> None:
+        self._out = out
 
 
 class ReLU(Activation):
@@ -193,6 +203,9 @@ class ReLU(Activation):
     def forward_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0.0, out=out)
 
+    def adopt_forward(self, x: np.ndarray, out: np.ndarray) -> None:
+        self._mask = x > 0
+
 
 class Identity(Activation):
     """No-op activation (for linear output heads)."""
@@ -207,3 +220,6 @@ class Identity(Activation):
         if out is not x:
             np.copyto(out, x)
         return out
+
+    def adopt_forward(self, x: np.ndarray, out: np.ndarray) -> None:
+        pass

@@ -265,15 +265,18 @@ class MLPInference:
     lockstep evaluation rounds with a shrinking batch neither reallocate
     nor re-slice.  Each activation is written straight into the next
     layer's augmented input and training caches (``last_input_aug``, Tanh
-    outputs) are never touched, so an instance can be used between a
-    training forward and its backward.
+    outputs) are never touched by a forward, so an instance can be used
+    between a training forward and its backward; :meth:`adopt_caches` is
+    the one call that installs the workspace as those caches.
 
     Zero-copy contract: :meth:`input_rows` hands out the first layer's
     data columns, so a producer (observation builder, request queue)
     writes its rows in place and :meth:`forward` on that very view copies
     nothing.  Input rows and returned logits are views of the workspace,
     valid until the next :meth:`forward` (logits) or the next growth past
-    the current capacity (both).  One driver owns an instance: nothing
+    the current capacity (both).  :meth:`window` cuts the same buffers
+    into row windows, each a workspace of its own (ask for the whole
+    rollout first).  One driver owns an instance: nothing
     here is thread-safe, exactly like the ``Dense._aug_buffers`` /
     ``Tanh._out`` caches that callers of one ``MLP.forward`` share.
 
@@ -348,6 +351,46 @@ class MLPInference:
         to :meth:`forward` and no input copy is made.  All widths are
         prefixes of one buffer, so ask for the largest width first."""
         return (self._plans.get(n) or self._plan(n))[0]
+
+    def window(self, start: int, stop: int) -> "MLPInference":
+        """A workspace on rows ``[start, stop)`` of this one's buffers.
+
+        Same network, same :meth:`forward`; whatever the window computes
+        lands in the parent's rows.  A rollout that runs step ``t`` on
+        window ``t`` therefore leaves the parent holding every layer's
+        activations for the whole batch, which :meth:`adopt_caches` turns
+        into the training caches.  Ask the parent for the whole rollout
+        first (``input_rows(total)``): a later growth reallocates, and the
+        windows cut before it keep the old buffers.
+        """
+        if not 0 <= start < stop <= self._capacity:
+            raise ValueError(
+                f"window [{start}, {stop}) outside the {self._capacity} allocated rows"
+            )
+        view = MLPInference(self.mlp, self.dtype)
+        view._aug = [aug[start:stop] for aug in self._aug]
+        view._out = [out[start:stop] for out in self._out]
+        view._capacity = stop - start
+        return view
+
+    def adopt_caches(self, n: int) -> np.ndarray:
+        """Make rows ``[:n]`` of the workspace the network's backward caches.
+
+        After forwards have filled those rows (in one call or window by
+        window), each layer's bias-augmented input and activation output
+        are what ``mlp.forward`` on the same ``n`` inputs would have
+        cached, so ``mlp.backward`` / ``backward_pair`` and
+        ``KFAC.update_stats`` can run without that second forward.
+        Returns the ``(n, out_dim)`` outputs.  The caches are views: they
+        hold until the next forward through these rows.  float64 only.
+        """
+        if self.dtype != np.dtype(np.float64):
+            raise ValueError("training caches must be float64")
+        _, steps = self._plans.get(n) or self._plan(n)
+        for dense, act, aug, z, dst in steps:
+            dense.last_input_aug = aug
+            act.adopt_forward(z, dst)
+        return steps[-1][-1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """``(n, in_dim) -> (n, out_dim)`` into a reused workspace.

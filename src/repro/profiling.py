@@ -3,7 +3,8 @@
 The training loop spends its time in four places: advancing the flow
 simulator, building observations, running the policy networks forward for
 action selection, and applying the optimizer update (which includes the
-update's own forward/backward passes).  :class:`PhaseAccumulator` holds
+critic's batch forward and both backward passes; the actor's training
+forward is the rollout's).  :class:`PhaseAccumulator` holds
 one float per phase and the hot paths add raw ``perf_counter`` deltas to
 it directly — no context managers, no dict lookups — so profiling costs
 two branches and two clock reads per step and *nothing at all* when
@@ -74,10 +75,13 @@ class PhaseAccumulator:
         sim_advance: ``Simulator.apply_action`` + ``next_decision`` +
             outcome draining, plus episode (re)starts.
         obs_build: ``ObservationAdapter.build`` calls.
-        policy_forward: actor+critic forwards for action selection and
-            bootstrap values during rollout collection.
-        optimizer_update: the whole ``_apply_update`` (update-batch
-            forward/backward passes and the optimizer step itself).
+        policy_forward: the rollout's forwards — one ``n_envs``-row actor
+            forward with its action sampling per step, which double as the
+            actor's training forward, and the critic's bootstrap forward
+            (no per-step critic forward: nobody reads those values).
+        optimizer_update: everything after the rollout — the critic's one
+            batch forward, returns and advantages, and ``_apply_update``
+            (losses, backward passes, the optimizer step itself).
 
     ACKTR additionally splits ``optimizer_update`` into busy-time
     sub-phases (see :data:`OPTIMIZER_SUBPHASE_NAMES`):

@@ -7,6 +7,11 @@ One trainer update (Alg. 1, lines 10-12):
 3. train the critic V_φ on squared TD error,
 4. train the actor π_θ on the policy gradient with an entropy bonus.
 
+The weights are fixed between updates, so each network sees an
+observation once: the rollout's actor forwards are the training forward
+(:meth:`ParallelRunner.training_logits`) and one batch critic forward
+serves the advantages and the value loss alike.
+
 Gradients are derived analytically (see :mod:`repro.nn.distributions`) and
 applied with RMSprop, as in the paper.  :class:`repro.rl.acktr.ACKTRTrainer`
 subclasses this and swaps the optimiser for K-FAC natural gradients.
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -164,18 +169,19 @@ class A2CTrainer:
         start = _time.perf_counter() if record else 0.0
         last_values = self.runner.collect(self.buffer)
         self.episode_history.extend(self.runner.drain_episodes())
-        obs, actions, returns, advantages = self.buffer.batch(
-            last_values, self.config.gamma
+        prof = self.profiler
+        update_start = _time.perf_counter() if prof is not None else 0.0
+        obs = self.buffer.flat_obs
+        values = self.policy.critic.forward(obs)[:, 0]
+        actions, returns, advantages = self.buffer.batch(
+            values, last_values, self.config.gamma
         )
         if self.config.normalize_advantages and advantages.size > 1:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-
-        prof = self.profiler
-        if prof is None:
-            stats = self._apply_update(obs, actions, returns, advantages)
-        else:
-            update_start = _time.perf_counter()
-            stats = self._apply_update(obs, actions, returns, advantages)
+        stats = self._apply_update(
+            self.runner.training_logits(), values, actions, returns, advantages
+        )
+        if prof is not None:
             prof.optimizer_update += _time.perf_counter() - update_start
             prof.updates += 1
         self.updates_done += 1
@@ -198,48 +204,60 @@ class A2CTrainer:
             self.recorder.emit("train_update", **fields)
         return stats
 
+    def _losses(
+        self,
+        logits: np.ndarray,
+        values: np.ndarray,
+        actions: np.ndarray,
+        returns: np.ndarray,
+        advantages: np.ndarray,
+    ) -> Tuple[Categorical, np.ndarray, np.ndarray, UpdateStats]:
+        """The loss prologue A2C and ACKTR share.
+
+        Returns the action distribution, the per-example gradients of
+        ``policy_loss - entropy_coef * H`` and of the value loss (already
+        /batch), and the stats with the optimizer's fields still unset.
+        """
+        cfg = self.config
+        batch = len(actions)
+        dist = Categorical(logits)
+        td = values - returns
+        stats = UpdateStats(
+            policy_loss=float(-(advantages * dist.log_prob(actions)).mean()),
+            value_loss=float(cfg.value_loss_coef * 0.5 * (td**2).mean()),
+            entropy=float(dist.entropy().mean()),
+            mean_return=float(returns.mean()),
+            grad_norm=0.0,
+        )
+        dlogits = (
+            -advantages[:, None] * dist.grad_log_prob(actions)
+            - cfg.entropy_coef * dist.grad_entropy()
+        ) / batch
+        dvalues = (cfg.value_loss_coef * td / batch)[:, None]
+        return dist, dlogits, dvalues, stats
+
     def _apply_update(
         self,
-        obs: np.ndarray,
+        logits: np.ndarray,
+        values: np.ndarray,
         actions: np.ndarray,
         returns: np.ndarray,
         advantages: np.ndarray,
     ) -> UpdateStats:
-        batch = obs.shape[0]
-
-        # --- actor -----------------------------------------------------
-        dist = Categorical(self.policy.actor.forward(obs))
-        log_probs = dist.log_prob(actions)
-        entropy = dist.entropy()
-        policy_loss = float(-(advantages * log_probs).mean())
-        entropy_mean = float(entropy.mean())
-        # d(policy_loss - ent_coef * H)/dlogits, per example, already /batch.
-        dlogits = (
-            -advantages[:, None] * dist.grad_log_prob(actions)
-            - self.config.entropy_coef * dist.grad_entropy()
-        ) / batch
+        # Both networks still hold the caches behind ``logits``/``values``.
+        _, dlogits, dvalues, stats = self._losses(
+            logits, values, actions, returns, advantages
+        )
         self.policy.actor.backward(dlogits)
         actor_grads = [d.grad for d in self.policy.actor.dense_layers]
-        grad_norm = clip_grads_by_norm(actor_grads, self.config.max_grad_norm)
+        stats.grad_norm = clip_grads_by_norm(actor_grads, self.config.max_grad_norm)
         self.actor_optimizer.step(actor_grads)
 
-        # --- critic ----------------------------------------------------
-        values = self.policy.critic.forward(obs)[:, 0]
-        td = values - returns
-        value_loss = float(self.config.value_loss_coef * 0.5 * (td**2).mean())
-        dvalues = (self.config.value_loss_coef * td / batch)[:, None]
         self.policy.critic.backward(dvalues)
         critic_grads = [d.grad for d in self.policy.critic.dense_layers]
         clip_grads_by_norm(critic_grads, self.config.max_grad_norm)
         self.critic_optimizer.step(critic_grads)
-
-        return UpdateStats(
-            policy_loss=policy_loss,
-            value_loss=value_loss,
-            entropy=entropy_mean,
-            mean_return=float(returns.mean()),
-            grad_norm=grad_norm,
-        )
+        return stats
 
     # ------------------------------------------------------------------
 

@@ -1,8 +1,11 @@
 """ACKTR: actor-critic using Kronecker-factored trust region [38].
 
 The paper's training algorithm.  Identical data flow to
-:class:`~repro.rl.a2c.A2CTrainer` but both networks are updated with
-K-FAC natural gradients under a KL trust region:
+:class:`~repro.rl.a2c.A2CTrainer` — one forward per observation per
+network and update: the profiler's ``policy_forward`` is the rollout's
+actor windows plus the bootstrap, the critic's batch forward counts as
+``optimizer_update`` — but both networks are updated with K-FAC natural
+gradients under a KL trust region:
 
 - **actor** — Fisher statistics from actions sampled from the *current
   policy itself* (true Fisher, not the empirical one),
@@ -45,7 +48,6 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.distributions import Categorical
 from repro.nn.kfac import KFAC
 from repro.nn.mlp import MLP, fused_backward_is_exact
 from repro.parallel import usable_cpus
@@ -224,51 +226,36 @@ class ACKTRTrainer(A2CTrainer):
 
     def _apply_update(
         self,
-        obs: np.ndarray,
+        logits: np.ndarray,
+        values: np.ndarray,
         actions: np.ndarray,
         returns: np.ndarray,
         advantages: np.ndarray,
     ) -> UpdateStats:
         cfg: ACKTRConfig = self.config  # type: ignore[assignment]
-        batch = obs.shape[0]
         prof = self.profiler
 
-        # --- serial prologue: forwards, losses, and *all* rng draws ----
-        # The two networks' forward passes populate the layer caches the
-        # backward passes and K-FAC statistics read; the rng draws happen
-        # here, in the historical order (actor Fisher sample first,
-        # critic noise second), so the shared stream is identical whether
-        # the updates below run serially or overlapped.
-        dist = Categorical(self.policy.actor.forward(obs))
-        log_probs = dist.log_prob(actions)
-        entropy = dist.entropy()
-        policy_loss = float(-(advantages * log_probs).mean())
-        entropy_mean = float(entropy.mean())
-
-        values = self.policy.critic.forward(obs)[:, 0]
-        td = values - returns
-        value_loss = float(cfg.value_loss_coef * 0.5 * (td**2).mean())
-
+        # --- serial prologue: losses and *all* rng draws ---------------
+        # Both networks hold their forward caches already (actor: the
+        # rollout, critic: update()'s batch forward); the rng draws happen
+        # here, in the historical order (actor Fisher sample, then critic
+        # noise), so the shared stream is identical whether the updates
+        # below run serially or overlapped.
+        dist, dlogits, dvalues, stats = self._losses(
+            logits, values, actions, returns, advantages
+        )
         fisher_grad: Optional[np.ndarray] = None
         noise: Optional[np.ndarray] = None
         if self.updates_done % cfg.stat_interval == 0:
             # Actor Fisher pass input: gradients of the model's *own*
-            # sampled log-likelihood.  Critic Gauss-Newton pass input:
-            # target sampled at v + ε, ε ~ N(0, 1), giving per-example
-            # output gradient ε.
+            # sampled log-likelihood.  Critic Gauss-Newton pass input: ε,
+            # for a target sampled at v + ε, ε ~ N(0, 1).
             fisher_grad = cfg.fisher_coef * dist.fisher_sample_grad(self.rng)
-            noise = self.rng.normal(size=(batch, 1))
+            noise = self.rng.normal(size=dvalues.shape)
         else:
             self.fisher_stat_skips += 1
             if prof is not None:
                 prof.stat_skips += 1
-
-        # True loss gradients (per example, already /batch).
-        dlogits = (
-            -advantages[:, None] * dist.grad_log_prob(actions)
-            - cfg.entropy_coef * dist.grad_entropy()
-        ) / batch
-        dvalues = (cfg.value_loss_coef * td / batch)[:, None]
 
         # --- disjoint network updates: overlap given a second core -----
         fused = self.fused_backward_active
@@ -304,15 +291,10 @@ class ACKTRTrainer(A2CTrainer):
                 + self.critic_kfac.last_precondition_seconds
             )
 
-        return UpdateStats(
-            policy_loss=policy_loss,
-            value_loss=value_loss,
-            entropy=entropy_mean,
-            mean_return=float(returns.mean()),
-            grad_norm=self.actor_kfac.last_grad_norm,
-            # Predicted KL of the applied actor step — the quantity the
-            # trust region bounds (paper: KL clipping 0.001).
-            kl=self.actor_kfac.last_predicted_kl,
-            trust_scale_actor=self.actor_kfac.last_scale,
-            trust_scale_critic=self.critic_kfac.last_scale,
-        )
+        stats.grad_norm = self.actor_kfac.last_grad_norm
+        # Predicted KL of the applied actor step — the quantity the trust
+        # region bounds (paper: KL clipping 0.001).
+        stats.kl = self.actor_kfac.last_predicted_kl
+        stats.trust_scale_actor = self.actor_kfac.last_scale
+        stats.trust_scale_critic = self.critic_kfac.last_scale
+        return stats

@@ -75,7 +75,6 @@ class RolloutBuffer:
         actions: np.ndarray,
         rewards: np.ndarray,
         dones: np.ndarray,
-        values: np.ndarray,
     ) -> None:
         """Append one step of experience for all envs."""
         if self.full:
@@ -85,25 +84,33 @@ class RolloutBuffer:
         self.actions[t] = actions
         self.rewards[t] = rewards
         self.dones[t] = dones
-        self.values[t] = values
         self._cursor += 1
 
     def reset(self) -> None:
         self._cursor = 0
 
-    def batch(
-        self, last_values: np.ndarray, gamma: float
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten into ``(obs, actions, returns, advantages)`` training arrays.
+    def _flat(self, arr: np.ndarray) -> np.ndarray:
+        return arr.reshape(self.n_steps * self.n_envs, *arr.shape[2:])
 
-        Advantages are ``R_t - V(o_t)`` (the critic values recorded during
-        collection, i.e. before this update).
+    @property
+    def flat_obs(self) -> np.ndarray:
+        """The ``(n_steps * n_envs, obs_dim)`` training-batch view of ``obs``."""
+        return self._flat(self.obs)
+
+    def batch(
+        self, values: np.ndarray, last_values: np.ndarray, gamma: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flatten into ``(actions, returns, advantages)`` training arrays.
+
+        ``values`` are the critic's ``V(o_t)`` for :attr:`flat_obs`, from
+        the update's one batch forward (i.e. before this update); they are
+        stored in :attr:`values` and advantages are ``R_t - V(o_t)``.
         """
         if not self.full:
             raise RuntimeError(
                 f"rollout incomplete ({self._cursor}/{self.n_steps} steps)"
             )
+        self.values[...] = values.reshape(self.n_steps, self.n_envs)
         returns = compute_returns(self.rewards, self.dones, last_values, gamma)
         advantages = returns - self.values
-        flat = lambda arr: arr.reshape(self.n_steps * self.n_envs, *arr.shape[2:])
-        return flat(self.obs), flat(self.actions), flat(returns), flat(advantages)
+        return self._flat(self.actions), self._flat(returns), self._flat(advantages)

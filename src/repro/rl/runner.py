@@ -94,8 +94,9 @@ class ParallelRunner:
         self.rng = rng
         self.info_keys = tuple(info_keys)
         #: Optional :class:`repro.profiling.PhaseAccumulator`; when set,
-        #: collect() attributes action selection and bootstrap-value
-        #: forwards to the ``policy_forward`` phase.
+        #: collect() attributes the per-step actor forwards with their
+        #: action sampling, and the bootstrap critic forward, to the
+        #: ``policy_forward`` phase.
         self.profiler = None
         # The runner copies every observation into its preallocated
         # buffers before the env builds the next one, so envs that
@@ -117,20 +118,30 @@ class ParallelRunner:
         self._next_obs = np.empty_like(self._obs)
         self._rewards = np.zeros(len(envs))
         self._dones = np.zeros(len(envs))
-        # Action-selection fast path: float64 MLPInference forwards are
-        # bitwise-identical to MLP.forward (same ufuncs, same GEMM, live
-        # weight references) but reuse preallocated workspaces, so the
-        # per-step actor/critic forwards allocate nothing.  The policy's
-        # ``act``/``values`` also compute log-probs the rollout discards;
-        # the fast path skips them (pure compute — rng-stream neutral).
-        # Policies without plain-MLP actor/critic (test doubles) keep
-        # the generic ``policy.act`` path.
+        # The rollout is the update's training forward.  The actor gets
+        # one workspace of n_steps * n_envs rows and step t runs on row
+        # window t, so after collect() the workspace holds, layer by
+        # layer, what ``actor.forward`` on the flattened rollout would
+        # have cached (float64 MLPInference is the same ufuncs and GEMM on
+        # the live weights; an n_envs-row GEMM is a row block of the batch
+        # GEMM for n_envs >= 4 on the bundled OpenBLAS, ulps off below)
+        # and :meth:`training_logits` hands it to the update.  The critic
+        # is not needed to act: its workspace serves the bootstrap only.
+        # Policies without plain-MLP actor/critic (test doubles) sample
+        # from ``policy.distribution``.
         self._actor_inference: "MLPInference | None" = None
         self._critic_inference: "MLPInference | None" = None
+        self._actor_windows: List[MLPInference] = []
         if isinstance(
             getattr(policy, "actor", None), MLP
         ) and isinstance(getattr(policy, "critic", None), MLP):
+            width = len(envs)
             self._actor_inference = MLPInference(policy.actor)
+            self._actor_inference.input_rows(n_steps * width)
+            self._actor_windows = [
+                self._actor_inference.window(t * width, (t + 1) * width)
+                for t in range(n_steps)
+            ]
             self._critic_inference = MLPInference(policy.critic)
         #: Completed-episode summaries, drained by the trainer.
         self.finished_episodes: List[EpisodeRecord] = []
@@ -139,26 +150,23 @@ class ParallelRunner:
         """Fill ``buffer`` with ``n_steps`` of experience per env.
 
         Returns the critic's values of the final observations (for
-        bootstrapping the returns).  Episodes that end mid-rollout are
-        recorded in :attr:`finished_episodes` and their env auto-reset.
+        bootstrapping the returns); the values of the stored observations
+        are the update's to compute, in one batch.  Episodes that end
+        mid-rollout are recorded in :attr:`finished_episodes` and their
+        env auto-reset.
         """
         buffer.reset()
         prof = self.profiler
         next_obs, rewards, dones = self._next_obs, self._rewards, self._dones
         info_keys = self.info_keys
-        actor_inf, critic_inf = self._actor_inference, self._critic_inference
-        for _ in range(self.n_steps):
+        windows = self._actor_windows
+        for t in range(self.n_steps):
             start = perf_counter() if prof is not None else 0.0
-            if actor_inf is not None and critic_inf is not None:
-                # Same draws, same floats as policy.act minus the unused
-                # log-prob computation; ``values`` views the critic
-                # workspace, which stays untouched until buffer.add has
-                # copied it.
-                dist = Categorical(actor_inf.forward(self._obs))
-                actions = dist.sample(self.rng)
-                values = critic_inf.forward(self._obs)[:, 0]
+            if windows:
+                dist = Categorical(windows[t].forward(self._obs))
             else:
-                actions, values, _ = self.policy.act(self._obs, self.rng)
+                dist = self.policy.distribution(self._obs)
+            actions = dist.sample(self.rng)
             if prof is not None:
                 prof.policy_forward += perf_counter() - start
             for i, env in enumerate(self.envs):
@@ -179,12 +187,13 @@ class ParallelRunner:
                 next_obs[i] = obs
                 rewards[i] = reward
                 dones[i] = float(done)
-            buffer.add(self._obs, actions, rewards, dones, values)
+            buffer.add(self._obs, actions, rewards, dones)
             # The buffer copied everything, so the observation buffers can
             # be swapped instead of reallocated.
             self._obs, next_obs = next_obs, self._obs
         self._next_obs, self._rewards, self._dones = next_obs, rewards, dones
         start = perf_counter() if prof is not None else 0.0
+        critic_inf = self._critic_inference
         if critic_inf is not None:
             # Copy out of the workspace: the bootstrap values outlive the
             # next forward pass.
@@ -194,6 +203,15 @@ class ParallelRunner:
         if prof is not None:
             prof.policy_forward += perf_counter() - start
         return last_values
+
+    def training_logits(self) -> np.ndarray:
+        """The actor logits that chose the last rollout's actions, one row
+        per ``buffer.flat_obs`` row, with the actor's backward caches set
+        to the activations that produced them — the training forward of
+        the update, already done.  Valid until the next :meth:`collect`."""
+        if self._actor_inference is None:
+            raise RuntimeError("training_logits needs a policy with an MLP actor")
+        return self._actor_inference.adopt_caches(self.n_steps * len(self.envs))
 
     def drain_episodes(self) -> List[EpisodeRecord]:
         episodes, self.finished_episodes = self.finished_episodes, []

@@ -2,7 +2,8 @@
 
 Every telemetry run directory pairs a ``manifest.json`` (who/what/when:
 command name, config knobs, seeds, package version, schema version,
-timestamp) with a ``metrics.jsonl`` stream.  :func:`start_run` creates
+timestamp, and the host facts float-level reproducibility depends on)
+with a ``metrics.jsonl`` stream.  :func:`start_run` creates
 both and returns the run handle used by the CLI and tests.
 """
 
@@ -19,6 +20,7 @@ from repro.telemetry.recorder import JsonlRecorder
 from repro.telemetry.schema import SCHEMA_VERSION
 
 __all__ = [
+    "BLAS_THREAD_VARS",
     "MANIFEST_FILENAME",
     "STREAM_FILENAME",
     "RunManifest",
@@ -29,6 +31,11 @@ __all__ = [
 
 MANIFEST_FILENAME = "manifest.json"
 STREAM_FILENAME = "metrics.jsonl"
+
+#: Environment variables that size the BLAS thread pool.  The pool size
+#: picks the GEMM kernels' blocking, hence the floats: two runs are only
+#: comparable bit for bit when these (and ``usable_cpus``) agree.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,11 @@ class RunManifest:
             :mod:`repro.telemetry.schema`).
         created: ISO-8601 UTC creation timestamp.
         created_unix: Same instant as a unix timestamp.
+        usable_cpus: Cores the process could run on
+            (:func:`repro.parallel.usable_cpus`; 0 in manifests written
+            before the field existed).
+        blas_threads: Value of each :data:`BLAS_THREAD_VARS` variable in
+            force, ``None`` when unset.
     """
 
     name: str
@@ -53,6 +65,8 @@ class RunManifest:
     schema_version: int = SCHEMA_VERSION
     created: str = ""
     created_unix: float = 0.0
+    usable_cpus: int = 0
+    blas_threads: Dict[str, Optional[str]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -63,6 +77,8 @@ class RunManifest:
             "schema_version": self.schema_version,
             "created": self.created,
             "created_unix": self.created_unix,
+            "usable_cpus": self.usable_cpus,
+            "blas_threads": dict(self.blas_threads),
         }
 
 
@@ -114,6 +130,8 @@ def start_run(
             stringified).
         seeds: Seeds the run will use.
     """
+    from repro.parallel.pool import usable_cpus  # pool imports telemetry
+
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
@@ -124,6 +142,8 @@ def start_run(
         schema_version=SCHEMA_VERSION,
         created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         created_unix=time.time(),
+        usable_cpus=usable_cpus(),
+        blas_threads={var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     )
     (directory / MANIFEST_FILENAME).write_text(
         json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -157,6 +177,8 @@ def read_manifest(directory: os.PathLike) -> RunManifest:
             schema_version=raw.get("schema_version", 0),
             created=raw.get("created", ""),
             created_unix=raw.get("created_unix", 0.0),
+            usable_cpus=raw.get("usable_cpus", 0),
+            blas_threads=raw.get("blas_threads", {}),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed manifest {path}: {exc}") from exc

@@ -105,6 +105,20 @@ Record kinds
 ``note``
     Freeform annotation: ``message``.
 
+Run manifest
+------------
+
+``manifest.json`` next to the stream (:mod:`repro.telemetry.manifest`):
+``name``, ``config``, ``seeds``, ``package_version``,
+``schema_version``, ``created``/``created_unix``, and the host facts
+bit-level comparisons depend on — ``usable_cpus`` (cores the process
+could run on) and ``blas_threads`` (``OPENBLAS_NUM_THREADS`` /
+``OMP_NUM_THREADS`` / ``MKL_NUM_THREADS`` as set, ``null`` when unset).
+Training takes its gradients through the rollout's activations, which
+equals a batch re-forward bit for bit only where the BLAS computes an
+``n_envs``-row GEMM as a row block of the batch GEMM; the BLAS pool size
+decides that, so a manifest states it.
+
 Determinism
 -----------
 

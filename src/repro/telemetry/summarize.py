@@ -180,6 +180,12 @@ def summarize_run(directory: os.PathLike) -> str:
             f"seeds={list(manifest.seeds)} repro={manifest.package_version} "
             f"schema=v{manifest.schema_version}"
         )
+        if manifest.usable_cpus:
+            blas = " ".join(
+                f"{var}={value if value is not None else 'unset'}"
+                for var, value in sorted(manifest.blas_threads.items())
+            )
+            lines.append(f"host: usable_cpus={manifest.usable_cpus} {blas}")
         if manifest.config:
             knobs = ", ".join(
                 f"{k}={v}" for k, v in sorted(manifest.config.items())

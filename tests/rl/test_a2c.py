@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.trainer import CoordinationEnvBuilder
+from repro.parallel import CountingEnvFactory
 from repro.rl.a2c import A2CConfig, A2CTrainer
+from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
+from repro.topology import line_network
 
+from tests.conftest import make_env_config, make_simple_catalog
 from tests.rl.toy_envs import ContextualBanditEnv
 
 
@@ -90,3 +95,81 @@ class TestA2CTrainer:
             policy=policy,
         )
         assert trainer.policy is policy
+
+
+def _reforwarding(trainer_cls):
+    """``trainer_cls`` as it was before the rollout became the training
+    forward: both networks see the whole batch again inside the update."""
+
+    class Reforwarding(trainer_cls):
+        def _apply_update(self, logits, values, actions, returns, advantages):
+            obs = self.buffer.flat_obs
+            return super()._apply_update(
+                self.policy.actor.forward(obs),
+                self.policy.critic.forward(obs)[:, 0],
+                actions,
+                returns,
+                advantages,
+            )
+
+    return Reforwarding
+
+
+class TestOneForwardPerObservation:
+    """The gradient is taken through the activations that chose the
+    actions; at n_envs=4 (the paper's l) that is bit for bit the update a
+    second forward of both networks would have made."""
+
+    @pytest.mark.parametrize(
+        "trainer_cls, config",
+        [
+            (A2CTrainer, A2CConfig(n_steps=8, n_envs=4, learning_rate=0.003)),
+            (ACKTRTrainer, ACKTRConfig(n_steps=8, n_envs=4)),
+        ],
+        ids=["a2c", "acktr"],
+    )
+    def test_weights_bitwise_equal_a_reforwarding_trainer(self, trainer_cls, config):
+        network = line_network(3, node_capacity=10.0, link_capacity=10.0)
+        env_config = make_env_config(network, make_simple_catalog(), horizon=100.0)
+        assert env_config.sim_config.check_invariants
+
+        def trained(cls):
+            trainer = cls(
+                CountingEnvFactory(CoordinationEnvBuilder(env_config)), config, seed=0
+            )
+            trainer.train(5)
+            return (
+                trainer.policy.actor.copy_parameters()
+                + trainer.policy.critic.copy_parameters()
+            )
+
+        weights = trained(trainer_cls)
+        reference = trained(_reforwarding(trainer_cls))
+        assert all(np.array_equal(a, b) for a, b in zip(weights, reference))
+        assert all(np.isfinite(w).all() for w in weights)
+
+    def test_update_runs_each_network_once_over_the_batch(self, monkeypatch):
+        """32 actor windows + 1 bootstrap through the workspaces, one
+        critic batch forward, and no actor batch forward at all."""
+        from repro.nn.mlp import MLP, MLPInference
+
+        trainer = A2CTrainer(
+            lambda: ContextualBanditEnv(), A2CConfig(n_steps=32, n_envs=4), seed=0
+        )
+        calls = {"workspace": [], "batch": []}
+        forward, mlp_forward = MLPInference.forward, MLP.forward
+
+        def workspace_forward(inference, x):
+            calls["workspace"].append((inference.mlp, len(x)))
+            return forward(inference, x)
+
+        def batch_forward(mlp, x):
+            calls["batch"].append((mlp, len(x)))
+            return mlp_forward(mlp, x)
+
+        monkeypatch.setattr(MLPInference, "forward", workspace_forward)
+        monkeypatch.setattr(MLP, "forward", batch_forward)
+        trainer.update()
+        actor, critic = trainer.policy.actor, trainer.policy.critic
+        assert calls["workspace"] == [(actor, 4)] * 32 + [(critic, 4)]
+        assert calls["batch"] == [(critic, 128)]

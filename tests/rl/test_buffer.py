@@ -46,13 +46,13 @@ class TestRolloutBuffer:
                 actions=np.full(n_envs, t),
                 rewards=np.full(n_envs, float(t)),
                 dones=np.zeros(n_envs),
-                values=np.full(n_envs, 0.5),
             )
         return buf
 
     def test_fill_and_flatten(self):
         buf = self._filled()
-        obs, actions, returns, advantages = buf.batch(np.zeros(2), gamma=1.0)
+        actions, returns, advantages = buf.batch(np.zeros(6), np.zeros(2), gamma=1.0)
+        obs = buf.flat_obs
         assert obs.shape == (6, 4)
         assert actions.shape == (6,)
         assert returns.shape == (6,)
@@ -61,24 +61,27 @@ class TestRolloutBuffer:
 
     def test_advantages_are_returns_minus_values(self):
         buf = self._filled()
-        _, _, returns, advantages = buf.batch(np.zeros(2), gamma=1.0)
-        assert np.allclose(advantages, returns - 0.5)
+        values = np.linspace(0.0, 1.0, 6)
+        _, returns, advantages = buf.batch(values, np.zeros(2), gamma=1.0)
+        assert np.allclose(advantages, returns - values)
+        # The update's values are stored in (step, env) layout.
+        assert np.array_equal(buf.values.reshape(6), values)
 
     def test_overfill_rejected(self):
         buf = self._filled(n_steps=2)
         with pytest.raises(RuntimeError, match="full"):
-            buf.add(np.zeros((2, 4)), np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
+            buf.add(np.zeros((2, 4)), np.zeros(2), np.zeros(2), np.zeros(2))
 
     def test_batch_before_full_rejected(self):
         buf = RolloutBuffer(3, 2, 4)
         with pytest.raises(RuntimeError, match="incomplete"):
-            buf.batch(np.zeros(2), gamma=0.9)
+            buf.batch(np.zeros(6), np.zeros(2), gamma=0.9)
 
     def test_reset_allows_reuse(self):
         buf = self._filled()
         buf.reset()
         assert not buf.full
-        buf.add(np.ones((2, 4)), np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
+        buf.add(np.ones((2, 4)), np.zeros(2), np.zeros(2), np.zeros(2))
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,13 @@
 """Tests for the parallel rollout runner."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.nn.layers import ReLU, Tanh
+from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.runner import ParallelRunner
@@ -111,25 +116,50 @@ class TestInferenceRouting:
         assert runner._critic_inference is not None
 
     def test_collect_bitwise_matches_policy_act_path(self):
-        """Routing rollouts through the MLPInference workspaces must
-        produce the exact actions, values, and bootstrap of policy.act."""
+        """A trainer update must leave in its buffer the exact actions,
+        observations, values and bootstrap of stepping ``policy.act`` —
+        the actor through the row windows, the values from the update's
+        one batch critic forward (n_envs=4: the row-block-exact case)."""
+        seeds = iter(range(4))
+        trainer = A2CTrainer(
+            lambda: ContextualBanditEnv(num_states=3, seed=next(seeds)),
+            A2CConfig(n_steps=6, n_envs=4),
+            seed=3,
+        )
+        policy = trainer.policy.clone()
+        envs = copy.deepcopy(trainer.envs)
+        rng = copy.deepcopy(trainer.rng)
+        obs = trainer.runner._obs.copy()
+        bootstraps = []
+        collect = trainer.runner.collect
+        trainer.runner.collect = lambda buf: bootstraps.append(collect(buf)) or bootstraps[0]
+        trainer.update()
+
+        buffer = trainer.buffer
+        for t in range(6):
+            actions, values, _ = policy.act(obs, rng)
+            assert np.array_equal(buffer.obs[t], obs)
+            assert np.array_equal(buffer.actions[t], actions)
+            assert np.array_equal(buffer.values[t], values)
+            for i, env in enumerate(envs):
+                obs[i], _, done, _ = env.step(int(actions[i]))
+                if done:
+                    obs[i] = env.reset()
+        assert np.array_equal(bootstraps[0], policy.values(obs))
+
+    def test_policy_without_mlp_networks_samples_from_its_distribution(self):
+        """The generic branch draws the same single rng sample per step."""
         def build():
-            envs = [
-                ContextualBanditEnv(num_states=3, seed=i) for i in range(2)
-            ]
+            envs = [ContextualBanditEnv(num_states=3, seed=i) for i in range(4)]
             return make_runner(envs, n_steps=6, seed=3)
 
         _, fast = build()
         _, slow = build()
-        slow._actor_inference = None
+        slow._actor_windows = []
         slow._critic_inference = None
-
-        buf_fast = RolloutBuffer(6, 2, 3)
-        buf_slow = RolloutBuffer(6, 2, 3)
-        last_fast = fast.collect(buf_fast)
-        last_slow = slow.collect(buf_slow)
+        buf_fast, buf_slow = RolloutBuffer(6, 4, 3), RolloutBuffer(6, 4, 3)
+        last_fast, last_slow = fast.collect(buf_fast), slow.collect(buf_slow)
         assert np.array_equal(buf_fast.actions, buf_slow.actions)
-        assert np.array_equal(buf_fast.values, buf_slow.values)
         assert np.array_equal(buf_fast.obs, buf_slow.obs)
         assert np.array_equal(last_fast, last_slow)
 
@@ -143,3 +173,91 @@ class TestInferenceRouting:
         snapshot = last.copy()
         runner.collect(RolloutBuffer(2, 1, 3))
         assert np.array_equal(last, snapshot)
+
+
+def _collected(n_envs, activation, n_steps=6):
+    envs = [
+        ContextualBanditEnv(num_states=5, episode_length=1000, seed=i)
+        for i in range(n_envs)
+    ]
+    policy = ActorCriticPolicy(5, 5, hidden=(64, 32), activation=activation, rng=1)
+    runner = ParallelRunner(envs, policy, n_steps, np.random.default_rng(2))
+    buffer = RolloutBuffer(n_steps, n_envs, 5)
+    runner.collect(buffer)
+    return policy, runner, buffer
+
+
+def _backward_caches(actor):
+    caches = [dense.last_input_aug for dense in actor.dense_layers]
+    for act in actor.activations:
+        if isinstance(act, Tanh):
+            caches.append(act._out)
+        elif isinstance(act, ReLU):
+            caches.append(act._mask)
+    return caches
+
+
+class TestRolloutIsTrainingForward:
+    """After collect() the actor workspace holds what ``actor.forward`` on
+    the flattened rollout would have cached, so the update skips it."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("n_envs", [1, 2, 4, 8])
+    def test_workspace_equals_batch_forward_caches(self, n_envs, activation):
+        policy, runner, buffer = _collected(n_envs, activation)
+        logits = runner.training_logits()
+        reference = policy.clone().actor
+        expected_logits = reference.forward(buffer.flat_obs)
+        # n_envs >= 4: an n_envs-row GEMM is a row block of the batch GEMM
+        # on the bundled OpenBLAS; below, GEMV / 2-row kernels differ by
+        # ulps (documented in DESIGN.md section 8b).
+        if n_envs >= 4:
+            same = np.array_equal
+        else:
+            same = lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0.0)
+        assert same(logits, expected_logits)
+        adopted = _backward_caches(policy.actor)
+        expected = _backward_caches(reference)
+        assert len(adopted) == len(expected) == 5
+        for got, want in zip(adopted, expected):
+            assert got.shape == want.shape and same(got, want)
+        # Adopted, not copied: the caches are the workspace's own rows.
+        workspace = runner._actor_inference
+        for dense, aug in zip(policy.actor.dense_layers, workspace._aug):
+            assert np.shares_memory(dense.last_input_aug, aug)
+        assert np.shares_memory(logits, workspace._out[-1])
+
+    def test_gradients_through_adopted_caches_equal_a_reforward(self):
+        policy, runner, buffer = _collected(4, "tanh")
+        dout = np.random.default_rng(3).normal(size=(24, 5))
+        runner.training_logits()
+        policy.actor.backward(dout)
+        reference = policy.clone().actor
+        reference.forward(buffer.flat_obs)
+        reference.backward(dout)
+        for got, want in zip(policy.actor.gradients, reference.gradients):
+            assert np.array_equal(got, want)
+
+    def test_workspace_grows_once_and_collect_does_not_allocate(self):
+        policy, runner, buffer = _collected(4, "tanh", n_steps=16)
+        workspace = runner._actor_inference
+        buffers = workspace._aug + workspace._out
+        workspace_bytes = sum(b.nbytes for b in buffers)
+        runner.collect(buffer)  # warm every lazily built plan
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for _ in range(3):
+                runner.collect(buffer)
+                runner.training_logits()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(a is b for a, b in zip(workspace._aug + workspace._out, buffers))
+        assert workspace._capacity == 64
+        # Nothing survives a collect, and what lives during one step
+        # (logits-sized temporaries of the sampler) is a sliver of the
+        # workspace: no per-step buffer is being allocated.
+        assert after - before < 2048
+        assert peak - before < workspace_bytes / 8

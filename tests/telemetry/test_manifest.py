@@ -38,6 +38,39 @@ class TestStartRun:
         assert manifest.package_version
         assert manifest.created.endswith("Z")
 
+    def test_host_facts_round_trip(self, tmp_path, monkeypatch):
+        """Bit-level comparability rests on the BLAS pool size: the
+        manifest records the usable cores and the thread variables in
+        force, and the report shows them."""
+        import os
+
+        from repro.telemetry import summarize_run
+
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        with start_run(tmp_path, "train") as run:
+            run.recorder.emit("note", message="x")
+        manifest = read_manifest(tmp_path)
+        assert manifest.usable_cpus == 3
+        assert manifest.blas_threads == {
+            "OPENBLAS_NUM_THREADS": "2",
+            "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": None,
+        }
+        assert (
+            "host: usable_cpus=3 MKL_NUM_THREADS=unset OMP_NUM_THREADS=1 "
+            "OPENBLAS_NUM_THREADS=2"
+        ) in summarize_run(tmp_path)
+
+    def test_manifest_without_host_facts_still_loads(self, tmp_path):
+        (tmp_path / MANIFEST_FILENAME).write_text(json.dumps({"name": "old"}))
+        manifest = read_manifest(tmp_path)
+        assert manifest.usable_cpus == 0 and manifest.blas_threads == {}
+
     def test_non_json_config_values_stringified(self, tmp_path):
         with start_run(tmp_path, "train", config={"seeds": range(2)}):
             pass
