@@ -14,9 +14,8 @@ code paths run at every scale.
 
 Orthogonally to the scale, ``REPRO_WORKERS`` selects how many worker
 processes the per-seed training and evaluation fan-outs use (serial when
-unset) and ``REPRO_EVAL_BATCH`` the in-process lockstep width of batched
-policy evaluation (serial when unset); results are bit-identical at any
-worker count or batch width, so the perf knobs never change a figure.
+unset); results are bit-identical at any worker count, so the perf knob
+never changes a figure.
 """
 
 from __future__ import annotations
@@ -27,9 +26,8 @@ from typing import Tuple
 
 from repro.eval.runner import SuiteConfig
 from repro.parallel import resolve_workers
-from repro.rl.batched import resolve_eval_batch
 
-__all__ = ["BenchScale", "SCALE", "WORKERS", "EVAL_BATCH", "suite_config"]
+__all__ = ["BenchScale", "SCALE", "WORKERS", "suite_config"]
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,6 @@ SCALE: BenchScale = _selected_scale()
 #: ``REPRO_WORKERS`` (1 = serial).
 WORKERS: int = resolve_workers(None)
 
-#: In-process lockstep width for batched policy evaluation, resolved once
-#: from ``REPRO_EVAL_BATCH`` (1 = serial).
-EVAL_BATCH: int = resolve_eval_batch(None)
-
 
 def suite_config() -> SuiteConfig:
     """The scale's training budget as an eval-harness SuiteConfig."""
@@ -121,5 +115,4 @@ def suite_config() -> SuiteConfig:
         eval_seeds=SCALE.eval_seeds,
         n_steps=SCALE.n_steps,
         workers=WORKERS,
-        eval_batch=EVAL_BATCH,
     )

@@ -44,12 +44,11 @@ def bench_report():
     ``REPRO_BENCH_JSON=/path/report.json`` to also persist the report
     (including per-phase wall-clock breakdowns) as JSON."""
     report = BenchReport()
-    from _config import EVAL_BATCH, SCALE, WORKERS
+    from _config import SCALE, WORKERS
 
     report.config = {
         "scale": SCALE.name,
         "workers": WORKERS,
-        "eval_batch": EVAL_BATCH,
     }
     yield report
     if report:

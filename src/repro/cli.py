@@ -33,11 +33,11 @@ def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
                              "(default: $REPRO_WORKERS, else serial)")
 
 
-def _add_eval_batch_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eval-batch", type=int, default=None,
-                        help="in-process lockstep width for batched policy "
-                             "evaluation; composes with --workers "
-                             "(default: $REPRO_EVAL_BATCH, else serial)")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_eval_dtype_arg(parser: argparse.ArgumentParser) -> None:
@@ -51,7 +51,7 @@ def _resolved_eval_dtype(args: argparse.Namespace) -> str:
     """The effective ``"f64"``/``"f32"`` spelling (flag, else env var)."""
     import numpy as np
 
-    from repro.rl.batched import resolve_eval_dtype
+    from repro.nn.mlp import resolve_eval_dtype
 
     dtype = resolve_eval_dtype(getattr(args, "eval_dtype", None))
     return "f32" if dtype == np.dtype(np.float32) else "f64"
@@ -145,13 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--updates", type=int, default=400,
                        help="gradient updates per seed")
     train.add_argument("--algorithm", default="acktr", choices=["acktr", "a2c"])
-    train.add_argument("--eval-episodes", type=int, default=1,
+    train.add_argument("--eval-episodes", type=_positive_int, default=1,
                        help="greedy evaluation episodes per seed for "
-                            "best-agent selection (batched across "
-                            "--eval-batch lockstep slots when > 1)")
+                            "best-agent selection (>= 1; the evaluation "
+                            "derives its lockstep width from this count)")
     train.add_argument("--quiet", action="store_true")
     _add_workers_arg(train)
-    _add_eval_batch_arg(train)
     _add_eval_dtype_arg(train)
     _add_stat_interval_arg(train)
     _add_telemetry_arg(train)
@@ -174,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seeds", type=int, default=2)
     compare.add_argument("--eval-seeds", type=int, default=3)
     _add_workers_arg(compare)
-    _add_eval_batch_arg(compare)
     _add_eval_dtype_arg(compare)
     _add_stat_interval_arg(compare)
     _add_telemetry_arg(compare)
@@ -284,7 +282,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         n_steps=64,
         eval_episodes=args.eval_episodes,
         workers=args.workers,
-        eval_batch=args.eval_batch,
         eval_dtype=_resolved_eval_dtype(args),
         stat_interval=args.stat_interval,
     )
@@ -376,7 +373,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             train_updates=args.updates,
             n_steps=64,
             workers=args.workers,
-            eval_batch=args.eval_batch,
             eval_dtype=_resolved_eval_dtype(args),
             stat_interval=args.stat_interval,
         ),

@@ -21,7 +21,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.core.observations import ObservationAdapter
-from repro.nn.mlp import MLPInference
+from repro.nn.mlp import MLPInference, resolve_eval_dtype
 from repro.rl.policy import ActorCriticPolicy
 from repro.services.service import ServiceCatalog
 from repro.sim.simulator import DecisionPoint, Simulator
@@ -138,8 +138,6 @@ class DistributedCoordinator:
         seed: int = 0,
         dtype: Any = np.float64,
     ) -> None:
-        from repro.rl.batched import resolve_eval_dtype
-
         self.network = network
         self.seed = seed
         self.deterministic = deterministic

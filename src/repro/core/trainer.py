@@ -59,14 +59,11 @@ class TrainingConfig:
         value_loss_coef: Critic loss coefficient (paper: 0.25).
         kl_clip: ACKTR trust-region bound (paper: 0.001).
         max_grad_norm: Gradient clip (paper: 0.5).
-        eval_episodes: Greedy episodes per seed for best-agent selection.
+        eval_episodes: Greedy episodes per seed for best-agent selection
+            (>= 1; the evaluation's lockstep width follows from it).
         workers: Worker processes for the per-seed fan-out (None reads
             ``REPRO_WORKERS``; 1 = serial).
-        eval_batch: In-process lockstep width for each seed's selection
-            evaluation (None reads ``REPRO_EVAL_BATCH``; 1 = serial);
-            composes with ``workers``.  See
-            :class:`repro.rl.batched.BatchedEpisodeRunner`.
-        eval_dtype: Inference dtype of the batched selection evaluation
+        eval_dtype: Inference dtype of the selection evaluation
             and of the deployed per-node agents (``"f64"``/``"f32"``;
             None reads ``REPRO_EVAL_DTYPE``, float64 when unset).
         stat_interval: Refresh ACKTR's Kronecker-factor statistics every
@@ -90,7 +87,6 @@ class TrainingConfig:
     max_grad_norm: float = 0.5
     eval_episodes: int = 1
     workers: Optional[int] = None
-    eval_batch: Optional[int] = None
     eval_dtype: Optional[str] = None
     stat_interval: int = 1
     seed_timeout: Optional[float] = None
@@ -157,17 +153,14 @@ def train_coordinator(
         verbose=verbose,
         workers=training.workers,
         timeout=training.seed_timeout,
-        eval_batch=training.eval_batch,
         eval_dtype=training.eval_dtype,
         recorder=recorder,
     )
-    from repro.rl.batched import resolve_eval_dtype
-
     coordinator = DistributedCoordinator(
         env_config.network,
         env_config.catalog,
         multi_seed.best_policy,
         deterministic=True,
-        dtype=resolve_eval_dtype(training.eval_dtype),
+        dtype=training.eval_dtype,
     )
     return TrainingResult(coordinator=coordinator, multi_seed=multi_seed)

@@ -294,9 +294,6 @@ class SuiteConfig:
     budget (k=10 seeds, 30 eval seeds, T=20000) for full-fidelity runs.
     ``workers`` fans both the per-seed training runs and the per-seed
     evaluations out across processes (None reads ``REPRO_WORKERS``);
-    ``eval_batch`` additionally batches the in-process selection
-    evaluations of the DRL training runs (None reads
-    ``REPRO_EVAL_BATCH``) — processes × in-process batching compose;
     ``eval_dtype`` selects the inference dtype of both the selection
     evaluations and the deployed distributed agents (``"f64"``/``"f32"``;
     None reads ``REPRO_EVAL_DTYPE``, float64 when unset);
@@ -311,7 +308,6 @@ class SuiteConfig:
     n_envs: int = 4
     n_steps: int = 32
     workers: Optional[int] = None
-    eval_batch: Optional[int] = None
     eval_dtype: Optional[str] = None
     stat_interval: int = 1
 
@@ -465,7 +461,6 @@ def build_algorithm_suite(
             n_envs=suite.n_envs,
             n_steps=suite.n_steps,
             workers=suite.workers,
-            eval_batch=suite.eval_batch,
             eval_dtype=suite.eval_dtype,
             stat_interval=suite.stat_interval,
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
@@ -10,7 +11,7 @@ import numpy as np
 from repro.nn.init import RNGLike
 from repro.nn.layers import Activation, Dense, Identity, ReLU, Tanh
 
-__all__ = ["MLP", "MLPInference", "fused_backward_is_exact"]
+__all__ = ["MLP", "MLPInference", "fused_backward_is_exact", "resolve_eval_dtype"]
 
 _ACTIVATIONS = {"tanh": Tanh, "relu": ReLU, "identity": Identity}
 
@@ -290,8 +291,8 @@ class MLPInference:
         roughly 2x less memory traffic, at ~1e-6 relative error per layer
         (empirically <1e-4 relative on the logits of the paper's 2x256
         tanh network).  Use it only where bit equality with the float64
-        path is not required; the batched evaluation engine disables its
-        exactness guarantee in this mode.
+        path is not required; ``select_actions`` skips its near-tie guard
+        on float32 logits.
     """
 
     def __init__(self, mlp: MLP, dtype: Any = np.float64) -> None:
@@ -408,3 +409,26 @@ class MLPInference:
             np.matmul(aug, dense.weight if weights is None else weights[i], out=z)
             out = act.forward_into(z, dst)
         return out
+
+
+#: CLI spellings of the inference dtypes :class:`MLPInference` supports.
+_EVAL_DTYPES = {"f64": np.float64, "f32": np.float32}
+
+
+def resolve_eval_dtype(value: Optional[Any] = None) -> np.dtype:
+    """Effective inference dtype: explicit ``value`` (``"f64"``/``"f32"``
+    or a numpy dtype), else the ``REPRO_EVAL_DTYPE`` environment
+    variable, else float64 (the bit-exact default)."""
+    if value is None:
+        value = os.environ.get("REPRO_EVAL_DTYPE", "").strip() or "f64"
+    if isinstance(value, str):
+        key = value.strip().lower()
+        if key not in _EVAL_DTYPES:
+            raise ValueError(
+                f"unknown eval dtype {value!r}; choose from {sorted(_EVAL_DTYPES)}"
+            )
+        return np.dtype(_EVAL_DTYPES[key])
+    dtype = np.dtype(value)
+    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
+        raise ValueError(f"eval dtype must be float64/float32, got {dtype}")
+    return dtype

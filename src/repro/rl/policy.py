@@ -7,14 +7,20 @@ Matches the paper's hyperparameters when left at defaults: two networks
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.distributions import Categorical
+from repro.nn.distributions import Categorical, gumbel_noise
 from repro.nn.mlp import MLP, MLPInference
 
-__all__ = ["ActorCriticPolicy"]
+__all__ = ["ARGMAX_TIE_TOLERANCE", "ActorCriticPolicy"]
+
+#: Top-two margin (relative to the top score's magnitude) at or below
+#: which :meth:`ActorCriticPolicy.select_actions` recomputes a row through
+#: the batch-1 forward.  A multi-row GEMM and the batch-1 one disagree by
+#: ~1e-13 relative; action gaps that mean anything are orders above 1e-6.
+ARGMAX_TIE_TOLERANCE = 1e-6
 
 
 class ActorCriticPolicy:
@@ -100,16 +106,15 @@ class ActorCriticPolicy:
             return int(logits.argmax())
         if rng is None:
             raise ValueError("stochastic act_single needs an rng")
-        gumbel = -np.log(-np.log(rng.uniform(1e-12, 1.0, size=(1, len(logits)))))
-        return int((logits + gumbel[0]).argmax())
+        return int((logits + gumbel_noise(rng, (1, len(logits)))[0]).argmax())
 
     def logits_single(
         self, obs: np.ndarray, inference: Optional[MLPInference] = None
     ) -> np.ndarray:
         """Actor logits for one observation through the exact batch-1
         forward that :meth:`act_single` runs — bitwise
-        ``actor.forward(obs[None, :])[0]``, and so the reference the
-        batched evaluation engine recomputes near argmax ties.
+        ``actor.forward(obs[None, :])[0]``, and so the reference
+        :meth:`select_actions` recomputes near argmax ties.
 
         Runs on ``inference`` (default: :attr:`workspace`).  Pass that
         workspace's ``input_rows(1)``, filled in place, and nothing is
@@ -121,6 +126,58 @@ class ActorCriticPolicy:
         if obs is not rows:
             rows[0] = obs
         return inference.forward(rows)[0]
+
+    def select_actions(
+        self,
+        logits: np.ndarray,
+        x: np.ndarray,
+        actions: np.ndarray,
+        rngs: Optional[Iterable[np.random.Generator]] = None,
+    ) -> int:
+        """Fill ``actions[j]`` with what :meth:`act_single` answers for row
+        ``x[j]``, given the ``(n, K)`` ``logits`` one forward computed for
+        all of ``x`` — the select every multi-row driver (lockstep
+        evaluation, serving flushes) runs.  Returns how many rows went
+        back through the batch-1 forward.
+
+        - *rng order*: ``rngs`` is None for greedy selection; otherwise it
+          yields row ``j``'s generator and each row draws one ``(1, K)``
+          block, in row order — :meth:`act_single`'s draw, so a caller
+          that hands every row its ``act_single`` stream leaves every
+          stream where the serial loop would.
+        - *near-tie guard*: a multi-row GEMM sums in another order than the
+          batch-1 forward, so float64 logits differ from
+          :meth:`logits_single` in the last ulps.  Only a near tie can turn
+          that into a different argmax: rows whose top-two margin is within
+          :data:`ARGMAX_TIE_TOLERANCE` are recomputed through
+          ``logits_single(x[j])`` (plus the row's own noise).  float32
+          logits carry no bit-identity promise and skip the guard.
+        - *one row*: a 1-row forward through a workspace prefix is the
+          batch-1 forward, bit for bit, so the answer is a plain argmax.
+        """
+        n, k = logits.shape
+        noise = None
+        scores = logits
+        if rngs is not None:
+            noise = np.empty((n, k))
+            for j, rng in zip(range(n), rngs):
+                noise[j] = gumbel_noise(rng, (1, k))[0]
+            scores = logits + noise
+        if n == 1:
+            actions[0] = scores[0].argmax()
+            return 0
+        np.argmax(scores, axis=1, out=actions)
+        if k == 1 or logits.dtype != np.float64:
+            return 0
+        ranked = np.sort(scores, axis=1)
+        top = ranked[:, -1]
+        near = np.nonzero(
+            top - ranked[:, -2] <= ARGMAX_TIE_TOLERANCE * (1.0 + np.abs(top))
+        )[0]
+        for j in near:
+            serial = self.logits_single(x[j])
+            actions[j] = (serial if noise is None else serial + noise[j]).argmax()
+        return len(near)
 
     @property
     def workspace(self) -> MLPInference:

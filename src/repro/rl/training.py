@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.nn.mlp import resolve_eval_dtype
 from repro.parallel import (
     CountingEnvFactory,
     EnvBuilder,
@@ -28,11 +29,19 @@ from repro.parallel import (
 )
 from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
+from repro.rl.batched import BatchedEpisodeRunner, supports_batched_evaluation
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.runner import Env
 from repro.telemetry import NULL_RECORDER, Recorder
 
-__all__ = ["SeedResult", "MultiSeedResult", "train_multi_seed", "evaluate_policy"]
+__all__ = [
+    "LOCKSTEP_MIN_EPISODES",
+    "LOCKSTEP_MAX_WIDTH",
+    "SeedResult",
+    "MultiSeedResult",
+    "train_multi_seed",
+    "evaluate_policy",
+]
 
 
 @dataclass
@@ -60,13 +69,24 @@ class MultiSeedResult:
         return self.best.policy
 
 
+#: Episode count from which :func:`evaluate_policy` runs one lockstep slot
+#: per episode; below it one slot plays the episodes in turn.  At 2-3 rows
+#: the select's near-tie guard costs more than the shared forward saves
+#: (DESIGN §7, widths 2 and 3 of the table).
+LOCKSTEP_MIN_EPISODES = 4
+
+#: Most lockstep slots :func:`evaluate_policy` opens (DESIGN §7, width 32
+#: of the table: the per-row gain has flattened, each slot holds a live
+#: simulator).
+LOCKSTEP_MAX_WIDTH = 32
+
+
 def evaluate_policy(
     policy: ActorCriticPolicy,
     env: Env,
     episodes: int = 1,
     deterministic: bool = True,
     rng: Optional[np.random.Generator] = None,
-    batch: int = 1,
     dtype: Optional[str] = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> Dict[str, float]:
@@ -76,57 +96,50 @@ def evaluate_policy(
     the terminal ``info`` dict; when present it is averaged into the
     result under ``"success_ratio"``.
 
-    Args:
-        batch: Lockstep width for in-process batched inference.  The
-            default 1 drives the env serially through ``act_single`` —
-            the historical path.  ``batch > 1`` requires an env
-            implementing the episode-replay protocol (``clone`` /
-            ``reset_episode``; :class:`ServiceCoordinationEnv` does) and
-            amortises the per-decision forward over up to ``batch``
-            episodes via :class:`repro.rl.batched.BatchedEpisodeRunner`;
-            per-episode metrics stay bit-identical to the serial path
-            for float64 policies.  Envs without the protocol silently
-            fall back to the serial loop.  In stochastic batched mode
-            each episode consumes its own spawned child of ``rng``
-            (instead of the serial loop's single shared stream), so
-            sampled trajectories match the batched runner's serial
-            reference, not this function's ``batch=1`` path.
-        dtype: Inference dtype of the batched path — ``"f64"``
-            (bit-identical, default) or ``"f32"`` (fast mode); ``None``
-            reads ``REPRO_EVAL_DTYPE``.  The serial path always runs the
-            exact float64 forward.
-        recorder: Telemetry sink; batched runs emit one ``eval_batch``
-            record with round/batch-size/forward-time statistics
-            (including the effective ``dtype``).
-    """
-    from repro.rl.batched import (
-        BatchedEpisodeRunner,
-        resolve_eval_dtype,
-        supports_batched_evaluation,
-    )
+    An env implementing the episode-replay protocol (``clone`` /
+    ``reset_episode``; :class:`ServiceCoordinationEnv` does) is played by
+    :class:`repro.rl.batched.BatchedEpisodeRunner` at a width this
+    function derives from ``episodes`` — one slot below
+    :data:`LOCKSTEP_MIN_EPISODES`, else one per episode up to
+    :data:`LOCKSTEP_MAX_WIDTH`.  Float64 per-episode metrics are
+    bit-identical to a plain ``act_single`` loop at every width; in
+    stochastic mode episode k draws from the k-th spawned child of
+    ``rng``.  Any other env is stepped by the generic loop below, all
+    episodes sharing ``rng``.
 
+    Args:
+        dtype: Inference dtype of the lockstep path — ``"f64"``
+            (bit-identical, default) or ``"f32"`` (fast mode); ``None``
+            reads ``REPRO_EVAL_DTYPE``.  The generic loop always runs the
+            exact float64 forward.
+        recorder: Telemetry sink; a lockstep run emits one ``eval_batch``
+            record with the derived width (``batch``) and its
+            round/forward-time statistics.
+    """
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
     rng = rng or np.random.default_rng(0)
-    if batch > 1 and episodes > 1 and supports_batched_evaluation(env):
-        runner = BatchedEpisodeRunner(
+    if supports_batched_evaluation(env):
+        width = (
+            min(episodes, LOCKSTEP_MAX_WIDTH)
+            if episodes >= LOCKSTEP_MIN_EPISODES
+            else 1
+        )
+        outcomes, _ = BatchedEpisodeRunner(
             policy,
             env,
             episodes=episodes,
-            batch=batch,
+            batch=width,
             deterministic=deterministic,
             rng=rng,
             dtype=resolve_eval_dtype(dtype),
             recorder=recorder,
-        )
-        outcomes, _ = runner.run()
+        ).run()
         total_rewards = [o.total_reward for o in outcomes]
-        success_ratios = [
-            float(o.info["success_ratio"])
-            for o in outcomes
-            if "success_ratio" in o.info
-        ]
+        infos = [o.info for o in outcomes]
     else:
         total_rewards = []
-        success_ratios = []
+        infos = []
         for _ in range(episodes):
             obs = env.reset()
             done = False
@@ -137,8 +150,10 @@ def evaluate_policy(
                 obs, reward, done, info = env.step(action)
                 total += reward
             total_rewards.append(total)
-            if "success_ratio" in info:
-                success_ratios.append(float(info["success_ratio"]))
+            infos.append(info)
+    success_ratios = [
+        float(info["success_ratio"]) for info in infos if "success_ratio" in info
+    ]
     out = {"mean_episode_reward": float(np.mean(total_rewards))}
     if success_ratios:
         out["success_ratio"] = float(np.mean(success_ratios))
@@ -155,9 +170,7 @@ class _SeedTask:
     seed: int
     updates: int
     eval_episodes: int
-    #: Lockstep width of the greedy selection evaluation (1 = serial).
-    eval_batch: int = 1
-    #: Inference dtype of the batched selection evaluation ("f64"/"f32").
+    #: Inference dtype of the selection evaluation ("f64"/"f32").
     eval_dtype: str = "f64"
     #: Worker-local telemetry stream (merged into the parent's after the
     #: batch; see :meth:`repro.telemetry.JsonlRecorder.for_task`).
@@ -176,7 +189,6 @@ def _run_seed_task(task: _SeedTask) -> SeedResult:
         task.env_factory(),
         episodes=task.eval_episodes,
         rng=np.random.default_rng(task.seed),
-        batch=task.eval_batch,
         dtype=task.eval_dtype,
         recorder=task.recorder,
     )
@@ -207,7 +219,6 @@ def train_multi_seed(
     verbose: bool = False,
     workers: Optional[int] = None,
     timeout: Optional[float] = None,
-    eval_batch: Optional[int] = None,
     eval_dtype: Optional[str] = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> MultiSeedResult:
@@ -222,21 +233,18 @@ def train_multi_seed(
         config: Trainer hyperparameters (k seeds x l parallel envs).
         seeds: Training seeds (paper: k = 10).
         updates_per_seed: Gradient updates per seed.
-        eval_episodes: Greedy evaluation episodes for agent selection.
+        eval_episodes: Greedy evaluation episodes for agent selection
+            (>= 1; :func:`evaluate_policy` derives the lockstep width
+            from it).
         algorithm: ``"acktr"`` (paper) or ``"a2c"`` (ablation).
         verbose: Print one line per seed.
         workers: Worker processes for the per-seed fan-out (default:
             ``REPRO_WORKERS``, serial when unset).
         timeout: Per-seed wall-clock limit in seconds (parallel mode).
-        eval_batch: In-process lockstep width of each seed's selection
-            evaluation (default: ``REPRO_EVAL_BATCH``, serial when
-            unset); composes with ``workers`` — processes × batching.
-            Deterministic evaluation results are bit-identical either
-            way (see :func:`evaluate_policy`).
-        eval_dtype: Inference dtype of the batched selection evaluation
+        eval_dtype: Inference dtype of the selection evaluation
             (``"f64"``/``"f32"``; default: ``REPRO_EVAL_DTYPE``, float64
             when unset).  Float32 trades the bit-identity guarantee for
-            speed; serial (``eval_batch=1``) evaluation ignores it.
+            speed (see :func:`evaluate_policy`).
         recorder: Telemetry sink.  When enabled, each seed's per-update
             ``train_update`` and final ``seed_result`` records stream
             into a worker-local file and are merged back here in seed
@@ -251,10 +259,9 @@ def train_multi_seed(
         raise ValueError(f"unknown algorithm {algorithm!r}; use 'acktr' or 'a2c'")
     if algorithm == "acktr" and not isinstance(config, ACKTRConfig):
         config = ACKTRConfig(**config.__dict__)
+    if eval_episodes < 1:
+        raise ValueError(f"eval_episodes must be >= 1, got {eval_episodes}")
     seeds = list(seeds)
-    from repro.rl.batched import resolve_eval_batch, resolve_eval_dtype
-
-    eval_batch = resolve_eval_batch(eval_batch)
     eval_dtype_str = (
         "f32" if resolve_eval_dtype(eval_dtype) == np.dtype(np.float32) else "f64"
     )
@@ -284,7 +291,6 @@ def train_multi_seed(
                 seed=seed,
                 updates=updates_per_seed,
                 eval_episodes=eval_episodes,
-                eval_batch=eval_batch,
                 eval_dtype=eval_dtype_str,
                 recorder=(
                     task_recorders[index] if task_recorders else NULL_RECORDER

@@ -15,21 +15,16 @@ a full batch-1 forward.
 Bit-identity (float64 mode)
 ---------------------------
 
-Responses are bitwise-identical to calling ``policy.act`` serially on
-the same observation sequence:
-
-- *Deterministic*: the batched logits feed
-  :func:`repro.rl.batched.argmax_with_serial_fallback` — rows whose
-  top-two margin is within the tie tolerance are recomputed through the
-  exact batch-1 forward, exactly as in batched evaluation.
-- *Stochastic*: the engine draws one ``(1, K)`` uniform block per
-  request **in FIFO submission order** from its single generator — the
-  identical consumption pattern of ``Categorical.sample`` inside a
-  serial ``policy.act`` loop — and takes the Gumbel-max.  The queue
-  never reorders, so the cumulative rng stream matches the serial one.
+Responses are bitwise-identical to calling ``policy.act_single`` serially
+on the same observation sequence.  Each flush hands its logits to
+:meth:`~repro.rl.policy.ActorCriticPolicy.select_actions` — the select
+lockstep evaluation runs too, which owns the near-tie guard and the rng
+contract.  In stochastic mode every row draws from the engine's single
+generator, and the queue never reorders, so the draws land **in FIFO
+submission order** and the cumulative rng stream matches the serial one.
 
 Float32 mode trades the guarantee for throughput (workspace-cast
-weights, no fallback), mirroring the batched evaluation engine.
+weights, no near-tie guard), as in lockstep evaluation.
 
 Weight hot-swap
 ---------------
@@ -59,12 +54,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.invariants import InvariantViolation
-from repro.rl.batched import argmax_with_serial_fallback, resolve_eval_dtype
+from repro.nn.mlp import resolve_eval_dtype
 from repro.rl.policy import ActorCriticPolicy
 from repro.serving.queue import RingBufferQueue
 from repro.serving.records import Decision, ServingStats
@@ -148,7 +144,6 @@ class ServingEngine:
         self.stats = ServingStats()
         self._policy = policy
         self._dtype = resolve_eval_dtype(config.dtype)
-        self._exact = self._dtype == np.dtype(np.float64)
         self._inference = policy.actor_inference(dtype=self._dtype)
         self._version = 0
         self._staged: Optional[Tuple[ActorCriticPolicy, Optional[int]]] = None
@@ -158,15 +153,12 @@ class ServingEngine:
         )
         self._next_id = 0
         self._flush_index = 0
-        # Preallocated flush workspaces (ids, times, actions, Gumbel noise,
-        # tie-margin scratch) — no per-flush allocation; the batch rows
-        # are the actor workspace's own input rows.
-        b, k = config.max_batch, policy.num_actions
+        # Preallocated flush workspaces (ids, times, actions); the batch
+        # rows are the actor workspace's own input rows.
+        b = config.max_batch
         self._batch_ids = np.empty(b, dtype=np.int64)
         self._batch_times = np.empty(b, dtype=np.float64)
         self._actions = np.empty(b, dtype=np.intp)
-        self._scratch = np.empty((b, k), dtype=np.float64)
-        self._noise = None if deterministic else np.empty((b, k), dtype=np.float64)
 
     # ------------------------------------------------------------------
 
@@ -301,33 +293,9 @@ class ServingEngine:
         logits = self._inference.forward(x)
         forward_seconds = self.clock() - f0
         actions = self._actions[:n]
-        work = self._scratch[:n]
-        noise = self._noise
-        if self.deterministic:
-            scores: np.ndarray = logits
-        else:
-            if noise is None or self.rng is None:
-                raise InvariantViolation(
-                    "stochastic flush reached without noise workspace/rng"
-                )
-            k = logits.shape[1]
-            for j in range(n):
-                # One (1, K) uniform block per request in FIFO order —
-                # the exact draw Categorical.sample makes inside a
-                # serial policy.act call for the same request.
-                u = self.rng.uniform(1e-12, 1.0, size=(1, k))
-                noise[j] = -np.log(-np.log(u[0]))
-            scores = np.add(logits, noise[:n], out=work)
-
-        def serial_row(j: int) -> np.ndarray:
-            serial = self._policy.logits_single(x[j])
-            if noise is not None:
-                serial = serial + noise[j]
-            return serial
-
-        tie_fallbacks = argmax_with_serial_fallback(
-            scores, work, actions, serial_row, exact=self._exact
-        )
+        # Stochastic mode: every row draws from the one stream, in FIFO order.
+        rngs = None if self.deterministic or self.rng is None else repeat(self.rng)
+        tie_fallbacks = self._policy.select_actions(logits, x, actions, rngs)
         completion = self.clock()
         flush_index = self._flush_index
         self._flush_index = flush_index + 1

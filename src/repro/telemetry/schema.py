@@ -54,15 +54,17 @@ Record kinds
     (mirrors :class:`repro.parallel.timing.TimingReport`).
 
 ``eval_batch``
-    One batched-evaluation run (:class:`repro.rl.batched.BatchedEpisodeRunner`):
-    ``batch`` (configured lockstep width), ``episodes``, ``rounds``
-    (lockstep rounds = policy forwards), ``decisions`` (total actions
-    selected); optionally ``mean_round_batch``/``max_round_batch``,
-    ``round_batches`` (per-round live-slot counts, truncated),
-    ``tie_fallbacks`` (rows recomputed through the serial forward near
-    argmax ties), ``deterministic``, ``dtype``, ``forward_seconds``
-    (wall-clock inside policy forwards), ``wall_seconds``, and
-    ``decisions_per_second``.
+    One lockstep evaluation run (:class:`repro.rl.batched.BatchedEpisodeRunner`);
+    every selection evaluation on a replay-capable env emits one.
+    ``batch`` (lockstep width — not a setting:
+    :func:`repro.rl.training.evaluate_policy` derives it from the episode
+    count, 1 included), ``episodes``, ``rounds`` (lockstep rounds =
+    policy forwards), ``decisions`` (total actions selected); optionally
+    ``mean_round_batch``/``max_round_batch``, ``round_batches``
+    (per-round live-slot counts, truncated), ``tie_fallbacks`` (rows
+    recomputed through the batch-1 forward near argmax ties),
+    ``deterministic``, ``dtype``, ``forward_seconds`` (wall-clock inside
+    policy forwards), ``wall_seconds``, and ``decisions_per_second``.
 
 ``phase``
     One named wall-clock phase (e.g. ``train`` vs ``evaluate`` in a

@@ -232,7 +232,7 @@ def summarize_run(directory: os.PathLike) -> str:
         total_decisions = sum(int(r["decisions"]) for r in evals)
         total_rounds = sum(int(r["rounds"]) for r in evals)
         fallbacks = sum(int(r.get("tie_fallbacks", 0)) for r in evals)
-        batches = sorted({int(r["batch"]) for r in evals})
+        widths = sorted({int(r["batch"]) for r in evals})
         mean_round = total_decisions / total_rounds if total_rounds else 0.0
         forward = sum(
             float(r["forward_seconds"]) for r in evals if "forward_seconds" in r
@@ -243,7 +243,8 @@ def summarize_run(directory: os.PathLike) -> str:
             if "decisions_per_second" in r
         ]
         lines.append(
-            f"batched eval: {len(evals)} run(s) batch={batches} | "
+            f"lockstep eval: {len(evals)} run(s) at width {widths} "
+            f"(derived from the episode count) | "
             f"{total_decisions} decisions in {total_rounds} rounds "
             f"(mean {mean_round:.1f}/round, {fallbacks} tie fallbacks) | "
             f"forward {forward:.2f}s"

@@ -9,22 +9,25 @@ deterministic and stochastic modes, including a forced all-ties actor
 that exercises the near-tie fallback on every single decision.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.env import ServiceCoordinationEnv
+from repro.nn.mlp import resolve_eval_dtype
 from repro.rl.batched import (
-    ARGMAX_TIE_TOLERANCE,
     BatchedEpisodeRunner,
     BatchedEvalStats,
     EpisodeOutcome,
-    SERIAL_FALLBACK_MAX_BATCH,
-    resolve_eval_batch,
-    resolve_eval_dtype,
     supports_batched_evaluation,
 )
-from repro.rl.policy import ActorCriticPolicy
-from repro.rl.training import evaluate_policy
+from repro.rl.policy import ARGMAX_TIE_TOLERANCE, ActorCriticPolicy
+from repro.rl.training import (
+    LOCKSTEP_MAX_WIDTH,
+    LOCKSTEP_MIN_EPISODES,
+    evaluate_policy,
+)
 from repro.telemetry import validate_record
 from repro.telemetry.recorder import JsonlRecorder
 from repro.topology import line_network, star_network
@@ -84,7 +87,7 @@ def as_tuples(outcomes):
 class TestDeterministicBitIdentity:
     """Acceptance criterion: batched == serial, bit for bit, for any M."""
 
-    @pytest.mark.parametrize("batch", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5, 8, 16])
     def test_matches_serial_reference(self, batch):
         episodes = 6
         expected = serial_reference(
@@ -165,6 +168,11 @@ class TestStochasticBitIdentity:
 
 
 class TestTieFallback:
+    def test_tolerance_is_small(self):
+        # The guard's tolerance must stay tiny relative to O(1) logits, or
+        # every multi-row select would degenerate into serial recomputation.
+        assert ARGMAX_TIE_TOLERANCE <= 1e-5
+
     def test_all_ties_still_bit_identical(self):
         """A zeroed actor makes every decision an exact K-way tie — the
         worst case for batched argmax.  The fallback must fire and keep
@@ -202,27 +210,79 @@ class TestTieFallback:
         assert stats.dtype == "float32"
 
 
+def as_metrics(reference):
+    """What ``evaluate_policy`` reports for ``serial_reference`` tuples."""
+    return {
+        "mean_episode_reward": float(np.mean([t[0] for t in reference])),
+        "success_ratio": float(np.mean([float(t[2]) for t in reference])),
+    }
+
+
 class TestEvaluatePolicyWrapper:
     def test_batched_equals_serial_dict(self):
         policy = make_policy(make_env())
-        serial = evaluate_policy(policy, make_env(seed=21), episodes=5)
-        batched = evaluate_policy(policy, make_env(seed=21), episodes=5, batch=4)
-        assert serial == batched
+        expected = as_metrics(serial_reference(policy, make_env(seed=21), 5))
+        assert evaluate_policy(policy, make_env(seed=21), episodes=5) == expected
 
     def test_single_episode_falls_back_to_serial(self):
         policy = make_policy(make_env())
-        a = evaluate_policy(policy, make_env(seed=1), episodes=1, batch=8)
-        b = evaluate_policy(policy, make_env(seed=1), episodes=1)
-        assert a == b
+        expected = as_metrics(serial_reference(policy, make_env(seed=1), 1))
+        assert evaluate_policy(policy, make_env(seed=1), episodes=1) == expected
+
+    def test_width_constants_are_what_the_cases_below_straddle(self):
+        assert (LOCKSTEP_MIN_EPISODES, LOCKSTEP_MAX_WIDTH) == (4, 32)
+
+    @pytest.mark.parametrize("episodes", [1, 3, 4, 9, 40])
+    def test_every_derived_width_matches_serial_reference(self, episodes, tmp_path):
+        """Both sides of each width constant: one slot below
+        LOCKSTEP_MIN_EPISODES, one per episode from there, capped at
+        LOCKSTEP_MAX_WIDTH — same metrics as the act_single loop."""
+        policy = make_policy(make_env())
+        expected = as_metrics(
+            serial_reference(policy, make_env(seed=21, horizon=60.0), episodes)
+        )
+        stream = tmp_path / "metrics.jsonl"
+        with JsonlRecorder(stream) as recorder:
+            got = evaluate_policy(
+                policy, make_env(seed=21, horizon=60.0), episodes=episodes,
+                recorder=recorder,
+            )
+        assert got == expected
+        (record,) = [
+            r for r in map(json.loads, stream.read_text().splitlines())
+            if r["kind"] == "eval_batch"
+        ]
+        assert record["batch"] == {1: 1, 3: 1, 4: 4, 9: 9, 40: 32}[episodes]
+        assert record["max_round_batch"] == record["batch"]
+
+    @pytest.mark.parametrize("episodes", [0, -3])
+    def test_rejects_episode_counts_below_one(self, episodes):
+        with pytest.raises(ValueError, match="episodes must be >= 1"):
+            evaluate_policy(make_policy(make_env()), make_env(), episodes=episodes)
+
+    def test_stochastic_uses_per_episode_child_streams(self):
+        """On a replay-capable env every episode count draws episode k's
+        noise from the k-th child of ``rng`` (not one shared stream)."""
+        policy = make_policy(make_env())
+        for episodes in (2, 5):
+            expected = as_metrics(serial_reference(
+                policy, make_env(seed=6), episodes, deterministic=False,
+                rngs=np.random.default_rng(77).spawn(episodes),
+            ))
+            got = evaluate_policy(
+                policy, make_env(seed=6), episodes=episodes,
+                deterministic=False, rng=np.random.default_rng(77),
+            )
+            assert got == expected
 
     def test_float32_end_to_end_success_ratio_close(self):
         """f32 inference trades bit-identity for speed; on a fixed seed
         the evaluated success ratio must stay within a small delta of the
         exact f64 run."""
         policy = make_policy(make_env())
-        exact = evaluate_policy(policy, make_env(seed=31), episodes=6, batch=4)
+        exact = evaluate_policy(policy, make_env(seed=31), episodes=6)
         fast = evaluate_policy(
-            policy, make_env(seed=31), episodes=6, batch=4, dtype="f32"
+            policy, make_env(seed=31), episodes=6, dtype="f32"
         )
         assert set(fast) == set(exact)
         assert fast["success_ratio"] == pytest.approx(
@@ -248,8 +308,8 @@ class TestEvaluatePolicyWrapper:
         policy = make_policy(make_env())
         wrapped = Minimal(make_env(seed=21))
         assert not supports_batched_evaluation(wrapped)
-        result = evaluate_policy(policy, wrapped, episodes=3, batch=4)
-        assert result == evaluate_policy(policy, make_env(seed=21), episodes=3)
+        result = evaluate_policy(policy, wrapped, episodes=5)
+        assert result == evaluate_policy(policy, make_env(seed=21), episodes=5)
 
 
 class TestRunnerEdgeCases:
@@ -282,18 +342,14 @@ class TestTelemetry:
         env = make_env(seed=3)
         stream = tmp_path / "metrics.jsonl"
         with JsonlRecorder(stream) as recorder:
-            evaluate_policy(
-                make_policy(env), env, episodes=4, batch=3, recorder=recorder
-            )
+            evaluate_policy(make_policy(env), env, episodes=4, recorder=recorder)
         lines = stream.read_text().strip().splitlines()
-        import json
-
         records = [json.loads(line) for line in lines]
         batch_records = [r for r in records if r["kind"] == "eval_batch"]
         assert len(batch_records) == 1
         record = batch_records[0]
         assert validate_record(record) == "eval_batch"
-        assert record["batch"] == 3
+        assert record["batch"] == 4
         assert record["episodes"] == 4
         assert record["decisions"] > 0
         assert record["rounds"] > 0
@@ -350,41 +406,49 @@ class TestEnvReplayProtocol:
         assert np.array_equal(a, b)
 
 
-class TestResolveEvalBatch:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_BATCH", "16")
-        assert resolve_eval_batch(4) == 4
+class TestWidthIsNotConfigurable:
+    """The lockstep width follows from the episode count; nothing the
+    user can set reaches it."""
 
-    def test_env_var_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_BATCH", "8")
-        assert resolve_eval_batch(None) == 8
+    def test_no_entry_point_takes_a_width(self):
+        from repro.core.trainer import TrainingConfig
+        from repro.eval.runner import SuiteConfig
+        from repro.rl.training import train_multi_seed
 
-    def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVAL_BATCH", raising=False)
-        assert resolve_eval_batch(None) == 1
+        env = make_env()
+        with pytest.raises(TypeError):
+            TrainingConfig(eval_batch=2)
+        with pytest.raises(TypeError):
+            SuiteConfig(eval_batch=2)
+        with pytest.raises(TypeError):
+            train_multi_seed(make_env, seeds=(0,), updates_per_seed=1, eval_batch=2)
+        with pytest.raises(TypeError):
+            evaluate_policy(make_policy(env), env, episodes=5, batch=2)
 
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            resolve_eval_batch(0)
-
-    def test_tolerance_is_small(self):
-        # Fallback tolerance must stay tiny relative to O(1) logits, or
-        # the "batched" path would degenerate into serial recomputation.
-        assert ARGMAX_TIE_TOLERANCE <= 1e-5
+    def test_environment_variable_changes_nothing(self, monkeypatch, tmp_path):
+        policy = make_policy(make_env())
+        streams = []
+        for name, value in (("unset", None), ("set", "2")):
+            if value is not None:
+                monkeypatch.setenv("REPRO_EVAL_BATCH", value)
+            stream = tmp_path / f"{name}.jsonl"
+            with JsonlRecorder(stream) as recorder:
+                result = evaluate_policy(
+                    policy, make_env(seed=3), episodes=5, recorder=recorder
+                )
+            (record,) = [
+                r for r in map(json.loads, stream.read_text().splitlines())
+                if r["kind"] == "eval_batch"
+            ]
+            streams.append((result, record["batch"], record["round_batches"]))
+        assert streams[0] == streams[1]
+        assert streams[0][1] == 5
 
 
 class TestSerialFallback:
-    """At batch <= SERIAL_FALLBACK_MAX_BATCH the runner must delegate to
-    the plain serial act_single loop (lockstep bookkeeping is pure
-    overhead there) while producing identical outcomes."""
-
-    def test_fallback_constant_covers_batch_one(self):
-        assert SERIAL_FALLBACK_MAX_BATCH >= 1
-
-    def test_batch_one_skips_lockstep_engine(self):
-        env = make_env(seed=2)
-        runner = BatchedEpisodeRunner(make_policy(env), env, episodes=3, batch=1)
-        assert runner._inference is None
+    """Width 1 used to fall back to a serial loop of its own; it is now the
+    lockstep loop with one slot — same outcomes as the act_single loop and
+    as any other width, on the requested dtype."""
 
     def test_batch_one_matches_serial_and_batched(self):
         episodes = 4
@@ -403,17 +467,23 @@ class TestSerialFallback:
         assert as_tuples(batched) == as_tuples(outcomes)
         assert stats.episodes == episodes
         assert stats.decisions == sum(o.length for o in outcomes)
+        assert stats.tie_fallbacks == 0
 
-    def test_batch_one_forces_float64(self):
-        """float32 only changes the batched GEMM; the serial fallback runs
-        the exact historical act_single path, so dtype reads f64."""
+    def test_f32_at_width_one_runs_f32(self):
+        """dtype is honoured at every width: one slot on a float32
+        workspace, where a zeroed actor's ties are never recomputed."""
         env = make_env(seed=2)
+        policy = make_policy(env)
+        for w in policy.actor.parameters:
+            w[:] = 0.0
         runner = BatchedEpisodeRunner(
-            make_policy(env), env, episodes=2, batch=1, dtype=np.float32
+            policy, env, episodes=2, batch=1, dtype=np.float32
         )
-        assert runner.dtype == np.dtype(np.float64)
+        assert runner.dtype == np.dtype(np.float32)
+        assert runner._inference.dtype == np.dtype(np.float32)
         _, stats = runner.run()
-        assert stats.dtype == "float64"
+        assert stats.dtype == "float32"
+        assert stats.decisions > 0
         assert stats.tie_fallbacks == 0
 
     def test_batch_one_stochastic_matches_serial(self):

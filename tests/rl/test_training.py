@@ -29,6 +29,15 @@ class TestEvaluatePolicy:
         assert a == b
 
 
+    @pytest.mark.parametrize("episodes", [0, -3])
+    def test_episode_counts_below_one_rejected(self, episodes):
+        env = ContextualBanditEnv(seed=5)
+        policy = ActorCriticPolicy(env.observation_size, env.num_actions,
+                                   hidden=(8,), rng=0)
+        with pytest.raises(ValueError, match="episodes must be >= 1"):
+            evaluate_policy(policy, env, episodes=episodes)
+
+
 class TestTrainMultiSeed:
     def test_selects_best_seed(self):
         result = train_multi_seed(
@@ -57,6 +66,16 @@ class TestTrainMultiSeed:
         with pytest.raises(ValueError, match="unknown algorithm"):
             train_multi_seed(
                 lambda: ContextualBanditEnv(), seeds=(0,), algorithm="ppo"
+            )
+
+    @pytest.mark.parametrize("eval_episodes", [0, -3])
+    def test_eval_episodes_below_one_rejected(self, eval_episodes):
+        """Zero episodes used to score every seed NaN, and max() over NaN
+        keys silently "selected" the first seed."""
+        with pytest.raises(ValueError, match="eval_episodes must be >= 1"):
+            train_multi_seed(
+                lambda: ContextualBanditEnv(), seeds=(0,),
+                eval_episodes=eval_episodes,
             )
 
     def test_distinct_seeds_distinct_policies(self):

@@ -11,6 +11,7 @@ from functools import partial
 import pytest
 
 from repro.baselines.shortest_path import ShortestPathPolicy
+from repro.core.trainer import CoordinationEnvBuilder
 from repro.eval.runner import evaluate_policy_on_scenario
 from repro.eval.scenarios import base_scenario
 from repro.rl.acktr import ACKTRConfig
@@ -72,6 +73,47 @@ class TestTrainingTelemetry:
         # Sanity: the pooled run really used the pool.
         [batch] = [r for r in pooled if r["kind"] == "batch_timing"]
         assert batch["mode"] == "process-pool"
+
+
+def _selection_stream(tmp_path, workers, eval_episodes):
+    """Training on a replay-capable env: the selection evaluation runs
+    the lockstep runner and reports the width it derived."""
+    path = tmp_path / f"select-w{workers}-e{eval_episodes}.jsonl"
+    scenario = base_scenario(pattern="poisson", num_ingress=1, horizon=150.0)
+    with JsonlRecorder(path) as recorder:
+        train_multi_seed(
+            CoordinationEnvBuilder(scenario),
+            config=ACKTRConfig(n_steps=8, n_envs=2),
+            seeds=SEEDS,
+            updates_per_seed=1,
+            eval_episodes=eval_episodes,
+            workers=workers,
+            recorder=recorder,
+        )
+    return load_stream(path)
+
+
+class TestSelectionEvaluationTelemetry:
+    """The width follows from the episode count, so it cannot differ
+    between two runs of one configuration — the record the knob made
+    run-dependent is now part of the canonical stream."""
+
+    def test_one_eval_batch_record_per_seed_at_the_derived_width(self, tmp_path):
+        serial = _selection_stream(tmp_path, workers=1, eval_episodes=5)
+        pooled = _selection_stream(tmp_path, workers=2, eval_episodes=5)
+        assert canonical_stream(serial) == canonical_stream(pooled)
+        evals = [r for r in canonical_stream(serial) if r["kind"] == "eval_batch"]
+        assert len(evals) == len(SEEDS)
+        assert all(r["batch"] == 5 and r["episodes"] == 5 for r in evals)
+        # Each seed's evaluation sits with that seed's records.
+        kinds = [r["kind"] for r in serial if r["kind"] in ("eval_batch", "seed_result")]
+        assert kinds == ["eval_batch", "seed_result"] * len(SEEDS)
+
+    def test_single_episode_runs_one_slot(self, tmp_path):
+        records = _selection_stream(tmp_path, workers=1, eval_episodes=1)
+        evals = [r for r in records if r["kind"] == "eval_batch"]
+        assert len(evals) == len(SEEDS)
+        assert all(r["batch"] == 1 and r["max_round_batch"] == 1 for r in evals)
 
 
 class TestEvaluationTelemetry:

@@ -102,6 +102,18 @@ class TestSummarizeRun:
         assert "success n/a" in report
         assert "delay n/a" in report
 
+    def test_lockstep_eval_line_reports_width_as_derived(self, tmp_path):
+        with start_run(tmp_path, "train") as run:
+            for width, episodes in ((1, 1), (5, 5)):
+                run.recorder.emit(
+                    "eval_batch", batch=width, episodes=episodes, rounds=40,
+                    decisions=40 * width, tie_fallbacks=0,
+                )
+        report = summarize_run(tmp_path)
+        assert "lockstep eval: 2 run(s) at width [1, 5]" in report
+        assert "derived from the episode count" in report
+        assert " batch=" not in report
+
     def test_missing_manifest_tolerated(self, tmp_path):
         recorder = JsonlRecorder(tmp_path / "metrics.jsonl")
         recorder.emit("note", message="stream only")

@@ -37,6 +37,21 @@ class TestParser:
             build_parser().parse_args(["evaluate", "--algorithm", "sp",
                                        "--eval-dtype", "f16"])
 
+    def test_eval_width_is_not_a_flag(self):
+        for command in ("train -o p.npz", "compare"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command.split() + ["--eval-batch", "4"])
+
+    def test_eval_episodes_must_be_positive(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(
+            ["train", "-o", "p.npz", "--eval-episodes", "5"]
+        ).eval_episodes == 5
+        for bad in ("0", "-3"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["train", "-o", "p.npz", "--eval-episodes", bad])
+            assert "must be >= 1" in capsys.readouterr().err
+
     def test_serve_bench_defaults(self):
         args = build_parser().parse_args(["serve-bench"])
         assert args.serve_batch == 32
