@@ -7,9 +7,8 @@ unordered-set iteration, or a wall-clock read slips into a seeded code
 path.  This package enforces those invariants in two complementary ways:
 
 - :mod:`repro.analysis.linter` — an AST-based project linter
-  (``repro lint``) with repo-specific rules REP001–REP008, inline
-  ``# repro: allow[REPnnn] <reason>`` suppressions, and a committed
-  baseline file for pre-existing debt.
+  (``repro lint``) with repo-specific rules REP001–REP008 and inline
+  ``# repro: allow[REPnnn] <reason>`` suppressions.
 - :mod:`repro.analysis.flow` — a whole-program dataflow pass
   (``repro lint --flow``) that builds a module-level call graph over
   the lint roots and enforces the concurrency/determinism contract
@@ -36,14 +35,12 @@ from repro.analysis.invariants import (
 from repro.analysis.explain import RULE_DOCS, render_explanation
 from repro.analysis.flow import analyze_paths
 from repro.analysis.linter import (
-    Baseline,
     Finding,
     FLOW_RULES,
     LintConfig,
     RULES,
     lint_paths,
     lint_source,
-    update_baseline,
 )
 from repro.analysis.sarif import render_sarif
 
@@ -51,7 +48,6 @@ __all__ = [
     "InvariantViolation",
     "check",
     "invariants_enabled",
-    "Baseline",
     "Finding",
     "FLOW_RULES",
     "LintConfig",
@@ -62,5 +58,4 @@ __all__ = [
     "lint_source",
     "render_explanation",
     "render_sarif",
-    "update_baseline",
 ]

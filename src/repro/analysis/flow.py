@@ -59,8 +59,8 @@ REP105  An object captured by an in-flight executor/pool task is
         task races the mutation.
 ======= ==============================================================
 
-Findings reuse :class:`repro.analysis.linter.Finding`, inline
-``# repro: allow[REPxxx]`` waivers, and the committed baseline.
+Findings reuse :class:`repro.analysis.linter.Finding` and inline
+``# repro: allow[REPxxx]`` waivers.
 
 Known false negatives (documented, by construction): calls through
 variables whose method name is defined by more than one class (dynamic
@@ -518,7 +518,7 @@ class _FunctionScanner:
                 node.targets if isinstance(node, ast.Assign) else [node.target]
             )
             for target in targets:
-                self._record_store(target)
+                self._record_store(target, in_place=isinstance(node, ast.AugAssign))
         elif isinstance(node, ast.Delete):
             for target in node.targets:
                 if isinstance(target, (ast.Subscript, ast.Attribute)):
@@ -526,18 +526,25 @@ class _FunctionScanner:
         elif isinstance(node, (ast.For, ast.AsyncFor)):
             self._scan_reduction_loop(node)
 
-    def _record_store(self, target: ast.expr) -> None:
+    def _record_store(self, target: ast.expr, in_place: bool = False) -> None:
+        """Record what a store writes.  Binding a plain name mutates
+        nothing; an augmented assignment (``in_place``) writes through the
+        name to the object it holds (``x *= 2.0`` on an ndarray)."""
         fn = self.fn
+        dotted: Optional[str]
         if isinstance(target, ast.Name):
             if target.id in self.declared_globals:
                 fn.global_writes.append(
                     (target.id, target.lineno, target.col_offset)
                 )
+            if not in_place:
+                return
+            dotted = target.id
+        elif isinstance(target, (ast.Attribute, ast.Subscript)):
+            container = target.value if isinstance(target, ast.Subscript) else target
+            dotted = _dotted_text(container)
+        else:
             return
-        if not isinstance(target, (ast.Attribute, ast.Subscript)):
-            return
-        container = target.value if isinstance(target, ast.Subscript) else target
-        dotted = _dotted_text(container)
         if dotted is None:
             return
         dotted = self._resolve_alias(dotted)

@@ -37,19 +37,16 @@ REP007  Bare ``assert`` in library code — stripped under ``python -O``;
         ``ValueError``/``RuntimeError`` for caller misuse).
 ======= ==============================================================
 
-Suppressions & baseline
------------------------
+Suppressions
+------------
 
-A finding is suppressed by an inline comment on the offending line or
-the line directly above::
+A finding is fixed, or waived by an inline comment on the offending line
+or the line directly above::
 
     rng = np.random.default_rng()  # repro: allow[REP001] CLI entry point
 
-Pre-existing debt lives in a committed baseline file
-(``.repro-lint-baseline.json``): findings whose fingerprint — a hash of
-(rule, path, normalised source line), stable under unrelated line
-shifts — appears in the baseline do not fail the run.  New code is
-held to the full rule set.
+There is no other way to accept one: every finding the run reports fails
+it.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ import ast
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -67,13 +64,11 @@ __all__ = [
     "FLOW_RULES",
     "Finding",
     "LintConfig",
-    "Baseline",
     "lint_source",
     "lint_paths",
     "render_text",
     "render_json",
     "run_lint",
-    "update_baseline",
 ]
 
 #: rule id -> one-line description (the file-local rule family).
@@ -100,8 +95,8 @@ FLOW_RULES: Dict[str, str] = {
     "REP105": "object captured by a pool task is mutated after submission",
 }
 
-BASELINE_VERSION = 1
-DEFAULT_BASELINE_NAME = ".repro-lint-baseline.json"
+#: Version of the ``--format json`` report layout.
+REPORT_VERSION = 1
 
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*allow\[([A-Z0-9,\s]+)\]")
 
@@ -174,8 +169,8 @@ class Finding:
         line: 1-based line number.
         col: 0-based column offset.
         message: Human-readable description of the violation.
-        source_line: The stripped offending source line (fingerprinted
-            for baseline matching).
+        source_line: The stripped offending source line (part of the
+            fingerprint).
     """
 
     rule: str
@@ -187,9 +182,10 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching: hashes the rule, the
-        file, and the normalised source line — but not the line number,
-        so unrelated edits above do not invalidate the baseline."""
+        """Stable identity for result tracking (SARIF
+        ``partialFingerprints``): hashes the rule, the file, and the
+        normalised source line — but not the line number, so unrelated
+        edits above do not change it."""
         payload = f"{self.rule}::{self.path}::{self.source_line.strip()}"
         return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -629,7 +625,7 @@ def lint_paths(
     """Lint every ``.py`` file under ``paths`` (files or directories).
 
     Finding paths are reported relative to ``root`` (default: the
-    current working directory) in posix form, so baselines are portable
+    current working directory) in posix form, so reports are portable
     across checkouts.
     """
     root_path = Path(root) if root is not None else Path.cwd()
@@ -641,62 +637,6 @@ def lint_paths(
         )
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-@dataclass
-class Baseline:
-    """Committed record of accepted pre-existing findings.
-
-    Matching is count-based per fingerprint: a baseline entry absorbs at
-    most ``count`` findings with the same fingerprint, so *new* copies
-    of an already-baselined violation still fail the run.
-    """
-
-    counts: Dict[str, int] = field(default_factory=dict)
-    entries: List[Dict[str, object]] = field(default_factory=list)
-
-    @classmethod
-    def from_findings(cls, findings: Sequence[Finding]) -> "Baseline":
-        counts: Dict[str, int] = {}
-        entries: List[Dict[str, object]] = []
-        for finding in findings:
-            fp = finding.fingerprint
-            counts[fp] = counts.get(fp, 0) + 1
-            entries.append(finding.to_json())
-        return cls(counts=counts, entries=entries)
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Baseline":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict) or data.get("version") != BASELINE_VERSION:
-            raise ValueError(
-                f"unsupported baseline file {path} "
-                f"(expected version {BASELINE_VERSION})"
-            )
-        entries = data.get("entries", [])
-        counts: Dict[str, int] = {}
-        for entry in entries:
-            fp = str(entry["fingerprint"])
-            counts[fp] = counts.get(fp, 0) + 1
-        return cls(counts=counts, entries=list(entries))
-
-    def save(self, path: Union[str, Path]) -> None:
-        payload = {"version": BASELINE_VERSION, "entries": self.entries}
-        Path(path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-
-    def filter(self, findings: Sequence[Finding]) -> List[Finding]:
-        """Findings not absorbed by the baseline (the ones that fail CI)."""
-        remaining = dict(self.counts)
-        fresh: List[Finding] = []
-        for finding in findings:
-            fp = finding.fingerprint
-            if remaining.get(fp, 0) > 0:
-                remaining[fp] -= 1
-            else:
-                fresh.append(finding)
-        return fresh
 
 
 def render_text(findings: Sequence[Finding]) -> str:
@@ -713,75 +653,31 @@ def render_text(findings: Sequence[Finding]) -> str:
 
 def render_json(
     findings: Sequence[Finding],
-    baselined: int = 0,
     rules: Optional[Dict[str, str]] = None,
 ) -> str:
     payload = {
-        "version": BASELINE_VERSION,
+        "version": REPORT_VERSION,
         "findings": [finding.to_json() for finding in findings],
         "count": len(findings),
-        "baselined": baselined,
         "rules": rules if rules is not None else RULES,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def update_baseline(
-    findings: Sequence[Finding], path: Union[str, Path]
-) -> Tuple[int, int, int]:
-    """Prune stale entries from the baseline at ``path`` in place.
-
-    Keeps every entry whose fingerprint still matches a current finding
-    (count-capped, mirroring :meth:`Baseline.filter`), drops the rest,
-    and writes the file back.  *New* findings are deliberately not
-    absorbed — they must be fixed, waived inline, or accepted explicitly
-    with ``--write-baseline``.
-
-    Returns ``(kept, pruned, unbaselined)`` entry/finding counts.
-    """
-    target = Path(path)
-    old = Baseline.load(target) if target.exists() else Baseline()
-    remaining: Dict[str, int] = {}
-    for finding in findings:
-        fp = finding.fingerprint
-        remaining[fp] = remaining.get(fp, 0) + 1
-    kept: List[Dict[str, object]] = []
-    for entry in old.entries:
-        fp = str(entry["fingerprint"])
-        if remaining.get(fp, 0) > 0:
-            remaining[fp] -= 1
-            kept.append(entry)
-    counts: Dict[str, int] = {}
-    for entry in kept:
-        fp = str(entry["fingerprint"])
-        counts[fp] = counts.get(fp, 0) + 1
-    Baseline(counts=counts, entries=kept).save(target)
-    pruned = len(old.entries) - len(kept)
-    unbaselined = sum(remaining.values())
-    return len(kept), pruned, unbaselined
-
-
 def run_lint(
     paths: Sequence[str],
     output_format: str = "text",
-    baseline_path: Optional[str] = None,
-    write_baseline: bool = False,
     select: Sequence[str] = (),
     root: Optional[Union[str, Path]] = None,
     config: Optional[LintConfig] = None,
     flow: bool = False,
-    refresh_baseline: bool = False,
 ) -> Tuple[int, str]:
     """CLI core: lint ``paths`` and return ``(exit_code, report_text)``.
 
     ``flow`` additionally runs the whole-program concurrency/determinism
     pass (rules REP101-REP105, :mod:`repro.analysis.flow`) over the same
-    paths; its findings share the waiver and baseline machinery.
-
-    ``write_baseline`` records the current findings as accepted debt
-    (exit 0); ``refresh_baseline`` prunes stale baseline entries without
-    absorbing new findings.  Otherwise findings surviving the baseline
-    give exit 1.
+    paths; its findings honour the same inline waivers.  Any reported
+    finding gives exit 1.
     """
     known_rules = {**RULES, **FLOW_RULES}
     unknown = [rule for rule in select if rule not in known_rules]
@@ -796,43 +692,13 @@ def run_lint(
         findings.extend(analyze_paths(paths, root=root, select=tuple(select)))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
-    if write_baseline:
-        target = baseline_path or DEFAULT_BASELINE_NAME
-        Baseline.from_findings(findings).save(target)
-        return 0, (
-            f"repro lint: wrote baseline with {len(findings)} finding(s) "
-            f"to {target}"
-        )
-    if refresh_baseline:
-        target = baseline_path or DEFAULT_BASELINE_NAME
-        kept, pruned, unbaselined = update_baseline(findings, target)
-        message = (
-            f"repro lint: baseline {target}: kept {kept} entr(y/ies), "
-            f"pruned {pruned} stale"
-        )
-        if unbaselined:
-            message += (
-                f"; {unbaselined} finding(s) remain unbaselined "
-                "(fix, waive inline, or accept with --write-baseline)"
-            )
-        return 0, message
-
-    baselined = 0
-    if baseline_path is not None and Path(baseline_path).exists():
-        baseline = Baseline.load(baseline_path)
-        before = len(findings)
-        findings = baseline.filter(findings)
-        baselined = before - len(findings)
-
     report_rules = known_rules if flow else RULES
     if output_format == "json":
-        report = render_json(findings, baselined=baselined, rules=report_rules)
+        report = render_json(findings, rules=report_rules)
     elif output_format == "sarif":
         from repro.analysis.sarif import render_sarif
 
         report = render_sarif(findings, rules=report_rules)
     else:
         report = render_text(findings)
-        if baselined:
-            report += f"\n({baselined} baselined finding(s) suppressed)"
     return (1 if findings else 0), report

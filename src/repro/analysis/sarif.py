@@ -4,9 +4,10 @@ Minimal but schema-valid output so CI can upload the report as an
 artifact (and code-scanning UIs can ingest it): one run, one tool
 driver (``repro-lint``), a ``rules`` array covering every rule id the
 invocation could emit, and one ``result`` per finding with a physical
-location and the linter's stable fingerprint (the same sha1 the
-baseline machinery uses, exposed under ``partialFingerprints`` so
-baseline state and SARIF state agree on identity).
+location and the linter's stable fingerprint
+(:attr:`Finding.fingerprint <repro.analysis.linter.Finding.fingerprint>`,
+exposed under ``partialFingerprints`` so a result keeps its identity
+when unrelated lines move).
 """
 
 from __future__ import annotations

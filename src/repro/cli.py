@@ -222,16 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--output", default=None, metavar="FILE",
                       help="write the report to FILE instead of stdout "
                            "(a one-line summary is still printed)")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="baseline file of accepted findings "
-                           "(default: .repro-lint-baseline.json when present)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline file and report all findings")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="record the current findings as the new baseline")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="prune stale entries from the existing baseline "
-                           "(never absorbs new findings)")
     lint.add_argument("--select", default=None, metavar="RULES",
                       help="comma-separated rule ids to run (default: all)")
     lint.add_argument("--flow", action="store_true",
@@ -463,7 +453,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.analysis.linter import DEFAULT_BASELINE_NAME, run_lint
+    from repro.analysis.linter import run_lint
 
     if args.explain is not None:
         from repro.analysis.explain import render_explanation
@@ -475,24 +465,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 2
         return 0
 
-    baseline = args.baseline
-    if baseline is None and not args.no_baseline:
-        # Pick up the committed baseline when linting from the repo root.
-        if Path(DEFAULT_BASELINE_NAME).exists():
-            baseline = DEFAULT_BASELINE_NAME
-    if args.no_baseline:
-        baseline = None
     select = tuple(
         code.strip() for code in (args.select or "").split(",") if code.strip()
     )
     code, report = run_lint(
         args.paths,
         output_format=args.format,
-        baseline_path=baseline,
-        write_baseline=args.write_baseline,
         select=select,
         flow=args.flow,
-        refresh_baseline=args.update_baseline,
     )
     if args.output is not None:
         Path(args.output).write_text(report + "\n", encoding="utf-8")

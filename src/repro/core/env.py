@@ -91,15 +91,10 @@ class ServiceCoordinationEnv:
         self._next_episode = 0
         #: When set (a float vector of shape ``(observation_size,)``),
         #: observations are written into this array in place and it is
-        #: returned from reset/step — the batched evaluation engine binds
-        #: one input row of its actor workspace per env clone.
+        #: returned from reset/step — drivers bind a row they own (the
+        #: training runner's storage, the batched evaluation engine's actor
+        #: workspace).  Unset, every reset/step returns a fresh array.
         self.observation_out: Optional[np.ndarray] = None
-        #: When False (and ``observation_out`` is unset), reset/step return
-        #: the observation adapter's scratch buffer instead of a copy; only
-        #: for drivers that consume the vector before the next build on
-        #: this env's adapter (e.g. RolloutRunner, which copies rows into
-        #: its preallocated batch buffers immediately).
-        self.copy_observations = True
         #: Optional :class:`repro.profiling.PhaseAccumulator`; when set,
         #: step()/reset() attribute their wall time to the ``sim_advance``
         #: and ``obs_build`` phases (one branch per step when unset).
@@ -153,10 +148,7 @@ class ServiceCoordinationEnv:
         The clone shares the immutable pieces (config, observation /
         action / reward adapters) but has its own simulator state and
         episode counter, so many clones can run logically-parallel
-        episodes.  Because the observation adapter (and its scratch
-        buffer) is shared, interleaved clones must not rely on
-        ``copy_observations = False``; bind a private ``observation_out``
-        row instead — that path bypasses the shared scratch entirely.
+        episodes.  The clone starts with no ``observation_out`` bound.
         """
         twin = self.__class__.__new__(self.__class__)
         twin.config = self.config
@@ -169,7 +161,6 @@ class ServiceCoordinationEnv:
         twin._spawn_key = self._spawn_key
         twin._next_episode = self._next_episode
         twin.observation_out = None
-        twin.copy_observations = self.copy_observations
         twin.profiler = None
         twin._sim = None
         twin._decision = None
@@ -210,10 +201,7 @@ class ServiceCoordinationEnv:
 
     def _observe(self, decision: DecisionPoint) -> np.ndarray:
         return self.observation_adapter.build(
-            decision,
-            self._sim,
-            out=self.observation_out,
-            copy=self.copy_observations,
+            decision, self._sim, out=self.observation_out
         )
 
     def _zero_observation(self) -> np.ndarray:

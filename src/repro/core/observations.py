@@ -89,11 +89,10 @@ class ObservationAdapter:
             v: max(network.max_link_capacity_at(v), 1e-12)
             for v in network.node_names
         }
-        # Preallocated destination plus cached neighbor tuples: build()
-        # assembles the row as a list of python floats, writes it here (or
-        # into ``out=``) in one assignment and returns one copy, instead of
-        # five parts plus their clipped/concatenated intermediates.
-        self._scratch = np.empty(self.size, dtype=np.float64)
+        # Cached neighbor tuples: build() assembles the row as a list of
+        # python floats and writes it to its destination in one
+        # assignment, instead of five parts plus their clipped/concatenated
+        # intermediates.
         self._neighbors = {v: tuple(network.neighbors(v)) for v in network.node_names}
         # Integer gather tables per node, one dict lookup per build():
         # (degree k, combined gather ids, capacities as a python-float
@@ -178,37 +177,31 @@ class ObservationAdapter:
         decision: DecisionPoint,
         sim: Simulator,
         out: Optional[np.ndarray] = None,
-        copy: bool = True,
     ) -> np.ndarray:
         """Observation vector for a pending decision.
 
         Numerically identical to ``build_parts(...).concatenate()``, but
         computed on python floats and written to the destination as one
-        row: no per-part arrays, and no ndarray result either with
-        ``out=`` / ``copy=False``.
+        row, with no per-part arrays.
+
+        One hand-off for every driver: the driver owns the destination
+        row and ``build`` writes into it — the training runner's rollout
+        storage, the batched evaluation and serving engines' actor
+        workspace rows, ``NodeAgent.act``'s ``input_rows(1)[0]``.
 
         Args:
-            out: Optional destination vector of shape ``(size,)`` written
-                in place and returned — lets the batched evaluation engine
-                build observations directly into rows of its ``(M, size)``
-                decision matrix.
-            copy: Only meaningful when ``out`` is None.  The default True
-                returns a private copy; ``copy=False`` returns the
-                adapter's internal scratch buffer, which stays valid only
-                until the next ``build()`` on this adapter — strictly for
-                callers (RolloutRunner, the batched runner) that consume
-                or copy the vector before then.
+            out: Destination vector of shape ``(size,)``, written in place
+                and returned.  Without it the result is a fresh array the
+                caller owns (no adapter state is shared between calls).
         """
         now, flow, node = decision
         d = self.degree
         if out is None:
-            target = self._scratch
-        else:
-            if out.shape != (self.size,):
-                raise ValueError(
-                    f"observation out= must have shape ({self.size},), got {out.shape}"
-                )
-            target = out
+            out = np.empty(self.size, dtype=np.float64)
+        elif out.shape != (self.size,):
+            raise ValueError(
+                f"observation out= must have shape ({self.size},), got {out.shape}"
+            )
         state = sim.state
         k, combo_ids, caps, link_norm, sn_ids = self._node_tables[node]
 
@@ -303,10 +296,8 @@ class ObservationAdapter:
             values += presence[sn_ids].tolist()
         values += pad
 
-        target[:] = values
-        if out is not None or not copy:
-            return target
-        return target.copy()
+        out[:] = values
+        return out
 
     def build_parts(self, decision: DecisionPoint, sim: Simulator) -> ObservationParts:
         """The five observation components for a pending decision."""

@@ -13,7 +13,6 @@ emitted timing reports.
 from repro.parallel.pool import (
     ParallelExecutionError,
     ParallelResult,
-    START_METHOD_ENV,
     WORKERS_ENV,
     WorkerTaskError,
     WorkerTimeoutError,
@@ -29,7 +28,6 @@ __all__ = [
     "EnvBuilder",
     "ParallelExecutionError",
     "ParallelResult",
-    "START_METHOD_ENV",
     "TaskTiming",
     "TimingReport",
     "WORKERS_ENV",

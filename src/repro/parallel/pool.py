@@ -49,11 +49,6 @@ __all__ = [
 #: other integer = that many workers (bounded by :func:`usable_cpus`).
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: Environment knob: multiprocessing start method ("fork", "spawn",
-#: "forkserver").  Default: "fork" where available (cheap on Linux),
-#: else "spawn".  The task protocol is spawn-safe either way.
-START_METHOD_ENV = "REPRO_MP_START"
-
 
 class ParallelExecutionError(RuntimeError):
     """Base class for failures of the parallel execution layer."""
@@ -183,21 +178,6 @@ def _run_serial(
     return ParallelResult(values=values, timing=report)
 
 
-def _start_method() -> str:
-    import multiprocessing as mp
-
-    preferred = os.environ.get(START_METHOD_ENV, "").strip().lower()
-    available = mp.get_all_start_methods()
-    if preferred:
-        if preferred not in available:
-            raise ValueError(
-                f"{START_METHOD_ENV}={preferred!r} unavailable; "
-                f"choose from {available}"
-            )
-        return preferred
-    return "fork" if "fork" in available else "spawn"
-
-
 def _finish_batch(
     result: ParallelResult,
     recorder: Recorder,
@@ -304,7 +284,11 @@ def run_tasks(
     try:
         import multiprocessing as mp
 
-        context = mp.get_context(_start_method())
+        # fork where the platform has it (cheap on Linux); spawn is the
+        # only start method elsewhere, and the task protocol holds for both.
+        context = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
         pool = context.Pool(processes=workers)
     except Exception as exc:  # pragma: no cover - platform-specific
         return _finish_batch(

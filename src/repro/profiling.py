@@ -10,9 +10,9 @@ it directly — no context managers, no dict lookups — so profiling costs
 two branches and two clock reads per step and *nothing at all* when
 disabled (a single ``is None`` check).
 
-Enable globally with ``REPRO_PROFILE_PHASES=1`` (trainers then attach an
-accumulator automatically and emit a ``train_phases`` telemetry record at
-the end of ``train()``), or attach one explicitly::
+A trainer built with an enabled telemetry recorder attaches an
+accumulator itself and ends ``train()`` with one ``train_phases`` record;
+to read the floats without a stream, attach one explicitly::
 
     trainer = ACKTRTrainer(factory, config, seed=0)
     prof = trainer.attach_profiler(PhaseAccumulator())
@@ -26,12 +26,10 @@ granularity inside the training loop.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "PhaseAccumulator",
-    "phase_profiling_enabled",
     "PHASE_NAMES",
     "OPTIMIZER_SUBPHASE_NAMES",
 ]
@@ -56,16 +54,6 @@ OPTIMIZER_SUBPHASE_NAMES: Tuple[str, ...] = (
     "inversion",
     "precondition",
 )
-
-
-def phase_profiling_enabled() -> bool:
-    """True when ``REPRO_PROFILE_PHASES`` requests automatic profiling."""
-    return os.environ.get("REPRO_PROFILE_PHASES", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
 
 
 class PhaseAccumulator:

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.nn.distributions import Categorical
 from repro.nn.optim import RMSprop, clip_grads_by_norm
-from repro.profiling import PhaseAccumulator, phase_profiling_enabled
+from repro.profiling import PhaseAccumulator
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.runner import Env, EpisodeRecord, ParallelRunner
@@ -52,9 +52,6 @@ class A2CConfig:
     max_grad_norm: float = 0.5
     n_steps: int = 32
     n_envs: int = 4
-    #: Normalise advantages per batch (variance reduction; standard A2C
-    #: implementations differ — exposed so ablations can flip it).
-    normalize_advantages: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
@@ -101,8 +98,10 @@ class A2CTrainer:
         seed: Seed for policy initialisation and action sampling.
         policy: Optional pre-built policy (otherwise constructed from the
             first environment's spaces).
-        recorder: Telemetry sink; every update emits one ``train_update``
-            record when it is enabled (no-op default).
+        recorder: Telemetry sink (no-op default).  When it is enabled
+            every update emits one ``train_update`` record, and the
+            trainer attaches a :class:`~repro.profiling.PhaseAccumulator`
+            so :meth:`train` can end with one ``train_phases`` record.
     """
 
     def __init__(
@@ -131,10 +130,10 @@ class A2CTrainer:
         self.episode_history: List[EpisodeRecord] = []
         self.updates_done = 0
         #: Phase-time attribution (sim-advance / obs-build / policy-forward
-        #: / optimizer-update); None unless attached explicitly or enabled
-        #: globally with ``REPRO_PROFILE_PHASES=1``.
+        #: / optimizer-update): follows telemetry, or attached explicitly
+        #: with :meth:`attach_profiler`; None otherwise.
         self.profiler: Optional[PhaseAccumulator] = None
-        if phase_profiling_enabled():
+        if recorder.enabled:
             self.attach_profiler(PhaseAccumulator())
 
     def attach_profiler(self, profiler: PhaseAccumulator) -> PhaseAccumulator:
@@ -176,7 +175,8 @@ class A2CTrainer:
         actions, returns, advantages = self.buffer.batch(
             values, last_values, self.config.gamma
         )
-        if self.config.normalize_advantages and advantages.size > 1:
+        # Per-batch advantage normalisation (variance reduction).
+        if advantages.size > 1:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         stats = self._apply_update(
             self.runner.training_logits(), values, actions, returns, advantages
@@ -261,28 +261,15 @@ class A2CTrainer:
 
     # ------------------------------------------------------------------
 
-    def train(self, total_updates: int, log_every: int = 0) -> List[UpdateStats]:
-        """Run ``total_updates`` updates; optionally print progress.
+    def train(self, total_updates: int) -> List[UpdateStats]:
+        """Run ``total_updates`` updates.
 
-        With a profiler attached, finishes by emitting one
+        With an enabled recorder, finishes by emitting one
         ``train_phases`` telemetry record attributing the run's wall time
         to sim-advance / obs-build / policy-forward / optimizer-update.
         """
-        history = []
         wall_start = _time.perf_counter()
-        for i in range(total_updates):
-            stats = self.update()
-            history.append(stats)
-            if log_every and (i + 1) % log_every == 0:
-                recent = self.episode_history[-20:]
-                mean_ep = (
-                    np.mean([e.total_reward for e in recent]) if recent else float("nan")
-                )
-                print(
-                    f"update {i + 1}/{total_updates}: "
-                    f"pi_loss={stats.policy_loss:.4f} v_loss={stats.value_loss:.4f} "
-                    f"entropy={stats.entropy:.3f} ep_reward={mean_ep:.1f}"
-                )
+        history = [self.update() for _ in range(total_updates)]
         prof = self.profiler
         if prof is not None and self.recorder.enabled:
             self.recorder.emit(

@@ -56,6 +56,12 @@ class EpisodeRecord:
 class ParallelRunner:
     """Steps ``l`` environments with a shared policy, filling rollouts.
 
+    Observations follow the one hand-off every driver uses — the driver
+    owns the destination row and the env builds into it: each env that
+    has an ``observation_out`` attribute is bound, for the runner's
+    lifetime, to its row of the runner's storage; an env without one has
+    the vector it returns copied into that row.
+
     Args:
         envs: The parallel environment copies (len = ``l``).
         policy: Shared actor-critic used for action selection.
@@ -98,24 +104,23 @@ class ParallelRunner:
         #: action sampling, and the bootstrap critic forward, to the
         #: ``policy_forward`` phase.
         self.profiler = None
-        # The runner copies every observation into its preallocated
-        # buffers before the env builds the next one, so envs that
-        # support it may return their adapter's scratch buffer instead
-        # of a fresh copy (see ObservationAdapter.build copy=False).
-        for env in envs:
-            if getattr(env, "copy_observations", None) is True:
-                env.copy_observations = False
+        # Observation storage, allocated once: ``_obs`` holds the rows the
+        # policy acts on, ``_next_obs`` the rows the envs produce (bound
+        # envs build straight into theirs).
         self._obs = np.empty(
             (len(envs), envs[0].observation_size), dtype=np.float64
         )
+        self._next_obs = np.empty_like(self._obs)
+        self._next_rows = list(self._next_obs)
         for i, env in enumerate(envs):
+            if hasattr(env, "observation_out"):
+                env.observation_out = self._next_rows[i]
             self._obs[i] = env.reset()
         self._episode_rewards = np.zeros(len(envs))
         self._episode_lengths = np.zeros(len(envs), dtype=np.int64)
         # Per-step bookkeeping, allocated once: collect() fills these in
         # place every step (the buffer copies on add), so the per-decision
         # hot path performs no array allocation.
-        self._next_obs = np.empty_like(self._obs)
         self._rewards = np.zeros(len(envs))
         self._dones = np.zeros(len(envs))
         # The rollout is the update's training forward.  The actor gets
@@ -158,6 +163,7 @@ class ParallelRunner:
         buffer.reset()
         prof = self.profiler
         next_obs, rewards, dones = self._next_obs, self._rewards, self._dones
+        next_rows = self._next_rows
         info_keys = self.info_keys
         windows = self._actor_windows
         for t in range(self.n_steps):
@@ -184,14 +190,14 @@ class ParallelRunner:
                     self._episode_rewards[i] = 0.0
                     self._episode_lengths[i] = 0
                     obs = env.reset()
-                next_obs[i] = obs
+                if obs is not next_rows[i]:
+                    next_obs[i] = obs
                 rewards[i] = reward
                 dones[i] = float(done)
             buffer.add(self._obs, actions, rewards, dones)
-            # The buffer copied everything, so the observation buffers can
-            # be swapped instead of reallocated.
-            self._obs, next_obs = next_obs, self._obs
-        self._next_obs, self._rewards, self._dones = next_obs, rewards, dones
+            # The buffer copied everything: one block copy moves the new
+            # rows under the policy, and the bound rows never move.
+            self._obs[...] = next_obs
         start = perf_counter() if prof is not None else 0.0
         critic_inf = self._critic_inference
         if critic_inf is not None:

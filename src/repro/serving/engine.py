@@ -191,8 +191,11 @@ class ServingEngine:
         :meth:`poll`."""
         if now is None:
             now = self.clock()
+        # A malformed payload raises here, before it is counted: only
+        # requests the queue accepted or shed enter the accounting.
+        accepted = self._queue.push(obs, self._next_id, now)
         self.stats.submitted += 1
-        if not self._queue.push(obs, self._next_id, now):
+        if not accepted:
             self.stats.shed += 1
             return None
         request_id = self._next_id

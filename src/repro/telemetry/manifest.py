@@ -23,6 +23,7 @@ __all__ = [
     "BLAS_THREAD_VARS",
     "MANIFEST_FILENAME",
     "STREAM_FILENAME",
+    "SWITCH_VARS",
     "RunManifest",
     "TelemetryRun",
     "start_run",
@@ -36,6 +37,12 @@ STREAM_FILENAME = "metrics.jsonl"
 #: picks the GEMM kernels' blocking, hence the floats: two runs are only
 #: comparable bit for bit when these (and ``usable_cpus``) agree.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: The ``REPRO_*`` switches ``src/`` reads (worker count, inference dtype
+#: of deployed agents, runtime invariant checks).  A command-line flag
+#: lands in ``config``; these reach a run without one, so the manifest
+#: records them verbatim.
+SWITCH_VARS = ("REPRO_WORKERS", "REPRO_EVAL_DTYPE", "REPRO_CHECK_INVARIANTS")
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,9 @@ class RunManifest:
             before the field existed).
         blas_threads: Value of each :data:`BLAS_THREAD_VARS` variable in
             force, ``None`` when unset.
+        switches: Raw value of each :data:`SWITCH_VARS` variable, ``None``
+            when unset (empty in manifests written before the field
+            existed).
     """
 
     name: str
@@ -67,6 +77,7 @@ class RunManifest:
     created_unix: float = 0.0
     usable_cpus: int = 0
     blas_threads: Dict[str, Optional[str]] = field(default_factory=dict)
+    switches: Dict[str, Optional[str]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -79,6 +90,7 @@ class RunManifest:
             "created_unix": self.created_unix,
             "usable_cpus": self.usable_cpus,
             "blas_threads": dict(self.blas_threads),
+            "switches": dict(self.switches),
         }
 
 
@@ -144,6 +156,7 @@ def start_run(
         created_unix=time.time(),
         usable_cpus=usable_cpus(),
         blas_threads={var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        switches={var: os.environ.get(var) for var in SWITCH_VARS},
     )
     (directory / MANIFEST_FILENAME).write_text(
         json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -179,6 +192,7 @@ def read_manifest(directory: os.PathLike) -> RunManifest:
             created_unix=raw.get("created_unix", 0.0),
             usable_cpus=raw.get("usable_cpus", 0),
             blas_threads=raw.get("blas_threads", {}),
+            switches=raw.get("switches", {}),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed manifest {path}: {exc}") from exc

@@ -71,9 +71,9 @@ Record kinds
     benchmark): ``name``, ``seconds``.
 
 ``train_phases``
-    Phase attribution of one training run (emitted by
-    :meth:`repro.rl.a2c.A2CTrainer.train` when a
-    :class:`repro.profiling.PhaseAccumulator` is attached): ``updates``
+    Phase attribution of one training run (emitted at the end of
+    :meth:`repro.rl.a2c.A2CTrainer.train` by every trainer whose recorder
+    is enabled): ``updates``
     plus wall-clock seconds per phase (``sim_advance``, ``obs_build``,
     ``policy_forward``, ``optimizer_update``); optionally ``seed`` and
     ``wall_seconds``.  ACKTR runs additionally carry the
@@ -119,7 +119,10 @@ could run on) and ``blas_threads`` (``OPENBLAS_NUM_THREADS`` /
 Training takes its gradients through the rollout's activations, which
 equals a batch re-forward bit for bit only where the BLAS computes an
 ``n_envs``-row GEMM as a row block of the batch GEMM; the BLAS pool size
-decides that, so a manifest states it.
+decides that, so a manifest states it.  ``switches`` holds the raw value
+(``null`` when unset) of each ``REPRO_*`` variable ``src/`` reads —
+``REPRO_WORKERS``, ``REPRO_EVAL_DTYPE``, ``REPRO_CHECK_INVARIANTS`` —
+because those reach a run without passing through ``config``.
 
 Determinism
 -----------

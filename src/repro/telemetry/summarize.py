@@ -186,6 +186,13 @@ def summarize_run(directory: os.PathLike) -> str:
                 for var, value in sorted(manifest.blas_threads.items())
             )
             lines.append(f"host: usable_cpus={manifest.usable_cpus} {blas}")
+        switches = " ".join(
+            f"{var}={value}"
+            for var, value in sorted(manifest.switches.items())
+            if value is not None
+        )
+        if switches:
+            lines.append(f"switches: {switches}")
         if manifest.config:
             knobs = ", ".join(
                 f"{k}={v}" for k, v in sorted(manifest.config.items())

@@ -137,8 +137,8 @@ class TestProgramModel:
 class TestSelfFlowClean:
     def test_repo_source_tree_is_flow_clean(self):
         """Acceptance: ``repro lint --flow`` is clean on the real tree
-        (the committed baseline is empty and no flow rule is waived
-        anywhere, so zero findings is required)."""
+        (no flow rule is waived anywhere, so zero findings is
+        required)."""
         findings = analyze_paths(
             [REPO_ROOT / "src" / "repro", REPO_ROOT / "benchmarks"],
             root=REPO_ROOT,

@@ -1,7 +1,7 @@
-"""End-to-end tests of ``repro lint``: file discovery, baselines, CLI.
+"""End-to-end tests of ``repro lint``: file discovery, reports, CLI.
 
 Includes the self-lint acceptance check: the repository's own source tree
-must be clean under its committed baseline.
+must be clean.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.linter import (
-    Baseline,
     lint_paths,
     lint_source,
     run_lint,
@@ -79,82 +78,28 @@ class TestRunLint:
         assert code == 1
         assert payload["findings"][0]["rule"] == "REP001"
         assert payload["count"] == 1
-        assert payload["baselined"] == 0
 
     def test_unknown_select_rule_raises(self, bad_tree):
         with pytest.raises(ValueError):
             run_lint([str(bad_tree)], select=("REP999",), root=bad_tree)
 
 
-class TestBaseline:
-    def test_round_trip(self, bad_tree, tmp_path):
-        findings = lint_paths([bad_tree], root=bad_tree)
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(findings).save(path)
-        loaded = Baseline.load(path)
-        assert loaded.filter(findings) == []
-
-    def test_baseline_masks_known_debt_only(self, bad_tree, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        code, _ = run_lint(
-            [str(bad_tree)],
-            baseline_path=str(baseline_path),
-            write_baseline=True,
-            root=bad_tree,
-        )
-        assert code == 0
-        # Accepted debt no longer fails the gate ...
-        code, _ = run_lint(
-            [str(bad_tree)], baseline_path=str(baseline_path), root=bad_tree
-        )
-        assert code == 0
-        # ... but a new violation still does.
-        (bad_tree / "pkg" / "worse.py").write_text(BAD_MODULE)
-        code, report = run_lint(
-            [str(bad_tree)], baseline_path=str(baseline_path), root=bad_tree
-        )
-        assert code == 1
-        assert "worse.py" in report
-
-    def test_count_matching_catches_duplicated_violations(self):
-        src = "import numpy as np\nrng = np.random.default_rng()\n"
-        one = lint_source(src, path="pkg/mod.py")
-        baseline = Baseline.from_findings(one)
-        twice = src + "other = np.random.default_rng()\n"
-        # Identical source text on a second line -> same fingerprint, but
-        # the count exceeds the baselined amount, so one survives.
-        survivors = baseline.filter(lint_source(twice, path="pkg/mod.py"))
-        assert len(survivors) == 1
-
-
 class TestCliCommand:
     def test_lint_subcommand_exit_codes(self, bad_tree, capsys):
-        code = main(["lint", str(bad_tree / "pkg" / "bad.py"), "--no-baseline"])
+        code = main(["lint", str(bad_tree / "pkg" / "bad.py")])
         assert code == 1
         assert "REP001" in capsys.readouterr().out
-        code = main(["lint", str(bad_tree / "pkg" / "clean.py"), "--no-baseline"])
+        code = main(["lint", str(bad_tree / "pkg" / "clean.py")])
         assert code == 0
 
     def test_lint_subcommand_json(self, bad_tree, capsys):
-        code = main(
-            ["lint", str(bad_tree), "--format", "json", "--no-baseline"]
-        )
+        code = main(["lint", str(bad_tree), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert [f["rule"] for f in payload["findings"]] == ["REP001"]
 
-    def test_write_baseline_then_pass(self, bad_tree, tmp_path, capsys):
-        baseline = tmp_path / "b.json"
-        assert main(
-            ["lint", str(bad_tree), "--baseline", str(baseline), "--write-baseline"]
-        ) == 0
-        capsys.readouterr()
-        assert main(["lint", str(bad_tree), "--baseline", str(baseline)]) == 0
-
     def test_select_option(self, bad_tree, capsys):
-        code = main(
-            ["lint", str(bad_tree), "--select", "REP007", "--no-baseline"]
-        )
+        code = main(["lint", str(bad_tree), "--select", "REP007"])
         assert code == 0
 
 
@@ -165,7 +110,6 @@ class TestSelfLint:
         code, report = run_lint(
             ["src/repro", "benchmarks"],
             output_format="json",
-            baseline_path=str(REPO_ROOT / ".repro-lint-baseline.json"),
             root=REPO_ROOT,
         )
         payload = json.loads(report)
@@ -221,82 +165,6 @@ class TestSarifFormat:
         assert json.loads(report)["runs"][0]["results"] == []
 
 
-class TestUpdateBaseline:
-    def test_stale_entries_are_pruned(self, bad_tree, tmp_path):
-        baseline = tmp_path / "b.json"
-        run_lint(
-            [str(bad_tree)],
-            baseline_path=str(baseline),
-            write_baseline=True,
-            root=bad_tree,
-        )
-        assert json.loads(baseline.read_text())["entries"]
-        # The file stops violating: the entry is now stale.
-        (bad_tree / "pkg" / "bad.py").write_text(CLEAN_MODULE)
-        code, report = run_lint(
-            [str(bad_tree)],
-            baseline_path=str(baseline),
-            refresh_baseline=True,
-            root=bad_tree,
-        )
-        assert code == 0
-        assert "pruned 1" in report
-        assert json.loads(baseline.read_text())["entries"] == []
-
-    def test_live_entries_are_kept(self, bad_tree, tmp_path):
-        baseline = tmp_path / "b.json"
-        run_lint(
-            [str(bad_tree)],
-            baseline_path=str(baseline),
-            write_baseline=True,
-            root=bad_tree,
-        )
-        code, report = run_lint(
-            [str(bad_tree)],
-            baseline_path=str(baseline),
-            refresh_baseline=True,
-            root=bad_tree,
-        )
-        assert code == 0
-        assert "kept 1" in report and "pruned 0" in report
-        # The kept entry still masks the finding on a normal run.
-        code, _ = run_lint(
-            [str(bad_tree)], baseline_path=str(baseline), root=bad_tree
-        )
-        assert code == 0
-
-    def test_never_absorbs_new_findings(self, bad_tree, tmp_path):
-        baseline = tmp_path / "b.json"
-        baseline.write_text('{"entries": [], "version": 1}\n')
-        code, report = run_lint(
-            [str(bad_tree)],
-            baseline_path=str(baseline),
-            refresh_baseline=True,
-            root=bad_tree,
-        )
-        assert code == 0
-        assert "remain unbaselined" in report
-        assert json.loads(baseline.read_text())["entries"] == []
-        # The new finding still fails a normal run afterwards.
-        code, _ = run_lint(
-            [str(bad_tree)], baseline_path=str(baseline), root=bad_tree
-        )
-        assert code == 1
-
-    def test_cli_update_baseline_flag(self, bad_tree, tmp_path, capsys):
-        baseline = tmp_path / "b.json"
-        assert main(
-            ["lint", str(bad_tree), "--baseline", str(baseline),
-             "--write-baseline"]
-        ) == 0
-        (bad_tree / "pkg" / "bad.py").write_text(CLEAN_MODULE)
-        assert main(
-            ["lint", str(bad_tree), "--baseline", str(baseline),
-             "--update-baseline"]
-        ) == 0
-        assert "pruned 1" in capsys.readouterr().out
-
-
 class TestUnknownWaiverRule:
     def test_rep008_fires_on_unknown_rule_id(self):
         findings = lint_source(
@@ -327,7 +195,7 @@ class TestFlowCli:
     def test_flow_flag_surfaces_flow_findings(self, capsys):
         code = main(
             ["lint", str(self.FIXTURES / "rep105_bad"), "--flow",
-             "--no-baseline", "--format", "json"]
+             "--format", "json"]
         )
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
@@ -336,8 +204,7 @@ class TestFlowCli:
 
     def test_without_flow_flag_flow_rules_stay_silent(self, capsys):
         code = main(
-            ["lint", str(self.FIXTURES / "rep105_bad"), "--no-baseline",
-             "--format", "json"]
+            ["lint", str(self.FIXTURES / "rep105_bad"), "--format", "json"]
         )
         payload = json.loads(capsys.readouterr().out)
         assert "REP105" not in [f["rule"] for f in payload["findings"]]
@@ -346,7 +213,7 @@ class TestFlowCli:
     def test_flow_select_filters_flow_rules(self, capsys):
         code = main(
             ["lint", str(self.FIXTURES / "rep105_bad"), "--flow",
-             "--select", "REP101", "--no-baseline", "--format", "json"]
+             "--select", "REP101", "--format", "json"]
         )
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -366,7 +233,7 @@ class TestFlowCli:
         out_file = tmp_path / "report.sarif"
         code = main(
             ["lint", str(bad_tree), "--format", "sarif", "--output",
-             str(out_file), "--no-baseline"]
+             str(out_file)]
         )
         assert code == 1
         assert "written to" in capsys.readouterr().out

@@ -240,25 +240,19 @@ class TestRangesAndPadding:
 
 
 class TestBuildOutputModes:
-    """`out=` / `copy=` semantics of build(): the batched evaluation
-    engine writes observations into caller-owned matrix rows; the default
-    must stay a safe, caller-owned copy."""
+    """`out=` semantics of build(): drivers write observations into rows
+    they own; without `out=` the result is a fresh, caller-owned array."""
 
     def test_default_returns_independent_copy(self):
         net, catalog, sim, adapter, decision = setup_line()
         first = adapter.build(decision, sim)
+        snapshot = first.copy()
         second = adapter.build(decision, sim)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, snapshot)
         assert np.array_equal(first, second)
         first[:] = -99.0
         assert not np.array_equal(first, adapter.build(decision, sim))
-
-    def test_copy_false_returns_scratch_view(self):
-        net, catalog, sim, adapter, decision = setup_line()
-        expected = adapter.build(decision, sim)
-        fast = adapter.build(decision, sim, copy=False)
-        assert np.array_equal(fast, expected)
-        # Same buffer comes back on the next copy-free build.
-        assert adapter.build(decision, sim, copy=False) is fast
 
     def test_out_writes_into_caller_row(self):
         net, catalog, sim, adapter, decision = setup_line()

@@ -138,6 +138,27 @@ class TestRunTasksPool:
                 timeout=0.5,
             )
 
+    def test_spawn_is_the_path_on_forkless_platforms(self, monkeypatch):
+        """Where the platform offers no fork the pool spawns; the task
+        protocol (module-level fn, picklable tasks) must survive a fresh
+        interpreter per worker."""
+        import multiprocessing
+
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        spawned = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(
+            multiprocessing,
+            "get_context",
+            lambda method: spawned.append(method) or get_context(method),
+        )
+        outcome = run_tasks(_square, list(range(5)), workers=2)
+        assert spawned == ["spawn"]
+        assert outcome.timing.mode == "process-pool"
+        assert outcome.values == run_tasks(_square, list(range(5)), workers=1).values
+
     def test_unpicklable_fn_falls_back_to_serial(self):
         outcome = run_tasks(lambda task: task + 1, [1, 2], workers=2)
         assert outcome.values == [2, 3]

@@ -6,12 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.env import ServiceCoordinationEnv
 from repro.nn.layers import ReLU, Tanh
 from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.runner import ParallelRunner
+from repro.topology import line_network
 
+from tests.conftest import make_env_config, make_simple_catalog
 from tests.rl.toy_envs import ContextualBanditEnv, FixedEpisodeEnv
 
 
@@ -261,3 +264,54 @@ class TestRolloutIsTrainingForward:
         # workspace: no per-step buffer is being allocated.
         assert after - before < 2048
         assert peak - before < workspace_bytes / 8
+
+
+class TestBoundObservationRows:
+    """Envs that can build into a row they are given are bound to the
+    runner's storage; the rollout equals stepping unbound twins by hand
+    (the toy-env check of ``test_collect_bitwise_matches_policy_act_path``
+    on the env that has the bound-row path)."""
+
+    N_ENVS, N_STEPS = 4, 40
+
+    def _real_envs(self):
+        # 12 decisions per 60-step episode: several auto-resets per rollout.
+        config = make_env_config(line_network(3), make_simple_catalog(), horizon=60.0)
+        return [ServiceCoordinationEnv(config, seed=i) for i in range(self.N_ENVS)]
+
+    def test_every_env_builds_into_the_runners_storage(self):
+        envs = self._real_envs()
+        _, runner = make_runner(envs, n_steps=self.N_STEPS)
+        for i, env in enumerate(envs):
+            assert np.shares_memory(env.observation_out, runner._next_obs[i])
+        rows = [env.observation_out for env in envs]
+        runner.collect(RolloutBuffer(self.N_STEPS, self.N_ENVS, envs[0].observation_size))
+        assert all(env.observation_out is row for env, row in zip(envs, rows))
+
+    def test_collect_equals_hand_stepping_unbound_twins(self):
+        envs = self._real_envs()
+        policy, runner = make_runner(envs, n_steps=self.N_STEPS, seed=5)
+        # Same-seed twins replay the same episodes (a live simulator does
+        # not deep-copy); unbound, they take the fresh-array path.
+        twins = self._real_envs()
+        reference, rng = policy.clone(), copy.deepcopy(runner.rng)
+        obs = np.stack([twin.reset() for twin in twins])
+        assert np.array_equal(obs, runner._obs)
+
+        buffer = RolloutBuffer(self.N_STEPS, self.N_ENVS, envs[0].observation_size)
+        bootstrap = runner.collect(buffer)
+
+        resets = 0
+        for t in range(self.N_STEPS):
+            actions, _, _ = reference.act(obs, rng)
+            assert np.array_equal(buffer.obs[t], obs)
+            assert np.array_equal(buffer.actions[t], actions)
+            for i, twin in enumerate(twins):
+                obs[i], reward, done, _ = twin.step(int(actions[i]))
+                assert buffer.rewards[t, i] == reward
+                assert buffer.dones[t, i] == float(done)
+                if done:
+                    obs[i] = twin.reset()
+                    resets += 1
+        assert resets >= self.N_ENVS
+        assert np.array_equal(bootstrap, reference.values(obs))

@@ -341,6 +341,22 @@ class TestBackpressure:
         # Ids continue densely after the shed request.
         assert engine.submit(obs[3]) == accepted[-1] + 1
 
+    @pytest.mark.parametrize(
+        "payload", [np.zeros(3), np.zeros((2, OBS_DIM)), 1.0], ids=["short", "2d", "scalar"]
+    )
+    def test_rejected_payload_is_not_counted(self, payload):
+        """A payload the queue refuses never enters the accounting, so
+        served + shed + pending == submitted survives the error."""
+        engine = make_engine(max_batch=4)
+        with pytest.raises(ValueError):
+            engine.submit(payload)
+        assert engine.stats.submitted == 0
+        assert engine.submit(make_obs(1)[0]) == 0
+        engine.drain()
+        stats = engine.stats
+        assert (stats.submitted, stats.served, stats.shed, engine.pending) == (1, 1, 0, 0)
+        assert stats.served + stats.shed + engine.pending == stats.submitted
+
 
 class TestStatsAndTelemetry:
     def test_flush_statistics(self):

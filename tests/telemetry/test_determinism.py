@@ -58,6 +58,8 @@ class TestTrainingTelemetry:
         assert kinds.count("train_update") == len(SEEDS) * UPDATES
         assert kinds.count("seed_result") == len(SEEDS)
         assert kinds.count("train_summary") == 1
+        # Phase attribution follows telemetry: one record per trainer.
+        assert kinds.count("train_phases") == len(SEEDS)
         assert kinds.count("task_timing") == len(SEEDS)
         assert kinds.count("batch_timing") == 1
         # Worker files are merged in task order: per-seed records arrive

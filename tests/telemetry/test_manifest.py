@@ -70,6 +70,52 @@ class TestStartRun:
         (tmp_path / MANIFEST_FILENAME).write_text(json.dumps({"name": "old"}))
         manifest = read_manifest(tmp_path)
         assert manifest.usable_cpus == 0 and manifest.blas_threads == {}
+        assert manifest.switches == {}
+
+    def test_surviving_switches_recorded_verbatim(self, tmp_path, monkeypatch):
+        """An env-var switch reaches a run without passing argparse, so
+        the manifest states it: raw value, ``null`` when unset."""
+        from repro.telemetry import summarize_run
+
+        monkeypatch.setenv("REPRO_EVAL_DTYPE", "f32")
+        monkeypatch.setenv("REPRO_WORKERS", " Auto ")
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+        with start_run(tmp_path, "evaluate") as run:
+            run.recorder.emit("note", message="x")
+        raw = json.loads((tmp_path / MANIFEST_FILENAME).read_text())
+        assert raw["switches"] == {
+            "REPRO_WORKERS": " Auto ",
+            "REPRO_EVAL_DTYPE": "f32",
+            "REPRO_CHECK_INVARIANTS": None,
+        }
+        assert read_manifest(tmp_path).switches == raw["switches"]
+        report = summarize_run(tmp_path)
+        assert "switches: REPRO_EVAL_DTYPE=f32 REPRO_WORKERS= Auto " in report
+        assert "REPRO_CHECK_INVARIANTS" not in report
+
+    def test_switch_vars_are_the_repro_variables_src_names(self):
+        """A new ``REPRO_*`` read in ``src/`` must join the manifest."""
+        import re
+        from pathlib import Path
+
+        import repro
+        from repro.telemetry.manifest import SWITCH_VARS
+
+        named = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            named.update(re.findall(r"REPRO_[A-Z_]+", path.read_text(encoding="utf-8")))
+        assert named - {"REPRO_"} == set(SWITCH_VARS)
+
+    def test_no_switch_set_no_switches_line(self, tmp_path, monkeypatch):
+        from repro.telemetry import summarize_run
+        from repro.telemetry.manifest import SWITCH_VARS
+
+        for var in SWITCH_VARS:
+            monkeypatch.delenv(var, raising=False)
+        with start_run(tmp_path, "train") as run:
+            run.recorder.emit("note", message="x")
+        assert read_manifest(tmp_path).switches == dict.fromkeys(SWITCH_VARS)
+        assert "switches:" not in summarize_run(tmp_path)
 
     def test_non_json_config_values_stringified(self, tmp_path):
         with start_run(tmp_path, "train", config={"seeds": range(2)}):

@@ -47,9 +47,6 @@ class TestTypedDistribution:
         for tool in ("mypy", "ruff"):
             assert tool in text, f"{tool} missing from the dev extra"
 
-    def test_lint_baseline_is_committed(self):
-        assert (REPO / ".repro-lint-baseline.json").exists()
-
 
 class TestDocumentationDeliverables:
     @pytest.mark.parametrize("name", ["README.md", "DESIGN.md", "EXPERIMENTS.md"])
