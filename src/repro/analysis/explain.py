@@ -67,10 +67,14 @@ RULE_DOCS: Dict[str, RuleDoc] = {
             "hash/insertion order, which PYTHONHASHSEED and code-path "
             "history randomise between runs; any float accumulation or "
             "ordered output built from the iteration is run-dependent.  "
-            "sorted() makes the traversal a pure function of the contents."
+            "sorted() makes the traversal a pure function of the contents.  "
+            "Known false negative: only a set / .keys() expression spelled "
+            "at the loop is seen; an unordered collection that reaches the "
+            "loop through a name (active = set(xs) ... for flow in active) "
+            "is not."
         ),
-        bad="for flow in active_flows:  # a set\n    total += flow.demand",
-        good="for flow in sorted(active_flows, key=lambda f: f.flow_id):\n    total += flow.demand",
+        bad="for flow in set(active_flows):\n    total += flow.demand",
+        good="for flow in sorted(set(active_flows), key=lambda f: f.flow_id):\n    total += flow.demand",
     ),
     "REP005": RuleDoc(
         rationale=(
@@ -184,10 +188,13 @@ RULE_DOCS: Dict[str, RuleDoc] = {
             "Float addition is not associative, so sum()/+= over a set, "
             ".keys() view, or worker-merged iterable changes bitwise with "
             "element order — and hash randomisation reorders sets every "
-            "run.  Sorting first fixes the summation order."
+            "run.  Sorting first fixes the summation order.  Known false "
+            "negative: only a set / .keys() expression spelled at the "
+            "reduction is seen; an unordered collection that reaches it "
+            "through a name (delays = set(xs) ... sum(delays)) is not."
         ),
-        bad="total = sum(delays)  # delays: Set[float]",
-        good="total = sum(sorted(delays))",
+        bad="def total_delay(delays):\n    return sum(set(delays))",
+        good="def total_delay(delays):\n    return sum(sorted(set(delays)))",
     ),
     "REP105": RuleDoc(
         rationale=(

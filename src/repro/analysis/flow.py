@@ -150,9 +150,10 @@ _MUTATING_METHODS = frozenset(
     }
 )
 
-#: ``<executor>.submit(fn, ...)`` — concurrent.futures thread dispatch
-#: (the repo's only Executor use; a ProcessPoolExecutor would be
-#: analyzed under the stricter thread rules, which is safe).
+#: ``<executor>.submit(fn, ...)`` — concurrent.futures dispatch, analyzed
+#: as a thread dispatch: the executor's class is not resolved, and for a
+#: ProcessPoolExecutor (``parallel/pool.py``) the thread rules are the
+#: stricter ones, which is safe.
 _THREAD_DISPATCH = frozenset({"submit"})
 
 #: ``<pool>.apply_async(fn, args)`` etc. — multiprocessing dispatch.

@@ -1,6 +1,6 @@
 """Comparison algorithms: SP, GCASP, central DRL, random."""
 
-from repro.baselines.base import BasePolicy, CoordinationPolicy
+from repro.baselines.base import BasePolicy
 from repro.baselines.central_drl import (
     CentralDRLConfig,
     CentralDRLPolicy,
@@ -14,7 +14,6 @@ from repro.baselines.shortest_path import ShortestPathPolicy
 
 __all__ = [
     "BasePolicy",
-    "CoordinationPolicy",
     "CentralDRLConfig",
     "CentralDRLPolicy",
     "CentralizedCoordinationEnv",

@@ -9,21 +9,13 @@ evaluation runs through the identical simulator.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Optional
 
 from repro.services.service import ServiceCatalog
 from repro.sim.simulator import ACTION_PROCESS_LOCALLY, DecisionPoint, Simulator
 from repro.topology.network import Network
 
-__all__ = ["CoordinationPolicy", "BasePolicy"]
-
-
-class CoordinationPolicy(Protocol):
-    """Protocol every coordination algorithm satisfies."""
-
-    def __call__(self, decision: DecisionPoint, sim: Simulator) -> int:
-        """Action in ``{0, ..., Δ_G}`` for the pending decision."""
-        ...
+__all__ = ["BasePolicy"]
 
 
 class BasePolicy:

@@ -1,15 +1,14 @@
 """The paper's contribution: distributed DRL service coordination."""
 
-from repro.core.actions import ACTION_PROCESS_LOCALLY, ActionAdapter
 from repro.core.agent import DistributedCoordinator, NodeAgent
 from repro.core.env import CoordinationEnvConfig, ServiceCoordinationEnv
 from repro.core.observations import ObservationAdapter, ObservationParts
 from repro.core.rewards import RewardConfig, RewardFunction
 from repro.core.trainer import TrainingConfig, TrainingResult, train_coordinator
+from repro.sim.simulator import ACTION_PROCESS_LOCALLY
 
 __all__ = [
     "ACTION_PROCESS_LOCALLY",
-    "ActionAdapter",
     "DistributedCoordinator",
     "NodeAgent",
     "CoordinationEnvConfig",

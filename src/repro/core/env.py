@@ -14,14 +14,13 @@ policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.invariants import InvariantViolation
-from repro.core.actions import ActionAdapter
 from repro.core.observations import ObservationAdapter
 from repro.core.rewards import RewardConfig, RewardFunction
 from repro.services.service import ServiceCatalog
@@ -55,11 +54,6 @@ class CoordinationEnvConfig:
     sim_config: SimulationConfig = SimulationConfig()
     reward: RewardConfig = RewardConfig()
 
-    def with_network(self, network: Network) -> "CoordinationEnvConfig":
-        """Copy of this config over a different network (generalization
-        experiments test a policy trained on one scenario in another)."""
-        return replace(self, network=network)
-
 
 class ServiceCoordinationEnv:
     """Per-decision RL environment over :class:`~repro.sim.simulator.Simulator`.
@@ -81,10 +75,10 @@ class ServiceCoordinationEnv:
     def __init__(self, config: CoordinationEnvConfig, seed: Optional[int] = None) -> None:
         self.config = config
         self.observation_adapter = ObservationAdapter(config.network, config.catalog)
-        self.action_adapter = ActionAdapter(config.network)
         self.reward_function = RewardFunction(config.network, config.reward)
         self.observation_size = self.observation_adapter.size
-        self.num_actions = self.action_adapter.num_actions
+        #: ``Δ_G + 1``: process locally, or forward to the a-th neighbor.
+        self.num_actions = config.network.degree + 1
         seed_seq = np.random.SeedSequence(seed)
         self._entropy = seed_seq.entropy
         self._spawn_key = seed_seq.spawn_key
@@ -145,15 +139,14 @@ class ServiceCoordinationEnv:
     def clone(self) -> "ServiceCoordinationEnv":
         """An independent env replaying this env's episode stream.
 
-        The clone shares the immutable pieces (config, observation /
-        action / reward adapters) but has its own simulator state and
+        The clone shares the immutable pieces (config, observation and
+        reward adapters) but has its own simulator state and
         episode counter, so many clones can run logically-parallel
         episodes.  The clone starts with no ``observation_out`` bound.
         """
         twin = self.__class__.__new__(self.__class__)
         twin.config = self.config
         twin.observation_adapter = self.observation_adapter
-        twin.action_adapter = self.action_adapter
         twin.reward_function = self.reward_function
         twin.observation_size = self.observation_size
         twin.num_actions = self.num_actions

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.rl.spaces import Box
 from repro.services.service import ServiceCatalog
 from repro.sim.simulator import DecisionPoint, Simulator
 from repro.topology.network import Network
@@ -80,8 +79,6 @@ class ObservationAdapter:
         self.catalog = catalog
         self.degree = network.degree
         self.size = 4 * self.degree + 4
-        #: Gym-style observation space descriptor.
-        self.space = Box(low=-1.0, high=1.0, shape=(self.size,))
         # max_{v'' in V} cap_{v''}: node observations are normalised by the
         # network-wide maximum so agents can spot absolutely large nodes.
         self._max_node_capacity = max(network.max_node_capacity, 1e-12)

@@ -19,7 +19,6 @@ from repro.eval.scenarios import (
     build_network,
     make_traffic_factory,
 )
-from repro.eval.plots import ascii_chart, chart_sweep
 from repro.eval.tables import SweepTable, render_table1
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "base_scenario",
     "build_network",
     "make_traffic_factory",
-    "ascii_chart",
-    "chart_sweep",
     "SweepTable",
     "render_table1",
 ]

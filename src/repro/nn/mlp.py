@@ -165,7 +165,7 @@ class MLP:
 
     def set_parameters(self, params: Sequence[np.ndarray]) -> None:
         """Overwrite all weights of an existing network with copies
-        (shape-checked) — e.g. installing federated averages."""
+        (shape-checked) — e.g. loading a saved checkpoint."""
         if len(params) != len(self.dense_layers):
             raise ValueError(
                 f"expected {len(self.dense_layers)} parameter arrays, got {len(params)}"

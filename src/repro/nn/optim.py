@@ -1,8 +1,9 @@
 """First-order optimisers over lists of parameter arrays.
 
-The paper trains with RMSprop; SGD (with momentum) and Adam are included
-for ablations and tests.  Optimisers mutate the parameter arrays in place
-(the arrays are shared with the :class:`~repro.nn.mlp.MLP` layers).
+The paper trains with RMSprop; SGD (with momentum) is the first-order
+reference the K-FAC tests compare against.  Optimisers mutate the
+parameter arrays in place (the arrays are shared with the
+:class:`~repro.nn.mlp.MLP` layers).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "RMSprop", "Adam", "clip_grads_by_norm"]
+__all__ = ["Optimizer", "SGD", "RMSprop", "clip_grads_by_norm"]
 
 
 def clip_grads_by_norm(grads: Sequence[np.ndarray], max_norm: float) -> float:
@@ -97,32 +98,3 @@ class RMSprop(Optimizer):
             ms *= self.decay
             ms += (1.0 - self.decay) * g**2
             p -= self.lr * g / (np.sqrt(ms) + self.epsilon)
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba)."""
-
-    def __init__(
-        self,
-        params: Sequence[np.ndarray],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> None:
-        super().__init__(params, lr)
-        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
-        self._m = [np.zeros_like(p) for p in self.params]
-        self._v = [np.zeros_like(p) for p in self.params]
-        self._t = 0
-
-    def _step(self, grads: List[np.ndarray]) -> None:
-        self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
-        for p, g, m, v in zip(self.params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g**2
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.epsilon)

@@ -14,6 +14,7 @@ from repro.parallel.pool import (
     ParallelExecutionError,
     ParallelResult,
     WORKERS_ENV,
+    WorkerDiedError,
     WorkerTaskError,
     WorkerTimeoutError,
     resolve_workers,
@@ -31,6 +32,7 @@ __all__ = [
     "TaskTiming",
     "TimingReport",
     "WORKERS_ENV",
+    "WorkerDiedError",
     "WorkerTaskError",
     "WorkerTimeoutError",
     "resolve_workers",

@@ -19,8 +19,10 @@ execution with no multiprocessing import at all.
 
 Worker failures surface instead of hanging: an exception inside a task
 is re-raised in the parent as :class:`WorkerTaskError` naming the task's
-label (e.g. the failing seed), and a per-task ``timeout`` turns a stuck
-worker into a :class:`WorkerTimeoutError` after terminating the pool.
+label (e.g. the failing seed), a per-task ``timeout`` turns a stuck
+worker into a :class:`WorkerTimeoutError`, and a worker process that dies
+mid-batch into a :class:`WorkerDiedError` naming the batch and the first
+unfinished task.  Every failure terminates the pool's workers first.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "ParallelExecutionError",
     "WorkerTaskError",
     "WorkerTimeoutError",
+    "WorkerDiedError",
     "ParallelResult",
     "resolve_workers",
     "run_tasks",
@@ -74,6 +77,18 @@ class WorkerTimeoutError(ParallelExecutionError):
     def __init__(self, label: str, timeout: float) -> None:
         super().__init__(
             f"parallel task {label!r} did not finish within {timeout:.0f}s"
+        )
+        self.label = label
+
+
+class WorkerDiedError(ParallelExecutionError):
+    """A worker process died (killed, out of memory, crashed interpreter)
+    before the batch finished; the pool was terminated."""
+
+    def __init__(self, batch: str, label: str) -> None:
+        super().__init__(
+            f"a worker process of batch {batch!r} died; "
+            f"parallel task {label!r} did not finish"
         )
         self.label = label
 
@@ -155,7 +170,9 @@ def _run_serial(
     labels: Sequence[str],
     name: str,
     mode: str,
-    note: str = "",
+    note: str,
+    recorder: Recorder,
+    task_recorders: Optional[Sequence[Recorder]],
 ) -> ParallelResult:
     start = time.perf_counter()
     values: List[Any] = []
@@ -175,7 +192,18 @@ def _run_serial(
         tasks=timings,
         note=note,
     )
-    return ParallelResult(values=values, timing=report)
+    return _finish_batch(
+        ParallelResult(values=values, timing=report), recorder, task_recorders
+    )
+
+
+def _abort(executor: Any) -> None:
+    """Terminate the executor's workers and reap them.  ``shutdown`` alone
+    waits for running tasks, and the executor offers no public way to stop
+    them before Python 3.14's ``terminate_workers``."""
+    for process in list((executor._processes or {}).values()):
+        process.terminate()
+    executor.shutdown(wait=True, cancel_futures=True)
 
 
 def _finish_batch(
@@ -251,6 +279,7 @@ def run_tasks(
     Raises:
         WorkerTaskError: A task raised; the error names the task's label.
         WorkerTimeoutError: A task exceeded ``timeout``.
+        WorkerDiedError: A worker process died before the batch finished.
     """
     tasks = list(tasks)
     if labels is None:
@@ -269,63 +298,68 @@ def run_tasks(
             timing=TimingReport(name=name, mode="serial", workers=1, total_seconds=0.0),
         )
     if workers <= 1:
-        return _finish_batch(
-            _run_serial(fn, tasks, labels, name, mode="serial"),
-            recorder, task_recorders,
-        )
-
+        return _run_serial(fn, tasks, labels, name, "serial", "", recorder, task_recorders)
     reason = _pickle_failure(fn, tasks)
     if reason is not None:
-        return _finish_batch(
-            _run_serial(fn, tasks, labels, name, mode="serial-fallback", note=reason),
-            recorder, task_recorders,
+        return _run_serial(
+            fn, tasks, labels, name, "serial-fallback", reason, recorder, task_recorders
         )
 
+    executor = None
     try:
         import multiprocessing as mp
+        from concurrent.futures import Future, ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FutureTimeout
+        from concurrent.futures.process import BrokenProcessPool
 
         # fork where the platform has it (cheap on Linux); spawn is the
         # only start method elsewhere, and the task protocol holds for both.
         context = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         )
-        pool = context.Pool(processes=workers)
-    except Exception as exc:  # pragma: no cover - platform-specific
-        return _finish_batch(
-            _run_serial(
-                fn,
-                tasks,
-                labels,
-                name,
-                mode="serial-fallback",
-                note=f"could not start worker processes ({exc})",
-            ),
-            recorder, task_recorders,
+        executor = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        start = time.perf_counter()
+        # The first submit starts the workers; when it cannot, no task has
+        # begun and the batch still runs in-process.
+        pending = [executor.submit(_timed_call, fn, tasks[0])]
+    except (ImportError, NotImplementedError, OSError) as exc:  # pragma: no cover
+        if executor is not None:
+            _abort(executor)
+        note = f"could not start worker processes ({exc})"
+        return _run_serial(
+            fn, tasks, labels, name, "serial-fallback", note, recorder, task_recorders
         )
 
-    start = time.perf_counter()
     try:
-        pending = [pool.apply_async(_timed_call, (fn, task)) for task in tasks]
-        pool.close()
+        try:
+            for task in tasks[1:]:
+                pending.append(executor.submit(_timed_call, fn, task))
+        except BrokenProcessPool as exc:
+            # Died during submission: fails like the futures it broke.
+            pending.append(Future())
+            pending[-1].set_exception(exc)
         values: List[Any] = []
         timings: List[TaskTiming] = []
-        for label, handle in zip(labels, pending):
+        for label, future in zip(labels, pending):
             try:
-                value, seconds = handle.get(timeout)
-            except mp.TimeoutError:
-                pool.terminate()
+                error = future.exception(timeout)
+            except FutureTimeout:
                 raise WorkerTimeoutError(label, timeout or 0.0) from None
-            except ParallelExecutionError:
-                pool.terminate()
-                raise
-            except Exception as exc:
-                pool.terminate()
-                raise WorkerTaskError(label, exc) from exc
+            if isinstance(error, BrokenProcessPool):
+                # A dead worker fails every unfinished future at once; in
+                # task order the first of them is this one.
+                raise WorkerDiedError(name, label) from error
+            if isinstance(error, ParallelExecutionError):
+                raise error
+            if error is not None:
+                raise WorkerTaskError(label, error) from error
+            value, seconds = future.result()
             values.append(value)
             timings.append(TaskTiming(label=label, seconds=seconds))
-    finally:
-        pool.terminate()
-        pool.join()
+    except BaseException:
+        _abort(executor)
+        raise
+    executor.shutdown(wait=True)
     report = TimingReport(
         name=name,
         mode="process-pool",

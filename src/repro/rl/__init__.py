@@ -3,10 +3,8 @@
 from repro.rl.a2c import A2CConfig, A2CTrainer, UpdateStats
 from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
 from repro.rl.buffer import RolloutBuffer, compute_returns
-from repro.rl.federated import FederatedAveraging, FederatedConfig, LocalLearner
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.runner import Env, EpisodeRecord, ParallelRunner
-from repro.rl.spaces import Box, Discrete
 from repro.rl.training import (
     MultiSeedResult,
     SeedResult,
@@ -22,15 +20,10 @@ __all__ = [
     "ACKTRTrainer",
     "RolloutBuffer",
     "compute_returns",
-    "FederatedAveraging",
-    "FederatedConfig",
-    "LocalLearner",
     "ActorCriticPolicy",
     "Env",
     "EpisodeRecord",
     "ParallelRunner",
-    "Box",
-    "Discrete",
     "MultiSeedResult",
     "SeedResult",
     "evaluate_policy",

@@ -6,6 +6,7 @@ Matches the paper's hyperparameters when left at defaults: two networks
 
 from __future__ import annotations
 
+import zipfile
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
@@ -241,17 +242,28 @@ class ActorCriticPolicy:
         Checkpoints trained with any ``hidden=`` therefore load without
         the caller having to know (or guess) the layer sizes.  Files
         written before ``activation`` was saved load as ``tanh``.
+
+        Raises:
+            FileNotFoundError: No file at ``path``.
+            ValueError: The file is truncated, not an ``.npz`` archive or
+                misses an array; the message starts with ``path`` and the
+                reader's own exception is chained as ``__cause__``.
         """
-        with np.load(Path(path)) as data:
-            obs_dim, num_actions = (int(x) for x in data["meta"])
-            num_layers = sum(1 for key in data.files if key.startswith("actor_w"))
-            if num_layers < 1:
-                raise ValueError(f"{path}: checkpoint holds no actor weights")
-            actor = [data[f"actor_w{i}"] for i in range(num_layers)]
-            critic = [data[f"critic_w{i}"] for i in range(num_layers)]
-            activation = (
-                str(data["activation"]) if "activation" in data.files else "tanh"
-            )
+        try:
+            # Our own handle: np.load leaks the one it opens when the
+            # archive turns out to be cut.
+            with open(path, "rb") as handle, np.load(handle) as data:
+                obs_dim, num_actions = (int(x) for x in data["meta"])
+                num_layers = len([k for k in data.files if k.startswith("actor_w")])
+                if num_layers < 1:
+                    raise ValueError("checkpoint holds no actor weights")
+                actor = [data[f"actor_w{i}"] for i in range(num_layers)]
+                critic = [data[f"critic_w{i}"] for i in range(num_layers)]
+                activation = (
+                    str(data["activation"]) if "activation" in data.files else "tanh"
+                )
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: unreadable policy checkpoint ({exc!r})") from exc
         return cls(
             obs_dim,
             num_actions,

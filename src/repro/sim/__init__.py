@@ -11,7 +11,6 @@ from repro.sim.simulator import (
     Simulator,
 )
 from repro.sim.state import Allocation, CapacityError, InstanceState, NetworkState
-from repro.sim.tracing import DecisionRecord, FlowTrace, TracingPolicy
 
 __all__ = [
     "SimulationConfig",
@@ -30,7 +29,4 @@ __all__ = [
     "CapacityError",
     "InstanceState",
     "NetworkState",
-    "DecisionRecord",
-    "FlowTrace",
-    "TracingPolicy",
 ]

@@ -157,9 +157,6 @@ class MetricsCollector:
     def record_generated(self, flow: Flow) -> None:
         self.flows_generated += 1
 
-    def record_decision(self) -> None:
-        self.decisions += 1
-
     def record_success(self, flow: Flow) -> None:
         self.flows_succeeded += 1
         delay = flow.end_to_end_delay()

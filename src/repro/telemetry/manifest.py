@@ -180,8 +180,9 @@ def read_manifest(directory: os.PathLike) -> RunManifest:
         ValueError: The manifest is not valid JSON or misses fields.
     """
     path = Path(directory) / MANIFEST_FILENAME
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
     try:
+        raw = json.loads(text)
         return RunManifest(
             name=raw["name"],
             config=raw.get("config", {}),
@@ -194,8 +195,8 @@ def read_manifest(directory: os.PathLike) -> RunManifest:
             blas_threads=raw.get("blas_threads", {}),
             switches=raw.get("switches", {}),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed manifest {path}: {exc}") from exc
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed manifest ({exc})") from exc
 
 
 def _jsonable(config: Dict[str, Any]) -> Dict[str, Any]:

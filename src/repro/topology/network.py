@@ -193,7 +193,6 @@ class Network:
         self._hop_table: Dict[
             str, Tuple[Tuple[str, ...], Tuple[float, ...], Tuple[int, ...]]
         ] = {}
-        self._neighbor_node_ids: Dict[str, np.ndarray] = {}
         self._neighbor_link_ids: Dict[str, np.ndarray] = {}
         self._self_and_neighbor_ids: Dict[str, np.ndarray] = {}
         self._neighbor_link_caps: Dict[str, np.ndarray] = {}
@@ -201,7 +200,6 @@ class Network:
         for name, adjacent in self._adjacency.items():
             node_ids = np.array([idx[nb] for nb in adjacent], dtype=np.intp)
             link_ids = [self.link_index[link_key(name, nb)] for nb in adjacent]
-            self._neighbor_node_ids[name] = node_ids
             self._neighbor_link_ids[name] = np.array(link_ids, dtype=np.intp)
             self._self_and_neighbor_ids[name] = np.concatenate(
                 [np.array([idx[name]], dtype=np.intp), node_ids]
@@ -299,10 +297,6 @@ class Network:
     def link_capacities(self) -> np.ndarray:
         """Link capacities indexed by link id.  Treat as read-only."""
         return self._link_capacities
-
-    def neighbor_node_ids(self, name: str) -> np.ndarray:
-        """Node ids of ``name``'s neighbors, in sorted-neighbor order."""
-        return self._neighbor_node_ids[name]
 
     def neighbor_link_ids(self, name: str) -> np.ndarray:
         """Link ids of ``name``'s incident links, in sorted-neighbor order."""

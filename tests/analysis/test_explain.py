@@ -6,7 +6,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.explain import RULE_DOCS, render_explanation
-from repro.analysis.linter import FLOW_RULES, RULES
+from repro.analysis.flow import analyze_paths
+from repro.analysis.linter import FLOW_RULES, RULES, lint_source
+
+#: Names the snippets lean on; the path puts them in a seeded core package.
+PREAMBLE = "import numpy as np, random, time\n"
+SNIPPET_PATH = "repro/sim/snippet.py"
 
 
 class TestCoverage:
@@ -19,6 +24,28 @@ class TestCoverage:
         assert doc.rationale.strip()
         assert doc.bad.strip()
         assert doc.good.strip()
+
+
+class TestExamplesAreLive:
+    """``--explain`` must not show as *bad* code the linter passes (REP004
+    once did: a set reaching the loop through a name is a documented
+    false negative), nor as *good* code it flags."""
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_file_local_bad_is_flagged_and_good_is_clean(self, rule):
+        doc = RULE_DOCS[rule]
+        bad = lint_source(PREAMBLE + doc.bad, path=SNIPPET_PATH)
+        assert {finding.rule for finding in bad} == {rule}
+        assert lint_source(PREAMBLE + doc.good, path=SNIPPET_PATH) == []
+
+    def test_rep104_bad_is_flagged_and_good_is_clean(self, tmp_path):
+        doc = RULE_DOCS["REP104"]
+        target = tmp_path / SNIPPET_PATH
+        target.parent.mkdir(parents=True)
+        target.write_text(PREAMBLE + doc.bad + "\n")
+        assert [f.rule for f in analyze_paths([tmp_path], root=tmp_path)] == ["REP104"]
+        target.write_text(PREAMBLE + doc.good + "\n")
+        assert analyze_paths([tmp_path], root=tmp_path) == []
 
 
 class TestRender:

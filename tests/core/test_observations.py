@@ -30,7 +30,6 @@ class TestSizesAndSpaces:
         net = line_network(3)
         adapter = ObservationAdapter(net, make_simple_catalog())
         assert adapter.size == 4 * net.degree + 4
-        assert adapter.space.shape == (adapter.size,)
 
     def test_size_invariant_to_node_count(self):
         """The paper's key property: observation size depends on Δ_G only."""

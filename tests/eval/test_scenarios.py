@@ -103,10 +103,3 @@ class TestBaseScenario:
         scenario = base_scenario(horizon=300.0)
         flows = list(scenario.traffic_factory(np.random.default_rng(0)))
         assert all(f.arrival_time <= 300.0 for f in flows)
-
-    def test_with_network_copies_config(self):
-        scenario = base_scenario(num_ingress=2)
-        other_net = build_network(num_ingress=4)
-        varied = scenario.with_network(other_net)
-        assert varied.network.ingress != scenario.network.ingress
-        assert varied.catalog is scenario.catalog

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, Adam, RMSprop, clip_grads_by_norm
+from repro.nn.optim import SGD, RMSprop, clip_grads_by_norm
 
 
 def quadratic_descent(optimizer_factory, steps: int = 200) -> float:
@@ -24,9 +24,6 @@ class TestDescent:
 
     def test_rmsprop_converges(self):
         assert quadratic_descent(lambda p: RMSprop(p, lr=0.05)) < 1e-2
-
-    def test_adam_converges(self):
-        assert quadratic_descent(lambda p: Adam(p, lr=0.1), steps=400) < 1e-3
 
 
 class TestMechanics:

@@ -2,6 +2,7 @@
 
 import pickle
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -129,6 +130,42 @@ class TestActorCriticPolicy:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="shape mismatch"):
             ActorCriticPolicy.load(path)
+
+    @pytest.mark.parametrize(
+        "keep, cause",
+        [(0.5, zipfile.BadZipFile), (0.0, EOFError)],
+        ids=["half", "empty"],
+    )
+    def test_truncated_checkpoint_names_its_file(self, tmp_path, keep, cause):
+        path = tmp_path / "cut.npz"
+        ActorCriticPolicy(5, 3, hidden=(8,), rng=0).save(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: int(len(blob) * keep)])
+        with pytest.raises(ValueError) as caught:
+            ActorCriticPolicy.load(path)
+        assert str(caught.value).startswith(str(path))
+        assert isinstance(caught.value.__cause__, cause)
+
+    @pytest.mark.parametrize(
+        "missing, cause",
+        [("meta", KeyError), ("actor_w", ValueError)],
+    )
+    def test_checkpoint_missing_an_array_names_its_file(
+        self, tmp_path, missing, cause
+    ):
+        path = tmp_path / "partial.npz"
+        ActorCriticPolicy(5, 3, hidden=(8,), rng=0).save(path)
+        with np.load(path) as data:
+            kept = {k: data[k] for k in data.files if not k.startswith(missing)}
+        np.savez(path, **kept)
+        with pytest.raises(ValueError) as caught:
+            ActorCriticPolicy.load(path)
+        assert str(caught.value).startswith(str(path))
+        assert isinstance(caught.value.__cause__, cause)
+
+    def test_missing_checkpoint_stays_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ActorCriticPolicy.load(tmp_path / "absent.npz")
 
     def test_frozen_policy_decides_alike_and_refuses_writes(self):
         policy = ActorCriticPolicy(6, 4, hidden=(8,), rng=0)

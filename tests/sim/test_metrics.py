@@ -54,7 +54,7 @@ class TestMetricsCollector:
         collector.record_success(a)
         b.mark_dropped(15.0, DropReason.NODE_CAPACITY)
         collector.record_drop(b, DropReason.NODE_CAPACITY)
-        collector.record_decision()
+        collector.decisions += 1  # as Simulator.apply_action counts them
         metrics = collector.finalize(horizon=100.0)
         assert metrics.flows_generated == 2
         assert metrics.flows_succeeded == 1

@@ -135,6 +135,25 @@ class TestStartRun:
         with pytest.raises(FileNotFoundError):
             read_manifest(tmp_path)
 
+    def test_truncated_manifest_names_its_file(self, tmp_path):
+        with start_run(tmp_path, "train", seeds=(0,)):
+            pass
+        path = tmp_path / MANIFEST_FILENAME
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(ValueError) as caught:
+            read_manifest(tmp_path)
+        assert str(caught.value).startswith(str(path))
+        assert isinstance(caught.value.__cause__, json.JSONDecodeError)
+
+    def test_wrong_typed_manifest_names_its_file(self, tmp_path):
+        path = tmp_path / MANIFEST_FILENAME
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError) as caught:
+            read_manifest(tmp_path)
+        assert str(caught.value).startswith(str(path))
+        assert isinstance(caught.value.__cause__, TypeError)
+
 
 class TestPhaseTimer:
     def test_accumulates_in_first_entry_order(self):

@@ -1,0 +1,83 @@
+"""Units that had no caller stay deleted.
+
+ISSUE 21 removed five modules, thirteen exported names and a handful of
+members that nothing in ``src/``, ``benchmarks/`` or ``examples/``
+reached: the federated learners, ``TracingPolicy``, the ASCII charts,
+``ActionAdapter`` with the Gym-style spaces, ``Adam`` and the
+``CoordinationPolicy`` protocol.  The names below may appear only here —
+CI greps for them everywhere else.
+"""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+from repro.core.env import CoordinationEnvConfig, ServiceCoordinationEnv
+from repro.core.observations import ObservationAdapter
+from repro.eval.scenarios import base_scenario
+from repro.rl.policy import ActorCriticPolicy
+from repro.sim.metrics import MetricsCollector
+from repro.topology import line_network
+
+from tests.conftest import make_env_config, make_simple_catalog
+
+REMOVED_MODULES = [
+    "repro.rl.federated",
+    "repro.sim.tracing",
+    "repro.eval.plots",
+    "repro.core.actions",
+    "repro.rl.spaces",
+]
+
+REMOVED_EXPORTS = {
+    "repro.rl": [
+        "FederatedAveraging", "FederatedConfig", "LocalLearner", "Box", "Discrete",
+    ],
+    "repro.sim": ["DecisionRecord", "FlowTrace", "TracingPolicy"],
+    "repro.eval": ["ascii_chart", "chart_sweep"],
+    "repro.core": ["ActionAdapter"],
+    "repro.nn": ["Adam"],
+    "repro.baselines": ["CoordinationPolicy"],
+}
+
+
+@pytest.mark.parametrize("module", REMOVED_MODULES)
+def test_removed_module_does_not_import(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+@pytest.mark.parametrize("package", sorted(REMOVED_EXPORTS))
+def test_removed_names_are_not_exported(package):
+    module = importlib.import_module(package)
+    for name in REMOVED_EXPORTS[package]:
+        assert name not in module.__all__
+        assert not hasattr(module, name)
+
+
+def _line3_config() -> CoordinationEnvConfig:
+    return make_env_config(line_network(3), make_simple_catalog())
+
+
+@pytest.mark.parametrize(
+    "build", [base_scenario, _line3_config], ids=["abilene", "line3"]
+)
+def test_the_action_space_has_one_spelling(build):
+    config = build()
+    env = ServiceCoordinationEnv(config, seed=0)
+    policy = ActorCriticPolicy(env.observation_size, env.num_actions, hidden=(8,), rng=0)
+    assert env.num_actions == config.network.degree + 1 == policy.num_actions
+    for candidate in (env, env.clone()):
+        assert not hasattr(candidate, "action_adapter")
+        assert candidate.num_actions == env.num_actions
+
+
+def test_members_without_callers_are_gone():
+    config = _line3_config()
+    assert not hasattr(ObservationAdapter(config.network, config.catalog), "space")
+    assert not hasattr(config.network, "neighbor_node_ids")
+    assert not hasattr(config.network, "_neighbor_node_ids")
+    assert not hasattr(MetricsCollector(), "record_decision")
+    assert not hasattr(CoordinationEnvConfig, "with_network")
