@@ -24,8 +24,10 @@ import os
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.core.trainer import TrainingConfig
 from repro.eval.runner import SuiteConfig
 from repro.parallel import resolve_workers
+from repro.rl.acktr import ACKTRConfig
 
 __all__ = ["BenchScale", "SCALE", "WORKERS", "suite_config"]
 
@@ -109,10 +111,11 @@ WORKERS: int = resolve_workers(None)
 def suite_config() -> SuiteConfig:
     """The scale's training budget as an eval-harness SuiteConfig."""
     return SuiteConfig(
-        train_seeds=SCALE.train_seeds,
-        train_updates=SCALE.train_updates,
+        training=TrainingConfig(
+            seeds=SCALE.train_seeds,
+            updates_per_seed=SCALE.train_updates,
+            rl=ACKTRConfig(n_steps=SCALE.n_steps),
+            workers=WORKERS,
+        ),
         central_train_updates=SCALE.central_train_updates,
-        eval_seeds=SCALE.eval_seeds,
-        n_steps=SCALE.n_steps,
-        workers=WORKERS,
     )

@@ -9,18 +9,20 @@ utilisations.  This ablation trains agents with single parts masked out
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from _config import SCALE
-from repro.core.env import ServiceCoordinationEnv
-from repro.core.trainer import TrainingConfig
+from repro.core.agent import DistributedCoordinator
+from repro.core.env import CoordinationEnvConfig, ServiceCoordinationEnv
 from repro.eval.runner import evaluate_policy_on_scenario
 from repro.eval.scenarios import base_scenario
 from repro.eval.tables import SweepTable
+from repro.parallel import EnvBuilder
+from repro.rl.acktr import ACKTRConfig
 from repro.rl.training import train_multi_seed
-from repro.core.agent import DistributedCoordinator
 
 EVAL_SEED_OFFSET = 1000
 
@@ -70,26 +72,27 @@ class MaskedCoordinator(DistributedCoordinator):
         self.adapter.build = masked_build  # type: ignore[method-assign]
 
 
-def _train_variant(scenario, masked_parts):
-    counter = [0]
+@dataclass(frozen=True)
+class MaskedEnvBuilder(EnvBuilder):
+    """Seed-to-environment factory of one ablation variant (picklable, so
+    the training seeds fan out under ``REPRO_WORKERS``)."""
 
-    def env_factory():
-        counter[0] += 1
-        inner = ServiceCoordinationEnv(scenario, seed=counter[0])
-        if not masked_parts:
+    env_config: CoordinationEnvConfig
+    masked_parts: Tuple[str, ...] = ()
+
+    def build(self, env_seed: int):
+        inner = ServiceCoordinationEnv(self.env_config, seed=env_seed)
+        if not self.masked_parts:
             return inner
-        return MaskedObservationEnv(inner, masked_parts)
+        return MaskedObservationEnv(inner, self.masked_parts)
 
-    config = TrainingConfig(
+
+def _train_variant(scenario, masked_parts):
+    multi = train_multi_seed(
+        MaskedEnvBuilder(scenario, tuple(masked_parts)),
+        config=ACKTRConfig(n_steps=SCALE.n_steps),
         seeds=tuple(SCALE.train_seeds),
         updates_per_seed=SCALE.train_updates,
-        n_steps=SCALE.n_steps,
-    )
-    multi = train_multi_seed(
-        env_factory,
-        config=config.to_acktr_config(),
-        seeds=config.seeds,
-        updates_per_seed=config.updates_per_seed,
     )
     policy = multi.best_policy
     if masked_parts:

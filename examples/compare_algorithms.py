@@ -24,12 +24,14 @@ import sys
 
 import numpy as np
 
+from repro.core import TrainingConfig
 from repro.eval import (
     ALL_ALGORITHMS,
     SuiteConfig,
     base_scenario,
     build_algorithm_suite,
 )
+from repro.rl import ACKTRConfig
 from repro.sim import Simulator
 
 
@@ -42,8 +44,12 @@ def main(num_ingress: int = 3) -> None:
     print("Training DRL approaches (this takes a couple of minutes)...")
     suite = build_algorithm_suite(
         scenario,
-        SuiteConfig(train_seeds=(0, 1), train_updates=500, n_steps=64,
-                    central_train_updates=250),
+        SuiteConfig(
+            training=TrainingConfig(
+                seeds=(0, 1), updates_per_seed=500, rl=ACKTRConfig(n_steps=64)
+            ),
+            central_train_updates=250,
+        ),
     )
 
     results = suite.compare(eval_seeds=(100, 101, 102))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import CoordinationEnvConfig, TrainingConfig, train_coordinator
+from repro.rl import ACKTRConfig
 from repro.services import ServiceCatalog, ml_inference_pipeline
 from repro.sim import SimulationConfig, Simulator
 from repro.topology import random_geometric_network
@@ -68,7 +69,8 @@ def main() -> None:
 
     print("Training (bursty MMPP traffic, tight 60 ms deadline)...")
     result = train_coordinator(
-        scenario, TrainingConfig(seeds=(0, 1), updates_per_seed=400, n_steps=64)
+        scenario,
+        TrainingConfig(seeds=(0, 1), updates_per_seed=400, rl=ACKTRConfig(n_steps=64)),
     )
 
     traffic = scenario.traffic_factory(np.random.default_rng(42))

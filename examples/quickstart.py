@@ -20,6 +20,7 @@ import numpy as np
 from repro.baselines import ShortestPathPolicy
 from repro.core import TrainingConfig, train_coordinator
 from repro.eval import base_scenario
+from repro.rl import ACKTRConfig
 from repro.sim import Simulator
 
 #: Training budget (paper: 10 seeds and far more updates).
@@ -36,7 +37,7 @@ def main() -> None:
     print(f"Training distributed DRL ({len(SEEDS)} seeds x {UPDATES} updates)...")
     result = train_coordinator(
         scenario,
-        TrainingConfig(seeds=SEEDS, updates_per_seed=UPDATES, n_steps=64),
+        TrainingConfig(seeds=SEEDS, updates_per_seed=UPDATES, rl=ACKTRConfig(n_steps=64)),
         verbose=True,
     )
     print(f"Selected best agent from seed {result.best_seed}.")

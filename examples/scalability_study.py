@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core import TrainingConfig, train_coordinator
 from repro.eval import base_scenario
+from repro.rl import ACKTRConfig
 from repro.sim import Simulator
 
 TOPOLOGIES = ("Abilene", "BT Europe", "China Telecom", "Interroute")
@@ -34,7 +35,7 @@ def main() -> None:
         network = scenario.network
         result = train_coordinator(
             scenario,
-            TrainingConfig(seeds=(0,), updates_per_seed=300, n_steps=64),
+            TrainingConfig(seeds=(0,), updates_per_seed=300, rl=ACKTRConfig(n_steps=64)),
         )
         traffic = scenario.traffic_factory(np.random.default_rng(100))
         sim = Simulator(network, scenario.catalog, traffic, scenario.sim_config)

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core import DistributedCoordinator, TrainingConfig, train_coordinator
 from repro.eval import base_scenario
-from repro.rl import ActorCriticPolicy
+from repro.rl import ACKTRConfig, ActorCriticPolicy
 from repro.sim import Simulator
 
 
@@ -42,7 +42,7 @@ def main() -> None:
     print("Training on deterministic fixed-interval traffic...")
     result = train_coordinator(
         train_scenario,
-        TrainingConfig(seeds=(0, 1), updates_per_seed=400, n_steps=64),
+        TrainingConfig(seeds=(0, 1), updates_per_seed=400, rl=ACKTRConfig(n_steps=64)),
     )
     trained_policy = result.multi_seed.best_policy
 

@@ -10,7 +10,7 @@ path.  This package enforces those invariants in two complementary ways:
   (``repro lint``) with repo-specific rules REP001–REP008 and inline
   ``# repro: allow[REPnnn] <reason>`` suppressions.
 - :mod:`repro.analysis.flow` — a whole-program dataflow pass
-  (``repro lint --flow``) that builds a module-level call graph over
+  (the second half of every ``repro lint`` run) that builds a module-level call graph over
   the lint roots and enforces the concurrency/determinism contract
   (rules REP101–REP105: shared rng streams reachable from dispatched
   tasks, fork-unsafe module state, aliased out= buffers, unordered

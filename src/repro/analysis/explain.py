@@ -226,7 +226,7 @@ def render_explanation(rule: str) -> str:
         known = ", ".join(sorted(set(all_rules) | set(RULE_DOCS)))
         raise KeyError(f"unknown rule {rule!r}; known rules: {known}")
     doc = RULE_DOCS[rule]
-    family = "whole-program (repro lint --flow)" if rule in FLOW_RULES else "file-local"
+    family = "whole-program" if rule in FLOW_RULES else "file-local"
     out = [
         f"{rule}: {all_rules[rule]}",
         f"family: {family}",

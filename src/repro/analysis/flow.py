@@ -1,6 +1,6 @@
 """Whole-program concurrency & determinism dataflow analyzer.
 
-``repro lint --flow`` runs this pass on top of the file-local REP0xx
+``repro lint`` runs this pass on top of the file-local REP0xx
 linter.  Where :mod:`repro.analysis.linter` checks one module at a time,
 this pass parses every module under the lint roots into one *program*:
 a symbol index (functions, classes, methods, module globals), a

@@ -84,7 +84,8 @@ RULES: Dict[str, str] = {
 }
 
 #: rule id -> one-line description of the whole-program flow family
-#: (``repro lint --flow``, implemented in :mod:`repro.analysis.flow`).
+#: (the second pass of ``repro lint``, implemented in
+#: :mod:`repro.analysis.flow`).
 #: Declared here so the waiver scanner and ``--select`` validation know
 #: the full taxonomy without importing the flow analyzer.
 FLOW_RULES: Dict[str, str] = {
@@ -670,14 +671,13 @@ def run_lint(
     select: Sequence[str] = (),
     root: Optional[Union[str, Path]] = None,
     config: Optional[LintConfig] = None,
-    flow: bool = False,
 ) -> Tuple[int, str]:
     """CLI core: lint ``paths`` and return ``(exit_code, report_text)``.
 
-    ``flow`` additionally runs the whole-program concurrency/determinism
-    pass (rules REP101-REP105, :mod:`repro.analysis.flow`) over the same
-    paths; its findings honour the same inline waivers.  Any reported
-    finding gives exit 1.
+    Two passes run over the same paths: the file-local rules
+    (REP001-REP008) and the whole-program concurrency/determinism pass
+    (REP101-REP105, :mod:`repro.analysis.flow`); both honour the same
+    inline waivers and ``select``.  Any reported finding gives exit 1.
     """
     known_rules = {**RULES, **FLOW_RULES}
     unknown = [rule for rule in select if rule not in known_rules]
@@ -685,20 +685,18 @@ def run_lint(
         raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
     if config is None:
         config = LintConfig(select=tuple(select))
+    from repro.analysis.flow import analyze_paths
+
     findings = lint_paths(paths, config=config, root=root)
-    if flow:
-        from repro.analysis.flow import analyze_paths
+    findings.extend(analyze_paths(paths, root=root, select=tuple(select)))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
-        findings.extend(analyze_paths(paths, root=root, select=tuple(select)))
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    report_rules = known_rules if flow else RULES
     if output_format == "json":
-        report = render_json(findings, rules=report_rules)
+        report = render_json(findings, rules=known_rules)
     elif output_format == "sarif":
         from repro.analysis.sarif import render_sarif
 
-        report = render_sarif(findings, rules=report_rules)
+        report = render_sarif(findings, rules=known_rules)
     else:
         report = render_text(findings)
     return (1 if findings else 0), report

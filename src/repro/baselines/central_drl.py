@@ -67,10 +67,6 @@ class CentralDRLConfig:
     """
 
     update_interval: float = 50.0
-    #: Sample per-flow targets from the policy's action distribution (the
-    #: literal "scheduling weights" reading of [10]).  Off by default:
-    #: deterministic argmax targets match how the rules were trained.
-    stochastic_rules: bool = False
 
     def __post_init__(self) -> None:
         if self.update_interval <= 0:
@@ -86,25 +82,19 @@ class RuleExecutor(BasePolicy):
     installed rules locally; only the rule *computation* is centralized.
     """
 
-    def __init__(self, network: Network, catalog: ServiceCatalog, seed: int = 0) -> None:
+    def __init__(self, network: Network, catalog: ServiceCatalog) -> None:
         super().__init__(network, catalog)
         self.component_names: List[str] = [c.name for c in catalog.components]
         # Default rules: every component targeted at the first node; the
         # agent overwrites these at the first refresh.
         first = network.node_names[0]
         self.targets: Dict[str, str] = {c: first for c in self.component_names}
-        #: Optional scheduling *weights* per component (probabilities over
-        #: network.node_names).  When set, each flow samples its target per
-        #: component from the weights — the weight-based scheduling of [10].
-        self.target_weights: Optional[Dict[str, np.ndarray]] = None
-        self._rng = np.random.default_rng(seed)
-        self._flow_targets: Dict[Tuple[int, str], str] = {}
         #: Flows that arrived at their scheduled target and found it full;
         #: they fall back to greedy processing along the path to egress.
         self._spilled: set = set()
 
     def set_targets(self, targets: Dict[str, str]) -> None:
-        """Install deterministic per-component targets (training mode)."""
+        """Install the per-component targets of one interval."""
         missing = set(self.component_names) - set(targets)
         if missing:
             raise ValueError(f"rules missing targets for components: {sorted(missing)}")
@@ -112,42 +102,6 @@ class RuleExecutor(BasePolicy):
             if not self.network.has_node(node):
                 raise ValueError(f"target {node!r} for {component!r} not in network")
         self.targets = dict(targets)
-        self.target_weights = None
-
-    def set_target_weights(self, weights: Dict[str, np.ndarray]) -> None:
-        """Install probabilistic scheduling weights (inference mode).
-
-        Each flow's target for a component is sampled once (when the flow
-        first requests that component) from the component's weight vector
-        over all nodes; in-flight flows keep their assignment across rule
-        refreshes so routing stays consistent.
-        """
-        missing = set(self.component_names) - set(weights)
-        if missing:
-            raise ValueError(f"weights missing for components: {sorted(missing)}")
-        for component, probs in weights.items():
-            probs = np.asarray(probs, dtype=np.float64)
-            if probs.shape != (self.network.num_nodes,) or probs.min() < -1e-12:
-                raise ValueError(
-                    f"weights for {component!r} must be a non-negative vector over "
-                    f"all {self.network.num_nodes} nodes"
-                )
-            if abs(probs.sum() - 1.0) > 1e-6:
-                raise ValueError(f"weights for {component!r} must sum to 1")
-        self.target_weights = {c: np.asarray(w, dtype=np.float64) for c, w in weights.items()}
-
-    def _target_for(self, flow_id: int, component: str) -> str:
-        if self.target_weights is None:
-            return self.targets[component]
-        key = (flow_id, component)
-        assigned = self._flow_targets.get(key)
-        if assigned is None:
-            index = int(
-                self._rng.choice(self.network.num_nodes, p=self.target_weights[component])
-            )
-            assigned = self.network.node_names[index]
-            self._flow_targets[key] = assigned
-        return assigned
 
     def __call__(self, decision: DecisionPoint, sim: Simulator) -> int:
         flow, node = decision.flow, decision.node
@@ -165,7 +119,7 @@ class RuleExecutor(BasePolicy):
             if self.can_process_here(decision, sim):
                 return ACTION_PROCESS_LOCALLY
             return self.shortest_path_action(decision)
-        target = self._target_for(flow.flow_id, component.name)
+        target = self.targets[component.name]
         if node == target:
             if self.can_process_here(decision, sim):
                 return ACTION_PROCESS_LOCALLY
@@ -380,7 +334,6 @@ class CentralDRLPolicy:
     def _refresh_rules(self, sim: Simulator, now: float) -> None:
         start = _time.perf_counter()
         progress = min(1.0, now / self.horizon)
-        weights: Dict[str, np.ndarray] = {}
         targets: Dict[str, str] = {}
         for index, component in enumerate(self.component_names):
             obs = _build_observation(
@@ -388,14 +341,8 @@ class CentralDRLPolicy:
                 len(self.component_names), progress,
             )
             distribution = self.policy.distribution(obs[None, :])
-            weights[component] = distribution.probs[0]
             targets[component] = self.nodes[int(distribution.mode()[0])]
-        if self.config.stochastic_rules:
-            # The literal scheduling-weights reading of [10]: each flow
-            # samples its processing node from the learned distribution.
-            self.executor.set_target_weights(weights)
-        else:
-            self.executor.set_targets(targets)
+        self.executor.set_targets(targets)
         # Snapshot after deciding: the next refresh sees state that is one
         # interval old, modelling periodic monitoring delay.
         self._snapshot = np.array(

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 
 __all__ = ["main", "build_parser"]
@@ -71,18 +72,27 @@ def _add_telemetry_arg(parser: argparse.ArgumentParser) -> None:
                              "stream into DIR (see 'repro telemetry summarize')")
 
 
-def _start_telemetry(args: argparse.Namespace, name: str, seeds=()):
-    """Open a telemetry run for a command, or None when not requested."""
-    if getattr(args, "telemetry", None) is None:
-        return None
-    from repro.telemetry import start_run
+@contextmanager
+def _telemetry(args: argparse.Namespace, name: str, seeds=()) -> Iterator:
+    """The command's recorder: ``NULL_RECORDER`` without ``--telemetry``,
+    else the stream of a fresh run directory — closed on exit, and
+    announced once the command body has finished."""
+    from repro.telemetry import NULL_RECORDER, start_run
 
+    if getattr(args, "telemetry", None) is None:
+        yield NULL_RECORDER
+        return
     config = {
         key: value
         for key, value in sorted(vars(args).items())
         if key not in ("telemetry", "command") and value is not None
     }
-    return start_run(args.telemetry, name=name, config=config, seeds=seeds)
+    run = start_run(args.telemetry, name=name, config=config, seeds=seeds)
+    try:
+        yield run.recorder
+    finally:
+        run.close()
+    print(f"Telemetry written to {run.directory}")
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -211,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the determinism linter (rules REP001-REP008, "
-             "--flow adds REP101-REP105) over the project",
+        help="run the determinism linter (file-local rules REP001-REP008 "
+             "and whole-program rules REP101-REP105) over the project",
     )
     lint.add_argument("paths", nargs="*", default=["src/repro", "benchmarks"],
                       help="files or directories to lint "
@@ -224,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(a one-line summary is still printed)")
     lint.add_argument("--select", default=None, metavar="RULES",
                       help="comma-separated rule ids to run (default: all)")
-    lint.add_argument("--flow", action="store_true",
-                      help="also run the whole-program concurrency/determinism "
-                           "dataflow pass (rules REP101-REP105)")
     lint.add_argument("--explain", default=None, metavar="RULE",
                       help="print the rationale and a bad/good example for a "
                            "rule id (e.g. REP101), then exit")
@@ -262,37 +269,29 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.core.trainer import TrainingConfig, train_coordinator
-    from repro.telemetry import NULL_RECORDER
+    from repro.rl.acktr import ACKTRConfig
 
     scenario = _scenario_from_args(args)
     config = TrainingConfig(
         algorithm=args.algorithm,
         seeds=tuple(range(args.seeds)),
         updates_per_seed=args.updates,
-        n_steps=64,
+        rl=ACKTRConfig(n_steps=64, stat_interval=args.stat_interval),
         eval_episodes=args.eval_episodes,
         workers=args.workers,
         eval_dtype=_resolved_eval_dtype(args),
-        stat_interval=args.stat_interval,
     )
     if not args.quiet:
         print(f"Training on {args.topology} / {args.pattern} / "
               f"{args.ingress} ingress ({args.seeds} seeds x {args.updates} updates)")
-    run = _start_telemetry(args, "train", seeds=config.seeds)
-    try:
+    with _telemetry(args, "train", seeds=config.seeds) as recorder:
         result = train_coordinator(
-            scenario, config, verbose=not args.quiet,
-            recorder=run.recorder if run else NULL_RECORDER,
+            scenario, config, verbose=not args.quiet, recorder=recorder
         )
-    finally:
-        if run is not None:
-            run.close()
-    result.multi_seed.best_policy.save(args.output)
-    if not args.quiet and result.multi_seed.timing is not None:
-        print(result.multi_seed.timing.render())
-    print(f"Saved best policy (seed {result.best_seed}) to {args.output}")
-    if run is not None:
-        print(f"Telemetry written to {run.directory}")
+        result.multi_seed.best_policy.save(args.output)
+        if not args.quiet and result.multi_seed.timing is not None:
+            print(result.multi_seed.timing.render())
+        print(f"Saved best policy (seed {result.best_seed}) to {args.output}")
     return 0
 
 
@@ -323,73 +322,60 @@ def _build_policy(args: argparse.Namespace, scenario):
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.eval.runner import evaluate_policy_on_scenario
-    from repro.telemetry import NULL_RECORDER
 
     scenario = _scenario_from_args(args)
     factory = _build_policy(args, scenario)
     name = args.policy or args.algorithm
     eval_seeds = range(args.eval_seeds)
-    run = _start_telemetry(args, "evaluate", seeds=eval_seeds)
-    try:
+    with _telemetry(args, "evaluate", seeds=eval_seeds) as recorder:
         result = evaluate_policy_on_scenario(
             scenario, factory, name,
             eval_seeds=eval_seeds, time_decisions=True,
-            workers=args.workers,
-            recorder=run.recorder if run else NULL_RECORDER,
+            workers=args.workers, recorder=recorder,
         )
-    finally:
-        if run is not None:
-            run.close()
-    print(result.summary())
-    print(f"mean decision time: {result.mean_decision_ms:.3f} ms")
-    if result.timing is not None:
-        print(result.timing.render())
-    if run is not None:
-        print(f"Telemetry written to {run.directory}")
+        print(result.summary())
+        print(f"mean decision time: {result.mean_decision_ms:.3f} ms")
+        if result.timing is not None:
+            print(result.timing.render())
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     import math
 
+    from repro.core.trainer import TrainingConfig
     from repro.eval.runner import ALL_ALGORITHMS, SuiteConfig, build_algorithm_suite
-    from repro.telemetry import NULL_RECORDER
+    from repro.rl.acktr import ACKTRConfig
 
     scenario = _scenario_from_args(args)
     suite = build_algorithm_suite(
         scenario,
         SuiteConfig(
-            train_seeds=tuple(range(args.seeds)),
-            train_updates=args.updates,
-            n_steps=64,
-            workers=args.workers,
-            eval_dtype=_resolved_eval_dtype(args),
-            stat_interval=args.stat_interval,
+            training=TrainingConfig(
+                seeds=tuple(range(args.seeds)),
+                updates_per_seed=args.updates,
+                rl=ACKTRConfig(n_steps=64, stat_interval=args.stat_interval),
+                workers=args.workers,
+                eval_dtype=_resolved_eval_dtype(args),
+            )
         ),
     )
     eval_seeds = range(1000, 1000 + args.eval_seeds)
-    run = _start_telemetry(args, "compare", seeds=eval_seeds)
-    try:
-        results = suite.compare(
-            eval_seeds=eval_seeds, workers=args.workers,
-            recorder=run.recorder if run else NULL_RECORDER,
-        )
-    finally:
-        if run is not None:
-            run.close()
 
     def fmt(value: float, spec: str) -> str:
         return "n/a" if math.isnan(value) else format(value, spec)
 
-    print(f"{'algorithm':<18} {'success':>14} {'avg delay':>10}")
-    for name in ALL_ALGORITHMS:
-        r = results[name]
-        success = f"{fmt(r.mean_success, '.3f')}±{fmt(r.std_success, '.3f')}"
-        print(f"{name:<18} {success:>14} {fmt(r.mean_delay, '.1f'):>10}")
-    if suite.last_timing is not None:
-        print(suite.last_timing.render())
-    if run is not None:
-        print(f"Telemetry written to {run.directory}")
+    with _telemetry(args, "compare", seeds=eval_seeds) as recorder:
+        results = suite.compare(
+            eval_seeds=eval_seeds, workers=args.workers, recorder=recorder
+        )
+        print(f"{'algorithm':<18} {'success':>14} {'avg delay':>10}")
+        for name in ALL_ALGORITHMS:
+            r = results[name]
+            success = f"{fmt(r.mean_success, '.3f')}±{fmt(r.std_success, '.3f')}"
+            print(f"{name:<18} {success:>14} {fmt(r.mean_delay, '.1f'):>10}")
+        if suite.last_timing is not None:
+            print(suite.last_timing.render())
     return 0
 
 
@@ -401,7 +387,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         collect_observation_pool,
         serve_workload,
     )
-    from repro.telemetry import NULL_RECORDER
 
     scenario = _scenario_from_args(args)
     if args.policy is not None:
@@ -416,8 +401,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         queue_capacity=args.queue_capacity,
         dtype=_resolved_eval_dtype(args),
     )
-    run = _start_telemetry(args, "serve-bench")
-    try:
+    with _telemetry(args, "serve-bench") as recorder:
         engine = serve_workload(
             policy,
             observations,
@@ -426,27 +410,24 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             config=config,
             arrival_seed=args.arrival_seed,
             swap_every=args.swap_every,
-            recorder=run.recorder if run else NULL_RECORDER,
+            recorder=recorder,
         )
-    finally:
-        if run is not None:
-            run.close()
-    stats = engine.stats
-    mode = f"open loop @ {args.rate:.0f} req/s" if args.rate > 0.0 else "saturation"
-    print(f"serve-bench: {mode} | batch {config.max_batch} "
-          f"deadline {args.serve_deadline_ms:.1f}ms dtype {config.dtype}")
-    print(f"  requests {stats.submitted} served {stats.served} "
-          f"shed {stats.shed} | {stats.flushes} flushes "
-          f"(size {stats.size_flushes} deadline {stats.deadline_flushes} "
-          f"forced {stats.forced_flushes}) mean batch {stats.mean_batch:.1f}")
-    print(f"  throughput {stats.decisions_per_second:.0f} decisions/s | "
-          f"swaps {stats.swaps} (policy version {engine.policy_version})")
-    pct = stats.latency_percentiles_ms()
-    if stats.latencies:
-        print(f"  latency p50 {pct['p50']:.2f}ms p95 {pct['p95']:.2f}ms "
-              f"p99 {pct['p99']:.2f}ms max {pct['max']:.2f}ms")
-    if run is not None:
-        print(f"Telemetry written to {run.directory}")
+        stats = engine.stats
+        mode = (
+            f"open loop @ {args.rate:.0f} req/s" if args.rate > 0.0 else "saturation"
+        )
+        print(f"serve-bench: {mode} | batch {config.max_batch} "
+              f"deadline {args.serve_deadline_ms:.1f}ms dtype {config.dtype}")
+        print(f"  requests {stats.submitted} served {stats.served} "
+              f"shed {stats.shed} | {stats.flushes} flushes "
+              f"(size {stats.size_flushes} deadline {stats.deadline_flushes} "
+              f"forced {stats.forced_flushes}) mean batch {stats.mean_batch:.1f}")
+        print(f"  throughput {stats.decisions_per_second:.0f} decisions/s | "
+              f"swaps {stats.swaps} (policy version {engine.policy_version})")
+        pct = stats.latency_percentiles_ms()
+        if stats.latencies:
+            print(f"  latency p50 {pct['p50']:.2f}ms p95 {pct['p95']:.2f}ms "
+                  f"p99 {pct['p99']:.2f}ms max {pct['max']:.2f}ms")
     return 0
 
 
@@ -468,12 +449,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     select = tuple(
         code.strip() for code in (args.select or "").split(",") if code.strip()
     )
-    code, report = run_lint(
-        args.paths,
-        output_format=args.format,
-        select=select,
-        flow=args.flow,
-    )
+    code, report = run_lint(args.paths, output_format=args.format, select=select)
     if args.output is not None:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
         status = "clean" if code == 0 else "findings present"

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-
 from repro.core.agent import DistributedCoordinator
 from repro.core.env import CoordinationEnvConfig, ServiceCoordinationEnv
 from repro.parallel import EnvBuilder
@@ -44,21 +43,16 @@ class CoordinationEnvBuilder(EnvBuilder):
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Hyperparameters of the full training pipeline (paper Sec. V-A2).
+    """Budget and hyperparameters of the full training pipeline (paper
+    Sec. V-A2).
 
     Attributes:
         algorithm: ``"acktr"`` (paper) or ``"a2c"`` (ablation).
         seeds: Training seeds (paper: k = 10).
-        n_envs: Parallel environment copies l (paper: 4).
         updates_per_seed: Gradient updates per seed.
-        n_steps: Transitions per env per update (mini-batch b = n_envs *
-            n_steps experiences).
-        learning_rate: Initial learning rate α (paper: 0.25 for ACKTR).
-        gamma: Discount factor (paper: 0.99).
-        entropy_coef: Entropy loss coefficient (paper: 0.01).
-        value_loss_coef: Critic loss coefficient (paper: 0.25).
-        kl_clip: ACKTR trust-region bound (paper: 0.001).
-        max_grad_norm: Gradient clip (paper: 0.5).
+        rl: Trainer hyperparameters (:class:`~repro.rl.acktr.ACKTRConfig`;
+            the defaults are the paper's: l = 4 env copies, α = 0.25,
+            γ = 0.99, KL clip 0.001, ...).
         eval_episodes: Greedy episodes per seed for best-agent selection
             (>= 1; the evaluation's lockstep width follows from it).
         workers: Worker processes for the per-seed fan-out (None reads
@@ -66,43 +60,18 @@ class TrainingConfig:
         eval_dtype: Inference dtype of the selection evaluation
             and of the deployed per-node agents (``"f64"``/``"f32"``;
             None reads ``REPRO_EVAL_DTYPE``, float64 when unset).
-        stat_interval: Refresh ACKTR's Kronecker-factor statistics every
-            this many updates (default 1 = every update, the historical
-            bit-identical behaviour; larger values amortize the Fisher
-            pass and change the rng stream).
         seed_timeout: Per-seed wall-clock limit in seconds (parallel
             mode); None = no limit.
     """
 
     algorithm: str = "acktr"
     seeds: Sequence[int] = tuple(range(10))
-    n_envs: int = 4
     updates_per_seed: int = 60
-    n_steps: int = 32
-    learning_rate: float = 0.25
-    gamma: float = 0.99
-    entropy_coef: float = 0.01
-    value_loss_coef: float = 0.25
-    kl_clip: float = 0.001
-    max_grad_norm: float = 0.5
+    rl: ACKTRConfig = ACKTRConfig()
     eval_episodes: int = 1
     workers: Optional[int] = None
     eval_dtype: Optional[str] = None
-    stat_interval: int = 1
     seed_timeout: Optional[float] = None
-
-    def to_acktr_config(self) -> ACKTRConfig:
-        return ACKTRConfig(
-            gamma=self.gamma,
-            learning_rate=self.learning_rate,
-            entropy_coef=self.entropy_coef,
-            value_loss_coef=self.value_loss_coef,
-            max_grad_norm=self.max_grad_norm,
-            n_steps=self.n_steps,
-            n_envs=self.n_envs,
-            kl_clip=self.kl_clip,
-            stat_interval=self.stat_interval,
-        )
 
     def quick(self) -> "TrainingConfig":
         """A laptop-scale variant (fewer seeds/updates) for tests and the
@@ -145,7 +114,7 @@ def train_coordinator(
     """
     multi_seed = train_multi_seed(
         CoordinationEnvBuilder(env_config),
-        config=training.to_acktr_config(),
+        config=training.rl,
         seeds=training.seeds,
         updates_per_seed=training.updates_per_seed,
         eval_episodes=training.eval_episodes,

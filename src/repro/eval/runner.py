@@ -37,7 +37,6 @@ from repro.core.env import CoordinationEnvConfig
 from repro.core.trainer import TrainingConfig, train_coordinator
 from repro.faults import FaultScenarioConfig
 from repro.parallel import TimingReport, run_tasks
-from repro.rl.acktr import ACKTRConfig
 from repro.sim.simulator import Simulator
 from repro.telemetry import NULL_RECORDER, Recorder
 
@@ -155,12 +154,10 @@ class _EvalSeedTask:
     name: str
     seed: int
     time_decisions: bool
-    #: Worker-local telemetry stream (merged in task order afterwards).
-    recorder: Recorder = NULL_RECORDER
 
 
 def _run_eval_seed(
-    task: _EvalSeedTask,
+    task: _EvalSeedTask, recorder: Recorder
 ) -> Tuple[float, float, int, Optional[float]]:
     """Simulate one evaluation seed; runs in a worker or in-process.
 
@@ -177,11 +174,7 @@ def _run_eval_seed(
         traffic,
         task.env_config.sim_config,
     )
-    metrics = sim.run(
-        policy, time_decisions=task.time_decisions, recorder=task.recorder
-    )
-    if task.recorder.enabled:
-        task.recorder.close()
+    metrics = sim.run(policy, time_decisions=task.time_decisions, recorder=recorder)
     delay = (
         metrics.avg_end_to_end_delay
         if metrics.avg_end_to_end_delay is not None
@@ -222,6 +215,46 @@ def _collect_result(
     return result
 
 
+def _run_grid(
+    env_config: CoordinationEnvConfig,
+    factories: Dict[str, PolicyFactory],
+    eval_seeds: Sequence[int],
+    time_decisions: bool,
+    workers: Optional[int],
+    timeout: Optional[float],
+    batch_name: str,
+    recorder: Recorder,
+) -> Tuple[Dict[str, AlgorithmResult], TimingReport]:
+    """Simulate every (algorithm, evaluation seed) pair as one task batch,
+    algorithm-major; returns each algorithm's aggregated row and the
+    batch's timing report."""
+    eval_seeds = list(eval_seeds)
+    grid = [(name, seed) for name in factories for seed in eval_seeds]
+    outcome = run_tasks(
+        _run_eval_seed,
+        [
+            _EvalSeedTask(env_config, factories[name], name, seed, time_decisions)
+            for name, seed in grid
+        ],
+        workers=workers,
+        labels=[f"{name}/seed {seed}" for name, seed in grid],
+        timeout=timeout,
+        name=batch_name,
+        recorder=recorder,
+    )
+    per_algorithm = len(eval_seeds)
+    results = {
+        name: _collect_result(
+            name,
+            outcome.values[i * per_algorithm : (i + 1) * per_algorithm],
+            timing=outcome.timing,
+            recorder=recorder,
+        )
+        for i, name in enumerate(factories)
+    }
+    return results, outcome.timing
+
+
 def evaluate_policy_on_scenario(
     env_config: CoordinationEnvConfig,
     policy_factory: PolicyFactory,
@@ -254,62 +287,31 @@ def evaluate_policy_on_scenario(
             env_config,
             sim_config=dataclasses.replace(env_config.sim_config, faults=faults),
         )
-    labels = [f"{name}/seed {seed}" for seed in eval_seeds]
-    task_recorders = (
-        [recorder.for_task(label) for label in labels] if recorder.enabled else None
-    )
-    tasks = [
-        _EvalSeedTask(
-            env_config=env_config,
-            policy_factory=policy_factory,
-            name=name,
-            seed=seed,
-            time_decisions=time_decisions,
-            recorder=(
-                task_recorders[index] if task_recorders else NULL_RECORDER
-            ),
-        )
-        for index, seed in enumerate(eval_seeds)
-    ]
-    outcome = run_tasks(
-        _run_eval_seed,
-        tasks,
-        workers=workers,
-        labels=labels,
-        timeout=timeout,
-        name=f"evaluate[{name}]",
-        recorder=recorder,
-        task_recorders=task_recorders,
-    )
-    return _collect_result(
-        name, outcome.values, timing=outcome.timing, recorder=recorder
-    )
+    return _run_grid(
+        env_config,
+        {name: policy_factory},
+        eval_seeds,
+        time_decisions,
+        workers,
+        timeout,
+        f"evaluate[{name}]",
+        recorder,
+    )[0][name]
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Budget knobs for training the learned algorithms of a comparison.
+    """Budget of the learned algorithms of a comparison.
 
-    The defaults are laptop-scale (minutes); raise them toward the paper's
-    budget (k=10 seeds, 30 eval seeds, T=20000) for full-fidelity runs.
-    ``workers`` fans both the per-seed training runs and the per-seed
-    evaluations out across processes (None reads ``REPRO_WORKERS``);
-    ``eval_dtype`` selects the inference dtype of both the selection
-    evaluations and the deployed distributed agents (``"f64"``/``"f32"``;
-    None reads ``REPRO_EVAL_DTYPE``, float64 when unset);
-    ``stat_interval`` is the ACKTR statistics-refresh hyperparameter of
-    the training runs (see :class:`~repro.rl.acktr.ACKTRConfig`).
+    ``training`` is the distributed DRL's :class:`TrainingConfig`; the
+    central DRL baseline shares its seeds, ``rl`` hyperparameters and
+    ``workers`` and trains for ``central_train_updates`` per seed.  The
+    defaults are laptop-scale (minutes); raise them toward the paper's
+    budget (k=10 seeds, T=20000) for full-fidelity runs.
     """
 
-    train_seeds: Sequence[int] = (0, 1)
-    train_updates: int = 400
+    training: TrainingConfig = TrainingConfig(seeds=(0, 1), updates_per_seed=400)
     central_train_updates: int = 250
-    eval_seeds: Sequence[int] = (0, 1, 2)
-    n_envs: int = 4
-    n_steps: int = 32
-    workers: Optional[int] = None
-    eval_dtype: Optional[str] = None
-    stat_interval: int = 1
 
 
 @dataclass
@@ -317,7 +319,8 @@ class AlgorithmSuite:
     """The paper's four algorithms, trained/instantiated for one scenario."""
 
     env_config: CoordinationEnvConfig
-    factories: Dict[str, PolicyFactory]
+    #: Display names of the algorithms held, in legend order.
+    algorithms: Tuple[str, ...]
     coordinator: Optional[DistributedCoordinator] = None
     central: Optional[CentralDRLPolicy] = None
     #: Timing report of the most recent :meth:`compare` fan-out.
@@ -326,19 +329,17 @@ class AlgorithmSuite:
     def factories_for(
         self, env_config: CoordinationEnvConfig
     ) -> Dict[str, PolicyFactory]:
-        """Policy factories re-deployed on a (possibly different) scenario.
+        """Policy factories deployed on a scenario — the training one or
+        (generalization experiments, Fig. 8) one the policies never saw.
 
-        Generalization experiments (Fig. 8) evaluate trained policies on
-        scenarios they never saw.  The heuristics are rebuilt on the
-        evaluation network; the trained DRL networks are *re-deployed
-        without retraining* — the distributed policy works on any network
-        with the same degree Δ_G because its spaces depend only on Δ_G.
+        The heuristics are built on the evaluation network; the trained
+        DRL networks are *re-deployed without retraining* — the
+        distributed policy works on any network with the same degree Δ_G
+        because its spaces depend only on Δ_G.
         """
-        if env_config is self.env_config:
-            return self.factories
         network, catalog = env_config.network, env_config.catalog
         factories: Dict[str, PolicyFactory] = {}
-        if DISTRIBUTED_DRL in self.factories:
+        if DISTRIBUTED_DRL in self.algorithms:
             if self.coordinator is None:
                 raise RuntimeError(
                     "suite lists distributed DRL but holds no trained coordinator"
@@ -350,25 +351,29 @@ class AlgorithmSuite:
                 self.coordinator.policy,
                 dtype=self.coordinator.dtype,
             )
-        if CENTRAL_DRL in self.factories:
+        if CENTRAL_DRL in self.algorithms:
             if self.central is None:
                 raise RuntimeError(
                     "suite lists central DRL but holds no trained central policy"
                 )
-            central = self.central
             factories[CENTRAL_DRL] = partial(
                 CentralDRLPolicy,
                 network,
                 catalog,
-                central.policy,
-                central.config,
+                self.central.policy,
+                self.central.config,
                 horizon=env_config.sim_config.horizon,
             )
-        if GCASP in self.factories:
+        if GCASP in self.algorithms:
             factories[GCASP] = partial(GCASPPolicy, network, catalog)
-        if SP in self.factories:
+        if SP in self.algorithms:
             factories[SP] = partial(ShortestPathPolicy, network, catalog)
         return factories
+
+    @property
+    def factories(self) -> Dict[str, PolicyFactory]:
+        """The suite's factories on the scenario it was trained on."""
+        return self.factories_for(self.env_config)
 
     def compare(
         self,
@@ -391,49 +396,19 @@ class AlgorithmSuite:
         """
         env_config = env_config or self.env_config
         factories = self.factories_for(env_config)
-        names = algorithms or list(factories)
-        eval_seeds = list(eval_seeds)
-        grid = [(name, seed) for name in names for seed in eval_seeds]
-        labels = [f"{name}/seed {seed}" for name, seed in grid]
-        task_recorders = (
-            [recorder.for_task(label) for label in labels]
-            if recorder.enabled
-            else None
+        if algorithms:
+            factories = {name: factories[name] for name in algorithms}
+        results, self.last_timing = _run_grid(
+            env_config,
+            factories,
+            eval_seeds,
+            time_decisions,
+            workers,
+            timeout,
+            "compare",
+            recorder,
         )
-        tasks = [
-            _EvalSeedTask(
-                env_config=env_config,
-                policy_factory=factories[name],
-                name=name,
-                seed=seed,
-                time_decisions=time_decisions,
-                recorder=(
-                    task_recorders[index] if task_recorders else NULL_RECORDER
-                ),
-            )
-            for index, (name, seed) in enumerate(grid)
-        ]
-        outcome = run_tasks(
-            _run_eval_seed,
-            tasks,
-            workers=workers,
-            labels=labels,
-            timeout=timeout,
-            name="compare",
-            recorder=recorder,
-            task_recorders=task_recorders,
-        )
-        self.last_timing = outcome.timing
-        per_algorithm = len(eval_seeds)
-        return {
-            name: _collect_result(
-                name,
-                outcome.values[i * per_algorithm : (i + 1) * per_algorithm],
-                timing=outcome.timing,
-                recorder=recorder,
-            )
-            for i, name in enumerate(names)
-        }
+        return results
 
 
 def build_algorithm_suite(
@@ -446,46 +421,29 @@ def build_algorithm_suite(
 
     SP and GCASP need no training; the distributed DRL and the central DRL
     are trained on the scenario with the suite's budget (multi-seed with
-    best-agent selection, per Alg. 1).  ``suite.workers`` fans the
+    best-agent selection, per Alg. 1).  ``suite.training.workers`` fans the
     per-seed training runs out across worker processes.
     """
-    network, catalog = env_config.network, env_config.catalog
-    factories: Dict[str, PolicyFactory] = {}
+    training = suite.training
     coordinator = None
     central = None
-
     if DISTRIBUTED_DRL in include:
-        training = TrainingConfig(
-            seeds=tuple(suite.train_seeds),
-            updates_per_seed=suite.train_updates,
-            n_envs=suite.n_envs,
-            n_steps=suite.n_steps,
-            workers=suite.workers,
-            eval_dtype=suite.eval_dtype,
-            stat_interval=suite.stat_interval,
-        )
-        result = train_coordinator(env_config, training, verbose=verbose)
-        coordinator = result.coordinator
-        factories[DISTRIBUTED_DRL] = coordinator.fresh
+        coordinator = train_coordinator(
+            env_config, training, verbose=verbose
+        ).coordinator
     if CENTRAL_DRL in include:
         central, _ = train_central_coordinator(
             env_config,
             CentralDRLConfig(),
-            ACKTRConfig(n_envs=suite.n_envs, n_steps=suite.n_steps),
-            seeds=tuple(suite.train_seeds),
+            training.rl,
+            seeds=tuple(training.seeds),
             updates_per_seed=suite.central_train_updates,
             verbose=verbose,
-            workers=suite.workers,
+            workers=training.workers,
         )
-        factories[CENTRAL_DRL] = central.fresh
-    if GCASP in include:
-        factories[GCASP] = partial(GCASPPolicy, network, catalog)
-    if SP in include:
-        factories[SP] = partial(ShortestPathPolicy, network, catalog)
-
     return AlgorithmSuite(
         env_config=env_config,
-        factories=factories,
+        algorithms=tuple(name for name in ALL_ALGORITHMS if name in include),
         coordinator=coordinator,
         central=central,
     )

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.parallel.timing import TaskTiming, TimingReport
-from repro.telemetry import NULL_RECORDER, Recorder
+from repro.telemetry import NULL_RECORDER, JsonlRecorder, Recorder
 
 __all__ = [
     "ParallelExecutionError",
@@ -143,10 +143,16 @@ def resolve_workers(
     return workers
 
 
-def _timed_call(fn: Callable[[Any], Any], task: Any) -> Tuple[Any, float]:
-    """Run one task and report its worker-side wall-clock."""
+def _timed_call(
+    fn: Callable[[Any, Recorder], Any], task: Any, stream: Recorder
+) -> Tuple[Any, float]:
+    """Run one task against its worker-local stream, close the stream,
+    and report the task's worker-side wall-clock."""
     start = time.perf_counter()
-    value = fn(task)
+    try:
+        value = fn(task, stream)
+    finally:
+        stream.close()
     return value, time.perf_counter() - start
 
 
@@ -164,37 +170,25 @@ def _pickle_failure(fn: Callable, tasks: Sequence[Any]) -> Optional[str]:
     return None
 
 
+def _discard(stream: Recorder) -> None:
+    """Delete a worker-local stream without merging it."""
+    if isinstance(stream, JsonlRecorder):
+        stream.close()
+        stream.path.unlink(missing_ok=True)
+
+
 def _run_serial(
-    fn: Callable[[Any], Any],
+    fn: Callable[[Any, Recorder], Any],
     tasks: Sequence[Any],
+    streams: Sequence[Recorder],
     labels: Sequence[str],
-    name: str,
-    mode: str,
-    note: str,
-    recorder: Recorder,
-    task_recorders: Optional[Sequence[Recorder]],
-) -> ParallelResult:
-    start = time.perf_counter()
-    values: List[Any] = []
-    timings: List[TaskTiming] = []
-    for task, label in zip(tasks, labels):
+    done: List[Tuple[Any, float]],
+) -> None:
+    for task, stream, label in zip(tasks, streams, labels):
         try:
-            value, seconds = _timed_call(fn, task)
+            done.append(_timed_call(fn, task, stream))
         except Exception as exc:
             raise WorkerTaskError(label, exc) from exc
-        values.append(value)
-        timings.append(TaskTiming(label=label, seconds=seconds))
-    report = TimingReport(
-        name=name,
-        mode=mode,
-        workers=1,
-        total_seconds=time.perf_counter() - start,
-        tasks=timings,
-        note=note,
-    )
-    return _finish_batch(
-        ParallelResult(values=values, timing=report), recorder, task_recorders
-    )
 
 
 def _abort(executor: Any) -> None:
@@ -206,54 +200,93 @@ def _abort(executor: Any) -> None:
     executor.shutdown(wait=True, cancel_futures=True)
 
 
-def _finish_batch(
-    result: ParallelResult,
-    recorder: Recorder,
-    task_recorders: Optional[Sequence[Recorder]],
-) -> ParallelResult:
-    """Merge worker-local telemetry streams and emit the batch's timing.
+def _execute(
+    fn: Callable[[Any, Recorder], Any],
+    tasks: Sequence[Any],
+    streams: Sequence[Recorder],
+    labels: Sequence[str],
+    workers: int,
+    timeout: Optional[float],
+    name: str,
+    done: List[Tuple[Any, float]],
+) -> Tuple[str, int, str]:
+    """Run the batch, appending each finished task's ``(value, seconds)``
+    to ``done`` in task order (so a failure leaves exactly the tasks that
+    precede the failing one); returns the report's mode, workers, note."""
+    if workers <= 1:
+        _run_serial(fn, tasks, streams, labels, done)
+        return "serial", 1, ""
+    reason = _pickle_failure(fn, tasks)
+    if reason is not None:
+        _run_serial(fn, tasks, streams, labels, done)
+        return "serial-fallback", 1, reason
 
-    Worker-local files are absorbed in *task order* (not completion
-    order), so the merged stream is identical for serial and parallel
-    execution of the same tasks.
-    """
-    if task_recorders is not None:
-        for child in task_recorders:
-            recorder.absorb(child)
-    if recorder.enabled:
-        report = result.timing
-        for task in report.tasks:
-            recorder.emit(
-                "task_timing", label=task.label, seconds=task.seconds,
-                batch=report.name,
-            )
-        recorder.emit(
-            "batch_timing",
-            name=report.name,
-            mode=report.mode,
-            workers=report.workers,
-            total_seconds=report.total_seconds,
-            serial_seconds=report.serial_seconds,
-            speedup=report.speedup,
-            utilization=report.utilization,
+    executor = None
+    try:
+        import multiprocessing as mp
+        from concurrent.futures import Future, ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FutureTimeout
+        from concurrent.futures.process import BrokenProcessPool
+
+        # fork where the platform has it (cheap on Linux); spawn is the
+        # only start method elsewhere, and the task protocol holds for both.
+        context = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         )
-    return result
+        executor = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        # The first submit starts the workers; when it cannot, no task has
+        # begun and the batch still runs in-process.
+        pending = [executor.submit(_timed_call, fn, tasks[0], streams[0])]
+    except (ImportError, NotImplementedError, OSError) as exc:  # pragma: no cover
+        if executor is not None:
+            _abort(executor)
+        _run_serial(fn, tasks, streams, labels, done)
+        return "serial-fallback", 1, f"could not start worker processes ({exc})"
+
+    try:
+        try:
+            for task, stream in zip(tasks[1:], streams[1:]):
+                pending.append(executor.submit(_timed_call, fn, task, stream))
+        except BrokenProcessPool as exc:
+            # Died during submission: fails like the futures it broke.
+            pending.append(Future())
+            pending[-1].set_exception(exc)
+        for label, future in zip(labels, pending):
+            try:
+                error = future.exception(timeout)
+            except FutureTimeout:
+                raise WorkerTimeoutError(label, timeout or 0.0) from None
+            if isinstance(error, BrokenProcessPool):
+                # A dead worker fails every unfinished future at once; in
+                # task order the first of them is this one.
+                raise WorkerDiedError(name, label) from error
+            if isinstance(error, ParallelExecutionError):
+                raise error
+            if error is not None:
+                raise WorkerTaskError(label, error) from error
+            done.append(future.result())
+    except BaseException:
+        _abort(executor)
+        raise
+    executor.shutdown(wait=True)
+    return "process-pool", workers, ""
 
 
 def run_tasks(
-    fn: Callable[[Any], Any],
+    fn: Callable[[Any, Recorder], Any],
     tasks: Sequence[Any],
     workers: Optional[int] = None,
     labels: Optional[Sequence[str]] = None,
     timeout: Optional[float] = None,
     name: str = "tasks",
     recorder: Recorder = NULL_RECORDER,
-    task_recorders: Optional[Sequence[Recorder]] = None,
 ) -> ParallelResult:
     """Map ``fn`` over ``tasks``, fanning out across worker processes.
 
     Args:
-        fn: Module-level (picklable) single-argument function.
+        fn: Module-level (picklable) function ``fn(task, recorder)``; the
+            recorder is the task's worker-local telemetry stream
+            (:data:`~repro.telemetry.NULL_RECORDER` when telemetry is off).
         tasks: Picklable task objects; each must be self-contained (own
             seeds, no shared mutable state) for the determinism guarantee.
         workers: Worker processes; ``None`` reads ``REPRO_WORKERS``
@@ -263,14 +296,19 @@ def run_tasks(
         timeout: Per-task seconds before the batch is aborted with
             :class:`WorkerTimeoutError`.
         name: Batch name for the timing report.
-        recorder: Telemetry sink; when enabled the batch emits one
-            ``task_timing`` record per task plus a ``batch_timing``
-            record, after merging ``task_recorders``.
-        task_recorders: Optional per-task worker-local recorders (aligned
-            with ``tasks``; see
-            :meth:`repro.telemetry.JsonlRecorder.for_task`).  Each task's
-            stream is merged into ``recorder`` in task order once the
-            batch completes, regardless of where the task ran.
+        recorder: Telemetry sink of the whole batch (see below).
+
+    Telemetry: this function owns the worker-stream protocol.  It derives
+    one stream per task from ``recorder`` (``for_task("<index>-<label>")``,
+    so equal labels cannot share a file; a file a dead run left at that
+    path is removed first), hands it to ``fn``, closes it where the task
+    ran, and once the batch completes absorbs the streams in *task order*
+    — the merged stream is identical for serial and pooled execution —
+    followed by one ``task_timing`` record per task and a
+    ``batch_timing`` record.  When the batch fails (or is interrupted) it
+    absorbs the streams of the tasks that precede the failing one in task
+    order, which is what a serial run would have finished, deletes the
+    rest and re-raises: no worker-local file outlives the call.
 
     Returns:
         :class:`ParallelResult` with values in task order and a
@@ -287,86 +325,57 @@ def run_tasks(
     labels = [str(label) for label in labels]
     if len(labels) != len(tasks):
         raise ValueError(f"{len(labels)} labels for {len(tasks)} tasks")
-    if task_recorders is not None and len(task_recorders) != len(tasks):
-        raise ValueError(
-            f"{len(task_recorders)} task recorders for {len(tasks)} tasks"
-        )
     workers = resolve_workers(workers, num_tasks=len(tasks))
     if not tasks:
         return ParallelResult(
             values=[],
             timing=TimingReport(name=name, mode="serial", workers=1, total_seconds=0.0),
         )
-    if workers <= 1:
-        return _run_serial(fn, tasks, labels, name, "serial", "", recorder, task_recorders)
-    reason = _pickle_failure(fn, tasks)
-    if reason is not None:
-        return _run_serial(
-            fn, tasks, labels, name, "serial-fallback", reason, recorder, task_recorders
-        )
-
-    executor = None
+    streams = [
+        recorder.for_task(f"{index}-{label}") for index, label in enumerate(labels)
+    ]
+    for stream in streams:
+        _discard(stream)
+    done: List[Tuple[Any, float]] = []
+    start = time.perf_counter()
     try:
-        import multiprocessing as mp
-        from concurrent.futures import Future, ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FutureTimeout
-        from concurrent.futures.process import BrokenProcessPool
-
-        # fork where the platform has it (cheap on Linux); spawn is the
-        # only start method elsewhere, and the task protocol holds for both.
-        context = mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        mode, workers, note = _execute(
+            fn, tasks, streams, labels, workers, timeout, name, done
         )
-        executor = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        start = time.perf_counter()
-        # The first submit starts the workers; when it cannot, no task has
-        # begun and the batch still runs in-process.
-        pending = [executor.submit(_timed_call, fn, tasks[0])]
-    except (ImportError, NotImplementedError, OSError) as exc:  # pragma: no cover
-        if executor is not None:
-            _abort(executor)
-        note = f"could not start worker processes ({exc})"
-        return _run_serial(
-            fn, tasks, labels, name, "serial-fallback", note, recorder, task_recorders
-        )
-
-    try:
-        try:
-            for task in tasks[1:]:
-                pending.append(executor.submit(_timed_call, fn, task))
-        except BrokenProcessPool as exc:
-            # Died during submission: fails like the futures it broke.
-            pending.append(Future())
-            pending[-1].set_exception(exc)
-        values: List[Any] = []
-        timings: List[TaskTiming] = []
-        for label, future in zip(labels, pending):
-            try:
-                error = future.exception(timeout)
-            except FutureTimeout:
-                raise WorkerTimeoutError(label, timeout or 0.0) from None
-            if isinstance(error, BrokenProcessPool):
-                # A dead worker fails every unfinished future at once; in
-                # task order the first of them is this one.
-                raise WorkerDiedError(name, label) from error
-            if isinstance(error, ParallelExecutionError):
-                raise error
-            if error is not None:
-                raise WorkerTaskError(label, error) from error
-            value, seconds = future.result()
-            values.append(value)
-            timings.append(TaskTiming(label=label, seconds=seconds))
     except BaseException:
-        _abort(executor)
+        for stream in streams[: len(done)]:
+            recorder.absorb(stream)
+        for stream in streams[len(done) :]:
+            _discard(stream)
+        recorder.flush()
         raise
-    executor.shutdown(wait=True)
     report = TimingReport(
         name=name,
-        mode="process-pool",
+        mode=mode,
         workers=workers,
         total_seconds=time.perf_counter() - start,
-        tasks=timings,
+        tasks=[
+            TaskTiming(label=label, seconds=seconds)
+            for label, (_, seconds) in zip(labels, done)
+        ],
+        note=note,
     )
-    return _finish_batch(
-        ParallelResult(values=values, timing=report), recorder, task_recorders
-    )
+    for stream in streams:
+        recorder.absorb(stream)
+    if recorder.enabled:
+        for task in report.tasks:
+            recorder.emit(
+                "task_timing", label=task.label, seconds=task.seconds,
+                batch=report.name,
+            )
+        recorder.emit(
+            "batch_timing",
+            name=report.name,
+            mode=report.mode,
+            workers=report.workers,
+            total_seconds=report.total_seconds,
+            serial_seconds=report.serial_seconds,
+            speedup=report.speedup,
+            utilization=report.utilization,
+        )
+    return ParallelResult(values=[value for value, _ in done], timing=report)

@@ -6,17 +6,16 @@ the one with the highest reward for online inference.
 
 The ``k`` per-seed runs are independent, so :func:`train_multi_seed` can
 fan them out across worker processes (``workers`` argument or the
-``REPRO_WORKERS`` environment variable).  When the environment factory is
-a picklable :class:`~repro.parallel.protocol.EnvBuilder`, each seed's
+``REPRO_WORKERS`` environment variable).  The environment factory is a
+picklable :class:`~repro.parallel.protocol.EnvBuilder`, so each seed's
 task is fully self-contained and parallel results are bit-identical to
-serial ones; legacy zero-arg factories (closures over shared counters)
-always run serially because their call order cannot be replayed per seed.
+serial ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -172,16 +171,13 @@ class _SeedTask:
     eval_episodes: int
     #: Inference dtype of the selection evaluation ("f64"/"f32").
     eval_dtype: str = "f64"
-    #: Worker-local telemetry stream (merged into the parent's after the
-    #: batch; see :meth:`repro.telemetry.JsonlRecorder.for_task`).
-    recorder: Recorder = NULL_RECORDER
 
 
-def _run_seed_task(task: _SeedTask) -> SeedResult:
+def _run_seed_task(task: _SeedTask, recorder: Recorder) -> SeedResult:
     """Train one seed; runs in a worker process or in-process (serial)."""
     trainer_cls = ACKTRTrainer if task.algorithm == "acktr" else A2CTrainer
     trainer = trainer_cls(
-        task.env_factory, task.config, seed=task.seed, recorder=task.recorder
+        task.env_factory, task.config, seed=task.seed, recorder=recorder
     )
     trainer.train(task.updates)
     evaluation = evaluate_policy(
@@ -190,17 +186,16 @@ def _run_seed_task(task: _SeedTask) -> SeedResult:
         episodes=task.eval_episodes,
         rng=np.random.default_rng(task.seed),
         dtype=task.eval_dtype,
-        recorder=task.recorder,
+        recorder=recorder,
     )
-    if task.recorder.enabled:
-        task.recorder.emit(
+    if recorder.enabled:
+        recorder.emit(
             "seed_result",
             seed=task.seed,
             mean_episode_reward=evaluation["mean_episode_reward"],
             episodes=len(trainer.episode_history),
             algorithm=task.algorithm,
         )
-        task.recorder.close()
     return SeedResult(
         seed=task.seed,
         policy=trainer.policy,
@@ -210,7 +205,7 @@ def _run_seed_task(task: _SeedTask) -> SeedResult:
 
 
 def train_multi_seed(
-    env_factory: Union[Callable[[], Env], EnvBuilder],
+    env_factory: EnvBuilder,
     config: A2CConfig = ACKTRConfig(),
     seeds: Sequence[int] = tuple(range(10)),
     updates_per_seed: int = 50,
@@ -225,11 +220,9 @@ def train_multi_seed(
     """Train ``len(seeds)`` agents and select the best (Alg. 1, line 13).
 
     Args:
-        env_factory: Creates fresh environment copies (used for both
-            training and evaluation).  Pass an
-            :class:`~repro.parallel.protocol.EnvBuilder` to allow the
-            per-seed runs to fan out across processes; a plain zero-arg
-            callable still works but forces serial execution.
+        env_factory: An :class:`~repro.parallel.protocol.EnvBuilder`;
+            creates fresh environment copies (used for both training and
+            evaluation), each seed replaying its own slice of env seeds.
         config: Trainer hyperparameters (k seeds x l parallel envs).
         seeds: Training seeds (paper: k = 10).
         updates_per_seed: Gradient updates per seed.
@@ -255,6 +248,11 @@ def train_multi_seed(
         Per-seed results and the best agent by greedy evaluation reward,
         plus a timing report of the fan-out.
     """
+    if not isinstance(env_factory, EnvBuilder):
+        raise TypeError(
+            "env_factory must be a repro.parallel.EnvBuilder (a picklable "
+            f"seed-to-environment factory), got {type(env_factory).__name__}"
+        )
     if algorithm not in ("acktr", "a2c"):
         raise ValueError(f"unknown algorithm {algorithm!r}; use 'acktr' or 'a2c'")
     if algorithm == "acktr" and not isinstance(config, ACKTRConfig):
@@ -267,53 +265,30 @@ def train_multi_seed(
     )
 
     # Each seed's trainer makes n_envs factory calls plus one for the
-    # greedy evaluation env; an EnvBuilder lets every seed replay its own
-    # slice of that call sequence independently of the others.
-    distributable = isinstance(env_factory, EnvBuilder)
+    # greedy evaluation env; every seed replays its own slice of that
+    # call sequence independently of the others.
     calls_per_seed = config.n_envs + 1
-    labels = [f"seed {seed}" for seed in seeds]
-    task_recorders = (
-        [recorder.for_task(label) for label in labels] if recorder.enabled else None
-    )
-    tasks: List[_SeedTask] = []
-    for index, seed in enumerate(seeds):
-        if distributable:
-            factory: Callable[[], Env] = CountingEnvFactory(
-                env_factory, offset=index * calls_per_seed
-            )
-        else:
-            factory = env_factory
-        tasks.append(
-            _SeedTask(
-                env_factory=factory,
-                config=config,
-                algorithm=algorithm,
-                seed=seed,
-                updates=updates_per_seed,
-                eval_episodes=eval_episodes,
-                eval_dtype=eval_dtype_str,
-                recorder=(
-                    task_recorders[index] if task_recorders else NULL_RECORDER
-                ),
-            )
+    tasks = [
+        _SeedTask(
+            env_factory=CountingEnvFactory(env_factory, offset=index * calls_per_seed),
+            config=config,
+            algorithm=algorithm,
+            seed=seed,
+            updates=updates_per_seed,
+            eval_episodes=eval_episodes,
+            eval_dtype=eval_dtype_str,
         )
-
+        for index, seed in enumerate(seeds)
+    ]
     outcome = run_tasks(
         _run_seed_task,
         tasks,
-        workers=1 if not distributable else workers,
-        labels=labels,
+        workers=workers,
+        labels=[f"seed {seed}" for seed in seeds],
         timeout=timeout,
         name=f"train[{algorithm}]",
         recorder=recorder,
-        task_recorders=task_recorders,
     )
-    if not distributable and workers not in (None, 1):
-        outcome.timing.mode = "serial-fallback"
-        outcome.timing.note = (
-            "env_factory is a zero-arg callable; pass a repro.parallel.EnvBuilder "
-            "to fan training seeds out across processes"
-        )
 
     results: List[SeedResult] = outcome.values
     if verbose:

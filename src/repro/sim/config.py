@@ -27,9 +27,6 @@ class SimulationConfig:
             :class:`~repro.sim.metrics.SimulationMetrics`.
         check_invariants: Run state-invariant assertions after every event.
             Slow; meant for tests and debugging.
-        metrics_series_cap: Optional bound on the per-flow success-ratio
-            time series kept by the metrics collector; long-horizon runs
-            stay memory-flat via stride decimation.  None = unbounded.
         faults: Optional fault scenario (link failures, node outages,
             capacity degradations) injected into the run; the concrete
             schedule is derived deterministically from this config, the
@@ -42,7 +39,6 @@ class SimulationConfig:
     keep_duration: float = 1.0
     drop_active_at_horizon: bool = False
     check_invariants: bool = False
-    metrics_series_cap: Optional[int] = None
     faults: Optional[FaultScenarioConfig] = None
 
     def __post_init__(self) -> None:
@@ -50,7 +46,3 @@ class SimulationConfig:
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
         if self.keep_duration <= 0:
             raise ValueError(f"keep_duration must be > 0, got {self.keep_duration}")
-        if self.metrics_series_cap is not None and self.metrics_series_cap < 2:
-            raise ValueError(
-                f"metrics_series_cap must be >= 2, got {self.metrics_series_cap}"
-            )

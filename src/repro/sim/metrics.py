@@ -108,12 +108,6 @@ class MetricsCollector:
     """Accumulates flow outcomes during a simulation run.
 
     Args:
-        series_cap: Optional upper bound on the length of
-            :attr:`success_series`.  When the series would exceed the
-            cap, it is decimated: every other retained sample is dropped
-            and the sampling stride doubles, so arbitrarily long
-            horizons keep memory flat while the series still spans the
-            whole run.  ``None`` (default) records every finished flow.
         phase_boundaries: ``(first onset, last recovery)`` of the run's
             fault schedule.  When given, finished flows are additionally
             tallied into pre-failure / during-failure / post-recovery
@@ -125,12 +119,8 @@ class MetricsCollector:
     _PHASES = ("pre_failure", "during_failure", "post_recovery")
 
     def __init__(
-        self,
-        series_cap: Optional[int] = None,
-        phase_boundaries: Optional[Tuple[float, float]] = None,
+        self, phase_boundaries: Optional[Tuple[float, float]] = None
     ) -> None:
-        if series_cap is not None and series_cap < 2:
-            raise ValueError(f"series_cap must be >= 2, got {series_cap}")
         if phase_boundaries is not None and phase_boundaries[0] > phase_boundaries[1]:
             raise ValueError(
                 f"phase boundaries out of order: {phase_boundaries}"
@@ -145,14 +135,8 @@ class MetricsCollector:
         self.decisions = 0
         self._delays: List[float] = []
         self._hops: List[int] = []
-        #: (time, success_ratio_so_far) samples; one per finished flow
-        #: when uncapped, decimated to at most ``series_cap`` otherwise.
+        #: (time, success_ratio_so_far) samples, one per finished flow.
         self.success_series: List[Tuple[float, float]] = []
-        self.series_cap = series_cap
-        #: Current sampling stride (1 = every finished flow; doubles on
-        #: each decimation).
-        self._series_stride = 1
-        self._finished_since_sample = 0
 
     def record_generated(self, flow: Flow) -> None:
         self.flows_generated += 1
@@ -193,16 +177,7 @@ class MetricsCollector:
         finished = self.flows_succeeded + self.flows_dropped
         if time is None or finished <= 0:
             return
-        self._finished_since_sample += 1
-        if self._finished_since_sample < self._series_stride:
-            return
-        self._finished_since_sample = 0
         self.success_series.append((time, self.flows_succeeded / finished))
-        if self.series_cap is not None and len(self.success_series) >= self.series_cap:
-            # Keep every other sample and double the stride: the series
-            # stays within the cap and still covers the whole run.
-            self.success_series = self.success_series[::2]
-            self._series_stride *= 2
 
     @property
     def flows_active(self) -> int:

@@ -187,7 +187,6 @@ class Simulator:
                 self.faults = FaultInjector(network, self.state, schedule)
 
         self.metrics = MetricsCollector(
-            series_cap=config.metrics_series_cap,
             phase_boundaries=(
                 self.faults.phase_boundaries if self.faults is not None else None
             ),

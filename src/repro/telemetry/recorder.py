@@ -14,14 +14,15 @@ Worker processes
 
 A :class:`JsonlRecorder` pickles (the open file handle is dropped and
 reopened lazily), but concurrent workers appending to one shared file
-would interleave records nondeterministically.  The contract instead:
-the parent derives one *worker-local* recorder per task with
-:meth:`JsonlRecorder.for_task` (a deterministic sibling path), ships it
-inside the task object, and after the batch completes merges each
-worker file back into its own stream — in task order — with
-:meth:`JsonlRecorder.absorb`.  The merged stream is therefore identical
-for serial and parallel execution (modulo wall-clock values; see
-:func:`repro.telemetry.schema.canonical_stream`).
+would interleave records nondeterministically.  The contract instead,
+kept in one place (:func:`repro.parallel.pool.run_tasks`): the batch
+derives one *worker-local* recorder per task with
+:meth:`JsonlRecorder.for_task` (a deterministic sibling path), hands it
+to the task function, closes it where the task ran, and after the batch
+completes merges each worker file back into its own stream — in task
+order — with :meth:`JsonlRecorder.absorb`.  The merged stream is
+therefore identical for serial and parallel execution (modulo
+wall-clock values; see :func:`repro.telemetry.schema.canonical_stream`).
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class JsonlRecorder(Recorder):
         self.validate = validate
         self._fh: Optional[IO[str]] = None
 
-    # -- pickling: recorders travel inside parallel task objects --------
+    # -- pickling: worker-local recorders cross the process boundary ----
 
     def __getstate__(self) -> Dict[str, Any]:
         return {"path": self.path, "validate": self.validate}

@@ -136,8 +136,8 @@ class TestProgramModel:
 
 class TestSelfFlowClean:
     def test_repo_source_tree_is_flow_clean(self):
-        """Acceptance: ``repro lint --flow`` is clean on the real tree
-        (no flow rule is waived anywhere, so zero findings is
+        """Acceptance: the flow pass of ``repro lint`` is clean on the
+        real tree (no flow rule is waived anywhere, so zero findings is
         required)."""
         findings = analyze_paths(
             [REPO_ROOT / "src" / "repro", REPO_ROOT / "benchmarks"],

@@ -150,7 +150,7 @@ class TestSarifFormat:
 
     def test_sarif_with_flow_declares_flow_rules(self, bad_tree):
         _, report = run_lint(
-            [str(bad_tree)], output_format="sarif", root=bad_tree, flow=True
+            [str(bad_tree)], output_format="sarif", root=bad_tree
         )
         doc = json.loads(report)
         rule_ids = {rule["id"] for rule in doc["runs"][0]["tool"]["driver"]["rules"]}
@@ -194,25 +194,16 @@ class TestFlowCli:
 
     def test_flow_flag_surfaces_flow_findings(self, capsys):
         code = main(
-            ["lint", str(self.FIXTURES / "rep105_bad"), "--flow",
-             "--format", "json"]
+            ["lint", str(self.FIXTURES / "rep105_bad"), "--format", "json"]
         )
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert "REP105" in [f["rule"] for f in payload["findings"]]
         assert "REP105" in payload["rules"]
 
-    def test_without_flow_flag_flow_rules_stay_silent(self, capsys):
-        code = main(
-            ["lint", str(self.FIXTURES / "rep105_bad"), "--format", "json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert "REP105" not in [f["rule"] for f in payload["findings"]]
-        assert code == 0
-
     def test_flow_select_filters_flow_rules(self, capsys):
         code = main(
-            ["lint", str(self.FIXTURES / "rep105_bad"), "--flow",
+            ["lint", str(self.FIXTURES / "rep105_bad"),
              "--select", "REP101", "--format", "json"]
         )
         payload = json.loads(capsys.readouterr().out)
@@ -242,13 +233,13 @@ class TestFlowCli:
 
 
 class TestSelfFlowLint:
-    """The CI lint-flow invocation must be clean on the repository."""
+    """The CI lint invocation must be clean on the repository."""
 
     def test_flow_module_invocation_is_clean(self, tmp_path):
-        sarif_path = tmp_path / "lint-flow.sarif"
+        sarif_path = tmp_path / "lint.sarif"
         result = subprocess.run(
             [sys.executable, "-m", "repro", "lint", "src/repro", "benchmarks",
-             "--flow", "--format", "sarif", "--output", str(sarif_path)],
+             "--format", "sarif", "--output", str(sarif_path)],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,

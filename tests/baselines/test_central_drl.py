@@ -84,24 +84,6 @@ class TestRuleExecutor:
         with pytest.raises(ValueError, match="not in network"):
             executor.set_targets({"c1": "v1", "c2": "nope"})
 
-    def test_weight_mode_samples_per_flow(self):
-        net, catalog, _ = setup()
-        executor = RuleExecutor(net, catalog, seed=0)
-        weights = {"c1": np.array([0.5, 0.5, 0.0])}
-        executor.set_target_weights(weights)
-        targets = {executor._target_for(i, "c1") for i in range(50)}
-        assert targets == {"v1", "v2"}
-        # Assignment is sticky per flow.
-        assert executor._target_for(0, "c1") == executor._target_for(0, "c1")
-
-    def test_weight_validation(self):
-        net, catalog, _ = setup()
-        executor = RuleExecutor(net, catalog)
-        with pytest.raises(ValueError, match="sum to 1"):
-            executor.set_target_weights({"c1": np.array([0.5, 0.2, 0.0])})
-        with pytest.raises(ValueError, match="non-negative"):
-            executor.set_target_weights({"c1": np.array([1.5, -0.5, 0.0])})
-
 
 class TestCentralizedEnv:
     def test_micro_step_structure(self):

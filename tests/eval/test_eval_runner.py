@@ -1,7 +1,9 @@
 """Tests for the experiment runner (with tiny training budgets)."""
 
 import math
+from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.eval.runner import (
@@ -14,17 +16,18 @@ from repro.eval.runner import (
     build_algorithm_suite,
     evaluate_policy_on_scenario,
 )
+from repro.core.trainer import TrainingConfig
 from repro.eval.scenarios import base_scenario
 from repro.baselines.shortest_path import ShortestPathPolicy
+from repro.rl.acktr import ACKTRConfig
+from repro.telemetry import JsonlRecorder, canonical_stream, load_stream
 
 
 TINY = SuiteConfig(
-    train_seeds=(0,),
-    train_updates=3,
+    training=TrainingConfig(
+        seeds=(0,), updates_per_seed=3, rl=ACKTRConfig(n_envs=2, n_steps=8)
+    ),
     central_train_updates=3,
-    eval_seeds=(0, 1),
-    n_envs=2,
-    n_steps=8,
 )
 
 
@@ -113,6 +116,28 @@ class TestEvaluatePolicy:
         assert a.success_ratios == b.success_ratios
 
 
+class TestRepeatedSeedTelemetry:
+    """Two tasks with one label used to share one worker-local file."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equal_seeds_give_two_well_formed_records(
+        self, scenario, tmp_path, workers
+    ):
+        recorder = JsonlRecorder(tmp_path / "metrics.jsonl")
+        evaluate_policy_on_scenario(
+            scenario,
+            partial(ShortestPathPolicy, scenario.network, scenario.catalog),
+            "SP",
+            eval_seeds=(0, 0),
+            workers=workers,
+            recorder=recorder,
+        )
+        recorder.close()
+        stream = canonical_stream(load_stream(tmp_path / "metrics.jsonl"))
+        first, second = [r for r in stream if r["kind"] == "sim_run"]
+        assert first == second
+
+
 class TestSuite:
     def test_builds_all_four_algorithms(self, suite):
         assert set(suite.factories) == set(ALL_ALGORITHMS)
@@ -132,10 +157,34 @@ class TestSuite:
         drl = factories[DISTRIBUTED_DRL]()
         assert drl.network.ingress == other.network.ingress
 
-    def test_factories_for_same_scenario_is_identity(self, suite, scenario):
-        assert suite.factories_for(suite.env_config) is suite.factories
+    @staticmethod
+    def _assert_factories_match_compare(suite, env_config, seed=5):
+        """The grid has one implementation: each factory, evaluated on its
+        own for one seed, gives that algorithm's row of ``compare``."""
+        compared = suite.compare(env_config, eval_seeds=(seed,))
+        factories = suite.factories_for(env_config)
+        assert list(factories) == list(compared)
+        for name, factory in factories.items():
+            single = evaluate_policy_on_scenario(
+                env_config, factory, name, eval_seeds=(seed,)
+            )
+            assert single.success_ratios == compared[name].success_ratios
+            assert single.delay_weights == compared[name].delay_weights
+            np.testing.assert_array_equal(
+                single.avg_delays, compared[name].avg_delays
+            )
+
+    def test_factories_for_same_scenario_is_identity(self, suite):
+        """On the training scenario ``factories_for`` is what ``factories``
+        and ``compare`` deploy — there is no second construction."""
+        assert list(suite.factories) == list(suite.factories_for(suite.env_config))
+        self._assert_factories_match_compare(suite, suite.env_config)
+
+    def test_factories_for_other_scenario_match_compare(self, suite):
+        other = base_scenario(pattern="fixed", num_ingress=2, horizon=300.0)
+        self._assert_factories_match_compare(suite, other)
 
     def test_subset_include(self, scenario):
-        partial = build_algorithm_suite(scenario, TINY, include=(SP, GCASP))
-        assert set(partial.factories) == {SP, GCASP}
-        assert partial.coordinator is None
+        subset = build_algorithm_suite(scenario, TINY, include=(SP, GCASP))
+        assert set(subset.factories) == {SP, GCASP}
+        assert subset.coordinator is None

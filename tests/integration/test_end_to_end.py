@@ -17,6 +17,7 @@ from repro.core import (
     train_coordinator,
 )
 from repro.eval import base_scenario, evaluate_policy_on_scenario
+from repro.rl.acktr import ACKTRConfig
 from repro.sim import Simulator
 from repro.topology import line_network
 
@@ -31,7 +32,9 @@ def trained():
     config = make_env_config(net, catalog, horizon=300.0, interval=8.0)
     result = train_coordinator(
         config,
-        TrainingConfig(seeds=(0,), updates_per_seed=120, n_envs=2, n_steps=32),
+        TrainingConfig(
+            seeds=(0,), updates_per_seed=120, rl=ACKTRConfig(n_envs=2, n_steps=32)
+        ),
     )
     return net, catalog, config, result
 

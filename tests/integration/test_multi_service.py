@@ -13,6 +13,7 @@ import pytest
 
 from repro.baselines import GCASPPolicy
 from repro.core import CoordinationEnvConfig, TrainingConfig, train_coordinator
+from repro.rl.acktr import ACKTRConfig
 from repro.services import Component, Service, ServiceCatalog
 from repro.sim import SimulationConfig, Simulator
 from repro.topology import line_network
@@ -61,8 +62,8 @@ class TestMultiServiceCoordination:
         net, catalog, config = multi_service_setup
         result = train_coordinator(
             config,
-            TrainingConfig(seeds=(0,), updates_per_seed=120, n_envs=2,
-                           n_steps=32),
+            TrainingConfig(seeds=(0,), updates_per_seed=120,
+                           rl=ACKTRConfig(n_envs=2, n_steps=32)),
         )
         traffic = config.traffic_factory(np.random.default_rng(99))
         sim = Simulator(net, catalog, traffic, config.sim_config)

@@ -85,17 +85,6 @@ class TestTrainingDeterminism:
                     workers=workers,
                 )
 
-    def test_legacy_factory_falls_back_to_serial(self):
-        result = train_multi_seed(
-            lambda: ContextualBanditEnv(episode_length=10),
-            config=ACKTRConfig(n_steps=8, n_envs=2),
-            seeds=(0, 1),
-            updates_per_seed=2,
-            workers=4,
-        )
-        assert result.timing.mode == "serial-fallback"
-        assert "EnvBuilder" in result.timing.note
-
 
 class TestEvaluationDeterminism:
     @pytest.fixture(scope="class")

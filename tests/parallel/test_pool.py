@@ -13,28 +13,41 @@ from repro.parallel import (
     run_tasks,
     usable_cpus,
 )
+from repro.telemetry import JsonlRecorder, load_stream
 
 
 # Module-level helpers so they cross process boundaries.
 
 
-def _square(task):
+def _square(task, recorder):
     return task * task
 
 
-def _fail_on(task):
+def _fail_on(task, recorder):
     if task == 3:
         raise RuntimeError("injected failure")
     return task
 
 
-def _sleep(seconds):
+def _sleep(seconds, recorder):
     time.sleep(seconds)
     return seconds
 
 
-def _type_name(task):
+def _type_name(task, recorder):
     return type(task).__name__
+
+
+def _note(task, recorder):
+    recorder.emit("note", message=f"task {task}")
+    return task
+
+
+def _note_then_fail_on_2(task, recorder):
+    recorder.emit("note", message=f"task {task}")
+    if task == 2:
+        raise RuntimeError("injected failure")
+    return task
 
 
 class TestResolveWorkers:
@@ -160,7 +173,7 @@ class TestRunTasksPool:
         assert outcome.values == run_tasks(_square, list(range(5)), workers=1).values
 
     def test_unpicklable_fn_falls_back_to_serial(self):
-        outcome = run_tasks(lambda task: task + 1, [1, 2], workers=2)
+        outcome = run_tasks(lambda task, recorder: task + 1, [1, 2], workers=2)
         assert outcome.values == [2, 3]
         assert outcome.timing.mode == "serial-fallback"
         assert "not picklable" in outcome.timing.note
@@ -172,6 +185,62 @@ class TestRunTasksPool:
         assert outcome.values == ["int", "function"]
         assert outcome.timing.mode == "serial-fallback"
         assert "task 1" in outcome.timing.note
+
+
+class TestWorkerStreams:
+    """``run_tasks`` owns the worker-local telemetry files: whatever
+    happens to the batch, only the run's own stream is left behind."""
+
+    LABELS = [f"seed {i}" for i in range(4)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_batch_keeps_what_a_serial_run_finished(self, tmp_path, workers):
+        recorder = JsonlRecorder(tmp_path / "metrics.jsonl")
+        with pytest.raises(WorkerTaskError, match="'seed 2'"):
+            run_tasks(
+                _note_then_fail_on_2, [0, 1, 2, 3], workers=workers,
+                labels=self.LABELS, recorder=recorder,
+            )
+        recorder.close()
+        assert sorted(os.listdir(tmp_path)) == ["metrics.jsonl"]
+        assert load_stream(tmp_path / "metrics.jsonl") == [
+            {"kind": "note", "message": "task 0"},
+            {"kind": "note", "message": "task 1"},
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stale_stream_of_a_dead_run_is_not_merged(self, tmp_path, workers):
+        recorder = JsonlRecorder(tmp_path / "metrics.jsonl")
+        stale = recorder.for_task("0-seed 0")
+        stale.emit("note", message="left by a dead run")
+        stale.close()
+        run_tasks(
+            _note, [0, 1], workers=workers, labels=self.LABELS[:2],
+            recorder=recorder,
+        )
+        recorder.close()
+        notes = [
+            r["message"]
+            for r in load_stream(tmp_path / "metrics.jsonl")
+            if r["kind"] == "note"
+        ]
+        assert notes == ["task 0", "task 1"]
+        assert sorted(os.listdir(tmp_path)) == ["metrics.jsonl"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equal_labels_get_separate_streams(self, tmp_path, workers):
+        recorder = JsonlRecorder(tmp_path / "metrics.jsonl")
+        run_tasks(
+            _note, [0, 1, 2], workers=workers, labels=["same"] * 3,
+            recorder=recorder,
+        )
+        recorder.close()
+        notes = [
+            r["message"]
+            for r in load_stream(tmp_path / "metrics.jsonl")
+            if r["kind"] == "note"
+        ]
+        assert notes == ["task 0", "task 1", "task 2"]
 
 
 class TestTimingReport:

@@ -14,9 +14,12 @@ BATCH = """
 import json, multiprocessing, os, signal, time
 
 from repro.parallel import ParallelExecutionError, run_tasks
+from repro.telemetry import JsonlRecorder
 
 
-def work(task):
+def work(task, recorder):
+    recorder.emit("note", message=f"task {task}")
+    recorder.flush()
     if task == 1:
         os.kill(os.getpid(), signal.SIGKILL)
     time.sleep(0.2)
@@ -25,10 +28,11 @@ def work(task):
 
 if __name__ == "__main__":
     start = time.perf_counter()
+    recorder = JsonlRecorder(os.path.join(os.environ["DOOMED_DIR"], "metrics.jsonl"))
     try:
         run_tasks(
             work, [0, 1, 2, 3], workers=2, name="doomed batch",
-            labels=[f"seed {i}" for i in range(4)],
+            labels=[f"seed {i}" for i in range(4)], recorder=recorder,
         )
     except ParallelExecutionError as exc:
         outcome = {
@@ -39,7 +43,9 @@ if __name__ == "__main__":
         }
     else:
         outcome = {"error": None}
+    recorder.close()
     outcome["seconds"] = time.perf_counter() - start
+    outcome["streams"] = sorted(os.listdir(os.environ["DOOMED_DIR"]))
     outcome["children"] = len(multiprocessing.active_children())
     print(json.dumps(outcome))
 """
@@ -48,7 +54,9 @@ if __name__ == "__main__":
 def test_sigkilled_worker_fails_the_batch_and_leaves_no_process(tmp_path):
     script = tmp_path / "doomed_batch.py"
     script.write_text(BATCH)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    streams = tmp_path / "telemetry"
+    streams.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(SRC), DOOMED_DIR=str(streams))
     done = subprocess.run(
         [sys.executable, str(script)],
         env=env, capture_output=True, text=True, timeout=30,
@@ -64,3 +72,6 @@ def test_sigkilled_worker_fails_the_batch_and_leaves_no_process(tmp_path):
     assert outcome["label"] in outcome["message"]
     assert outcome["seconds"] < 10.0
     assert outcome["children"] == 0
+    # The dead worker's half-written stream (and every other worker-local
+    # file) is gone; at most the run's own stream remains.
+    assert set(outcome["streams"]) <= {"metrics.jsonl"}

@@ -7,6 +7,7 @@ from repro.rl.acktr import ACKTRConfig
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.training import evaluate_policy, train_multi_seed
 
+from tests.parallel.test_determinism import BanditBuilder
 from tests.rl.toy_envs import ContextualBanditEnv
 
 
@@ -41,7 +42,7 @@ class TestEvaluatePolicy:
 class TestTrainMultiSeed:
     def test_selects_best_seed(self):
         result = train_multi_seed(
-            lambda: ContextualBanditEnv(),
+            BanditBuilder(),
             config=ACKTRConfig(n_steps=20, n_envs=2),
             seeds=(0, 1, 2),
             updates_per_seed=15,
@@ -54,7 +55,7 @@ class TestTrainMultiSeed:
 
     def test_a2c_algorithm_choice(self):
         result = train_multi_seed(
-            lambda: ContextualBanditEnv(),
+            BanditBuilder(),
             config=ACKTRConfig(learning_rate=0.003, n_steps=10, n_envs=2),
             seeds=(0,),
             updates_per_seed=5,
@@ -65,7 +66,7 @@ class TestTrainMultiSeed:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             train_multi_seed(
-                lambda: ContextualBanditEnv(), seeds=(0,), algorithm="ppo"
+                BanditBuilder(), seeds=(0,), algorithm="ppo"
             )
 
     @pytest.mark.parametrize("eval_episodes", [0, -3])
@@ -74,13 +75,13 @@ class TestTrainMultiSeed:
         keys silently "selected" the first seed."""
         with pytest.raises(ValueError, match="eval_episodes must be >= 1"):
             train_multi_seed(
-                lambda: ContextualBanditEnv(), seeds=(0,),
+                BanditBuilder(), seeds=(0,),
                 eval_episodes=eval_episodes,
             )
 
     def test_distinct_seeds_distinct_policies(self):
         result = train_multi_seed(
-            lambda: ContextualBanditEnv(),
+            BanditBuilder(),
             config=ACKTRConfig(n_steps=10, n_envs=2),
             seeds=(0, 1),
             updates_per_seed=3,

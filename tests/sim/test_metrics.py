@@ -107,32 +107,6 @@ class TestSeriesCap:
         _finish_flows(collector, 500)
         assert len(collector.success_series) == 500
 
-    @pytest.mark.parametrize("cap", [2, 16, 100])
-    def test_series_never_exceeds_cap(self, cap):
-        collector = MetricsCollector(series_cap=cap)
-        _finish_flows(collector, 10 * cap + 7)
-        assert len(collector.success_series) <= cap
-
-    def test_decimated_series_still_spans_the_run(self):
-        collector = MetricsCollector(series_cap=16)
-        _finish_flows(collector, 1000)
-        times = [t for t, _ in collector.success_series]
-        assert times == sorted(times)
-        assert times[0] < 100.0  # early samples survive decimation
-        assert times[-1] > 900.0  # and the series reaches the end
-
-    def test_cap_does_not_change_final_counters(self):
-        capped = MetricsCollector(series_cap=4)
-        uncapped = MetricsCollector()
-        for collector in (capped, uncapped):
-            _finish_flows(collector, 50)
-        assert capped.success_ratio == uncapped.success_ratio
-        assert capped.flows_succeeded == uncapped.flows_succeeded
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError, match="series_cap"):
-            MetricsCollector(series_cap=1)
-
 
 class TestSuccessRatioSemantics:
     """Pin the documented 0.0 ambiguity and in-flight accounting."""

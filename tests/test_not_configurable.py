@@ -4,19 +4,32 @@ Each of these was an option nobody set (ISSUE 20): the pool's start
 method and phase attribution were environment variables, the lint
 baseline four CLI flags and three ``run_lint`` parameters, the
 observation hand-off a ``copy=`` argument and an env attribute, and two
-trainer arguments had no caller.  The names below may appear only here —
-CI greps for them everywhere else.
+trainer arguments had no caller.  ISSUE 24 added the fan-out's
+worker-stream plumbing (now inside ``run_tasks``), the zero-arg training
+factory, the hyperparameters ``TrainingConfig`` / ``SuiteConfig`` copied
+from ``ACKTRConfig``, two options only tests set and the lint's subset
+mode.  The names below may appear only here — CI greps for them
+everywhere else.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.analysis.linter import run_lint
+from repro.baselines.central_drl import CentralDRLConfig
 from repro.cli import build_parser
 from repro.core.env import ServiceCoordinationEnv
+from repro.core.trainer import TrainingConfig
+from repro.eval.runner import SuiteConfig, _EvalSeedTask
 from repro.parallel import run_tasks
 from repro.rl.a2c import A2CConfig, A2CTrainer
+from repro.rl.acktr import ACKTRConfig
+from repro.rl.training import _SeedTask, train_multi_seed
+from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator
 from repro.topology import line_network
 
@@ -24,7 +37,7 @@ from tests.conftest import make_env_config, make_flow_specs, make_simple_catalog
 from tests.rl.toy_envs import ContextualBanditEnv
 
 
-def _square(task):
+def _square(task, recorder):
     return task * task
 
 
@@ -103,3 +116,61 @@ class TestTrainerConstants:
         )
         with pytest.raises(TypeError):
             trainer.train(1, log_every=1)
+
+
+def _field_names(cls):
+    return {field.name for field in dataclasses.fields(cls)}
+
+
+class TestFanOutContractLivesInRunTasks:
+    def test_run_tasks_takes_no_task_recorders(self):
+        assert "task_recorders" not in inspect.signature(run_tasks).parameters
+
+    @pytest.mark.parametrize("task_cls", [_SeedTask, _EvalSeedTask])
+    def test_tasks_carry_no_recorder(self, task_cls):
+        assert "recorder" not in _field_names(task_cls)
+
+    def test_zero_arg_env_factory_is_a_type_error(self):
+        env = ContextualBanditEnv()
+        with pytest.raises(TypeError, match="EnvBuilder"):
+            train_multi_seed(lambda: env, seeds=(0,), updates_per_seed=1)
+
+
+class TestOneConfigCarriesTheHyperparameters:
+    def test_training_config_copies_no_acktr_field(self):
+        copied = {
+            "n_envs", "n_steps", "learning_rate", "gamma", "entropy_coef",
+            "value_loss_coef", "kl_clip", "max_grad_norm", "stat_interval",
+        }
+        assert not copied & _field_names(TrainingConfig)
+        assert not hasattr(TrainingConfig, "to_acktr_config")
+        assert TrainingConfig().rl == ACKTRConfig()
+
+    def test_suite_config_respells_no_training_field(self):
+        respelled = {
+            "train_seeds", "train_updates", "n_envs", "n_steps", "workers",
+            "eval_dtype", "stat_interval", "eval_seeds",
+        }
+        assert not respelled & _field_names(SuiteConfig)
+
+
+class TestOptionsOnlyTestsSet:
+    def test_central_rules_are_always_argmax_targets(self):
+        with pytest.raises(TypeError):
+            CentralDRLConfig(stochastic_rules=True)
+
+    def test_success_series_has_no_cap(self):
+        with pytest.raises(TypeError):
+            SimulationConfig(metrics_series_cap=16)
+
+
+class TestLintHasOneMode:
+    def test_flow_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["lint", "src/repro", "--flow"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_run_lint_takes_no_flow_argument(self, tmp_path):
+        with pytest.raises(TypeError):
+            run_lint([str(tmp_path)], flow=True)
