@@ -18,19 +18,20 @@ changing any hyperparameters").
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from _config import SCALE, suite_config
 from repro.eval.runner import ALL_ALGORITHMS, DISTRIBUTED_DRL, SP, build_algorithm_suite
 from repro.eval.scenarios import base_scenario
 from repro.eval.tables import SweepTable
-from repro.telemetry import PhaseTimer
 
 #: Evaluation seeds are offset from training seeds so test traffic is fresh.
 EVAL_SEED_OFFSET = 1000
 
 
-def _run_pattern_sweep(pattern: str, timer: PhaseTimer) -> SweepTable:
+def _run_pattern_sweep(pattern: str, phases: list) -> SweepTable:
     table = SweepTable(
         title=f"Fig. 6 ({pattern}): success ratio vs. number of ingresses",
         parameter_name="#ingress",
@@ -43,12 +44,19 @@ def _run_pattern_sweep(pattern: str, timer: PhaseTimer) -> SweepTable:
             horizon=SCALE.horizon,
             capacity_seed=0,
         )
-        with timer.phase(f"train[{num_ingress} ingress]"):
-            suite = build_algorithm_suite(scenario, suite_config())
-        with timer.phase(f"compare[{num_ingress} ingress]"):
-            results = suite.compare(
-                eval_seeds=[EVAL_SEED_OFFSET + s for s in SCALE.eval_seeds]
-            )
+        start = time.perf_counter()
+        suite = build_algorithm_suite(scenario, suite_config())
+        trained = time.perf_counter()
+        results = suite.compare(
+            eval_seeds=[EVAL_SEED_OFFSET + s for s in SCALE.eval_seeds]
+        )
+        phases += [
+            {"name": f"train[{num_ingress} ingress]", "seconds": trained - start},
+            {
+                "name": f"compare[{num_ingress} ingress]",
+                "seconds": time.perf_counter() - trained,
+            },
+        ]
         for name in ALL_ALGORITHMS:
             table.add_result(results[name])
     return table
@@ -75,14 +83,17 @@ def _check_shape(table: SweepTable) -> None:
     ],
 )
 def test_fig6_traffic_pattern(pattern, benchmark, bench_report):
-    timer = PhaseTimer()
+    phases: list = []
     table = benchmark.pedantic(
-        _run_pattern_sweep, args=(pattern, timer), rounds=1, iterations=1
+        _run_pattern_sweep, args=(pattern, phases), rounds=1, iterations=1
     )
-    bench_report.add_phases(f"fig6_{pattern}", timer.to_dict())
+    total = sum(phase["seconds"] for phase in phases)
+    bench_report.add_phases(
+        f"fig6_{pattern}", {"phases": phases, "total_seconds": total}
+    )
     rendered = table.render()
     bench_report.append(rendered)
     print()
     print(rendered)
-    print(timer.render())
+    print("phases: " + " ".join(f"{p['name']}={p['seconds']:.2f}s" for p in phases))
     _check_shape(table)

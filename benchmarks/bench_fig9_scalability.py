@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import time
 
 from _config import SCALE, suite_config
 from repro.eval.runner import (
@@ -26,7 +27,6 @@ from repro.eval.runner import (
 )
 from repro.eval.scenarios import base_scenario
 from repro.eval.tables import SweepTable
-from repro.telemetry import PhaseTimer
 
 EVAL_SEED_OFFSET = 1000
 
@@ -35,7 +35,7 @@ def _eval_seeds():
     return [EVAL_SEED_OFFSET + s for s in SCALE.eval_seeds]
 
 
-def _run_scalability(timer: PhaseTimer):
+def _run_scalability(phases: list):
     success = SweepTable(
         title="Fig. 9a: success ratio on large real-world topologies",
         parameter_name="network",
@@ -54,10 +54,11 @@ def _run_scalability(timer: PhaseTimer):
             horizon=SCALE.horizon,
             capacity_seed=0,
         )
-        with timer.phase(f"train[{topology}]"):
-            suite = build_algorithm_suite(scenario, suite_config())
-        with timer.phase(f"compare[{topology}]"):
-            results = suite.compare(eval_seeds=_eval_seeds(), time_decisions=True)
+        start = time.perf_counter()
+        suite = build_algorithm_suite(scenario, suite_config())
+        trained = time.perf_counter()
+        results = suite.compare(eval_seeds=_eval_seeds(), time_decisions=True)
+        compared = time.perf_counter()
         for name in ALL_ALGORITHMS:
             success.add_result(results[name])
         timing.add(DISTRIBUTED_DRL, results[DISTRIBUTED_DRL].mean_decision_ms)
@@ -66,20 +67,30 @@ def _run_scalability(timer: PhaseTimer):
         central = suite.central
         assert central is not None
         fresh = central.fresh()
-        with timer.phase(f"central_refresh[{topology}]"):
-            evaluate_policy_on_scenario(
-                scenario, lambda: fresh, CENTRAL_DRL, eval_seeds=_eval_seeds()[:1]
-            )
+        evaluate_policy_on_scenario(
+            scenario, lambda: fresh, CENTRAL_DRL, eval_seeds=_eval_seeds()[:1]
+        )
+        phases += [
+            {"name": f"train[{topology}]", "seconds": trained - start},
+            {"name": f"compare[{topology}]", "seconds": compared - trained},
+            {
+                "name": f"central_refresh[{topology}]",
+                "seconds": time.perf_counter() - compared,
+            },
+        ]
         timing.add(CENTRAL_DRL, fresh.mean_rule_update_seconds * 1000.0)
     return success, timing
 
 
 def test_fig9_scalability(benchmark, bench_report):
-    timer = PhaseTimer()
+    phases: list = []
     success, timing = benchmark.pedantic(
-        _run_scalability, args=(timer,), rounds=1, iterations=1
+        _run_scalability, args=(phases,), rounds=1, iterations=1
     )
-    bench_report.add_phases("fig9_scalability", timer.to_dict())
+    total = sum(phase["seconds"] for phase in phases)
+    bench_report.add_phases(
+        "fig9_scalability", {"phases": phases, "total_seconds": total}
+    )
     rendered = success.render()
     bench_report.append(rendered)
     print()
@@ -88,7 +99,7 @@ def test_fig9_scalability(benchmark, bench_report):
     bench_report.append(rendered)
     print()
     print(rendered)
-    print(timer.render())
+    print("phases: " + " ".join(f"{p['name']}={p['seconds']:.2f}s" for p in phases))
 
     # Distributed inference time must be invariant to network size: the
     # largest network may not cost more than a few x the smallest.

@@ -17,8 +17,9 @@ class BenchReport(list):
     """Rendered report sections plus per-phase wall-clock breakdowns.
 
     Bench tests ``append`` rendered tables (list behaviour, unchanged)
-    and may attach a phase breakdown — the ``to_dict()`` of a
-    :class:`repro.telemetry.PhaseTimer` — via :meth:`add_phases`.  When
+    and may attach a stage breakdown — ``{"phases": [{"name", "seconds"},
+    ...], "total_seconds"}``, timed with ``time.perf_counter()`` — via
+    :meth:`add_phases`.  When
     ``REPRO_BENCH_JSON`` names a file, the whole report (sections, phase
     timings, and the run's performance configuration — scale, workers,
     eval batch) is written there as JSON at session end.

@@ -61,9 +61,9 @@ class CentralDRLConfig:
     """Knobs of the centralized baseline.
 
     Attributes:
-        update_interval: Simulation time between rule refreshes; also the
-            monitoring period — observations used at a refresh are one
-            interval old.
+        update_interval: Simulation time I between rule refreshes (at the
+            boundaries k·I); also the monitoring period — the utilisation
+            sampled at a boundary stands for the whole interval.
     """
 
     update_interval: float = 50.0
@@ -138,13 +138,6 @@ def _observation_size(network: Network, catalog: ServiceCatalog) -> int:
     return 2 * network.num_nodes + len(catalog.components) + 1
 
 
-def _capacity_vector(network: Network) -> np.ndarray:
-    """Static node capacities normalised by the network-wide maximum —
-    global knowledge a centralized controller legitimately has."""
-    norm = max(network.max_node_capacity, 1e-12)
-    return np.array([network.node(n).capacity / norm for n in network.node_names])
-
-
 def _build_observation(
     capacities: np.ndarray,
     snapshot: np.ndarray,
@@ -157,19 +150,59 @@ def _build_observation(
     return np.concatenate([capacities, snapshot, one_hot, [progress]])
 
 
+class _RuleRefresh:
+    """The central agent's periodic rule refresh over one simulator run —
+    the one copy :class:`CentralizedCoordinationEnv` trains on and
+    :class:`CentralDRLPolicy` deploys.
+
+    Interval k covers ``[k·I, (k+1)·I)``.  Its rules come from one row per
+    component: static node capacities, the node utilisation at the first
+    decision at or after ``k·I`` (all zero for k = 0), the component's
+    one-hot, and progress ``(k+1)·I / T`` with T the simulator's horizon.
+    They then apply to every flow until the first decision at or after
+    ``(k+1)·I``.
+    """
+
+    def __init__(
+        self, network: Network, catalog: ServiceCatalog, config: CentralDRLConfig
+    ) -> None:
+        self.nodes = network.node_names
+        self.num_components = len(catalog.components)
+        self.interval = config.update_interval
+        capacities = np.array([network.node(n).capacity for n in self.nodes])
+        # Static capacities normalised by the network-wide maximum —
+        # global knowledge a centralized controller legitimately has.
+        self.capacities = capacities / max(network.max_node_capacity, 1e-12)
+        self._load_divisors = np.maximum(capacities, 1e-12)
+        self.snapshot = np.zeros(len(self.nodes))
+        self.executor = RuleExecutor(network, catalog)
+        #: End of the interval the rules decided next are for.
+        self.next_boundary = self.interval
+
+    def row(self, component_index: int, sim: Simulator) -> np.ndarray:
+        """The observation the agent picks ``component_index``'s target from."""
+        progress = min(1.0, self.next_boundary / sim.config.horizon)
+        return _build_observation(
+            self.capacities, self.snapshot, component_index, self.num_components, progress
+        )
+
+    def advance(self, sim: Simulator) -> None:
+        """Sample the node utilisation now and move on one interval."""
+        loads = np.array([sim.state.node_load(n) for n in self.nodes])
+        self.snapshot = loads / self._load_divisors
+        self.next_boundary += self.interval
+
+
 class CentralizedCoordinationEnv:
     """RL environment training the centralized rule-setting agent.
 
     One *interval* of simulated time is decomposed into one micro-step per
     service component: the agent picks that component's target node
-    (action space = |V|).  After the last component's target is set, the
-    simulator runs the whole interval under the new rules; the interval's
-    accumulated reward (same reward function as the distributed approach)
-    is granted on the last micro-step.
-
-    Observation per micro-step (size ``|V| + |C| + 1``): delayed global
-    node utilisations (previous interval's snapshot), one-hot of the
-    component being scheduled, and episode progress.
+    (action space = |V|) from the row :class:`_RuleRefresh` builds.  After
+    the last component's target is set, the simulator runs the whole
+    interval under the new rules; the interval's accumulated reward (same
+    reward function as the distributed approach) is granted on the last
+    micro-step.
     """
 
     def __init__(
@@ -187,38 +220,20 @@ class CentralizedCoordinationEnv:
         self.observation_size = _observation_size(self.network, self.catalog)
         self.num_actions = len(self.nodes)
         self.reward_function = RewardFunction(self.network, env_config.reward)
-        self._capacities = _capacity_vector(self.network)
         self._seed_seq = np.random.SeedSequence(seed)
         self._sim: Optional[Simulator] = None
-        self._executor = RuleExecutor(self.network, self.catalog)
+        self._rules = _RuleRefresh(self.network, self.catalog, central_config)
         self._pending: Optional[DecisionPoint] = None
         self._component_index = 0
         self._draft: Dict[str, str] = {}
-        self._snapshot = np.zeros(len(self.nodes))
-        self._next_boundary = 0.0
         self._done = True
 
     # ------------------------------------------------------------------
 
-    def _utilization_snapshot(self) -> np.ndarray:
-        if self._sim is None:
-            raise RuntimeError("call reset() before reading utilization")
-        return np.array(
-            [
-                self._sim.state.node_load(n) / max(self.network.node(n).capacity, 1e-12)
-                for n in self.nodes
-            ]
-        )
-
     def _observation(self) -> np.ndarray:
-        horizon = self.env_config.sim_config.horizon
-        return _build_observation(
-            self._capacities,
-            self._snapshot,
-            self._component_index,
-            len(self.component_names),
-            min(1.0, self._next_boundary / horizon),
-        )
+        if self._sim is None:
+            raise RuntimeError("call reset() before observing")
+        return self._rules.row(self._component_index, self._sim)
 
     def reset(self) -> np.ndarray:
         child = self._seed_seq.spawn(1)[0]
@@ -227,12 +242,10 @@ class CentralizedCoordinationEnv:
         self._sim = Simulator(
             self.network, self.catalog, traffic, self.env_config.sim_config
         )
-        self._executor = RuleExecutor(self.network, self.catalog)
+        self._rules = _RuleRefresh(self.network, self.catalog, self.central_config)
         self._pending = None
         self._component_index = 0
         self._draft = {}
-        self._snapshot = np.zeros(len(self.nodes))
-        self._next_boundary = self.central_config.update_interval
         self._done = False
         return self._observation()
 
@@ -249,9 +262,9 @@ class CentralizedCoordinationEnv:
         if self._component_index < len(self.component_names):
             return self._observation(), 0.0, False, {}
 
-        # Rules complete: install them, run the interval, snapshot state
-        # for the *next* refresh (one interval of monitoring delay).
-        self._executor.set_targets(self._draft)
+        # Rules complete: install them, run the interval, then sample the
+        # state the next interval's rules are decided from.
+        self._rules.executor.set_targets(self._draft)
         self._draft = {}
         self._component_index = 0
         reward = self._run_interval()
@@ -266,8 +279,7 @@ class CentralizedCoordinationEnv:
                 "avg_end_to_end_delay": metrics.avg_end_to_end_delay,
             }
             return np.zeros(self.observation_size), reward, True, info
-        self._snapshot = self._utilization_snapshot()
-        self._next_boundary += self.central_config.update_interval
+        self._rules.advance(self._sim)
         return self._observation(), reward, False, info
 
     def _run_interval(self) -> float:
@@ -275,6 +287,7 @@ class CentralizedCoordinationEnv:
         current rules; returns the interval's accumulated reward."""
         if self._sim is None:
             raise RuntimeError("call reset() before running an interval")
+        rules = self._rules
         reward = 0.0
         while True:
             if self._pending is None:
@@ -283,24 +296,30 @@ class CentralizedCoordinationEnv:
                 if self._pending is None:
                     self._done = True
                     return reward
-            if self._pending.time >= self._next_boundary:
+            if self._pending.time >= rules.next_boundary:
                 return reward
             decision = self._pending
             self._pending = None
-            self._sim.apply_action(self._executor(decision, self._sim))
+            self._sim.apply_action(rules.executor(decision, self._sim))
             reward += self.reward_function.total(self._sim.drain_outcomes())
 
 
 class CentralDRLPolicy:
     """Inference-time central DRL coordinator (simulator policy callable).
 
-    Wraps the trained rule-setting network.  On the first decision at or
-    after each interval boundary, the central agent recomputes all
-    component targets from the (delayed) monitoring snapshot — this is the
-    centralized work whose latency grows with network size (Fig. 9b).  All
-    flow decisions are then answered from the installed rules.
+    Wraps the trained rule-setting network and runs the refresh it was
+    trained on (:class:`_RuleRefresh`): on the first decision of a run and
+    on the first decision at or after each interval boundary, the central
+    agent recomputes all component targets — the centralized work whose
+    latency grows with network size (Fig. 9b).  A stretch without
+    decisions skips to the last elapsed boundary and refreshes once there
+    (the training env's refreshes in between see the same snapshot and
+    their rules are never consulted).  All flow decisions are answered
+    from the installed rules, so on the same traffic a deployed run
+    replays the greedy training episode flow for flow.
 
     Attributes:
+        executor: The installed rules.
         rule_update_seconds: Wall-clock seconds per rule refresh.
     """
 
@@ -310,7 +329,6 @@ class CentralDRLPolicy:
         catalog: ServiceCatalog,
         policy: ActorCriticPolicy,
         central_config: CentralDRLConfig = CentralDRLConfig(),
-        horizon: float = 20000.0,
     ) -> None:
         expected = _observation_size(network, catalog)
         if policy.obs_dim != expected:
@@ -324,48 +342,33 @@ class CentralDRLPolicy:
         self.component_names = [c.name for c in catalog.components]
         self.policy = policy
         self.config = central_config
-        self.horizon = horizon
-        self.executor = RuleExecutor(network, catalog)
         self.rule_update_seconds: List[float] = []
-        self._capacities = _capacity_vector(network)
-        self._snapshot = np.zeros(len(self.nodes))
-        self._next_refresh = 0.0
+        self._rules = _RuleRefresh(network, catalog, central_config)
+        self.executor = self._rules.executor
 
-    def _refresh_rules(self, sim: Simulator, now: float) -> None:
+    def _refresh_rules(self, decision: DecisionPoint, sim: Simulator) -> None:
         start = _time.perf_counter()
-        progress = min(1.0, now / self.horizon)
-        targets: Dict[str, str] = {}
-        for index, component in enumerate(self.component_names):
-            obs = _build_observation(
-                self._capacities, self._snapshot, index,
-                len(self.component_names), progress,
-            )
-            distribution = self.policy.distribution(obs[None, :])
-            targets[component] = self.nodes[int(distribution.mode()[0])]
-        self.executor.set_targets(targets)
-        # Snapshot after deciding: the next refresh sees state that is one
-        # interval old, modelling periodic monitoring delay.
-        self._snapshot = np.array(
-            [
-                sim.state.node_load(n) / max(self.network.node(n).capacity, 1e-12)
-                for n in self.nodes
-            ]
+        rules = self._rules
+        while decision.time >= rules.next_boundary:
+            rules.advance(sim)
+        self.executor.set_targets(
+            {
+                component: self.nodes[self.policy.act_single(rules.row(index, sim))]
+                for index, component in enumerate(self.component_names)
+            }
         )
         self.rule_update_seconds.append(_time.perf_counter() - start)
 
     def __call__(self, decision: DecisionPoint, sim: Simulator) -> int:
-        if decision.time >= self._next_refresh:
-            self._refresh_rules(sim, decision.time)
-            self._next_refresh = decision.time + self.config.update_interval
+        if decision.time >= self._rules.next_boundary or not self.rule_update_seconds:
+            self._refresh_rules(decision, sim)
         return self.executor(decision, sim)
 
     def fresh(self) -> "CentralDRLPolicy":
         """A new inference instance sharing the trained network but with
         clean runtime state (rules, snapshots, spill memory) — use one per
         evaluation run."""
-        return CentralDRLPolicy(
-            self.network, self.catalog, self.policy, self.config, self.horizon
-        )
+        return CentralDRLPolicy(self.network, self.catalog, self.policy, self.config)
 
     @property
     def mean_rule_update_seconds(self) -> float:
@@ -397,7 +400,6 @@ def train_central_coordinator(
     algorithm: str = "acktr",
     verbose: bool = False,
     workers: Optional[int] = None,
-    timeout: Optional[float] = None,
 ) -> Tuple[CentralDRLPolicy, MultiSeedResult]:
     """Train the central rule-setting agent and wrap it for inference."""
     multi_seed = train_multi_seed(
@@ -408,13 +410,8 @@ def train_central_coordinator(
         algorithm=algorithm,
         verbose=verbose,
         workers=workers,
-        timeout=timeout,
     )
     policy = CentralDRLPolicy(
-        env_config.network,
-        env_config.catalog,
-        multi_seed.best_policy,
-        central_config,
-        horizon=env_config.sim_config.horizon,
+        env_config.network, env_config.catalog, multi_seed.best_policy, central_config
     )
     return policy, multi_seed

@@ -60,8 +60,6 @@ class TrainingConfig:
         eval_dtype: Inference dtype of the selection evaluation
             and of the deployed per-node agents (``"f64"``/``"f32"``;
             None reads ``REPRO_EVAL_DTYPE``, float64 when unset).
-        seed_timeout: Per-seed wall-clock limit in seconds (parallel
-            mode); None = no limit.
     """
 
     algorithm: str = "acktr"
@@ -71,7 +69,6 @@ class TrainingConfig:
     eval_episodes: int = 1
     workers: Optional[int] = None
     eval_dtype: Optional[str] = None
-    seed_timeout: Optional[float] = None
 
     def quick(self) -> "TrainingConfig":
         """A laptop-scale variant (fewer seeds/updates) for tests and the
@@ -121,7 +118,6 @@ def train_coordinator(
         algorithm=training.algorithm,
         verbose=verbose,
         workers=training.workers,
-        timeout=training.seed_timeout,
         eval_dtype=training.eval_dtype,
         recorder=recorder,
     )

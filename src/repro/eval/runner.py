@@ -221,7 +221,6 @@ def _run_grid(
     eval_seeds: Sequence[int],
     time_decisions: bool,
     workers: Optional[int],
-    timeout: Optional[float],
     batch_name: str,
     recorder: Recorder,
 ) -> Tuple[Dict[str, AlgorithmResult], TimingReport]:
@@ -238,7 +237,6 @@ def _run_grid(
         ],
         workers=workers,
         labels=[f"{name}/seed {seed}" for name, seed in grid],
-        timeout=timeout,
         name=batch_name,
         recorder=recorder,
     )
@@ -262,7 +260,6 @@ def evaluate_policy_on_scenario(
     eval_seeds: Sequence[int] = (0, 1, 2),
     time_decisions: bool = False,
     workers: Optional[int] = None,
-    timeout: Optional[float] = None,
     recorder: Recorder = NULL_RECORDER,
     faults: Optional[FaultScenarioConfig] = None,
 ) -> AlgorithmResult:
@@ -293,7 +290,6 @@ def evaluate_policy_on_scenario(
         eval_seeds,
         time_decisions,
         workers,
-        timeout,
         f"evaluate[{name}]",
         recorder,
     )[0][name]
@@ -362,7 +358,6 @@ class AlgorithmSuite:
                 catalog,
                 self.central.policy,
                 self.central.config,
-                horizon=env_config.sim_config.horizon,
             )
         if GCASP in self.algorithms:
             factories[GCASP] = partial(GCASPPolicy, network, catalog)
@@ -382,7 +377,6 @@ class AlgorithmSuite:
         time_decisions: bool = False,
         algorithms: Optional[Sequence[str]] = None,
         workers: Optional[int] = None,
-        timeout: Optional[float] = None,
         recorder: Recorder = NULL_RECORDER,
     ) -> Dict[str, AlgorithmResult]:
         """Evaluate (a subset of) the suite, optionally on a *different*
@@ -404,7 +398,6 @@ class AlgorithmSuite:
             eval_seeds,
             time_decisions,
             workers,
-            timeout,
             "compare",
             recorder,
         )

@@ -18,10 +18,6 @@ to read the floats without a stream, attach one explicitly::
     prof = trainer.attach_profiler(PhaseAccumulator())
     trainer.train(updates)
     print(prof.render())
-
-Unlike :class:`repro.telemetry.phases.PhaseTimer` (coarse, contextmanager
-based, for benchmark *stages*), this module is built for per-decision
-granularity inside the training loop.
 """
 
 from __future__ import annotations
@@ -139,7 +135,7 @@ class PhaseAccumulator:
         return [(name, getattr(self, name)) for name in OPTIMIZER_SUBPHASE_NAMES]
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready breakdown, shape-compatible with PhaseTimer.to_dict."""
+        """JSON-ready breakdown, the ``phases`` shape bench reports use."""
         out: Dict[str, Any] = {
             "phases": [
                 {"name": name, "seconds": seconds} for name, seconds in self.phases

@@ -139,17 +139,14 @@ class A2CTrainer:
     def attach_profiler(self, profiler: PhaseAccumulator) -> PhaseAccumulator:
         """Wire ``profiler`` into the trainer, runner, and every env.
 
-        Returns the profiler for chaining.  Envs that do not expose a
-        ``profiler`` attribute (non-ServiceCoordinationEnv test doubles)
-        are skipped silently — their time simply stays unattributed.
+        Returns the profiler for chaining.  Envs that never read a
+        ``profiler`` attribute (the central-DRL env, test doubles) leave
+        their time unattributed.
         """
         self.profiler = profiler
         self.runner.profiler = profiler
         for env in self.envs:
-            try:
-                env.profiler = profiler
-            except AttributeError:
-                pass
+            env.profiler = profiler
         return profiler
 
     def _build_optimizers(self) -> None:

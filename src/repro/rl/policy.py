@@ -67,7 +67,9 @@ class ActorCriticPolicy:
     # ------------------------------------------------------------------
 
     def distribution(self, obs: np.ndarray) -> Categorical:
-        """Action distribution π(·|obs) for a batch of observations."""
+        """Action distribution π(·|obs) for a batch of observations — with
+        :meth:`values` and :meth:`act`, the allocating reference that the
+        workspace paths every driver runs are tested against."""
         return Categorical(self.actor.forward(obs))
 
     def values(self, obs: np.ndarray) -> np.ndarray:

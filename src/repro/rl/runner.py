@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Protocol, Sequence, Tuple
 import numpy as np
 
 from repro.nn.distributions import Categorical
-from repro.nn.mlp import MLP, MLPInference
+from repro.nn.mlp import MLPInference
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.policy import ActorCriticPolicy
 
@@ -132,22 +132,14 @@ class ParallelRunner:
         # GEMM for n_envs >= 4 on the bundled OpenBLAS, ulps off below)
         # and :meth:`training_logits` hands it to the update.  The critic
         # is not needed to act: its workspace serves the bootstrap only.
-        # Policies without plain-MLP actor/critic (test doubles) sample
-        # from ``policy.distribution``.
-        self._actor_inference: "MLPInference | None" = None
-        self._critic_inference: "MLPInference | None" = None
-        self._actor_windows: List[MLPInference] = []
-        if isinstance(
-            getattr(policy, "actor", None), MLP
-        ) and isinstance(getattr(policy, "critic", None), MLP):
-            width = len(envs)
-            self._actor_inference = MLPInference(policy.actor)
-            self._actor_inference.input_rows(n_steps * width)
-            self._actor_windows = [
-                self._actor_inference.window(t * width, (t + 1) * width)
-                for t in range(n_steps)
-            ]
-            self._critic_inference = MLPInference(policy.critic)
+        width = len(envs)
+        self._actor_inference = MLPInference(policy.actor)
+        self._actor_inference.input_rows(n_steps * width)
+        self._actor_windows = [
+            self._actor_inference.window(t * width, (t + 1) * width)
+            for t in range(n_steps)
+        ]
+        self._critic_inference = MLPInference(policy.critic)
         #: Completed-episode summaries, drained by the trainer.
         self.finished_episodes: List[EpisodeRecord] = []
 
@@ -168,11 +160,7 @@ class ParallelRunner:
         windows = self._actor_windows
         for t in range(self.n_steps):
             start = perf_counter() if prof is not None else 0.0
-            if windows:
-                dist = Categorical(windows[t].forward(self._obs))
-            else:
-                dist = self.policy.distribution(self._obs)
-            actions = dist.sample(self.rng)
+            actions = Categorical(windows[t].forward(self._obs)).sample(self.rng)
             if prof is not None:
                 prof.policy_forward += perf_counter() - start
             for i, env in enumerate(self.envs):
@@ -199,13 +187,9 @@ class ParallelRunner:
             # rows under the policy, and the bound rows never move.
             self._obs[...] = next_obs
         start = perf_counter() if prof is not None else 0.0
-        critic_inf = self._critic_inference
-        if critic_inf is not None:
-            # Copy out of the workspace: the bootstrap values outlive the
-            # next forward pass.
-            last_values = critic_inf.forward(self._obs)[:, 0].copy()
-        else:
-            last_values = self.policy.values(self._obs)
+        # Copy out of the workspace: the bootstrap values outlive the next
+        # forward pass.
+        last_values = self._critic_inference.forward(self._obs)[:, 0].copy()
         if prof is not None:
             prof.policy_forward += perf_counter() - start
         return last_values
@@ -215,8 +199,6 @@ class ParallelRunner:
         per ``buffer.flat_obs`` row, with the actor's backward caches set
         to the activations that produced them — the training forward of
         the update, already done.  Valid until the next :meth:`collect`."""
-        if self._actor_inference is None:
-            raise RuntimeError("training_logits needs a policy with an MLP actor")
         return self._actor_inference.adopt_caches(self.n_steps * len(self.envs))
 
     def drain_episodes(self) -> List[EpisodeRecord]:

@@ -213,7 +213,6 @@ def train_multi_seed(
     algorithm: str = "acktr",
     verbose: bool = False,
     workers: Optional[int] = None,
-    timeout: Optional[float] = None,
     eval_dtype: Optional[str] = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> MultiSeedResult:
@@ -233,7 +232,6 @@ def train_multi_seed(
         verbose: Print one line per seed.
         workers: Worker processes for the per-seed fan-out (default:
             ``REPRO_WORKERS``, serial when unset).
-        timeout: Per-seed wall-clock limit in seconds (parallel mode).
         eval_dtype: Inference dtype of the selection evaluation
             (``"f64"``/``"f32"``; default: ``REPRO_EVAL_DTYPE``, float64
             when unset).  Float32 trades the bit-identity guarantee for
@@ -285,7 +283,6 @@ def train_multi_seed(
         tasks,
         workers=workers,
         labels=[f"seed {seed}" for seed in seeds],
-        timeout=timeout,
         name=f"train[{algorithm}]",
         recorder=recorder,
     )

@@ -14,8 +14,6 @@ disabled:
   and the timing-stripped canonical view used by determinism checks.
 - :mod:`repro.telemetry.manifest` — run directories: ``manifest.json``
   (config, seeds, package version, timestamp) + ``metrics.jsonl``.
-- :mod:`repro.telemetry.phases` — named wall-clock phase accumulation
-  for benchmark JSON reports.
 - :mod:`repro.telemetry.summarize` — ``repro telemetry summarize``:
   validate a stream and render a run report.
 """
@@ -28,7 +26,6 @@ from repro.telemetry.manifest import (
     read_manifest,
     start_run,
 )
-from repro.telemetry.phases import PhaseTimer
 from repro.telemetry.recorder import (
     NULL_RECORDER,
     JsonlRecorder,
@@ -52,7 +49,6 @@ __all__ = [
     "NULL_RECORDER",
     "JsonlRecorder",
     "NullRecorder",
-    "PhaseTimer",
     "RECORD_SCHEMAS",
     "Recorder",
     "RunManifest",

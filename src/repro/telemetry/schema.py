@@ -66,10 +66,6 @@ Record kinds
     ``deterministic``, ``dtype``, ``forward_seconds`` (wall-clock inside
     policy forwards), ``wall_seconds``, and ``decisions_per_second``.
 
-``phase``
-    One named wall-clock phase (e.g. ``train`` vs ``evaluate`` in a
-    benchmark): ``name``, ``seconds``.
-
 ``train_phases``
     Phase attribution of one training run (emitted at the end of
     :meth:`repro.rl.a2c.A2CTrainer.train` by every trainer whose recorder
@@ -173,7 +169,7 @@ TIMING_FIELDS = frozenset(
 #: :func:`canonical_stream`; their non-timing fields — mode, workers —
 #: legitimately differ between serial and parallel runs).
 TIMING_KINDS = frozenset(
-    {"task_timing", "batch_timing", "phase", "train_phases", "serving"}
+    {"task_timing", "batch_timing", "train_phases", "serving"}
 )
 
 _NUM = numbers.Real
@@ -238,10 +234,6 @@ RECORD_SCHEMAS: Dict[str, Dict[str, Any]] = {
         "mode": str,
         "workers": _INT,
         "total_seconds": _NUM,
-    },
-    "phase": {
-        "name": str,
-        "seconds": _NUM,
     },
     "train_phases": {
         "updates": _INT,

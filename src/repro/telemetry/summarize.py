@@ -296,14 +296,6 @@ def summarize_run(directory: os.PathLike) -> str:
             f"batch {batch['name']}: {batch['mode']} "
             f"workers={batch['workers']} {batch['total_seconds']:.2f}s"
         )
-    phase_totals: Dict[str, float] = {}
-    for phase in by_kind.get("phase", []):
-        phase_totals[phase["name"]] = (
-            phase_totals.get(phase["name"], 0.0) + float(phase["seconds"])
-        )
-    if phase_totals:
-        rendered = " ".join(f"{k}={v:.2f}s" for k, v in phase_totals.items())
-        lines.append(f"phases: {rendered}")
     if "train_phases" in by_kind:
         lines.extend(_train_phase_lines(by_kind["train_phases"]))
     return "\n".join(lines)

@@ -150,14 +150,31 @@ class TestCentralDRLPolicy:
         net, catalog, config = setup(horizon=200.0)
         policy_net = ActorCriticPolicy(2 * 3 + 1 + 1, 3, hidden=(8,), rng=0)
         policy = CentralDRLPolicy(net, catalog, policy_net,
-                                  CentralDRLConfig(update_interval=50.0),
-                                  horizon=200.0)
+                                  CentralDRLConfig(update_interval=50.0))
         sim = make_simulator(net, catalog, make_flow_specs([1.0, 60.0, 120.0]),
                              horizon=200.0)
         sim.run(policy)
         # Flows at t=1, 60, 120 with interval 50: three refreshes.
         assert len(policy.rule_update_seconds) == 3
         assert policy.mean_rule_update_seconds > 0.0
+
+    def test_progress_is_the_next_boundary_over_the_sims_horizon(self, monkeypatch):
+        """Each refresh feeds progress (B+I)/T, T read from the simulator;
+        the interval [40, 60) passes without a decision and gets no
+        refresh of its own."""
+        net, catalog, _ = setup()
+        policy_net = ActorCriticPolicy(2 * 3 + 1 + 1, 3, hidden=(8,), rng=0)
+        rows = []
+        act_single = policy_net.act_single
+        monkeypatch.setattr(
+            policy_net, "act_single", lambda obs: rows.append(obs.copy()) or act_single(obs)
+        )
+        policy = CentralDRLPolicy(net, catalog, policy_net,
+                                  CentralDRLConfig(update_interval=20.0))
+        sim = make_simulator(net, catalog, make_flow_specs([1.0, 30.0, 60.0]),
+                             horizon=100.0)
+        sim.run(policy)
+        assert [row[-1] for row in rows] == [0.2, 0.4, 0.8]
 
     def test_obs_size_mismatch_rejected(self):
         net, catalog, _ = setup()

@@ -150,22 +150,6 @@ class TestInferenceRouting:
                     obs[i] = env.reset()
         assert np.array_equal(bootstraps[0], policy.values(obs))
 
-    def test_policy_without_mlp_networks_samples_from_its_distribution(self):
-        """The generic branch draws the same single rng sample per step."""
-        def build():
-            envs = [ContextualBanditEnv(num_states=3, seed=i) for i in range(4)]
-            return make_runner(envs, n_steps=6, seed=3)
-
-        _, fast = build()
-        _, slow = build()
-        slow._actor_windows = []
-        slow._critic_inference = None
-        buf_fast, buf_slow = RolloutBuffer(6, 4, 3), RolloutBuffer(6, 4, 3)
-        last_fast, last_slow = fast.collect(buf_fast), slow.collect(buf_slow)
-        assert np.array_equal(buf_fast.actions, buf_slow.actions)
-        assert np.array_equal(buf_fast.obs, buf_slow.obs)
-        assert np.array_equal(last_fast, last_slow)
-
     def test_bootstrap_values_are_owned_copies(self):
         """The bootstrap must not alias the inference workspace (the next
         forward would silently overwrite it)."""

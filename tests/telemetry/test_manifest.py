@@ -1,4 +1,4 @@
-"""Tests for run manifests, run directories, and phase timers."""
+"""Tests for run manifests and run directories."""
 
 import json
 
@@ -7,8 +7,6 @@ import pytest
 from repro.telemetry import (
     MANIFEST_FILENAME,
     STREAM_FILENAME,
-    JsonlRecorder,
-    PhaseTimer,
     SCHEMA_VERSION,
     load_stream,
     read_manifest,
@@ -154,42 +152,3 @@ class TestStartRun:
         assert str(caught.value).startswith(str(path))
         assert isinstance(caught.value.__cause__, TypeError)
 
-
-class TestPhaseTimer:
-    def test_accumulates_in_first_entry_order(self):
-        timer = PhaseTimer()
-        with timer.phase("train"):
-            pass
-        with timer.phase("evaluate"):
-            pass
-        with timer.phase("train"):
-            pass
-        names = [name for name, _ in timer.phases]
-        assert names == ["train", "evaluate"]
-        assert timer.total_seconds >= 0.0
-        assert "train=" in timer.render()
-
-    def test_to_dict_is_json_ready(self):
-        timer = PhaseTimer()
-        with timer.phase("only"):
-            pass
-        payload = json.loads(json.dumps(timer.to_dict()))
-        assert payload["phases"][0]["name"] == "only"
-        assert payload["total_seconds"] >= 0.0
-
-    def test_emits_phase_records_when_recording(self, tmp_path):
-        recorder = JsonlRecorder(tmp_path / "m.jsonl")
-        timer = PhaseTimer(recorder)
-        with timer.phase("train"):
-            pass
-        recorder.close()
-        [record] = load_stream(recorder.path)
-        assert record["kind"] == "phase"
-        assert record["name"] == "train"
-
-    def test_records_phase_even_when_body_raises(self):
-        timer = PhaseTimer()
-        with pytest.raises(RuntimeError):
-            with timer.phase("broken"):
-                raise RuntimeError("boom")
-        assert [name for name, _ in timer.phases] == ["broken"]

@@ -38,11 +38,11 @@ class TestJsonlRecorder:
         with JsonlRecorder(path) as recorder:
             assert recorder.enabled is True
             recorder.emit("note", message="first")
-            recorder.emit("phase", name="train", seconds=1.5)
+            recorder.emit("note", message="train", seconds=1.5)
         records = load_stream(path)
         assert records == [
             {"kind": "note", "message": "first"},
-            {"kind": "phase", "name": "train", "seconds": 1.5},
+            {"kind": "note", "message": "train", "seconds": 1.5},
         ]
 
     def test_validates_at_emit_time(self, tmp_path):
@@ -54,7 +54,7 @@ class TestJsonlRecorder:
         path = tmp_path / "m.jsonl"
         with JsonlRecorder(path) as recorder:
             recorder.emit(
-                "phase", name="train", seconds=np.float64(0.25),
+                "note", message="train", seconds=np.float64(0.25),
             )
         [record] = load_stream(path)
         assert record["seconds"] == 0.25

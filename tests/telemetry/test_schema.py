@@ -53,7 +53,6 @@ EXAMPLES = {
         "kind": "batch_timing", "name": "train", "mode": "serial",
         "workers": 1, "total_seconds": 1.0,
     },
-    "phase": {"kind": "phase", "name": "train", "seconds": 2.0},
     "train_phases": {
         "kind": "train_phases", "seed": 0, "updates": 30,
         "wall_seconds": 4.0, "sim_advance": 0.5, "obs_build": 0.2,
@@ -125,7 +124,7 @@ class TestCanonicalStream:
             EXAMPLES["train_update"],
             EXAMPLES["task_timing"],
             EXAMPLES["batch_timing"],
-            EXAMPLES["phase"],
+            EXAMPLES["serving"],
             EXAMPLES["seed_result"],
         ]
         canonical = canonical_stream(stream)

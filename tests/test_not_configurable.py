@@ -8,7 +8,8 @@ trainer arguments had no caller.  ISSUE 24 added the fan-out's
 worker-stream plumbing (now inside ``run_tasks``), the zero-arg training
 factory, the hyperparameters ``TrainingConfig`` / ``SuiteConfig`` copied
 from ``ACKTRConfig``, two options only tests set and the lint's subset
-mode.  The names below may appear only here — CI greps for them
+mode.  The per-task timeout is an argument of ``run_tasks`` only, and
+the deployed central DRL reads its horizon from the simulator.  The names below may appear only here — CI greps for them
 everywhere else.
 """
 
@@ -20,14 +21,25 @@ import inspect
 import pytest
 
 from repro.analysis.linter import run_lint
-from repro.baselines.central_drl import CentralDRLConfig
+from repro.baselines.central_drl import (
+    CentralDRLConfig,
+    CentralDRLPolicy,
+    train_central_coordinator,
+)
 from repro.cli import build_parser
 from repro.core.env import ServiceCoordinationEnv
 from repro.core.trainer import TrainingConfig
-from repro.eval.runner import SuiteConfig, _EvalSeedTask
+from repro.eval.runner import (
+    AlgorithmSuite,
+    SuiteConfig,
+    _EvalSeedTask,
+    _run_grid,
+    evaluate_policy_on_scenario,
+)
 from repro.parallel import run_tasks
 from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.acktr import ACKTRConfig
+from repro.rl.policy import ActorCriticPolicy
 from repro.rl.training import _SeedTask, train_multi_seed
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator
@@ -174,3 +186,35 @@ class TestLintHasOneMode:
     def test_run_lint_takes_no_flow_argument(self, tmp_path):
         with pytest.raises(TypeError):
             run_lint([str(tmp_path)], flow=True)
+
+
+class TestTimeoutLivesInRunTasks:
+    def test_training_config_has_no_seed_timeout(self):
+        with pytest.raises(TypeError):
+            TrainingConfig(seed_timeout=1)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            train_multi_seed,
+            evaluate_policy_on_scenario,
+            AlgorithmSuite.compare,
+            train_central_coordinator,
+            _run_grid,
+        ],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_no_timeout_pass_through(self, fn):
+        assert "timeout" not in inspect.signature(fn).parameters
+
+    def test_run_tasks_keeps_it(self):
+        assert "timeout" in inspect.signature(run_tasks).parameters
+
+
+def test_deployed_central_drl_takes_no_horizon():
+    config = _env_config()
+    policy = ActorCriticPolicy(2 * 3 + 1 + 1, 3, hidden=(4,), rng=0)
+    with pytest.raises(TypeError):
+        CentralDRLPolicy(
+            config.network, config.catalog, policy, CentralDRLConfig(), horizon=100.0
+        )

@@ -4,8 +4,10 @@ ISSUE 21 removed five modules, thirteen exported names and a handful of
 members that nothing in ``src/``, ``benchmarks/`` or ``examples/``
 reached: the federated learners, ``TracingPolicy``, the ASCII charts,
 ``ActionAdapter`` with the Gym-style spaces, ``Adam`` and the
-``CoordinationPolicy`` protocol.  The names below may appear only here —
-CI greps for them everywhere else.
+``CoordinationPolicy`` protocol.  ``PhaseTimer`` and its ``phase`` record
+kind followed: benches time their stages inline, and training phases
+have one emitter, ``PhaseAccumulator``.  The names below may
+appear only here — CI greps for them everywhere else.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.core.observations import ObservationAdapter
 from repro.eval.scenarios import base_scenario
 from repro.rl.policy import ActorCriticPolicy
 from repro.sim.metrics import MetricsCollector
+from repro.telemetry import RECORD_SCHEMAS, TIMING_KINDS
 from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_simple_catalog
@@ -29,6 +32,7 @@ REMOVED_MODULES = [
     "repro.eval.plots",
     "repro.core.actions",
     "repro.rl.spaces",
+    "repro.telemetry.phases",
 ]
 
 REMOVED_EXPORTS = {
@@ -40,6 +44,7 @@ REMOVED_EXPORTS = {
     "repro.core": ["ActionAdapter"],
     "repro.nn": ["Adam"],
     "repro.baselines": ["CoordinationPolicy"],
+    "repro.telemetry": ["PhaseTimer"],
 }
 
 
@@ -81,3 +86,9 @@ def test_members_without_callers_are_gone():
     assert not hasattr(config.network, "_neighbor_node_ids")
     assert not hasattr(MetricsCollector(), "record_decision")
     assert not hasattr(CoordinationEnvConfig, "with_network")
+
+
+def test_the_phase_record_kind_is_gone():
+    assert "phase" not in RECORD_SCHEMAS
+    assert "phase" not in TIMING_KINDS
+    assert len(RECORD_SCHEMAS) == 12
