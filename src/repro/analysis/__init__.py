@@ -9,12 +9,6 @@ path.  This package enforces those invariants in two complementary ways:
 - :mod:`repro.analysis.linter` — an AST-based project linter
   (``repro lint``) with repo-specific rules REP001–REP008 and inline
   ``# repro: allow[REPnnn] <reason>`` suppressions.
-- :mod:`repro.analysis.flow` — a whole-program dataflow pass
-  (the second half of every ``repro lint`` run) that builds a module-level call graph over
-  the lint roots and enforces the concurrency/determinism contract
-  (rules REP101–REP105: shared rng streams reachable from dispatched
-  tasks, fork-unsafe module state, aliased out= buffers, unordered
-  float reductions, captured-object mutation races).
 - :mod:`repro.analysis.sarif` / :mod:`repro.analysis.explain` —
   SARIF 2.1.0 rendering for CI upload and ``repro lint --explain``
   rule documentation.
@@ -33,10 +27,8 @@ from repro.analysis.invariants import (
     invariants_enabled,
 )
 from repro.analysis.explain import RULE_DOCS, render_explanation
-from repro.analysis.flow import analyze_paths
 from repro.analysis.linter import (
     Finding,
-    FLOW_RULES,
     LintConfig,
     RULES,
     lint_paths,
@@ -49,11 +41,9 @@ __all__ = [
     "check",
     "invariants_enabled",
     "Finding",
-    "FLOW_RULES",
     "LintConfig",
     "RULES",
     "RULE_DOCS",
-    "analyze_paths",
     "lint_paths",
     "lint_source",
     "render_explanation",

@@ -1,10 +1,8 @@
 """Rule documentation for ``repro lint --explain REPxxx``.
 
-Every rule in both families (file-local REP0xx and whole-program
-REP1xx) carries a rationale tied to the repo's determinism contract
+Every rule carries a rationale tied to the repo's determinism contract
 plus a minimal bad/good example pair.  A test asserts the table covers
-every id in ``RULES`` and ``FLOW_RULES`` so a new rule cannot ship
-undocumented.
+every id in ``RULES`` so a new rule cannot ship undocumented.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.analysis.linter import FLOW_RULES, RULES
+from repro.analysis.linter import RULES
 
 __all__ = ["RULE_DOCS", "RuleDoc", "render_explanation"]
 
@@ -67,11 +65,13 @@ RULE_DOCS: Dict[str, RuleDoc] = {
             "hash/insertion order, which PYTHONHASHSEED and code-path "
             "history randomise between runs; any float accumulation or "
             "ordered output built from the iteration is run-dependent.  "
-            "sorted() makes the traversal a pure function of the contents.  "
-            "Known false negative: only a set / .keys() expression spelled "
-            "at the loop is seen; an unordered collection that reaches the "
-            "loop through a name (active = set(xs) ... for flow in active) "
-            "is not."
+            "sum() and math.fsum() over such an expression count as "
+            "iteration: float addition is not associative, so the total "
+            "changes bitwise with the order.  sorted() makes the traversal "
+            "a pure function of the contents.  Known false negative: only "
+            "a set / .keys() expression spelled at the loop or sum is seen; "
+            "an unordered collection that reaches it through a name "
+            "(active = set(xs) ... for flow in active) is not."
         ),
         bad="for flow in set(active_flows):\n    total += flow.demand",
         good="for flow in sorted(set(active_flows), key=lambda f: f.flow_id):\n    total += flow.demand",
@@ -112,108 +112,15 @@ RULE_DOCS: Dict[str, RuleDoc] = {
     "REP008": RuleDoc(
         rationale=(
             "A waiver naming a rule id that does not exist suppresses "
-            "nothing and usually means a typo (REP105 vs REP150) — the "
+            "nothing and usually means a typo (REP004 vs REP040) — the "
             "finding it was meant to silence is still live or the waiver "
             "is dead weight; unknown ids are reported so waivers stay "
             "honest."
         ),
         # NB: examples concatenated so this file's own source lines do
         # not match the line-based waiver regex.
-        bad="# repro: " + "allow[REP150] overlap is disjoint\nbuf.fill(0)",
-        good="# repro: " + "allow[REP105] overlap is disjoint\nbuf.fill(0)",
-    ),
-    "REP101": RuleDoc(
-        rationale=(
-            "A generator shared with the main thread (self._rng, a module "
-            "global, or anything not constructed inside the task) makes "
-            "the draw order depend on the thread schedule; the repo's "
-            "contract is that all shared-stream draws happen in a serial "
-            "prologue before dispatch, and tasks that need randomness "
-            "seed their own generator.  For process pools only "
-            "module-global streams are flagged: captured objects are "
-            "pickled per worker, but a module global re-imports in the "
-            "worker with fresh (wrong) state."
-        ),
-        bad=(
-            "def task(self):\n"
-            "    return self.rng.normal()  # shared stream\n"
-            "executor.submit(self.task)"
-        ),
-        good=(
-            "noise = self.rng.normal()      # serial prologue\n"
-            "executor.submit(self.task, noise)\n"
-            "# or: task constructs rng = default_rng(seed) itself"
-        ),
-    ),
-    "REP102": RuleDoc(
-        rationale=(
-            "A module-level object written on a threaded path (a cached "
-            "executor, a results dict) survives fork() in a broken state: "
-            "the child inherits the parent's memory but none of its "
-            "threads.  Modules that mix threads with module state must "
-            "install an os.register_at_fork(after_in_child=...) hook that "
-            "resets the state, as rl/acktr.py does for its K-FAC executor."
-        ),
-        bad=(
-            "_EXECUTOR = None\n"
-            "def get_executor():\n"
-            "    global _EXECUTOR\n"
-            "    _EXECUTOR = ThreadPoolExecutor(1)"
-        ),
-        good=(
-            "def _reset_after_fork():\n"
-            "    global _EXECUTOR\n"
-            "    _EXECUTOR = None\n"
-            "os.register_at_fork(after_in_child=_reset_after_fork)"
-        ),
-    ),
-    "REP103": RuleDoc(
-        rationale=(
-            "Two in-flight tasks handed the same out= buffer (or any "
-            "buffer the task writes) race on its contents; whichever "
-            "finishes last wins, so results depend on scheduling.  Each "
-            "concurrent task needs a private buffer."
-        ),
-        bad=(
-            "f1 = ex.submit(work, scratch)\n"
-            "f2 = ex.submit(work, scratch)  # same buffer in flight"
-        ),
-        good=(
-            "f1 = ex.submit(work, scratch_a)\n"
-            "f2 = ex.submit(work, scratch_b)"
-        ),
-    ),
-    "REP104": RuleDoc(
-        rationale=(
-            "Float addition is not associative, so sum()/+= over a set, "
-            ".keys() view, or worker-merged iterable changes bitwise with "
-            "element order — and hash randomisation reorders sets every "
-            "run.  Sorting first fixes the summation order.  Known false "
-            "negative: only a set / .keys() expression spelled at the "
-            "reduction is seen; an unordered collection that reaches it "
-            "through a name (delays = set(xs) ... sum(delays)) is not."
-        ),
-        bad="def total_delay(delays):\n    return sum(set(delays))",
-        good="def total_delay(delays):\n    return sum(sorted(set(delays)))",
-    ),
-    "REP105": RuleDoc(
-        rationale=(
-            "An object captured by a submitted task is shared, not copied "
-            "(thread pools share references; even with process pools the "
-            "pickle happens at an unspecified point).  Mutating it between "
-            "submit() and result() races the task's reads.  Mutate after "
-            "the join, or pass a copy."
-        ),
-        bad=(
-            "future = ex.submit(consume, batch)\n"
-            "batch.clear()            # task may still be reading\n"
-            "future.result()"
-        ),
-        good=(
-            "future = ex.submit(consume, batch)\n"
-            "future.result()\n"
-            "batch.clear()            # after the join"
-        ),
+        bad="# repro: " + "allow[REP040] keys are disjoint\nbuf.fill(0)",
+        good="# repro: " + "allow[REP004] keys are disjoint\nbuf.fill(0)",
     ),
 }
 
@@ -221,15 +128,12 @@ RULE_DOCS: Dict[str, RuleDoc] = {
 def render_explanation(rule: str) -> str:
     """Full text block for one rule id; raises KeyError for unknown ids."""
     rule = rule.upper()
-    all_rules = {**RULES, **FLOW_RULES}
-    if rule not in RULE_DOCS or rule not in all_rules:
-        known = ", ".join(sorted(set(all_rules) | set(RULE_DOCS)))
+    if rule not in RULE_DOCS or rule not in RULES:
+        known = ", ".join(sorted(set(RULES) | set(RULE_DOCS)))
         raise KeyError(f"unknown rule {rule!r}; known rules: {known}")
     doc = RULE_DOCS[rule]
-    family = "whole-program" if rule in FLOW_RULES else "file-local"
     out = [
-        f"{rule}: {all_rules[rule]}",
-        f"family: {family}",
+        f"{rule}: {RULES[rule]}",
         "",
         "Why",
         "---",

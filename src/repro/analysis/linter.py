@@ -25,7 +25,9 @@ REP004  Direct iteration over a ``set`` expression or an explicit
         ``.keys()`` call without a wrapping ``sorted()`` — set order
         varies with hash randomisation; ``.keys()`` signals key-set
         thinking, so it must either be sorted or iterate the mapping
-        itself (insertion-ordered).
+        itself (insertion-ordered).  ``sum(...)`` / ``math.fsum(...)``
+        over such an expression counts as iteration: float addition is
+        not associative, so the total depends on the order.
 REP005  ``==`` / ``!=`` against float literals or ``float()`` results
         in non-test code — exact float comparison is usually a latent
         tolerance bug.
@@ -61,7 +63,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 __all__ = [
     "RULES",
-    "FLOW_RULES",
     "Finding",
     "LintConfig",
     "lint_source",
@@ -71,29 +72,16 @@ __all__ = [
     "run_lint",
 ]
 
-#: rule id -> one-line description (the file-local rule family).
+#: rule id -> one-line description.
 RULES: Dict[str, str] = {
     "REP001": "unseeded RNG construction (seed every stream explicitly)",
     "REP002": "legacy global-RNG call (use a local seeded Generator)",
     "REP003": "wall-clock/nondeterministic value in a seeded core package",
-    "REP004": "unordered set/.keys() iteration without sorted()",
+    "REP004": "unordered set/.keys() iteration or sum without sorted()",
     "REP005": "exact float ==/!= comparison in non-test code",
     "REP006": "mutable default argument",
     "REP007": "bare assert in library code (stripped under -O)",
     "REP008": "waiver comment names an unknown rule id",
-}
-
-#: rule id -> one-line description of the whole-program flow family
-#: (the second pass of ``repro lint``, implemented in
-#: :mod:`repro.analysis.flow`).
-#: Declared here so the waiver scanner and ``--select`` validation know
-#: the full taxonomy without importing the flow analyzer.
-FLOW_RULES: Dict[str, str] = {
-    "REP101": "rng draw reachable from code dispatched to an executor/pool",
-    "REP102": "module state written on a threaded path without a fork-reset hook",
-    "REP103": "out= buffer shared by concurrent dispatch sites (may alias)",
-    "REP104": "order-sensitive float reduction over an unordered iterable",
-    "REP105": "object captured by a pool task is mutated after submission",
 }
 
 #: Version of the ``--format json`` report layout.
@@ -153,6 +141,10 @@ _RNG_CONSTRUCTORS = frozenset(
         "random.Random",
     }
 )
+
+#: Reductions whose float result depends on the order of their first
+#: argument (REP004).
+_ORDER_SENSITIVE_SUMS = frozenset({"sum", "math.fsum"})
 
 #: Set-returning methods: iterating their result is order-unstable.
 _SET_METHODS = frozenset(
@@ -412,9 +404,11 @@ class _Visitor(ast.NodeVisitor):
                     f"nondeterministic source {short}() inside a seeded core "
                     "package; thread the value in from the caller",
                 )
+            if full in _ORDER_SENSITIVE_SUMS and node.args:
+                self._check_iteration(node.args[0])
         self.generic_visit(node)
 
-    # -- iteration rules (REP004) --------------------------------------
+    # -- iteration rule (REP004): loops, comprehensions, sum/fsum ------
 
     def _check_iteration(self, iter_node: ast.expr) -> None:
         if _is_set_expression(iter_node):
@@ -522,7 +516,6 @@ def _unknown_waiver_findings(
     waiver fails loudly instead of silently suppressing nothing."""
     if not config.enabled("REP008"):
         return []
-    known = set(RULES) | set(FLOW_RULES)
     findings: List[Finding] = []
     for lineno, text in enumerate(lines, start=1):
         match = _SUPPRESS_RE.search(text)
@@ -531,7 +524,7 @@ def _unknown_waiver_findings(
         unknown = [
             code.strip()
             for code in match.group(1).split(",")
-            if code.strip() and code.strip() not in known
+            if code.strip() and code.strip() not in RULES
         ]
         if unknown:
             findings.append(
@@ -542,7 +535,7 @@ def _unknown_waiver_findings(
                     col=match.start(),
                     message=(
                         f"waiver names unknown rule id(s) {', '.join(unknown)}; "
-                        "known rules are REP001-REP008 and REP101-REP105"
+                        "known rules are REP001-REP008"
                     ),
                 )
             )
@@ -652,15 +645,12 @@ def render_text(findings: Sequence[Finding]) -> str:
     return "\n".join(lines)
 
 
-def render_json(
-    findings: Sequence[Finding],
-    rules: Optional[Dict[str, str]] = None,
-) -> str:
+def render_json(findings: Sequence[Finding]) -> str:
     payload = {
         "version": REPORT_VERSION,
         "findings": [finding.to_json() for finding in findings],
         "count": len(findings),
-        "rules": rules if rules is not None else RULES,
+        "rules": RULES,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -674,29 +664,21 @@ def run_lint(
 ) -> Tuple[int, str]:
     """CLI core: lint ``paths`` and return ``(exit_code, report_text)``.
 
-    Two passes run over the same paths: the file-local rules
-    (REP001-REP008) and the whole-program concurrency/determinism pass
-    (REP101-REP105, :mod:`repro.analysis.flow`); both honour the same
-    inline waivers and ``select``.  Any reported finding gives exit 1.
+    Any reported finding gives exit 1.
     """
-    known_rules = {**RULES, **FLOW_RULES}
-    unknown = [rule for rule in select if rule not in known_rules]
+    unknown = [rule for rule in select if rule not in RULES]
     if unknown:
         raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
     if config is None:
         config = LintConfig(select=tuple(select))
-    from repro.analysis.flow import analyze_paths
-
     findings = lint_paths(paths, config=config, root=root)
-    findings.extend(analyze_paths(paths, root=root, select=tuple(select)))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
     if output_format == "json":
-        report = render_json(findings, rules=known_rules)
+        report = render_json(findings)
     elif output_format == "sarif":
         from repro.analysis.sarif import render_sarif
 
-        report = render_sarif(findings, rules=known_rules)
+        report = render_sarif(findings)
     else:
         report = render_text(findings)
     return (1 if findings else 0), report

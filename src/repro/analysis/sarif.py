@@ -13,7 +13,7 @@ when unrelated lines move).
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.analysis.linter import RULES, Finding
 
@@ -26,18 +26,14 @@ _SCHEMA_URI = (
 )
 
 
-def render_sarif(
-    findings: Iterable[Finding],
-    rules: Optional[Dict[str, str]] = None,
-) -> str:
+def render_sarif(findings: Iterable[Finding]) -> str:
     """Render findings as a SARIF 2.1.0 JSON document.
 
-    ``rules`` maps rule id -> short description for the driver's rule
-    table; defaults to the file-local REP0xx rules.  Rule ids seen in
-    findings but missing from ``rules`` are still added to the table so
-    the document never references an undeclared rule.
+    The driver's rule table is ``RULES``; a rule id seen in findings but
+    missing there (``REP000``, a syntax error) is still added, so the
+    document never references an undeclared rule.
     """
-    rule_table: Dict[str, str] = dict(RULES if rules is None else rules)
+    rule_table: Dict[str, str] = dict(RULES)
     results = []
     for finding in findings:
         rule_table.setdefault(finding.rule, finding.message)

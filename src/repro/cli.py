@@ -221,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the determinism linter (file-local rules REP001-REP008 "
-             "and whole-program rules REP101-REP105) over the project",
+        help="run the determinism linter (rules REP001-REP008) over the project",
     )
     lint.add_argument("paths", nargs="*", default=["src/repro", "benchmarks"],
                       help="files or directories to lint "
@@ -236,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated rule ids to run (default: all)")
     lint.add_argument("--explain", default=None, metavar="RULE",
                       help="print the rationale and a bad/good example for a "
-                           "rule id (e.g. REP101), then exit")
+                           "rule id (e.g. REP004), then exit")
 
     telemetry = sub.add_parser(
         "telemetry", help="inspect structured telemetry from a previous run"

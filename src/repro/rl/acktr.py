@@ -21,7 +21,8 @@ every combination produces the same floats, see DESIGN.md §8b):
   once the shared-rng draws are hoisted into a serial prologue the two
   network updates run on separate threads (numpy's BLAS releases the GIL
   during GEMMs).  Identical floats by construction: every array each
-  thread touches is private to its network.  Two threads when the
+  thread touches is private to its network, and the actor's input
+  arrays are marked read-only before dispatch.  Two threads when the
   process may run on two or more cores (150 updates: 3.17 s → 2.37 s on
   the 2-core bench host), serial on one core, where overlap cannot pay
   for dispatch.
@@ -259,19 +260,21 @@ class ACKTRTrainer(A2CTrainer):
 
         # --- disjoint network updates: overlap given a second core -----
         fused = self.fused_backward_active
+        actor_args = (self.policy.actor, self.actor_kfac, fisher_grad, dlogits, fused)
+        # The actor's input arrays are read-only on both schedules: a write
+        # to one while the task may hold it — by the task, by this thread
+        # or by a second task — raises instead of racing.
+        for arg in actor_args:
+            if isinstance(arg, np.ndarray):
+                arg.flags.writeable = False
         if self.kfac_threads >= 2:
-            future = _kfac_executor().submit(
-                _network_update,
-                self.policy.actor, self.actor_kfac, fisher_grad, dlogits, fused,
-            )
+            future = _kfac_executor().submit(_network_update, *actor_args)
             critic_times = _network_update(
                 self.policy.critic, self.critic_kfac, noise, dvalues, fused
             )
             actor_times = future.result()
         else:
-            actor_times = _network_update(
-                self.policy.actor, self.actor_kfac, fisher_grad, dlogits, fused
-            )
+            actor_times = _network_update(*actor_args)
             critic_times = _network_update(
                 self.policy.critic, self.critic_kfac, noise, dvalues, fused
             )

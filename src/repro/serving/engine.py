@@ -191,8 +191,9 @@ class ServingEngine:
         :meth:`poll`."""
         if now is None:
             now = self.clock()
-        # A malformed payload raises here, before it is counted: only
-        # requests the queue accepted or shed enter the accounting.
+        # A malformed payload (wrong shape, NaN or inf) raises here, before
+        # it is counted: only requests the queue accepted or shed enter
+        # the accounting.
         accepted = self._queue.push(obs, self._next_id, now)
         self.stats.submitted += 1
         if not accepted:

@@ -58,11 +58,16 @@ class RingBufferQueue:
         request_id: int,
         enqueue_time: float,
     ) -> bool:
-        """Append one request; returns False (shed) when the queue is full."""
+        """Append one request; returns False (shed) when the queue is full.
+
+        Raises ValueError on a payload of the wrong shape or with a NaN or
+        inf entry; nothing is queued then."""
         if np.shape(obs) != (self.obs_dim,):
             raise ValueError(
                 f"observation shape {np.shape(obs)} != ({self.obs_dim},)"
             )
+        if not np.isfinite(obs).all():
+            raise ValueError("observation has a NaN or inf entry")
         if self._size == self.capacity:
             return False
         slot = (self._head + self._size) % self.capacity

@@ -102,6 +102,27 @@ class TestCliCommand:
         code = main(["lint", str(bad_tree), "--select", "REP007"])
         assert code == 0
 
+    def test_explain_known_rule(self, capsys):
+        assert main(["lint", "--explain", "REP003"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("REP003:")
+        assert "Bad" in out and "Good" in out
+
+    def test_explain_unknown_rule(self, capsys):
+        assert main(["lint", "--explain", "REP999"]) == 2
+        assert "known rules" in capsys.readouterr().out
+
+    def test_output_file_writes_report(self, bad_tree, tmp_path, capsys):
+        out_file = tmp_path / "report.sarif"
+        code = main(
+            ["lint", str(bad_tree), "--format", "sarif", "--output",
+             str(out_file)]
+        )
+        assert code == 1
+        assert "written to" in capsys.readouterr().out
+        doc = json.loads(out_file.read_text())
+        assert doc["runs"][0]["results"]
+
 
 class TestSelfLint:
     """The repository itself must pass its own determinism gate."""
@@ -128,6 +149,24 @@ class TestSelfLint:
         assert result.returncode == 0, result.stdout + result.stderr
 
 
+class TestSelfFlowLint:
+    """The CI lint invocation must be clean on the repository."""
+
+    def test_flow_module_invocation_is_clean(self, tmp_path):
+        sarif_path = tmp_path / "lint.sarif"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "lint", "src/repro", "benchmarks",
+             "--format", "sarif", "--output", str(sarif_path)],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        doc = json.loads(sarif_path.read_text())
+        assert doc["runs"][0]["results"] == []
+
+
 class TestSarifFormat:
     def test_sarif_document_shape(self, bad_tree):
         code, report = run_lint(
@@ -148,14 +187,6 @@ class TestSarifFormat:
         assert location["region"]["startLine"] == 3
         assert "reproLintFingerprint/v1" in result["partialFingerprints"]
 
-    def test_sarif_with_flow_declares_flow_rules(self, bad_tree):
-        _, report = run_lint(
-            [str(bad_tree)], output_format="sarif", root=bad_tree
-        )
-        doc = json.loads(report)
-        rule_ids = {rule["id"] for rule in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"REP101", "REP102", "REP103", "REP104", "REP105"} <= rule_ids
-
     def test_clean_tree_sarif_has_no_results(self, tmp_path):
         (tmp_path / "ok.py").write_text(CLEAN_MODULE)
         code, report = run_lint(
@@ -173,12 +204,6 @@ class TestUnknownWaiverRule:
         assert [f.rule for f in findings] == ["REP008"]
         assert "REP999" in findings[0].message
 
-    def test_flow_rule_ids_are_known_to_the_waiver_scanner(self):
-        findings = lint_source(
-            "x = 1  # repro: allow[REP105] future-proof\n", path="pkg/mod.py"
-        )
-        assert findings == []
-
     def test_mixed_known_and_unknown_ids_reported_once(self):
         findings = lint_source(
             "x = 1  # repro: allow[REP001, REP150] half typo\n",
@@ -188,63 +213,3 @@ class TestUnknownWaiverRule:
         assert "REP150" in findings[0].message
         assert "REP001" not in findings[0].message.split(";")[0]
 
-
-class TestFlowCli:
-    FIXTURES = REPO_ROOT / "tests" / "analysis" / "fixtures" / "flow"
-
-    def test_flow_flag_surfaces_flow_findings(self, capsys):
-        code = main(
-            ["lint", str(self.FIXTURES / "rep105_bad"), "--format", "json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert "REP105" in [f["rule"] for f in payload["findings"]]
-        assert "REP105" in payload["rules"]
-
-    def test_flow_select_filters_flow_rules(self, capsys):
-        code = main(
-            ["lint", str(self.FIXTURES / "rep105_bad"),
-             "--select", "REP101", "--format", "json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert payload["findings"] == []
-
-    def test_explain_known_rule(self, capsys):
-        assert main(["lint", "--explain", "REP103"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("REP103:")
-        assert "Bad" in out and "Good" in out
-
-    def test_explain_unknown_rule(self, capsys):
-        assert main(["lint", "--explain", "REP999"]) == 2
-        assert "known rules" in capsys.readouterr().out
-
-    def test_output_file_writes_report(self, bad_tree, tmp_path, capsys):
-        out_file = tmp_path / "report.sarif"
-        code = main(
-            ["lint", str(bad_tree), "--format", "sarif", "--output",
-             str(out_file)]
-        )
-        assert code == 1
-        assert "written to" in capsys.readouterr().out
-        doc = json.loads(out_file.read_text())
-        assert doc["runs"][0]["results"]
-
-
-class TestSelfFlowLint:
-    """The CI lint invocation must be clean on the repository."""
-
-    def test_flow_module_invocation_is_clean(self, tmp_path):
-        sarif_path = tmp_path / "lint.sarif"
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", "src/repro", "benchmarks",
-             "--format", "sarif", "--output", str(sarif_path)],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-        doc = json.loads(sarif_path.read_text())
-        assert doc["runs"][0]["results"] == []

@@ -210,6 +210,28 @@ class TestREP004UnorderedIteration:
             """
         ) == []
 
+    def test_sum_and_fsum_over_unordered_fire(self):
+        findings = lint(
+            """
+            import math
+            from math import fsum
+            def f(delays, mapping):
+                return sum(set(delays)) + math.fsum(mapping.keys()) + fsum({1.0, 2.0})
+            """
+        )
+        assert rules_of(findings) == ["REP004"] * 3
+
+    def test_sum_over_sorted_set_or_generator_is_fine(self):
+        # sorted() fixes the order; a generator is checked at its own for
+        # clause, where iterating a plain name passes.
+        assert lint(
+            """
+            import math
+            def f(delays):
+                return sum(sorted(set(delays))) + math.fsum(d for d in delays)
+            """
+        ) == []
+
 
 class TestREP005FloatEquality:
     def test_float_literal_equality_fires(self):

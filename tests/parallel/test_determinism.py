@@ -4,9 +4,11 @@ The determinism contract (see :mod:`repro.parallel.pool`): every task
 carries its own seeds, so ``workers=N`` only changes *where* a task
 runs.  These tests pin the contract for both fan-out sites — multi-seed
 training and per-seed evaluation — and check that a worker failure
-surfaces an error naming the offending seed.
+surfaces an error naming the offending seed.  A forked worker must also
+get a working K-FAC executor, not the parent's dead one.
 """
 
+import multiprocessing
 from dataclasses import dataclass
 from functools import partial
 
@@ -16,6 +18,7 @@ from repro.baselines.shortest_path import ShortestPathPolicy
 from repro.eval.runner import evaluate_policy_on_scenario
 from repro.eval.scenarios import base_scenario
 from repro.parallel import EnvBuilder, WorkerTaskError
+from repro.rl import acktr
 from repro.rl.acktr import ACKTRConfig
 from repro.rl.training import train_multi_seed
 
@@ -53,6 +56,33 @@ def _train(workers):
         updates_per_seed=4,
         workers=workers,
     )
+
+
+def _submit_from_forked_child():
+    # The child inherits the parent's executor object but not its thread.
+    if acktr._kfac_executor().submit(int, 7).result(timeout=5) != 7:
+        raise SystemExit(1)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+def test_kfac_executor_works_in_a_forked_child():
+    """The fork hook in ``repro.rl.acktr`` resets the module-level
+    executor, so a forked pool worker gets a live one.  Without the hook
+    this fails in seconds; the pooled training below, which it precedes,
+    would block forever in the worker's first K-FAC update."""
+    acktr._kfac_executor().submit(int).result()  # its thread now exists
+    child = multiprocessing.get_context("fork").Process(
+        target=_submit_from_forked_child
+    )
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
 
 
 class TestTrainingDeterminism:

@@ -8,6 +8,7 @@ import pytest
 from repro.core.trainer import CoordinationEnvBuilder
 from repro.nn.mlp import fused_backward_is_exact
 from repro.parallel import CountingEnvFactory
+from repro.rl import acktr
 from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
 from repro.topology import line_network
 
@@ -184,3 +185,27 @@ class TestStatInterval:
         stats = trainer.update()
         assert stats.grad_norm > 0.0
         assert stats.grad_norm == trainer.actor_kfac.last_grad_norm
+
+
+class TestThreadedUpdateGuard:
+    """The actor update is the one task in the tree that runs on a thread.
+    (Its executor's fork hook is pinned in tests/parallel/test_determinism.py,
+    ahead of the pooled training it protects.)"""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_actor_inputs_are_read_only(self, monkeypatch, threads):
+        """A write to an array the actor task holds raises on both
+        schedules instead of racing the task's reads."""
+        trainer = _bandit_trainer()
+        trainer.kfac_threads = threads
+        real = acktr._network_update
+
+        def writes_its_input(network, kfac, stat_dout, loss_dout, fused):
+            if network is trainer.policy.actor:
+                assert not stat_dout.flags.writeable
+                loss_dout *= 2.0
+            return real(network, kfac, stat_dout, loss_dout, fused)
+
+        monkeypatch.setattr(acktr, "_network_update", writes_its_input)
+        with pytest.raises(ValueError, match="read-only"):
+            trainer.update()

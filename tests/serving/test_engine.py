@@ -15,6 +15,10 @@ All trigger timing runs on a virtual clock, so these tests are exact
 and wall-clock-free.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -318,6 +322,47 @@ class TestHotSwap:
             by_flush.setdefault(d.flush_index, set()).add(d.policy_version)
         assert all(len(v) == 1 for v in by_flush.values())
 
+    def test_install_from_a_real_thread(self):
+        """A trainer thread stages K versioned installs while this thread
+        submits and polls: every request is answered once, versions never
+        go back, and the last staged version is the one left applied."""
+        installs, requests = 40, 400
+        policies = [make_policy(rng=seed) for seed in range(4)]
+        engine = make_engine(policy=policies[0], max_batch=4, queue_capacity=requests)
+        obs = make_obs(requests)
+
+        def trainer():
+            for version in range(1, installs + 1):
+                engine.install(policies[version % len(policies)], version=version)
+                time.sleep(0)
+
+        thread = threading.Thread(target=trainer)
+        served = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two threads finely
+        try:
+            thread.start()
+            for row in obs:
+                assert engine.submit(row) is not None
+                served.extend(engine.poll())
+            thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert engine.submit(obs[0]) == requests  # flushes the last staged swap
+        served.extend(engine.drain())
+
+        assert [d.request_id for d in served] == list(range(requests + 1))
+        versions = [d.policy_version for d in served]
+        assert versions == sorted(versions)
+        assert versions[-1] == engine.policy_version == installs
+        assert engine.policy is policies[installs % len(policies)]
+        # Each answer comes from the policy its version names.
+        rows = np.vstack([obs, obs[:1]])
+        for d in served:
+            policy = policies[d.policy_version % len(policies)]
+            assert [d.action] == serial_actions(policy, rows[d.request_id:d.request_id + 1])
+
 
 class TestBackpressure:
     def test_submit_sheds_at_queue_capacity(self):
@@ -356,6 +401,24 @@ class TestBackpressure:
         stats = engine.stats
         assert (stats.submitted, stats.served, stats.shed, engine.pending) == (1, 1, 0, 0)
         assert stats.served + stats.shed + engine.pending == stats.submitted
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_payload_is_rejected(self, bad):
+        """A NaN or inf observation is refused at submit, is not counted,
+        and leaves the queue ready for the next finite request."""
+        policy = make_policy()
+        engine = make_engine(policy=policy, max_batch=4)
+        obs = make_obs(2)
+        assert engine.submit(obs[0]) == 0
+        payload = obs[1].copy()
+        payload[3] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            engine.submit(payload)
+        assert (engine.stats.submitted, engine.pending) == (1, 1)
+        assert engine.submit(obs[1]) == 1
+        decisions = engine.drain()
+        assert [d.request_id for d in decisions] == [0, 1]
+        assert [d.action for d in decisions] == serial_actions(policy, obs)
 
 
 class TestStatsAndTelemetry:

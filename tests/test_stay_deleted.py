@@ -6,8 +6,11 @@ reached: the federated learners, ``TracingPolicy``, the ASCII charts,
 ``ActionAdapter`` with the Gym-style spaces, ``Adam`` and the
 ``CoordinationPolicy`` protocol.  ``PhaseTimer`` and its ``phase`` record
 kind followed: benches time their stages inline, and training phases
-have one emitter, ``PhaseAccumulator``.  The names below may
-appear only here — CI greps for them everywhere else.
+have one emitter, ``PhaseAccumulator``.  The whole-program flow analyzer
+and its rules REP101-REP105 followed too: the one threaded dispatch
+carries runtime guards (``tests/rl/test_acktr.py``), and a float sum over
+a set is REP004.  The names below may appear only here — CI greps for
+them everywhere else.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import importlib
 
 import pytest
 
+from repro.analysis.linter import lint_source
+from repro.cli import main
 from repro.core.env import CoordinationEnvConfig, ServiceCoordinationEnv
 from repro.core.observations import ObservationAdapter
 from repro.eval.scenarios import base_scenario
@@ -33,6 +38,7 @@ REMOVED_MODULES = [
     "repro.core.actions",
     "repro.rl.spaces",
     "repro.telemetry.phases",
+    "repro.analysis.flow",
 ]
 
 REMOVED_EXPORTS = {
@@ -45,6 +51,7 @@ REMOVED_EXPORTS = {
     "repro.nn": ["Adam"],
     "repro.baselines": ["CoordinationPolicy"],
     "repro.telemetry": ["PhaseTimer"],
+    "repro.analysis": ["analyze_paths", "FLOW_RULES"],
 }
 
 
@@ -92,3 +99,10 @@ def test_the_phase_record_kind_is_gone():
     assert "phase" not in RECORD_SCHEMAS
     assert "phase" not in TIMING_KINDS
     assert len(RECORD_SCHEMAS) == 12
+
+
+def test_the_flow_rules_are_gone(capsys):
+    assert main(["lint", "--explain", "REP101"]) != 0
+    assert "REP101" in capsys.readouterr().out
+    waiver = "x = 1  # repro: " + "allow[REP105] overlap is disjoint\n"
+    assert [f.rule for f in lint_source(waiver, path="pkg/mod.py")] == ["REP008"]
