@@ -41,7 +41,10 @@ Backpressure
 
 The queue depth is capped; :meth:`submit` returns ``None`` for a shed
 request and the engine counts sheds — under overload the caller sees
-load-shedding instead of unbounded latency.
+load-shedding instead of unbounded latency.  A submit costs one row copy
+into the request's ring slot plus one finiteness classification of it;
+ids are implicit (accepted requests are numbered consecutively, so a
+flush's ids are a range) and enqueue times stay Python floats.
 
 The engine core (submit/poll/flush) is single-threaded by design — one
 driver loop owns it; only :meth:`install` may be called concurrently.
@@ -151,14 +154,12 @@ class ServingEngine:
         self._queue = RingBufferQueue(
             config.effective_queue_capacity, policy.obs_dim
         )
+        # Accepted requests get consecutive ids, so the queue keeps none:
+        # the pending ones are the last len(queue) ids below _next_id.
         self._next_id = 0
         self._flush_index = 0
-        # Preallocated flush workspaces (ids, times, actions); the batch
-        # rows are the actor workspace's own input rows.
-        b = config.max_batch
-        self._batch_ids = np.empty(b, dtype=np.int64)
-        self._batch_times = np.empty(b, dtype=np.float64)
-        self._actions = np.empty(b, dtype=np.intp)
+        # The batch rows are the actor workspace's own input rows.
+        self._actions = np.empty(config.max_batch, dtype=np.intp)
 
     # ------------------------------------------------------------------
 
@@ -194,16 +195,16 @@ class ServingEngine:
         # A malformed payload (wrong shape, NaN or inf) raises here, before
         # it is counted: only requests the queue accepted or shed enter
         # the accounting.
-        accepted = self._queue.push(obs, self._next_id, now)
-        self.stats.submitted += 1
-        if not accepted:
-            self.stats.shed += 1
+        depth = self._queue.push(obs, now)
+        stats = self.stats
+        stats.submitted += 1
+        if not depth:
+            stats.shed += 1
             return None
         request_id = self._next_id
-        self._next_id += 1
-        depth = len(self._queue)
-        if depth > self.stats.max_queue_depth:
-            self.stats.max_queue_depth = depth
+        self._next_id = request_id + 1
+        if depth > stats.max_queue_depth:
+            stats.max_queue_depth = depth
         return request_id
 
     def ready(self, now: Optional[float] = None) -> Optional[str]:
@@ -286,12 +287,13 @@ class ServingEngine:
         # width is a prefix of the widest, so x below aliases what was
         # popped and the forward copies nothing.
         max_batch = self.config.max_batch
-        n = self._queue.pop_into(
-            self._inference.input_rows(max_batch),
-            self._batch_ids, self._batch_times, max_batch,
+        enqueue_times = self._queue.pop_into(
+            self._inference.input_rows(max_batch), max_batch
         )
+        n = len(enqueue_times)
         if n == 0:
             raise InvariantViolation("flush fired on an empty queue")
+        first_id = self._next_id - len(self._queue) - n
         x = self._inference.input_rows(n)
         f0 = self.clock()
         logits = self._inference.forward(x)
@@ -304,16 +306,13 @@ class ServingEngine:
         flush_index = self._flush_index
         self._flush_index = flush_index + 1
         version = self._version
-        # One tolist() per column turns the batch into python ints and
-        # floats, instead of three scalar conversions per row.
-        enqueue_times = self._batch_times[:n].tolist()
         decisions = [
             Decision(
                 request_id, action, version, enqueue_time,
                 completion, n, flush_index, trigger,
             )
             for request_id, action, enqueue_time in zip(
-                self._batch_ids[:n].tolist(), actions.tolist(), enqueue_times
+                range(first_id, first_id + n), actions.tolist(), enqueue_times
             )
         ]
         self.stats.record_flush(
