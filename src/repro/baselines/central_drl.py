@@ -69,7 +69,7 @@ class CentralDRLConfig:
     update_interval: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.update_interval <= 0:
+        if not self.update_interval > 0:
             raise ValueError(
                 f"update_interval must be > 0, got {self.update_interval}"
             )

@@ -1,10 +1,11 @@
 """Distributed inference: one DRL agent per node (Fig. 4b).
 
 After centralized training, the trained actor network is *copied to every
-node* (Alg. 1 line 14).  Each :class:`NodeAgent` then makes decisions for
-flows arriving at its node using only local observations — its own and
-its direct neighbors' state — in O(Δ_G) time, independent of network
-size.  The :class:`DistributedCoordinator` is the collection of these
+node* (Alg. 1 line 14).  Each :class:`NodeAgent` then makes greedy
+decisions (the actor's argmax; sampling is exploration during training
+only) for flows arriving at its node using only local observations — its
+own and its direct neighbors' state — in O(Δ_G) time, independent of
+network size.  The :class:`DistributedCoordinator` is the collection of these
 agents and doubles as a simulator policy callable.
 
 In this process the per-node copies are *logical*: inference never writes
@@ -36,28 +37,26 @@ class NodeAgent:
     Reads the trained policy network it is given (under a
     :class:`DistributedCoordinator` that is the deployment's shared frozen
     snapshot — this node's logical copy of π_θ, Alg. 1 line 14) and owns
-    its rng stream and decision counter; the batch-1 workspace it decides
-    in is the deployment's, not its own.  All information it uses is
-    local: the incoming flow's attributes and the state of the node and
-    its direct neighbors.
+    its decision counter; the batch-1 workspace it decides in is the
+    deployment's, not its own.  Its decision is the actor's greedy
+    (argmax) action: sampling is exploration during training only.  All
+    information it uses is local: the incoming flow's attributes and the
+    state of the node and its direct neighbors.
 
     Args:
         node: The node this agent controls.
         policy: Trained actor-critic whose actor makes the decisions.
         adapter: Observation builder (shared, stateless).
-        deterministic: Greedy (argmax) actions when True — the default for
-            online inference; sampling is used during training only.
-        rng: Generator for stochastic action selection.
         inference: The actor workspace ``act_single`` runs on.  ``None``
             (default) is ``policy.workspace``, the exact float64 path; a
             float32 :class:`~repro.nn.mlp.MLPInference` over
-            ``policy.actor`` is the fast mode (last ulps may differ, same
-            ``(1, K)`` rng draws).  Either way the observation is built
-            straight into the workspace's input row and never copied, and
-            the workspace is shared by every agent of the deployment: an
-            agent holds no state in it between two ``act`` calls, which
-            must not run concurrently (as before, when the agents shared
-            the snapshot's ``MLP.forward`` caches).
+            ``policy.actor`` is the fast mode (last ulps may differ).
+            Either way the observation is built straight into the
+            workspace's input row and never copied, and the workspace is
+            shared by every agent of the deployment: an agent holds no
+            state in it between two ``act`` calls, which must not run
+            concurrently (as before, when the agents shared the
+            snapshot's ``MLP.forward`` caches).
     """
 
     def __init__(
@@ -65,15 +64,11 @@ class NodeAgent:
         node: str,
         policy: ActorCriticPolicy,
         adapter: ObservationAdapter,
-        deterministic: bool = True,
-        rng: Optional[np.random.Generator] = None,
         inference: Optional[MLPInference] = None,
     ) -> None:
         self.node = node
         self.policy = policy
         self.adapter = adapter
-        self.deterministic = deterministic
-        self.rng = rng if rng is not None else np.random.default_rng(0)
         self._inference = inference
         #: Decisions taken by this agent (per-node load statistics).
         self.decisions_taken = 0
@@ -88,12 +83,7 @@ class NodeAgent:
         rows = inference.input_rows(1)
         self.adapter.build(decision, sim, out=rows[0])
         self.decisions_taken += 1
-        return self.policy.act_single(
-            rows,
-            rng=self.rng,
-            deterministic=self.deterministic,
-            inference=inference,
-        )
+        return self.policy.act_single(rows, inference=inference)
 
 
 class DistributedCoordinator:
@@ -102,15 +92,15 @@ class DistributedCoordinator:
     Construction takes **one** snapshot of ``policy`` — a copy decoupled
     from the trainer's live weights, every array marked read-only — and
     exposes it as :attr:`policy`; each node's agent references it.  The
-    agents share no state that outlives a decision: rng streams and
-    counters are per agent, the one actor workspace (the snapshot's
-    ``policy.workspace``, or one float32 cast) is overwritten by every
-    decision, and ``write=False`` turns the one thing that could couple
-    them (an in-place write to a deployed weight, e.g. an optimiser
-    stepping the wrong object) into a ``ValueError`` at the write.  One
-    thread drives a coordinator.  Deployment cost and
-    resident weights are therefore independent of network size, while
-    decisions are those of the paper's one-network-per-node deployment.
+    agents share no state that outlives a decision: counters are per
+    agent, the one actor workspace (the snapshot's ``policy.workspace``,
+    or one float32 cast) is overwritten by every decision, and
+    ``write=False`` turns the one thing that could couple them (an
+    in-place write to a deployed weight, e.g. an optimiser stepping the
+    wrong object) into a ``ValueError`` at the write.  One thread drives a
+    coordinator.  Deployment cost and resident weights are therefore
+    independent of network size, while decisions are those of the paper's
+    one-network-per-node deployment.
 
     Pickling keeps the sharing (one weight set per coordinator, whatever
     the node count) but numpy does not carry the read-only flag across;
@@ -121,8 +111,6 @@ class DistributedCoordinator:
         network: Substrate network (one agent per node).
         catalog: Services (needed by the observation adapter).
         policy: The trained policy selected by multi-seed training.
-        deterministic: Greedy decisions (default for inference).
-        seed: Base seed for per-agent stochastic sampling.
         dtype: Inference dtype (``"f64"``/``"f32"`` or a numpy dtype).
             Float64 is the bit-exact default; float32 casts the snapshot's
             actor once into a workspace all agents decide in — see
@@ -134,13 +122,9 @@ class DistributedCoordinator:
         network: Network,
         catalog: ServiceCatalog,
         policy: ActorCriticPolicy,
-        deterministic: bool = True,
-        seed: int = 0,
         dtype: Any = np.float64,
     ) -> None:
         self.network = network
-        self.seed = seed
-        self.deterministic = deterministic
         self.dtype = resolve_eval_dtype(dtype)
         self.adapter = ObservationAdapter(network, catalog)
         if policy.obs_dim != self.adapter.size:
@@ -156,17 +140,9 @@ class DistributedCoordinator:
             if self.dtype == np.dtype(np.float64)
             else self.policy.actor_inference(dtype=self.dtype)
         )
-        seeds = np.random.SeedSequence(seed).spawn(network.num_nodes)
         self.agents: Dict[str, NodeAgent] = {
-            node: NodeAgent(
-                node,
-                self.policy,
-                self.adapter,
-                deterministic=deterministic,
-                rng=np.random.default_rng(child),
-                inference=inference,
-            )
-            for node, child in zip(network.node_names, seeds)
+            node: NodeAgent(node, self.policy, self.adapter, inference=inference)
+            for node in network.node_names
         }
 
     def __call__(self, decision: DecisionPoint, sim: Simulator) -> int:
@@ -175,15 +151,9 @@ class DistributedCoordinator:
 
     def fresh(self) -> "DistributedCoordinator":
         """A new coordinator over the same trained weights (its own frozen
-        snapshot) with reset per-agent runtime state (rng streams,
-        decision counters)."""
+        snapshot) with reset decision counters."""
         return DistributedCoordinator(
-            self.network,
-            self.adapter.catalog,
-            self.policy,
-            deterministic=self.deterministic,
-            seed=self.seed,
-            dtype=self.dtype,
+            self.network, self.adapter.catalog, self.policy, dtype=self.dtype
         )
 
     def decision_counts(self) -> Dict[str, int]:

@@ -125,7 +125,6 @@ def train_coordinator(
         env_config.network,
         env_config.catalog,
         multi_seed.best_policy,
-        deterministic=True,
         dtype=training.eval_dtype,
     )
     return TrainingResult(coordinator=coordinator, multi_seed=multi_seed)

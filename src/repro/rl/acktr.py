@@ -151,7 +151,7 @@ class ACKTRConfig(A2CConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.kl_clip <= 0:
+        if not self.kl_clip > 0:
             raise ValueError(f"kl_clip must be > 0, got {self.kl_clip}")
         if self.stat_interval < 1:
             raise ValueError(

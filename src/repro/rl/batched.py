@@ -35,11 +35,12 @@ loop over the same episodes.  Two mechanisms deliver this:
 1. *Episode replay.*  Each episode's traffic depends only on
    ``(env seed, episode index)`` (:meth:`ServiceCoordinationEnv.reset_episode`),
    so clone k playing episode k sees exactly the flows the k-th
-   ``reset()`` of a serial loop would generate.  In stochastic mode,
-   episode k also owns the k-th spawned child of the caller's generator
-   and hands it to the select for every one of its decisions.
-2. *The select's contract* (rng order, near-tie guard, one-row case):
-   see :meth:`ActorCriticPolicy.select_actions`.
+   ``reset()`` of a serial loop would generate.
+2. *The select's contract* (near-tie guard, one-row case): see
+   :meth:`ActorCriticPolicy.select_actions`.
+
+Every decision is the actor's greedy (argmax) action, as in deployment;
+sampling belongs to training.
 
 Float32 inference mode (``dtype=np.float32``, honoured at every width)
 trades the guarantee for speed: actions near ties (margin ≲ 1e-6) may
@@ -102,7 +103,6 @@ class BatchedEvalStats:
 
     batch: int
     episodes: int
-    deterministic: bool
     dtype: str
     rounds: int = 0
     decisions: int = 0
@@ -129,7 +129,6 @@ class BatchedEvalStats:
             episodes=self.episodes,
             rounds=self.rounds,
             decisions=self.decisions,
-            deterministic=self.deterministic,
             dtype=self.dtype,
             tie_fallbacks=self.tie_fallbacks,
             mean_round_batch=self.mean_round_batch,
@@ -139,15 +138,6 @@ class BatchedEvalStats:
             wall_seconds=self.wall_seconds,
             decisions_per_second=self.decisions_per_second,
         )
-
-
-def _episode_rngs(rng: np.random.Generator, count: int) -> List[np.random.Generator]:
-    """One independent child generator per episode (stochastic mode)."""
-    try:
-        return list(rng.spawn(count))
-    except AttributeError:  # numpy < 1.25: derive children from drawn seeds
-        seeds = rng.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
 
 
 class BatchedEpisodeRunner:
@@ -161,10 +151,6 @@ class BatchedEpisodeRunner:
             (its counter advances as if it had played them serially).
         episodes: Number of episodes to evaluate.
         batch: Lockstep width M (clamped to ``episodes``).
-        deterministic: Greedy (argmax) actions when True; Gumbel-max
-            sampling with per-episode rng streams when False.
-        rng: Base generator for stochastic mode (ignored when
-            deterministic); episode k uses its k-th spawned child.
         dtype: ``np.float64`` (bit-identical to serial, default) or
             ``np.float32`` (faster, approximate); honoured at every width.
         recorder: Telemetry sink; one ``eval_batch`` record per run().
@@ -176,8 +162,6 @@ class BatchedEpisodeRunner:
         env: Any,
         episodes: int,
         batch: int,
-        deterministic: bool = True,
-        rng: Optional[np.random.Generator] = None,
         dtype: Any = np.float64,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
@@ -191,14 +175,10 @@ class BatchedEpisodeRunner:
                 "protocol required for batched evaluation "
                 f"(needs {', '.join(_REPLAY_PROTOCOL)})"
             )
-        if not deterministic and rng is None:
-            raise ValueError("stochastic batched evaluation needs an rng")
         self.policy = policy
         self.env = env
         self.episodes = episodes
         self.batch = batch
-        self.deterministic = deterministic
-        self.rng = rng
         self.recorder = recorder
         self._inference = policy.actor_inference(dtype=dtype)
         self.dtype = self._inference.dtype
@@ -210,12 +190,7 @@ class BatchedEpisodeRunner:
         episode order) plus run statistics, and emits telemetry."""
         wall_start = time.perf_counter()
         n = self.episodes
-        stats = BatchedEvalStats(
-            batch=self.batch,
-            episodes=n,
-            deterministic=self.deterministic,
-            dtype=str(self.dtype),
-        )
+        stats = BatchedEvalStats(batch=self.batch, episodes=n, dtype=str(self.dtype))
         base = self.env.next_episode_index
         self.env.consume_episodes(n)
         outcomes: List[Optional[EpisodeOutcome]] = [None] * n
@@ -249,8 +224,6 @@ class BatchedEpisodeRunner:
         episode_of = [0] * m  # relative episode index per slot
         totals = [0.0] * m
         lengths = [0] * m
-        # Stochastic mode: episode k draws from the k-th child of ``rng``.
-        rngs = None if self.deterministic else _episode_rngs(self.rng, n)
         actions = np.empty(m, dtype=np.intp)
         next_ep = 0  # next relative episode index to hand out
 
@@ -299,12 +272,7 @@ class BatchedEpisodeRunner:
             t0 = clock()
             logits = forward(x)
             forward_seconds += clock() - t0
-            fallbacks += select(
-                logits,
-                x,
-                chosen,
-                None if rngs is None else [rngs[k] for k in episode_of[:live]],
-            )
+            fallbacks += select(logits, x, chosen)
             rounds += 1
             decisions += live
             if rounds <= _MAX_RECORDED_ROUNDS:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import zipfile
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,55 +131,38 @@ class ActorCriticPolicy:
         return inference.forward(rows)[0]
 
     def select_actions(
-        self,
-        logits: np.ndarray,
-        x: np.ndarray,
-        actions: np.ndarray,
-        rngs: Optional[Iterable[np.random.Generator]] = None,
+        self, logits: np.ndarray, x: np.ndarray, actions: np.ndarray
     ) -> int:
-        """Fill ``actions[j]`` with what :meth:`act_single` answers for row
-        ``x[j]``, given the ``(n, K)`` ``logits`` one forward computed for
-        all of ``x`` — the select every multi-row driver (lockstep
-        evaluation, serving flushes) runs.  Returns how many rows went
-        back through the batch-1 forward.
+        """Fill ``actions[j]`` with the greedy action :meth:`act_single`
+        answers for row ``x[j]``, given the ``(n, K)`` ``logits`` one
+        forward computed for all of ``x`` — the select every multi-row
+        driver (lockstep evaluation, serving flushes) runs.  Returns how
+        many rows went back through the batch-1 forward.
 
-        - *rng order*: ``rngs`` is None for greedy selection; otherwise it
-          yields row ``j``'s generator and each row draws one ``(1, K)``
-          block, in row order — :meth:`act_single`'s draw, so a caller
-          that hands every row its ``act_single`` stream leaves every
-          stream where the serial loop would.
         - *near-tie guard*: a multi-row GEMM sums in another order than the
           batch-1 forward, so float64 logits differ from
           :meth:`logits_single` in the last ulps.  Only a near tie can turn
           that into a different argmax: rows whose top-two margin is within
           :data:`ARGMAX_TIE_TOLERANCE` are recomputed through
-          ``logits_single(x[j])`` (plus the row's own noise).  float32
-          logits carry no bit-identity promise and skip the guard.
+          ``logits_single(x[j])``.  float32 logits carry no bit-identity
+          promise and skip the guard.
         - *one row*: a 1-row forward through a workspace prefix is the
           batch-1 forward, bit for bit, so the answer is a plain argmax.
         """
         n, k = logits.shape
-        noise = None
-        scores = logits
-        if rngs is not None:
-            noise = np.empty((n, k))
-            for j, rng in zip(range(n), rngs):
-                noise[j] = gumbel_noise(rng, (1, k))[0]
-            scores = logits + noise
         if n == 1:
-            actions[0] = scores[0].argmax()
+            actions[0] = logits[0].argmax()
             return 0
-        np.argmax(scores, axis=1, out=actions)
+        np.argmax(logits, axis=1, out=actions)
         if k == 1 or logits.dtype != np.float64:
             return 0
-        ranked = np.sort(scores, axis=1)
+        ranked = np.sort(logits, axis=1)
         top = ranked[:, -1]
         near = np.nonzero(
             top - ranked[:, -2] <= ARGMAX_TIE_TOLERANCE * (1.0 + np.abs(top))
         )[0]
         for j in near:
-            serial = self.logits_single(x[j])
-            actions[j] = (serial if noise is None else serial + noise[j]).argmax()
+            actions[j] = self.logits_single(x[j]).argmax()
         return len(near)
 
     @property

@@ -2,7 +2,9 @@
 
 Random seeds have a significant impact on DRL convergence [43], so the
 paper trains ``k`` agents with different seeds and automatically selects
-the one with the highest reward for online inference.
+the one with the highest reward for online inference.  The selection
+evaluation decides greedily, as the deployed agents do; sampling is
+exploration inside the trainers only.
 
 The ``k`` per-seed runs are independent, so :func:`train_multi_seed` can
 fan them out across worker processes (``workers`` argument or the
@@ -84,12 +86,11 @@ def evaluate_policy(
     policy: ActorCriticPolicy,
     env: Env,
     episodes: int = 1,
-    deterministic: bool = True,
-    rng: Optional[np.random.Generator] = None,
     dtype: Optional[str] = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> Dict[str, float]:
-    """Run ``episodes`` full episodes; returns mean reward and final infos.
+    """Run ``episodes`` full greedy episodes; returns mean reward and
+    final infos.
 
     The coordination environment reports the simulation's success ratio in
     the terminal ``info`` dict; when present it is averaged into the
@@ -101,10 +102,8 @@ def evaluate_policy(
     function derives from ``episodes`` — one slot below
     :data:`LOCKSTEP_MIN_EPISODES`, else one per episode up to
     :data:`LOCKSTEP_MAX_WIDTH`.  Float64 per-episode metrics are
-    bit-identical to a plain ``act_single`` loop at every width; in
-    stochastic mode episode k draws from the k-th spawned child of
-    ``rng``.  Any other env is stepped by the generic loop below, all
-    episodes sharing ``rng``.
+    bit-identical to a plain ``act_single`` loop at every width.  Any
+    other env is stepped by the generic loop below.
 
     Args:
         dtype: Inference dtype of the lockstep path — ``"f64"``
@@ -117,7 +116,6 @@ def evaluate_policy(
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    rng = rng or np.random.default_rng(0)
     if supports_batched_evaluation(env):
         width = (
             min(episodes, LOCKSTEP_MAX_WIDTH)
@@ -129,8 +127,6 @@ def evaluate_policy(
             env,
             episodes=episodes,
             batch=width,
-            deterministic=deterministic,
-            rng=rng,
             dtype=resolve_eval_dtype(dtype),
             recorder=recorder,
         ).run()
@@ -145,8 +141,7 @@ def evaluate_policy(
             total = 0.0
             info: Dict = {}
             while not done:
-                action = policy.act_single(obs, rng=rng, deterministic=deterministic)
-                obs, reward, done, info = env.step(action)
+                obs, reward, done, info = env.step(policy.act_single(obs))
                 total += reward
             total_rewards.append(total)
             infos.append(info)
@@ -184,7 +179,6 @@ def _run_seed_task(task: _SeedTask, recorder: Recorder) -> SeedResult:
         trainer.policy,
         task.env_factory(),
         episodes=task.eval_episodes,
-        rng=np.random.default_rng(task.seed),
         dtype=task.eval_dtype,
         recorder=recorder,
     )

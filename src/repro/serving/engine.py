@@ -15,13 +15,11 @@ a full batch-1 forward.
 Bit-identity (float64 mode)
 ---------------------------
 
-Responses are bitwise-identical to calling ``policy.act_single`` serially
-on the same observation sequence.  Each flush hands its logits to
+Every response is the actor's greedy (argmax) action, bitwise-identical
+to calling ``policy.act_single`` serially on the same observation.  Each
+flush hands its logits to
 :meth:`~repro.rl.policy.ActorCriticPolicy.select_actions` — the select
-lockstep evaluation runs too, which owns the near-tie guard and the rng
-contract.  In stochastic mode every row draws from the engine's single
-generator, and the queue never reorders, so the draws land **in FIFO
-submission order** and the cumulative rng stream matches the serial one.
+lockstep evaluation runs too, which owns the near-tie guard.
 
 Float32 mode trades the guarantee for throughput (workspace-cast
 weights, no near-tie guard), as in lockstep evaluation.
@@ -57,7 +55,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
@@ -119,9 +116,6 @@ class ServingEngine:
     Args:
         policy: Initial policy (version 0); swap with :meth:`install`.
         config: Batching/deadline/backpressure knobs.
-        deterministic: Greedy argmax responses (default) or Gumbel-max
-            sampling matching serial ``policy.act`` rng consumption.
-        rng: Generator for stochastic mode (required there).
         clock: Monotonic time source (seconds).  Injectable so tests
             drive the deadline trigger deterministically; defaults to
             ``time.perf_counter``.
@@ -132,16 +126,10 @@ class ServingEngine:
         self,
         policy: ActorCriticPolicy,
         config: ServingConfig = ServingConfig(),
-        deterministic: bool = True,
-        rng: Optional[np.random.Generator] = None,
         clock: Callable[[], float] = time.perf_counter,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
-        if not deterministic and rng is None:
-            raise ValueError("stochastic serving needs an rng")
         self.config = config
-        self.deterministic = deterministic
-        self.rng = rng
         self.clock = clock
         self.recorder = recorder
         self.stats = ServingStats()
@@ -299,9 +287,7 @@ class ServingEngine:
         logits = self._inference.forward(x)
         forward_seconds = self.clock() - f0
         actions = self._actions[:n]
-        # Stochastic mode: every row draws from the one stream, in FIFO order.
-        rngs = None if self.deterministic or self.rng is None else repeat(self.rng)
-        tie_fallbacks = self._policy.select_actions(logits, x, actions, rngs)
+        tie_fallbacks = self._policy.select_actions(logits, x, actions)
         completion = self.clock()
         flush_index = self._flush_index
         self._flush_index = flush_index + 1
@@ -336,7 +322,6 @@ class ServingEngine:
             deadline_ms=self.config.deadline_s * 1e3,
             queue_capacity=self.config.effective_queue_capacity,
             dtype=str(self._dtype),
-            deterministic=self.deterministic,
             policy_version=self._version,
             **extra,
         )

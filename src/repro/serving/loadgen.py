@@ -81,9 +81,7 @@ def collect_observation_pool(
         while not done and count < pool:
             rows[count] = obs
             count += 1
-            obs, _, done, _ = env.step(
-                policy.act_single(obs, deterministic=True)
-            )
+            obs, _, done, _ = env.step(policy.act_single(obs))
     return rows
 
 
@@ -94,8 +92,6 @@ def serve_workload(
     requests: int,
     rate: Optional[float] = None,
     config: ServingConfig = ServingConfig(),
-    deterministic: bool = True,
-    rng: Optional[np.random.Generator] = None,
     arrival_seed: int = 0,
     swap_every: int = 0,
     recorder: Recorder = NULL_RECORDER,
@@ -109,8 +105,6 @@ def serve_workload(
         rate: Open-loop Poisson arrival rate in requests/sec; ``None``
             or 0 switches to closed-loop saturation (peak throughput).
         config: Engine knobs (batch, deadline, queue capacity, dtype).
-        deterministic: Greedy responses (default) or sampled.
-        rng: Action-sampling generator (stochastic mode only).
         arrival_seed: Seed of the Poisson arrival process.
         swap_every: Install a hot-swapped clone of the serving policy
             every this many submissions (0 = never) — exercises the
@@ -138,14 +132,7 @@ def serve_workload(
     def clock() -> float:
         return time.perf_counter() - start
 
-    engine = ServingEngine(
-        policy,
-        config,
-        deterministic=deterministic,
-        rng=rng,
-        clock=clock,
-        recorder=recorder,
-    )
+    engine = ServingEngine(policy, config, clock=clock, recorder=recorder)
     drive_start = engine.clock()
     if rate is not None and rate > 0.0:
         arrivals = poisson_arrivals(rate, requests, arrival_seed)

@@ -93,8 +93,8 @@ class RingBufferQueue:
         """Move up to ``limit`` oldest observations into ``out_obs[:n]``
         and return their n enqueue times, oldest first.
 
-        Preserves FIFO order exactly — the engine's rng-consumption,
-        no-reorder and implicit-id guarantees all rest on this.
+        Preserves FIFO order exactly — the engine's no-reorder and
+        implicit-id guarantees rest on this.
         """
         n = min(self._size, limit)
         if n <= 0:

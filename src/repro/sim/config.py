@@ -42,7 +42,7 @@ class SimulationConfig:
     faults: Optional[FaultScenarioConfig] = None
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
-        if self.keep_duration <= 0:
+        if not self.keep_duration > 0:
             raise ValueError(f"keep_duration must be > 0, got {self.keep_duration}")

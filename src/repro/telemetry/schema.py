@@ -62,9 +62,9 @@ Record kinds
     policy forwards), ``decisions`` (total actions selected); optionally
     ``mean_round_batch``/``max_round_batch``, ``round_batches``
     (per-round live-slot counts, truncated), ``tie_fallbacks`` (rows
-    recomputed through the batch-1 forward near argmax ties),
-    ``deterministic``, ``dtype``, ``forward_seconds`` (wall-clock inside
-    policy forwards), ``wall_seconds``, and ``decisions_per_second``.
+    recomputed through the batch-1 forward near argmax ties), ``dtype``,
+    ``forward_seconds`` (wall-clock inside policy forwards),
+    ``wall_seconds``, and ``decisions_per_second``.
 
 ``train_phases``
     Phase attribution of one training run (emitted at the end of
@@ -89,7 +89,7 @@ Record kinds
     ``requests`` (submitted), ``served``, ``shed`` (rejected at the
     queue-depth cap), ``flushes``; optionally the engine configuration
     (``batch``, ``deadline_ms``, ``queue_capacity``, ``dtype``,
-    ``deterministic``, ``rate``), flush-trigger split (``size_flushes``
+    ``rate``), flush-trigger split (``size_flushes``
     / ``deadline_flushes`` / ``forced_flushes``), ``batch_histogram``
     (batch size -> flush count) with ``mean_batch``/``max_batch``,
     ``max_queue_depth``, latency percentiles

@@ -25,14 +25,9 @@ def setup():
 
 def _agent_actions(coordinator, observations):
     """Every agent's actions on the same observation batch, through the
-    policy and rng the agent itself holds."""
+    policy the agent itself holds."""
     return {
-        node: [
-            agent.policy.act_single(
-                o, rng=agent.rng, deterministic=agent.deterministic
-            )
-            for o in observations
-        ]
+        node: [agent.policy.act_single(o) for o in observations]
         for node, agent in coordinator.agents.items()
     }
 
@@ -61,6 +56,10 @@ class TestDistributedCoordinator:
         net, catalog, adapter, policy = setup()
         coordinator = DistributedCoordinator(net, catalog, policy)
         assert set(coordinator.agents) == set(net.node_names)
+        # Using one agent moves no other agent's counter.
+        sim = make_simulator(net, catalog, make_flow_specs([1.0]))
+        coordinator.agents["v1"].act(sim.next_decision(), sim)
+        assert coordinator.decision_counts() == {"v1": 1, "v2": 0, "v3": 0}
 
     def test_deployment_is_decoupled_from_the_source_policy(self):
         """Each node decides from the network *as deployed* (Fig. 4b):
@@ -90,24 +89,6 @@ class TestDistributedCoordinator:
         policy.actor.parameters[0][0, 0] = 1.0
         deployed.clone().actor.parameters[0][0, 0] = 1.0
 
-    def test_agents_keep_independent_runtime_state(self):
-        net, catalog, adapter, policy = setup()
-        coordinator = DistributedCoordinator(
-            net, catalog, policy, deterministic=False, seed=5
-        )
-        agents = list(coordinator.agents.values())
-        assert len({id(a.rng) for a in agents}) == len(agents)
-        draws = [a.rng.integers(1 << 62) for a in agents]
-        assert len(set(draws)) == len(agents)
-        # Using one agent moves neither another's stream nor its counter.
-        twin = DistributedCoordinator(
-            net, catalog, policy, deterministic=False, seed=5
-        )
-        sim = make_simulator(net, catalog, make_flow_specs([1.0]))
-        twin.agents["v1"].act(sim.next_decision(), sim)
-        assert twin.decision_counts() == {"v1": 1, "v2": 0, "v3": 0}
-        assert twin.agents["v2"].rng.integers(1 << 62) == draws[1]
-
     def test_deployment_clones_once_whatever_the_node_count(self, monkeypatch):
         _, catalog, _, policy = setup()
         big = line_network(24, node_capacity=10.0, link_capacity=10.0)
@@ -131,19 +112,16 @@ class TestDistributedCoordinator:
         adapter = ObservationAdapter(net, catalog)
         policy = ActorCriticPolicy(adapter.size, net.degree + 1, rng=0)
         obs = np.random.default_rng(4).normal(size=(6, adapter.size))
-        for deterministic in (True, False):
-            coordinator = DistributedCoordinator(
-                net, catalog, policy, deterministic=deterministic, seed=9
-            )
-            payload = pickle.dumps(coordinator)
-            assert len(payload) < 2 * len(pickle.dumps(policy))
-            restored = pickle.loads(payload)
-            assert _agent_actions(restored, obs) == _agent_actions(coordinator, obs)
-            # What the pool actually calls on the far side.
-            rebuilt = pickle.loads(pickle.dumps(coordinator.fresh))()
-            assert _agent_actions(rebuilt, obs) == _agent_actions(
-                coordinator.fresh(), obs
-            )
+        coordinator = DistributedCoordinator(net, catalog, policy)
+        payload = pickle.dumps(coordinator)
+        assert len(payload) < 2 * len(pickle.dumps(policy))
+        restored = pickle.loads(payload)
+        assert _agent_actions(restored, obs) == _agent_actions(coordinator, obs)
+        # What the pool actually calls on the far side.
+        rebuilt = pickle.loads(pickle.dumps(coordinator.fresh))()
+        assert _agent_actions(rebuilt, obs) == _agent_actions(
+            coordinator.fresh(), obs
+        )
 
     def test_f32_agents_share_one_cast_and_workspace(self):
         net, catalog, adapter, policy = setup()
@@ -165,21 +143,16 @@ class TestDistributedCoordinator:
         assert np.array_equal(shared.input_rows(1)[0], obs.astype(np.float32))
 
     @pytest.mark.parametrize("dtype", ["f64", "f32"])
-    @pytest.mark.parametrize("deterministic", [True, False])
-    def test_agent_act_equals_act_single_on_a_built_observation(
-        self, dtype, deterministic
-    ):
+    def test_agent_act_equals_act_single_on_a_built_observation(self, dtype):
         """A full Abilene episode: building the observation in place in
         the shared workspace and deciding there equals deciding from a
-        private copy of the observation — per agent, per rng stream."""
+        private copy of the observation."""
         scenario = base_scenario(pattern="poisson", num_ingress=2, horizon=1000.0)
         net, catalog = scenario.network, scenario.catalog
         adapter = ObservationAdapter(net, catalog)
         policy = ActorCriticPolicy(adapter.size, net.degree + 1, rng=3)
-        coordinator = DistributedCoordinator(
-            net, catalog, policy, deterministic=deterministic, seed=4, dtype=dtype
-        )
-        # Same weights, same per-node streams, its own workspaces.
+        coordinator = DistributedCoordinator(net, catalog, policy, dtype=dtype)
+        # Same weights, its own workspaces.
         twin = coordinator.fresh()
         reference = (
             None if dtype == "f64" else twin.policy.actor_inference(np.float32)
@@ -189,10 +162,7 @@ class TestDistributedCoordinator:
         def checked(decision, sim):
             action = coordinator(decision, sim)
             expected = twin.policy.act_single(
-                adapter.build(decision, sim),
-                rng=twin.agents[decision.node].rng,
-                deterministic=deterministic,
-                inference=reference,
+                adapter.build(decision, sim), inference=reference
             )
             assert action == expected
             seen.append(action)
@@ -247,39 +217,10 @@ class TestDistributedCoordinator:
         copied = next(iter(fresh.agents.values())).policy
         assert np.allclose(original.actor.forward(obs), copied.actor.forward(obs))
 
-    def test_fresh_preserves_seed_for_stochastic_agents(self):
-        """Regression: fresh() used to rebuild with the default seed=0, so
-        a stochastic coordinator changed every per-agent rng stream."""
-        net, catalog, adapter, policy = setup()
-        coordinator = DistributedCoordinator(
-            net, catalog, policy, deterministic=False, seed=7
-        )
-        fresh = coordinator.fresh()
-        assert fresh.seed == 7
-        rng = np.random.default_rng(11)
-        obs = rng.normal(size=(20, adapter.size))
-        for node in net.node_names:
-            original = coordinator.agents[node]
-            rebuilt = fresh.agents[node]
-            assert not rebuilt.deterministic
-            actions_a = [
-                original.policy.act_single(
-                    o, rng=original.rng, deterministic=False
-                )
-                for o in obs
-            ]
-            actions_b = [
-                rebuilt.policy.act_single(
-                    o, rng=rebuilt.rng, deterministic=False
-                )
-                for o in obs
-            ]
-            assert actions_a == actions_b
-
     def test_deterministic_agents_repeatable(self):
         net, catalog, adapter, policy = setup()
-        a = DistributedCoordinator(net, catalog, policy, deterministic=True)
-        b = DistributedCoordinator(net, catalog, policy, deterministic=True)
+        a = DistributedCoordinator(net, catalog, policy)
+        b = DistributedCoordinator(net, catalog, policy)
         sim_a = make_simulator(net, catalog, make_flow_specs([1.0, 5.0]))
         sim_b = make_simulator(net, catalog, make_flow_specs([1.0, 5.0]))
         assert sim_a.run(a).success_ratio == sim_b.run(b).success_ratio

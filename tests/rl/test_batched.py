@@ -4,9 +4,9 @@ The load-bearing property is *bit-identity*: for any batch width M, the
 batched runner must reproduce the serial ``act_single`` evaluation loop
 episode for episode — same actions, same rewards, same lengths, same
 terminal infos.  The regression tests here compare full per-episode
-metric tuples against an explicit serial reference, in both
-deterministic and stochastic modes, including a forced all-ties actor
-that exercises the near-tie fallback on every single decision.
+metric tuples against an explicit greedy serial reference, including a
+forced all-ties actor that exercises the near-tie fallback on every
+single decision.
 """
 
 import json
@@ -57,21 +57,14 @@ def make_policy(env, rng=3):
     )
 
 
-def serial_reference(policy, env, episodes, deterministic=True, rngs=None):
-    """The historical evaluation loop: per-episode act_single stepping.
-
-    ``rngs`` supplies one generator per episode for stochastic mode —
-    the same per-episode streams the batched runner assigns, so both
-    paths consume identical random draws.
-    """
+def serial_reference(policy, env, episodes):
+    """The historical evaluation loop: per-episode act_single stepping."""
     outcomes = []
-    for i in range(episodes):
+    for _ in range(episodes):
         obs = env.reset()
-        rng = rngs[i] if rngs is not None else None
         done, total, steps, info = False, 0.0, 0, {}
         while not done:
-            action = policy.act_single(obs, rng=rng, deterministic=deterministic)
-            obs, reward, done, info = env.step(action)
+            obs, reward, done, info = env.step(policy.act_single(obs))
             total += reward
             steps += 1
         outcomes.append((total, steps, info.get("success_ratio")))
@@ -133,38 +126,6 @@ class TestDeterministicBitIdentity:
         fresh = make_env(seed=2)
         fresh.consume_episodes(4)
         assert serial_reference(policy, fresh, 1) == after
-
-
-class TestStochasticBitIdentity:
-    @pytest.mark.parametrize("batch", [2, 4, 7])
-    def test_matches_per_episode_rng_reference(self, batch):
-        episodes = 5
-        rng = np.random.default_rng(77)
-        expected = serial_reference(
-            make_policy(make_env()),
-            make_env(seed=6),
-            episodes,
-            deterministic=False,
-            rngs=np.random.default_rng(77).spawn(episodes),
-        )
-        env = make_env(seed=6)
-        runner = BatchedEpisodeRunner(
-            make_policy(env),
-            env,
-            episodes=episodes,
-            batch=batch,
-            deterministic=False,
-            rng=rng,
-        )
-        outcomes, _ = runner.run()
-        assert as_tuples(outcomes) == expected
-
-    def test_requires_rng(self):
-        env = make_env()
-        with pytest.raises(ValueError, match="rng"):
-            BatchedEpisodeRunner(
-                make_policy(env), env, episodes=2, batch=2, deterministic=False
-            )
 
 
 class TestTieFallback:
@@ -260,21 +221,6 @@ class TestEvaluatePolicyWrapper:
         with pytest.raises(ValueError, match="episodes must be >= 1"):
             evaluate_policy(make_policy(make_env()), make_env(), episodes=episodes)
 
-    def test_stochastic_uses_per_episode_child_streams(self):
-        """On a replay-capable env every episode count draws episode k's
-        noise from the k-th child of ``rng`` (not one shared stream)."""
-        policy = make_policy(make_env())
-        for episodes in (2, 5):
-            expected = as_metrics(serial_reference(
-                policy, make_env(seed=6), episodes, deterministic=False,
-                rngs=np.random.default_rng(77).spawn(episodes),
-            ))
-            got = evaluate_policy(
-                policy, make_env(seed=6), episodes=episodes,
-                deterministic=False, rng=np.random.default_rng(77),
-            )
-            assert got == expected
-
     def test_float32_end_to_end_success_ratio_close(self):
         """f32 inference trades bit-identity for speed; on a fixed seed
         the evaluated success ratio must stay within a small delta of the
@@ -355,8 +301,7 @@ class TestTelemetry:
         assert record["rounds"] > 0
 
     def test_stats_derived_quantities(self):
-        stats = BatchedEvalStats(batch=4, episodes=8, deterministic=True,
-                                 dtype="float64")
+        stats = BatchedEvalStats(batch=4, episodes=8, dtype="float64")
         stats.rounds = 10
         stats.decisions = 35
         stats.wall_seconds = 0.5
@@ -485,26 +430,6 @@ class TestSerialFallback:
         assert stats.dtype == "float32"
         assert stats.decisions > 0
         assert stats.tie_fallbacks == 0
-
-    def test_batch_one_stochastic_matches_serial(self):
-        episodes = 3
-        expected = serial_reference(
-            make_policy(make_env()),
-            make_env(seed=8),
-            episodes,
-            deterministic=False,
-            rngs=np.random.default_rng(77).spawn(episodes),
-        )
-        env = make_env(seed=8)
-        outcomes, _ = BatchedEpisodeRunner(
-            make_policy(env),
-            env,
-            episodes=episodes,
-            batch=1,
-            deterministic=False,
-            rng=np.random.default_rng(77),
-        ).run()
-        assert as_tuples(outcomes) == expected
 
 
 class TestResolveEvalDtype:

@@ -1,14 +1,11 @@
 """The one select: ``ActorCriticPolicy.select_actions`` under both drivers.
 
-Lockstep evaluation hands every row its episode's generator; the serving
-engine hands every row its one generator.  Either way the select must
-answer — and leave every generator — exactly as a loop of ``act_single``
-over the same rows would.  The matrix spies on the real calls each driver
-makes instead of re-stating how it builds its arguments.
+Lockstep evaluation and the serving engine both hand the select the
+logits of one multi-row forward; either way it must answer exactly as a
+loop of greedy ``act_single`` over the same rows would.  The matrix spies
+on the real calls each driver makes instead of re-stating how it builds
+its arguments.
 """
-
-import copy
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -47,50 +44,33 @@ def make_policy(env, actor):
 
 
 def spy_on_select(policy, monkeypatch):
-    """Check every ``select_actions`` call against the ``act_single`` loop
-    on twin generators; returns the list of ``(rows, fallbacks)`` seen."""
+    """Check every ``select_actions`` call against the ``act_single`` loop;
+    returns the list of ``(rows, fallbacks)`` seen."""
     real = policy.select_actions
     calls = []
 
-    def checked(logits, x, actions, rngs=None):
-        n = len(x)
-        streams = None if rngs is None else list(islice(rngs, n))
-        twins = {id(g): copy.deepcopy(g) for g in streams or ()}
-        fallbacks = real(logits, x, actions, streams)
-        expected = [
-            policy.act_single(
-                x[j],
-                rng=None if streams is None else twins[id(streams[j])],
-                deterministic=streams is None,
-            )
-            for j in range(n)
-        ]
-        assert actions.tolist() == expected
-        for stream in streams or ():
-            assert stream.bit_generator.state == twins[id(stream)].bit_generator.state
-        calls.append((n, fallbacks))
+    def checked(logits, x, actions):
+        fallbacks = real(logits, x, actions)
+        assert actions.tolist() == [policy.act_single(row) for row in x]
+        calls.append((len(x), fallbacks))
         return fallbacks
 
     monkeypatch.setattr(policy, "select_actions", checked)
     return calls
 
 
-def drive_runner(policy, env, width, deterministic):
+def drive_runner(policy, env, width):
     outcomes, stats = BatchedEpisodeRunner(
-        policy, env, episodes=width + 2, batch=width,
-        deterministic=deterministic, rng=np.random.default_rng(11),
+        policy, env, episodes=width + 2, batch=width
     ).run()
     assert all(o.length > 0 for o in outcomes)
     return stats.tie_fallbacks
 
 
-def drive_engine(policy, env, width, deterministic):
+def drive_engine(policy, env, width):
     rows = np.random.default_rng(5).uniform(-1.0, 1.0, (3 * width + 1, policy.obs_dim))
     engine = ServingEngine(
-        policy,
-        ServingConfig(max_batch=width, queue_capacity=len(rows)),
-        deterministic=deterministic,
-        rng=None if deterministic else np.random.default_rng(11),
+        policy, ServingConfig(max_batch=width, queue_capacity=len(rows))
     )
     for row in rows:
         engine.submit(row)
@@ -100,33 +80,21 @@ def drive_engine(policy, env, width, deterministic):
 
 @pytest.mark.parametrize("actor", ["trained-like", "all-ties"])
 @pytest.mark.parametrize("driver", [drive_runner, drive_engine])
-@pytest.mark.parametrize("deterministic", [True, False], ids=["greedy", "sampled"])
-@pytest.mark.parametrize("width", WIDTHS)
-def test_select_matches_act_single_loop(width, deterministic, driver, actor, monkeypatch):
+@pytest.mark.parametrize("width", WIDTHS, ids=[f"{w}-greedy" for w in WIDTHS])
+def test_select_matches_act_single_loop(width, driver, actor, monkeypatch):
     env = make_env(seed=width)
     policy = make_policy(env, actor)
     calls = spy_on_select(policy, monkeypatch)
-    total = driver(policy, env, width, deterministic)
+    total = driver(policy, env, width)
     assert max(n for n, _ in calls) == width
     assert total == sum(fallbacks for _, fallbacks in calls)
     for n, fallbacks in calls:
         if n == 1:
             assert fallbacks == 0
-        elif actor == "all-ties" and deterministic:
+        elif actor == "all-ties":
             assert fallbacks == n
     if actor == "trained-like":
         assert total == 0
-
-
-@pytest.mark.parametrize("width", [2, 8])
-def test_sampled_ties_are_guarded_after_the_noise(width, monkeypatch):
-    """With Gumbel noise on top, an all-ties actor's rows are as far apart
-    as the noise makes them: the guard reads the noisy scores."""
-    env = make_env()
-    policy = make_policy(env, "all-ties")
-    calls = spy_on_select(policy, monkeypatch)
-    drive_engine(policy, env, width, deterministic=False)
-    assert sum(fallbacks for _, fallbacks in calls) < sum(n for n, _ in calls) // 4
 
 
 def test_single_action_policy_has_no_runner_up_to_guard():

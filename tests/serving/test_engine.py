@@ -2,10 +2,9 @@
 
 The load-bearing properties:
 
-- *bit-identity* (float64): responses equal calling ``policy.act``
-  serially on the same observation sequence — deterministic mode via the
-  near-tie fallback, stochastic mode via FIFO-ordered per-request rng
-  draws — across size, deadline, and forced flushes.
+- *bit-identity* (float64): responses equal calling greedy
+  ``policy.act`` serially on the same observation sequence — near ties
+  via the batch-1 fallback — across size, deadline, and forced flushes.
 - *hot-swap atomicity*: a swap staged mid-queue applies at the next
   flush boundary, every decision of one flush carries one version, and
   no request is dropped or reordered by the swap.
@@ -53,9 +52,8 @@ def make_obs(n, seed=7, obs_dim=OBS_DIM):
 def make_engine(policy=None, clock=None, **config):
     policy = policy or make_policy()
     kwargs = {}
-    for key in ("deterministic", "rng", "recorder"):
-        if key in config:
-            kwargs[key] = config.pop(key)
+    if "recorder" in config:
+        kwargs["recorder"] = config.pop("recorder")
     return ServingEngine(
         policy,
         ServingConfig(**config) if config else ServingConfig(),
@@ -64,15 +62,11 @@ def make_engine(policy=None, clock=None, **config):
     )
 
 
-def serial_actions(policy, observations, rng=None, deterministic=True):
-    """The serial reference: one policy.act call per observation."""
+def serial_actions(policy, observations):
+    """The serial reference: one greedy policy.act call per observation."""
     actions = []
     for row in observations:
-        a, _, _ = policy.act(
-            row[None, :],
-            rng if rng is not None else np.random.default_rng(0),
-            deterministic=deterministic,
-        )
+        a, _, _ = policy.act(row[None, :], np.random.default_rng(0), deterministic=True)
         actions.append(int(a[0]))
     return actions
 
@@ -158,34 +152,6 @@ class TestBitIdentity:
         expected = serial_actions(policy, obs)
         assert [d.action for d in decisions] == expected
         assert engine.stats.tie_fallbacks == len(obs)
-
-    def test_stochastic_matches_serial_rng_stream(self):
-        """FIFO-ordered per-request draws reproduce the cumulative rng
-        stream of a serial policy.act loop exactly."""
-        policy = make_policy()
-        clock = FakeClock()
-        engine = make_engine(policy=policy, clock=clock, max_batch=8,
-                             deadline_s=0.001, queue_capacity=64,
-                             deterministic=False,
-                             rng=np.random.default_rng(42))
-        obs = make_obs(40)
-        got = {}
-        for i, row in enumerate(obs):
-            engine.submit(row)
-            if i % 11 == 3:
-                clock.advance(0.002)
-            for d in engine.poll():
-                got[d.request_id] = d.action
-        for d in engine.drain():
-            got[d.request_id] = d.action
-        expected = serial_actions(
-            policy, obs, rng=np.random.default_rng(42), deterministic=False
-        )
-        assert [got[i] for i in range(len(obs))] == expected
-
-    def test_stochastic_requires_rng(self):
-        with pytest.raises(ValueError, match="rng"):
-            ServingEngine(make_policy(), deterministic=False)
 
     def test_float32_mode_close_to_float64(self):
         policy = make_policy()

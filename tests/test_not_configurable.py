@@ -9,8 +9,11 @@ worker-stream plumbing (now inside ``run_tasks``), the zero-arg training
 factory, the hyperparameters ``TrainingConfig`` / ``SuiteConfig`` copied
 from ``ACKTRConfig``, two options only tests set and the lint's subset
 mode.  The per-task timeout is an argument of ``run_tasks`` only, and
-the deployed central DRL reads its horizon from the simulator.  The names below may appear only here — CI greps for them
-everywhere else.
+the deployed central DRL reads its horizon from the simulator.
+Inference decides greedily: no inference driver takes an rng, a seed or
+a decision mode, and the lockstep runner spawns no per-episode streams
+(``_episode_rngs``).  The names below may appear only here — CI greps
+for them everywhere else.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.baselines.central_drl import (
     train_central_coordinator,
 )
 from repro.cli import build_parser
+from repro.core.agent import DistributedCoordinator, NodeAgent
 from repro.core.env import ServiceCoordinationEnv
 from repro.core.trainer import TrainingConfig
 from repro.eval.runner import (
@@ -39,8 +43,10 @@ from repro.eval.runner import (
 from repro.parallel import run_tasks
 from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.acktr import ACKTRConfig
+from repro.rl.batched import BatchedEpisodeRunner
 from repro.rl.policy import ActorCriticPolicy
-from repro.rl.training import _SeedTask, train_multi_seed
+from repro.rl.training import _SeedTask, evaluate_policy, train_multi_seed
+from repro.serving import ServingEngine, serve_workload
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator
 from repro.topology import line_network
@@ -218,3 +224,25 @@ def test_deployed_central_drl_takes_no_horizon():
         CentralDRLPolicy(
             config.network, config.catalog, policy, CentralDRLConfig(), horizon=100.0
         )
+
+
+class TestInferenceDecidesGreedily:
+    """Sampling is exploration during training; every inference driver
+    decides by argmax and takes no randomness."""
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            DistributedCoordinator,
+            NodeAgent,
+            BatchedEpisodeRunner,
+            evaluate_policy,
+            ServingEngine,
+            serve_workload,
+            ActorCriticPolicy.select_actions,
+        ],
+        ids=lambda fn: fn.__qualname__,
+    )
+    def test_takes_no_rng_seed_or_mode(self, fn):
+        taken = set(inspect.signature(fn).parameters)
+        assert not {"rng", "rngs", "seed", "deterministic"} & taken
