@@ -8,10 +8,8 @@ path.  This package enforces those invariants in two complementary ways:
 
 - :mod:`repro.analysis.linter` — an AST-based project linter
   (``repro lint``) with repo-specific rules REP001–REP008 and inline
-  ``# repro: allow[REPnnn] <reason>`` suppressions.
-- :mod:`repro.analysis.sarif` / :mod:`repro.analysis.explain` —
-  SARIF 2.1.0 rendering for CI upload and ``repro lint --explain``
-  rule documentation.
+  ``# repro: allow[REPnnn] <reason>`` suppressions.  It is a development
+  tool: import it from its module; the package does not load it.
 - :mod:`repro.analysis.invariants` — a runtime sanitizer:
   ``REPRO_CHECK_INVARIANTS=1`` routes simulator/state invariants
   (event-time monotonicity, capacity conservation, flow accounting,
@@ -26,26 +24,9 @@ from repro.analysis.invariants import (
     check,
     invariants_enabled,
 )
-from repro.analysis.explain import RULE_DOCS, render_explanation
-from repro.analysis.linter import (
-    Finding,
-    LintConfig,
-    RULES,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.sarif import render_sarif
 
 __all__ = [
     "InvariantViolation",
     "check",
     "invariants_enabled",
-    "Finding",
-    "LintConfig",
-    "RULES",
-    "RULE_DOCS",
-    "lint_paths",
-    "lint_source",
-    "render_explanation",
-    "render_sarif",
 ]

@@ -3,41 +3,11 @@
 The rules encode the repo's reproducibility contract — bit-identical
 results across the serial, process-parallel, and batched-inference
 execution paths — as static checks, so violations are caught at review
-time instead of surfacing as flaky determinism tests:
+time instead of surfacing as flaky determinism tests.
 
-======= ==============================================================
-Rule    What it flags
-======= ==============================================================
-REP001  Unseeded RNG construction (``np.random.default_rng()``,
-        ``RandomState()``, ``random.Random()`` with no seed) outside
-        whitelisted entry points — every stream must derive from an
-        explicit seed.
-REP002  Legacy *global*-RNG calls (``np.random.<fn>``,
-        ``random.<fn>``) — process-global state breaks worker
-        isolation and replay.
-REP003  Wall-clock / nondeterministic value sources (``time.time``,
-        ``datetime.now``, ``os.urandom``, ``uuid.uuid4``, ``secrets``)
-        inside the seeded core packages (``core``, ``sim``, ``rl``,
-        ``nn``, ``traffic``).  ``time.perf_counter`` is exempt: it only
-        feeds telemetry timing fields, which the determinism contract
-        explicitly strips.
-REP004  Direct iteration over a ``set`` expression or an explicit
-        ``.keys()`` call without a wrapping ``sorted()`` — set order
-        varies with hash randomisation; ``.keys()`` signals key-set
-        thinking, so it must either be sorted or iterate the mapping
-        itself (insertion-ordered).  ``sum(...)`` / ``math.fsum(...)``
-        over such an expression counts as iteration: float addition is
-        not associative, so the total depends on the order.
-REP005  ``==`` / ``!=`` against float literals or ``float()`` results
-        in non-test code — exact float comparison is usually a latent
-        tolerance bug.
-REP006  Mutable default arguments (lists/dicts/sets) — shared state
-        across calls.
-REP007  Bare ``assert`` in library code — stripped under ``python -O``;
-        load-bearing invariants must raise
-        :class:`repro.analysis.invariants.InvariantViolation` (or
-        ``ValueError``/``RuntimeError`` for caller misuse).
-======= ==============================================================
+Each rule has a one-line description in :data:`RULES`; the table in
+DESIGN.md §11 says what each fires on and why it threatens
+reproducibility.
 
 Suppressions
 ------------
@@ -54,8 +24,6 @@ it.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,11 +32,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 __all__ = [
     "RULES",
     "Finding",
-    "LintConfig",
     "lint_source",
     "lint_paths",
     "render_text",
-    "render_json",
     "run_lint",
 ]
 
@@ -83,9 +49,6 @@ RULES: Dict[str, str] = {
     "REP007": "bare assert in library code (stripped under -O)",
     "REP008": "waiver comment names an unknown rule id",
 }
-
-#: Version of the ``--format json`` report layout.
-REPORT_VERSION = 1
 
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*allow\[([A-Z0-9,\s]+)\]")
 
@@ -110,6 +73,8 @@ _SAFE_NP_RANDOM = frozenset(
 _SAFE_STDLIB_RANDOM = frozenset({"Random", "SystemRandom"})
 
 #: Fully qualified callables that read wall clock / OS entropy (REP003).
+#: ``time.perf_counter`` is absent on purpose: it only feeds telemetry
+#: timing fields, which the determinism contract strips.
 _NONDETERMINISTIC_CALLS = frozenset(
     {
         "time.time",
@@ -157,13 +122,12 @@ class Finding:
     """One lint finding.
 
     Attributes:
-        rule: Rule id (``REP001`` … ``REP007``).
+        rule: Rule id (``REP000`` for a syntax error, else ``REP001`` …
+            ``REP008``).
         path: Posix-style path of the file, relative to the lint root.
         line: 1-based line number.
         col: 0-based column offset.
         message: Human-readable description of the violation.
-        source_line: The stripped offending source line (part of the
-            fingerprint).
     """
 
     rule: str
@@ -171,77 +135,45 @@ class Finding:
     line: int
     col: int
     message: str
-    source_line: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for result tracking (SARIF
-        ``partialFingerprints``): hashes the rule, the file, and the
-        normalised source line — but not the line number, so unrelated
-        edits above do not change it."""
-        payload = f"{self.rule}::{self.path}::{self.source_line.strip()}"
-        return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "fingerprint": self.fingerprint,
-        }
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"
 
 
-@dataclass(frozen=True)
-class LintConfig:
-    """Tunable scope of the rule set.
+#: Files where REP001 is allowed: interactive entry points may construct
+#: OS-seeded generators.
+_ENTRYPOINT_SUFFIXES = ("cli.py", "__main__.py")
 
-    Attributes:
-        entrypoint_suffixes: Files where REP001 is allowed (interactive
-            entry points may construct OS-seeded generators).
-        wallclock_packages: Path fragments delimiting the seeded core
-            packages REP003 protects.
-        test_fragments: Path fragments marking test-style code, exempt
-            from REP005 and REP007 (pytest asserts are idiomatic there;
-            benchmarks run under pytest too).
-        select: Optional subset of rule ids to run (all when empty).
-    """
+#: Path fragments delimiting the seeded core packages REP003 protects.
+_WALLCLOCK_PACKAGES = (
+    "repro/core/",
+    "repro/sim/",
+    "repro/rl/",
+    "repro/nn/",
+    "repro/traffic/",
+)
 
-    entrypoint_suffixes: Tuple[str, ...] = ("cli.py", "__main__.py")
-    wallclock_packages: Tuple[str, ...] = (
-        "repro/core/",
-        "repro/sim/",
-        "repro/rl/",
-        "repro/nn/",
-        "repro/traffic/",
+#: Path fragments marking test-style code, exempt from REP005 and REP007
+#: (pytest asserts are idiomatic there; benchmarks run under pytest too).
+#: A fragment ending in ``/`` matches anywhere in the path, any other the
+#: start of the file name.
+_TEST_FRAGMENTS = ("tests/", "test_", "conftest", "bench_")
+
+
+def _is_entrypoint(path: str) -> bool:
+    return path.endswith(_ENTRYPOINT_SUFFIXES)
+
+
+def _in_wallclock_scope(path: str) -> bool:
+    return any(fragment in path for fragment in _WALLCLOCK_PACKAGES)
+
+
+def _is_test_code(path: str) -> bool:
+    name = path.rsplit("/", 1)[-1]
+    return any(
+        fragment in path if fragment.endswith("/") else name.startswith(fragment)
+        for fragment in _TEST_FRAGMENTS
     )
-    test_fragments: Tuple[str, ...] = (
-        "tests/",
-        "test_",
-        "conftest",
-        "bench_",
-    )
-    select: Tuple[str, ...] = ()
-
-    def enabled(self, rule: str) -> bool:
-        return not self.select or rule in self.select
-
-    def is_entrypoint(self, path: str) -> bool:
-        return any(path.endswith(suffix) for suffix in self.entrypoint_suffixes)
-
-    def in_wallclock_scope(self, path: str) -> bool:
-        return any(fragment in path for fragment in self.wallclock_packages)
-
-    def is_test_code(self, path: str) -> bool:
-        name = path.rsplit("/", 1)[-1]
-        return any(
-            fragment in path if fragment.endswith("/") else name.startswith(fragment)
-            for fragment in self.test_fragments
-        )
 
 
 class _ImportTable:
@@ -329,25 +261,23 @@ def _is_mutable_default(node: ast.expr) -> bool:
 
 
 class _Visitor(ast.NodeVisitor):
-    def __init__(self, path: str, config: LintConfig, imports: _ImportTable) -> None:
+    def __init__(self, path: str, imports: _ImportTable) -> None:
         self.path = path
-        self.config = config
         self.imports = imports
         self.findings: List[Finding] = []
 
     # -- helpers -------------------------------------------------------
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
-        if self.config.enabled(rule):
-            self.findings.append(
-                Finding(
-                    rule=rule,
-                    path=self.path,
-                    line=getattr(node, "lineno", 1),
-                    col=getattr(node, "col_offset", 0),
-                    message=message,
-                )
+        self.findings.append(
+            Finding(
+                rule=rule,
+                path=self.path,
+                line=getattr(node, "lineno", 1),
+                col=getattr(node, "col_offset", 0),
+                message=message,
             )
+        )
 
     def _has_seed_argument(self, node: ast.Call) -> bool:
         for arg in node.args:
@@ -368,9 +298,7 @@ class _Visitor(ast.NodeVisitor):
         if full is not None:
             short = full.replace("numpy.", "np.", 1) if full.startswith("numpy.") else full
             if full in _RNG_CONSTRUCTORS:
-                if not self._has_seed_argument(node) and not self.config.is_entrypoint(
-                    self.path
-                ):
+                if not self._has_seed_argument(node) and not _is_entrypoint(self.path):
                     self._emit(
                         "REP001",
                         node,
@@ -395,9 +323,7 @@ class _Visitor(ast.NodeVisitor):
                         f"global stdlib RNG call {full}(); use a seeded "
                         "random.Random instance",
                     )
-            if full in _NONDETERMINISTIC_CALLS and self.config.in_wallclock_scope(
-                self.path
-            ):
+            if full in _NONDETERMINISTIC_CALLS and _in_wallclock_scope(self.path):
                 self._emit(
                     "REP003",
                     node,
@@ -441,7 +367,7 @@ class _Visitor(ast.NodeVisitor):
     # -- comparison rule (REP005) --------------------------------------
 
     def visit_Compare(self, node: ast.Compare) -> None:
-        if not self.config.is_test_code(self.path) and any(
+        if not _is_test_code(self.path) and any(
             isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
         ):
             if any(
@@ -480,7 +406,7 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Assert(self, node: ast.Assert) -> None:
-        if not self.config.is_test_code(self.path):
+        if not _is_test_code(self.path):
             self._emit(
                 "REP007",
                 node,
@@ -509,13 +435,9 @@ def _suppressed_rules(lines: Sequence[str], line: int) -> Set[str]:
     return rules
 
 
-def _unknown_waiver_findings(
-    lines: Sequence[str], path: str, config: LintConfig
-) -> List[Finding]:
+def _unknown_waiver_findings(lines: Sequence[str], path: str) -> List[Finding]:
     """REP008: every rule id in a waiver comment must exist, so a typo'd
     waiver fails loudly instead of silently suppressing nothing."""
-    if not config.enabled("REP008"):
-        return []
     findings: List[Finding] = []
     for lineno, text in enumerate(lines, start=1):
         match = _SUPPRESS_RE.search(text)
@@ -542,11 +464,7 @@ def _unknown_waiver_findings(
     return findings
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    config: LintConfig = LintConfig(),
-) -> List[Finding]:
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint one module's source text; returns unsuppressed findings."""
     path = path.replace("\\", "/")
     try:
@@ -564,26 +482,15 @@ def lint_source(
         ]
     imports = _ImportTable()
     imports.visit_imports(tree)
-    visitor = _Visitor(path, config, imports)
+    visitor = _Visitor(path, imports)
     visitor.visit(tree)
 
     lines = source.splitlines()
-    raw = visitor.findings + _unknown_waiver_findings(lines, path, config)
-    findings: List[Finding] = []
-    for finding in raw:
-        if finding.rule in _suppressed_rules(lines, finding.line):
-            continue
-        text = lines[finding.line - 1].strip() if finding.line <= len(lines) else ""
-        findings.append(
-            Finding(
-                rule=finding.rule,
-                path=finding.path,
-                line=finding.line,
-                col=finding.col,
-                message=finding.message,
-                source_line=text,
-            )
-        )
+    findings = [
+        finding
+        for finding in visitor.findings + _unknown_waiver_findings(lines, path)
+        if finding.rule not in _suppressed_rules(lines, finding.line)
+    ]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
@@ -613,7 +520,6 @@ def _relative_posix(path: Path, root: Optional[Path]) -> str:
 
 def lint_paths(
     paths: Iterable[Union[str, Path]],
-    config: LintConfig = LintConfig(),
     root: Optional[Union[str, Path]] = None,
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths`` (files or directories).
@@ -626,9 +532,7 @@ def lint_paths(
     findings: List[Finding] = []
     for file in _iter_python_files(paths):
         rel = _relative_posix(file, root_path)
-        findings.extend(
-            lint_source(file.read_text(encoding="utf-8"), path=rel, config=config)
-        )
+        findings.extend(lint_source(file.read_text(encoding="utf-8"), path=rel))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
@@ -645,40 +549,12 @@ def render_text(findings: Sequence[Finding]) -> str:
     return "\n".join(lines)
 
 
-def render_json(findings: Sequence[Finding]) -> str:
-    payload = {
-        "version": REPORT_VERSION,
-        "findings": [finding.to_json() for finding in findings],
-        "count": len(findings),
-        "rules": RULES,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def run_lint(
-    paths: Sequence[str],
-    output_format: str = "text",
-    select: Sequence[str] = (),
-    root: Optional[Union[str, Path]] = None,
-    config: Optional[LintConfig] = None,
+    paths: Sequence[str], root: Optional[Union[str, Path]] = None
 ) -> Tuple[int, str]:
     """CLI core: lint ``paths`` and return ``(exit_code, report_text)``.
 
     Any reported finding gives exit 1.
     """
-    unknown = [rule for rule in select if rule not in RULES]
-    if unknown:
-        raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
-    if config is None:
-        config = LintConfig(select=tuple(select))
-    findings = lint_paths(paths, config=config, root=root)
-
-    if output_format == "json":
-        report = render_json(findings)
-    elif output_format == "sarif":
-        from repro.analysis.sarif import render_sarif
-
-        report = render_sarif(findings)
-    else:
-        report = render_text(findings)
-    return (1 if findings else 0), report
+    findings = lint_paths(paths, root=root)
+    return (1 if findings else 0), render_text(findings)

@@ -226,16 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("paths", nargs="*", default=["src/repro", "benchmarks"],
                       help="files or directories to lint "
                            "(default: src/repro benchmarks)")
-    lint.add_argument("--format", choices=["text", "json", "sarif"], default="text",
-                      help="report format")
-    lint.add_argument("--output", default=None, metavar="FILE",
-                      help="write the report to FILE instead of stdout "
-                           "(a one-line summary is still printed)")
-    lint.add_argument("--select", default=None, metavar="RULES",
-                      help="comma-separated rule ids to run (default: all)")
-    lint.add_argument("--explain", default=None, metavar="RULE",
-                      help="print the rationale and a bad/good example for a "
-                           "rule id (e.g. REP004), then exit")
 
     telemetry = sub.add_parser(
         "telemetry", help="inspect structured telemetry from a previous run"
@@ -431,30 +421,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.analysis.linter import run_lint
 
-    if args.explain is not None:
-        from repro.analysis.explain import render_explanation
-
-        try:
-            print(render_explanation(args.explain))
-        except KeyError as exc:
-            print(exc.args[0])
-            return 2
-        return 0
-
-    select = tuple(
-        code.strip() for code in (args.select or "").split(",") if code.strip()
-    )
-    code, report = run_lint(args.paths, output_format=args.format, select=select)
-    if args.output is not None:
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
-        status = "clean" if code == 0 else "findings present"
-        print(f"lint report ({args.format}) written to {args.output}: {status}")
-    else:
-        print(report)
+    code, report = run_lint(args.paths)
+    print(report)
     return code
 
 

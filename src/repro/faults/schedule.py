@@ -74,9 +74,9 @@ class FaultSpec:
     factor: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.start < 0:
+        if not self.start >= 0:
             raise ValueError(f"fault start must be >= 0, got {self.start}")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError(f"fault duration must be > 0, got {self.duration}")
         if not 0.0 <= self.factor < 1.0:
             raise ValueError(
@@ -199,8 +199,9 @@ class FaultScenarioConfig:
         for name in ("link_failures", "node_outages", "degradations"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.mean_downtime <= 0 or self.min_downtime <= 0:
-            raise ValueError("downtimes must be > 0")
+        for name in ("mean_downtime", "min_downtime"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 <= self.degradation_factor < 1.0:
             raise ValueError(
                 f"degradation_factor must be in [0, 1), "

@@ -65,7 +65,7 @@ class KFAC:
         inversion_interval: int = 10,
         max_grad_norm: Optional[float] = 0.5,
     ) -> None:
-        if lr <= 0 or kl_clip <= 0 or damping <= 0:
+        if not (lr > 0 and kl_clip > 0 and damping > 0):
             raise ValueError("lr, kl_clip, and damping must all be > 0")
         if not 0.0 < stat_decay < 1.0:
             raise ValueError(f"stat_decay must be in (0, 1), got {stat_decay}")

@@ -20,7 +20,7 @@ def clip_grads_by_norm(grads: Sequence[np.ndarray], max_norm: float) -> float:
 
     Returns the pre-clip norm.  Matches the paper's "max. gradient 0.5".
     """
-    if max_norm <= 0:
+    if not max_norm > 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
     total = float(np.sqrt(sum(float(np.sum(g**2)) for g in grads)))
     if total > max_norm and total > 0:
@@ -34,7 +34,7 @@ class Optimizer:
     """Base optimiser over a fixed list of parameter arrays."""
 
     def __init__(self, params: Sequence[np.ndarray], lr: float) -> None:
-        if lr <= 0:
+        if not lr > 0:
             raise ValueError(f"learning rate must be > 0, got {lr}")
         self.params: List[np.ndarray] = list(params)
         self.lr = lr

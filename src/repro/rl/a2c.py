@@ -56,6 +56,9 @@ class A2CConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        for name in ("learning_rate", "max_grad_norm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.n_steps < 1 or self.n_envs < 1:
             raise ValueError("n_steps and n_envs must be >= 1")
 

@@ -151,8 +151,9 @@ class ACKTRConfig(A2CConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.kl_clip > 0:
-            raise ValueError(f"kl_clip must be > 0, got {self.kl_clip}")
+        for name in ("kl_clip", "damping"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.stat_interval < 1:
             raise ValueError(
                 f"stat_interval must be >= 1, got {self.stat_interval}"

@@ -4,10 +4,15 @@ Both learned algorithms train on an env over the stepped simulator and
 deploy as a ``Simulator.run`` callback.  Played greedily with one network
 on one traffic realisation, the env episode and the deployed run must end
 with the same flow accounting: the deployment decides what training
-optimised, nothing else.
+optimised, nothing else.  The fault presets and trace traffic are
+replayed too; there the distributed side plays the committed ACKTR
+fixture, because a random actor drops every flow and would reach no
+fault path.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,18 +43,16 @@ def _sparse_line():
     )
 
 
-def _abilene(pattern, num_ingress, horizon):
+def _abilene(pattern, num_ingress, horizon, faults=None):
     return lambda: base_scenario(
-        pattern=pattern, num_ingress=num_ingress, horizon=horizon
+        pattern=pattern, num_ingress=num_ingress, horizon=horizon, faults=faults
     )
 
 
-#: case -> (scenario builder, env seed, update interval I).
-CASES = {
-    "abilene-mmpp3-I50": (_abilene("mmpp", 3, 600.0), 0, 50.0),
-    "abilene-poisson2-I25": (_abilene("poisson", 2, 500.0), 1, 25.0),
-    "line3-sparse-I25": (_sparse_line, 2, 25.0),
-}
+FIXTURE = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks" / "perf" / "fixtures" / "abilene_acktr.npz"
+)
 
 
 def _network(size, num_actions, seed):
@@ -60,6 +63,24 @@ def _network(size, num_actions, seed):
     return policy
 
 
+def _fixture(size, num_actions, seed):
+    policy = ActorCriticPolicy.load(FIXTURE)
+    assert (policy.obs_dim, policy.num_actions) == (size, num_actions)
+    return policy
+
+
+#: case -> (scenario builder, env seed, update interval I, distributed actor).
+CASES = {
+    "abilene-mmpp3-I50": (_abilene("mmpp", 3, 600.0), 0, 50.0, _network),
+    "abilene-poisson2-I25": (_abilene("poisson", 2, 500.0), 1, 25.0, _network),
+    "line3-sparse-I25": (_sparse_line, 2, 25.0, _network),
+    "abilene-churn-mmpp3": (_abilene("mmpp", 3, 800.0, "churn"), 3, 50.0, _fixture),
+    "abilene-links-poisson2": (_abilene("poisson", 2, 800.0, "links"), 3, 50.0, _fixture),
+    "abilene-nodes-poisson2": (_abilene("poisson", 2, 800.0, "nodes"), 3, 50.0, _fixture),
+    "abilene-trace2": (_abilene("trace", 2, 800.0), 3, 50.0, _fixture),
+}
+
+
 def _accounting(metrics):
     return (
         metrics.flows_generated,
@@ -67,13 +88,14 @@ def _accounting(metrics):
         metrics.flows_dropped,
         dict(metrics.drop_reasons),
         metrics.success_ratio,
+        metrics.phase_success,
     )
 
 
-def _distributed(config, seed, interval):
+def _distributed(config, seed, interval, actor):
     # Per-flow decisions: the case's update interval does not apply.
     env = ServiceCoordinationEnv(config, seed=seed)
-    policy = _network(env.observation_size, env.num_actions, seed)
+    policy = actor(env.observation_size, env.num_actions, seed)
     episode = 1
     obs, done = env.reset_episode(episode), False
     while not done:
@@ -86,7 +108,9 @@ def _distributed(config, seed, interval):
     return trained, deployed
 
 
-def _central(config, seed, interval):
+def _central(config, seed, interval, actor):
+    # The central agent's observation is its own; it always plays the
+    # sharpened random network.
     central = CentralDRLConfig(update_interval=interval)
     env = CentralizedCoordinationEnv(config, central, seed=seed)
     policy = _network(env.observation_size, env.num_actions, seed)
@@ -105,7 +129,10 @@ def _central(config, seed, interval):
 @pytest.mark.parametrize("play", [_distributed, _central], ids=["distributed", "central"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_deployment_replays_the_training_episode(case, play):
-    build, seed, interval = CASES[case]
-    trained, deployed = play(build(), seed, interval)
+    build, seed, interval, actor = CASES[case]
+    config = build()
+    trained, deployed = play(config, seed, interval, actor)
     assert trained.flows_generated > 0
+    if config.sim_config.faults is not None:
+        assert trained.phase_success is not None
     assert _accounting(deployed) == _accounting(trained)

@@ -12,8 +12,11 @@ mode.  The per-task timeout is an argument of ``run_tasks`` only, and
 the deployed central DRL reads its horizon from the simulator.
 Inference decides greedily: no inference driver takes an rng, a seed or
 a decision mode, and the lockstep runner spawns no per-episode streams
-(``_episode_rngs``).  The names below may appear only here — CI greps
-for them everywhere else.
+(``_episode_rngs``).  ``repro lint`` has one text report and runs every
+rule: its format, output, subset and explain flags, the matching
+``run_lint`` keywords and the config object are gone.  The names below
+may appear only here and in ``tests/test_stay_deleted.py``, whose tree
+scan looks for them everywhere else.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import inspect
 
 import pytest
 
-from repro.analysis.linter import run_lint
+from repro.analysis.linter import lint_paths, lint_source, run_lint
 from repro.baselines.central_drl import (
     CentralDRLConfig,
     CentralDRLPolicy,
@@ -192,6 +195,40 @@ class TestLintHasOneMode:
     def test_run_lint_takes_no_flow_argument(self, tmp_path):
         with pytest.raises(TypeError):
             run_lint([str(tmp_path)], flow=True)
+
+
+class TestLintHasOneReport:
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--format", "json"],
+            ["--output", "report.txt"],
+            ["--select", "REP001"],
+            ["--explain", "REP004"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_removed_flags_are_argparse_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["lint", "src/repro", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"output_format": "json"}, {"select": ("REP001",)}, {"config": None}],
+        ids=lambda kwargs: next(iter(kwargs)),
+    )
+    def test_run_lint_takes_only_paths_and_root(self, kwargs, tmp_path):
+        with pytest.raises(TypeError):
+            run_lint([str(tmp_path)], **kwargs)
+        assert list(inspect.signature(run_lint).parameters) == ["paths", "root"]
+
+    def test_lint_source_and_lint_paths_take_no_config(self, tmp_path):
+        with pytest.raises(TypeError):
+            lint_source("x = 1\n", config=None)
+        with pytest.raises(TypeError):
+            lint_paths([str(tmp_path)], config=None)
 
 
 class TestTimeoutLivesInRunTasks:

@@ -3,8 +3,12 @@
 Every comparison with NaN is false, so a guard spelled ``x <= 0`` lets
 NaN through: a NaN horizon made the event queue's ``head > horizon``
 never true and the run ignored its end; a NaN update interval never
-refreshed the central rules; a NaN ``kl_clip`` turned every K-FAC step
-into NaN weights.  The guards are spelled ``not x > 0``.
+refreshed the central rules; a NaN ``kl_clip``, ``damping`` or learning
+rate turned the actor weights into NaN; a NaN ``max_grad_norm`` switched
+gradient clipping off (``total > nan`` is never true); a NaN mean
+downtime gave every fault the minimum window (``max(min, nan)`` is
+``min``).  The guards are spelled ``not x > 0`` (``not x >= 0`` where 0
+is allowed).
 """
 
 import math
@@ -12,6 +16,8 @@ import math
 import pytest
 
 from repro.baselines.central_drl import CentralDRLConfig
+from repro.faults import FaultKind, FaultScenarioConfig, FaultSpec
+from repro.rl.a2c import A2CConfig
 from repro.rl.acktr import ACKTRConfig
 from repro.sim.config import SimulationConfig
 
@@ -23,9 +29,25 @@ from repro.sim.config import SimulationConfig
         (SimulationConfig, "keep_duration"),
         (CentralDRLConfig, "update_interval"),
         (ACKTRConfig, "kl_clip"),
+        (ACKTRConfig, "damping"),
+        (A2CConfig, "learning_rate"),
+        (A2CConfig, "max_grad_norm"),
+        (FaultScenarioConfig, "mean_downtime"),
+        (FaultScenarioConfig, "min_downtime"),
     ],
     ids=lambda p: p if isinstance(p, str) else p.__name__,
 )
 def test_positive_field_refuses_nan(config_cls, field):
     with pytest.raises(ValueError, match=f"{field} must be > 0"):
         config_cls(**{field: math.nan})
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("start", "start must be >= 0"), ("duration", "duration must be > 0")],
+    ids=["start", "duration"],
+)
+def test_fault_window_refuses_nan(field, message):
+    window = {"start": 10.0, "duration": 5.0, field: math.nan}
+    with pytest.raises(ValueError, match=message):
+        FaultSpec(FaultKind.NODE_OUTAGE, "v1", **window)
