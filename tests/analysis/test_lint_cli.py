@@ -109,6 +109,30 @@ class TestSelfLint:
         assert result.stdout == "repro lint: no findings\n"
 
 
+class TestSelfFlowLint:
+    """The lint step as written in the CI workflow must be clean."""
+
+    def test_flow_module_invocation_is_clean(self):
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        prefix = "run: PYTHONPATH=src python "
+        commands = [
+            line.strip()[len(prefix):].split()
+            for line in workflow.splitlines()
+            if line.strip().startswith(prefix + "-m repro lint")
+        ]
+        assert len(commands) == 1, workflow
+        result = subprocess.run(
+            [sys.executable, *commands[0]],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout == "repro lint: no findings\n"
+        assert result.stderr == ""
+
+
 class TestUnknownWaiverRule:
     def test_rep008_fires_on_unknown_rule_id(self):
         findings = lint_source(
