@@ -63,8 +63,10 @@ class MaskedCoordinator(DistributedCoordinator):
         self._slices = [slices[p] for p in masked_parts]
         original_build = self.adapter.build
 
-        def masked_build(decision, sim):
-            obs = original_build(decision, sim).copy()
+        def masked_build(decision, sim, out=None):
+            # The agent builds into its workspace row (out=), so the mask
+            # is applied in place on the row it decides on.
+            obs = original_build(decision, sim, out=out)
             for s in self._slices:
                 obs[s] = 0.0
             return obs

@@ -43,9 +43,10 @@ def _positive_int(text: str) -> int:
 
 def _add_eval_dtype_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval-dtype", choices=["f64", "f32"], default=None,
-                        help="inference dtype: f64 = bit-identical to the "
-                             "serial reference (default), f32 = fast mode "
-                             "(default: $REPRO_EVAL_DTYPE, else f64)")
+                        help="inference dtype of the batched paths (selection "
+                             "evaluation, serving): f64 = bit-identical to "
+                             "the serial reference (default), f32 = fast "
+                             "mode (default: $REPRO_EVAL_DTYPE, else f64)")
 
 
 def _resolved_eval_dtype(args: argparse.Namespace) -> str:
@@ -174,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--eval-seeds", type=int, default=3,
                           help="number of traffic realisations")
     _add_workers_arg(evaluate)
-    _add_eval_dtype_arg(evaluate)
     _add_telemetry_arg(evaluate)
 
     compare = sub.add_parser("compare", help="train + compare all four algorithms")
@@ -300,7 +300,6 @@ def _build_policy(args: argparse.Namespace, scenario):
             scenario.network,
             scenario.catalog,
             trained,
-            dtype=_resolved_eval_dtype(args),
         )
     if args.algorithm == "sp":
         return partial(ShortestPathPolicy, scenario.network, scenario.catalog)

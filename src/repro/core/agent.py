@@ -12,17 +12,21 @@ In this process the per-node copies are *logical*: inference never writes
 a weight, so every agent reads one frozen snapshot held by the
 coordinator and decides bit-for-bit as a private copy would, while
 deployment costs one array copy whatever the network size (see
-:class:`DistributedCoordinator`).
+:class:`DistributedCoordinator`).  The snapshot's actor is cast to
+float32 once; an agent decides on that cast when a certified error bound
+proves the float32 argmax is the float64 one, and in float64 otherwise,
+so every action is the float64 action (DESIGN.md §14).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Dict, cast
 
 import numpy as np
 
+from repro.analysis.invariants import InvariantViolation, invariants_enabled
 from repro.core.observations import ObservationAdapter
-from repro.nn.mlp import MLPInference, resolve_eval_dtype
+from repro.nn.mlp import MLPInference
 from repro.rl.policy import ActorCriticPolicy
 from repro.services.service import ServiceCatalog
 from repro.sim.simulator import DecisionPoint, Simulator
@@ -37,26 +41,27 @@ class NodeAgent:
     Reads the trained policy network it is given (under a
     :class:`DistributedCoordinator` that is the deployment's shared frozen
     snapshot — this node's logical copy of π_θ, Alg. 1 line 14) and owns
-    its decision counter; the batch-1 workspace it decides in is the
-    deployment's, not its own.  Its decision is the actor's greedy
-    (argmax) action: sampling is exploration during training only.  All
+    its decision counters; the workspaces it decides in are the
+    snapshot's, not its own.  Its decision is the actor's greedy (argmax)
+    action: sampling is exploration during training only.  All
     information it uses is local: the incoming flow's attributes and the
     state of the node and its direct neighbors.
+
+    The observation is built straight into the input row of the policy's
+    float64 workspace and never copied.  A frozen policy's
+    ``certified_workspace`` decides on it when its error bound allows,
+    and the float64 forward on that same row decides otherwise (a
+    *fallback*, counted); a writable policy always decides in float64.
+    The workspaces are shared by every agent of the deployment: an agent
+    holds no state in them between two ``act`` calls, which must not run
+    concurrently.  Under ``REPRO_CHECK_INVARIANTS`` every certified
+    decision is re-decided in float64 and a disagreement raises
+    :class:`~repro.analysis.invariants.InvariantViolation`.
 
     Args:
         node: The node this agent controls.
         policy: Trained actor-critic whose actor makes the decisions.
         adapter: Observation builder (shared, stateless).
-        inference: The actor workspace ``act_single`` runs on.  ``None``
-            (default) is ``policy.workspace``, the exact float64 path; a
-            float32 :class:`~repro.nn.mlp.MLPInference` over
-            ``policy.actor`` is the fast mode (last ulps may differ).
-            Either way the observation is built straight into the
-            workspace's input row and never copied, and the workspace is
-            shared by every agent of the deployment: an agent holds no
-            state in it between two ``act`` calls, which must not run
-            concurrently (as before, when the agents shared the
-            snapshot's ``MLP.forward`` caches).
     """
 
     def __init__(
@@ -64,14 +69,16 @@ class NodeAgent:
         node: str,
         policy: ActorCriticPolicy,
         adapter: ObservationAdapter,
-        inference: Optional[MLPInference] = None,
     ) -> None:
         self.node = node
         self.policy = policy
         self.adapter = adapter
-        self._inference = inference
         #: Decisions taken by this agent (per-node load statistics).
         self.decisions_taken = 0
+        #: Decisions the certified float32 forward declined, which the
+        #: float64 forward then took.
+        self.fallbacks = 0
+        self._sanitize = invariants_enabled()
 
     def act(self, decision: DecisionPoint, sim: Simulator) -> int:
         """Select the action for a flow at this agent's node."""
@@ -79,42 +86,65 @@ class NodeAgent:
             raise ValueError(
                 f"agent at {self.node!r} asked to act for node {decision.node!r}"
             )
-        inference = self._inference or self.policy.workspace
-        rows = inference.input_rows(1)
+        policy = self.policy
+        rows = policy.workspace.input_rows(1)
         self.adapter.build(decision, sim, out=rows[0])
         self.decisions_taken += 1
-        return self.policy.act_single(rows, inference=inference)
+        certified = policy.certified_workspace
+        if certified is None:
+            return policy.act_single(rows)
+        declined = certified.fallbacks
+        action = policy.act_single(rows, inference=certified)
+        if certified.fallbacks != declined:
+            self.fallbacks += 1
+        elif self._sanitize:
+            self._cross_check(certified, rows, action)
+        return action
+
+    def _cross_check(
+        self, certified: MLPInference, rows: np.ndarray, action: int
+    ) -> None:
+        """Re-decide a certified decision in float64 (sanitizer only)."""
+        exact = int(self.policy.logits_single(rows).argmax())
+        if exact != action:
+            logits = certified.forward(rows)[0]
+            bound = cast(np.ndarray, certified.logit_bound)
+            raise InvariantViolation(
+                "certified float32 decision differs from the float64 one",
+                node=self.node,
+                certified=action,
+                exact=exact,
+                margin=float(logits[action] - logits[exact]),
+                delta=float(bound[action] + bound[exact]),
+            )
 
 
 class DistributedCoordinator:
     """All per-node agents of a network; usable as a simulator policy.
 
     Construction takes **one** snapshot of ``policy`` — a copy decoupled
-    from the trainer's live weights, every array marked read-only — and
-    exposes it as :attr:`policy`; each node's agent references it.  The
-    agents share no state that outlives a decision: counters are per
-    agent, the one actor workspace (the snapshot's ``policy.workspace``,
-    or one float32 cast) is overwritten by every decision, and
-    ``write=False`` turns the one thing that could couple them (an
-    in-place write to a deployed weight, e.g. an optimiser stepping the
-    wrong object) into a ``ValueError`` at the write.  One thread drives a
-    coordinator.  Deployment cost and resident weights are therefore
-    independent of network size, while decisions are those of the paper's
-    one-network-per-node deployment.
+    from the trainer's live weights, every array marked read-only, its
+    actor cast to float32 once — and exposes it as :attr:`policy`; each
+    node's agent references it.  The agents share no state that outlives
+    a decision: counters are per agent, the snapshot's two actor
+    workspaces are overwritten by every decision, and ``write=False``
+    turns the one thing that could couple them (an in-place write to a
+    deployed weight, e.g. an optimiser stepping the wrong object) into a
+    ``ValueError`` at the write — which also keeps the float32 cast
+    current.  One thread drives a coordinator.  Deployment cost and
+    resident weights are therefore independent of network size, while
+    decisions are those of the paper's one-network-per-node deployment.
 
     Pickling keeps the sharing (one weight set per coordinator, whatever
-    the node count) but numpy does not carry the read-only flag across;
-    pool workers rebuild through :meth:`fresh`, which snapshots and
-    freezes again.
+    the node count) but numpy does not carry the read-only flag across,
+    so the float32 cast stays behind and the far side decides in float64
+    (the same actions); pool workers rebuild through :meth:`fresh`,
+    which snapshots, freezes and casts again.
 
     Args:
         network: Substrate network (one agent per node).
         catalog: Services (needed by the observation adapter).
         policy: The trained policy selected by multi-seed training.
-        dtype: Inference dtype (``"f64"``/``"f32"`` or a numpy dtype).
-            Float64 is the bit-exact default; float32 casts the snapshot's
-            actor once into a workspace all agents decide in — see
-            :class:`NodeAgent`.
     """
 
     def __init__(
@@ -122,10 +152,8 @@ class DistributedCoordinator:
         network: Network,
         catalog: ServiceCatalog,
         policy: ActorCriticPolicy,
-        dtype: Any = np.float64,
     ) -> None:
         self.network = network
-        self.dtype = resolve_eval_dtype(dtype)
         self.adapter = ObservationAdapter(network, catalog)
         if policy.obs_dim != self.adapter.size:
             raise ValueError(
@@ -135,13 +163,8 @@ class DistributedCoordinator:
             )
         #: The deployment's frozen snapshot of the trained policy.
         self.policy = policy.clone().freeze()
-        inference = (
-            None
-            if self.dtype == np.dtype(np.float64)
-            else self.policy.actor_inference(dtype=self.dtype)
-        )
         self.agents: Dict[str, NodeAgent] = {
-            node: NodeAgent(node, self.policy, self.adapter, inference=inference)
+            node: NodeAgent(node, self.policy, self.adapter)
             for node in network.node_names
         }
 
@@ -153,9 +176,15 @@ class DistributedCoordinator:
         """A new coordinator over the same trained weights (its own frozen
         snapshot) with reset decision counters."""
         return DistributedCoordinator(
-            self.network, self.adapter.catalog, self.policy, dtype=self.dtype
+            self.network, self.adapter.catalog, self.policy
         )
 
     def decision_counts(self) -> Dict[str, int]:
         """Per-node decision counts (how evenly load spreads over agents)."""
         return {node: agent.decisions_taken for node, agent in self.agents.items()}
+
+    @property
+    def fallbacks(self) -> int:
+        """Decisions, over all agents, taken by the float64 forward
+        because the certified float32 one declined."""
+        return sum(agent.fallbacks for agent in self.agents.values())

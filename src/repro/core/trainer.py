@@ -57,9 +57,11 @@ class TrainingConfig:
             (>= 1; the evaluation's lockstep width follows from it).
         workers: Worker processes for the per-seed fan-out (None reads
             ``REPRO_WORKERS``; 1 = serial).
-        eval_dtype: Inference dtype of the selection evaluation
-            and of the deployed per-node agents (``"f64"``/``"f32"``;
-            None reads ``REPRO_EVAL_DTYPE``, float64 when unset).
+        eval_dtype: Inference dtype of the best-agent selection
+            evaluation (``"f64"``/``"f32"``; None reads
+            ``REPRO_EVAL_DTYPE``, float64 when unset).  The deployed
+            agents always answer the float64 action (see
+            :class:`~repro.core.agent.NodeAgent`).
     """
 
     algorithm: str = "acktr"
@@ -122,9 +124,6 @@ def train_coordinator(
         recorder=recorder,
     )
     coordinator = DistributedCoordinator(
-        env_config.network,
-        env_config.catalog,
-        multi_seed.best_policy,
-        dtype=training.eval_dtype,
+        env_config.network, env_config.catalog, multi_seed.best_policy
     )
     return TrainingResult(coordinator=coordinator, multi_seed=multi_seed)

@@ -345,7 +345,6 @@ class AlgorithmSuite:
                 network,
                 catalog,
                 self.coordinator.policy,
-                dtype=self.coordinator.dtype,
             )
         if CENTRAL_DRL in self.algorithms:
             if self.central is None:

@@ -11,9 +11,74 @@ import numpy as np
 from repro.nn.init import RNGLike
 from repro.nn.layers import Activation, Dense, Identity, ReLU, Tanh
 
-__all__ = ["MLP", "MLPInference", "fused_backward_is_exact", "resolve_eval_dtype"]
+__all__ = [
+    "MLP",
+    "MLPInference",
+    "TANH_ERROR_F32",
+    "TANH_ERROR_F64",
+    "fused_backward_is_exact",
+    "logit_error_bound",
+    "resolve_eval_dtype",
+]
 
 _ACTIVATIONS = {"tanh": Tanh, "relu": ReLU, "identity": Identity}
+
+#: Unit roundoffs of IEEE binary32 and binary64 (round to nearest).
+_U32 = 2.0**-24
+_U64 = 2.0**-53
+#: Absolute error allowed for one ``np.tanh`` in float32 and in float64.
+#: Twice what a grid over the float32 range measures (1.01 u32 and 1 u64
+#: for the bundled numpy); ``tests/nn/test_certified.py`` pins both.
+TANH_ERROR_F32 = 2 * _U32
+TANH_ERROR_F64 = 2 * _U64
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's γ_n = nu / (1 - nu): the relative error bound of an
+    n-term dot product, for any summation order, with or without FMA."""
+    return n * u / (1.0 - n * u)
+
+
+def logit_error_bound(mlp: MLP) -> np.ndarray:
+    """Per-output bound δ on |float32 forward − float64 forward|.
+
+    Holds for every input with ‖x‖∞ ≤ 1 (NaN excluded), any summation
+    order in either GEMM, and the float32 weights ``MLPInference`` casts
+    from ``mlp``'s current weights.  Layer by layer, with n the augmented
+    fan-in and |W| the elementwise absolute weights (bias row last)::
+
+        δ_0   = u32 + 2⁻¹⁴⁹                          (casting x to float32)
+        δ_out = |W_data|ᵀ (δ_in + τ) + κ_n · colsum|W| + n · 2⁻¹⁴⁶
+        κ_n   = γ32_{n+2} + γ64_n
+
+    τ is the tanh allowance (:data:`TANH_ERROR_F32` +
+    :data:`TANH_ERROR_F64`, 0 before the first layer); κ covers both
+    GEMMs and the weight cast against |h| ≤ 1, which tanh outputs and the
+    input domain guarantee; the last term covers float32 underflow.  The
+    result is inflated for the rounding of its own evaluation and of the
+    comparison :meth:`MLPInference.certified_argmax` makes.  Networks
+    with a non-tanh hidden activation, or weights large enough
+    (colsum ≥ 2¹⁰⁰) for a float32 sum to overflow, get ``inf`` (no
+    bound).
+    """
+    unbounded = np.full(mlp.out_dim, np.inf)
+    if not all(isinstance(act, Tanh) for act in mlp.activations[:-1]):
+        return unbounded
+    delta = np.full(mlp.in_dim, _U32 + 2.0**-149)
+    for i, dense in enumerate(mlp.dense_layers):
+        if i:
+            delta = delta + (TANH_ERROR_F32 + TANH_ERROR_F64)
+        w = np.abs(dense.weight)
+        n = w.shape[0]
+        colsum = w.sum(axis=0)
+        if not colsum.max() < 2.0**100:  # float32 could overflow (or NaN)
+            return unbounded
+        kappa = _gamma(n + 2, _U32) + _gamma(n, _U64)
+        delta = w[:-1].T @ delta + kappa * colsum + n * 2.0**-146
+    # Evaluating the bound in float64 errs by far less than 2^-20 relative;
+    # the comparison ℓ ± δ errs by at most u64 · max|ℓ ± δ| per side.
+    delta = delta * (1.0 + 2.0**-20)
+    return delta + _U64 * (2.0 * colsum.max() + delta.max())
 
 
 class MLP:
@@ -288,11 +353,10 @@ class MLPInference:
         in-place optimiser updates and ``set_parameters`` rebinding.
         ``np.float32`` casts the weights once (:meth:`refresh_weights`
         re-casts) and runs the whole forward in single precision —
-        roughly 2x less memory traffic, at ~1e-6 relative error per layer
-        (empirically <1e-4 relative on the logits of the paper's 2x256
-        tanh network).  Use it only where bit equality with the float64
-        path is not required; ``select_actions`` skips its near-tie guard
-        on float32 logits.
+        roughly 2x less memory traffic.  Its logits differ from float64
+        ones by at most :attr:`logit_bound`, which is what lets
+        :meth:`certified_argmax` answer exactly the float64 argmax or
+        decline.
     """
 
     def __init__(self, mlp: MLP, dtype: Any = np.float64) -> None:
@@ -300,6 +364,8 @@ class MLPInference:
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError(f"MLPInference supports float64/float32, got {dtype}")
         self.mlp = mlp
+        #: Rows :meth:`certified_argmax` declined (float32 mode).
+        self.fallbacks = 0
         self._capacity = 0
         self._aug: List[np.ndarray] = []
         self._out: List[np.ndarray] = []
@@ -323,6 +389,49 @@ class MLPInference:
             if self.dtype == np.dtype(np.float64)
             else [d.weight.astype(self.dtype) for d in self.mlp.dense_layers]
         )
+        self._bound: Optional[np.ndarray] = None
+        self._certificate: List[Tuple[int, float]] = []
+
+    @property
+    def logit_bound(self) -> Optional[np.ndarray]:
+        """float32 mode: :func:`logit_error_bound`, computed on first use
+        from the network's weights, which must still be the ones the last
+        cast read (as a frozen policy's are); float64 mode: ``None``."""
+        if self._bound is None and self._weights is not None:
+            self._bound = logit_error_bound(self.mlp)
+            self._certificate = list(enumerate(self._bound.tolist()))
+        return self._bound
+
+    def certified_argmax(self, x: np.ndarray) -> int:
+        """The float64 argmax of one observation, read off this float32
+        forward — or -1 when the forward cannot prove it.
+
+        ``x`` is one float64 row, ``(in_dim,)`` or ``(1, in_dim)``.  The
+        float32 argmax a is returned only when ``x`` lies in the bound's
+        domain (every entry in [-1, 1]) and ℓ_a − δ_a > ℓ_k + δ_k for
+        every k ≠ a: then a is the strict argmax of any float64 forward
+        of ``x``.  Otherwise :attr:`fallbacks` counts one and -1 tells
+        the caller to decide in float64.  Runs one :meth:`forward`.
+        """
+        certificate = self._certificate
+        if not certificate:
+            if self.logit_bound is None:
+                raise ValueError("certified_argmax needs a float32 workspace")
+            certificate = self._certificate
+        row = x.ravel()
+        for value in row.tolist():
+            if not -1.0 <= value <= 1.0:  # NaN fails too
+                self.fallbacks += 1
+                return -1
+        logits = self.forward(row[None])[0].tolist()
+        top = max(logits)
+        action = logits.index(top)
+        floor = top - certificate[action][1]
+        for k, delta in certificate:
+            if k != action and not logits[k] + delta < floor:
+                self.fallbacks += 1
+                return -1
+        return action
 
     def _plan(self, n: int) -> Tuple[np.ndarray, List[Tuple[Any, ...]]]:
         if n > self._capacity:
@@ -405,8 +514,16 @@ class MLPInference:
             rows[...] = x  # casts on assignment in float32 mode
         weights = self._weights
         out = rows
-        for i, (dense, act, aug, z, dst) in enumerate(steps):
-            np.matmul(aug, dense.weight if weights is None else weights[i], out=z)
+        if weights is None:
+            for dense, act, aug, z, dst in steps:
+                np.matmul(aug, dense.weight, out=z)
+                out = act.forward_into(z, dst)
+            return out
+        # float32: np.dot reaches the same BLAS kernels as np.matmul with
+        # ~0.8 µs less dispatch per layer at one row; float64 keeps
+        # np.matmul, whose bits MLP.forward shares.
+        for w, (dense, act, aug, z, dst) in zip(weights, steps):
+            np.dot(aug, w, out=z)
             out = act.forward_into(z, dst)
         return out
 

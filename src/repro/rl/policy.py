@@ -63,6 +63,10 @@ class ActorCriticPolicy:
         self.critic = MLP(obs_dim, hidden, 1, activation=activation,
                           out_gain=1.0, rng=rng, weights=critic_weights)
         self._workspace: Optional[MLPInference] = None
+        #: float32 actor workspace whose :meth:`~MLPInference.certified_argmax`
+        #: decides for a frozen policy (see :meth:`freeze`); ``None`` for a
+        #: writable one, whose weights a cast could go stale against.
+        self.certified_workspace: Optional[MLPInference] = None
 
     # ------------------------------------------------------------------
 
@@ -103,7 +107,21 @@ class ActorCriticPolicy:
         """Select one action for a single observation vector (inference):
         the argmax of :meth:`logits_single`, plus Gumbel noise from one
         ``(1, K)`` uniform draw when sampling — what
-        :class:`~repro.nn.distributions.Categorical` does on raw logits."""
+        :class:`~repro.nn.distributions.Categorical` does on raw logits.
+
+        ``inference`` is a float64 workspace to run on (default
+        :attr:`workspace`) or a float32 one with a certified bound (a
+        frozen policy's :attr:`certified_workspace`).  A float32 workspace
+        answers a greedy decision only when
+        :meth:`~repro.nn.mlp.MLPInference.certified_argmax` proves its
+        argmax is the float64 one; otherwise, and when sampling, the
+        float64 :meth:`logits_single` decides on the same ``obs``.  The
+        answer is therefore always the float64 one."""
+        if inference is not None and inference.logit_bound is not None:
+            action = inference.certified_argmax(obs) if deterministic else -1
+            if action >= 0:
+                return action
+            inference = None
         logits = self.logits_single(obs, inference)
         if deterministic:
             return int(logits.argmax())
@@ -177,7 +195,8 @@ class ActorCriticPolicy:
         return self._workspace
 
     def __getstate__(self) -> Dict[str, Any]:
-        return {**self.__dict__, "_workspace": None}
+        # Unpickled weights are writable again, so the cast goes too.
+        return {**self.__dict__, "_workspace": None, "certified_workspace": None}
 
     def actor_inference(self, dtype=np.float64) -> MLPInference:
         """Workspace-backed batched actor forward for evaluation loops
@@ -197,16 +216,24 @@ class ActorCriticPolicy:
         )
 
     def freeze(self) -> "ActorCriticPolicy":
-        """Mark every weight array read-only and return ``self``.
+        """Mark every weight array read-only, cast the actor to float32
+        once, and return ``self``.
 
         Inference never writes weights, so a frozen policy decides exactly
         as before; an optimiser step or any other in-place write now
         raises ``ValueError`` instead of silently changing every reader
-        of a shared deployment snapshot.  :meth:`clone` of a frozen policy
-        is writable again.
+        of a shared deployment snapshot.  Because the weights can no
+        longer change, their float32 cast cannot go stale: it becomes
+        :attr:`certified_workspace` when its logit bound is finite (tanh
+        hidden layers).  :meth:`clone` of a frozen policy is writable
+        again and has no cast.
         """
         for weight in self.actor.parameters + self.critic.parameters:
             weight.setflags(write=False)
+        certified = MLPInference(self.actor, np.float32)
+        bound = certified.logit_bound
+        if bound is not None and np.isfinite(bound).all():
+            self.certified_workspace = certified
         return self
 
     def save(self, path) -> None:

@@ -146,7 +146,10 @@ class JsonlRecorder(Recorder):
         """Append a finished child stream's records here, then delete it.
 
         Tolerates a child that never emitted (no file).  Records are
-        copied verbatim (already validated at emit time in the worker).
+        copied verbatim (already validated at emit time in the worker);
+        a child cut mid-write gets its last line terminated, so the
+        parent's next record starts a line of its own and the cut line
+        fails :func:`~repro.telemetry.load_stream` by its line number.
         """
         if not isinstance(child, JsonlRecorder) or child.path == self.path:
             return
@@ -159,7 +162,7 @@ class JsonlRecorder(Recorder):
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.write(text)
+            self._fh.write(text if text.endswith("\n") else text + "\n")
         child.path.unlink()
 
     def flush(self) -> None:

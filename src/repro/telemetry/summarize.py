@@ -28,14 +28,20 @@ __all__ = ["load_stream", "summarize_run"]
 def load_stream(path: os.PathLike, validate: bool = True) -> List[Dict[str, Any]]:
     """Load a JSONL stream; validates every record by default.
 
+    A last line without its newline is read like any other line: a
+    record cut at a boundary loads, one cut mid-record is invalid JSON.
+
     Raises:
-        SchemaError: A line is not valid JSON or fails schema validation
-            (the error names the 1-based line number).
+        SchemaError: A line is not UTF-8, not valid JSON or fails schema
+            validation (the error names ``path:line``, 1-based).
     """
     records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}:{lineno}: not UTF-8 ({exc})") from exc
             if not line:
                 continue
             try:

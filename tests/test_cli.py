@@ -27,15 +27,13 @@ class TestParser:
             )
 
     def test_eval_dtype_flag(self):
-        for command in ("train -o p.npz", "evaluate --algorithm sp",
-                        "compare", "serve-bench"):
+        for command in ("train -o p.npz", "compare", "serve-bench"):
             args = build_parser().parse_args(
                 command.split() + ["--eval-dtype", "f32"]
             )
             assert args.eval_dtype == "f32"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["evaluate", "--algorithm", "sp",
-                                       "--eval-dtype", "f16"])
+            build_parser().parse_args(["compare", "--eval-dtype", "f16"])
 
     def test_eval_width_is_not_a_flag(self):
         for command in ("train -o p.npz", "compare"):

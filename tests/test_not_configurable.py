@@ -12,7 +12,10 @@ mode.  The per-task timeout is an argument of ``run_tasks`` only, and
 the deployed central DRL reads its horizon from the simulator.
 Inference decides greedily: no inference driver takes an rng, a seed or
 a decision mode, and the lockstep runner spawns no per-episode streams
-(``_episode_rngs``).  ``repro lint`` has one text report and runs every
+(``_episode_rngs``).  The deployment has no precision switch: its agents
+decide on a certified float32 cast with an exact float64 fallback, so
+neither the coordinator, its agents nor ``repro evaluate`` take a dtype.
+``repro lint`` has one text report and runs every
 rule: its format, output, subset and explain flags, the matching
 ``run_lint`` keywords and the config object are gone.  The names below
 may appear only here and in ``tests/test_stay_deleted.py``, whose tree
@@ -283,3 +286,28 @@ class TestInferenceDecidesGreedily:
     def test_takes_no_rng_seed_or_mode(self, fn):
         taken = set(inspect.signature(fn).parameters)
         assert not {"rng", "rngs", "seed", "deterministic"} & taken
+
+
+class TestDeploymentHasNoPrecisionSwitch:
+    @pytest.mark.parametrize(
+        "fn", [DistributedCoordinator, NodeAgent], ids=lambda fn: fn.__qualname__
+    )
+    def test_takes_no_dtype_or_inference(self, fn):
+        taken = set(inspect.signature(fn).parameters)
+        assert not {"dtype", "inference"} & taken
+
+    def test_coordinator_rejects_a_dtype(self):
+        config = _env_config()
+        policy = ActorCriticPolicy(2 * 2 + 4, 3, hidden=(4,), rng=0)
+        with pytest.raises(TypeError):
+            DistributedCoordinator(
+                config.network, config.catalog, policy, dtype="f32"
+            )
+
+    def test_evaluate_takes_no_eval_dtype(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["evaluate", "--algorithm", "sp", "--eval-dtype", "f32"]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
