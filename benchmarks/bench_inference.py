@@ -6,14 +6,15 @@ scenario, through the two calls that ship:
 
 - *serial*: ``policy.act_single`` per row (one batch-1 forward + argmax
   per decision) — what per-node agents run.
-- *select(n)* for n in 1, 8, 32: one :class:`~repro.nn.mlp.MLPInference`
-  forward over ``n`` rows +
-  :meth:`~repro.rl.policy.ActorCriticPolicy.select_actions` on its logits
-  — exactly the per-round work of
+- *select(n)* for n in 1, 8, 32:
+  :meth:`~repro.rl.policy.ActorCriticPolicy.select_actions` over ``n``
+  rows — one float32 :class:`~repro.nn.mlp.MLPInference` forward, its
+  certificate, and the float64 batch-1 forward for every row the
+  certificate declines — exactly the per-round work of
   :class:`repro.rl.batched.BatchedEpisodeRunner` and the per-flush work
   of the serving engine.  ``n = 1`` is the one-slot schedule
-  ``evaluate_policy`` picks for a handful of episodes: a plain argmax,
-  no near-tie guard.
+  ``evaluate_policy`` picks for a handful of episodes, where the
+  certificate is the one-row loop a deployed agent runs.
 
 It also times ``evaluate_policy`` end to end (simulator stepping
 included) at 1, 4 and 12 episodes — both sides of the episode count
@@ -23,14 +24,13 @@ file's own ``act_single`` loop, and checks the metrics are identical.
 The report is persisted as ``BENCH_inference.json`` in the repo root
 (override the path with ``REPRO_BENCH_INFERENCE_JSON``).  Thresholds:
 select(n) must beat serial at every n > 1 and scale, and select(1) must
-stay within 20 % of it (with the guard left on at one row it read 0.7x);
-at the ``default``/``paper`` scales select(32) must deliver ≥2x over
-serial.  The floor is a ratio, so it is set against the serial path as
-it is now: ``act_single`` runs on the same zero-copy ``MLPInference``
-workspace as the multi-row forward, which leaves batching only the
-per-row share of one GEMM and one selection pass to win — a serial path
-made faster must not fail the gate, and ≥2x is what width 32 still has
-to deliver over it.  (The ``smoke`` CI scale skips the 2x floor, since
+stay within 20 % of it; at the ``default``/``paper`` scales select(32)
+must deliver ≥2x over serial.  The floor is a ratio, so it is set
+against the serial path as it is now: ``act_single`` runs on a zero-copy
+``MLPInference`` workspace like the multi-row forward, which leaves
+batching only the per-row share of one GEMM and one certificate pass to
+win — a serial path made faster must not fail the gate, and ≥2x is what
+width 32 still has to deliver over it.  (The ``smoke`` CI scale skips the 2x floor, since
 tiny shared runners make timing noisy.)
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_inference.py``)
@@ -53,6 +53,7 @@ from _config import SCALE
 
 from repro.core.env import ServiceCoordinationEnv
 from repro.eval.scenarios import base_scenario
+from repro.nn.mlp import MLPInference
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.training import evaluate_policy
 from repro.serving.loadgen import collect_observation_pool
@@ -107,14 +108,14 @@ def serial_sweep(policy: ActorCriticPolicy, rows: np.ndarray):
 
 
 def batched_sweep(policy: ActorCriticPolicy, rows: np.ndarray, batch: int):
-    """One MLPInference forward + the shipped select per chunk."""
-    inference = policy.actor_inference()
+    """The shipped select per chunk, on a float32 cast made once."""
+    inference = MLPInference(policy.actor, np.float32)
     actions = np.empty(batch, dtype=np.intp)
 
     def sweep() -> None:
         for start in range(0, len(rows), batch):
             x = rows[start : start + batch]
-            policy.select_actions(inference.forward(x), x, actions[: len(x)])
+            policy.select_actions(x, actions[: len(x)], inference)
 
     return sweep
 

@@ -8,7 +8,7 @@ real observation vectors from the default Abilene scenario:
   for.  A second saturated run hot-swaps cloned weights under load to
   confirm swaps never drop or stall requests.
 - *open-loop sweep*: Poisson arrivals over arrival rate x flush
-  deadline x inference dtype; each cell reports throughput, batch-size
+  deadline; each cell reports throughput, batch-size
   statistics, the flush-trigger split, and latency percentiles.  Cells
   that shed nothing must honour the SLO: p99 latency <= deadline + the
   worst single flush + scheduling slack.
@@ -74,7 +74,6 @@ SWEEP_DEADLINES_MS = {
     "default": (1.0, 5.0),
     "paper": (1.0, 2.0, 5.0),
 }[SCALE.name]
-SWEEP_DTYPES = ("f64",) if SCALE.name == "smoke" else ("f64", "f32")
 
 #: Overload arrival rate as a multiple of the measured saturation rate.
 OVERLOAD_FACTOR = 5.0
@@ -170,7 +169,6 @@ def measure_open_loop(
     observations: np.ndarray,
     rate: float,
     deadline_ms: float,
-    dtype: str,
     requests: int,
     queue_capacity: int | None = None,
 ) -> dict:
@@ -183,10 +181,9 @@ def measure_open_loop(
             max_batch=MICRO_BATCH,
             deadline_s=deadline_ms / 1000.0,
             queue_capacity=queue_capacity,
-            dtype=dtype,
         ),
     )
-    return _cell(engine, rate=rate, deadline_ms=deadline_ms, dtype=dtype)
+    return _cell(engine, rate=rate, deadline_ms=deadline_ms)
 
 
 def run_bench() -> dict:
@@ -204,16 +201,13 @@ def run_bench() -> dict:
         swap_every=SWAP_EVERY,
     )
     sweep = [
-        measure_open_loop(
-            policy, observations, rate, deadline_ms, dtype, SWEEP_REQUESTS
-        )
+        measure_open_loop(policy, observations, rate, deadline_ms, SWEEP_REQUESTS)
         for rate in SWEEP_RATES
         for deadline_ms in SWEEP_DEADLINES_MS
-        for dtype in SWEEP_DTYPES
     ]
     overload_rate = OVERLOAD_FACTOR * micro["decisions_per_second"]
     overload = measure_open_loop(
-        policy, observations, overload_rate, 2.0, "f64", SWEEP_REQUESTS
+        policy, observations, overload_rate, 2.0, SWEEP_REQUESTS
     )
     return {
         "kind": "serving_bench",
@@ -275,7 +269,7 @@ def render(report: dict) -> str:
         p99 = cell.get("latency_p99_ms", float("nan"))
         lines.append(
             f"  open loop {cell['rate']:>7.0f}/s D={cell['deadline_ms']:.0f}ms"
-            f" {cell['dtype']}: {cell['decisions_per_second']:>7.0f}/s"
+            f": {cell['decisions_per_second']:>7.0f}/s"
             f" mean batch {cell['mean_batch']:>4.1f}"
             f" p99 {p99:.2f}ms shed {cell['shed']}"
         )
@@ -316,7 +310,7 @@ def check(report: dict, baseline: dict | None) -> None:
             assert cell["latency_p99_ms"] <= bound, (
                 f"p99 {cell['latency_p99_ms']:.2f}ms exceeds the SLO bound "
                 f"{bound:.2f}ms (rate {cell['rate']:.0f}/s, deadline "
-                f"{cell['deadline_ms']:.0f}ms, {cell['dtype']})"
+                f"{cell['deadline_ms']:.0f}ms)"
             )
     over = report["overload"]
     assert over["shed"] > 0, (

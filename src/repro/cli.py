@@ -41,24 +41,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_eval_dtype_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eval-dtype", choices=["f64", "f32"], default=None,
-                        help="inference dtype of the batched paths (selection "
-                             "evaluation, serving): f64 = bit-identical to "
-                             "the serial reference (default), f32 = fast "
-                             "mode (default: $REPRO_EVAL_DTYPE, else f64)")
-
-
-def _resolved_eval_dtype(args: argparse.Namespace) -> str:
-    """The effective ``"f64"``/``"f32"`` spelling (flag, else env var)."""
-    import numpy as np
-
-    from repro.nn.mlp import resolve_eval_dtype
-
-    dtype = resolve_eval_dtype(getattr(args, "eval_dtype", None))
-    return "f32" if dtype == np.dtype(np.float32) else "f64"
-
-
 def _add_stat_interval_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stat-interval", type=int, default=1,
                         help="refresh ACKTR's Kronecker-factor statistics "
@@ -162,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "derives its lockstep width from this count)")
     train.add_argument("--quiet", action="store_true")
     _add_workers_arg(train)
-    _add_eval_dtype_arg(train)
     _add_stat_interval_arg(train)
     _add_telemetry_arg(train)
 
@@ -183,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seeds", type=int, default=2)
     compare.add_argument("--eval-seeds", type=int, default=3)
     _add_workers_arg(compare)
-    _add_eval_dtype_arg(compare)
     _add_stat_interval_arg(compare)
     _add_telemetry_arg(compare)
 
@@ -216,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--pool", type=int, default=256,
                        help="observation vectors harvested from the scenario "
                             "as request payloads")
-    _add_eval_dtype_arg(serve)
     _add_telemetry_arg(serve)
 
     lint = sub.add_parser(
@@ -268,7 +247,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         rl=ACKTRConfig(n_steps=64, stat_interval=args.stat_interval),
         eval_episodes=args.eval_episodes,
         workers=args.workers,
-        eval_dtype=_resolved_eval_dtype(args),
     )
     if not args.quiet:
         print(f"Training on {args.topology} / {args.pattern} / "
@@ -344,7 +322,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 updates_per_seed=args.updates,
                 rl=ACKTRConfig(n_steps=64, stat_interval=args.stat_interval),
                 workers=args.workers,
-                eval_dtype=_resolved_eval_dtype(args),
             )
         ),
     )
@@ -387,7 +364,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         max_batch=args.serve_batch,
         deadline_s=args.serve_deadline_ms / 1000.0,
         queue_capacity=args.queue_capacity,
-        dtype=_resolved_eval_dtype(args),
     )
     with _telemetry(args, "serve-bench") as recorder:
         engine = serve_workload(
@@ -405,7 +381,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             f"open loop @ {args.rate:.0f} req/s" if args.rate > 0.0 else "saturation"
         )
         print(f"serve-bench: {mode} | batch {config.max_batch} "
-              f"deadline {args.serve_deadline_ms:.1f}ms dtype {config.dtype}")
+              f"deadline {args.serve_deadline_ms:.1f}ms")
         print(f"  requests {stats.submitted} served {stats.served} "
               f"shed {stats.shed} | {stats.flushes} flushes "
               f"(size {stats.size_flushes} deadline {stats.deadline_flushes} "

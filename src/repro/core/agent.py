@@ -20,13 +20,10 @@ so every action is the float64 action (DESIGN.md §14).
 
 from __future__ import annotations
 
-from typing import Dict, cast
+from typing import Dict
 
-import numpy as np
-
-from repro.analysis.invariants import InvariantViolation, invariants_enabled
+from repro.analysis.invariants import invariants_enabled
 from repro.core.observations import ObservationAdapter
-from repro.nn.mlp import MLPInference
 from repro.rl.policy import ActorCriticPolicy
 from repro.services.service import ServiceCatalog
 from repro.sim.simulator import DecisionPoint, Simulator
@@ -98,25 +95,8 @@ class NodeAgent:
         if certified.fallbacks != declined:
             self.fallbacks += 1
         elif self._sanitize:
-            self._cross_check(certified, rows, action)
+            policy.cross_check(rows, (action,), certified, node=self.node)
         return action
-
-    def _cross_check(
-        self, certified: MLPInference, rows: np.ndarray, action: int
-    ) -> None:
-        """Re-decide a certified decision in float64 (sanitizer only)."""
-        exact = int(self.policy.logits_single(rows).argmax())
-        if exact != action:
-            logits = certified.forward(rows)[0]
-            bound = cast(np.ndarray, certified.logit_bound)
-            raise InvariantViolation(
-                "certified float32 decision differs from the float64 one",
-                node=self.node,
-                certified=action,
-                exact=exact,
-                margin=float(logits[action] - logits[exact]),
-                delta=float(bound[action] + bound[exact]),
-            )
 
 
 class DistributedCoordinator:

@@ -57,11 +57,6 @@ class TrainingConfig:
             (>= 1; the evaluation's lockstep width follows from it).
         workers: Worker processes for the per-seed fan-out (None reads
             ``REPRO_WORKERS``; 1 = serial).
-        eval_dtype: Inference dtype of the best-agent selection
-            evaluation (``"f64"``/``"f32"``; None reads
-            ``REPRO_EVAL_DTYPE``, float64 when unset).  The deployed
-            agents always answer the float64 action (see
-            :class:`~repro.core.agent.NodeAgent`).
     """
 
     algorithm: str = "acktr"
@@ -70,7 +65,6 @@ class TrainingConfig:
     rl: ACKTRConfig = ACKTRConfig()
     eval_episodes: int = 1
     workers: Optional[int] = None
-    eval_dtype: Optional[str] = None
 
     def quick(self) -> "TrainingConfig":
         """A laptop-scale variant (fewer seeds/updates) for tests and the
@@ -120,7 +114,6 @@ def train_coordinator(
         algorithm=training.algorithm,
         verbose=verbose,
         workers=training.workers,
-        eval_dtype=training.eval_dtype,
         recorder=recorder,
     )
     coordinator = DistributedCoordinator(

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union, cast
 
 import numpy as np
 
@@ -18,7 +17,6 @@ __all__ = [
     "TANH_ERROR_F64",
     "fused_backward_is_exact",
     "logit_error_bound",
-    "resolve_eval_dtype",
 ]
 
 _ACTIVATIONS = {"tanh": Tanh, "relu": ReLU, "identity": Identity}
@@ -283,7 +281,7 @@ def fused_backward_is_exact(
     BLAS build and thread count, not of the algorithm — so the trainer
     asks this probe at construction time with its *real* shapes instead of
     assuming, and falls back to the serial two-pass path when the answer
-    is no (mirroring how the float32 eval path is gated).
+    is no.
 
     The probe is deterministic (fixed local generator, no global rng
     consumed) and compares, layer by layer, the three arrays the
@@ -372,8 +370,8 @@ class MLPInference:
         self.rebind(mlp)
 
     def rebind(self, mlp: MLP) -> None:
-        """Serve ``mlp`` from now on (a weight hot-swap); the workspaces
-        stay when its layer shapes are the current network's."""
+        """Serve ``mlp`` from now on; the workspaces stay when its layer
+        shapes are the current network's."""
         if [w.shape for w in mlp.parameters] != [w.shape for w in self.mlp.parameters]:
             self._capacity = 0
         self.mlp = mlp
@@ -382,42 +380,48 @@ class MLPInference:
         self.refresh_weights()
 
     def refresh_weights(self) -> None:
-        """Re-snapshot weights (float32 mode casts; float64 mode reads
-        the live references on every forward and needs no refresh)."""
-        self._weights: Optional[List[np.ndarray]] = (
-            None
-            if self.dtype == np.dtype(np.float64)
-            else [d.weight.astype(self.dtype) for d in self.mlp.dense_layers]
-        )
-        self._bound: Optional[np.ndarray] = None
-        self._certificate: List[Tuple[int, float]] = []
+        """Re-snapshot weights: float32 mode casts them and computes
+        :attr:`logit_bound` from the same weights; float64 mode reads the
+        live references on every forward and needs no refresh."""
+        if self.dtype == np.dtype(np.float64):
+            self._weights: Optional[List[np.ndarray]] = None
+            #: float32 mode: :func:`logit_error_bound` of the weights the
+            #: last cast read; float64 mode: ``None``.
+            self.logit_bound: Optional[np.ndarray] = None
+            return
+        self._weights = [d.weight.astype(self.dtype) for d in self.mlp.dense_layers]
+        self.logit_bound = logit_error_bound(self.mlp)
+        self._certificate = list(enumerate(self.logit_bound.tolist()))
 
-    @property
-    def logit_bound(self) -> Optional[np.ndarray]:
-        """float32 mode: :func:`logit_error_bound`, computed on first use
-        from the network's weights, which must still be the ones the last
-        cast read (as a frozen policy's are); float64 mode: ``None``."""
-        if self._bound is None and self._weights is not None:
-            self._bound = logit_error_bound(self.mlp)
-            self._certificate = list(enumerate(self._bound.tolist()))
-        return self._bound
+    def certified_argmax(
+        self, x: np.ndarray, actions: Optional[np.ndarray] = None
+    ) -> int:
+        """The float64 argmax of each row of ``x``, read off one float32
+        forward — or -1 for a row the forward cannot prove.
 
-    def certified_argmax(self, x: np.ndarray) -> int:
-        """The float64 argmax of one observation, read off this float32
-        forward — or -1 when the forward cannot prove it.
+        A row's float32 argmax a is kept only when the row lies in the
+        bound's domain (every entry in [-1, 1]; NaN is outside) and
+        ℓ_a − δ_a > ℓ_k + δ_k for every k ≠ a: then a is the strict argmax
+        of any float64 forward of that row.  Every declined row counts
+        one in :attr:`fallbacks`; its caller decides it in float64.
 
-        ``x`` is one float64 row, ``(in_dim,)`` or ``(1, in_dim)``.  The
-        float32 argmax a is returned only when ``x`` lies in the bound's
-        domain (every entry in [-1, 1]) and ℓ_a − δ_a > ℓ_k + δ_k for
-        every k ≠ a: then a is the strict argmax of any float64 forward
-        of ``x``.  Otherwise :attr:`fallbacks` counts one and -1 tells
-        the caller to decide in float64.  Runs one :meth:`forward`.
+        - ``actions`` omitted: ``x`` is one float64 row, ``(in_dim,)`` or
+          ``(1, in_dim)``; returns a or -1.
+        - ``actions`` given: ``x`` is ``(n, in_dim)`` float64; writes a or
+          -1 into ``actions[j]`` for each row and returns how many rows
+          declined.
+
+        One row runs the Python loop a deployed agent pays per flow, more
+        rows one vectorised test over the ``(n, K)`` logits.
         """
+        if self.logit_bound is None:
+            raise ValueError("certified_argmax needs a float32 workspace")
+        if actions is not None:
+            if len(x) == 1:
+                actions[0] = action = self.certified_argmax(x)
+                return int(action < 0)
+            return self._certify_rows(x, actions)
         certificate = self._certificate
-        if not certificate:
-            if self.logit_bound is None:
-                raise ValueError("certified_argmax needs a float32 workspace")
-            certificate = self._certificate
         row = x.ravel()
         for value in row.tolist():
             if not -1.0 <= value <= 1.0:  # NaN fails too
@@ -432,6 +436,29 @@ class MLPInference:
                 self.fallbacks += 1
                 return -1
         return action
+
+    def _certify_rows(self, x: np.ndarray, actions: np.ndarray) -> int:
+        """:meth:`certified_argmax` over n > 1 rows: the same test as the
+        one-row loop, in float64 as that loop's Python floats are."""
+        bound = cast(np.ndarray, self.logit_bound)
+        rows = np.arange(len(x))
+        radius = np.abs(x).max(axis=1)  # NaN propagates
+        if radius.max() <= 1.0:
+            logits = self.forward(x)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # |x| may be huge
+                logits = self.forward(x)
+        np.argmax(logits, axis=1, out=actions)
+        floor = logits[rows, actions] - bound[actions]
+        upper = logits + bound
+        upper[rows, actions] = -np.inf
+        certified = upper.max(axis=1) < floor
+        certified &= radius <= 1.0
+        declined = len(x) - int(np.count_nonzero(certified))
+        if declined:
+            actions[~certified] = -1
+            self.fallbacks += declined
+        return declined
 
     def _plan(self, n: int) -> Tuple[np.ndarray, List[Tuple[Any, ...]]]:
         if n > self._capacity:
@@ -527,25 +554,3 @@ class MLPInference:
             out = act.forward_into(z, dst)
         return out
 
-
-#: CLI spellings of the inference dtypes :class:`MLPInference` supports.
-_EVAL_DTYPES = {"f64": np.float64, "f32": np.float32}
-
-
-def resolve_eval_dtype(value: Optional[Any] = None) -> np.dtype:
-    """Effective inference dtype: explicit ``value`` (``"f64"``/``"f32"``
-    or a numpy dtype), else the ``REPRO_EVAL_DTYPE`` environment
-    variable, else float64 (the bit-exact default)."""
-    if value is None:
-        value = os.environ.get("REPRO_EVAL_DTYPE", "").strip() or "f64"
-    if isinstance(value, str):
-        key = value.strip().lower()
-        if key not in _EVAL_DTYPES:
-            raise ValueError(
-                f"unknown eval dtype {value!r}; choose from {sorted(_EVAL_DTYPES)}"
-            )
-        return np.dtype(_EVAL_DTYPES[key])
-    dtype = np.dtype(value)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValueError(f"eval dtype must be float64/float32, got {dtype}")
-    return dtype

@@ -7,12 +7,12 @@ amortises that overhead by advancing M logically-parallel episodes in
 *lockstep rounds*.  Each round it holds every episode at its pending
 decision, with the M observation vectors living as rows of one
 ``(M, obs_dim)`` matrix (each env clone writes its observation directly
-into its row via ``observation_out`` — zero copies), issues a single
-actor forward over the live prefix of the matrix, selects every row's
-action with :meth:`ActorCriticPolicy.select_actions`, and steps each
-episode by its action.  M = 1 is the same loop with one slot — there is
-no separate serial path; :func:`repro.rl.training.evaluate_policy` picks
-M from the episode count.
+into its row via ``observation_out`` — zero copies), hands the live
+prefix of the matrix to :meth:`ActorCriticPolicy.select_actions` — one
+float32 forward over all rows, float64 for the rows it cannot certify —
+and steps each episode by its action.  M = 1 is the same loop with one
+slot — there is no separate serial path;
+:func:`repro.rl.training.evaluate_policy` picks M from the episode count.
 
 Ragged termination
 ------------------
@@ -28,23 +28,19 @@ simply re-seeded with the next episode, keeping the batch full.
 Bit-identical metrics
 ---------------------
 
-The regression contract: for float64 policies, evaluation at any M
-produces **bit-identical per-episode metrics** to a plain ``act_single``
-loop over the same episodes.  Two mechanisms deliver this:
+The regression contract: evaluation at any M produces **bit-identical
+per-episode metrics** to a plain float64 ``act_single`` loop over the
+same episodes.  Two mechanisms deliver this:
 
 1. *Episode replay.*  Each episode's traffic depends only on
    ``(env seed, episode index)`` (:meth:`ServiceCoordinationEnv.reset_episode`),
    so clone k playing episode k sees exactly the flows the k-th
    ``reset()`` of a serial loop would generate.
-2. *The select's contract* (near-tie guard, one-row case): see
-   :meth:`ActorCriticPolicy.select_actions`.
+2. *The select's contract*: every answer is the float64 batch-1 one,
+   certified or recomputed (:meth:`ActorCriticPolicy.select_actions`).
 
 Every decision is the actor's greedy (argmax) action, as in deployment;
 sampling belongs to training.
-
-Float32 inference mode (``dtype=np.float32``, honoured at every width)
-trades the guarantee for speed: actions near ties (margin ≲ 1e-6) may
-differ from the float64 path.
 """
 
 from __future__ import annotations
@@ -56,6 +52,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.invariants import InvariantViolation
+from repro.nn.mlp import MLPInference
 from repro.rl.policy import ActorCriticPolicy
 from repro.telemetry import NULL_RECORDER, Recorder
 
@@ -103,7 +100,6 @@ class BatchedEvalStats:
 
     batch: int
     episodes: int
-    dtype: str
     rounds: int = 0
     decisions: int = 0
     tie_fallbacks: int = 0
@@ -129,7 +125,6 @@ class BatchedEvalStats:
             episodes=self.episodes,
             rounds=self.rounds,
             decisions=self.decisions,
-            dtype=self.dtype,
             tie_fallbacks=self.tie_fallbacks,
             mean_round_batch=self.mean_round_batch,
             max_round_batch=max(self.round_batches, default=0),
@@ -151,8 +146,6 @@ class BatchedEpisodeRunner:
             (its counter advances as if it had played them serially).
         episodes: Number of episodes to evaluate.
         batch: Lockstep width M (clamped to ``episodes``).
-        dtype: ``np.float64`` (bit-identical to serial, default) or
-            ``np.float32`` (faster, approximate); honoured at every width.
         recorder: Telemetry sink; one ``eval_batch`` record per run().
     """
 
@@ -162,7 +155,6 @@ class BatchedEpisodeRunner:
         env: Any,
         episodes: int,
         batch: int,
-        dtype: Any = np.float64,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
         if episodes < 0:
@@ -180,8 +172,10 @@ class BatchedEpisodeRunner:
         self.episodes = episodes
         self.batch = batch
         self.recorder = recorder
-        self._inference = policy.actor_inference(dtype=dtype)
-        self.dtype = self._inference.dtype
+        # The policy's weights are cast once here: evaluation runs after
+        # the trainer's last update has joined, so they cannot change
+        # under the run.
+        self._inference = MLPInference(policy.actor, np.float32)
 
     # ------------------------------------------------------------------
 
@@ -190,7 +184,7 @@ class BatchedEpisodeRunner:
         episode order) plus run statistics, and emits telemetry."""
         wall_start = time.perf_counter()
         n = self.episodes
-        stats = BatchedEvalStats(batch=self.batch, episodes=n, dtype=str(self.dtype))
+        stats = BatchedEvalStats(batch=self.batch, episodes=n)
         base = self.env.next_episode_index
         self.env.consume_episodes(n)
         outcomes: List[Optional[EpisodeOutcome]] = [None] * n
@@ -215,11 +209,12 @@ class BatchedEpisodeRunner:
         base: int,
         n: int,
     ) -> None:
-        inference = self._inference
         m = min(self.batch, n)
-        # Each env clone builds its observation straight into its row of
-        # the forward's own input (prefix views of one buffer per width).
-        obs_mat = inference.input_rows(m)
+        # Each env clone builds its float64 observation straight into its
+        # row of this runner's own matrix, which the select casts into the
+        # float32 forward; it is never the policy's batch-1 input row,
+        # which a float64 fallback overwrites.
+        obs_mat = np.empty((m, self.policy.obs_dim))
         slots: List[Any] = [self.env.clone() for _ in range(m)]
         episode_of = [0] * m  # relative episode index per slot
         totals = [0.0] * m
@@ -255,10 +250,10 @@ class BatchedEpisodeRunner:
         # assign_next fills slots 0..live-1 contiguously, so no swap needed.
 
         # This loop is all an evaluation costs beyond env.step and the
-        # forward, so bound methods, per-width views and counters are
+        # select, so bound methods, per-width views and counters are
         # locals: ~1.8 us per decision, the difference between one slot
         # trailing a bare act_single loop and matching it (DESIGN §7).
-        forward, select = inference.forward, self.policy.select_actions
+        inference, select = self._inference, self.policy.select_actions
         clock = time.perf_counter
         forward_seconds = 0.0
         rounds = decisions = fallbacks = 0
@@ -266,13 +261,12 @@ class BatchedEpisodeRunner:
         while live:
             if live != width:
                 width = live
-                x = inference.input_rows(live)
+                x = obs_mat[:live]
                 chosen = actions[:live]
                 order = range(live - 1, -1, -1)
             t0 = clock()
-            logits = forward(x)
+            fallbacks += select(x, chosen, inference)
             forward_seconds += clock() - t0
-            fallbacks += select(logits, x, chosen)
             rounds += 1
             decisions += live
             if rounds <= _MAX_RECORDED_ROUNDS:

@@ -8,20 +8,15 @@ from __future__ import annotations
 
 import zipfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
+from repro.analysis.invariants import InvariantViolation, invariants_enabled
 from repro.nn.distributions import Categorical, gumbel_noise
 from repro.nn.mlp import MLP, MLPInference
 
-__all__ = ["ARGMAX_TIE_TOLERANCE", "ActorCriticPolicy"]
-
-#: Top-two margin (relative to the top score's magnitude) at or below
-#: which :meth:`ActorCriticPolicy.select_actions` recomputes a row through
-#: the batch-1 forward.  A multi-row GEMM and the batch-1 one disagree by
-#: ~1e-13 relative; action gaps that mean anything are orders above 1e-6.
-ARGMAX_TIE_TOLERANCE = 1e-6
+__all__ = ["ActorCriticPolicy"]
 
 
 class ActorCriticPolicy:
@@ -67,6 +62,7 @@ class ActorCriticPolicy:
         #: decides for a frozen policy (see :meth:`freeze`); ``None`` for a
         #: writable one, whose weights a cast could go stale against.
         self.certified_workspace: Optional[MLPInference] = None
+        self._sanitize = invariants_enabled()
 
     # ------------------------------------------------------------------
 
@@ -134,8 +130,8 @@ class ActorCriticPolicy:
     ) -> np.ndarray:
         """Actor logits for one observation through the exact batch-1
         forward that :meth:`act_single` runs — bitwise
-        ``actor.forward(obs[None, :])[0]``, and so the reference
-        :meth:`select_actions` recomputes near argmax ties.
+        ``actor.forward(obs[None, :])[0]``, and so the reference that
+        decides every row :meth:`select_actions` cannot certify.
 
         Runs on ``inference`` (default: :attr:`workspace`).  Pass that
         workspace's ``input_rows(1)``, filled in place, and nothing is
@@ -149,39 +145,59 @@ class ActorCriticPolicy:
         return inference.forward(rows)[0]
 
     def select_actions(
-        self, logits: np.ndarray, x: np.ndarray, actions: np.ndarray
+        self, x: np.ndarray, actions: np.ndarray, inference: MLPInference
     ) -> int:
         """Fill ``actions[j]`` with the greedy action :meth:`act_single`
-        answers for row ``x[j]``, given the ``(n, K)`` ``logits`` one
-        forward computed for all of ``x`` — the select every multi-row
-        driver (lockstep evaluation, serving flushes) runs.  Returns how
-        many rows went back through the batch-1 forward.
+        answers for row ``x[j]`` — the select every multi-row driver
+        (lockstep evaluation, serving flushes) runs.  Returns how many
+        rows the float64 forward decided.
 
-        - *near-tie guard*: a multi-row GEMM sums in another order than the
-          batch-1 forward, so float64 logits differ from
-          :meth:`logits_single` in the last ulps.  Only a near tie can turn
-          that into a different argmax: rows whose top-two margin is within
-          :data:`ARGMAX_TIE_TOLERANCE` are recomputed through
-          ``logits_single(x[j])``.  float32 logits carry no bit-identity
-          promise and skip the guard.
-        - *one row*: a 1-row forward through a workspace prefix is the
-          batch-1 forward, bit for bit, so the answer is a plain argmax.
+        ``x`` is the ``(n, obs_dim)`` float64 rows the driver built, in a
+        buffer it owns; ``inference`` is a float32 cast of this actor that
+        the driver made once.  One float32 forward runs over all rows, and
+        :meth:`~repro.nn.mlp.MLPInference.certified_argmax` keeps a row's
+        answer only where its error bound proves it is the float64 argmax.
+        Every other row is decided by :meth:`logits_single`, the float64
+        batch-1 forward, which overwrites :attr:`workspace`'s input row —
+        so ``x`` must not be that row.  Under ``REPRO_CHECK_INVARIANTS``
+        every certified row is re-decided there too.
         """
-        n, k = logits.shape
-        if n == 1:
-            actions[0] = logits[0].argmax()
-            return 0
-        np.argmax(logits, axis=1, out=actions)
-        if k == 1 or logits.dtype != np.float64:
-            return 0
-        ranked = np.sort(logits, axis=1)
-        top = ranked[:, -1]
-        near = np.nonzero(
-            top - ranked[:, -2] <= ARGMAX_TIE_TOLERANCE * (1.0 + np.abs(top))
-        )[0]
-        for j in near:
-            actions[j] = self.logits_single(x[j]).argmax()
-        return len(near)
+        declined = inference.certified_argmax(x, actions)
+        if self._sanitize:
+            self.cross_check(x, actions, inference)
+        if declined:
+            for j in np.flatnonzero(actions < 0).tolist():
+                actions[j] = self.logits_single(x[j]).argmax()
+        return declined
+
+    def cross_check(
+        self,
+        x: np.ndarray,
+        actions: Sequence[int],
+        inference: MLPInference,
+        **context: Any,
+    ) -> None:
+        """Sanitizer: re-decide every certified answer (``actions[j] >=
+        0`` for row ``x[j]``) through the float64 :meth:`logits_single`;
+        a disagreement raises
+        :class:`~repro.analysis.invariants.InvariantViolation` naming the
+        row, both actions, the float32 margin and δ, plus ``context``."""
+        for j, action in enumerate(np.asarray(actions).tolist()):
+            if action < 0:
+                continue
+            exact = int(self.logits_single(x[j]).argmax())
+            if exact != action:
+                logits = inference.forward(x)[j]
+                bound = cast(np.ndarray, inference.logit_bound)
+                raise InvariantViolation(
+                    "certified float32 decision differs from the float64 one",
+                    **context,
+                    row=j,
+                    certified=action,
+                    exact=exact,
+                    margin=float(logits[action] - logits[exact]),
+                    delta=float(bound[action] + bound[exact]),
+                )
 
     @property
     def workspace(self) -> MLPInference:
@@ -197,11 +213,6 @@ class ActorCriticPolicy:
     def __getstate__(self) -> Dict[str, Any]:
         # Unpickled weights are writable again, so the cast goes too.
         return {**self.__dict__, "_workspace": None, "certified_workspace": None}
-
-    def actor_inference(self, dtype=np.float64) -> MLPInference:
-        """Workspace-backed batched actor forward for evaluation loops
-        (see :class:`~repro.nn.mlp.MLPInference` for dtype semantics)."""
-        return MLPInference(self.actor, dtype=dtype)
 
     # ------------------------------------------------------------------
 
@@ -231,8 +242,7 @@ class ActorCriticPolicy:
         for weight in self.actor.parameters + self.critic.parameters:
             weight.setflags(write=False)
         certified = MLPInference(self.actor, np.float32)
-        bound = certified.logit_bound
-        if bound is not None and np.isfinite(bound).all():
+        if np.isfinite(cast(np.ndarray, certified.logit_bound)).all():
             self.certified_workspace = certified
         return self
 

@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.mlp import resolve_eval_dtype
 from repro.parallel import (
     CountingEnvFactory,
     EnvBuilder,
@@ -72,8 +71,9 @@ class MultiSeedResult:
 
 #: Episode count from which :func:`evaluate_policy` runs one lockstep slot
 #: per episode; below it one slot plays the episodes in turn.  At 2-3 rows
-#: the select's near-tie guard costs more than the shared forward saves
-#: (DESIGN §7, widths 2 and 3 of the table).
+#: the select's vectorised certificate costs about what the shared forward
+#: saves over one-row rounds, which take the certified one-row loop; from
+#: 4 rows the shared forward wins (DESIGN §7, the width table).
 LOCKSTEP_MIN_EPISODES = 4
 
 #: Most lockstep slots :func:`evaluate_policy` opens (DESIGN §7, width 32
@@ -86,7 +86,6 @@ def evaluate_policy(
     policy: ActorCriticPolicy,
     env: Env,
     episodes: int = 1,
-    dtype: Optional[str] = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> Dict[str, float]:
     """Run ``episodes`` full greedy episodes; returns mean reward and
@@ -101,15 +100,11 @@ def evaluate_policy(
     :class:`repro.rl.batched.BatchedEpisodeRunner` at a width this
     function derives from ``episodes`` — one slot below
     :data:`LOCKSTEP_MIN_EPISODES`, else one per episode up to
-    :data:`LOCKSTEP_MAX_WIDTH`.  Float64 per-episode metrics are
-    bit-identical to a plain ``act_single`` loop at every width.  Any
-    other env is stepped by the generic loop below.
+    :data:`LOCKSTEP_MAX_WIDTH`.  Per-episode metrics are bit-identical to
+    a plain float64 ``act_single`` loop at every width.  Any other env is
+    stepped by that loop itself.
 
     Args:
-        dtype: Inference dtype of the lockstep path — ``"f64"``
-            (bit-identical, default) or ``"f32"`` (fast mode); ``None``
-            reads ``REPRO_EVAL_DTYPE``.  The generic loop always runs the
-            exact float64 forward.
         recorder: Telemetry sink; a lockstep run emits one ``eval_batch``
             record with the derived width (``batch``) and its
             round/forward-time statistics.
@@ -127,7 +122,6 @@ def evaluate_policy(
             env,
             episodes=episodes,
             batch=width,
-            dtype=resolve_eval_dtype(dtype),
             recorder=recorder,
         ).run()
         total_rewards = [o.total_reward for o in outcomes]
@@ -164,8 +158,6 @@ class _SeedTask:
     seed: int
     updates: int
     eval_episodes: int
-    #: Inference dtype of the selection evaluation ("f64"/"f32").
-    eval_dtype: str = "f64"
 
 
 def _run_seed_task(task: _SeedTask, recorder: Recorder) -> SeedResult:
@@ -179,7 +171,6 @@ def _run_seed_task(task: _SeedTask, recorder: Recorder) -> SeedResult:
         trainer.policy,
         task.env_factory(),
         episodes=task.eval_episodes,
-        dtype=task.eval_dtype,
         recorder=recorder,
     )
     if recorder.enabled:
@@ -207,7 +198,6 @@ def train_multi_seed(
     algorithm: str = "acktr",
     verbose: bool = False,
     workers: Optional[int] = None,
-    eval_dtype: Optional[str] = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> MultiSeedResult:
     """Train ``len(seeds)`` agents and select the best (Alg. 1, line 13).
@@ -226,10 +216,6 @@ def train_multi_seed(
         verbose: Print one line per seed.
         workers: Worker processes for the per-seed fan-out (default:
             ``REPRO_WORKERS``, serial when unset).
-        eval_dtype: Inference dtype of the selection evaluation
-            (``"f64"``/``"f32"``; default: ``REPRO_EVAL_DTYPE``, float64
-            when unset).  Float32 trades the bit-identity guarantee for
-            speed (see :func:`evaluate_policy`).
         recorder: Telemetry sink.  When enabled, each seed's per-update
             ``train_update`` and final ``seed_result`` records stream
             into a worker-local file and are merged back here in seed
@@ -252,9 +238,6 @@ def train_multi_seed(
     if eval_episodes < 1:
         raise ValueError(f"eval_episodes must be >= 1, got {eval_episodes}")
     seeds = list(seeds)
-    eval_dtype_str = (
-        "f32" if resolve_eval_dtype(eval_dtype) == np.dtype(np.float32) else "f64"
-    )
 
     # Each seed's trainer makes n_envs factory calls plus one for the
     # greedy evaluation env; every seed replays its own slice of that
@@ -268,7 +251,6 @@ def train_multi_seed(
             seed=seed,
             updates=updates_per_seed,
             eval_episodes=eval_episodes,
-            eval_dtype=eval_dtype_str,
         )
         for index, seed in enumerate(seeds)
     ]

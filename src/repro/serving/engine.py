@@ -6,23 +6,20 @@ workload.  :class:`ServingEngine` accepts per-node coordination requests
 queue (:class:`~repro.serving.queue.RingBufferQueue`), and flushes
 micro-batches under a **dual trigger**: the queue reaching the maximum
 batch size B, or the oldest request ageing past the latency deadline D.
-Each flush runs **one** batched actor forward over the whole batch
-through the :class:`~repro.nn.mlp.MLPInference` preallocated workspaces
-— the same machinery the batched evaluation engine uses — so the
-per-request cost at saturation is the per-row share of a GEMM instead of
-a full batch-1 forward.
+Each flush hands its rows to
+:meth:`~repro.rl.policy.ActorCriticPolicy.select_actions` — the select
+lockstep evaluation runs too — which runs **one** float32 actor forward
+over the whole batch, so the per-request cost at saturation is the
+per-row share of a GEMM instead of a full batch-1 forward.
 
-Bit-identity (float64 mode)
----------------------------
+Bit-identity
+------------
 
 Every response is the actor's greedy (argmax) action, bitwise-identical
-to calling ``policy.act_single`` serially on the same observation.  Each
-flush hands its logits to
-:meth:`~repro.rl.policy.ActorCriticPolicy.select_actions` — the select
-lockstep evaluation runs too, which owns the near-tie guard.
-
-Float32 mode trades the guarantee for throughput (workspace-cast
-weights, no near-tie guard), as in lockstep evaluation.
+to calling ``policy.act_single`` serially on the same observation: the
+select keeps a float32 answer only where a certified error bound proves
+it is the float64 one, and recomputes every other row through the
+float64 batch-1 forward.
 
 Weight hot-swap
 ---------------
@@ -31,8 +28,12 @@ Weight hot-swap
 lock-guarded); the engine applies it **at the start of the next flush**,
 never mid-batch, so every response of one flush carries one
 ``policy_version`` and queued requests are neither dropped nor
-reordered by a swap.  This is the policy-synchronization hook for
-coordinators that keep serving while training continues elsewhere.
+reordered by a swap.  The float32 cast of the new actor is made inside
+:meth:`install`, so applying the swap is a pointer exchange and the
+engine serves the weights a policy held when it was installed: install
+a snapshot (a ``clone()``), not a policy that keeps training.  This is
+the policy-synchronization hook for coordinators that keep serving
+while training continues elsewhere.
 
 Backpressure
 ------------
@@ -60,7 +61,7 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.invariants import InvariantViolation
-from repro.nn.mlp import resolve_eval_dtype
+from repro.nn.mlp import MLPInference
 from repro.rl.policy import ActorCriticPolicy
 from repro.serving.queue import RingBufferQueue
 from repro.serving.records import Decision, ServingStats
@@ -81,8 +82,9 @@ class ServingConfig:
             batch is not full (CLI ``--serve-deadline-ms``).
         queue_capacity: Backpressure cap on queued requests; submits
             beyond it are shed.  Default: ``4 * max_batch``.
-        dtype: ``"f64"`` (bit-identical to serial ``policy.act``) or
-            ``"f32"`` (fast mode).
+        dtype: ``"f64"``, the only value: every answer is the float64
+            ``policy.act_single`` one.  Any other value is a
+            ``ValueError``.
     """
 
     max_batch: int = 32
@@ -99,6 +101,11 @@ class ServingConfig:
             raise ValueError(
                 f"queue_capacity ({self.queue_capacity}) must be >= "
                 f"max_batch ({self.max_batch})"
+            )
+        if self.dtype != "f64":
+            raise ValueError(
+                f"ServingConfig.dtype must be 'f64', got {self.dtype!r}: every "
+                "answer is the float64 one"
             )
 
     @property
@@ -134,10 +141,11 @@ class ServingEngine:
         self.recorder = recorder
         self.stats = ServingStats()
         self._policy = policy
-        self._dtype = resolve_eval_dtype(config.dtype)
-        self._inference = policy.actor_inference(dtype=self._dtype)
+        self._inference = self._cast(policy)
         self._version = 0
-        self._staged: Optional[Tuple[ActorCriticPolicy, Optional[int]]] = None
+        self._staged: Optional[
+            Tuple[ActorCriticPolicy, MLPInference, Optional[int]]
+        ] = None
         self._swap_lock = threading.Lock()
         self._queue = RingBufferQueue(
             config.effective_queue_capacity, policy.obs_dim
@@ -146,8 +154,17 @@ class ServingEngine:
         # the pending ones are the last len(queue) ids below _next_id.
         self._next_id = 0
         self._flush_index = 0
-        # The batch rows are the actor workspace's own input rows.
+        # The queue pops into float64 rows the engine owns, never the
+        # policy's batch-1 input row, which a float64 fallback overwrites.
+        self._rows = np.empty((config.max_batch, policy.obs_dim))
         self._actions = np.empty(config.max_batch, dtype=np.intp)
+
+    def _cast(self, policy: ActorCriticPolicy) -> MLPInference:
+        """The float32 workspace a flush serves ``policy`` from, cast from
+        its current weights and sized for a full batch."""
+        inference = MLPInference(policy.actor, np.float32)
+        inference.input_rows(self.config.max_batch)
+        return inference
 
     # ------------------------------------------------------------------
 
@@ -239,7 +256,13 @@ class ServingEngine:
         the next flush (never mid-batch).  Thread-safe: a trainer thread
         may call this while the serving loop runs.  ``version`` labels
         the new policy (default: current version + 1 at apply time).
-        Staging twice between flushes keeps only the latest policy."""
+        Staging twice between flushes keeps only the latest policy.
+
+        The actor is cast to float32 here, outside the swap lock, so the
+        engine serves the weights ``policy`` holds now.  Install a
+        snapshot: a later in-place write would reach only the rows the
+        certificate declines, which the float64 forward decides on
+        ``policy`` itself."""
         if (
             policy.obs_dim != self._policy.obs_dim
             or policy.num_actions != self._policy.num_actions
@@ -249,8 +272,9 @@ class ServingEngine:
                 f"{self._policy.num_actions} actions) vs installed "
                 f"({policy.obs_dim} obs, {policy.num_actions} actions)"
             )
+        inference = self._cast(policy)
         with self._swap_lock:
-            self._staged = (policy, version)
+            self._staged = (policy, inference, version)
 
     def _apply_staged_swap(self) -> None:
         with self._swap_lock:
@@ -258,9 +282,7 @@ class ServingEngine:
             self._staged = None
         if staged is None:
             return
-        policy, version = staged
-        self._policy = policy
-        self._inference.rebind(policy.actor)
+        self._policy, self._inference, version = staged
         self._version = self._version + 1 if version is None else version
         self.stats.swaps += 1
 
@@ -271,23 +293,17 @@ class ServingEngine:
         # batch is drained, so the entire flush is served by one version.
         self._apply_staged_swap()
         start = self.clock()
-        # The queue pops straight into the forward's input rows; every
-        # width is a prefix of the widest, so x below aliases what was
-        # popped and the forward copies nothing.
-        max_batch = self.config.max_batch
-        enqueue_times = self._queue.pop_into(
-            self._inference.input_rows(max_batch), max_batch
-        )
+        enqueue_times = self._queue.pop_into(self._rows, self.config.max_batch)
         n = len(enqueue_times)
         if n == 0:
             raise InvariantViolation("flush fired on an empty queue")
         first_id = self._next_id - len(self._queue) - n
-        x = self._inference.input_rows(n)
-        f0 = self.clock()
-        logits = self._inference.forward(x)
-        forward_seconds = self.clock() - f0
         actions = self._actions[:n]
-        tie_fallbacks = self._policy.select_actions(logits, x, actions)
+        f0 = self.clock()
+        tie_fallbacks = self._policy.select_actions(
+            self._rows[:n], actions, self._inference
+        )
+        forward_seconds = self.clock() - f0
         completion = self.clock()
         flush_index = self._flush_index
         self._flush_index = flush_index + 1
@@ -321,7 +337,6 @@ class ServingEngine:
             batch=self.config.max_batch,
             deadline_ms=self.config.deadline_s * 1e3,
             queue_capacity=self.config.effective_queue_capacity,
-            dtype=str(self._dtype),
             policy_version=self._version,
             **extra,
         )

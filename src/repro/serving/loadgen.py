@@ -104,7 +104,7 @@ def serve_workload(
         requests: Number of requests to generate.
         rate: Open-loop Poisson arrival rate in requests/sec; ``None``
             or 0 switches to closed-loop saturation (peak throughput).
-        config: Engine knobs (batch, deadline, queue capacity, dtype).
+        config: Engine knobs (batch, deadline, queue capacity).
         arrival_seed: Seed of the Poisson arrival process.
         swap_every: Install a hot-swapped clone of the serving policy
             every this many submissions (0 = never) — exercises the

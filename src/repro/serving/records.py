@@ -168,7 +168,8 @@ class ServingStats:
 
     def to_record(self, **extra: Any) -> Dict[str, Any]:
         """Field dict of one ``serving`` telemetry record (callers merge
-        engine configuration — batch, deadline, dtype — via ``extra``)."""
+        engine configuration — batch, deadline, queue capacity — via
+        ``extra``)."""
         pct = self.latency_percentiles_ms()
         fields: Dict[str, Any] = {
             "requests": self.submitted,

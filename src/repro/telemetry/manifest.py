@@ -38,11 +38,11 @@ STREAM_FILENAME = "metrics.jsonl"
 #: comparable bit for bit when these (and ``usable_cpus``) agree.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-#: The ``REPRO_*`` switches ``src/`` reads (worker count, inference dtype
-#: of deployed agents, runtime invariant checks).  A command-line flag
+#: The ``REPRO_*`` switches ``src/`` reads (worker count, runtime
+#: invariant checks).  A command-line flag
 #: lands in ``config``; these reach a run without one, so the manifest
 #: records them verbatim.
-SWITCH_VARS = ("REPRO_WORKERS", "REPRO_EVAL_DTYPE", "REPRO_CHECK_INVARIANTS")
+SWITCH_VARS = ("REPRO_WORKERS", "REPRO_CHECK_INVARIANTS")
 
 
 @dataclass(frozen=True)

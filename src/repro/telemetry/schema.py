@@ -62,8 +62,9 @@ Record kinds
     policy forwards), ``decisions`` (total actions selected); optionally
     ``mean_round_batch``/``max_round_batch``, ``round_batches``
     (per-round live-slot counts, truncated), ``tie_fallbacks`` (rows
-    recomputed through the batch-1 forward near argmax ties), ``dtype``,
-    ``forward_seconds`` (wall-clock inside policy forwards),
+    the certified float32 select declined, which the float64 batch-1
+    forward decided), ``forward_seconds`` (wall-clock inside the select:
+    the float32 forward, its certificate and the fallbacks),
     ``wall_seconds``, and ``decisions_per_second``.
 
 ``train_phases``
@@ -88,15 +89,15 @@ Record kinds
     One serving-engine run (:class:`repro.serving.ServingEngine`):
     ``requests`` (submitted), ``served``, ``shed`` (rejected at the
     queue-depth cap), ``flushes``; optionally the engine configuration
-    (``batch``, ``deadline_ms``, ``queue_capacity``, ``dtype``,
-    ``rate``), flush-trigger split (``size_flushes``
-    / ``deadline_flushes`` / ``forced_flushes``), ``batch_histogram``
+    (``batch``, ``deadline_ms``, ``queue_capacity``, ``rate``),
+    flush-trigger split (``size_flushes`` / ``deadline_flushes`` /
+    ``forced_flushes``), ``batch_histogram``
     (batch size -> flush count) with ``mean_batch``/``max_batch``,
     ``max_queue_depth``, latency percentiles
     (``latency_p50_ms``/``latency_p95_ms``/``latency_p99_ms``/
     ``latency_max_ms``), ``max_flush_ms``, hot-swap accounting
-    (``swaps``, ``policy_version``), ``tie_fallbacks``,
-    ``forward_seconds``, ``wall_seconds``, and
+    (``swaps``, ``policy_version``), ``tie_fallbacks`` and
+    ``forward_seconds`` (as in ``eval_batch``), ``wall_seconds``, and
     ``decisions_per_second``.  Latency-valued throughout, so
     determinism checks drop the kind entirely.
 
@@ -117,7 +118,7 @@ equals a batch re-forward bit for bit only where the BLAS computes an
 ``n_envs``-row GEMM as a row block of the batch GEMM; the BLAS pool size
 decides that, so a manifest states it.  ``switches`` holds the raw value
 (``null`` when unset) of each ``REPRO_*`` variable ``src/`` reads —
-``REPRO_WORKERS``, ``REPRO_EVAL_DTYPE``, ``REPRO_CHECK_INVARIANTS`` —
+``REPRO_WORKERS``, ``REPRO_CHECK_INVARIANTS`` —
 because those reach a run without passing through ``config``.
 
 Determinism

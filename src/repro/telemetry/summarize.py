@@ -259,7 +259,7 @@ def summarize_run(directory: os.PathLike) -> str:
             f"lockstep eval: {len(evals)} run(s) at width {widths} "
             f"(derived from the episode count) | "
             f"{total_decisions} decisions in {total_rounds} rounds "
-            f"(mean {mean_round:.1f}/round, {fallbacks} tie fallbacks) | "
+            f"(mean {mean_round:.1f}/round, {fallbacks} decided in float64) | "
             f"forward {forward:.2f}s"
             + (f" | {_mean(rate):.0f} decisions/s" if rate else "")
         )

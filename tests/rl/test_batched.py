@@ -5,8 +5,8 @@ batched runner must reproduce the serial ``act_single`` evaluation loop
 episode for episode — same actions, same rewards, same lengths, same
 terminal infos.  The regression tests here compare full per-episode
 metric tuples against an explicit greedy serial reference, including a
-forced all-ties actor that exercises the near-tie fallback on every
-single decision.
+forced all-ties actor whose every decision the certified float32 select
+declines and the float64 batch-1 forward takes.
 """
 
 import json
@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from repro.core.env import ServiceCoordinationEnv
-from repro.nn.mlp import resolve_eval_dtype
 from repro.rl.batched import (
     BatchedEpisodeRunner,
     BatchedEvalStats,
     EpisodeOutcome,
     supports_batched_evaluation,
 )
-from repro.rl.policy import ARGMAX_TIE_TOLERANCE, ActorCriticPolicy
+from repro.rl.policy import ActorCriticPolicy
 from repro.rl.training import (
     LOCKSTEP_MAX_WIDTH,
     LOCKSTEP_MIN_EPISODES,
@@ -129,11 +128,6 @@ class TestDeterministicBitIdentity:
 
 
 class TestTieFallback:
-    def test_tolerance_is_small(self):
-        # The guard's tolerance must stay tiny relative to O(1) logits, or
-        # every multi-row select would degenerate into serial recomputation.
-        assert ARGMAX_TIE_TOLERANCE <= 1e-5
-
     def test_all_ties_still_bit_identical(self):
         """A zeroed actor makes every decision an exact K-way tie — the
         worst case for batched argmax.  The fallback must fire and keep
@@ -151,24 +145,12 @@ class TestTieFallback:
     def test_clear_margins_skip_fallback(self):
         env = make_env(seed=13)
         policy = make_policy(env)
-        # Strong bias on action 0: margins far above the tie tolerance.
+        # Strong bias on action 0: margins far above the error bound δ.
         policy.actor.parameters[-1][-1, 0] += 1000.0
         runner = BatchedEpisodeRunner(policy, env, episodes=4, batch=4)
         _, stats = runner.run()
         assert stats.decisions > 0
         assert stats.tie_fallbacks == 0
-
-    def test_float32_mode_disables_exactness_guard(self):
-        env = make_env(seed=13)
-        policy = make_policy(env)
-        for w in policy.actor.parameters:
-            w[:] = 0.0
-        runner = BatchedEpisodeRunner(
-            policy, env, episodes=3, batch=3, dtype=np.float32
-        )
-        _, stats = runner.run()
-        assert stats.tie_fallbacks == 0
-        assert stats.dtype == "float32"
 
 
 def as_metrics(reference):
@@ -220,23 +202,6 @@ class TestEvaluatePolicyWrapper:
     def test_rejects_episode_counts_below_one(self, episodes):
         with pytest.raises(ValueError, match="episodes must be >= 1"):
             evaluate_policy(make_policy(make_env()), make_env(), episodes=episodes)
-
-    def test_float32_end_to_end_success_ratio_close(self):
-        """f32 inference trades bit-identity for speed; on a fixed seed
-        the evaluated success ratio must stay within a small delta of the
-        exact f64 run."""
-        policy = make_policy(make_env())
-        exact = evaluate_policy(policy, make_env(seed=31), episodes=6)
-        fast = evaluate_policy(
-            policy, make_env(seed=31), episodes=6, dtype="f32"
-        )
-        assert set(fast) == set(exact)
-        assert fast["success_ratio"] == pytest.approx(
-            exact["success_ratio"], abs=0.1
-        )
-        assert fast["mean_episode_reward"] == pytest.approx(
-            exact["mean_episode_reward"], rel=0.25, abs=5.0
-        )
 
     def test_env_without_protocol_falls_back(self):
         class Minimal:
@@ -301,7 +266,7 @@ class TestTelemetry:
         assert record["rounds"] > 0
 
     def test_stats_derived_quantities(self):
-        stats = BatchedEvalStats(batch=4, episodes=8, dtype="float64")
+        stats = BatchedEvalStats(batch=4, episodes=8)
         stats.rounds = 10
         stats.decisions = 35
         stats.wall_seconds = 0.5
@@ -393,7 +358,7 @@ class TestWidthIsNotConfigurable:
 class TestSerialFallback:
     """Width 1 used to fall back to a serial loop of its own; it is now the
     lockstep loop with one slot — same outcomes as the act_single loop and
-    as any other width, on the requested dtype."""
+    as any other width."""
 
     def test_batch_one_matches_serial_and_batched(self):
         episodes = 4
@@ -415,44 +380,17 @@ class TestSerialFallback:
         assert stats.tie_fallbacks == 0
 
     def test_f32_at_width_one_runs_f32(self):
-        """dtype is honoured at every width: one slot on a float32
-        workspace, where a zeroed actor's ties are never recomputed."""
+        """One slot runs the certified float32 forward too: a zeroed
+        actor's exact ties are declined there and every decision goes to
+        the float64 batch-1 forward, which answers as the serial loop."""
         env = make_env(seed=2)
         policy = make_policy(env)
         for w in policy.actor.parameters:
             w[:] = 0.0
-        runner = BatchedEpisodeRunner(
-            policy, env, episodes=2, batch=1, dtype=np.float32
-        )
-        assert runner.dtype == np.dtype(np.float32)
+        expected = serial_reference(policy, make_env(seed=2), 2)
+        runner = BatchedEpisodeRunner(policy, env, episodes=2, batch=1)
         assert runner._inference.dtype == np.dtype(np.float32)
-        _, stats = runner.run()
-        assert stats.dtype == "float32"
+        outcomes, stats = runner.run()
+        assert as_tuples(outcomes) == expected
         assert stats.decisions > 0
-        assert stats.tie_fallbacks == 0
-
-
-class TestResolveEvalDtype:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_DTYPE", "f32")
-        assert resolve_eval_dtype("f64") == np.dtype(np.float64)
-
-    def test_accepts_strings_and_numpy_dtypes(self):
-        assert resolve_eval_dtype("f32") == np.dtype(np.float32)
-        assert resolve_eval_dtype("F64") == np.dtype(np.float64)
-        assert resolve_eval_dtype(np.float32) == np.dtype(np.float32)
-        assert resolve_eval_dtype(np.dtype(np.float64)) == np.dtype(np.float64)
-
-    def test_env_var_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_DTYPE", "f32")
-        assert resolve_eval_dtype(None) == np.dtype(np.float32)
-
-    def test_default_is_bit_exact_float64(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVAL_DTYPE", raising=False)
-        assert resolve_eval_dtype(None) == np.dtype(np.float64)
-
-    def test_rejects_unknown_spellings_and_dtypes(self):
-        with pytest.raises(ValueError, match="dtype"):
-            resolve_eval_dtype("f16")
-        with pytest.raises(ValueError, match="float64/float32"):
-            resolve_eval_dtype(np.int32)
+        assert stats.tie_fallbacks == stats.decisions

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.nn.distributions import Categorical
+from repro.nn.mlp import MLPInference
 from repro.rl.policy import ActorCriticPolicy
 
 
@@ -282,7 +283,7 @@ class TestBatchOneWorkspace:
         assert np.array_equal(policy.logits_single(rows), expected)
         assert policy.act_single(rows) == policy.act_single(obs)
         # A caller's own workspace (the float32 deployment) serves too.
-        fast = policy.actor_inference(dtype=np.float32)
+        fast = MLPInference(policy.actor, np.float32)
         logits = policy.logits_single(obs, fast)
         assert logits.dtype == np.float32
         assert np.allclose(logits, expected, rtol=1e-4, atol=1e-5)

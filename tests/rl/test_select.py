@@ -1,16 +1,20 @@
 """The one select: ``ActorCriticPolicy.select_actions`` under both drivers.
 
 Lockstep evaluation and the serving engine both hand the select the
-logits of one multi-row forward; either way it must answer exactly as a
-loop of greedy ``act_single`` over the same rows would.  The matrix spies
-on the real calls each driver makes instead of re-stating how it builds
-its arguments.
+float64 rows they built and a float32 cast of the actor; either way it
+must answer exactly as a loop of the writable policy's float64
+``act_single`` over the same rows would.  The matrix spies on the real
+calls each driver makes instead of re-stating how it builds its
+arguments.
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis.invariants import InvariantViolation
 from repro.core.env import ServiceCoordinationEnv
+from repro.eval.scenarios import base_scenario
+from repro.nn.mlp import MLPInference
 from repro.rl.batched import BatchedEpisodeRunner
 from repro.rl.policy import ActorCriticPolicy
 from repro.serving import ServingConfig, ServingEngine
@@ -44,15 +48,19 @@ def make_policy(env, actor):
 
 
 def spy_on_select(policy, monkeypatch):
-    """Check every ``select_actions`` call against the ``act_single`` loop;
-    returns the list of ``(rows, fallbacks)`` seen."""
+    """Check every ``select_actions`` call against the ``act_single`` loop
+    and check that it leaves the driver's rows as it found them; returns
+    the list of ``(rows, fallbacks, distinct rows)`` seen."""
     real = policy.select_actions
     calls = []
 
-    def checked(logits, x, actions):
-        fallbacks = real(logits, x, actions)
+    def checked(x, actions, inference):
+        assert not np.shares_memory(x, policy.workspace.input_rows(1))
+        before = x.copy()
+        fallbacks = real(x, actions, inference)
+        assert np.array_equal(x, before)
         assert actions.tolist() == [policy.act_single(row) for row in x]
-        calls.append((len(x), fallbacks))
+        calls.append((len(x), fallbacks, len(np.unique(before, axis=0))))
         return fallbacks
 
     monkeypatch.setattr(policy, "select_actions", checked)
@@ -67,8 +75,11 @@ def drive_runner(policy, env, width):
     return stats.tie_fallbacks
 
 
-def drive_engine(policy, env, width):
-    rows = np.random.default_rng(5).uniform(-1.0, 1.0, (3 * width + 1, policy.obs_dim))
+def drive_engine(policy, env, width, rows=None):
+    if rows is None:
+        rows = np.random.default_rng(5).uniform(
+            -1.0, 1.0, (3 * width + 1, policy.obs_dim)
+        )
     engine = ServingEngine(
         policy, ServingConfig(max_batch=width, queue_capacity=len(rows))
     )
@@ -86,34 +97,115 @@ def test_select_matches_act_single_loop(width, driver, actor, monkeypatch):
     policy = make_policy(env, actor)
     calls = spy_on_select(policy, monkeypatch)
     total = driver(policy, env, width)
-    assert max(n for n, _ in calls) == width
-    assert total == sum(fallbacks for _, fallbacks in calls)
-    for n, fallbacks in calls:
-        if n == 1:
-            assert fallbacks == 0
-        elif actor == "all-ties":
-            assert fallbacks == n
-    if actor == "trained-like":
+    assert max(n for n, _, _ in calls) == width
+    assert total == sum(fallbacks for _, fallbacks, _ in calls)
+    if actor == "all-ties":
+        # An exact tie is never certified: every row goes to float64.
+        assert all(fallbacks == n for n, fallbacks, _ in calls)
+    else:
         assert total == 0
+
+
+@pytest.mark.parametrize("driver", ["runner", "engine"])
+def test_declined_rows_leave_the_drivers_rows_intact(driver, monkeypatch):
+    """A declined row j > 0 is recomputed through the batch-1 forward,
+    which overwrites ``policy.workspace.input_rows(1)``; the driver's rows
+    must live elsewhere, so every row reads as built after the select and
+    every answer is the ``act_single`` one (the spy checks both)."""
+    if driver == "runner":
+        # Abilene traffic keeps the slots' observations apart (the star
+        # fixture's all-ties episodes build identical rows).
+        env = ServiceCoordinationEnv(
+            base_scenario(pattern="poisson", num_ingress=2, horizon=60.0), seed=0
+        )
+        policy = make_policy(env, "all-ties")
+        calls = spy_on_select(policy, monkeypatch)
+        drive_runner(policy, env, 8)
+    else:
+        env = make_env(seed=8)
+        policy = make_policy(env, "trained-like")
+        calls = spy_on_select(policy, monkeypatch)
+        rows = np.random.default_rng(5).uniform(-1.0, 1.0, (16, policy.obs_dim))
+        rows[[3, 9], 1] = 1.5  # outside the bound's domain
+        drive_engine(policy, env, 8, rows)
+    assert any(fallbacks and distinct > 1 for _, fallbacks, distinct in calls)
 
 
 def test_single_action_policy_has_no_runner_up_to_guard():
     policy = ActorCriticPolicy(6, 1, hidden=(8,), rng=0)
-    x = np.random.default_rng(0).normal(size=(4, 6))
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 6))
     actions = np.full(4, -1, dtype=np.intp)
-    assert policy.select_actions(policy.actor_inference().forward(x), x, actions) == 0
+    inference = MLPInference(policy.actor, np.float32)
+    assert policy.select_actions(x, actions, inference) == 0
     assert actions.tolist() == [0, 0, 0, 0]
+
+
+class TestSanitizer:
+    """Under ``REPRO_CHECK_INVARIANTS`` every certified row is re-decided
+    in float64, as a deployed agent's decisions are."""
+
+    def _select(self, monkeypatch, sanitize, rows=8):
+        if sanitize:
+            monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        else:
+            monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+        policy = make_policy(make_env(), "trained-like")
+        x = np.random.default_rng(1).uniform(-1.0, 1.0, (rows, policy.obs_dim))
+        inference = MLPInference(policy.actor, np.float32)
+        exact = [policy.act_single(row) for row in x]
+        singles = []
+        real_single = policy.logits_single
+
+        def counted(obs, inference=None):
+            singles.append(1)
+            return real_single(obs, inference)
+
+        monkeypatch.setattr(policy, "logits_single", counted)
+        return policy, x, inference, exact, singles
+
+    def test_a_wrong_certified_answer_raises(self, monkeypatch):
+        policy, x, inference, exact, _ = self._select(monkeypatch, True)
+        real = inference.certified_argmax
+
+        def wrong(rows, actions):
+            declined = real(rows, actions)
+            actions[2] = (exact[2] + 1) % policy.num_actions
+            return declined
+
+        monkeypatch.setattr(inference, "certified_argmax", wrong)
+        with pytest.raises(InvariantViolation) as excinfo:
+            policy.select_actions(x, np.empty(len(x), dtype=np.intp), inference)
+        context = excinfo.value.context
+        assert context["row"] == 2
+        assert context["certified"] == (exact[2] + 1) % policy.num_actions
+        assert context["exact"] == exact[2]
+        assert {"margin", "delta"} <= set(context)
+
+    def test_every_certified_row_is_re_decided(self, monkeypatch):
+        policy, x, inference, exact, singles = self._select(monkeypatch, True)
+        actions = np.empty(len(x), dtype=np.intp)
+        assert policy.select_actions(x, actions, inference) == 0
+        assert actions.tolist() == exact
+        assert len(singles) == len(x)
+
+    def test_off_it_runs_no_float64_forward(self, monkeypatch):
+        policy, x, inference, exact, singles = self._select(monkeypatch, False)
+        actions = np.empty(len(x), dtype=np.intp)
+        assert policy.select_actions(x, actions, inference) == 0
+        assert actions.tolist() == exact
+        assert singles == []
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("branches", [3, 9], ids=["obs16", "obs40"])
 def test_one_row_prefix_forward_is_the_batch_one_forward(activation, branches):
-    """What the one-row case rests on: a 1-row forward through the prefix
-    of a 32-row workspace is ``logits_single``, bit for bit (Abilene's
-    16-wide observation and a 9-branch star's 40)."""
+    """A 1-row forward through the prefix of a 32-row float64 workspace
+    is ``logits_single``, bit for bit (Abilene's 16-wide observation and a
+    9-branch star's 40): the reference does not depend on which widths a
+    workspace served before."""
     obs_dim, num_actions = 4 * branches + 4, branches + 1
     policy = ActorCriticPolicy(obs_dim, num_actions, activation=activation, rng=1)
-    inference = policy.actor_inference()
+    inference = MLPInference(policy.actor)
     rng = np.random.default_rng(2)
     inference.forward(rng.uniform(-1.0, 1.0, (32, obs_dim)))
     for obs in rng.uniform(-1.0, 1.0, (25, obs_dim)):

@@ -75,7 +75,6 @@ class TestStartRun:
         the manifest states it: raw value, ``null`` when unset."""
         from repro.telemetry import summarize_run
 
-        monkeypatch.setenv("REPRO_EVAL_DTYPE", "f32")
         monkeypatch.setenv("REPRO_WORKERS", " Auto ")
         monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
         with start_run(tmp_path, "evaluate") as run:
@@ -83,12 +82,11 @@ class TestStartRun:
         raw = json.loads((tmp_path / MANIFEST_FILENAME).read_text())
         assert raw["switches"] == {
             "REPRO_WORKERS": " Auto ",
-            "REPRO_EVAL_DTYPE": "f32",
             "REPRO_CHECK_INVARIANTS": None,
         }
         assert read_manifest(tmp_path).switches == raw["switches"]
         report = summarize_run(tmp_path)
-        assert "switches: REPRO_EVAL_DTYPE=f32 REPRO_WORKERS= Auto " in report
+        assert "switches: REPRO_WORKERS= Auto " in report
         assert "REPRO_CHECK_INVARIANTS" not in report
 
     def test_switch_vars_are_the_repro_variables_src_names(self):

@@ -26,15 +26,6 @@ class TestParser:
                 ["evaluate", "--policy", "x.npz", "--algorithm", "sp"]
             )
 
-    def test_eval_dtype_flag(self):
-        for command in ("train -o p.npz", "compare", "serve-bench"):
-            args = build_parser().parse_args(
-                command.split() + ["--eval-dtype", "f32"]
-            )
-            assert args.eval_dtype == "f32"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["compare", "--eval-dtype", "f16"])
-
     def test_eval_width_is_not_a_flag(self):
         for command in ("train -o p.npz", "compare"):
             with pytest.raises(SystemExit):
@@ -57,7 +48,6 @@ class TestParser:
         assert args.rate == 0.0
         assert args.swap_every == 0
         assert args.queue_capacity is None
-        assert args.eval_dtype is None
 
 
 class TestTopologyCommand:
@@ -115,24 +105,11 @@ class TestServeBenchCommand:
             "serve-bench", "--pattern", "fixed", "--ingress", "1",
             "--horizon", "200", "--requests", "64", "--pool", "16",
             "--rate", "3000", "--serve-batch", "8",
-            "--eval-dtype", "f32",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "open loop @ 3000 req/s" in out
-        assert "dtype f32" in out
         assert "latency p50" in out
-
-    def test_eval_dtype_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_DTYPE", "f32")
-        code = main([
-            "serve-bench", "--pattern", "fixed", "--ingress", "1",
-            "--horizon", "200", "--requests", "32", "--pool", "16",
-            "--serve-batch", "8",
-        ])
-        assert code == 0
-        assert "dtype f32" in capsys.readouterr().out
-
 
 class TestTelemetryCommand:
     def test_summarize_requires_directory(self):

@@ -14,7 +14,10 @@ Inference decides greedily: no inference driver takes an rng, a seed or
 a decision mode, and the lockstep runner spawns no per-episode streams
 (``_episode_rngs``).  The deployment has no precision switch: its agents
 decide on a certified float32 cast with an exact float64 fallback, so
-neither the coordinator, its agents nor ``repro evaluate`` take a dtype.
+neither the coordinator, its agents nor ``repro evaluate`` take a dtype;
+lockstep evaluation and serving decide through the same certificate, so
+no inference path takes one (``ServingConfig.dtype`` survives as a field
+that accepts only ``"f64"``).
 ``repro lint`` has one text report and runs every
 rule: its format, output, subset and explain flags, the matching
 ``run_lint`` keywords and the config object are gone.  The names below
@@ -52,7 +55,7 @@ from repro.rl.acktr import ACKTRConfig
 from repro.rl.batched import BatchedEpisodeRunner
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.training import _SeedTask, evaluate_policy, train_multi_seed
-from repro.serving import ServingEngine, serve_workload
+from repro.serving import ServingConfig, ServingEngine, serve_workload
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator
 from repro.topology import line_network
@@ -311,3 +314,33 @@ class TestDeploymentHasNoPrecisionSwitch:
             )
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestInferenceHasNoPrecisionSwitch:
+    @pytest.mark.parametrize(
+        "fn",
+        [evaluate_policy, train_multi_seed, BatchedEpisodeRunner],
+        ids=lambda fn: fn.__qualname__,
+    )
+    def test_takes_no_dtype(self, fn):
+        taken = set(inspect.signature(fn).parameters)
+        assert not {"dtype", "eval_dtype"} & taken
+
+    def test_training_config_has_no_eval_dtype(self):
+        assert "eval_dtype" not in _field_names(TrainingConfig)
+        assert "eval_dtype" not in _field_names(_SeedTask)
+
+    @pytest.mark.parametrize(
+        "command", ["train -o p.npz", "compare", "serve-bench"]
+    )
+    def test_eval_dtype_is_an_argparse_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command.split() + ["--eval-dtype", "f32"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serving_config_accepts_only_f64(self):
+        assert ServingConfig(dtype="f64").dtype == "f64"
+        for dtype in ("f32", "float64"):
+            with pytest.raises(ValueError, match="ServingConfig.dtype"):
+                ServingConfig(dtype=dtype)
