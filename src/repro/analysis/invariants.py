@@ -40,11 +40,13 @@ class InvariantViolation(AssertionError):
     failures keep working, while surviving ``python -O``.
 
     Attributes:
+        message: The message without the context.
         context: Structured key/value diagnostics attached at the check
             site (e.g. ``flow_id=…, load=…, capacity=…``).
     """
 
     def __init__(self, message: str, **context: Any) -> None:
+        self.message = message
         self.context: Dict[str, Any] = dict(context)
         if context:
             details = ", ".join(f"{k}={v!r}" for k, v in context.items())

@@ -318,6 +318,12 @@ class CentralDRLPolicy:
     from the installed rules, so on the same traffic a deployed run
     replays the greedy training episode flow for flow.
 
+    Like :class:`~repro.core.agent.DistributedCoordinator`, it decides on
+    a frozen snapshot of the network it is given (``policy.clone().freeze()``):
+    a later in-place write to the caller's network changes no deployed
+    rule, and a refresh takes each target from the certified float32
+    forward, or the float64 one where the certificate declines.
+
     Attributes:
         executor: The installed rules.
         rule_update_seconds: Wall-clock seconds per rule refresh.
@@ -340,7 +346,8 @@ class CentralDRLPolicy:
         self.catalog = catalog
         self.nodes = network.node_names
         self.component_names = [c.name for c in catalog.components]
-        self.policy = policy
+        #: The deployment's frozen snapshot of the trained network.
+        self.policy = policy.clone().freeze()
         self.config = central_config
         self.rule_update_seconds: List[float] = []
         self._rules = _RuleRefresh(network, catalog, central_config)
@@ -365,9 +372,9 @@ class CentralDRLPolicy:
         return self.executor(decision, sim)
 
     def fresh(self) -> "CentralDRLPolicy":
-        """A new inference instance sharing the trained network but with
-        clean runtime state (rules, snapshots, spill memory) — use one per
-        evaluation run."""
+        """A new inference instance over the same trained weights (its own
+        frozen snapshot) with clean runtime state (rules, snapshots, spill
+        memory) — use one per evaluation run."""
         return CentralDRLPolicy(self.network, self.catalog, self.policy, self.config)
 
     @property

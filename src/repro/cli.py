@@ -133,9 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(train)
     train.add_argument("-o", "--output", required=True,
                        help="path for the trained policy (.npz)")
-    train.add_argument("--seeds", type=int, default=2,
+    train.add_argument("--seeds", type=_positive_int, default=2,
                        help="training seeds k (paper: 10)")
-    train.add_argument("--updates", type=int, default=400,
+    train.add_argument("--updates", type=_positive_int, default=400,
                        help="gradient updates per seed")
     train.add_argument("--algorithm", default="acktr", choices=["acktr", "a2c"])
     train.add_argument("--eval-episodes", type=_positive_int, default=1,
@@ -153,16 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--policy", help="trained policy file (.npz)")
     group.add_argument("--algorithm", choices=["sp", "gcasp", "random"],
                        help="hand-written baseline instead of a trained policy")
-    evaluate.add_argument("--eval-seeds", type=int, default=3,
+    evaluate.add_argument("--eval-seeds", type=_positive_int, default=3,
                           help="number of traffic realisations")
     _add_workers_arg(evaluate)
     _add_telemetry_arg(evaluate)
 
     compare = sub.add_parser("compare", help="train + compare all four algorithms")
     _add_scenario_args(compare)
-    compare.add_argument("--updates", type=int, default=400)
-    compare.add_argument("--seeds", type=int, default=2)
-    compare.add_argument("--eval-seeds", type=int, default=3)
+    compare.add_argument("--updates", type=_positive_int, default=400)
+    compare.add_argument("--seeds", type=_positive_int, default=2)
+    compare.add_argument("--eval-seeds", type=_positive_int, default=3)
     _add_workers_arg(compare)
     _add_stat_interval_arg(compare)
     _add_telemetry_arg(compare)

@@ -183,8 +183,9 @@ class ObservationAdapter:
 
         One hand-off for every driver: the driver owns the destination
         row and ``build`` writes into it — the training runner's rollout
-        storage, the batched evaluation and serving engines' actor
-        workspace rows, ``NodeAgent.act``'s ``input_rows(1)[0]``.
+        storage, the lockstep evaluation runner's rows, and the input row
+        ``policy.workspace.input_rows(1)[0]`` of a deployed
+        ``DistributedCoordinator``'s snapshot.
 
         Args:
             out: Destination vector of shape ``(size,)``, written in place

@@ -7,11 +7,9 @@ of the policy-gradient and entropy objectives w.r.t. the logits.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-__all__ = ["softmax", "log_softmax", "gumbel_noise", "Categorical"]
+__all__ = ["softmax", "log_softmax", "Categorical"]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -25,12 +23,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable log-softmax along the last axis."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def gumbel_noise(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    """Standard Gumbel noise from one uniform block of ``shape`` — the one
-    spelling of the draw, so every sampler consumes ``rng`` alike."""
-    return -np.log(-np.log(rng.uniform(1e-12, 1.0, size=shape)))
 
 
 class Categorical:
@@ -74,11 +66,11 @@ class Categorical:
         """Draw one action per batch row via the Gumbel-max trick.
 
         Gumbel-max avoids per-row cumulative-sum searches and is exactly
-        equivalent to categorical sampling.
+        equivalent to categorical sampling.  The noise comes from one
+        uniform block of the logits' shape.
         """
-        return np.argmax(
-            self.logits + gumbel_noise(rng, self.logits.shape), axis=-1
-        )
+        gumbel = -np.log(-np.log(rng.uniform(1e-12, 1.0, size=self.logits.shape)))
+        return np.argmax(self.logits + gumbel, axis=-1)
 
     def mode(self) -> np.ndarray:
         """Greedy (argmax) action per row — used at inference time when a

@@ -13,7 +13,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple, cast
 import numpy as np
 
 from repro.analysis.invariants import InvariantViolation, invariants_enabled
-from repro.nn.distributions import Categorical, gumbel_noise
+from repro.nn.distributions import Categorical
 from repro.nn.mlp import MLP, MLPInference
 
 __all__ = ["ActorCriticPolicy"]
@@ -93,56 +93,49 @@ class ActorCriticPolicy:
         values = self.values(obs)
         return actions, values, dist.log_prob(actions)
 
-    def act_single(
-        self,
-        obs: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-        deterministic: bool = True,
-        inference: Optional[MLPInference] = None,
-    ) -> int:
-        """Select one action for a single observation vector (inference):
-        the argmax of :meth:`logits_single`, plus Gumbel noise from one
-        ``(1, K)`` uniform draw when sampling — what
-        :class:`~repro.nn.distributions.Categorical` does on raw logits.
+    def act_single(self, obs: np.ndarray, deterministic: bool = True) -> int:
+        """The greedy action for a single observation vector (inference):
+        the argmax of :meth:`logits_single`.  Sampling is exploration
+        during training (:meth:`act`): the keyword is kept for callers
+        that spell out ``deterministic=True``, and ``False`` raises
+        ``ValueError``.
 
-        ``inference`` is a float64 workspace to run on (default
-        :attr:`workspace`) or a float32 one with a certified bound (a
-        frozen policy's :attr:`certified_workspace`).  A float32 workspace
-        answers a greedy decision only when
+        A frozen policy decides on its :attr:`certified_workspace`, which
+        answers only when
         :meth:`~repro.nn.mlp.MLPInference.certified_argmax` proves its
-        argmax is the float64 one; otherwise, and when sampling, the
-        float64 :meth:`logits_single` decides on the same ``obs``.  The
-        answer is therefore always the float64 one."""
-        if inference is not None and inference.logit_bound is not None:
-            action = inference.certified_argmax(obs) if deterministic else -1
+        argmax is the float64 one; otherwise the float64
+        :meth:`logits_single` decides on the same ``obs``.  A writable
+        policy decides in float64.  The answer is therefore always the
+        float64 one.  Under ``REPRO_CHECK_INVARIANTS`` every certified
+        answer is re-decided in float64 (:meth:`cross_check`)."""
+        if not deterministic:
+            raise ValueError(
+                "act_single decides greedily; sampling belongs to training (act)"
+            )
+        certified = self.certified_workspace
+        if certified is not None:
+            action = certified.certified_argmax(obs)
             if action >= 0:
+                if self._sanitize:
+                    self.cross_check(obs.reshape(1, -1), (action,), certified)
                 return action
-            inference = None
-        logits = self.logits_single(obs, inference)
-        if deterministic:
-            return int(logits.argmax())
-        if rng is None:
-            raise ValueError("stochastic act_single needs an rng")
-        return int((logits + gumbel_noise(rng, (1, len(logits)))[0]).argmax())
+        return int(self.logits_single(obs).argmax())
 
-    def logits_single(
-        self, obs: np.ndarray, inference: Optional[MLPInference] = None
-    ) -> np.ndarray:
-        """Actor logits for one observation through the exact batch-1
-        forward that :meth:`act_single` runs — bitwise
+    def logits_single(self, obs: np.ndarray) -> np.ndarray:
+        """Actor logits for one observation through the exact float64
+        batch-1 forward that :meth:`act_single` runs — bitwise
         ``actor.forward(obs[None, :])[0]``, and so the reference that
-        decides every row :meth:`select_actions` cannot certify.
+        decides every row a certified float32 forward declines.
 
-        Runs on ``inference`` (default: :attr:`workspace`).  Pass that
-        workspace's ``input_rows(1)``, filled in place, and nothing is
-        copied; the result is a view, valid until its next forward.
+        Runs on :attr:`workspace`.  Pass its ``input_rows(1)``, filled in
+        place, and nothing is copied; the result is a view, valid until
+        its next forward.
         """
-        if inference is None:
-            inference = self.workspace
-        rows = inference.input_rows(1)
+        workspace = self.workspace
+        rows = workspace.input_rows(1)
         if obs is not rows:
             rows[0] = obs
-        return inference.forward(rows)[0]
+        return workspace.forward(rows)[0]
 
     def select_actions(
         self, x: np.ndarray, actions: np.ndarray, inference: MLPInference
@@ -175,13 +168,12 @@ class ActorCriticPolicy:
         x: np.ndarray,
         actions: Sequence[int],
         inference: MLPInference,
-        **context: Any,
     ) -> None:
         """Sanitizer: re-decide every certified answer (``actions[j] >=
-        0`` for row ``x[j]``) through the float64 :meth:`logits_single`;
-        a disagreement raises
+        0`` for row ``x[j]`` of the ``(n, obs_dim)`` rows ``x``) through
+        the float64 :meth:`logits_single`; a disagreement raises
         :class:`~repro.analysis.invariants.InvariantViolation` naming the
-        row, both actions, the float32 margin and δ, plus ``context``."""
+        row, both actions, the float32 margin and δ."""
         for j, action in enumerate(np.asarray(actions).tolist()):
             if action < 0:
                 continue
@@ -191,7 +183,6 @@ class ActorCriticPolicy:
                 bound = cast(np.ndarray, inference.logit_bound)
                 raise InvariantViolation(
                     "certified float32 decision differs from the float64 one",
-                    **context,
                     row=j,
                     certified=action,
                     exact=exact,
@@ -203,9 +194,9 @@ class ActorCriticPolicy:
     def workspace(self) -> MLPInference:
         """This policy's float64 batch-1 actor workspace, created on first
         use; :meth:`clone` and pickling leave it behind.  Every caller of
-        one policy object shares it — a deployment's per-node agents too,
-        as they shared ``MLP.forward``'s layer caches before — so, like
-        those, it serves one thread at a time."""
+        one policy object shares it — every node of a deployment too — so,
+        like ``MLP.forward``'s layer caches, it serves one thread at a
+        time."""
         if self._workspace is None:
             self._workspace = MLPInference(self.actor)
         return self._workspace

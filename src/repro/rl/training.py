@@ -237,7 +237,11 @@ def train_multi_seed(
         config = ACKTRConfig(**config.__dict__)
     if eval_episodes < 1:
         raise ValueError(f"eval_episodes must be >= 1, got {eval_episodes}")
+    if updates_per_seed < 0:
+        raise ValueError(f"updates_per_seed must be >= 0, got {updates_per_seed}")
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must name at least one training seed")
 
     # Each seed's trainer makes n_envs factory calls plus one for the
     # greedy evaluation env; every seed replays its own slice of that

@@ -29,9 +29,10 @@ lock-guarded); the engine applies it **at the start of the next flush**,
 never mid-batch, so every response of one flush carries one
 ``policy_version`` and queued requests are neither dropped nor
 reordered by a swap.  The float32 cast of the new actor is made inside
-:meth:`install`, so applying the swap is a pointer exchange and the
-engine serves the weights a policy held when it was installed: install
-a snapshot (a ``clone()``), not a policy that keeps training.  This is
+:meth:`install`, so applying the swap is a pointer exchange, and the
+actor's weight arrays are marked read-only there, so the engine serves
+the weights a policy held when it was installed: install a snapshot (a
+``clone()``), not a policy that keeps training.  This is
 the policy-synchronization hook for coordinators that keep serving
 while training continues elsewhere.
 
@@ -122,6 +123,7 @@ class ServingEngine:
 
     Args:
         policy: Initial policy (version 0); swap with :meth:`install`.
+            Its actor's weight arrays are marked read-only.
         config: Batching/deadline/backpressure knobs.
         clock: Monotonic time source (seconds).  Injectable so tests
             drive the deadline trigger deterministically; defaults to
@@ -161,7 +163,14 @@ class ServingEngine:
 
     def _cast(self, policy: ActorCriticPolicy) -> MLPInference:
         """The float32 workspace a flush serves ``policy`` from, cast from
-        its current weights and sized for a full batch."""
+        its current weights and sized for a full batch.
+
+        The actor's weight arrays are marked read-only first: the rows
+        the cast declines are decided by the float64 forward on
+        ``policy`` itself, so an in-place write would split one flush
+        between two weight sets.  It raises ``ValueError`` instead."""
+        for weight in policy.actor.parameters:
+            weight.setflags(write=False)
         inference = MLPInference(policy.actor, np.float32)
         inference.input_rows(self.config.max_batch)
         return inference
@@ -258,11 +267,12 @@ class ServingEngine:
         the new policy (default: current version + 1 at apply time).
         Staging twice between flushes keeps only the latest policy.
 
-        The actor is cast to float32 here, outside the swap lock, so the
-        engine serves the weights ``policy`` holds now.  Install a
-        snapshot: a later in-place write would reach only the rows the
-        certificate declines, which the float64 forward decides on
-        ``policy`` itself."""
+        The actor is cast to float32 here, outside the swap lock, and its
+        weight arrays are marked read-only, so every row of a flush —
+        certified by the cast or decided in float64 on ``policy`` itself —
+        is served by the weights ``policy`` holds now.  Install a snapshot
+        (a ``clone()``), not a policy that keeps training: an in-place
+        write to an installed actor raises ``ValueError``."""
         if (
             policy.obs_dim != self._policy.obs_dim
             or policy.num_actions != self._policy.num_actions

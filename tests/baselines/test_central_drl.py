@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.invariants import InvariantViolation
 from repro.baselines.central_drl import (
     CentralDRLConfig,
     CentralDRLPolicy,
@@ -10,6 +11,7 @@ from repro.baselines.central_drl import (
     RuleExecutor,
     train_central_coordinator,
 )
+from repro.nn.mlp import MLPInference
 from repro.rl.acktr import ACKTRConfig
 from repro.rl.policy import ActorCriticPolicy
 from repro.topology import line_network
@@ -165,9 +167,11 @@ class TestCentralDRLPolicy:
         net, catalog, _ = setup()
         policy_net = ActorCriticPolicy(2 * 3 + 1 + 1, 3, hidden=(8,), rng=0)
         rows = []
-        act_single = policy_net.act_single
+        act_single = ActorCriticPolicy.act_single
         monkeypatch.setattr(
-            policy_net, "act_single", lambda obs: rows.append(obs.copy()) or act_single(obs)
+            ActorCriticPolicy,
+            "act_single",
+            lambda self, obs: rows.append(obs.copy()) or act_single(self, obs),
         )
         policy = CentralDRLPolicy(net, catalog, policy_net,
                                   CentralDRLConfig(update_interval=20.0))
@@ -189,8 +193,95 @@ class TestCentralDRLPolicy:
         sim = make_simulator(net, catalog, make_flow_specs([1.0]))
         sim.run(policy)
         fresh = policy.fresh()
-        assert fresh.policy is policy.policy
+        assert fresh.policy is not policy.policy
+        assert fresh.policy.certified_workspace is not None
+        for ours, theirs in zip(fresh.policy.actor.parameters, policy_net.actor.parameters):
+            assert np.array_equal(ours, theirs)
         assert fresh.rule_update_seconds == []
+
+
+def _sharpened(seed=0):
+    # Logits far apart, so the certified float32 forward answers most rows.
+    policy_net = ActorCriticPolicy(2 * 3 + 1 + 1, 3, hidden=(8,), rng=seed)
+    policy_net.actor.parameters[-1][...] *= 300.0
+    return policy_net
+
+
+def _refresh_targets(policy, times=(1.0, 30.0, 60.0, 90.0)):
+    """The component targets each refresh installs over one run."""
+    net, catalog, _ = setup()
+    targets = []
+    set_targets = policy.executor.set_targets
+
+    def recorded(rules):
+        targets.append(dict(rules))
+        set_targets(rules)
+
+    policy.executor.set_targets = recorded
+    sim = make_simulator(net, catalog, make_flow_specs(list(times)), horizon=100.0)
+    sim.run(policy)
+    return targets
+
+
+class TestCentralDRLDeploysAFrozenSnapshot:
+    def _deploy(self, policy_net):
+        net, catalog, _ = setup()
+        return CentralDRLPolicy(
+            net, catalog, policy_net, CentralDRLConfig(update_interval=20.0)
+        )
+
+    def test_later_writes_to_the_source_change_no_rule(self):
+        policy_net = _sharpened()
+        deployed = self._deploy(policy_net)
+        reference = _refresh_targets(self._deploy(policy_net.clone()))
+        policy_net.actor.parameters[-1][...] *= -1.0
+        assert _refresh_targets(deployed) == reference
+        assert _refresh_targets(self._deploy(policy_net)) != reference
+
+    def test_deployed_weights_are_read_only_and_certified(self):
+        deployed = self._deploy(_sharpened()).policy
+        assert deployed.certified_workspace is not None
+        for weight in deployed.actor.parameters + deployed.critic.parameters:
+            with pytest.raises(ValueError, match="read-only"):
+                weight[0, 0] = 1.0
+
+    def test_sanitizer_catches_a_wrong_certified_answer(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        policy = self._deploy(_sharpened())
+        honest = MLPInference.certified_argmax
+
+        def off_by_one(workspace, x):
+            action = honest(workspace, x)
+            return action if action < 0 else (action + 1) % 3
+
+        monkeypatch.setattr(MLPInference, "certified_argmax", off_by_one)
+        with pytest.raises(InvariantViolation) as info:
+            _refresh_targets(policy)
+        context = info.value.context
+        assert context["certified"] == (context["exact"] + 1) % 3
+        assert context["margin"] < 0 < context["delta"]
+
+    @pytest.mark.parametrize("sanitize", [False, True], ids=["off", "on"])
+    def test_float64_runs_only_where_needed(self, sanitize, monkeypatch):
+        """Sanitizer off: only the declined rows reach the float64
+        forward.  On: every row does (certified ones re-decided)."""
+        if sanitize:
+            monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        else:
+            monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+        policy = self._deploy(_sharpened())
+        calls = []
+        exact = ActorCriticPolicy.logits_single
+        monkeypatch.setattr(
+            ActorCriticPolicy,
+            "logits_single",
+            lambda self, obs: calls.append(1) or exact(self, obs),
+        )
+        targets = _refresh_targets(policy)
+        declined = policy.policy.certified_workspace.fallbacks
+        decisions = len(targets) * len(policy.component_names)
+        assert declined < decisions
+        assert len(calls) == (decisions if sanitize else declined)
 
 
 class TestTrainCentral:

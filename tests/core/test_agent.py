@@ -1,11 +1,11 @@
-"""Tests for distributed inference (per-node agents)."""
+"""Tests for distributed inference (one agent per node, one snapshot)."""
 
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.core.agent import DistributedCoordinator, NodeAgent
+from repro.core.agent import DistributedCoordinator
 from repro.core.observations import ObservationAdapter
 from repro.eval.scenarios import base_scenario
 from repro.rl.policy import ActorCriticPolicy
@@ -23,63 +23,59 @@ def setup():
     return net, catalog, adapter, policy
 
 
-def _agent_actions(coordinator, observations):
-    """Every agent's actions on the same observation batch, through the
-    policy the agent itself holds."""
-    return {
-        node: [agent.policy.act_single(o) for o in observations]
-        for node, agent in coordinator.agents.items()
-    }
-
-
-class TestNodeAgent:
-    def test_acts_only_for_its_node(self):
-        net, catalog, adapter, policy = setup()
-        agent = NodeAgent("v2", policy, adapter)
-        sim = make_simulator(net, catalog, make_flow_specs([1.0]))
-        decision = sim.next_decision()  # at v1
-        with pytest.raises(ValueError, match="asked to act"):
-            agent.act(decision, sim)
-
-    def test_counts_decisions(self):
-        net, catalog, adapter, policy = setup()
-        agent = NodeAgent("v1", policy, adapter)
-        sim = make_simulator(net, catalog, make_flow_specs([1.0]))
-        decision = sim.next_decision()
-        action = agent.act(decision, sim)
-        assert 0 <= action <= net.degree
-        assert agent.decisions_taken == 1
+def _deployed_actions(coordinator, observations):
+    """The deployed snapshot's actions on an observation batch."""
+    return [coordinator.policy.act_single(o) for o in observations]
 
 
 class TestDistributedCoordinator:
     def test_one_agent_per_node(self):
         net, catalog, adapter, policy = setup()
         coordinator = DistributedCoordinator(net, catalog, policy)
-        assert set(coordinator.agents) == set(net.node_names)
-        # Using one agent moves no other agent's counter.
+        assert coordinator.decision_counts() == {"v1": 0, "v2": 0, "v3": 0}
+        # A decision at one node moves no other node's counter.
         sim = make_simulator(net, catalog, make_flow_specs([1.0]))
-        coordinator.agents["v1"].act(sim.next_decision(), sim)
+        coordinator(sim.next_decision(), sim)  # at v1
         assert coordinator.decision_counts() == {"v1": 1, "v2": 0, "v3": 0}
+
+    def test_counts_decisions(self):
+        net, catalog, adapter, policy = setup()
+        coordinator = DistributedCoordinator(net, catalog, policy)
+        sim = make_simulator(net, catalog, make_flow_specs([1.0, 5.0]))
+        actions = [coordinator(sim.next_decision(), sim)]
+        sim.apply_action(actions[0])
+        actions.append(coordinator(sim.next_decision(), sim))
+        assert all(0 <= action <= net.degree for action in actions)
+        assert sum(coordinator.decision_counts().values()) == 2
+
+    def test_acts_only_for_its_nodes(self):
+        net, catalog, adapter, policy = setup()
+        coordinator = DistributedCoordinator(net, catalog, policy)
+        bigger = line_network(4, node_capacity=10.0, link_capacity=10.0)
+        sim = make_simulator(
+            bigger, catalog, make_flow_specs([1.0], ingress="v4", egress="v1")
+        )
+        with pytest.raises(KeyError, match="v4"):
+            coordinator(sim.next_decision(), sim)
+        assert sum(coordinator.decision_counts().values()) == 0
 
     def test_deployment_is_decoupled_from_the_source_policy(self):
         """Each node decides from the network *as deployed* (Fig. 4b):
-        later in-place changes to the trainer's weights reach no agent."""
+        later in-place changes to the trainer's weights reach no node."""
         net, catalog, adapter, policy = setup()
         coordinator = DistributedCoordinator(net, catalog, policy)
         obs = np.random.default_rng(3).normal(size=(12, adapter.size))
-        before = _agent_actions(coordinator, obs)
-        reference = [policy.act_single(o) for o in obs]
-        assert all(actions == reference for actions in before.values())
+        before = _deployed_actions(coordinator, obs)
+        assert before == [policy.act_single(o) for o in obs]
         for weight in policy.actor.parameters + policy.critic.parameters:
             weight += 1.0
-        assert [policy.act_single(o) for o in obs] != reference
-        assert _agent_actions(coordinator, obs) == before
+        assert [policy.act_single(o) for o in obs] != before
+        assert _deployed_actions(coordinator, obs) == before
 
     def test_deployed_weights_are_read_only(self):
         net, catalog, adapter, policy = setup()
         coordinator = DistributedCoordinator(net, catalog, policy)
         deployed = coordinator.policy
-        assert all(a.policy is deployed for a in coordinator.agents.values())
         for weight in deployed.actor.parameters + deployed.critic.parameters:
             with pytest.raises(ValueError, match="read-only"):
                 weight[0, 0] = 1.0
@@ -101,7 +97,7 @@ class TestDistributedCoordinator:
 
         monkeypatch.setattr(ActorCriticPolicy, "clone", counting_clone)
         coordinator = DistributedCoordinator(big, catalog, policy)
-        assert len(coordinator.agents) == 24
+        assert len(coordinator.decision_counts()) == 24
         assert calls == [policy]
 
     def test_pickle_ships_one_weight_set_and_reproduces_actions(self):
@@ -116,10 +112,10 @@ class TestDistributedCoordinator:
         payload = pickle.dumps(coordinator)
         assert len(payload) < 2 * len(pickle.dumps(policy))
         restored = pickle.loads(payload)
-        assert _agent_actions(restored, obs) == _agent_actions(coordinator, obs)
+        assert _deployed_actions(restored, obs) == _deployed_actions(coordinator, obs)
         # What the pool actually calls on the far side.
         rebuilt = pickle.loads(pickle.dumps(coordinator.fresh))()
-        assert _agent_actions(rebuilt, obs) == _agent_actions(
+        assert _deployed_actions(rebuilt, obs) == _deployed_actions(
             coordinator.fresh(), obs
         )
 
@@ -128,10 +124,6 @@ class TestDistributedCoordinator:
         coordinator = DistributedCoordinator(net, catalog, policy)
         shared = coordinator.policy.certified_workspace
         assert shared is not None
-        assert all(
-            a.policy.certified_workspace is shared
-            for a in coordinator.agents.values()
-        )
         assert shared._weights[0].dtype == np.float32
         # A writable policy has no cast: it could go stale.
         assert policy.certified_workspace is None
@@ -174,10 +166,7 @@ class TestDistributedCoordinator:
         assert metrics.decisions == len(seen) > 200
         assert len(set(seen)) > 1
         assert sum(coordinator.decision_counts().values()) == len(seen)
-        assert coordinator.fallbacks == sum(
-            a.fallbacks for a in coordinator.agents.values()
-        )
-        assert coordinator.fallbacks < len(seen)
+        assert coordinator.policy.certified_workspace.fallbacks < len(seen)
 
     def test_pickled_coordinator_leaves_the_workspace_behind(self):
         net, catalog, adapter, policy = setup()
@@ -187,7 +176,7 @@ class TestDistributedCoordinator:
         assert coordinator.policy._workspace is not None
         restored = pickle.loads(pickle.dumps(coordinator))
         assert restored.policy._workspace is None
-        assert all(a.policy is restored.policy for a in restored.agents.values())
+        assert restored.decision_counts() == coordinator.decision_counts()
 
     def test_usable_as_simulator_policy(self):
         net, catalog, adapter, policy = setup()
@@ -213,9 +202,10 @@ class TestDistributedCoordinator:
         fresh = coordinator.fresh()
         assert sum(fresh.decision_counts().values()) == 0
         obs = np.zeros((1, adapter.size))
-        original = next(iter(coordinator.agents.values())).policy
-        copied = next(iter(fresh.agents.values())).policy
-        assert np.allclose(original.actor.forward(obs), copied.actor.forward(obs))
+        assert fresh.policy is not coordinator.policy
+        assert np.array_equal(
+            coordinator.policy.actor.forward(obs), fresh.policy.actor.forward(obs)
+        )
 
     def test_deterministic_agents_repeatable(self):
         net, catalog, adapter, policy = setup()

@@ -23,11 +23,14 @@ from repro.baselines.central_drl import (
     CentralizedCoordinationEnv,
 )
 from repro.core.agent import DistributedCoordinator
-from repro.core.env import ServiceCoordinationEnv
+from repro.core.env import CoordinationEnvConfig, ServiceCoordinationEnv
 from repro.eval.scenarios import base_scenario
 from repro.rl.policy import ActorCriticPolicy
+from repro.services import Component, Service, ServiceCatalog
+from repro.sim import SimulationConfig
 from repro.sim.simulator import Simulator
 from repro.topology import line_network
+from repro.traffic import FlowTemplate, PoissonArrival, TrafficSource
 
 from tests.conftest import make_env_config, make_simple_catalog
 
@@ -40,6 +43,38 @@ def _sparse_line():
         make_simple_catalog(num_components=2, processing_delay=2.0),
         horizon=300.0,
         interval=60.0,
+    )
+
+
+def _multi_service():
+    # Two services share the line (the catalog of test_multi_service.py):
+    # video flows ask for two components, iot flows for one at half load.
+    catalog = ServiceCatalog([
+        Service("video", [
+            Component("vFW", processing_delay=2.0),
+            Component("vCDN", processing_delay=2.0),
+        ]),
+        Service("iot", [
+            Component("iAgg", processing_delay=1.0, resource_coefficient=0.5)
+        ]),
+    ])
+
+    def traffic_factory(rng):
+        processes = {
+            "v1": PoissonArrival(6.0, rng=rng),
+            "v2": PoissonArrival(6.0, rng=rng),
+        }
+        templates = {
+            "v1": FlowTemplate(service="video", egress="v4", deadline=60.0),
+            "v2": FlowTemplate(service="iot", egress="v4", deadline=40.0),
+        }
+        return TrafficSource(processes, templates).flows_until(400.0)
+
+    return CoordinationEnvConfig(
+        network=line_network(4, node_capacity=4.0, link_capacity=6.0),
+        catalog=catalog,
+        traffic_factory=traffic_factory,
+        sim_config=SimulationConfig(horizon=400.0),
     )
 
 
@@ -74,6 +109,10 @@ CASES = {
     "abilene-mmpp3-I50": (_abilene("mmpp", 3, 600.0), 0, 50.0, _network),
     "abilene-poisson2-I25": (_abilene("poisson", 2, 500.0), 1, 25.0, _network),
     "line3-sparse-I25": (_sparse_line, 2, 25.0, _network),
+    # Env seed 2 is no use here: the distributed actor drops every flow
+    # as an invalid action.
+    "line4-multiservice-I25-seed0": (_multi_service, 0, 25.0, _network),
+    "line4-multiservice-I25-seed1": (_multi_service, 1, 25.0, _network),
     "abilene-churn-mmpp3": (_abilene("mmpp", 3, 800.0, "churn"), 3, 50.0, _fixture),
     "abilene-links-poisson2": (_abilene("poisson", 2, 800.0, "links"), 3, 50.0, _fixture),
     "abilene-nodes-poisson2": (_abilene("poisson", 2, 800.0, "nodes"), 3, 50.0, _fixture),

@@ -42,7 +42,7 @@ def trained():
 class TestTrainingPipeline:
     def test_produces_coordinator_with_agent_per_node(self, trained):
         net, catalog, config, result = trained
-        assert set(result.coordinator.agents) == set(net.node_names)
+        assert set(result.coordinator.decision_counts()) == set(net.node_names)
         assert result.best_seed == 0
 
     def test_trained_policy_beats_random(self, trained):

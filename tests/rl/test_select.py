@@ -156,9 +156,9 @@ class TestSanitizer:
         singles = []
         real_single = policy.logits_single
 
-        def counted(obs, inference=None):
+        def counted(obs):
             singles.append(1)
-            return real_single(obs, inference)
+            return real_single(obs)
 
         monkeypatch.setattr(policy, "logits_single", counted)
         return policy, x, inference, exact, singles

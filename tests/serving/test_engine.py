@@ -242,6 +242,31 @@ class TestHotSwap:
         assert [d.action for d in decisions] == [d.action for d in fresh.flush()]
         assert [d.action for d in decisions] == serial_actions(new, obs)
 
+    def test_served_actors_refuse_in_place_writes(self):
+        """One flush serves one weight set.  The rows the float32 cast
+        declines are decided in float64 on the installed policy itself,
+        so an in-place write after ``install`` used to split a flush
+        between the install-time weights (certified rows) and the
+        written ones (declined rows) under one ``policy_version``.  The
+        engine marks every actor it serves read-only instead."""
+        first, second = make_policy(rng=0), make_policy(rng=99)
+        engine = make_engine(policy=first, max_batch=4)
+        engine.install(second)
+        for policy in (first, second):
+            for weight in policy.actor.parameters:
+                with pytest.raises(ValueError, match="read-only"):
+                    weight *= -1.0
+        # Only the served actor is held still; a clone of it is not.
+        second.clone().actor.parameters[-1][...] *= -1.0
+        obs = np.random.default_rng(3).uniform(-1.0, 1.0, (4, OBS_DIM))
+        obs[1] *= 5.0  # outside the certificate's domain: float64 decides
+        for row in obs:
+            engine.submit(row)
+        decisions = engine.flush()
+        assert {d.policy_version for d in decisions} == {1}
+        assert engine.stats.tie_fallbacks >= 1
+        assert [d.action for d in decisions] == serial_actions(second, obs)
+
     def test_swap_to_other_hidden_sizes_rebuilds_the_workspace(self):
         engine = make_engine(policy=make_policy(rng=0), max_batch=4)
         obs = make_obs(4)

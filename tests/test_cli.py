@@ -41,6 +41,30 @@ class TestParser:
                 parser.parse_args(["train", "-o", "p.npz", "--eval-episodes", bad])
             assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("train -o p.npz", "--seeds"),
+            ("train -o p.npz", "--updates"),
+            ("evaluate --algorithm sp", "--eval-seeds"),
+            ("compare", "--seeds"),
+            ("compare", "--updates"),
+            ("compare", "--eval-seeds"),
+        ],
+    )
+    def test_seed_and_update_counts_must_be_positive(self, capsys, command, flag):
+        """``--seeds 0`` used to die in best-agent selection with a bare
+        ``max()`` error, ``--eval-seeds 0`` printed all-``n/a`` rows and
+        exited 0, and ``--updates -3`` trained nothing and saved."""
+        parser = build_parser()
+        assert getattr(parser.parse_args(command.split() + [flag, "2"]),
+                       flag[2:].replace("-", "_")) == 2
+        for bad in ("0", "-3"):
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args(command.split() + [flag, bad])
+            assert exit_info.value.code == 2
+            assert "must be >= 1" in capsys.readouterr().err
+
     def test_serve_bench_defaults(self):
         args = build_parser().parse_args(["serve-bench"])
         assert args.serve_batch == 32

@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.analysis.linter import lint_paths, lint_source, run_lint
@@ -39,7 +40,7 @@ from repro.baselines.central_drl import (
     train_central_coordinator,
 )
 from repro.cli import build_parser
-from repro.core.agent import DistributedCoordinator, NodeAgent
+from repro.core.agent import DistributedCoordinator
 from repro.core.env import ServiceCoordinationEnv
 from repro.core.trainer import TrainingConfig
 from repro.eval.runner import (
@@ -277,7 +278,7 @@ class TestInferenceDecidesGreedily:
         "fn",
         [
             DistributedCoordinator,
-            NodeAgent,
+            CentralDRLPolicy,
             BatchedEpisodeRunner,
             evaluate_policy,
             ServingEngine,
@@ -290,10 +291,21 @@ class TestInferenceDecidesGreedily:
         taken = set(inspect.signature(fn).parameters)
         assert not {"rng", "rngs", "seed", "deterministic"} & taken
 
+    def test_act_single_has_one_greedy_mode(self):
+        """``act_single`` keeps ``deterministic`` only as a spelling of
+        its one mode: no rng to sample with, no workspace to pick."""
+        taken = set(inspect.signature(ActorCriticPolicy.act_single).parameters)
+        assert taken == {"self", "obs", "deterministic"}
+        policy = ActorCriticPolicy(3, 2, hidden=(4,), rng=0)
+        with pytest.raises(ValueError):
+            policy.act_single(np.zeros(3), deterministic=False)
+
 
 class TestDeploymentHasNoPrecisionSwitch:
     @pytest.mark.parametrize(
-        "fn", [DistributedCoordinator, NodeAgent], ids=lambda fn: fn.__qualname__
+        "fn",
+        [DistributedCoordinator, CentralDRLPolicy, ActorCriticPolicy.act_single],
+        ids=lambda fn: fn.__qualname__,
     )
     def test_takes_no_dtype_or_inference(self, fn):
         taken = set(inspect.signature(fn).parameters)

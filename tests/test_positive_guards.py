@@ -1,4 +1,5 @@
-"""Config fields that must be positive refuse NaN too.
+"""Config fields that must be positive refuse NaN too, and multi-seed
+training refuses an empty seed list and a negative update count.
 
 Every comparison with NaN is false, so a guard spelled ``x <= 0`` lets
 NaN through: a NaN horizon made the event queue's ``head > horizon``
@@ -16,10 +17,15 @@ import math
 import pytest
 
 from repro.baselines.central_drl import CentralDRLConfig
+from repro.core.trainer import CoordinationEnvBuilder
 from repro.faults import FaultKind, FaultScenarioConfig, FaultSpec
+from repro.rl import training
 from repro.rl.a2c import A2CConfig
 from repro.rl.acktr import ACKTRConfig
 from repro.sim.config import SimulationConfig
+from repro.topology import line_network
+
+from tests.conftest import make_env_config, make_simple_catalog
 
 
 @pytest.mark.parametrize(
@@ -51,3 +57,22 @@ def test_fault_window_refuses_nan(field, message):
     window = {"start": 10.0, "duration": 5.0, field: math.nan}
     with pytest.raises(ValueError, match=message):
         FaultSpec(FaultKind.NODE_OUTAGE, "v1", **window)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"seeds": ()}, "seeds"), ({"updates_per_seed": -3}, "updates_per_seed")],
+    ids=["no-seeds", "negative-updates"],
+)
+def test_multi_seed_training_refuses_empty_or_negative_counts(kwargs, name, monkeypatch):
+    """No seed used to die in best-agent selection with a bare ``max()``
+    error after the fan-out, and a negative update count trained nothing
+    and still picked a "best" agent.  Both now fail before any task runs."""
+    ran = []
+    monkeypatch.setattr(training, "_run_seed_task", lambda *args: ran.append(args))
+    net = line_network(3, node_capacity=10.0, link_capacity=10.0)
+    builder = CoordinationEnvBuilder(make_env_config(net, make_simple_catalog()))
+    arguments = {"seeds": (0,), "updates_per_seed": 1, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        training.train_multi_seed(builder, **arguments)
+    assert ran == []
