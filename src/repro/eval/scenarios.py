@@ -27,8 +27,8 @@ from repro.core.rewards import RewardConfig
 from repro.faults import FaultScenarioConfig
 from repro.services import ServiceCatalog, default_catalog
 from repro.sim.config import SimulationConfig
-from repro.topology.network import Network
-from repro.topology.zoo import topology_by_name
+from repro.topology.network import Network, link_key
+from repro.topology.zoo import topology_layout
 from repro.traffic.arrival import (
     ArrivalProcess,
     FixedArrival,
@@ -77,29 +77,29 @@ def build_network(
 
     Node capacities ~ U[0, 2] and link capacities ~ U[1, 5], drawn
     deterministically from ``capacity_seed``.  Ingresses are ``v1..vk``
-    (the paper varies 1-5) and the egress defaults to ``v8``.
+    (the paper varies 1-5) and the egress defaults to ``v8``.  Builds
+    exactly one :class:`Network`, so the all-pairs tables are computed
+    once per scenario.
     """
     if num_ingress < 1:
         raise ValueError(f"need at least one ingress, got {num_ingress}")
     rng = np.random.default_rng(capacity_seed)
-    # Draw all capacities up front, keyed by name, so the draw order (and
-    # thus the scenario) is independent of factory call order.
-    probe = topology_by_name(topology)
+    # Draw all capacities up front, in sorted name and link-key order, so
+    # the draw order (and thus the scenario) is independent of the layout's
+    # node and link order.
+    layout = topology_layout(topology)
     lo_n, hi_n = node_capacity_range
     lo_l, hi_l = link_capacity_range
     node_caps: Dict[str, float] = {
-        name: float(rng.uniform(lo_n, hi_n)) for name in sorted(probe.node_names)
+        name: float(rng.uniform(lo_n, hi_n)) for name in sorted(layout.node_names)
     }
     link_caps: Dict[tuple, float] = {
-        link.key: float(rng.uniform(lo_l, hi_l))
-        for link in sorted(probe.links, key=lambda l: l.key)
+        key: float(rng.uniform(lo_l, hi_l)) for key in sorted(layout.link_keys)
     }
-    ingress = [f"v{i + 1}" for i in range(num_ingress)]
-    return topology_by_name(
-        topology,
-        node_capacity=lambda name: node_caps[name],
-        link_capacity=lambda u, v: link_caps[(u, v) if u <= v else (v, u)],
-        ingress=ingress,
+    return layout.network(
+        node_capacity=node_caps.__getitem__,
+        link_capacity=lambda u, v: link_caps[link_key(u, v)],
+        ingress=[f"v{i + 1}" for i in range(num_ingress)],
         egress=list(egress),
     )
 

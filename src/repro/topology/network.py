@@ -30,7 +30,7 @@ class Node:
 
     Attributes:
         name: Unique node identifier, e.g. ``"v1"`` or ``"Seattle"``.
-        capacity: Generic compute capacity ``cap_v >= 0``.  The total
+        capacity: Finite generic compute capacity ``cap_v >= 0``.  The total
             resource consumption of component instances processing flows at
             this node must never exceed it.
         position: Optional ``(x, y)`` coordinate used to derive link delays
@@ -42,8 +42,11 @@ class Node:
     position: Optional[Tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        if self.capacity < 0:
-            raise ValueError(f"node {self.name!r}: capacity must be >= 0, got {self.capacity}")
+        # Written so NaN fails too: it compares false with everything.
+        if not 0 <= self.capacity < math.inf:
+            raise ValueError(
+                f"node {self.name!r}: capacity must be finite and >= 0, got {self.capacity}"
+            )
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,10 @@ class Link:
     Attributes:
         u: First endpoint (node name).
         v: Second endpoint (node name).
-        delay: Propagation delay ``d_l >= 0`` (simulation time units; the
-            paper uses milliseconds).
-        capacity: Maximum data rate ``cap_l > 0`` shared in both directions.
+        delay: Finite propagation delay ``d_l >= 0`` (simulation time
+            units; the paper uses milliseconds).
+        capacity: Finite maximum data rate ``cap_l > 0`` shared in both
+            directions.
     """
 
     u: str
@@ -66,11 +70,14 @@ class Link:
     def __post_init__(self) -> None:
         if self.u == self.v:
             raise ValueError(f"self-loop on node {self.u!r} is not allowed")
-        if self.delay < 0:
-            raise ValueError(f"link ({self.u},{self.v}): delay must be >= 0, got {self.delay}")
-        if self.capacity <= 0:
+        if not 0 <= self.delay < math.inf:
             raise ValueError(
-                f"link ({self.u},{self.v}): capacity must be > 0, got {self.capacity}"
+                f"link ({self.u},{self.v}): delay must be finite and >= 0, got {self.delay}"
+            )
+        if not 0 < self.capacity < math.inf:
+            raise ValueError(
+                f"link ({self.u},{self.v}): capacity must be finite and > 0, "
+                f"got {self.capacity}"
             )
 
     @property
@@ -101,7 +108,8 @@ class Network:
 
     - sorted neighbor lists (the *a-th neighbor* of the action space),
     - network degree ``Δ_G`` (maximum number of neighbors of any node),
-    - all-pairs shortest path delays and next-hop tables,
+    - all-pairs shortest path delays and next-hop tables (two ``N x N``
+      arrays by node id, one Dijkstra per source),
     - network diameter ``D_G`` in terms of path delay (used to normalise the
       link-delay penalty in the reward function).
 
@@ -156,10 +164,10 @@ class Network:
         self.egress: Tuple[str, ...] = tuple(egress)
 
         self._degree: int = max((len(v) for v in self._adjacency.values()), default=0)
-        self._dist, self._next_hop = self._all_pairs_shortest_delay()
-        finite = [d for row in self._dist.values() for d in row.values() if math.isfinite(d)]
-        self._diameter: float = max(finite, default=0.0)
         self._build_index_tables()
+        self._dist, self._next_hop = self._all_pairs_shortest_delay()
+        finite = self._dist[np.isfinite(self._dist)]
+        self._diameter: float = float(finite.max()) if finite.size else 0.0
 
     def _build_index_tables(self) -> None:
         """Integer-indexed views of the topology for the simulation hot path.
@@ -359,20 +367,24 @@ class Network:
     def shortest_path_delay(self, source: str, target: str) -> float:
         """Shortest-path delay from ``source`` to ``target``.
 
-        Returns ``math.inf`` when ``target`` is unreachable.  Precomputed at
+        Returns ``math.inf`` when ``target`` is unreachable (``KeyError``
+        for a name not in the network).  Precomputed at
         construction (the paper assumes a fixed topology so path delays can
         be computed once and accessed in constant time, Sec. IV-B1d).
         """
-        return self._dist[source].get(target, math.inf)
+        return self._dist.item(self.node_index[source], self.node_index[target])
 
     def next_hop(self, source: str, target: str) -> Optional[str]:
         """First hop on a delay-shortest path from ``source`` to ``target``.
 
         Returns ``None`` when ``source == target`` or ``target`` is
-        unreachable.  Ties are broken deterministically in favour of the
-        lexicographically smallest neighbor.
+        unreachable (``KeyError`` for a name not in the network).  Among equal-delay routes the one whose last
+        predecessor of ``target`` Dijkstra settles first, ordered by
+        ``(delay from source, name)``, wins: ties are *not* broken by the
+        first hop's name.
         """
-        return self._next_hop[source].get(target)
+        hop = self._next_hop.item(self.node_index[source], self.node_index[target])
+        return None if hop < 0 else self._node_name_list[hop]
 
     def shortest_path(self, source: str, target: str) -> List[str]:
         """Full node sequence of the delay-shortest path, inclusive of both ends.
@@ -398,25 +410,7 @@ class Network:
 
     def is_connected(self) -> bool:
         """True when every node can reach every other node."""
-        return all(
-            math.isfinite(self._dist[u].get(v, math.inf))
-            for u in self._nodes
-            for v in self._nodes
-        )
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    def with_endpoints(self, ingress: Sequence[str], egress: Sequence[str]) -> "Network":
-        """Return a copy of this network with different ingress/egress sets."""
-        return Network(
-            self.name,
-            list(self._nodes.values()),
-            list(self._links.values()),
-            ingress=ingress,
-            egress=egress,
-        )
+        return bool(np.isfinite(self._dist).all())
 
     def stats(self) -> "TopologyStats":
         """Topology statistics as reported in Table I of the paper."""
@@ -433,50 +427,70 @@ class Network:
     # Internals
     # ------------------------------------------------------------------
 
-    def _all_pairs_shortest_delay(
-        self,
-    ) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Dict[str, Optional[str]]]]:
+    def _all_pairs_shortest_delay(self) -> Tuple[np.ndarray, np.ndarray]:
         """Dijkstra from every node over link delays.
 
-        Returns ``(dist, next_hop)`` where ``dist[u][v]`` is the shortest
-        delay and ``next_hop[u][v]`` the first hop from ``u`` towards ``v``.
-        """
-        dist: Dict[str, Dict[str, float]] = {}
-        next_hop: Dict[str, Dict[str, Optional[str]]] = {}
-        for source in self._nodes:
-            d, parent = self._dijkstra(source)
-            dist[source] = d
-            hops: Dict[str, Optional[str]] = {}
-            for target in d:
-                if target == source:
-                    continue
-                # Walk back from target to the node adjacent to source.
-                current = target
-                while parent[current] != source:
-                    current = parent[current]
-                hops[target] = current
-            next_hop[source] = hops
-        return dist, next_hop
+        Returns ``(dist, next_hop)``, two ``N x N`` arrays indexed by node
+        id: ``dist[u, v]`` is the shortest delay (``inf`` if unreachable)
+        and ``next_hop[u, v]`` the id of the first hop from ``u`` towards
+        ``v`` (``-1`` if none).
 
-    def _dijkstra(self, source: str) -> Tuple[Dict[str, float], Dict[str, str]]:
-        dist: Dict[str, float] = {source: 0.0}
-        parent: Dict[str, str] = {}
-        # Heap entries carry the node name as a tiebreaker so that equal-delay
-        # paths resolve deterministically (lexicographically smallest first).
-        heap: List[Tuple[float, str]] = [(0.0, source)]
-        done: set = set()
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            for v in self._adjacency[u]:
-                nd = d + self._links[link_key(u, v)].delay
-                if nd < dist.get(v, math.inf):
-                    dist[v] = nd
-                    parent[v] = u
-                    heapq.heappush(heap, (nd, v))
-        return dist, parent
+        The search numbers the nodes by rank in sorted-name order, so its
+        ``(delay, rank)`` heap pops equal delays by name.  A node's first
+        hop is set whenever it is relaxed: the node itself next to the
+        source, else the first hop of the node relaxing it, which is
+        already settled and so final.
+        """
+        names = sorted(self._node_name_list)
+        n = len(names)
+        rank = {name: r for r, name in enumerate(names)}
+        adjacency = [
+            [(rank[nb], delay) for nb, delay in zip(*self._hop_table[name][:2])]
+            for name in names
+        ]
+        # Rank-ordered rows go out in node-id order: column i of a row is
+        # entry ranks[i]; a hop rank r becomes node id node_id[r].
+        ranks = np.array([rank[name] for name in self._node_name_list], dtype=np.intp)
+        node_id = np.full(n + 1, -1, dtype=np.intp)
+        node_id[ranks] = np.arange(n)
+        dist = np.empty((n, n), dtype=np.float64)
+        next_hop = np.empty((n, n), dtype=np.intp)
+        push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
+        unreached = [math.inf] * n
+        no_hop = [-1] * n
+        for source in range(n):
+            d = unreached.copy()
+            first = no_hop.copy()
+            d[source] = 0.0
+            heap: List[Tuple[float, int]] = []
+            for v, delay in adjacency[source]:
+                d[v] = delay
+                first[v] = v
+                heap.append((delay, v))
+            heapq.heapify(heap)
+            while heap:
+                du, u = heap[0]
+                if du > d[u]:  # superseded by a shorter push
+                    pop(heap)
+                    continue
+                via = first[u]
+                on_top = True  # u's entry: the first push replaces it
+                for v, delay in adjacency[u]:
+                    nd = du + delay
+                    if nd < d[v]:
+                        d[v] = nd
+                        first[v] = via
+                        if on_top:
+                            replace(heap, (nd, v))
+                            on_top = False
+                        else:
+                            push(heap, (nd, v))
+                if on_top:
+                    pop(heap)
+            row = node_id[source]
+            dist[row] = np.array(d)[ranks]
+            next_hop[row] = node_id[np.array(first)[ranks]]
+        return dist, next_hop
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.analysis.invariants import InvariantViolation
-from repro.topology.network import Link, Network, Node, euclidean_delay
+from repro.topology.network import Link, Network, Node, euclidean_delay, link_key
 
 __all__ = [
     "abilene",
@@ -42,9 +43,54 @@ __all__ = [
     "china_telecom",
     "interroute",
     "topology_by_name",
+    "topology_layout",
+    "TopologyLayout",
     "TOPOLOGY_NAMES",
     "table1_stats",
 ]
+
+
+@dataclass(frozen=True)
+class TopologyLayout:
+    """A topology before capacities: named, placed nodes and delayed links.
+
+    Everything a zoo topology fixes by itself.  Capacities are the
+    scenario's to choose, so :meth:`network` takes them and builds the one
+    :class:`Network` (and its all-pairs tables) per capacity assignment.
+
+    Attributes:
+        name: Topology name, e.g. ``"Abilene"``.
+        nodes: ``(name, position)`` per node, in node-id order.
+        links: ``(u, v, delay)`` per undirected link, in link-id order.
+    """
+
+    name: str
+    nodes: Tuple[Tuple[str, Tuple[float, float]], ...]
+    links: Tuple[Tuple[str, str, float], ...]
+
+    @property
+    def node_names(self) -> List[str]:
+        return [name for name, _ in self.nodes]
+
+    @property
+    def link_keys(self) -> List[Tuple[str, str]]:
+        return [link_key(u, v) for u, v, _ in self.links]
+
+    def network(
+        self,
+        node_capacity: Callable[[str], float],
+        link_capacity: Callable[[str, str], float],
+        ingress: Sequence[str],
+        egress: Sequence[str],
+    ) -> Network:
+        """The capacitated network: ``cap_v = node_capacity(v)`` and
+        ``cap_l = link_capacity(u, v)``."""
+        nodes = [Node(n, capacity=node_capacity(n), position=pos) for n, pos in self.nodes]
+        links = [
+            Link(u, v, delay=delay, capacity=link_capacity(u, v))
+            for u, v, delay in self.links
+        ]
+        return Network(self.name, nodes, links, ingress=ingress, egress=egress)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +143,24 @@ _ABILENE_DELAY_PER_DEGREE = 0.135
 _ABILENE_MIN_DELAY = 0.5
 
 
+def _abilene_layout() -> TopologyLayout:
+    """The Abilene backbone (11 nodes, 14 edges) with distance-derived delays."""
+    id_by_city = {city: vid for vid, city, _ in _ABILENE_CITIES}
+    pos_by_id = {vid: pos for vid, _, pos in _ABILENE_CITIES}
+    links = []
+    for city_u, city_v in _ABILENE_EDGES:
+        u, v = id_by_city[city_u], id_by_city[city_v]
+        delay = euclidean_delay(
+            pos_by_id[u],
+            pos_by_id[v],
+            delay_per_unit=_ABILENE_DELAY_PER_DEGREE,
+            minimum=_ABILENE_MIN_DELAY,
+        )
+        links.append((u, v, delay))
+    nodes = tuple((vid, pos) for vid, _, pos in _ABILENE_CITIES)
+    return TopologyLayout("Abilene", nodes, tuple(links))
+
+
 def abilene(
     node_capacity: Callable[[str], float] = lambda name: 1.0,
     link_capacity: Callable[[str, str], float] = lambda u, v: 1.0,
@@ -111,23 +175,7 @@ def abilene(
         ingress: Ingress set (paper varies v1..v5).
         egress: Egress set (paper uses v8).
     """
-    id_by_city = {city: vid for vid, city, _ in _ABILENE_CITIES}
-    pos_by_id = {vid: pos for vid, _, pos in _ABILENE_CITIES}
-    nodes = [
-        Node(vid, capacity=node_capacity(vid), position=pos)
-        for vid, _, pos in _ABILENE_CITIES
-    ]
-    links = []
-    for city_u, city_v in _ABILENE_EDGES:
-        u, v = id_by_city[city_u], id_by_city[city_v]
-        delay = euclidean_delay(
-            pos_by_id[u],
-            pos_by_id[v],
-            delay_per_unit=_ABILENE_DELAY_PER_DEGREE,
-            minimum=_ABILENE_MIN_DELAY,
-        )
-        links.append(Link(u, v, delay=delay, capacity=link_capacity(u, v)))
-    return Network("Abilene", nodes, links, ingress=ingress, egress=egress)
+    return _abilene_layout().network(node_capacity, link_capacity, ingress, egress)
 
 
 # ---------------------------------------------------------------------------
@@ -141,20 +189,16 @@ def _reconstruct(
     num_edges: int,
     max_degree: int,
     seed: int,
-    node_capacity: Callable[[str], float],
-    link_capacity: Callable[[str, str], float],
-    ingress: Sequence[str],
-    egress: Sequence[str],
     delay_per_unit: float = 0.08,
-) -> Network:
-    """Deterministically build a connected graph matching Table I statistics.
+) -> TopologyLayout:
+    """Deterministically lay out a connected graph matching Table I statistics.
 
     Strategy: grow a spanning tree by preferential attachment (capped at
     ``max_degree``) to produce the hub-dominated degree skew of real ISP
     backbones, force the primary hub to reach exactly ``max_degree``, then
     add the remaining edges between geometrically close nodes, always
     keeping at least one degree-1 leaf so the published minimum degree of 1
-    holds.
+    holds.  The spanning tree makes the graph connected by construction.
     """
     if num_edges < num_nodes - 1:
         raise ValueError("need at least num_nodes - 1 edges for connectivity")
@@ -231,29 +275,22 @@ def _reconstruct(
             continue
         add_edge(u, rng.choice(nearby))
 
-    nodes = [
-        Node(n, capacity=node_capacity(n), position=positions[n]) for n in names
-    ]
-    links = [
-        Link(
-            u,
-            v,
-            delay=euclidean_delay(
-                positions[u], positions[v], delay_per_unit=delay_per_unit, minimum=0.5
-            ),
-            capacity=link_capacity(u, v),
-        )
-        for u, v in sorted(edges)
-    ]
-    network = Network(name, nodes, links, ingress=ingress, egress=egress)
-    if network.degree != max_degree:
+    if max(degree.values()) != max_degree:
         raise RuntimeError(
-            f"reconstruction of {name} reached max degree {network.degree}, "
+            f"reconstruction of {name} reached max degree {max(degree.values())}, "
             f"expected {max_degree}"
         )
-    if not network.is_connected():
-        raise RuntimeError(f"reconstruction of {name} is not connected")
-    return network
+    links = tuple(
+        (
+            u,
+            v,
+            euclidean_delay(
+                positions[u], positions[v], delay_per_unit=delay_per_unit, minimum=0.5
+            ),
+        )
+        for u, v in sorted(edges)
+    )
+    return TopologyLayout(name, tuple((n, positions[n]) for n in names), links)
 
 
 def bt_europe(
@@ -263,9 +300,8 @@ def bt_europe(
     egress: Sequence[str] = ("v8",),
 ) -> Network:
     """BT Europe reconstruction: 24 nodes, 37 edges, degree 1/13/3.08."""
-    return _reconstruct(
-        "BT Europe", 24, 37, 13, seed=2021, node_capacity=node_capacity,
-        link_capacity=link_capacity, ingress=ingress, egress=egress,
+    return topology_layout("BT Europe").network(
+        node_capacity, link_capacity, ingress, egress
     )
 
 
@@ -281,9 +317,8 @@ def china_telecom(
     inflates the padded observation/action spaces; the reconstruction
     reproduces the 20-neighbor hub.
     """
-    return _reconstruct(
-        "China Telecom", 42, 66, 20, seed=2022, node_capacity=node_capacity,
-        link_capacity=link_capacity, ingress=ingress, egress=egress,
+    return topology_layout("China Telecom").network(
+        node_capacity, link_capacity, ingress, egress
     )
 
 
@@ -294,9 +329,8 @@ def interroute(
     egress: Sequence[str] = ("v8",),
 ) -> Network:
     """Interroute reconstruction: 110 nodes, 158 edges, degree 1/7/2.87."""
-    return _reconstruct(
-        "Interroute", 110, 158, 7, seed=2023, node_capacity=node_capacity,
-        link_capacity=link_capacity, ingress=ingress, egress=egress,
+    return topology_layout("Interroute").network(
+        node_capacity, link_capacity, ingress, egress
     )
 
 
@@ -307,6 +341,13 @@ TOPOLOGY_NAMES: Tuple[str, ...] = (
     "Interroute",
 )
 
+_LAYOUTS: Dict[str, Callable[[], TopologyLayout]] = {
+    "Abilene": _abilene_layout,
+    "BT Europe": lambda: _reconstruct("BT Europe", 24, 37, 13, seed=2021),
+    "China Telecom": lambda: _reconstruct("China Telecom", 42, 66, 20, seed=2022),
+    "Interroute": lambda: _reconstruct("Interroute", 110, 158, 7, seed=2023),
+}
+
 _FACTORIES = {
     "Abilene": abilene,
     "BT Europe": bt_europe,
@@ -315,19 +356,30 @@ _FACTORIES = {
 }
 
 
+def _lookup(table: Dict[str, Callable], name: str) -> Callable:
+    try:
+        return table[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown topology {name!r}; available: {', '.join(TOPOLOGY_NAMES)}"
+        ) from None
+
+
+def topology_layout(name: str) -> TopologyLayout:
+    """The layout of one of the four Table I topologies, by name.
+
+    Raises ``KeyError`` with the valid names for typos.
+    """
+    return _lookup(_LAYOUTS, name)()
+
+
 def topology_by_name(name: str, **kwargs) -> Network:
     """Build one of the four Table I topologies by name.
 
     Keyword arguments are forwarded to the factory (capacities, ingress,
     egress).  Raises ``KeyError`` with the valid names for typos.
     """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown topology {name!r}; available: {', '.join(TOPOLOGY_NAMES)}"
-        ) from None
-    return factory(**kwargs)
+    return _lookup(_FACTORIES, name)(**kwargs)
 
 
 def table1_stats() -> List:

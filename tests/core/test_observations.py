@@ -159,13 +159,19 @@ class TestDelaysToEgress:
 
     def test_direction_signal(self):
         """A neighbor towards the egress scores higher than one away."""
-        net = line_network(4, node_capacity=4.0, link_capacity=8.0)
+        names = ["v1", "v2", "v3", "v4"]
+        net = Network(
+            "line-4",
+            [Node(n, capacity=4.0) for n in names],
+            [Link(u, v, capacity=8.0) for u, v in zip(names, names[1:])],
+            ingress=["v2"],
+            egress=["v4"],
+        )
         catalog = make_simple_catalog()
         sim = make_simulator(
             net, catalog,
             make_flow_specs([1.0], ingress="v2", egress="v4", deadline=50.0),
         )
-        net_with = net.with_endpoints(["v2"], ["v4"])
         adapter = ObservationAdapter(net, catalog)
         decision = sim.next_decision()
         parts = adapter.build_parts(decision, sim)

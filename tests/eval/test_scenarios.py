@@ -10,9 +10,25 @@ from repro.eval.scenarios import (
     build_network,
     make_traffic_factory,
 )
+from repro.topology.network import Network
+from repro.topology.zoo import TOPOLOGY_NAMES
 
 
 class TestBuildNetwork:
+    @pytest.mark.parametrize("topology", TOPOLOGY_NAMES)
+    def test_base_scenario_builds_one_network(self, topology, monkeypatch):
+        built = []
+        init = Network.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["name"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "__init__", spy)
+        config = base_scenario(topology=topology)
+        assert built == [topology]
+        assert config.network.name == topology
+
     def test_paper_capacity_ranges(self):
         net = build_network(capacity_seed=0)
         assert all(0.0 <= net.node(n).capacity <= 2.0 for n in net.node_names)

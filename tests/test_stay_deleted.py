@@ -15,7 +15,8 @@ text report and the runtime no longer imports it.  The inference
 precision switch followed: every multi-row select decides on a certified
 float32 forward with a float64 fallback, so the dtype flag, its
 environment variable, its config fields and the near-tie tolerance are
-gone.  The names below may
+gone.  ``Network.with_endpoints`` followed: a network is built once,
+with its endpoints, and never rebuilt from another.  The names below may
 appear only here and in ``tests/test_not_configurable.py``;
 :func:`test_deleted_names_stay_out_of_the_tree` scans for them
 everywhere else.
@@ -172,7 +173,7 @@ DELETED_NAMES = {
         r"|chart_sweep|ActionAdapter|action_adapter|rl\.spaces|neighbor_node_ids"
         r"|record_decision|with_network|PhaseTimer|seed_timeout"
         r"|telemetry\.phases|analysis\.flow|analyze_paths|FLOW_RULES"
-        r"|build_program"
+        r"|build_program|with_endpoints"
     ),
     "fan-out": (
         r"task_recorders|to_acktr_config|stochastic_rules|set_target_weights"

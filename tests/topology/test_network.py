@@ -36,6 +36,21 @@ class TestNodeAndLink:
         with pytest.raises(ValueError, match="capacity"):
             Link("a", "b", capacity=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_node_rejects_non_finite_capacity(self, bad):
+        with pytest.raises(ValueError, match="node 'x': capacity"):
+            Node("x", capacity=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_link_rejects_non_finite_delay(self, bad):
+        with pytest.raises(ValueError, match=r"link \(a,b\): delay"):
+            Link("a", "b", delay=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_link_rejects_non_finite_capacity(self, bad):
+        with pytest.raises(ValueError, match=r"link \(a,b\): capacity"):
+            Link("a", "b", capacity=bad)
+
     def test_link_key_is_canonical(self):
         assert link_key("b", "a") == ("a", "b")
         assert Link("b", "a").key == ("a", "b")
@@ -145,7 +160,8 @@ class TestShortestPaths:
         assert net.diameter == pytest.approx(2.0)
 
     def test_deterministic_tie_break(self):
-        # Two equal-delay routes; the lexicographically smaller hop wins.
+        # Two equal-delay routes: x settles before y (same delay, smaller
+        # name), so x relaxes t first and y's equal route does not replace it.
         nodes = [Node(n) for n in ("s", "x", "y", "t")]
         links = [
             Link("s", "x", delay=1.0),
@@ -155,6 +171,24 @@ class TestShortestPaths:
         ]
         net = Network("diamond", nodes, links)
         assert net.next_hop("s", "t") == "x"
+
+    def test_tie_goes_to_the_first_settled_last_predecessor(self):
+        # Both routes to t cost 4.0.  The first hops a < b would pick a,
+        # but t's predecessors settle in (delay, name) order: q at 1.5
+        # before p at 3.0, so the route through q, and first hop b, wins.
+        nodes = [Node(n) for n in ("s", "a", "b", "p", "q", "t")]
+        links = [
+            Link("s", "a", delay=1.0),
+            Link("s", "b", delay=1.0),
+            Link("a", "p", delay=2.0),
+            Link("b", "q", delay=0.5),
+            Link("p", "t", delay=1.0),
+            Link("q", "t", delay=2.5),
+        ]
+        net = Network("two-routes", nodes, links)
+        assert net.shortest_path_delay("s", "t") == 4.0
+        assert net.next_hop("s", "t") == "b"
+        assert net.shortest_path("s", "t") == ["s", "b", "q", "t"]
 
 
 class TestDerivedQuantities:
@@ -173,13 +207,6 @@ class TestDerivedQuantities:
         name, nodes, edges, degrees = stats.as_row()
         assert name == "small" and nodes == 3 and edges == 2
         assert degrees == "1 / 2 / 1.33"
-
-    def test_with_endpoints(self):
-        net = small_net().with_endpoints(["a"], ["c"])
-        assert net.ingress == ("a",)
-        assert net.egress == ("c",)
-        # Original capacities preserved.
-        assert net.node("b").capacity == 2.0
 
 
 class TestEuclideanDelay:

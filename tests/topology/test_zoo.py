@@ -10,6 +10,7 @@ from repro.topology.zoo import (
     interroute,
     table1_stats,
     topology_by_name,
+    topology_layout,
 )
 
 PAPER_TABLE1 = {
@@ -52,6 +53,21 @@ def test_table1_stats_helper_covers_all():
 def test_topology_by_name_rejects_unknown():
     with pytest.raises(KeyError, match="available"):
         topology_by_name("Sprint")
+
+
+def test_topology_layout_rejects_unknown():
+    with pytest.raises(KeyError, match="available"):
+        topology_layout("Sprint")
+
+
+@pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+def test_layout_is_the_factory_network_without_capacities(name):
+    layout, net = topology_layout(name), topology_by_name(name)
+    assert layout.name == net.name
+    assert layout.node_names == net.node_names
+    assert [net.node(n).position for n in net.node_names] == [p for _, p in layout.nodes]
+    assert layout.link_keys == [link.key for link in net.links]
+    assert [delay for _, _, delay in layout.links] == [link.delay for link in net.links]
 
 
 class TestAbilene:
