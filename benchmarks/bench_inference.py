@@ -8,7 +8,7 @@ scenario, through the two calls that ship:
   per decision) — what per-node agents run.
 - *select(n)* for n in 1, 8, 32:
   :meth:`~repro.rl.policy.ActorCriticPolicy.select_actions` over ``n``
-  rows — one float32 :class:`~repro.nn.mlp.MLPInference` forward, its
+  rows of a frozen clone — one float32 forward of its cast, its
   certificate, and the float64 batch-1 forward for every row the
   certificate declines — exactly the per-round work of
   :class:`repro.rl.batched.BatchedEpisodeRunner` and the per-flush work
@@ -53,7 +53,6 @@ from _config import SCALE
 
 from repro.core.env import ServiceCoordinationEnv
 from repro.eval.scenarios import base_scenario
-from repro.nn.mlp import MLPInference
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.training import evaluate_policy
 from repro.serving.loadgen import collect_observation_pool
@@ -108,14 +107,15 @@ def serial_sweep(policy: ActorCriticPolicy, rows: np.ndarray):
 
 
 def batched_sweep(policy: ActorCriticPolicy, rows: np.ndarray, batch: int):
-    """The shipped select per chunk, on a float32 cast made once."""
-    inference = MLPInference(policy.actor, np.float32)
+    """The shipped select per chunk, on a frozen clone whose float32
+    cast ``freeze()`` made once."""
+    frozen = policy.clone().freeze()
     actions = np.empty(batch, dtype=np.intp)
 
     def sweep() -> None:
         for start in range(0, len(rows), batch):
             x = rows[start : start + batch]
-            policy.select_actions(x, actions[: len(x)], inference)
+            frozen.select_actions(x, actions[: len(x)])
 
     return sweep
 

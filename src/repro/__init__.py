@@ -15,7 +15,9 @@ Quickstart::
     import numpy as np
 
     scenario = base_scenario(pattern="poisson", num_ingress=2)
-    result = train_coordinator(scenario, TrainingConfig().quick())
+    result = train_coordinator(
+        scenario, TrainingConfig(seeds=(0, 1), updates_per_seed=25)
+    )
     traffic = scenario.traffic_factory(np.random.default_rng(0))
     sim = Simulator(scenario.network, scenario.catalog, traffic,
                     scenario.sim_config)

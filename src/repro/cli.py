@@ -29,20 +29,46 @@ __all__ = ["main", "build_parser"]
 
 
 def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=_positive_int, default=None,
                         help="worker processes for per-seed fan-out "
                              "(default: $REPRO_WORKERS, else serial)")
 
 
+# Numeric argument types: a bad value exits 2 with usage at parse time.
+# The guards are spelled ``not x > 0`` / ``not x >= 0`` so that NaN, for
+# which every comparison is false, fails them too.
 def _positive_int(text: str) -> int:
+    """A count: an integer >= 1."""
     value = int(text)
-    if value < 1:
+    if not value >= 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """A time or time span: a number > 0."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def _add_stat_interval_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--stat-interval", type=int, default=1,
+    parser.add_argument("--stat-interval", type=_positive_int, default=1,
                         help="refresh ACKTR's Kronecker-factor statistics "
                              "every N updates (1 = every update, the exact "
                              "historical behaviour; larger amortizes the "
@@ -84,11 +110,11 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pattern", default="poisson",
                         choices=["fixed", "poisson", "mmpp", "trace"],
                         help="flow arrival pattern (Fig. 6)")
-    parser.add_argument("--ingress", type=int, default=2,
+    parser.add_argument("--ingress", type=_positive_int, default=2,
                         help="number of ingress nodes v1..vk (1-5 in the paper)")
-    parser.add_argument("--deadline", type=float, default=100.0,
+    parser.add_argument("--deadline", type=_positive_float, default=100.0,
                         help="flow deadline tau_f")
-    parser.add_argument("--horizon", type=float, default=1000.0,
+    parser.add_argument("--horizon", type=_positive_float, default=1000.0,
                         help="simulated time span T")
     parser.add_argument("--capacity-seed", type=int, default=0,
                         help="seed of the random capacity assignment")
@@ -176,24 +202,24 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--policy", default=None,
                        help="trained policy (.npz); default: an untrained "
                             "seed-0 network of the scenario's dimensions")
-    serve.add_argument("--requests", type=int, default=2000,
+    serve.add_argument("--requests", type=_positive_int, default=2000,
                        help="requests to generate")
-    serve.add_argument("--rate", type=float, default=0.0,
+    serve.add_argument("--rate", type=_non_negative_float, default=0.0,
                        help="open-loop Poisson arrival rate in requests/sec; "
                             "0 = closed-loop saturation (peak throughput)")
-    serve.add_argument("--serve-batch", type=int, default=32,
+    serve.add_argument("--serve-batch", type=_positive_int, default=32,
                        help="micro-batch flush size B")
-    serve.add_argument("--serve-deadline-ms", type=float, default=2.0,
+    serve.add_argument("--serve-deadline-ms", type=_positive_float, default=2.0,
                        help="micro-batch latency deadline D in milliseconds")
-    serve.add_argument("--queue-capacity", type=int, default=None,
+    serve.add_argument("--queue-capacity", type=_positive_int, default=None,
                        help="queue-depth cap before load shedding "
                             "(default: 4x --serve-batch)")
-    serve.add_argument("--swap-every", type=int, default=0,
+    serve.add_argument("--swap-every", type=_non_negative_int, default=0,
                        help="hot-swap a cloned policy every N submissions "
                             "(0 = never); exercises flush-boundary swaps")
     serve.add_argument("--arrival-seed", type=int, default=0,
                        help="seed of the Poisson arrival process")
-    serve.add_argument("--pool", type=int, default=256,
+    serve.add_argument("--pool", type=_positive_int, default=256,
                        help="observation vectors harvested from the scenario "
                             "as request payloads")
     _add_telemetry_arg(serve)

@@ -22,46 +22,18 @@ is what allows training a single network from all agents' experience.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.services.service import ServiceCatalog
 from repro.sim.simulator import DecisionPoint, Simulator
 from repro.topology.network import Network
-from repro.traffic.flows import Flow
 
-__all__ = ["ObservationAdapter", "ObservationParts"]
+__all__ = ["ObservationAdapter"]
 
 #: Value marking dummy (non-existing) neighbors in padded observations.
 DUMMY = -1.0
-
-
-@dataclass(frozen=True)
-class ObservationParts:
-    """The five observation components, before concatenation.
-
-    Useful in tests and for interpretability: each part can be checked
-    against the paper's formulas independently.
-    """
-
-    flow_attributes: np.ndarray   # F_f, size 2
-    link_utilization: np.ndarray  # R^L_v, size Δ_G
-    node_utilization: np.ndarray  # R^V_v, size Δ_G + 1
-    delays_to_egress: np.ndarray  # D_{v,f}, size Δ_G
-    available_instances: np.ndarray  # X_v, size Δ_G + 1
-
-    def concatenate(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.flow_attributes,
-                self.link_utilization,
-                self.node_utilization,
-                self.delays_to_egress,
-                self.available_instances,
-            ]
-        )
 
 
 class ObservationAdapter:
@@ -82,10 +54,6 @@ class ObservationAdapter:
         # max_{v'' in V} cap_{v''}: node observations are normalised by the
         # network-wide maximum so agents can spot absolutely large nodes.
         self._max_node_capacity = max(network.max_node_capacity, 1e-12)
-        self._max_link_capacity = {
-            v: max(network.max_link_capacity_at(v), 1e-12)
-            for v in network.node_names
-        }
         # Cached neighbor tuples: build() assembles the row as a list of
         # python floats and writes it to its destination in one
         # assignment, instead of five parts plus their clipped/concatenated
@@ -99,7 +67,8 @@ class ObservationAdapter:
         # the observation needs; the arithmetic then runs on python floats
         # (via ``tolist``), which beats a pile of length-≤5 ufunc
         # dispatches while performing the exact same IEEE operations per
-        # element as the scalar reference in build_parts.
+        # element as the scalar, one-part-at-a-time reference the tests
+        # keep (tests/core/reference_observation.py).
         num_links = network.num_links
         self._node_tables: Dict[
             str, Tuple[int, np.ndarray, Tuple[float, ...], float, np.ndarray]
@@ -114,7 +83,7 @@ class ObservationAdapter:
                 ).astype(np.intp),
                 tuple(network.neighbor_link_capacities(v).tolist())
                 + tuple(network.self_and_neighbor_capacities(v).tolist()),
-                self._max_link_capacity[v],
+                max(network.max_link_capacity_at(v), 1e-12),
                 network.self_and_neighbor_ids(v),
             )
             for v in network.node_names
@@ -177,9 +146,10 @@ class ObservationAdapter:
     ) -> np.ndarray:
         """Observation vector for a pending decision.
 
-        Numerically identical to ``build_parts(...).concatenate()``, but
-        computed on python floats and written to the destination as one
-        row, with no per-part arrays.
+        Computed on python floats and written to the destination as one
+        row, with no per-part arrays; bitwise the concatenation of the
+        five parts computed one by one from their formulas (the oracle in
+        ``tests/core/reference_observation.py``).
 
         One hand-off for every driver: the driver owns the destination
         row and ``build`` writes into it — the training runner's rollout
@@ -207,7 +177,7 @@ class ObservationAdapter:
         # links, then the 1+k self-and-neighbor nodes), converted to
         # python floats: the per-element arithmetic below is then plain
         # float math — the exact same IEEE ops, in the same order, as the
-        # scalar reference implementations in build_parts.
+        # scalar reference the tests keep.
         loads = state.loads_vector[combo_ids].tolist()
 
         # Under fault injection the static capacity cache is replaced by
@@ -296,95 +266,3 @@ class ObservationAdapter:
 
         out[:] = values
         return out
-
-    def build_parts(self, decision: DecisionPoint, sim: Simulator) -> ObservationParts:
-        """The five observation components for a pending decision."""
-        flow, node, now = decision.flow, decision.node, decision.time
-        neighbors = self.network.neighbors(node)
-        pad = self.degree - len(neighbors)
-
-        return ObservationParts(
-            flow_attributes=self._flow_attributes(flow, now),
-            link_utilization=self._link_utilization(flow, node, neighbors, pad, sim),
-            node_utilization=self._node_utilization(flow, node, neighbors, pad, sim),
-            delays_to_egress=self._delays_to_egress(flow, node, neighbors, pad, now),
-            available_instances=self._available_instances(flow, node, neighbors, pad, sim),
-        )
-
-    # ------------------------------------------------------------------
-    # The five parts (Sec. IV-B1 a-e)
-    # ------------------------------------------------------------------
-
-    def _flow_attributes(self, flow: Flow, now: float) -> np.ndarray:
-        """F_f = <p̂_f, τ̂_f>: chain progress and normalised remaining time."""
-        return np.array(
-            [flow.progress, flow.normalized_remaining_time(now)], dtype=np.float64
-        )
-
-    def _link_utilization(
-        self, flow: Flow, node: str, neighbors: List[str], pad: int, sim: Simulator
-    ) -> np.ndarray:
-        """R^L_v: free rate minus λ_f per outgoing link, normalised by the
-        largest outgoing-link capacity; >= 0 iff the link can carry f."""
-        norm = self._max_link_capacity[node]
-        values = [
-            (sim.state.link_free(node, nb) - flow.data_rate) / norm
-            for nb in neighbors
-        ]
-        values.extend([DUMMY] * pad)
-        return np.clip(np.array(values, dtype=np.float64), -1.0, 1.0)
-
-    def _node_utilization(
-        self, flow: Flow, node: str, neighbors: List[str], pad: int, sim: Simulator
-    ) -> np.ndarray:
-        """R^V_v: free compute minus r_c(λ_f) at v and each neighbor,
-        normalised by the network-wide max node capacity; >= 0 iff the node
-        could process f's requested component."""
-        if flow.fully_processed:
-            demand = 0.0
-        else:
-            service = self.catalog.service(flow.service)
-            component = service.component_at(flow.component_index)
-            demand = component.resources(flow.data_rate)
-        values = [
-            (sim.state.node_free(v) - demand) / self._max_node_capacity
-            for v in [node] + neighbors
-        ]
-        values.extend([DUMMY] * pad)
-        return np.clip(np.array(values, dtype=np.float64), -1.0, 1.0)
-
-    def _delays_to_egress(
-        self, flow: Flow, node: str, neighbors: List[str], pad: int, now: float
-    ) -> np.ndarray:
-        """D_{v,f}: per neighbor v', the margin of the remaining deadline
-        over the shortest-path delay via v' to f's egress; < 0 means
-        forwarding via v' cannot possibly meet the deadline."""
-        remaining = flow.remaining_time(now)
-        values = []
-        for nb in neighbors:
-            via = self.network.link(node, nb).delay + self.network.shortest_path_delay(
-                nb, flow.egress
-            )
-            if remaining <= 0 or not np.isfinite(via):
-                values.append(-1.0)
-            else:
-                values.append(max(-1.0, (remaining - via) / remaining))
-        values.extend([DUMMY] * pad)
-        return np.array(values, dtype=np.float64)
-
-    def _available_instances(
-        self, flow: Flow, node: str, neighbors: List[str], pad: int, sim: Simulator
-    ) -> np.ndarray:
-        """X_v: 1 where an instance of the requested component is placed at
-        v / its neighbors (always 0 once the flow is fully processed)."""
-        if flow.fully_processed:
-            values = [0.0] * (1 + len(neighbors))
-        else:
-            service = self.catalog.service(flow.service)
-            component = service.component_at(flow.component_index)
-            values = [
-                1.0 if sim.state.has_instance(v, component.name) else 0.0
-                for v in [node] + neighbors
-            ]
-        values.extend([DUMMY] * pad)
-        return np.array(values, dtype=np.float64)

@@ -66,13 +66,6 @@ class TrainingConfig:
     eval_episodes: int = 1
     workers: Optional[int] = None
 
-    def quick(self) -> "TrainingConfig":
-        """A laptop-scale variant (fewer seeds/updates) for tests and the
-        default bench configuration; same algorithm, smaller budget."""
-        from dataclasses import replace
-
-        return replace(self, seeds=(0, 1), updates_per_seed=25)
-
 
 @dataclass
 class TrainingResult:

@@ -5,7 +5,7 @@ from repro.nn.init import orthogonal, xavier_uniform, zeros
 from repro.nn.kfac import KFAC
 from repro.nn.layers import Activation, Dense, Identity, ReLU, Tanh
 from repro.nn.mlp import MLP
-from repro.nn.optim import SGD, Optimizer, RMSprop, clip_grads_by_norm
+from repro.nn.optim import Optimizer, RMSprop, clip_grads_by_norm
 
 __all__ = [
     "Categorical",
@@ -21,7 +21,6 @@ __all__ = [
     "ReLU",
     "Tanh",
     "MLP",
-    "SGD",
     "Optimizer",
     "RMSprop",
     "clip_grads_by_norm",

@@ -86,10 +86,6 @@ class Categorical:
         """Shannon entropy per row."""
         return -(self.probs * self.log_probs).sum(axis=-1)
 
-    def kl_divergence(self, other: "Categorical") -> np.ndarray:
-        """``KL(self || other)`` per row (used for the ACKTR trust region)."""
-        return (self.probs * (self.log_probs - other.log_probs)).sum(axis=-1)
-
     # ------------------------------------------------------------------
     # Analytic gradients (all w.r.t. the logits, per batch row)
     # ------------------------------------------------------------------

@@ -137,9 +137,6 @@ class Dense:
         self.grad = self.last_input_aug.T @ dz_pair[batch:]
         return dz_pair @ self.weight[:-1].T
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.weight)
-
 
 class Activation:
     """Base class for parameter-free elementwise activations."""

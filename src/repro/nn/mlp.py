@@ -208,10 +208,6 @@ class MLP:
             grad = dense.backward_pair(grad)
         return grad
 
-    def zero_grad(self) -> None:
-        for dense in self.dense_layers:
-            dense.zero_grad()
-
     # ------------------------------------------------------------------
 
     @property
@@ -239,9 +235,6 @@ class MLP:
                     f"parameter shape mismatch: {new.shape} vs {dense.weight.shape}"
                 )
             dense.weight = new.copy()
-
-    def copy_parameters(self) -> List[np.ndarray]:
-        return [w.copy() for w in self.parameters]
 
     # ------------------------------------------------------------------
 
@@ -349,12 +342,14 @@ class MLPInference:
         computes for the same batch — same ufuncs, same GEMM — and reads
         the live weight references on every forward, so it tracks both
         in-place optimiser updates and ``set_parameters`` rebinding.
-        ``np.float32`` casts the weights once (:meth:`refresh_weights`
-        re-casts) and runs the whole forward in single precision —
-        roughly 2x less memory traffic.  Its logits differ from float64
-        ones by at most :attr:`logit_bound`, which is what lets
-        :meth:`certified_argmax` answer exactly the float64 argmax or
-        decline.
+        ``np.float32`` casts the weights once, at construction, and runs
+        the whole forward in single precision — roughly 2x less memory
+        traffic.  Its logits differ from float64 ones by at most
+        :attr:`logit_bound`, which is what lets :meth:`certified_argmax`
+        answer exactly the float64 argmax or decline — for as long as
+        the weights it was cast from hold still, which is why
+        ``ActorCriticPolicy.freeze`` makes the only such cast, on
+        read-only weights.
     """
 
     def __init__(self, mlp: MLP, dtype: Any = np.float64) -> None:
@@ -367,31 +362,16 @@ class MLPInference:
         self._capacity = 0
         self._aug: List[np.ndarray] = []
         self._out: List[np.ndarray] = []
-        self.rebind(mlp)
-
-    def rebind(self, mlp: MLP) -> None:
-        """Serve ``mlp`` from now on; the workspaces stay when its layer
-        shapes are the current network's."""
-        if [w.shape for w in mlp.parameters] != [w.shape for w in self.mlp.parameters]:
-            self._capacity = 0
-        self.mlp = mlp
         # Per-width (input rows, per-layer steps): views sliced once.
         self._plans: Dict[int, Tuple[np.ndarray, List[Tuple[Any, ...]]]] = {}
-        self.refresh_weights()
-
-    def refresh_weights(self) -> None:
-        """Re-snapshot weights: float32 mode casts them and computes
-        :attr:`logit_bound` from the same weights; float64 mode reads the
-        live references on every forward and needs no refresh."""
-        if self.dtype == np.dtype(np.float64):
-            self._weights: Optional[List[np.ndarray]] = None
-            #: float32 mode: :func:`logit_error_bound` of the weights the
-            #: last cast read; float64 mode: ``None``.
-            self.logit_bound: Optional[np.ndarray] = None
-            return
-        self._weights = [d.weight.astype(self.dtype) for d in self.mlp.dense_layers]
-        self.logit_bound = logit_error_bound(self.mlp)
-        self._certificate = list(enumerate(self.logit_bound.tolist()))
+        #: float32 mode: :func:`logit_error_bound` of the weights the cast
+        #: read; float64 mode: ``None``.
+        self.logit_bound: Optional[np.ndarray] = None
+        self._weights: Optional[List[np.ndarray]] = None
+        if self.dtype == np.dtype(np.float32):
+            self._weights = [d.weight.astype(self.dtype) for d in mlp.dense_layers]
+            self.logit_bound = logit_error_bound(mlp)
+            self._certificate = list(enumerate(self.logit_bound.tolist()))
 
     def certified_argmax(
         self, x: np.ndarray, actions: Optional[np.ndarray] = None

@@ -1,9 +1,8 @@
 """First-order optimisers over lists of parameter arrays.
 
-The paper trains with RMSprop; SGD (with momentum) is the first-order
-reference the K-FAC tests compare against.  Optimisers mutate the
-parameter arrays in place (the arrays are shared with the
-:class:`~repro.nn.mlp.MLP` layers).
+The paper trains with RMSprop (A2C) and K-FAC (ACKTR, ``repro.nn.kfac``).
+Optimisers mutate the parameter arrays in place (the arrays are shared
+with the :class:`~repro.nn.mlp.MLP` layers).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "RMSprop", "clip_grads_by_norm"]
+__all__ = ["Optimizer", "RMSprop", "clip_grads_by_norm"]
 
 
 def clip_grads_by_norm(grads: Sequence[np.ndarray], max_norm: float) -> float:
@@ -49,31 +48,6 @@ class Optimizer:
 
     def _step(self, grads: List[np.ndarray]) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Plain / momentum SGD."""
-
-    def __init__(
-        self,
-        params: Sequence[np.ndarray],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p) for p in self.params]
-
-    def _step(self, grads: List[np.ndarray]) -> None:
-        for p, g, v in zip(self.params, grads, self._velocity):
-            if self.momentum:
-                v *= self.momentum
-                v += g
-                p -= self.lr * v
-            else:
-                p -= self.lr * g
 
 
 class RMSprop(Optimizer):

@@ -249,12 +249,12 @@ class A2CTrainer:
             logits, values, actions, returns, advantages
         )
         self.policy.actor.backward(dlogits)
-        actor_grads = [d.grad for d in self.policy.actor.dense_layers]
+        actor_grads = self.policy.actor.gradients
         stats.grad_norm = clip_grads_by_norm(actor_grads, self.config.max_grad_norm)
         self.actor_optimizer.step(actor_grads)
 
         self.policy.critic.backward(dvalues)
-        critic_grads = [d.grad for d in self.policy.critic.dense_layers]
+        critic_grads = self.policy.critic.gradients
         clip_grads_by_norm(critic_grads, self.config.max_grad_norm)
         self.critic_optimizer.step(critic_grads)
         return stats
@@ -284,10 +284,3 @@ class A2CTrainer:
     def _train_phase_fields(self, prof: PhaseAccumulator) -> Dict[str, Any]:
         """Trainer-specific payload of the ``train_phases`` record."""
         return dict(prof.phases)
-
-    def mean_recent_episode_reward(self, window: int = 20) -> float:
-        """Mean total reward over the last ``window`` finished episodes."""
-        recent = self.episode_history[-window:]
-        if not recent:
-            return float("-inf")
-        return float(np.mean([e.total_reward for e in recent]))

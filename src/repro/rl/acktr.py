@@ -120,7 +120,7 @@ def _network_update(
         network.backward(loss_dout)
         fisher_seconds = t1 - t0
         grad_seconds = time.perf_counter() - t1
-    kfac.step([d.grad for d in network.dense_layers])
+    kfac.step(network.gradients)
     return fisher_seconds, grad_seconds
 
 

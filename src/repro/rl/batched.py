@@ -52,7 +52,6 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.invariants import InvariantViolation
-from repro.nn.mlp import MLPInference
 from repro.rl.policy import ActorCriticPolicy
 from repro.telemetry import NULL_RECORDER, Recorder
 
@@ -139,7 +138,8 @@ class BatchedEpisodeRunner:
     """Advance M evaluation episodes in lockstep with batched inference.
 
     Args:
-        policy: The actor-critic policy to evaluate.
+        policy: The actor-critic policy to evaluate; the runner plays a
+            frozen clone of it (:meth:`ActorCriticPolicy.freeze`).
         env: Template environment implementing the episode-replay
             protocol (see :func:`supports_batched_evaluation`).  The
             runner consumes the env's next ``episodes`` episode indices
@@ -167,15 +167,13 @@ class BatchedEpisodeRunner:
                 "protocol required for batched evaluation "
                 f"(needs {', '.join(_REPLAY_PROTOCOL)})"
             )
-        self.policy = policy
+        # A frozen snapshot, as a deployment runs: its float32 cast
+        # decides every round, and the caller's policy stays writable.
+        self.policy = policy.clone().freeze()
         self.env = env
         self.episodes = episodes
         self.batch = batch
         self.recorder = recorder
-        # The policy's weights are cast once here: evaluation runs after
-        # the trainer's last update has joined, so they cannot change
-        # under the run.
-        self._inference = MLPInference(policy.actor, np.float32)
 
     # ------------------------------------------------------------------
 
@@ -253,7 +251,7 @@ class BatchedEpisodeRunner:
         # select, so bound methods, per-width views and counters are
         # locals: ~1.8 us per decision, the difference between one slot
         # trailing a bare act_single loop and matching it (DESIGN §7).
-        inference, select = self._inference, self.policy.select_actions
+        select = self.policy.select_actions
         clock = time.perf_counter
         forward_seconds = 0.0
         rounds = decisions = fallbacks = 0
@@ -265,7 +263,7 @@ class BatchedEpisodeRunner:
                 chosen = actions[:live]
                 order = range(live - 1, -1, -1)
             t0 = clock()
-            fallbacks += select(x, chosen, inference)
+            fallbacks += select(x, chosen)
             forward_seconds += clock() - t0
             rounds += 1
             decisions += live

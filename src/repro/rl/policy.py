@@ -60,7 +60,8 @@ class ActorCriticPolicy:
         self._workspace: Optional[MLPInference] = None
         #: float32 actor workspace whose :meth:`~MLPInference.certified_argmax`
         #: decides for a frozen policy (see :meth:`freeze`); ``None`` for a
-        #: writable one, whose weights a cast could go stale against.
+        #: writable one, whose weights a cast could go stale against, and
+        #: for a frozen one without a finite bound (non-tanh hidden layers).
         self.certified_workspace: Optional[MLPInference] = None
         self._sanitize = invariants_enabled()
 
@@ -117,7 +118,7 @@ class ActorCriticPolicy:
             action = certified.certified_argmax(obs)
             if action >= 0:
                 if self._sanitize:
-                    self.cross_check(obs.reshape(1, -1), (action,), certified)
+                    self.cross_check(obs.reshape(1, -1), (action,))
                 return action
         return int(self.logits_single(obs).argmax())
 
@@ -137,50 +138,51 @@ class ActorCriticPolicy:
             rows[0] = obs
         return workspace.forward(rows)[0]
 
-    def select_actions(
-        self, x: np.ndarray, actions: np.ndarray, inference: MLPInference
-    ) -> int:
+    def select_actions(self, x: np.ndarray, actions: np.ndarray) -> int:
         """Fill ``actions[j]`` with the greedy action :meth:`act_single`
         answers for row ``x[j]`` — the select every multi-row driver
         (lockstep evaluation, serving flushes) runs.  Returns how many
         rows the float64 forward decided.
 
         ``x`` is the ``(n, obs_dim)`` float64 rows the driver built, in a
-        buffer it owns; ``inference`` is a float32 cast of this actor that
-        the driver made once.  One float32 forward runs over all rows, and
+        buffer it owns.  A frozen policy runs one float32 forward of its
+        :attr:`certified_workspace` over all rows, and
         :meth:`~repro.nn.mlp.MLPInference.certified_argmax` keeps a row's
         answer only where its error bound proves it is the float64 argmax.
-        Every other row is decided by :meth:`logits_single`, the float64
-        batch-1 forward, which overwrites :attr:`workspace`'s input row —
-        so ``x`` must not be that row.  Under ``REPRO_CHECK_INVARIANTS``
-        every certified row is re-decided there too.
+        Every other row — every row of a policy without that workspace —
+        is decided by :meth:`logits_single`, the float64 batch-1 forward,
+        which overwrites :attr:`workspace`'s input row, so ``x`` must not
+        be that row.  Under ``REPRO_CHECK_INVARIANTS`` every certified row
+        is re-decided there too.
         """
-        declined = inference.certified_argmax(x, actions)
-        if self._sanitize:
-            self.cross_check(x, actions, inference)
+        certified = self.certified_workspace
+        if certified is None:
+            declined = len(x)
+            actions.fill(-1)
+        else:
+            declined = certified.certified_argmax(x, actions)
+            if self._sanitize:
+                self.cross_check(x, actions)
         if declined:
             for j in np.flatnonzero(actions < 0).tolist():
                 actions[j] = self.logits_single(x[j]).argmax()
         return declined
 
-    def cross_check(
-        self,
-        x: np.ndarray,
-        actions: Sequence[int],
-        inference: MLPInference,
-    ) -> None:
-        """Sanitizer: re-decide every certified answer (``actions[j] >=
-        0`` for row ``x[j]`` of the ``(n, obs_dim)`` rows ``x``) through
-        the float64 :meth:`logits_single`; a disagreement raises
+    def cross_check(self, x: np.ndarray, actions: Sequence[int]) -> None:
+        """Sanitizer: re-decide every answer :attr:`certified_workspace`
+        certified (``actions[j] >= 0`` for row ``x[j]`` of the
+        ``(n, obs_dim)`` rows ``x``) through the float64
+        :meth:`logits_single`; a disagreement raises
         :class:`~repro.analysis.invariants.InvariantViolation` naming the
         row, both actions, the float32 margin and δ."""
+        certified = cast(MLPInference, self.certified_workspace)
         for j, action in enumerate(np.asarray(actions).tolist()):
             if action < 0:
                 continue
             exact = int(self.logits_single(x[j]).argmax())
             if exact != action:
-                logits = inference.forward(x)[j]
-                bound = cast(np.ndarray, inference.logit_bound)
+                logits = certified.forward(x)[j]
+                bound = cast(np.ndarray, certified.logit_bound)
                 raise InvariantViolation(
                     "certified float32 decision differs from the float64 one",
                     row=j,
@@ -227,9 +229,14 @@ class ActorCriticPolicy:
         of a shared deployment snapshot.  Because the weights can no
         longer change, their float32 cast cannot go stale: it becomes
         :attr:`certified_workspace` when its logit bound is finite (tanh
-        hidden layers).  :meth:`clone` of a frozen policy is writable
-        again and has no cast.
+        hidden layers).  This is the only place that cast is made.
+        Freezing a frozen policy changes nothing, so its cast and that
+        cast's :attr:`~repro.nn.mlp.MLPInference.fallbacks` count stay.
+        :meth:`clone` of a frozen policy is writable again and has no
+        cast.
         """
+        if not self.actor.parameters[0].flags.writeable:
+            return self
         for weight in self.actor.parameters + self.critic.parameters:
             weight.setflags(write=False)
         certified = MLPInference(self.actor, np.float32)

@@ -114,18 +114,6 @@ class Service:
         """The ``index``-th component of the chain (0-based)."""
         return self.components[index]
 
-    def index_of(self, component_name: str) -> int:
-        """Position of ``component_name`` in the chain (ValueError if absent)."""
-        for i, comp in enumerate(self.components):
-            if comp.name == component_name:
-                return i
-        raise ValueError(f"component {component_name!r} not in service {self.name!r}")
-
-    def total_processing_delay(self) -> float:
-        """Sum of all per-component processing delays — the minimum time a
-        flow spends in processing regardless of placement."""
-        return sum(c.processing_delay for c in self.components)
-
 
 class ServiceCatalog:
     """Registry of all services offered in a scenario.

@@ -28,12 +28,13 @@ Weight hot-swap
 lock-guarded); the engine applies it **at the start of the next flush**,
 never mid-batch, so every response of one flush carries one
 ``policy_version`` and queued requests are neither dropped nor
-reordered by a swap.  The float32 cast of the new actor is made inside
-:meth:`install`, so applying the swap is a pointer exchange, and the
-actor's weight arrays are marked read-only there, so the engine serves
-the weights a policy held when it was installed: install a snapshot (a
-``clone()``), not a policy that keeps training.  This is
-the policy-synchronization hook for coordinators that keep serving
+reordered by a swap.  :meth:`install` freezes the new policy in place
+(``policy.freeze()``, which makes its float32 cast once and marks its
+weights read-only), so applying the swap is a pointer exchange and the
+engine serves the weights a policy held when it was installed: install
+a snapshot (a ``clone()``), not a policy that keeps training.
+Re-installing a policy the engine already froze costs no cast.  This
+is the policy-synchronization hook for coordinators that keep serving
 while training continues elsewhere.
 
 Backpressure
@@ -62,7 +63,6 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.invariants import InvariantViolation
-from repro.nn.mlp import MLPInference
 from repro.rl.policy import ActorCriticPolicy
 from repro.serving.queue import RingBufferQueue
 from repro.serving.records import Decision, ServingStats
@@ -123,7 +123,8 @@ class ServingEngine:
 
     Args:
         policy: Initial policy (version 0); swap with :meth:`install`.
-            Its actor's weight arrays are marked read-only.
+            It is frozen in place (:meth:`ActorCriticPolicy.freeze`),
+            never cloned.
         config: Batching/deadline/backpressure knobs.
         clock: Monotonic time source (seconds).  Injectable so tests
             drive the deadline trigger deterministically; defaults to
@@ -142,12 +143,9 @@ class ServingEngine:
         self.clock = clock
         self.recorder = recorder
         self.stats = ServingStats()
-        self._policy = policy
-        self._inference = self._cast(policy)
+        self._policy = self._freeze(policy)
         self._version = 0
-        self._staged: Optional[
-            Tuple[ActorCriticPolicy, MLPInference, Optional[int]]
-        ] = None
+        self._staged: Optional[Tuple[ActorCriticPolicy, Optional[int]]] = None
         self._swap_lock = threading.Lock()
         self._queue = RingBufferQueue(
             config.effective_queue_capacity, policy.obs_dim
@@ -161,19 +159,16 @@ class ServingEngine:
         self._rows = np.empty((config.max_batch, policy.obs_dim))
         self._actions = np.empty(config.max_batch, dtype=np.intp)
 
-    def _cast(self, policy: ActorCriticPolicy) -> MLPInference:
-        """The float32 workspace a flush serves ``policy`` from, cast from
-        its current weights and sized for a full batch.
-
-        The actor's weight arrays are marked read-only first: the rows
-        the cast declines are decided by the float64 forward on
-        ``policy`` itself, so an in-place write would split one flush
-        between two weight sets.  It raises ``ValueError`` instead."""
-        for weight in policy.actor.parameters:
-            weight.setflags(write=False)
-        inference = MLPInference(policy.actor, np.float32)
-        inference.input_rows(self.config.max_batch)
-        return inference
+    def _freeze(self, policy: ActorCriticPolicy) -> ActorCriticPolicy:
+        """``policy.freeze()``, with its float32 cast sized for a full
+        batch.  The rows the cast declines are decided by the float64
+        forward on ``policy`` itself, so an in-place write would split
+        one flush between two weight sets; it raises ``ValueError``
+        instead."""
+        certified = policy.freeze().certified_workspace
+        if certified is not None:
+            certified.input_rows(self.config.max_batch)
+        return policy
 
     # ------------------------------------------------------------------
 
@@ -267,12 +262,12 @@ class ServingEngine:
         the new policy (default: current version + 1 at apply time).
         Staging twice between flushes keeps only the latest policy.
 
-        The actor is cast to float32 here, outside the swap lock, and its
-        weight arrays are marked read-only, so every row of a flush —
-        certified by the cast or decided in float64 on ``policy`` itself —
-        is served by the weights ``policy`` holds now.  Install a snapshot
-        (a ``clone()``), not a policy that keeps training: an in-place
-        write to an installed actor raises ``ValueError``."""
+        ``policy`` is frozen here, in place and outside the swap lock, so
+        every row of a flush — certified by its float32 cast or decided in
+        float64 on ``policy`` itself — is served by the weights ``policy``
+        holds now.  Install a snapshot (a ``clone()``), not a policy that
+        keeps training: an in-place write to an installed policy raises
+        ``ValueError``.  Re-installing a frozen policy makes no cast."""
         if (
             policy.obs_dim != self._policy.obs_dim
             or policy.num_actions != self._policy.num_actions
@@ -282,9 +277,9 @@ class ServingEngine:
                 f"{self._policy.num_actions} actions) vs installed "
                 f"({policy.obs_dim} obs, {policy.num_actions} actions)"
             )
-        inference = self._cast(policy)
+        self._freeze(policy)
         with self._swap_lock:
-            self._staged = (policy, inference, version)
+            self._staged = (policy, version)
 
     def _apply_staged_swap(self) -> None:
         with self._swap_lock:
@@ -292,7 +287,7 @@ class ServingEngine:
             self._staged = None
         if staged is None:
             return
-        self._policy, self._inference, version = staged
+        self._policy, version = staged
         self._version = self._version + 1 if version is None else version
         self.stats.swaps += 1
 
@@ -310,9 +305,7 @@ class ServingEngine:
         first_id = self._next_id - len(self._queue) - n
         actions = self._actions[:n]
         f0 = self.clock()
-        tie_fallbacks = self._policy.select_actions(
-            self._rows[:n], actions, self._inference
-        )
+        tie_fallbacks = self._policy.select_actions(self._rows[:n], actions)
         forward_seconds = self.clock() - f0
         completion = self.clock()
         flush_index = self._flush_index

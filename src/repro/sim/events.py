@@ -142,13 +142,6 @@ class EventQueue:
                 return event
         return None
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest non-cancelled event, or None when empty."""
-        while self._heap and self._heap[0][2]._cancelled:
-            _, _, event = heapq.heappop(self._heap)
-            event._queue = None
-        return self._heap[0][0] if self._heap else None
-
     def has_due(self, now: float) -> bool:
         """True when an entry is queued at or before ``now``.
 
@@ -165,9 +158,9 @@ class EventQueue:
     def pop_due(self, horizon: float) -> Optional[Event]:
         """Pop the earliest live event with ``time <= horizon``, or None.
 
-        Equivalent to ``peek_time()`` followed by ``pop()`` but in a
-        single heap pass; an event beyond the horizon stays queued.  This
-        is the simulator's per-event fast path.
+        Cancelled entries at the head are dropped on the way, in a single
+        heap pass; an event beyond the horizon stays queued.  This is the
+        simulator's per-event fast path.
         """
         heap = self._heap
         while heap:

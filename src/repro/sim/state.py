@@ -112,8 +112,6 @@ class NetworkState:
         )
         self._link_loads = self._loads[: network.num_links]
         self._node_loads = self._loads[network.num_links :]
-        self._peak_node_loads = np.zeros(network.num_nodes, dtype=np.float64)
-        self._peak_link_loads = np.zeros(network.num_links, dtype=np.float64)
         self._instances: Dict[Tuple[str, str], InstanceState] = {}
         # Per-component instance-presence arrays (1.0 where an instance of
         # the component is placed, indexed by node id); created lazily on
@@ -193,50 +191,22 @@ class NetworkState:
         i = self._node_index[node]
         return float(self._node_caps[i] - self._node_loads[i])
 
-    def link_load(self, u: str, v: str) -> float:
-        """Current total data rate ``r_l(t)`` on the undirected link (u, v)."""
-        return float(self._link_loads[self._link_index[link_key(u, v)]])
-
     def link_free(self, u: str, v: str) -> float:
         """Remaining data rate on the undirected link (u, v)."""
         i = self._link_index[link_key(u, v)]
         return float(self._link_caps[i] - self._link_loads[i])
 
-    @property
-    def peak_node_load(self) -> Dict[str, float]:
-        """Peak node loads observed, by name (metrics / capacity planning)."""
-        peaks = self._peak_node_loads
-        return {
-            name: float(peaks[i]) for name, i in self._node_index.items()
-        }
-
-    @property
-    def peak_link_load(self) -> Dict[Tuple[str, str], float]:
-        """Peak link loads observed, by canonical link key."""
-        peaks = self._peak_link_loads
-        return {
-            key: float(peaks[i]) for key, i in self._link_index.items()
-        }
-
     # ------------------------------------------------------------------
     # Allocation / release
     # ------------------------------------------------------------------
 
-    def allocate_node(self, node: str, amount: float, flow_id: int) -> Allocation:
-        """Reserve ``amount`` compute at ``node`` for ``flow_id``.
+    def allocate_node_id(self, node_id: int, amount: float, flow_id: int) -> Allocation:
+        """Reserve ``amount`` compute at node ``node_id`` for ``flow_id``.
 
         Raises :class:`CapacityError` when the node cannot hold it —
         callers translate that into a dropped flow, matching the paper's
-        "when exceeding this capacity, flows ... are dropped".
-        """
-        if amount < 0:
-            raise ValueError(f"allocation amount must be >= 0, got {amount}")
-        return self.allocate_node_id(self._node_index[node], amount, flow_id)
-
-    def allocate_node_id(self, node_id: int, amount: float, flow_id: int) -> Allocation:
-        """:meth:`allocate_node` by integer node id (simulator hot path).
-
-        Each array slot is read once with ``.item()`` and written once;
+        "when exceeding this capacity, flows ... are dropped".  Each array
+        slot is read once with ``.item()`` and written once;
         the add and the comparisons in between run on Python floats,
         which are the same IEEE-754 doubles the ndarray ``+=`` operates
         on, so the stored loads are bitwise what in-place array
@@ -254,21 +224,13 @@ class NetworkState:
                 f"exceeds capacity {capacity:.4f}"
             )
         loads[node_id] = new_load
-        peaks = self._peak_node_loads
-        if new_load > peaks.item(node_id):
-            peaks[node_id] = new_load
         return Allocation(
             "node", self._node_names[node_id], amount, flow_id, False, node_id
         )
 
-    def allocate_link(self, u: str, v: str, rate: float, flow_id: int) -> Allocation:
-        """Reserve ``rate`` on link (u, v); :class:`CapacityError` if full."""
-        if rate < 0:
-            raise ValueError(f"allocation rate must be >= 0, got {rate}")
-        return self.allocate_link_id(self._link_index[link_key(u, v)], rate, flow_id)
-
     def allocate_link_id(self, link_id: int, rate: float, flow_id: int) -> Allocation:
-        """:meth:`allocate_link` by integer link id (simulator hot path)."""
+        """Reserve ``rate`` on link ``link_id`` for ``flow_id``;
+        :class:`CapacityError` if it is full."""
         loads = self._link_loads
         load = loads.item(link_id)
         capacity = self._link_caps.item(link_id)
@@ -279,9 +241,6 @@ class NetworkState:
                 f"exceeds capacity {capacity:.4f}"
             )
         loads[link_id] = new_load
-        peaks = self._peak_link_loads
-        if new_load > peaks.item(link_id):
-            peaks[link_id] = new_load
         return Allocation(
             "link", self._link_keys[link_id], rate, flow_id, False, link_id
         )
@@ -326,10 +285,6 @@ class NetworkState:
     # ------------------------------------------------------------------
     # Instances (scaling & placement state x_{c,v})
     # ------------------------------------------------------------------
-
-    def has_instance(self, node: str, component: str) -> bool:
-        """``x_{c,v}(t)`` — is an instance of ``component`` placed at ``node``?"""
-        return (node, component) in self._instances
 
     def instance_presence(self, component: str) -> Optional[np.ndarray]:
         """Presence vector of ``component`` indexed by node id (1.0 where an

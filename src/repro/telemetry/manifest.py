@@ -102,10 +102,6 @@ class TelemetryRun:
     manifest: RunManifest
     recorder: JsonlRecorder
 
-    @property
-    def stream_path(self) -> Path:
-        return self.recorder.path
-
     def close(self) -> None:
         self.recorder.close()
 

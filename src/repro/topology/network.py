@@ -21,8 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.invariants import InvariantViolation
-
 
 @dataclass(frozen=True)
 class Node:
@@ -292,10 +290,6 @@ class Network:
         """Node name for an integer node id (insertion order)."""
         return self._node_name_list[node_id]
 
-    def link_key_at(self, link_id: int) -> Tuple[str, str]:
-        """Canonical link key for an integer link id (insertion order)."""
-        return self._link_key_list[link_id]
-
     @property
     def node_capacities(self) -> np.ndarray:
         """Node capacities indexed by node id.  Treat as read-only."""
@@ -385,28 +379,6 @@ class Network:
         """
         hop = self._next_hop.item(self.node_index[source], self.node_index[target])
         return None if hop < 0 else self._node_name_list[hop]
-
-    def shortest_path(self, source: str, target: str) -> List[str]:
-        """Full node sequence of the delay-shortest path, inclusive of both ends.
-
-        Raises ``ValueError`` when ``target`` is unreachable from ``source``.
-        """
-        if source == target:
-            return [source]
-        if not math.isfinite(self.shortest_path_delay(source, target)):
-            raise ValueError(f"{target!r} is unreachable from {source!r}")
-        path = [source]
-        current = source
-        while current != target:
-            nxt = self.next_hop(current, target)
-            if nxt is None:
-                raise InvariantViolation(
-                    "next_hop dead-ended on a path proven reachable",
-                    source=source, target=target, at=current,
-                )
-            path.append(nxt)
-            current = nxt
-        return path
 
     def is_connected(self) -> bool:
         """True when every node can reach every other node."""

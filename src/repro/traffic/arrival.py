@@ -52,18 +52,6 @@ class ArrivalProcess(ABC):
     def next_arrival(self, after: float) -> Optional[float]:
         """Absolute time of the next arrival strictly after ``after``."""
 
-    def arrivals_until(self, horizon: float) -> List[float]:
-        """All arrival times in ``(0, horizon]`` — convenience for tests."""
-        times: List[float] = []
-        t = 0.0
-        while True:
-            nxt = self.next_arrival(t)
-            if nxt is None or nxt > horizon:
-                break
-            times.append(nxt)
-            t = nxt
-        return times
-
 
 class FixedArrival(ArrivalProcess):
     """Deterministic arrivals every ``interval`` time steps.

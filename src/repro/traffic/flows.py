@@ -183,14 +183,6 @@ class Flow:
         """``τ^t_f`` — time left until the deadline (may be negative)."""
         return self.deadline - (now - self.arrival_time)
 
-    def normalized_remaining_time(self, now: float) -> float:
-        """``τ̂_f = τ^t_f / τ_f ∈ [0, 1]`` (observation F_f), clipped at 0."""
-        return max(0.0, self.remaining_time(now) / self.deadline)
-
-    def expired(self, now: float) -> bool:
-        """True once ``τ^t_f <= 0`` — the flow missed its deadline."""
-        return self.remaining_time(now) <= 0.0
-
     def end_to_end_delay(self) -> Optional[float]:
         """``d_f = t^out_f - t^in_f`` once finished; None while active."""
         if self.finish_time is None:

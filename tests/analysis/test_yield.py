@@ -54,8 +54,8 @@ MUTATIONS: Dict[str, Tuple[str, List[Tuple[str, str]]]] = {
     "REP005": (
         "src/repro/traffic/flows.py",
         [(
-            "        return self.remaining_time(now) <= 0.0\n",
-            "        return self.remaining_time(now) == 0.0\n",
+            "        if not (self.deadline > 0):\n",
+            "        if self.deadline == 0.0:\n",
         )],
     ),
     "REP006": (

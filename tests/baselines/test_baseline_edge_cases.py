@@ -7,7 +7,12 @@ from repro.baselines.gcasp import GCASPPolicy
 from repro.rl.policy import ActorCriticPolicy
 from repro.topology import Link, Network, Node, line_network
 
-from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
+from tests.conftest import (
+    make_flow_specs,
+    make_simple_catalog,
+    make_simulator,
+    record_peaks,
+)
 
 
 class TestGCASPLoopAvoidance:
@@ -77,6 +82,7 @@ class TestRuleExecutorSpillMemory:
         executor = RuleExecutor(net, catalog)
         executor.set_targets({"c1": "v1"})  # target cannot host anything
         sim = make_simulator(net, catalog, make_flow_specs([1.0], egress="v3"))
+        peaks = record_peaks(sim.state)
         metrics = sim.run(executor)
         assert metrics.flows_succeeded == 1
-        assert sim.state.peak_node_load["v2"] > 0.0
+        assert peaks.node["v2"] > 0.0

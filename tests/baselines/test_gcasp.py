@@ -4,7 +4,12 @@
 from repro.baselines.gcasp import GCASPPolicy
 from repro.topology import Link, Network, Node, line_network
 
-from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
+from tests.conftest import (
+    make_flow_specs,
+    make_simple_catalog,
+    make_simulator,
+    record_peaks,
+)
 
 
 def diamond(fast_capacity=10.0, node_caps=None):
@@ -30,18 +35,20 @@ class TestGCASP:
         net = line_network(3, node_capacity=10.0, link_capacity=10.0)
         catalog = make_simple_catalog()
         sim = make_simulator(net, catalog, make_flow_specs([1.0]))
+        peaks = record_peaks(sim.state)
         metrics = sim.run(GCASPPolicy(net, catalog))
         assert metrics.flows_succeeded == 1
-        assert sim.state.peak_node_load["v1"] > 0.0  # processed at ingress
+        assert peaks.node["v1"] > 0.0  # processed at ingress
 
     def test_prefers_shortest_path_when_clear(self):
         net = diamond()
         catalog = make_simple_catalog(processing_delay=1.0)
         sim = make_simulator(net, catalog,
                              make_flow_specs([1.0], ingress="s", egress="t"))
+        peaks = record_peaks(sim.state)
         metrics = sim.run(GCASPPolicy(net, catalog))
         assert metrics.flows_succeeded == 1
-        assert sim.state.peak_link_load[("s", "slow")] == 0.0
+        assert peaks.link[("s", "slow")] == 0.0
 
     def test_reroutes_around_full_link(self):
         """The defining GCASP behaviour: when the shortest path's link is
@@ -65,9 +72,10 @@ class TestGCASP:
         # only one; the second must be rerouted via `slow`.
         flows = make_flow_specs([1.0, 1.2], ingress="s", egress="t")
         sim = make_simulator(net, catalog, flows)
+        peaks = record_peaks(sim.state)
         metrics = sim.run(GCASPPolicy(net, catalog))
         assert metrics.flows_succeeded == 2
-        assert sim.state.peak_link_load[("s", "slow")] > 0.0
+        assert peaks.link[("s", "slow")] > 0.0
 
     def test_searches_for_compute_off_path(self):
         """With no compute on the shortest path but plenty one hop off it,
@@ -83,9 +91,10 @@ class TestGCASP:
         catalog = make_simple_catalog(processing_delay=1.0)
         sim = make_simulator(net, catalog,
                              make_flow_specs([1.0], ingress="s", egress="t"))
+        peaks = record_peaks(sim.state)
         metrics = sim.run(GCASPPolicy(net, catalog))
         assert metrics.flows_succeeded == 1
-        assert sim.state.peak_node_load["side"] > 0.0
+        assert peaks.node["side"] > 0.0
 
     def test_respects_deadline_feasibility(self):
         """Neighbors whose detour cannot meet the deadline are skipped."""
@@ -94,9 +103,10 @@ class TestGCASP:
         # Deadline 5: via slow (3+3+1) = 7 infeasible; fast path feasible.
         flows = make_flow_specs([1.0], ingress="s", egress="t", deadline=5.0)
         sim = make_simulator(net, catalog, flows)
+        peaks = record_peaks(sim.state)
         metrics = sim.run(GCASPPolicy(net, catalog))
         assert metrics.flows_succeeded == 1
-        assert sim.state.peak_link_load[("s", "slow")] == 0.0
+        assert peaks.link[("s", "slow")] == 0.0
 
     def test_fresh_policy_per_run_is_stateless(self):
         net = line_network(3, node_capacity=10.0, link_capacity=10.0)

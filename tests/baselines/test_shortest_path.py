@@ -5,7 +5,12 @@ import pytest
 from repro.baselines.shortest_path import ShortestPathPolicy
 from repro.topology import Link, Network, Node, line_network
 
-from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
+from tests.conftest import (
+    make_flow_specs,
+    make_simple_catalog,
+    make_simulator,
+    record_peaks,
+)
 
 
 class TestShortestPathPolicy:
@@ -28,10 +33,11 @@ class TestShortestPathPolicy:
         )
         catalog = make_simple_catalog(processing_delay=1.0)
         sim = make_simulator(net, catalog, make_flow_specs([1.0]))
+        peaks = record_peaks(sim.state)
         metrics = sim.run(ShortestPathPolicy(net, catalog))
         assert metrics.flows_succeeded == 1
-        assert sim.state.peak_node_load["v2"] > 0.0
-        assert sim.state.peak_node_load["v1"] == 0.0
+        assert peaks.node["v2"] > 0.0
+        assert peaks.node["v1"] == 0.0
 
     def test_drops_when_no_capacity_anywhere_on_path(self):
         net = Network(
@@ -60,9 +66,10 @@ class TestShortestPathPolicy:
         catalog = make_simple_catalog(processing_delay=1.0)
         flows = make_flow_specs([1.0, 3.0, 5.0], ingress="s", egress="t")
         sim = make_simulator(net, catalog, flows)
+        peaks = record_peaks(sim.state)
         metrics = sim.run(ShortestPathPolicy(net, catalog))
         assert metrics.flows_succeeded == 3
-        assert sim.state.peak_link_load[("s", "slow")] == 0.0
+        assert peaks.link[("s", "slow")] == 0.0
         assert metrics.avg_end_to_end_delay == pytest.approx(3.0)  # 1 + 1 + 1
 
     def test_stateless_across_flows(self):

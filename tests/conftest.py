@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 import pytest
@@ -10,7 +10,9 @@ import pytest
 from repro.core.env import CoordinationEnvConfig
 from repro.services import Component, Service, ServiceCatalog
 from repro.sim import SimulationConfig, Simulator
+from repro.sim.state import Allocation, NetworkState
 from repro.topology import Network, line_network, triangle_network
+from repro.topology.network import link_key
 from repro.traffic import FixedArrival, FlowSpec, FlowTemplate, TrafficSource
 
 
@@ -69,6 +71,44 @@ def make_simulator(
     """Simulator with invariant checking on (tests always verify state)."""
     config = SimulationConfig(horizon=horizon, check_invariants=True, **config_kwargs)
     return Simulator(network, catalog, list(flows), config)
+
+
+class LoadPeaks(NamedTuple):
+    """Peak loads by node name (``node``) and link key (``link``)."""
+
+    node: Dict[str, float]
+    link: Dict[Tuple[str, str], float]
+
+
+def record_peaks(state: NetworkState) -> LoadPeaks:
+    """Track the peak load of every node and link of ``state`` from now
+    on: the returned dicts update as the simulator allocates, so a
+    baseline test can read where a flow was processed and routed."""
+    peaks = LoadPeaks(
+        dict.fromkeys(state.network.node_index, 0.0),
+        dict.fromkeys(state.network.link_index, 0.0),
+    )
+
+    def recording(allocate: Callable[..., Allocation], seen: dict, loads: np.ndarray):
+        def allocate_and_record(index: int, amount: float, flow_id: int) -> Allocation:
+            allocation = allocate(index, amount, flow_id)
+            seen[allocation.key] = max(seen[allocation.key], float(loads[index]))
+            return allocation
+
+        return allocate_and_record
+
+    state.allocate_node_id = recording(  # type: ignore[method-assign]
+        state.allocate_node_id, peaks.node, state.node_loads
+    )
+    state.allocate_link_id = recording(  # type: ignore[method-assign]
+        state.allocate_link_id, peaks.link, state.link_loads
+    )
+    return peaks
+
+
+def link_load(state: NetworkState, u: str, v: str) -> float:
+    """Current data rate on the undirected link (u, v)."""
+    return float(state.link_loads[state.network.link_index[link_key(u, v)]])
 
 
 @pytest.fixture

@@ -138,6 +138,18 @@ class TestWritablePoliciesDecideInFloat64:
         assert policy.clone().freeze().certified_workspace is not None
         assert policy.clone().freeze().clone().certified_workspace is None
 
+    def test_freezing_twice_keeps_the_cast_and_its_fallback_count(self):
+        """``fallbacks`` is the one count of declined decisions, and a
+        serving engine freezes every policy it is given: a second
+        ``freeze()`` must neither replace the cast nor reset the count."""
+        policy = ActorCriticPolicy(8, 3, hidden=(16,), rng=0).freeze()
+        workspace = policy.certified_workspace
+        policy.act_single(np.full(8, 2.0))  # outside the domain: declined
+        assert workspace.fallbacks == 1
+        assert policy.freeze() is policy
+        assert policy.certified_workspace is workspace
+        assert workspace.fallbacks == 1
+
     def test_relu_snapshot_gets_no_cast(self, monkeypatch):
         scenario = base_scenario(horizon=200.0)
         adapter = ObservationAdapter(scenario.network, scenario.catalog)

@@ -5,6 +5,7 @@ import numpy as np
 
 from repro.core.observations import ObservationAdapter
 from repro.topology import Link, Network, Node, line_network
+from tests.core.reference_observation import build_parts
 
 from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
 
@@ -25,7 +26,7 @@ class TestUnreachableEgress:
         )
         adapter = ObservationAdapter(net, catalog)
         decision = sim.next_decision()
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         # v1's one real neighbor (v2) cannot reach the island.
         assert parts.delays_to_egress[0] == -1.0
         assert np.all(np.isfinite(parts.concatenate()))
@@ -62,7 +63,7 @@ class TestTinyCapacities:
         obs = adapter.build(decision, sim)
         assert np.all(np.isfinite(obs))
         # Node utilisation: free(0) - demand(1) normalised -> clipped to -1.
-        assert adapter.build_parts(decision, sim).node_utilization[0] == -1.0
+        assert build_parts(adapter, decision, sim).node_utilization[0] == -1.0
 
 
 class TestObservationPartOrdering:
@@ -72,7 +73,7 @@ class TestObservationPartOrdering:
         sim = make_simulator(net, catalog, make_flow_specs([1.0]))
         adapter = ObservationAdapter(net, catalog)
         decision = sim.next_decision()
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         obs = adapter.build(decision, sim)
         slices = adapter.part_slices
         assert np.array_equal(obs[slices["flow"]], parts.flow_attributes)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.observations import ObservationAdapter
 from repro.topology import Link, Network, Node, line_network, star_network
+from tests.core.reference_observation import build_parts
 
 from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
 
@@ -51,7 +52,7 @@ class TestSizesAndSpaces:
 class TestFlowAttributes:
     def test_initial_flow(self):
         net, catalog, sim, adapter, decision = setup_line(num_components=2)
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         assert parts.flow_attributes[0] == 0.0  # no progress yet
         assert parts.flow_attributes[1] == pytest.approx(1.0)  # full deadline
 
@@ -59,21 +60,21 @@ class TestFlowAttributes:
         net, catalog, sim, adapter, decision = setup_line(num_components=2)
         sim.apply_action(0)
         decision = sim.next_decision()
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         assert parts.flow_attributes[0] == pytest.approx(0.5)
 
     def test_deadline_decreases(self):
         net, catalog, sim, adapter, decision = setup_line(deadline=10.0)
         sim.apply_action(0)  # processing takes 2
         decision = sim.next_decision()
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         assert parts.flow_attributes[1] == pytest.approx(0.8)
 
 
 class TestLinkUtilization:
     def test_free_link_observation(self):
         net, catalog, sim, adapter, decision = setup_line(link_capacity=8.0)
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         # v1 has one neighbor (v2): (free 8 - rate 1)/max_cap 8 = 0.875.
         assert parts.link_utilization[0] == pytest.approx(7.0 / 8.0)
         # Padded to degree 2 with -1.
@@ -88,14 +89,14 @@ class TestLinkUtilization:
         sim.next_decision()
         sim.apply_action(1)  # forward flow 1 over the only link
         decision = sim.next_decision()
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         assert parts.link_utilization[0] < 0.0
 
 
 class TestNodeUtilization:
     def test_self_first_then_neighbors(self):
         net, catalog, sim, adapter, decision = setup_line(node_capacity=4.0)
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         # All nodes free: (4 - 1)/4 = 0.75 for self and the one neighbor.
         assert parts.node_utilization[0] == pytest.approx(0.75)
         assert parts.node_utilization[1] == pytest.approx(0.75)
@@ -113,7 +114,7 @@ class TestNodeUtilization:
         sim = make_simulator(net, catalog, make_flow_specs([1.0], ingress="a", egress="huge"))
         adapter = ObservationAdapter(net, catalog)
         decision = sim.next_decision()
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         # At node a: (2 - 1)/10 = 0.1.
         assert parts.node_utilization[0] == pytest.approx(0.1)
 
@@ -122,7 +123,7 @@ class TestNodeUtilization:
         sim.apply_action(0)
         decision = sim.next_decision()
         assert decision.flow.fully_processed
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         # Demand 0; node a still holds the finished flow's resource (tail
         # has not left: release at done+duration), so free = 3 -> 0.75.
         assert parts.node_utilization[0] == pytest.approx(0.75)
@@ -135,14 +136,14 @@ class TestNodeUtilization:
         sim.next_decision()
         sim.apply_action(0)  # fills v1 entirely
         decision = sim.next_decision()
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         assert parts.node_utilization[0] == pytest.approx(-1.0)
 
 
 class TestDelaysToEgress:
     def test_positive_margin(self):
         net, catalog, sim, adapter, decision = setup_line(deadline=100.0)
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         # Via v2: link 1 + shortest v2->v3 1 = 2; (100 - 2)/100 = 0.98.
         assert parts.delays_to_egress[0] == pytest.approx(0.98)
         assert parts.delays_to_egress[1] == -1.0
@@ -154,7 +155,7 @@ class TestDelaysToEgress:
         decision = sim.next_decision()
         flow = decision.flow
         # Manufacture a nearly expired flow observation.
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         assert np.all(parts.delays_to_egress >= -1.0)
 
     def test_direction_signal(self):
@@ -174,7 +175,7 @@ class TestDelaysToEgress:
         )
         adapter = ObservationAdapter(net, catalog)
         decision = sim.next_decision()
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         neighbors = net.neighbors("v2")  # [v1, v3]
         towards = parts.delays_to_egress[neighbors.index("v3")]
         away = parts.delays_to_egress[neighbors.index("v1")]
@@ -188,11 +189,11 @@ class TestAvailableInstances:
         sim = make_simulator(net, catalog, make_flow_specs([1.0, 1.5]))
         adapter = ObservationAdapter(net, catalog)
         decision = sim.next_decision()
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         assert parts.available_instances[0] == 0.0
         sim.apply_action(0)  # places instance of c1 at v1
         decision = sim.next_decision()  # second flow at v1
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         assert parts.available_instances[0] == 1.0
 
     def test_neighbor_instances_visible(self):
@@ -211,7 +212,7 @@ class TestAvailableInstances:
         sim.apply_action(0)  # instance of c1 now at v2
         decision = sim.next_decision()
         if decision.node == "v1":
-            parts = adapter.build_parts(decision, sim)
+            parts = build_parts(adapter, decision, sim)
             # v1's neighbor list is [v2]; slot 1 (after self) is v2.
             assert parts.available_instances[1] == 1.0
 
@@ -219,7 +220,7 @@ class TestAvailableInstances:
         net, catalog, sim, adapter, decision = setup_line()
         sim.apply_action(0)
         decision = sim.next_decision()
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         assert parts.available_instances[0] == 0.0
 
 
@@ -239,7 +240,7 @@ class TestRangesAndPadding:
         )
         adapter = ObservationAdapter(net, catalog)
         decision = sim.next_decision()  # at leaf v2 (1 neighbor, degree 4)
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         assert np.sum(parts.link_utilization == -1.0) == 3
         assert np.sum(parts.delays_to_egress == -1.0) == 3
 
@@ -278,6 +279,6 @@ class TestBuildOutputModes:
         scalar formula bit for bit, including the -1 clamps."""
         net, catalog, sim, adapter, decision = setup_line(deadline=7.0)
         fresh = ObservationAdapter(net, catalog)
-        expected = fresh.build_parts(decision, sim).delays_to_egress
+        expected = build_parts(fresh, decision, sim).delays_to_egress
         sl = adapter.part_slices["delays"]
         assert np.array_equal(adapter.build(decision, sim)[sl], expected)

@@ -22,6 +22,7 @@ from repro.sim.simulator import ACTION_PROCESS_LOCALLY
 from repro.sim.state import NetworkState
 from repro.telemetry import Recorder, validate_record
 from repro.topology import line_network
+from tests.core.reference_observation import build_parts
 
 from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
 
@@ -281,7 +282,7 @@ class TestObservationsUnderFaults:
         decision = sim.next_decision()
         assert decision.time == 1.0  # fault onset at 0.5 already applied
 
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         obs = adapter.build(decision, sim)
         # Hot path and scalar reference agree under faults.
         np.testing.assert_array_equal(obs, parts.concatenate())

@@ -22,6 +22,7 @@ from repro.sim import Simulator
 from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_simple_catalog
+from tests.rl.toy_envs import mean_recent_episode_reward
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +141,6 @@ class TestEnvAsRLInterface:
         trainer = ACKTRTrainer(env_factory, ACKTRConfig(n_steps=16, n_envs=2), seed=0)
         trainer.train(60)
         assert trainer.episode_history, "no episodes finished during training"
-        recent = trainer.mean_recent_episode_reward(10)
+        recent = mean_recent_episode_reward(trainer, 10)
         first = trainer.episode_history[0].total_reward
         assert recent > first, f"no improvement: {first} -> {recent}"

@@ -18,6 +18,7 @@ from repro.services import Component, Service, ServiceCatalog
 from repro.sim import SimulationConfig, Simulator
 from repro.topology import line_network
 from repro.traffic import FixedArrival, FlowTemplate, TrafficSource
+from tests.core.reference_observation import build_parts
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +85,7 @@ class TestMultiServiceCoordination:
         utilizations = {}
         for _ in range(2):
             decision = sim.next_decision()
-            parts = adapter.build_parts(decision, sim)
+            parts = build_parts(adapter, decision, sim)
             utilizations[decision.flow.service] = parts.node_utilization[0]
             sim.apply_action(0)
         assert utilizations["video"] != utilizations["iot"]

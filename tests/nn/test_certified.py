@@ -186,14 +186,6 @@ class TestDomain:
         with pytest.raises(ValueError, match="float32"):
             workspace.certified_argmax(np.zeros(3))
 
-    def test_refresh_recasts_and_rebounds(self):
-        mlp = MLP(3, (4,), 2, activation="tanh", rng=0)
-        workspace = MLPInference(mlp, np.float32)
-        before = workspace.logit_bound.copy()
-        mlp.set_parameters([w * 2.0 for w in mlp.parameters])
-        workspace.refresh_weights()
-        assert (workspace.logit_bound > before).all()
-
 
 class TestTanhAllowance:
     """The bound adds TANH_ERROR_F32 + TANH_ERROR_F64 between layers; this

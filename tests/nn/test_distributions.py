@@ -52,13 +52,6 @@ class TestCategorical:
         freq = np.bincount(samples, minlength=3) / len(samples)
         assert np.allclose(freq, [0.7, 0.2, 0.1], atol=0.02)
 
-    def test_kl_divergence(self):
-        a = Categorical(np.log(np.array([[0.5, 0.5]])))
-        b = Categorical(np.log(np.array([[0.9, 0.1]])))
-        expected = 0.5 * np.log(0.5 / 0.9) + 0.5 * np.log(0.5 / 0.1)
-        assert a.kl_divergence(b)[0] == pytest.approx(expected)
-        assert a.kl_divergence(a)[0] == pytest.approx(0.0, abs=1e-12)
-
 
 class TestAnalyticGradients:
     def _numeric_grad(self, fn, logits, eps=1e-6):

@@ -127,7 +127,7 @@ class TestKFACMechanics:
         rng = np.random.default_rng(2)
         mlp = MLP(4, [8], 3, rng=0)
         kfac = KFAC(mlp)
-        before = mlp.copy_parameters()
+        before = [w.copy() for w in mlp.parameters]
         x = rng.normal(size=(16, 4))
         fit_step(mlp, kfac, x, rng.normal(size=(16, 3)))
         assert any(

@@ -11,7 +11,8 @@ import numpy as np
 
 from repro.nn.kfac import KFAC
 from repro.nn.mlp import MLP
-from repro.nn.optim import SGD
+
+from tests.nn.sgd import SGD
 
 
 def make_problem(seed=0, n=256):

@@ -87,13 +87,6 @@ class TestDense:
         layer.backward(dz, accumulate=True)
         assert np.allclose(layer.grad, 2 * once)
 
-    def test_zero_grad(self):
-        layer = Dense(2, 2, rng=0)
-        layer.forward(np.ones((1, 2)))
-        layer.backward(np.ones((1, 2)))
-        layer.zero_grad()
-        assert np.all(layer.grad == 0)
-
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             Dense(0, 3)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, RMSprop, clip_grads_by_norm
+from repro.nn.optim import RMSprop, clip_grads_by_norm
+
+from tests.nn.sgd import SGD
 
 
 def quadratic_descent(optimizer_factory, steps: int = 200) -> float:

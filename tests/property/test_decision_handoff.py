@@ -24,7 +24,7 @@ from repro.sim.simulator import Simulator
 from repro.topology.network import Link, Network, Node
 from repro.traffic import FlowSpec
 
-from tests.conftest import make_flow_specs, make_simple_catalog
+from tests.conftest import link_load, make_flow_specs, make_simple_catalog
 
 HORIZON = 90.0
 
@@ -208,7 +208,7 @@ class TestSharedTimestamp:
                 action = 1 if node == "v1" else 2
             log.append(
                 (decision.time, label, node, action, seen,
-                 sim.state.link_load("v1", "v2"))
+                 link_load(sim.state, "v1", "v2"))
             )
             sim.apply_action(action)
         return log, sim.finalize()

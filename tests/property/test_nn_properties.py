@@ -34,14 +34,6 @@ class TestDistributionProperties:
 
     @settings(max_examples=50, deadline=None)
     @given(logits=logits_arrays)
-    def test_kl_nonnegative_and_zero_on_self(self, logits):
-        dist = Categorical(logits)
-        other = Categorical(logits + 1.0)  # shift-invariant => same dist
-        assert np.all(dist.kl_divergence(dist) >= -1e-12)
-        assert np.allclose(dist.kl_divergence(other), 0.0, atol=1e-9)
-
-    @settings(max_examples=50, deadline=None)
-    @given(logits=logits_arrays)
     def test_shift_invariance(self, logits):
         a = Categorical(logits)
         b = Categorical(logits + 123.0)

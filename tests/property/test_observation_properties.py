@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.observations import ObservationAdapter
 from repro.topology import random_geometric_network, ring_network, star_network
+from tests.core.reference_observation import build_parts
 
 from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
 
@@ -86,7 +87,7 @@ def test_padding_consistent_at_every_node(action_seed):
     adapter = ObservationAdapter(network, catalog)
     rng = np.random.default_rng(action_seed)
     while (decision := sim.next_decision()) is not None:
-        parts = adapter.build_parts(decision, sim)
+        parts = build_parts(adapter, decision, sim)
         n_neighbors = network.degree_of(decision.node)
         pad = network.degree - n_neighbors
         assert np.sum(parts.link_utilization == -1.0) >= pad

@@ -12,7 +12,12 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.metrics import DropReason
 from repro.topology import random_geometric_network, ring_network, star_network
 
-from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
+from tests.conftest import (
+    link_load,
+    make_flow_specs,
+    make_simple_catalog,
+    make_simulator,
+)
 
 
 def run_with_random_actions(network, catalog, flows, action_seed, horizon=300.0):
@@ -114,4 +119,4 @@ class TestResourceDrainage:
         for node in network.node_names:
             assert sim.state.node_load(node) == 0.0
         for link in network.links:
-            assert sim.state.link_load(link.u, link.v) == 0.0
+            assert link_load(sim.state, link.u, link.v) == 0.0

@@ -11,6 +11,7 @@ from repro.traffic.arrival import (
     TrafficSource,
 )
 from repro.traffic.traces import RateTrace, TraceArrival
+from tests.traffic.arrival_times import arrivals_until
 
 
 class TestArrivalProperties:
@@ -20,7 +21,7 @@ class TestArrivalProperties:
         horizon=st.floats(min_value=1.0, max_value=500.0),
     )
     def test_fixed_arrivals_regular_and_bounded(self, interval, horizon):
-        times = FixedArrival(interval).arrivals_until(horizon)
+        times = arrivals_until(FixedArrival(interval), horizon)
         # Count matches horizon/interval up to float rounding at the edges.
         assert abs(len(times) - horizon / interval) <= 1.0
         assert all(0 < t <= horizon for t in times)
@@ -32,14 +33,14 @@ class TestArrivalProperties:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), mean=st.floats(0.5, 20.0))
     def test_poisson_strictly_increasing(self, seed, mean):
-        times = PoissonArrival(mean, rng=seed).arrivals_until(300.0)
+        times = arrivals_until(PoissonArrival(mean, rng=seed), 300.0)
         assert all(b > a for a, b in zip(times, times[1:]))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_mmpp_strictly_increasing(self, seed):
         proc = MMPPArrival(rng=seed)
-        times = proc.arrivals_until(1000.0)
+        times = arrivals_until(proc, 1000.0)
         assert all(b > a for a, b in zip(times, times[1:]))
 
     @settings(max_examples=20, deadline=None)
@@ -83,7 +84,7 @@ class TestTraceProperties:
     def test_trace_arrivals_increase(self, rates, seed):
         times = tuple(float(i) * 10 for i in range(len(rates)))
         trace = RateTrace(times, tuple(rates))
-        arrivals = TraceArrival(trace, rng=seed).arrivals_until(200.0)
+        arrivals = arrivals_until(TraceArrival(trace, rng=seed), 200.0)
         assert all(b > a for a, b in zip(arrivals, arrivals[1:]))
 
     @settings(max_examples=30, deadline=None)

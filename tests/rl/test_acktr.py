@@ -13,7 +13,7 @@ from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
 from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_simple_catalog
-from tests.rl.toy_envs import ContextualBanditEnv
+from tests.rl.toy_envs import ContextualBanditEnv, mean_recent_episode_reward
 
 
 class TestACKTRConfig:
@@ -47,7 +47,7 @@ class TestACKTRTrainer:
             seed=0,
         )
         trainer.train(60)
-        assert trainer.mean_recent_episode_reward() > 12.0
+        assert mean_recent_episode_reward(trainer) > 12.0
 
     def test_uses_kfac_optimizers(self):
         trainer = ACKTRTrainer(
@@ -67,9 +67,9 @@ class TestACKTRTrainer:
             seed=0,
         )
         trainer.train(10)
-        early = trainer.mean_recent_episode_reward(window=10)
+        early = mean_recent_episode_reward(trainer, window=10)
         trainer.train(50)
-        late = trainer.mean_recent_episode_reward(window=10)
+        late = mean_recent_episode_reward(trainer, window=10)
         assert late > early + 5.0, f"no learning progress: {early} -> {late}"
 
 
@@ -124,8 +124,8 @@ def _scheduled_weights(env_config, threads, fused):
     trainer.fused_backward_active = fused
     trainer.train(6)
     return (
-        trainer.policy.actor.copy_parameters()
-        + trainer.policy.critic.copy_parameters()
+        [w.copy() for w in trainer.policy.actor.parameters]
+        + [w.copy() for w in trainer.policy.critic.parameters]
     )
 
 

@@ -389,7 +389,7 @@ class TestSerialFallback:
             w[:] = 0.0
         expected = serial_reference(policy, make_env(seed=2), 2)
         runner = BatchedEpisodeRunner(policy, env, episodes=2, batch=1)
-        assert runner._inference.dtype == np.dtype(np.float32)
+        assert runner.policy.certified_workspace.dtype == np.dtype(np.float32)
         outcomes, stats = runner.run()
         assert as_tuples(outcomes) == expected
         assert stats.decisions > 0

@@ -1,11 +1,12 @@
 """The one select: ``ActorCriticPolicy.select_actions`` under both drivers.
 
-Lockstep evaluation and the serving engine both hand the select the
-float64 rows they built and a float32 cast of the actor; either way it
-must answer exactly as a loop of the writable policy's float64
-``act_single`` over the same rows would.  The matrix spies on the real
-calls each driver makes instead of re-stating how it builds its
-arguments.
+Lockstep evaluation and the serving engine both hand the select of a
+frozen policy the float64 rows they built; either way it must answer
+exactly as a loop of the writable policy's float64 ``act_single`` over
+the same rows would.  The runner decides on a frozen clone of its own
+and the engine freezes the policy it is given, so the matrix spies on
+the method itself, for every policy object, instead of re-stating how
+each driver builds its arguments.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.eval.scenarios import base_scenario
 from repro.nn.mlp import MLPInference
 from repro.rl.batched import BatchedEpisodeRunner
 from repro.rl.policy import ActorCriticPolicy
+from repro.rl.training import evaluate_policy
 from repro.serving import ServingConfig, ServingEngine
 from repro.topology import star_network
 
@@ -48,22 +50,25 @@ def make_policy(env, actor):
 
 
 def spy_on_select(policy, monkeypatch):
-    """Check every ``select_actions`` call against the ``act_single`` loop
-    and check that it leaves the driver's rows as it found them; returns
-    the list of ``(rows, fallbacks, distinct rows)`` seen."""
-    real = policy.select_actions
+    """Check every ``select_actions`` call against the float64
+    ``act_single`` loop of a writable copy of ``policy`` and check that
+    it leaves the driver's rows as it found them; returns the list of
+    ``(rows, fallbacks, distinct rows)`` seen."""
+    real = ActorCriticPolicy.select_actions
+    reference = policy.clone()
     calls = []
 
-    def checked(x, actions, inference):
-        assert not np.shares_memory(x, policy.workspace.input_rows(1))
+    def checked(self, x, actions):
+        assert self.certified_workspace is not None
+        assert not np.shares_memory(x, self.workspace.input_rows(1))
         before = x.copy()
-        fallbacks = real(x, actions, inference)
+        fallbacks = real(self, x, actions)
         assert np.array_equal(x, before)
-        assert actions.tolist() == [policy.act_single(row) for row in x]
+        assert actions.tolist() == [reference.act_single(row) for row in x]
         calls.append((len(x), fallbacks, len(np.unique(before, axis=0))))
         return fallbacks
 
-    monkeypatch.setattr(policy, "select_actions", checked)
+    monkeypatch.setattr(ActorCriticPolicy, "select_actions", checked)
     return calls
 
 
@@ -132,12 +137,83 @@ def test_declined_rows_leave_the_drivers_rows_intact(driver, monkeypatch):
 
 
 def test_single_action_policy_has_no_runner_up_to_guard():
-    policy = ActorCriticPolicy(6, 1, hidden=(8,), rng=0)
+    policy = ActorCriticPolicy(6, 1, hidden=(8,), rng=0).freeze()
     x = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 6))
     actions = np.full(4, -1, dtype=np.intp)
-    inference = MLPInference(policy.actor, np.float32)
-    assert policy.select_actions(x, actions, inference) == 0
+    assert policy.select_actions(x, actions) == 0
     assert actions.tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["writable", "frozen-relu"])
+def test_without_a_cast_every_row_is_decided_in_float64(frozen):
+    """A writable policy has no float32 cast, and neither has a frozen
+    non-tanh one: the select decides every row through the float64
+    ``logits_single`` and counts each as declined."""
+    activation = "relu" if frozen else "tanh"
+    policy = ActorCriticPolicy(6, 3, hidden=(8,), activation=activation, rng=0)
+    reference = policy.clone()
+    if frozen:
+        policy.freeze()
+    assert policy.certified_workspace is None
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 6))
+    actions = np.empty(5, dtype=np.intp)
+    assert policy.select_actions(x, actions) == 5
+    assert actions.tolist() == [reference.act_single(row) for row in x]
+
+
+def spy_on_casts(monkeypatch):
+    """Count the float32 ``MLPInference`` workspaces built from now on."""
+    real = MLPInference.__init__
+    casts = []
+
+    def counted(self, mlp, dtype=np.float64):
+        if np.dtype(dtype) == np.dtype(np.float32):
+            casts.append(mlp)
+        real(self, mlp, dtype)
+
+    monkeypatch.setattr(MLPInference, "__init__", counted)
+    return casts
+
+
+class TestOneCast:
+    """``freeze()`` makes the only float32 cast; each driver takes one per
+    policy it decides with, and none for a policy already frozen."""
+
+    def test_evaluate_policy_casts_once(self, monkeypatch):
+        env = make_env()
+        policy = make_policy(env, "trained-like")
+        casts = spy_on_casts(monkeypatch)
+        evaluate_policy(policy, env, episodes=12)
+        assert len(casts) == 1
+        assert policy.certified_workspace is None  # the caller's stays writable
+
+    def test_engine_casts_once_per_distinct_policy(self, monkeypatch):
+        env = make_env()
+        policies = [make_policy(env, "trained-like").clone() for _ in range(4)]
+        casts = spy_on_casts(monkeypatch)
+        engine = ServingEngine(policies[0], ServingConfig(max_batch=4))
+        rows = np.random.default_rng(3).uniform(-1.0, 1.0, (6, env.observation_size))
+        for policy in policies[1:]:
+            engine.install(policy)
+            for row in rows:
+                engine.submit(row)
+            engine.drain()
+        assert len(casts) == len(policies)
+        assert engine.policy is policies[-1]
+
+    def test_reinstalling_a_policy_casts_nothing(self, monkeypatch):
+        env = make_env()
+        first, second = make_policy(env, "trained-like"), make_policy(env, "all-ties")
+        engine = ServingEngine(first, ServingConfig(max_batch=4))
+        engine.install(second)
+        casts = spy_on_casts(monkeypatch)
+        row = np.random.default_rng(4).uniform(-1.0, 1.0, env.observation_size)
+        for policy in (first, second, second, first):
+            engine.install(policy)
+            engine.submit(row)
+            engine.flush()
+        assert casts == []
+        assert engine.stats.swaps == 4
 
 
 class TestSanitizer:
@@ -151,8 +227,8 @@ class TestSanitizer:
             monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
         policy = make_policy(make_env(), "trained-like")
         x = np.random.default_rng(1).uniform(-1.0, 1.0, (rows, policy.obs_dim))
-        inference = MLPInference(policy.actor, np.float32)
         exact = [policy.act_single(row) for row in x]
+        inference = policy.freeze().certified_workspace
         singles = []
         real_single = policy.logits_single
 
@@ -174,7 +250,7 @@ class TestSanitizer:
 
         monkeypatch.setattr(inference, "certified_argmax", wrong)
         with pytest.raises(InvariantViolation) as excinfo:
-            policy.select_actions(x, np.empty(len(x), dtype=np.intp), inference)
+            policy.select_actions(x, np.empty(len(x), dtype=np.intp))
         context = excinfo.value.context
         assert context["row"] == 2
         assert context["certified"] == (exact[2] + 1) % policy.num_actions
@@ -184,14 +260,14 @@ class TestSanitizer:
     def test_every_certified_row_is_re_decided(self, monkeypatch):
         policy, x, inference, exact, singles = self._select(monkeypatch, True)
         actions = np.empty(len(x), dtype=np.intp)
-        assert policy.select_actions(x, actions, inference) == 0
+        assert policy.select_actions(x, actions) == 0
         assert actions.tolist() == exact
         assert len(singles) == len(x)
 
     def test_off_it_runs_no_float64_forward(self, monkeypatch):
         policy, x, inference, exact, singles = self._select(monkeypatch, False)
         actions = np.empty(len(x), dtype=np.intp)
-        assert policy.select_actions(x, actions, inference) == 0
+        assert policy.select_actions(x, actions) == 0
         assert actions.tolist() == exact
         assert singles == []
 

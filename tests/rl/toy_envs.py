@@ -5,6 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def mean_recent_episode_reward(trainer, window: int = 20) -> float:
+    """Mean total reward over a trainer's last ``window`` finished
+    episodes — how the learning tests read progress."""
+    recent = trainer.episode_history[-window:]
+    assert recent, "no episode finished"
+    return float(np.mean([e.total_reward for e in recent]))
+
+
 class ContextualBanditEnv:
     """Observation is a one-hot state; the matching action pays +1, else -1.
 

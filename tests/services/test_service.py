@@ -58,12 +58,6 @@ class TestService:
         assert svc.length == 3
         assert svc.component_at(0).name == "a"
         assert svc.component_at(2).name == "c"
-        assert svc.index_of("b") == 1
-
-    def test_index_of_unknown_component(self):
-        svc = Service("s", [Component("a")])
-        with pytest.raises(ValueError, match="not in service"):
-            svc.index_of("zz")
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -73,13 +67,6 @@ class TestService:
         c = Component("a")
         with pytest.raises(ValueError, match="duplicate component"):
             Service("s", [c, Component("a")])
-
-    def test_total_processing_delay(self):
-        svc = Service(
-            "s",
-            [Component("a", processing_delay=2.0), Component("b", processing_delay=3.0)],
-        )
-        assert svc.total_processing_delay() == 5.0
 
     def test_immutable(self):
         svc = Service("s", [Component("a")])

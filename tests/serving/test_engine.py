@@ -206,11 +206,11 @@ class TestHotSwap:
 
     @pytest.mark.parametrize("dtype", ["f64", "f32"])
     def test_swap_rebinds_the_workspace_it_already_has(self, dtype):
-        """An applied swap allocates no workspace array: ``install`` casts
-        the new actor to float32 and sizes the workspace before it stages
-        it, and the flush rebinds the engine to that workspace and every
-        buffer in it.  The new policy then answers as a new engine over it
-        would, and versions as before.  ``dtype`` names the forward that
+        """An applied swap allocates no workspace array: ``install`` freezes
+        the new policy, which casts its actor to float32, and sizes that
+        cast before it stages the policy, and the flush serves from that
+        workspace and every buffer in it.  The new policy then answers as
+        a new engine over it would, and versions as before.  ``dtype`` names the forward that
         decides the rows: the certified float32 one (rows inside
         [-1, 1]), or the float64 fallback (rows outside it, which the
         certificate declines), so the swap must reach both."""
@@ -223,14 +223,14 @@ class TestHotSwap:
             engine.submit(row)
         engine.flush()
         engine.install(new)
-        staged = engine._staged[1]
+        staged = new.certified_workspace
         assert staged.mlp is new.actor and staged._capacity == 8
         buffers = staged._aug + staged._out
         fallbacks = engine.stats.tie_fallbacks
         for row in obs:
             engine.submit(row)
         decisions = engine.flush()
-        assert engine._inference is staged
+        assert engine.policy.certified_workspace is staged
         assert all(a is b for a, b in zip(staged._aug + staged._out, buffers))
         assert engine.policy is new and engine.policy_version == 1
         assert {d.policy_version for d in decisions} == {1}
@@ -248,7 +248,7 @@ class TestHotSwap:
         so an in-place write after ``install`` used to split a flush
         between the install-time weights (certified rows) and the
         written ones (declined rows) under one ``policy_version``.  The
-        engine marks every actor it serves read-only instead."""
+        engine freezes every policy it serves instead."""
         first, second = make_policy(rng=0), make_policy(rng=99)
         engine = make_engine(policy=first, max_batch=4)
         engine.install(second)

@@ -29,21 +29,11 @@ class TestEventQueue:
     def test_empty_pop_returns_none(self):
         assert EventQueue().pop() is None
 
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(ev(3.0))
-        q.push(ev(1.0))
-        assert q.peek_time() == 1.0
-        q.pop()
-        assert q.peek_time() == 3.0
-
     def test_cancelled_events_skipped(self):
         q = EventQueue()
         first = q.push(ev(1.0, "cancelled"))
         q.push(ev(2.0, "kept"))
         first.cancelled = True
-        assert q.peek_time() == 2.0
         assert q.pop().payload == "kept"
         assert q.pop() is None
 
@@ -154,15 +144,6 @@ class TestCancellationAccounting:
         assert len(q) == 1
         assert q.pop().payload == "kept"
         assert len(q) == 0
-
-    def test_peek_time_prunes_without_losing_count(self):
-        q = EventQueue()
-        a = q.push(ev(1.0))
-        q.push(ev(2.0))
-        a.cancelled = True
-        assert len(q) == 1
-        assert q.peek_time() == 2.0  # prunes the cancelled head
-        assert len(q) == 1
 
     def test_rejects_double_scheduling(self):
         q = EventQueue()

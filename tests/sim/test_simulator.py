@@ -250,7 +250,7 @@ class TestScalingAndPlacement:
         # Second flow arrives at t=30; instance idle since ~3, removed ~8.
         decision = sim.next_decision()
         assert decision.time == 30.0
-        assert not sim.state.has_instance("v1", "c1")
+        assert sim.state.instance("v1", "c1") is None
         sim.apply_action(0)
         sim.next_decision()
         metrics = sim.finalize()

@@ -7,7 +7,12 @@ from repro.sim.simulator import ACTION_PROCESS_LOCALLY, OutcomeKind
 from repro.topology import Link, Network, Node, line_network
 from repro.traffic import FlowSpec
 
-from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
+from tests.conftest import (
+    link_load,
+    make_flow_specs,
+    make_simple_catalog,
+    make_simulator,
+)
 
 
 class TestMultiService:
@@ -113,7 +118,7 @@ class TestDropCleanup:
         sim.next_decision()
         sim.apply_action(1)
         assert sim.next_decision() is None
-        assert sim.state.link_load("v1", "v2") == 0.0
+        assert link_load(sim.state, "v1", "v2") == 0.0
 
     def test_instance_busy_count_clean_after_expiry_during_processing(self):
         net = line_network(2, node_capacity=10.0, link_capacity=10.0)
@@ -142,7 +147,7 @@ class TestInstanceTimeoutRearming:
         # Instance last idle at t = 8 + 1 + 1 = 10; removed at t = 20.
         metrics = sim.finalize()
         assert metrics.flows_succeeded == 2
-        assert not sim.state.has_instance("v1", "c1")
+        assert sim.state.instance("v1", "c1") is None
 
 
 class TestTriangleRouting:

@@ -5,6 +5,17 @@ import pytest
 
 from repro.sim.state import CapacityError, NetworkState
 from repro.topology import Link, Network, Node
+from repro.topology.network import link_key
+
+from tests.conftest import link_load
+
+
+def allocate_node(state, node, amount, flow_id):
+    return state.allocate_node_id(state.network.node_index[node], amount, flow_id)
+
+
+def allocate_link(state, u, v, rate, flow_id):
+    return state.allocate_link_id(state.network.link_index[link_key(u, v)], rate, flow_id)
 
 
 @pytest.fixture
@@ -19,54 +30,44 @@ def state() -> NetworkState:
 
 class TestNodeAllocation:
     def test_allocate_and_release(self, state):
-        alloc = state.allocate_node("a", 1.5, flow_id=1)
+        alloc = allocate_node(state, "a", 1.5, flow_id=1)
         assert state.node_load("a") == 1.5
         assert state.node_free("a") == 0.5
         state.release(alloc)
         assert state.node_load("a") == 0.0
 
     def test_over_capacity_rejected(self, state):
-        state.allocate_node("a", 1.5, 1)
+        allocate_node(state, "a", 1.5, 1)
         with pytest.raises(CapacityError):
-            state.allocate_node("a", 0.6, 2)
+            allocate_node(state, "a", 0.6, 2)
         # Failed allocation must not change the load.
         assert state.node_load("a") == 1.5
 
     def test_exact_capacity_allowed(self, state):
-        state.allocate_node("b", 1.0, 1)
+        allocate_node(state, "b", 1.0, 1)
         assert state.node_free("b") == pytest.approx(0.0)
 
     def test_release_idempotent(self, state):
-        alloc = state.allocate_node("a", 1.0, 1)
+        alloc = allocate_node(state, "a", 1.0, 1)
         state.release(alloc)
         state.release(alloc)
         assert state.node_load("a") == 0.0
 
-    def test_negative_amount_rejected(self, state):
-        with pytest.raises(ValueError):
-            state.allocate_node("a", -0.5, 1)
-
-    def test_peak_tracking(self, state):
-        a = state.allocate_node("a", 1.5, 1)
-        state.release(a)
-        state.allocate_node("a", 0.5, 2)
-        assert state.peak_node_load["a"] == 1.5
-
     def test_float_accumulation_tolerated(self, state):
         """Many allocate/release cycles must not fail on float dust."""
         for i in range(1000):
-            alloc = state.allocate_node("b", 1.0 / 3.0, i)
-            alloc2 = state.allocate_node("b", 1.0 / 3.0, i)
+            alloc = allocate_node(state, "b", 1.0 / 3.0, i)
+            alloc2 = allocate_node(state, "b", 1.0 / 3.0, i)
             state.release(alloc)
             state.release(alloc2)
-        state.allocate_node("b", 1.0, 9999)
+        allocate_node(state, "b", 1.0, 9999)
 
 
 class TestScalarAccountingIsTheArrayArithmetic:
     """allocate/release read a slot with ``.item()``, compute on Python
     floats and write back; the reference below is the in-place ndarray
-    arithmetic (``+=``, ``-=``, clamp).  Loads and peaks must agree
-    byte for byte over a long random sequence, refusals included."""
+    arithmetic (``+=``, ``-=``, clamp).  Loads must agree byte for byte
+    over a long random sequence, refusals included."""
 
     def test_bitwise_equal_to_inplace_ndarray_updates(self):
         nodes = [Node(f"n{i}", capacity=c) for i, c in enumerate((2.0, 1.0, 3.5))]
@@ -74,7 +75,6 @@ class TestScalarAccountingIsTheArrayArithmetic:
         state = NetworkState(Network("t", nodes, links))
         caps = {"node": np.array([2.0, 1.0, 3.5]), "link": np.array([1.5, 2.25])}
         loads = {"node": np.zeros(3), "link": np.zeros(2)}
-        peaks = {"node": np.zeros(3), "link": np.zeros(2)}
         allocate = {"node": state.allocate_node_id, "link": state.allocate_link_id}
         rng = np.random.default_rng(7)
         held, refused = [], 0
@@ -96,12 +96,9 @@ class TestScalarAccountingIsTheArrayArithmetic:
                 else:
                     held.append((kind, i, amount, allocate[kind](i, amount, step)))
                     loads[kind][i] += amount
-                    peaks[kind][i] = max(peaks[kind][i], loads[kind][i])
             assert state.node_loads.tobytes() == loads["node"].tobytes()
             assert state.link_loads.tobytes() == loads["link"].tobytes()
         assert refused > 100 and held
-        assert list(state.peak_node_load.values()) == peaks["node"].tolist()
-        assert list(state.peak_link_load.values()) == peaks["link"].tolist()
 
     def test_allocation_record_names_the_slot(self, state):
         node = state.allocate_node_id(1, 0.5, flow_id=3)
@@ -113,28 +110,24 @@ class TestScalarAccountingIsTheArrayArithmetic:
 
 class TestLinkAllocation:
     def test_allocate_and_release(self, state):
-        alloc = state.allocate_link("a", "b", 2.0, 1)
-        assert state.link_load("a", "b") == 2.0
-        assert state.link_load("b", "a") == 2.0  # shared both directions
+        alloc = allocate_link(state, "a", "b", 2.0, 1)
+        assert link_load(state, "a", "b") == 2.0
+        assert link_load(state, "b", "a") == 2.0  # shared both directions
         assert state.link_free("a", "b") == 1.0
         state.release(alloc)
-        assert state.link_load("a", "b") == 0.0
+        assert link_load(state, "a", "b") == 0.0
 
     def test_shared_capacity_across_directions(self, state):
-        state.allocate_link("a", "b", 2.0, 1)
+        allocate_link(state, "a", "b", 2.0, 1)
         with pytest.raises(CapacityError):
-            state.allocate_link("b", "a", 1.5, 2)
-
-    def test_unknown_link_rejected(self, state):
-        with pytest.raises(KeyError):
-            state.allocate_link("a", "zz", 1.0, 1)
+            allocate_link(state, "b", "a", 1.5, 2)
 
 
 class TestInstances:
     def test_place_and_query(self, state):
-        assert not state.has_instance("a", "c1")
+        assert state.instance("a", "c1") is None
         inst = state.place_instance("a", "c1", now=5.0, startup_delay=2.0)
-        assert state.has_instance("a", "c1")
+        assert state.instance("a", "c1") is not None
         assert inst.ready_at == 7.0
         assert inst.idle_since == 7.0
 
@@ -166,7 +159,7 @@ class TestInstances:
     def test_remove_idle_instance(self, state):
         state.place_instance("a", "c1", 0.0, 0.0)
         state.remove_instance("a", "c1")
-        assert not state.has_instance("a", "c1")
+        assert state.instance("a", "c1") is None
 
     def test_remove_missing_instance_rejected(self, state):
         with pytest.raises(KeyError):

@@ -20,8 +20,8 @@ class TestStartRun:
         with start_run(run_dir, "train", config={"updates": 3}, seeds=(0, 1)) as run:
             run.recorder.emit("note", message="hello")
         assert (run_dir / MANIFEST_FILENAME).exists()
-        assert run.stream_path == run_dir / STREAM_FILENAME
-        assert len(load_stream(run.stream_path)) == 1
+        assert run.recorder.path == run_dir / STREAM_FILENAME
+        assert len(load_stream(run.recorder.path)) == 1
 
     def test_manifest_round_trip(self, tmp_path):
         with start_run(
@@ -124,7 +124,7 @@ class TestStartRun:
             run.recorder.emit("note", message="old")
         with start_run(tmp_path, "train") as run:
             run.recorder.emit("note", message="new")
-        messages = [r["message"] for r in load_stream(run.stream_path)]
+        messages = [r["message"] for r in load_stream(run.recorder.path)]
         assert messages == ["new"]
 
     def test_read_manifest_missing_raises(self, tmp_path):

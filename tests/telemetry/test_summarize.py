@@ -140,7 +140,7 @@ class TestSummarizeRun:
             trainer.kfac_threads = 1
             trainer.train(3)
         (record,) = [
-            r for r in load_stream(run.stream_path) if r["kind"] == "train_phases"
+            r for r in load_stream(run.recorder.path) if r["kind"] == "train_phases"
         ]
         assert record["kfac_threads"] == 1
         assert record["fused_backward_active"] is trainer.fused_backward_active

@@ -5,6 +5,29 @@ import pytest
 from repro.cli import build_parser, main
 
 
+#: (command, flag, a value it takes, values it refuses, the bound named).
+_NUMERIC_ARGUMENTS = [
+    ("train -o p.npz", "--seeds", "2", ("0", "-3"), ">= 1"),
+    ("train -o p.npz", "--updates", "2", ("0", "-3"), ">= 1"),
+    ("evaluate --algorithm sp", "--eval-seeds", "2", ("0", "-3"), ">= 1"),
+    ("compare", "--seeds", "2", ("0", "-3"), ">= 1"),
+    ("compare", "--updates", "2", ("0", "-3"), ">= 1"),
+    ("compare", "--eval-seeds", "2", ("0", "-3"), ">= 1"),
+    ("serve-bench", "--requests", "2", ("0", "-3"), ">= 1"),
+    ("serve-bench", "--pool", "2", ("0", "-3"), ">= 1"),
+    ("serve-bench", "--serve-batch", "2", ("0", "-3"), ">= 1"),
+    ("serve-bench", "--queue-capacity", "2", ("0", "-3"), ">= 1"),
+    ("serve-bench", "--serve-deadline-ms", "0.5", ("0", "-1", "nan"), "> 0"),
+    ("serve-bench", "--swap-every", "0", ("-1",), ">= 0"),
+    ("serve-bench", "--rate", "0", ("-5", "nan"), ">= 0"),
+    ("train -o p.npz", "--workers", "2", ("0", "-3"), ">= 1"),
+    ("train -o p.npz", "--stat-interval", "2", ("0", "-3"), ">= 1"),
+    ("evaluate --algorithm sp", "--ingress", "2", ("0", "-3"), ">= 1"),
+    ("evaluate --algorithm sp", "--horizon", "300", ("0", "-1", "nan"), "> 0"),
+    ("evaluate --algorithm sp", "--deadline", "50", ("0", "nan"), "> 0"),
+]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -42,28 +65,29 @@ class TestParser:
             assert "must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, flag",
-        [
-            ("train -o p.npz", "--seeds"),
-            ("train -o p.npz", "--updates"),
-            ("evaluate --algorithm sp", "--eval-seeds"),
-            ("compare", "--seeds"),
-            ("compare", "--updates"),
-            ("compare", "--eval-seeds"),
-        ],
+        "command, flag, good, bad, bound",
+        _NUMERIC_ARGUMENTS,
+        ids=[f"{command}-{flag}" for command, flag, *_ in _NUMERIC_ARGUMENTS],
     )
-    def test_seed_and_update_counts_must_be_positive(self, capsys, command, flag):
-        """``--seeds 0`` used to die in best-agent selection with a bare
-        ``max()`` error, ``--eval-seeds 0`` printed all-``n/a`` rows and
-        exited 0, and ``--updates -3`` trained nothing and saved."""
+    def test_seed_and_update_counts_must_be_positive(
+        self, capsys, command, flag, good, bad, bound
+    ):
+        """Every numeric argument is checked at parse time and a bad value
+        exits 2 with usage.  ``--seeds 0`` used to die in best-agent
+        selection with a bare ``max()`` error, ``--eval-seeds 0`` printed
+        all-``n/a`` rows and exited 0, and ``--updates -3`` trained nothing
+        and saved; ``--requests 0``, ``--workers 0`` or ``--horizon nan``
+        ended in a ``ValueError`` traceback once the run was built, and
+        ``--rate -5`` or ``nan`` silently ran closed-loop saturation."""
         parser = build_parser()
-        assert getattr(parser.parse_args(command.split() + [flag, "2"]),
-                       flag[2:].replace("-", "_")) == 2
-        for bad in ("0", "-3"):
+        parsed = getattr(parser.parse_args(command.split() + [flag, good]),
+                         flag[2:].replace("-", "_"))
+        assert parsed == type(parsed)(good)
+        for value in bad:
             with pytest.raises(SystemExit) as exit_info:
-                parser.parse_args(command.split() + [flag, bad])
+                parser.parse_args(command.split() + [flag, value])
             assert exit_info.value.code == 2
-            assert "must be >= 1" in capsys.readouterr().err
+            assert f"must be {bound}" in capsys.readouterr().err
 
     def test_serve_bench_defaults(self):
         args = build_parser().parse_args(["serve-bench"])

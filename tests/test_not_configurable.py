@@ -304,7 +304,14 @@ class TestInferenceDecidesGreedily:
 class TestDeploymentHasNoPrecisionSwitch:
     @pytest.mark.parametrize(
         "fn",
-        [DistributedCoordinator, CentralDRLPolicy, ActorCriticPolicy.act_single],
+        [
+            DistributedCoordinator,
+            CentralDRLPolicy,
+            ActorCriticPolicy.act_single,
+            ActorCriticPolicy.select_actions,
+            BatchedEpisodeRunner,
+            ServingEngine,
+        ],
         ids=lambda fn: fn.__qualname__,
     )
     def test_takes_no_dtype_or_inference(self, fn):

@@ -119,14 +119,3 @@ class TestDocumentationDeliverables:
             "bench_fig8_generalization.py",
             "bench_fig9_scalability.py",
         }
-
-
-class TestTrainingConfigQuick:
-    def test_quick_reduces_budget_keeps_algorithm(self):
-        from repro.core import TrainingConfig
-
-        full = TrainingConfig()
-        quick = full.quick()
-        assert quick.algorithm == full.algorithm
-        assert len(quick.seeds) < len(full.seeds)
-        assert quick.updates_per_seed < full.updates_per_seed

@@ -16,7 +16,12 @@ precision switch followed: every multi-row select decides on a certified
 float32 forward with a float64 fallback, so the dtype flag, its
 environment variable, its config fields and the near-tie tolerance are
 gone.  ``Network.with_endpoints`` followed: a network is built once,
-with its endpoints, and never rebuilt from another.  The names below may
+with its endpoints, and never rebuilt from another.  The float32 cast
+followed: ``freeze()`` makes it once, on read-only weights, so nothing
+re-casts, re-points or casts for a driver.  The observation oracle and
+``SGD`` left the package for the tests that use them, and
+``tests/test_every_name_has_a_caller.py`` keeps every public name in
+``src/`` called.  The names below may
 appear only here and in ``tests/test_not_configurable.py``;
 :func:`test_deleted_names_stay_out_of_the_tree` scans for them
 everywhere else.
@@ -65,8 +70,8 @@ REMOVED_EXPORTS = {
     ],
     "repro.sim": ["DecisionRecord", "FlowTrace", "TracingPolicy"],
     "repro.eval": ["ascii_chart", "chart_sweep"],
-    "repro.core": ["ActionAdapter", "NodeAgent"],
-    "repro.nn": ["Adam"],
+    "repro.core": ["ActionAdapter", "NodeAgent", "ObservationParts"],
+    "repro.nn": ["Adam", "SGD"],
     "repro.baselines": ["CoordinationPolicy"],
     "repro.telemetry": ["PhaseTimer"],
     "repro.analysis": [
@@ -193,6 +198,9 @@ DELETED_NAMES = {
         r"eval_dtype|EVAL_DTYPE|eval-dtype|ARGMAX_TIE_TOLERANCE"
         r"|\bactor_inference\b"
     ),
+    # The float32 cast is made once, by ``freeze()``, on read-only
+    # weights: nothing re-casts, re-points or casts on a driver's behalf.
+    "second-cast": r"\brebind\b|refresh_weights|\b_cast\b",
 }
 
 #: Files inside the scanned tree a family's scan skips.

@@ -62,6 +62,20 @@ def all_pairs(
     return dist, next_hop
 
 
+def shortest_path(network: Network, source: str, target: str) -> List[str]:
+    """The node sequence ``network.next_hop`` routes from ``source`` to
+    ``target``, both ends included; ``ValueError`` when ``target`` is
+    unreachable."""
+    if not math.isfinite(network.shortest_path_delay(source, target)):
+        raise ValueError(f"{target!r} is unreachable from {source!r}")
+    path = [source]
+    while path[-1] != target:
+        hop = network.next_hop(path[-1], target)
+        assert hop is not None and len(path) <= network.num_nodes, path
+        path.append(hop)
+    return path
+
+
 def assert_tables_match(network: Network) -> None:
     """``dist``, ``next_hop``, ``diameter`` and ``is_connected`` equal the
     reference exactly, tie-breaking included."""

@@ -11,6 +11,8 @@ from repro.topology.generators import (
     triangle_network,
 )
 
+from tests.topology.reference_paths import shortest_path
+
 
 class TestLine:
     def test_structure(self):
@@ -20,7 +22,7 @@ class TestLine:
         assert net.degree == 2
         assert net.ingress == ("v1",)
         assert net.egress == ("v4",)
-        assert net.shortest_path("v1", "v4") == ["v1", "v2", "v3", "v4"]
+        assert shortest_path(net, "v1", "v4") == ["v1", "v2", "v3", "v4"]
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
@@ -54,7 +56,7 @@ class TestStar:
 
     def test_leaf_to_leaf_via_hub(self):
         net = star_network(4)
-        assert net.shortest_path("v2", "v5") == ["v2", "v1", "v5"]
+        assert shortest_path(net, "v2", "v5") == ["v2", "v1", "v5"]
 
 
 class TestTriangle:

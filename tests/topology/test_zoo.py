@@ -13,6 +13,8 @@ from repro.topology.zoo import (
     topology_layout,
 )
 
+from tests.topology.reference_paths import shortest_path
+
 PAPER_TABLE1 = {
     "Abilene": (11, 14, 2, 3, 2.55),
     "BT Europe": (24, 37, 1, 13, 3.08),
@@ -85,7 +87,7 @@ class TestAbilene:
         """Sec. V-B: v1-v3's shortest paths to the egress overlap; v4 and
         v5 use disjoint routes."""
         net = abilene()
-        paths = {v: set(net.shortest_path(v, "v8")) for v in
+        paths = {v: set(shortest_path(net, v, "v8")) for v in
                  ("v1", "v2", "v3", "v4", "v5")}
         west = paths["v2"] & paths["v3"] - {"v8"}
         assert west, "west-coast ingresses should share path segments"

@@ -11,16 +11,17 @@ from repro.traffic.arrival import (
     RateFunctionArrival,
     TrafficSource,
 )
+from tests.traffic.arrival_times import arrivals_until
 
 
 class TestFixedArrival:
     def test_regular_spacing(self):
         proc = FixedArrival(10.0)
-        assert proc.arrivals_until(35.0) == [10.0, 20.0, 30.0]
+        assert arrivals_until(proc, 35.0) == [10.0, 20.0, 30.0]
 
     def test_custom_offset(self):
         proc = FixedArrival(10.0, offset=3.0)
-        assert proc.arrivals_until(25.0) == [3.0, 13.0, 23.0]
+        assert arrivals_until(proc, 25.0) == [3.0, 13.0, 23.0]
 
     def test_next_arrival_strictly_after(self):
         proc = FixedArrival(10.0)
@@ -36,18 +37,18 @@ class TestFixedArrival:
 class TestPoissonArrival:
     def test_mean_interarrival(self):
         proc = PoissonArrival(10.0, rng=0)
-        times = proc.arrivals_until(50000.0)
+        times = arrivals_until(proc, 50000.0)
         gaps = np.diff([0.0] + times)
         assert np.mean(gaps) == pytest.approx(10.0, rel=0.1)
 
     def test_strictly_increasing(self):
         proc = PoissonArrival(5.0, rng=1)
-        times = proc.arrivals_until(1000.0)
+        times = arrivals_until(proc, 1000.0)
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_reproducible_with_seed(self):
-        a = PoissonArrival(10.0, rng=42).arrivals_until(500.0)
-        b = PoissonArrival(10.0, rng=42).arrivals_until(500.0)
+        a = arrivals_until(PoissonArrival(10.0, rng=42), 500.0)
+        b = arrivals_until(PoissonArrival(10.0, rng=42), 500.0)
         assert a == b
 
     def test_invalid_mean(self):
@@ -60,19 +61,19 @@ class TestMMPPArrival:
         """Long-run mean inter-arrival lies between the two state means."""
         proc = MMPPArrival(12.0, 8.0, switch_interval=100.0,
                            switch_probability=0.5, rng=0)
-        times = proc.arrivals_until(100000.0)
+        times = arrivals_until(proc, 100000.0)
         mean_gap = np.mean(np.diff([0.0] + times))
         assert 8.0 * 0.9 < mean_gap < 12.0 * 1.1
 
     def test_zero_switch_probability_stays_slow(self):
         proc = MMPPArrival(12.0, 8.0, switch_probability=0.0, rng=0)
-        times = proc.arrivals_until(50000.0)
+        times = arrivals_until(proc, 50000.0)
         mean_gap = np.mean(np.diff([0.0] + times))
         assert mean_gap == pytest.approx(12.0, rel=0.1)
 
     def test_strictly_increasing(self):
         proc = MMPPArrival(rng=3)
-        times = proc.arrivals_until(3000.0)
+        times = arrivals_until(proc, 3000.0)
         assert all(b > a for a, b in zip(times, times[1:]))
 
     @pytest.mark.parametrize(
@@ -92,7 +93,7 @@ class TestMMPPArrival:
 class TestRateFunctionArrival:
     def test_constant_rate_matches_poisson(self):
         proc = RateFunctionArrival(lambda t: 0.1, max_rate=0.1, rng=0)
-        times = proc.arrivals_until(50000.0)
+        times = arrivals_until(proc, 50000.0)
         assert np.mean(np.diff([0.0] + times)) == pytest.approx(10.0, rel=0.1)
 
     def test_zero_rate_period_has_no_arrivals(self):
@@ -100,12 +101,12 @@ class TestRateFunctionArrival:
         proc = RateFunctionArrival(
             lambda t: 0.0 if 100 <= t < 200 else 0.5, max_rate=0.5, rng=0
         )
-        times = proc.arrivals_until(1000.0)
+        times = arrivals_until(proc, 1000.0)
         assert not [t for t in times if 100 <= t < 200]
 
     def test_horizon_exhausts(self):
         proc = RateFunctionArrival(lambda t: 1.0, max_rate=1.0, rng=0, horizon=10.0)
-        assert all(t <= 10.0 for t in proc.arrivals_until(100.0))
+        assert all(t <= 10.0 for t in arrivals_until(proc, 100.0))
         assert proc.next_arrival(10.0) is None
 
     def test_rate_above_bound_rejected(self):

@@ -94,17 +94,6 @@ class TestFlowLifecycle:
         assert f.remaining_time(40.0) == 20.0
         assert f.remaining_time(70.0) == -10.0
 
-    def test_normalized_remaining_time_clipped(self):
-        f = Flow(spec(arrival_time=0.0, deadline=10.0), 1)
-        assert f.normalized_remaining_time(0.0) == 1.0
-        assert f.normalized_remaining_time(5.0) == 0.5
-        assert f.normalized_remaining_time(20.0) == 0.0
-
-    def test_expired(self):
-        f = Flow(spec(arrival_time=0.0, deadline=10.0), 1)
-        assert not f.expired(9.999)
-        assert f.expired(10.0)
-
     def test_success_records_delay(self):
         f = Flow(spec(arrival_time=10.0), 1)
         f.mark_succeeded(35.0)

@@ -10,6 +10,7 @@ from repro.traffic.traces import (
     save_trace,
     synthetic_abilene_trace,
 )
+from tests.traffic.arrival_times import arrivals_until
 
 
 class TestRateTrace:
@@ -76,7 +77,7 @@ class TestTraceArrival:
     def test_arrival_rate_tracks_trace(self):
         trace = RateTrace((0.0,), (0.2,))
         proc = TraceArrival(trace, rng=0)
-        times = proc.arrivals_until(20000.0)
+        times = arrivals_until(proc, 20000.0)
         assert len(times) == pytest.approx(0.2 * 20000, rel=0.1)
 
     def test_zero_trace_rejected(self):
@@ -87,7 +88,7 @@ class TestTraceArrival:
         # Rate 0.5 in the first half, 0.05 in the second.
         trace = RateTrace((0.0, 1000.0), (0.5, 0.05))
         proc = TraceArrival(trace, rng=0)
-        times = proc.arrivals_until(2000.0)
+        times = arrivals_until(proc, 2000.0)
         first = sum(1 for t in times if t <= 1000.0)
         second = len(times) - first
         assert first > 4 * second
