@@ -12,7 +12,6 @@ from __future__ import annotations
 
 
 from _config import SCALE, suite_config
-from repro.core.rewards import RewardConfig
 from repro.eval.runner import DISTRIBUTED_DRL, build_algorithm_suite
 from repro.eval.scenarios import base_scenario
 from repro.eval.tables import SweepTable
@@ -26,16 +25,13 @@ def _run():
         parameter_name="variant",
         parameter_values=["success"],
     )
-    for label, reward in (
-        ("shaped (paper)", RewardConfig(enable_shaping=True)),
-        ("sparse ±10 only", RewardConfig(enable_shaping=False)),
-    ):
+    for label, shaping in (("shaped (paper)", True), ("sparse ±10 only", False)):
         scenario = base_scenario(
             pattern="poisson",
             num_ingress=2,
             horizon=SCALE.horizon,
             capacity_seed=0,
-            reward=reward,
+            shaping=shaping,
         )
         suite = build_algorithm_suite(
             scenario, suite_config(), include=(DISTRIBUTED_DRL,)

@@ -153,7 +153,7 @@ def measure_saturation(
             policy,
             observations,
             requests=requests,
-            rate=None,
+            rate=0.0,
             config=ServingConfig(max_batch=batch),
             swap_every=swap_every,
         )

@@ -2,7 +2,6 @@
 
 from repro.baselines.base import BasePolicy
 from repro.baselines.central_drl import (
-    CentralDRLConfig,
     CentralDRLPolicy,
     CentralizedCoordinationEnv,
     RuleExecutor,
@@ -14,7 +13,6 @@ from repro.baselines.shortest_path import ShortestPathPolicy
 
 __all__ = [
     "BasePolicy",
-    "CentralDRLConfig",
     "CentralDRLPolicy",
     "CentralizedCoordinationEnv",
     "RuleExecutor",

@@ -47,7 +47,7 @@ from repro.sim.simulator import ACTION_PROCESS_LOCALLY, DecisionPoint, Simulator
 from repro.topology.network import Network
 
 __all__ = [
-    "CentralDRLConfig",
+    "UPDATE_INTERVAL",
     "RuleExecutor",
     "CentralizedCoordinationEnv",
     "CentralizedEnvBuilder",
@@ -56,23 +56,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CentralDRLConfig:
-    """Knobs of the centralized baseline.
-
-    Attributes:
-        update_interval: Simulation time I between rule refreshes (at the
-            boundaries k·I); also the monitoring period — the utilisation
-            sampled at a boundary stands for the whole interval.
-    """
-
-    update_interval: float = 50.0
-
-    def __post_init__(self) -> None:
-        if not self.update_interval > 0:
-            raise ValueError(
-                f"update_interval must be > 0, got {self.update_interval}"
-            )
+#: Simulation time I between rule refreshes (at the boundaries k·I); also
+#: the monitoring period — the utilisation sampled at a boundary stands
+#: for the whole interval.  Read when a :class:`_RuleRefresh` is built.
+UPDATE_INTERVAL = 50.0
 
 
 class RuleExecutor(BasePolicy):
@@ -163,12 +150,10 @@ class _RuleRefresh:
     ``(k+1)·I``.
     """
 
-    def __init__(
-        self, network: Network, catalog: ServiceCatalog, config: CentralDRLConfig
-    ) -> None:
+    def __init__(self, network: Network, catalog: ServiceCatalog) -> None:
         self.nodes = network.node_names
         self.num_components = len(catalog.components)
-        self.interval = config.update_interval
+        self.interval = UPDATE_INTERVAL
         capacities = np.array([network.node(n).capacity for n in self.nodes])
         # Static capacities normalised by the network-wide maximum —
         # global knowledge a centralized controller legitimately has.
@@ -206,23 +191,19 @@ class CentralizedCoordinationEnv:
     """
 
     def __init__(
-        self,
-        env_config: CoordinationEnvConfig,
-        central_config: CentralDRLConfig = CentralDRLConfig(),
-        seed: Optional[int] = None,
+        self, env_config: CoordinationEnvConfig, seed: Optional[int] = None
     ) -> None:
         self.env_config = env_config
-        self.central_config = central_config
         self.network = env_config.network
         self.catalog = env_config.catalog
         self.nodes: List[str] = self.network.node_names
         self.component_names = [c.name for c in self.catalog.components]
         self.observation_size = _observation_size(self.network, self.catalog)
         self.num_actions = len(self.nodes)
-        self.reward_function = RewardFunction(self.network, env_config.reward)
+        self.reward_function = RewardFunction(self.network, env_config.shaping)
         self._seed_seq = np.random.SeedSequence(seed)
         self._sim: Optional[Simulator] = None
-        self._rules = _RuleRefresh(self.network, self.catalog, central_config)
+        self._rules = _RuleRefresh(self.network, self.catalog)
         self._pending: Optional[DecisionPoint] = None
         self._component_index = 0
         self._draft: Dict[str, str] = {}
@@ -242,7 +223,7 @@ class CentralizedCoordinationEnv:
         self._sim = Simulator(
             self.network, self.catalog, traffic, self.env_config.sim_config
         )
-        self._rules = _RuleRefresh(self.network, self.catalog, self.central_config)
+        self._rules = _RuleRefresh(self.network, self.catalog)
         self._pending = None
         self._component_index = 0
         self._draft = {}
@@ -334,7 +315,6 @@ class CentralDRLPolicy:
         network: Network,
         catalog: ServiceCatalog,
         policy: ActorCriticPolicy,
-        central_config: CentralDRLConfig = CentralDRLConfig(),
     ) -> None:
         expected = _observation_size(network, catalog)
         if policy.obs_dim != expected:
@@ -348,9 +328,8 @@ class CentralDRLPolicy:
         self.component_names = [c.name for c in catalog.components]
         #: The deployment's frozen snapshot of the trained network.
         self.policy = policy.clone().freeze()
-        self.config = central_config
         self.rule_update_seconds: List[float] = []
-        self._rules = _RuleRefresh(network, catalog, central_config)
+        self._rules = _RuleRefresh(network, catalog)
         self.executor = self._rules.executor
 
     def _refresh_rules(self, decision: DecisionPoint, sim: Simulator) -> None:
@@ -375,7 +354,7 @@ class CentralDRLPolicy:
         """A new inference instance over the same trained weights (its own
         frozen snapshot) with clean runtime state (rules, snapshots, spill
         memory) — use one per evaluation run."""
-        return CentralDRLPolicy(self.network, self.catalog, self.policy, self.config)
+        return CentralDRLPolicy(self.network, self.catalog, self.policy)
 
     @property
     def mean_rule_update_seconds(self) -> float:
@@ -390,17 +369,13 @@ class CentralizedEnvBuilder(EnvBuilder):
     enabling the per-seed training fan-out of :func:`train_multi_seed`."""
 
     env_config: CoordinationEnvConfig
-    central_config: CentralDRLConfig = CentralDRLConfig()
 
     def build(self, env_seed: int) -> CentralizedCoordinationEnv:
-        return CentralizedCoordinationEnv(
-            self.env_config, self.central_config, seed=env_seed
-        )
+        return CentralizedCoordinationEnv(self.env_config, seed=env_seed)
 
 
 def train_central_coordinator(
     env_config: CoordinationEnvConfig,
-    central_config: CentralDRLConfig = CentralDRLConfig(),
     rl_config: ACKTRConfig = ACKTRConfig(),
     seeds: Sequence[int] = (0, 1),
     updates_per_seed: int = 60,
@@ -410,7 +385,7 @@ def train_central_coordinator(
 ) -> Tuple[CentralDRLPolicy, MultiSeedResult]:
     """Train the central rule-setting agent and wrap it for inference."""
     multi_seed = train_multi_seed(
-        CentralizedEnvBuilder(env_config, central_config),
+        CentralizedEnvBuilder(env_config),
         config=rl_config,
         seeds=seeds,
         updates_per_seed=updates_per_seed,
@@ -419,6 +394,6 @@ def train_central_coordinator(
         workers=workers,
     )
     policy = CentralDRLPolicy(
-        env_config.network, env_config.catalog, multi_seed.best_policy, central_config
+        env_config.network, env_config.catalog, multi_seed.best_policy
     )
     return policy, multi_seed

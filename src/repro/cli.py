@@ -22,10 +22,12 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Any, Callable, Iterator, List, Optional, TypeVar
 
 
 __all__ = ["main", "build_parser"]
+
+T = TypeVar("T")
 
 
 def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
@@ -81,6 +83,17 @@ def _add_telemetry_arg(parser: argparse.ArgumentParser) -> None:
                              "stream into DIR (see 'repro telemetry summarize')")
 
 
+def _read_input(read: Callable[[Any], T], path: str) -> T:
+    """``read(path)``; a missing or malformed input file ends the command
+    with the reader's message (which names the file) as one stderr line
+    and exit status 2, as a bad argument does, instead of a traceback."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 @contextmanager
 def _telemetry(args: argparse.Namespace, name: str, seeds=()) -> Iterator:
     """The command's recorder: ``NULL_RECORDER`` without ``--telemetry``,
@@ -116,13 +129,13 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                         help="flow deadline tau_f")
     parser.add_argument("--horizon", type=_positive_float, default=1000.0,
                         help="simulated time span T")
-    parser.add_argument("--capacity-seed", type=int, default=0,
+    parser.add_argument("--capacity-seed", type=_non_negative_int, default=0,
                         help="seed of the random capacity assignment")
     parser.add_argument("--faults", default="off",
                         choices=["off", "links", "nodes", "churn"],
                         help="inject a named fault scenario (link failures, "
                              "node outages, capacity churn) into every run")
-    parser.add_argument("--fault-seed", type=int, default=0,
+    parser.add_argument("--fault-seed", type=_non_negative_int, default=0,
                         help="seed of the fault schedule (targets and windows)")
 
 
@@ -217,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--swap-every", type=_non_negative_int, default=0,
                        help="hot-swap a cloned policy every N submissions "
                             "(0 = never); exercises flush-boundary swaps")
-    serve.add_argument("--arrival-seed", type=int, default=0,
+    serve.add_argument("--arrival-seed", type=_non_negative_int, default=0,
                        help="seed of the Poisson arrival process")
     serve.add_argument("--pool", type=_positive_int, default=256,
                        help="observation vectors harvested from the scenario "
@@ -298,7 +311,7 @@ def _build_policy(args: argparse.Namespace, scenario):
     # partial() rather than lambdas: the factory must pickle so the
     # per-seed evaluation can fan out across worker processes.
     if args.policy is not None:
-        trained = ActorCriticPolicy.load(args.policy)
+        trained = _read_input(ActorCriticPolicy.load, args.policy)
         return partial(
             DistributedCoordinator,
             scenario.network,
@@ -381,7 +394,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     scenario = _scenario_from_args(args)
     if args.policy is not None:
-        policy = ActorCriticPolicy.load(args.policy)
+        policy = _read_input(ActorCriticPolicy.load, args.policy)
     else:
         probe = ServiceCoordinationEnv(scenario, seed=0)
         policy = ActorCriticPolicy(probe.observation_size, probe.num_actions, rng=0)
@@ -396,7 +409,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             policy,
             observations,
             requests=args.requests,
-            rate=args.rate if args.rate > 0.0 else None,
+            rate=args.rate,
             config=config,
             arrival_seed=args.arrival_seed,
             swap_every=args.swap_every,
@@ -432,7 +445,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     from repro.telemetry import summarize_run
 
-    print(summarize_run(args.directory))
+    print(_read_input(summarize_run, args.directory))
     return 0
 
 

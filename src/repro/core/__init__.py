@@ -3,7 +3,7 @@
 from repro.core.agent import DistributedCoordinator
 from repro.core.env import CoordinationEnvConfig, ServiceCoordinationEnv
 from repro.core.observations import ObservationAdapter
-from repro.core.rewards import RewardConfig, RewardFunction
+from repro.core.rewards import RewardFunction
 from repro.core.trainer import TrainingConfig, TrainingResult, train_coordinator
 from repro.sim.simulator import ACTION_PROCESS_LOCALLY
 
@@ -13,7 +13,6 @@ __all__ = [
     "CoordinationEnvConfig",
     "ServiceCoordinationEnv",
     "ObservationAdapter",
-    "RewardConfig",
     "RewardFunction",
     "TrainingConfig",
     "TrainingResult",

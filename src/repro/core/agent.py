@@ -61,7 +61,10 @@ class DistributedCoordinator:
     Pickling keeps the sharing (one weight set per coordinator, whatever
     the node count) but numpy does not carry the read-only flag across,
     so the float32 cast stays behind and the far side decides in float64
-    (the same actions); pool workers rebuild through :meth:`fresh`,
+    (the same actions).  Evaluation workers therefore never run a
+    pickled coordinator: each builds its own from the pickled policy
+    through ``partial(DistributedCoordinator, network, catalog, policy)``
+    (``AlgorithmSuite.factories_for``, ``repro evaluate --policy``),
     which snapshots, freezes and casts again.
 
     Args:

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.analysis.invariants import InvariantViolation
 from repro.core.observations import ObservationAdapter
-from repro.core.rewards import RewardConfig, RewardFunction
+from repro.core.rewards import RewardFunction
 from repro.services.service import ServiceCatalog
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import DecisionPoint, Simulator
@@ -45,14 +45,15 @@ class CoordinationEnvConfig:
         traffic_factory: Called once per episode with a fresh generator;
             must return the episode's flows in arrival-time order.
         sim_config: Simulator knobs (horizon etc.).
-        reward: Reward magnitudes / shaping switches.
+        shaping: Pay the three shaped rewards of Sec. IV-B3 (the paper
+            does; the reward-shaping ablation turns them off).
     """
 
     network: Network
     catalog: ServiceCatalog
     traffic_factory: TrafficFactory
     sim_config: SimulationConfig = SimulationConfig()
-    reward: RewardConfig = RewardConfig()
+    shaping: bool = True
 
 
 class ServiceCoordinationEnv:
@@ -75,7 +76,7 @@ class ServiceCoordinationEnv:
     def __init__(self, config: CoordinationEnvConfig, seed: Optional[int] = None) -> None:
         self.config = config
         self.observation_adapter = ObservationAdapter(config.network, config.catalog)
-        self.reward_function = RewardFunction(config.network, config.reward)
+        self.reward_function = RewardFunction(config.network, config.shaping)
         self.observation_size = self.observation_adapter.size
         #: ``Δ_G + 1``: process locally, or forward to the a-th neighbor.
         self.num_actions = config.network.degree + 1

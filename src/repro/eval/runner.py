@@ -25,11 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.central_drl import (
-    CentralDRLConfig,
-    CentralDRLPolicy,
-    train_central_coordinator,
-)
+from repro.baselines.central_drl import CentralDRLPolicy, train_central_coordinator
 from repro.baselines.gcasp import GCASPPolicy
 from repro.baselines.shortest_path import ShortestPathPolicy
 from repro.core.agent import DistributedCoordinator
@@ -352,11 +348,7 @@ class AlgorithmSuite:
                     "suite lists central DRL but holds no trained central policy"
                 )
             factories[CENTRAL_DRL] = partial(
-                CentralDRLPolicy,
-                network,
-                catalog,
-                self.central.policy,
-                self.central.config,
+                CentralDRLPolicy, network, catalog, self.central.policy
             )
         if GCASP in self.algorithms:
             factories[GCASP] = partial(GCASPPolicy, network, catalog)
@@ -426,7 +418,6 @@ def build_algorithm_suite(
     if CENTRAL_DRL in include:
         central, _ = train_central_coordinator(
             env_config,
-            CentralDRLConfig(),
             training.rl,
             seeds=tuple(training.seeds),
             updates_per_seed=suite.central_train_updates,

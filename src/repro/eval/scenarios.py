@@ -23,9 +23,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.env import CoordinationEnvConfig
-from repro.core.rewards import RewardConfig
 from repro.faults import FaultScenarioConfig
-from repro.services import ServiceCatalog, default_catalog
+from repro.services import default_catalog
 from repro.sim.config import SimulationConfig
 from repro.topology.network import Network, link_key
 from repro.topology.zoo import topology_layout
@@ -118,7 +117,6 @@ class ScenarioTrafficFactory:
     ingress: Tuple[str, ...]
     pattern: str
     horizon: float
-    mean_interval: float
     template: FlowTemplate
     trace: Optional[RateTrace] = None
 
@@ -130,10 +128,10 @@ class ScenarioTrafficFactory:
                 # Stagger ingresses slightly so simultaneous arrivals do
                 # not all collide on the very same event ordering.
                 processes[ingress] = FixedArrival(
-                    self.mean_interval, offset=self.mean_interval + index
+                    _MEAN_INTERVAL, offset=_MEAN_INTERVAL + index
                 )
             elif self.pattern == "poisson":
-                processes[ingress] = PoissonArrival(self.mean_interval, rng=child)
+                processes[ingress] = PoissonArrival(_MEAN_INTERVAL, rng=child)
             elif self.pattern == "mmpp":
                 processes[ingress] = MMPPArrival(
                     mean_interval_slow=_MMPP_SLOW,
@@ -152,19 +150,18 @@ def make_traffic_factory(
     pattern: str = "poisson",
     horizon: float = 2000.0,
     deadline: float = 100.0,
-    mean_interval: float = _MEAN_INTERVAL,
-    trace: Optional[RateTrace] = None,
 ) -> ScenarioTrafficFactory:
     """Traffic factory for one of the paper's four arrival patterns.
+
+    The fixed and Poisson patterns arrive every 10 time steps on average
+    per ingress; the ``"trace"`` pattern follows the synthetic
+    Abilene-like trace scaled to the same mean rate.
 
     Args:
         network: Supplies the ingress set (one arrival process each).
         pattern: ``"fixed"``, ``"poisson"``, ``"mmpp"``, or ``"trace"``.
         horizon: Flows arrive in ``(0, horizon]``.
         deadline: Flow deadline τ_f.
-        mean_interval: Mean inter-arrival per ingress (fixed/Poisson).
-        trace: Rate trace for the ``"trace"`` pattern (default: the
-            synthetic Abilene-like trace, scaled to ``1/mean_interval``).
     """
     if pattern not in TRAFFIC_PATTERNS:
         raise ValueError(
@@ -172,10 +169,11 @@ def make_traffic_factory(
         )
     if not network.ingress:
         raise ValueError("network has no ingress nodes")
-    if pattern == "trace" and trace is None:
-        trace = synthetic_abilene_trace(
-            horizon=horizon, mean_rate=1.0 / mean_interval
-        )
+    trace = (
+        synthetic_abilene_trace(horizon=horizon, mean_rate=1.0 / _MEAN_INTERVAL)
+        if pattern == "trace"
+        else None
+    )
     egress = network.egress[0]
     template = FlowTemplate(
         service=SERVICE_NAME, egress=egress, data_rate=1.0, duration=1.0,
@@ -185,7 +183,6 @@ def make_traffic_factory(
         ingress=tuple(network.ingress),
         pattern=pattern,
         horizon=horizon,
-        mean_interval=mean_interval,
         template=template,
         trace=trace,
     )
@@ -223,10 +220,7 @@ def base_scenario(
     horizon: float = 2000.0,
     topology: str = "Abilene",
     capacity_seed: int = 0,
-    mean_interval: float = _MEAN_INTERVAL,
-    catalog: Optional[ServiceCatalog] = None,
-    reward: RewardConfig = RewardConfig(),
-    trace: Optional[RateTrace] = None,
+    shaping: bool = True,
     faults: Optional[Union[str, FaultScenarioConfig]] = None,
 ) -> CoordinationEnvConfig:
     """The paper's base scenario with one variation knob per experiment.
@@ -236,6 +230,8 @@ def base_scenario(
     - Fig. 8a: train on one ``pattern``, evaluate on ``pattern="trace"``.
     - Fig. 8b: train with ``num_ingress=2``, evaluate on 1-5.
     - Fig. 9: sweep ``topology`` over Table I.
+    - Reward-shaping ablation: ``shaping=False`` pays only the terminal
+      ±10 rewards.
     - Robustness extension: pass ``faults`` — a preset name from
       :data:`FAULT_PRESETS` or a full :class:`FaultScenarioConfig` — to
       inject link/node failures during evaluation.
@@ -248,19 +244,13 @@ def base_scenario(
     network = build_network(
         topology=topology, num_ingress=num_ingress, capacity_seed=capacity_seed
     )
-    catalog = catalog or default_catalog()
     traffic_factory = make_traffic_factory(
-        network,
-        pattern=pattern,
-        horizon=horizon,
-        deadline=deadline,
-        mean_interval=mean_interval,
-        trace=trace,
+        network, pattern=pattern, horizon=horizon, deadline=deadline
     )
     return CoordinationEnvConfig(
         network=network,
-        catalog=catalog,
+        catalog=default_catalog(),
         traffic_factory=traffic_factory,
         sim_config=SimulationConfig(horizon=horizon, faults=faults),
-        reward=reward,
+        shaping=shaping,
     )

@@ -35,6 +35,18 @@ __all__ = [
 #: A fault target: a node name, or an undirected link as a name pair.
 FaultTarget = Union[str, Tuple[str, str]]
 
+# The shape of every fault FaultScenarioConfig.build_schedule generates.
+#: Fractions of the horizon between which onsets are drawn uniformly; they
+#: leave a fault-free head and tail so the pre-failure / during /
+#: post-recovery split is observable.
+ONSET_WINDOW = (0.25, 0.6)
+#: Mean of the exponential fault-duration draw.
+MEAN_DOWNTIME = 200.0
+#: Lower clamp on drawn durations.
+MIN_DOWNTIME = 10.0
+#: Capacity multiplier of a generated degradation.
+DEGRADATION_FACTOR = 0.5
+
 
 class FaultKind(Enum):
     """The three fault classes the injector understands."""
@@ -174,12 +186,6 @@ class FaultScenarioConfig:
             whole run degenerate).
         degradations: Number of capacity-degradation events to draw
             (nodes and links alternately).
-        mean_downtime: Mean of the exponential fault-duration draw.
-        min_downtime: Lower clamp on drawn durations.
-        degradation_factor: Capacity multiplier of degradation events.
-        onset_window: Fractions of the horizon between which onsets are
-            drawn; the defaults leave a fault-free head and tail so the
-            pre-failure / during / post-recovery split is observable.
         specs: Explicit fault specs, merged with the generated ones.
             A config with only ``specs`` (all counts zero) is fully
             deterministic without any random draw.
@@ -189,29 +195,12 @@ class FaultScenarioConfig:
     link_failures: int = 0
     node_outages: int = 0
     degradations: int = 0
-    mean_downtime: float = 200.0
-    min_downtime: float = 10.0
-    degradation_factor: float = 0.5
-    onset_window: Tuple[float, float] = (0.25, 0.6)
     specs: Tuple[FaultSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         for name in ("link_failures", "node_outages", "degradations"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("mean_downtime", "min_downtime"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0.0 <= self.degradation_factor < 1.0:
-            raise ValueError(
-                f"degradation_factor must be in [0, 1), "
-                f"got {self.degradation_factor}"
-            )
-        lo, hi = self.onset_window
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError(
-                f"onset_window must satisfy 0 <= lo < hi <= 1, got {self.onset_window}"
-            )
         object.__setattr__(self, "specs", tuple(self.specs))
 
     @property
@@ -225,17 +214,15 @@ class FaultScenarioConfig:
     def build_schedule(self, network: Network, horizon: float) -> FaultSchedule:
         """The deterministic schedule for one network and horizon."""
         rng = np.random.default_rng(self.seed)
-        lo, hi = self.onset_window
+        lo, hi = ONSET_WINDOW
         specs: List[FaultSpec] = list(self.specs)
 
         def draw_window() -> Tuple[float, float]:
             start = float(rng.uniform(lo * horizon, hi * horizon))
-            duration = max(
-                self.min_downtime, float(rng.exponential(self.mean_downtime))
-            )
+            duration = max(MIN_DOWNTIME, float(rng.exponential(MEAN_DOWNTIME)))
             # Recoveries beyond the horizon never fire; clamp so the
             # post-recovery phase exists whenever the onset leaves room.
-            duration = min(duration, max(self.min_downtime, horizon - start))
+            duration = min(duration, max(MIN_DOWNTIME, horizon - start))
             return start, duration
 
         link_keys = sorted(link.key for link in network.links)
@@ -275,7 +262,7 @@ class FaultScenarioConfig:
                     degraded,
                     start,
                     duration,
-                    factor=self.degradation_factor,
+                    factor=DEGRADATION_FACTOR,
                 )
             )
 

@@ -11,7 +11,7 @@ from typing import Optional, Tuple, Union
 #: code by REP001).
 RNGLike = Optional[Union[int, np.random.SeedSequence, np.random.Generator]]
 
-__all__ = ["orthogonal", "xavier_uniform", "zeros"]
+__all__ = ["orthogonal"]
 
 
 def orthogonal(
@@ -23,7 +23,7 @@ def orthogonal(
 
     Args:
         shape: ``(fan_in, fan_out)``.
-        gain: Scaling factor; ``sqrt(2)`` for ReLU stacks, smaller (e.g.
+        gain: Scaling factor; ``sqrt(2)`` for hidden layers, smaller (e.g.
             0.01) for policy output layers to start near-uniform.
         rng: Numpy generator or seed.
     """
@@ -38,21 +38,3 @@ def orthogonal(
     if rows < cols:
         q = q.T
     return (gain * q[:rows, :cols]).astype(np.float64)
-
-
-def xavier_uniform(
-    shape: Tuple[int, int],
-    gain: float = 1.0,
-    rng: "RNGLike" = None,
-) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation for tanh networks."""
-    if len(shape) != 2:
-        raise ValueError(f"xavier init needs a 2-D shape, got {shape}")
-    rng = np.random.default_rng(rng)
-    fan_in, fan_out = shape
-    limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float64)
-
-
-def zeros(shape: Union[int, Tuple[int, ...]]) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float64)

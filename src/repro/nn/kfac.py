@@ -16,13 +16,13 @@ The natural gradient is then cheap:
 On top, ACKTR applies a trust region: the raw step is rescaled so the
 predicted KL change ``½ Δθᵀ F Δθ`` stays below ``kl_clip``.
 
-Usage inside a trainer::
+Usage inside a trainer — one forward serves both backward passes::
 
     model.forward(obs)                      # caches ā per layer
     model.backward(fisher_output_grad)      # caches g per layer
     kfac.update_stats()                     # EMA of A, G from the caches
-    model.forward(obs); model.backward(dl)  # true loss gradients
-    kfac.step([d.grad for d in model.dense_layers])
+    model.backward(dl)                      # true loss gradients, same ā
+    kfac.step(model.gradients)
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.analysis.invariants import InvariantViolation
 from repro.nn.mlp import MLP
-from repro.nn.optim import clip_grads_by_norm
+from repro.nn.optim import MAX_GRAD_NORM, clip_grads_by_norm
 
 __all__ = ["KFAC"]
 
@@ -53,6 +53,11 @@ class KFAC:
             steps (inversion is the expensive part of K-FAC).
         max_grad_norm: Optional global gradient-norm clip applied to the
             incoming raw gradients (paper: 0.5).
+
+    The defaults are the values :class:`~repro.rl.acktr.ACKTRTrainer`
+    trains with; it sets only ``lr``.  The paper's Fisher coefficient is
+    1.0, so the sampled-Fisher gradients enter :meth:`update_stats`
+    unscaled.
     """
 
     def __init__(
@@ -63,7 +68,7 @@ class KFAC:
         damping: float = 0.01,
         stat_decay: float = 0.95,
         inversion_interval: int = 10,
-        max_grad_norm: Optional[float] = 0.5,
+        max_grad_norm: Optional[float] = MAX_GRAD_NORM,
     ) -> None:
         if not (lr > 0 and kl_clip > 0 and damping > 0):
             raise ValueError("lr, kl_clip, and damping must all be > 0")

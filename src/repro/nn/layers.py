@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.init import RNGLike, orthogonal, xavier_uniform
+from repro.nn.init import RNGLike, orthogonal
 
-__all__ = ["Dense", "Tanh", "ReLU", "Identity", "Activation"]
+__all__ = ["Dense", "Tanh", "Identity", "Activation"]
 
 
 class Dense:
@@ -32,16 +32,17 @@ class Dense:
         last_input_aug: Cached ``ā`` from the last forward pass.
         last_output_grad: Cached ``g = dL/dz`` from the last backward pass.
 
-    ``weight=`` builds the layer around a private float64 copy of an
-    existing ``(in_dim + 1, out_dim)`` matrix: no initialiser runs and
-    ``rng`` is never touched (checkpoint loading and policy cloning).
+    The data rows are initialised orthogonally with ``gain``, the bias
+    row with zeros.  ``weight=`` builds the layer around a private
+    float64 copy of an existing ``(in_dim + 1, out_dim)`` matrix instead:
+    no initialiser runs and ``rng`` is never touched (checkpoint loading
+    and policy cloning).
     """
 
     def __init__(
         self,
         in_dim: int,
         out_dim: int,
-        init: str = "orthogonal",
         gain: float = 1.0,
         rng: RNGLike = None,
         weight: Optional[np.ndarray] = None,
@@ -58,12 +59,7 @@ class Dense:
                 )
             self.weight = np.array(weight, dtype=np.float64)
         else:
-            if init == "orthogonal":
-                core = orthogonal((in_dim, out_dim), gain=gain, rng=rng)
-            elif init == "xavier":
-                core = xavier_uniform((in_dim, out_dim), gain=gain, rng=rng)
-            else:
-                raise ValueError(f"unknown init {init!r}")
+            core = orthogonal((in_dim, out_dim), gain=gain, rng=rng)
             self.weight = np.vstack([core, np.zeros((1, out_dim))])
         # np.zeros, not zeros_like: calloc'd pages stay untouched until a
         # backward pass writes them, which an inference-only copy never does.
@@ -95,7 +91,7 @@ class Dense:
         self.last_input_aug = aug
         return aug @ self.weight
 
-    def backward(self, dz: np.ndarray, accumulate: bool = False) -> np.ndarray:
+    def backward(self, dz: np.ndarray) -> np.ndarray:
         """Given ``dL/dz``, set ``self.grad`` and return ``dL/dx``.
 
         Gradients are averaged over the batch (dz is assumed to already be
@@ -104,11 +100,7 @@ class Dense:
         if self.last_input_aug is None:
             raise RuntimeError("Dense.backward() called before forward()")
         self.last_output_grad = dz
-        grad = self.last_input_aug.T @ dz
-        if accumulate:
-            self.grad += grad
-        else:
-            self.grad = grad
+        self.grad = self.last_input_aug.T @ dz
         # Drop the bias row when propagating to the input.
         return dz @ self.weight[:-1].T
 
@@ -180,28 +172,6 @@ class Tanh(Activation):
 
     def adopt_forward(self, x: np.ndarray, out: np.ndarray) -> None:
         self._out = out
-
-
-class ReLU(Activation):
-    """ReLU, available for ablations."""
-
-    def __init__(self) -> None:
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("ReLU.backward() called before forward()")
-        return dout * self._mask
-
-    def forward_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0, out=out)
-
-    def adopt_forward(self, x: np.ndarray, out: np.ndarray) -> None:
-        self._mask = x > 0
 
 
 class Identity(Activation):

@@ -1,14 +1,15 @@
-"""Multi-layer perceptron composed of Dense + activation layers."""
+"""Multi-layer perceptron composed of Dense + tanh layers (the paper's
+2x256 tanh networks)."""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union, cast
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
 from repro.nn.init import RNGLike
-from repro.nn.layers import Activation, Dense, Identity, ReLU, Tanh
+from repro.nn.layers import Activation, Dense, Identity, Tanh
 
 __all__ = [
     "MLP",
@@ -18,8 +19,6 @@ __all__ = [
     "fused_backward_is_exact",
     "logit_error_bound",
 ]
-
-_ACTIVATIONS = {"tanh": Tanh, "relu": ReLU, "identity": Identity}
 
 #: Unit roundoffs of IEEE binary32 and binary64 (round to nearest).
 _U32 = 2.0**-24
@@ -54,14 +53,10 @@ def logit_error_bound(mlp: MLP) -> np.ndarray:
     GEMMs and the weight cast against |h| ≤ 1, which tanh outputs and the
     input domain guarantee; the last term covers float32 underflow.  The
     result is inflated for the rounding of its own evaluation and of the
-    comparison :meth:`MLPInference.certified_argmax` makes.  Networks
-    with a non-tanh hidden activation, or weights large enough
-    (colsum ≥ 2¹⁰⁰) for a float32 sum to overflow, get ``inf`` (no
-    bound).
+    comparison :meth:`MLPInference.certified_argmax` makes.  Weights
+    large enough (colsum ≥ 2¹⁰⁰) for a float32 sum to overflow get
+    ``inf`` (no bound).
     """
-    unbounded = np.full(mlp.out_dim, np.inf)
-    if not all(isinstance(act, Tanh) for act in mlp.activations[:-1]):
-        return unbounded
     delta = np.full(mlp.in_dim, _U32 + 2.0**-149)
     for i, dense in enumerate(mlp.dense_layers):
         if i:
@@ -70,7 +65,7 @@ def logit_error_bound(mlp: MLP) -> np.ndarray:
         n = w.shape[0]
         colsum = w.sum(axis=0)
         if not colsum.max() < 2.0**100:  # float32 could overflow (or NaN)
-            return unbounded
+            return np.full(mlp.out_dim, np.inf)
         kappa = _gamma(n + 2, _U32) + _gamma(n, _U64)
         delta = w[:-1].T @ delta + kappa * colsum + n * 2.0**-146
     # Evaluating the bound in float64 errs by far less than 2^-20 relative;
@@ -80,18 +75,16 @@ def logit_error_bound(mlp: MLP) -> np.ndarray:
 
 
 class MLP:
-    """Feed-forward network: hidden Dense+activation stacks, linear output.
+    """Feed-forward network: hidden Dense+tanh stacks, linear output.
 
     Matches the paper's architecture when constructed with
-    ``hidden=(256, 256), activation="tanh"``.
+    ``hidden=(256, 256)``.
 
     Args:
         in_dim: Input feature dimension.
         hidden: Sizes of the hidden layers.
         out_dim: Output dimension (number of actions for the actor, 1 for
             the critic).
-        activation: ``"tanh"`` (paper default), ``"relu"``, or
-            ``"identity"``.
         out_gain: Initialisation gain of the output layer; a small value
             (0.01) keeps an actor's initial policy near-uniform.
         rng: Numpy generator or seed for weight initialisation.
@@ -104,16 +97,10 @@ class MLP:
         in_dim: int,
         hidden: Sequence[int],
         out_dim: int,
-        activation: str = "tanh",
         out_gain: float = 0.01,
         rng: RNGLike = None,
         weights: Optional[Sequence[np.ndarray]] = None,
     ) -> None:
-        if activation not in _ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {activation!r}; choose from {sorted(_ACTIVATIONS)}"
-            )
-        act_cls: Type[Activation] = _ACTIVATIONS[activation]
         dims = [in_dim, *hidden, out_dim]
         shapes = list(zip(dims[:-1], dims[1:]))
         if weights is None:
@@ -130,11 +117,10 @@ class MLP:
             self.dense_layers = [
                 Dense(i, o, weight=w) for (i, o), w in zip(shapes, weights)
             ]
-        self.activations: List[Activation] = [act_cls() for _ in hidden]
+        self.activations: List[Activation] = [Tanh() for _ in hidden]
         self.activations.append(Identity())
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.activation = activation
         self.hidden = tuple(hidden)
         # Reusable (2B, out) stacking buffer for backward_pair, keyed by
         # shape (the training loop calls it with one fixed batch size).
@@ -153,11 +139,11 @@ class MLP:
 
     __call__ = forward
 
-    def backward(self, dout: np.ndarray, accumulate: bool = False) -> np.ndarray:
+    def backward(self, dout: np.ndarray) -> np.ndarray:
         """Backprop ``dL/d(output)``; fills each layer's ``grad``; returns dL/dx."""
         grad = dout
         for dense, act in zip(reversed(self.dense_layers), reversed(self.activations)):
-            grad = dense.backward(act.backward(grad), accumulate=accumulate)
+            grad = dense.backward(act.backward(grad))
         return grad
 
     def backward_pair(
@@ -251,9 +237,9 @@ class MLP:
             )
 
 
-#: Cache of probe results keyed by (in_dim, hidden, out_dim, batch,
-#: activation) — the probe builds scratch networks and runs real GEMMs,
-#: so each architecture/batch combination is checked once per process.
+#: Cache of probe results keyed by (in_dim, hidden, out_dim, batch) —
+#: the probe builds scratch networks and runs real GEMMs, so each
+#: architecture/batch combination is checked once per process.
 _FUSED_EXACTNESS_CACHE: Dict[Tuple[Any, ...], bool] = {}
 
 
@@ -262,7 +248,6 @@ def fused_backward_is_exact(
     hidden: Sequence[int],
     out_dim: int,
     batch: int,
-    activation: str = "tanh",
 ) -> bool:
     """Probe whether :meth:`MLP.backward_pair` is bitwise-identical to two
     serial :meth:`MLP.backward` calls for this architecture and batch size.
@@ -281,13 +266,13 @@ def fused_backward_is_exact(
     optimiser consumes: ``grad``, ``last_output_grad``, and the
     propagated input gradients.
     """
-    key = (in_dim, tuple(hidden), out_dim, batch, activation)
+    key = (in_dim, tuple(hidden), out_dim, batch)
     cached = _FUSED_EXACTNESS_CACHE.get(key)
     if cached is not None:
         return cached
     rng = np.random.default_rng(0)
-    ref = MLP(in_dim, hidden, out_dim, activation=activation, rng=0)
-    fused = MLP(in_dim, hidden, out_dim, activation=activation, rng=0)
+    ref = MLP(in_dim, hidden, out_dim, rng=0)
+    fused = MLP(in_dim, hidden, out_dim, rng=0)
     x = rng.standard_normal((batch, in_dim))
     fisher_dout = rng.standard_normal((batch, out_dim))
     loss_dout = rng.standard_normal((batch, out_dim))

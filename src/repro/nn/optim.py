@@ -11,13 +11,17 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["Optimizer", "RMSprop", "clip_grads_by_norm"]
+__all__ = ["MAX_GRAD_NORM", "Optimizer", "RMSprop", "clip_grads_by_norm"]
+
+#: The paper's gradient clip ("max. gradient 0.5", Sec. V-A2): both
+#: trainers clip to it, A2C directly and ACKTR through ``KFAC``'s default.
+MAX_GRAD_NORM = 0.5
 
 
 def clip_grads_by_norm(grads: Sequence[np.ndarray], max_norm: float) -> float:
     """Scale ``grads`` in place so the global L2 norm is <= ``max_norm``.
 
-    Returns the pre-clip norm.  Matches the paper's "max. gradient 0.5".
+    Returns the pre-clip norm.  The trainers pass :data:`MAX_GRAD_NORM`.
     """
     if not max_norm > 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")

@@ -19,6 +19,7 @@ subclasses this and swaps the optimiser for K-FAC natural gradients.
 
 from __future__ import annotations
 
+import numbers
 import time as _time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -26,41 +27,59 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.nn.distributions import Categorical
-from repro.nn.optim import RMSprop, clip_grads_by_norm
+from repro.nn.optim import MAX_GRAD_NORM, RMSprop, clip_grads_by_norm
 from repro.profiling import PhaseAccumulator
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.runner import Env, EpisodeRecord, ParallelRunner
 from repro.telemetry import NULL_RECORDER, Recorder
 
-__all__ = ["A2CConfig", "UpdateStats", "A2CTrainer"]
+__all__ = [
+    "A2CConfig",
+    "UpdateStats",
+    "A2CTrainer",
+    "GAMMA",
+    "ENTROPY_COEF",
+    "VALUE_LOSS_COEF",
+    "MAX_GRAD_NORM",
+]
+
+#: The paper's fixed coefficients (Sec. V-A2), shared by A2C and ACKTR:
+#: discount γ, entropy bonus and value-loss weight.  The gradient clip,
+#: :data:`~repro.nn.optim.MAX_GRAD_NORM` (0.5), is re-exported here.
+GAMMA = 0.99
+ENTROPY_COEF = 0.01
+VALUE_LOSS_COEF = 0.25
+
+
+def require_count(config: object, *names: str) -> None:
+    """Refuse a config field that is not an integer >= 1, NaN and 2.5
+    included: the trainers use these counts in ``range()`` and in
+    ``updates % stat_interval == 0``, which need an integer."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral) or not value >= 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
 class A2CConfig:
-    """Hyperparameters shared by A2C and ACKTR.
+    """The hyperparameters shared by A2C and ACKTR that a run may set.
 
-    Defaults follow the paper (Sec. V-A2): γ = 0.99, learning rate 0.25,
-    entropy coefficient 0.01, value-loss coefficient 0.25, gradient clip
-    0.5, l = 4 parallel environments.
+    Defaults follow the paper (Sec. V-A2): learning rate 0.25, l = 4
+    parallel environments.  The coefficients the paper fixes are module
+    constants: :data:`GAMMA`, :data:`ENTROPY_COEF`,
+    :data:`VALUE_LOSS_COEF` and :data:`MAX_GRAD_NORM`.
     """
 
-    gamma: float = 0.99
     learning_rate: float = 0.25
-    entropy_coef: float = 0.01
-    value_loss_coef: float = 0.25
-    max_grad_norm: float = 0.5
     n_steps: int = 32
     n_envs: int = 4
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        for name in ("learning_rate", "max_grad_norm"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.n_steps < 1 or self.n_envs < 1:
-            raise ValueError("n_steps and n_envs must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        require_count(self, "n_steps", "n_envs")
 
 
 @dataclass
@@ -173,7 +192,7 @@ class A2CTrainer:
         obs = self.buffer.flat_obs
         values = self.policy.critic.forward(obs)[:, 0]
         actions, returns, advantages = self.buffer.batch(
-            values, last_values, self.config.gamma
+            values, last_values, GAMMA
         )
         # Per-batch advantage normalisation (variance reduction).
         if advantages.size > 1:
@@ -215,25 +234,24 @@ class A2CTrainer:
         """The loss prologue A2C and ACKTR share.
 
         Returns the action distribution, the per-example gradients of
-        ``policy_loss - entropy_coef * H`` and of the value loss (already
+        ``policy_loss - ENTROPY_COEF * H`` and of the value loss (already
         /batch), and the stats with the optimizer's fields still unset.
         """
-        cfg = self.config
         batch = len(actions)
         dist = Categorical(logits)
         td = values - returns
         stats = UpdateStats(
             policy_loss=float(-(advantages * dist.log_prob(actions)).mean()),
-            value_loss=float(cfg.value_loss_coef * 0.5 * (td**2).mean()),
+            value_loss=float(VALUE_LOSS_COEF * 0.5 * (td**2).mean()),
             entropy=float(dist.entropy().mean()),
             mean_return=float(returns.mean()),
             grad_norm=0.0,
         )
         dlogits = (
             -advantages[:, None] * dist.grad_log_prob(actions)
-            - cfg.entropy_coef * dist.grad_entropy()
+            - ENTROPY_COEF * dist.grad_entropy()
         ) / batch
-        dvalues = (cfg.value_loss_coef * td / batch)[:, None]
+        dvalues = (VALUE_LOSS_COEF * td / batch)[:, None]
         return dist, dlogits, dvalues, stats
 
     def _apply_update(
@@ -250,12 +268,12 @@ class A2CTrainer:
         )
         self.policy.actor.backward(dlogits)
         actor_grads = self.policy.actor.gradients
-        stats.grad_norm = clip_grads_by_norm(actor_grads, self.config.max_grad_norm)
+        stats.grad_norm = clip_grads_by_norm(actor_grads, MAX_GRAD_NORM)
         self.actor_optimizer.step(actor_grads)
 
         self.policy.critic.backward(dvalues)
         critic_grads = self.policy.critic.gradients
-        clip_grads_by_norm(critic_grads, self.config.max_grad_norm)
+        clip_grads_by_norm(critic_grads, MAX_GRAD_NORM)
         self.critic_optimizer.step(critic_grads)
         return stats
 

@@ -53,7 +53,7 @@ from repro.nn.kfac import KFAC
 from repro.nn.mlp import MLP, fused_backward_is_exact
 from repro.parallel import usable_cpus
 from repro.profiling import PhaseAccumulator
-from repro.rl.a2c import A2CConfig, A2CTrainer, UpdateStats
+from repro.rl.a2c import A2CConfig, A2CTrainer, UpdateStats, require_count
 
 __all__ = ["ACKTRConfig", "ACKTRTrainer"]
 
@@ -126,38 +126,26 @@ def _network_update(
 
 @dataclass(frozen=True)
 class ACKTRConfig(A2CConfig):
-    """ACKTR hyperparameters (paper Sec. V-A2 + stable-baselines defaults).
+    """ACKTR hyperparameters a run may set.
+
+    The K-FAC coefficients the paper fixes (Sec. V-A2: KL clip 0.001,
+    Fisher coefficient 1.0) and the stable-baselines ones (damping 0.01,
+    factor EMA decay 0.95, re-inversion every 10 updates) are
+    :class:`~repro.nn.kfac.KFAC`'s defaults, which both networks'
+    optimisers use.
 
     Attributes (beyond :class:`A2CConfig`):
-        kl_clip: Trust-region bound on the per-update predicted KL
-            (paper: Kullback-Leibler clipping 0.001).
-        fisher_coef: Weight of the sampled-Fisher statistics (paper:
-            Fisher coefficient 1.0).
-        damping: Tikhonov damping for the K-FAC factor inversions.
-        stat_decay: EMA decay of the Kronecker factors.
-        inversion_interval: Updates between factor re-inversions.
         stat_interval: Refresh the Kronecker-factor statistics every
             this many updates (1 = every update, bit-identical to the
             historical behaviour; larger values amortize the Fisher
             backward + EMA cost and *change the rng stream*).
     """
 
-    kl_clip: float = 0.001
-    fisher_coef: float = 1.0
-    damping: float = 0.01
-    stat_decay: float = 0.95
-    inversion_interval: int = 10
     stat_interval: int = 1
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for name in ("kl_clip", "damping"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.stat_interval < 1:
-            raise ValueError(
-                f"stat_interval must be >= 1, got {self.stat_interval}"
-            )
+        require_count(self, "stat_interval")
 
 
 class ACKTRTrainer(A2CTrainer):
@@ -185,33 +173,15 @@ class ACKTRTrainer(A2CTrainer):
 
     def _build_optimizers(self) -> None:
         cfg: ACKTRConfig = self.config  # type: ignore[assignment]
-        self.actor_kfac = KFAC(
-            self.policy.actor,
-            lr=cfg.learning_rate,
-            kl_clip=cfg.kl_clip,
-            damping=cfg.damping,
-            stat_decay=cfg.stat_decay,
-            inversion_interval=cfg.inversion_interval,
-            max_grad_norm=cfg.max_grad_norm,
-        )
-        self.critic_kfac = KFAC(
-            self.policy.critic,
-            lr=cfg.learning_rate,
-            kl_clip=cfg.kl_clip,
-            damping=cfg.damping,
-            stat_decay=cfg.stat_decay,
-            inversion_interval=cfg.inversion_interval,
-            max_grad_norm=cfg.max_grad_norm,
-        )
+        self.actor_kfac = KFAC(self.policy.actor, lr=cfg.learning_rate)
+        self.critic_kfac = KFAC(self.policy.critic, lr=cfg.learning_rate)
         self.kfac_threads = min(2, usable_cpus())
         self.fisher_stat_skips = 0
         # Probe with the trainer's real shapes and update-batch size;
         # results are cached per (architecture, batch) per process.
         batch = cfg.n_steps * cfg.n_envs
         self.fused_backward_active = all(
-            fused_backward_is_exact(
-                net.in_dim, net.hidden, net.out_dim, batch, net.activation
-            )
+            fused_backward_is_exact(net.in_dim, net.hidden, net.out_dim, batch)
             for net in (self.policy.actor, self.policy.critic)
         )
 
@@ -252,7 +222,7 @@ class ACKTRTrainer(A2CTrainer):
             # Actor Fisher pass input: gradients of the model's *own*
             # sampled log-likelihood.  Critic Gauss-Newton pass input: ε,
             # for a target sampled at v + ε, ε ~ N(0, 1).
-            fisher_grad = cfg.fisher_coef * dist.fisher_sample_grad(self.rng)
+            fisher_grad = dist.fisher_sample_grad(self.rng)
             noise = self.rng.normal(size=dvalues.shape)
         else:
             self.fisher_stat_skips += 1

@@ -26,8 +26,7 @@ class ActorCriticPolicy:
         obs_dim: Observation vector size (``4 Δ_G + 4`` for the paper's
             POMDP).
         num_actions: Action count (``Δ_G + 1``).
-        hidden: Hidden layer widths (paper: 2x 256).
-        activation: Hidden activation (paper: tanh).
+        hidden: Hidden layer widths (paper: 2x 256, tanh).
         rng: Seed/generator for weight initialisation.
         parameters: ``(actor_weights, critic_weights)`` to copy in place of
             initialising — the one construction path :meth:`clone` and
@@ -40,7 +39,6 @@ class ActorCriticPolicy:
         obs_dim: int,
         num_actions: int,
         hidden: Sequence[int] = (256, 256),
-        activation: str = "tanh",
         rng=None,
         parameters: Optional[
             Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]
@@ -53,15 +51,16 @@ class ActorCriticPolicy:
             rng = np.random.default_rng(rng)
         self.obs_dim = obs_dim
         self.num_actions = num_actions
-        self.actor = MLP(obs_dim, hidden, num_actions, activation=activation,
-                         out_gain=0.01, rng=rng, weights=actor_weights)
-        self.critic = MLP(obs_dim, hidden, 1, activation=activation,
-                          out_gain=1.0, rng=rng, weights=critic_weights)
+        self.actor = MLP(obs_dim, hidden, num_actions, out_gain=0.01, rng=rng,
+                         weights=actor_weights)
+        self.critic = MLP(obs_dim, hidden, 1, out_gain=1.0, rng=rng,
+                          weights=critic_weights)
         self._workspace: Optional[MLPInference] = None
         #: float32 actor workspace whose :meth:`~MLPInference.certified_argmax`
         #: decides for a frozen policy (see :meth:`freeze`); ``None`` for a
         #: writable one, whose weights a cast could go stale against, and
-        #: for a frozen one without a finite bound (non-tanh hidden layers).
+        #: for a frozen one without a finite bound (weights so large a
+        #: float32 sum could overflow).
         self.certified_workspace: Optional[MLPInference] = None
         self._sanitize = invariants_enabled()
 
@@ -210,12 +209,11 @@ class ActorCriticPolicy:
     # ------------------------------------------------------------------
 
     def clone(self) -> "ActorCriticPolicy":
-        """Independent, writable copy (same architecture and activation)."""
+        """Independent, writable copy (same architecture)."""
         return ActorCriticPolicy(
             self.obs_dim,
             self.num_actions,
             hidden=self.actor.hidden,
-            activation=self.actor.activation,
             parameters=(self.actor.parameters, self.critic.parameters),
         )
 
@@ -228,8 +226,8 @@ class ActorCriticPolicy:
         raises ``ValueError`` instead of silently changing every reader
         of a shared deployment snapshot.  Because the weights can no
         longer change, their float32 cast cannot go stale: it becomes
-        :attr:`certified_workspace` when its logit bound is finite (tanh
-        hidden layers).  This is the only place that cast is made.
+        :attr:`certified_workspace` when its logit bound is finite (no
+        float32 overflow).  This is the only place that cast is made.
         Freezing a frozen policy changes nothing, so its cast and that
         cast's :attr:`~repro.nn.mlp.MLPInference.fallbacks` count stay.
         :meth:`clone` of a frozen policy is writable again and has no
@@ -245,11 +243,13 @@ class ActorCriticPolicy:
         return self
 
     def save(self, path) -> None:
-        """Persist both networks to one ``.npz`` file."""
+        """Persist both networks to one ``.npz`` file.  The file names
+        the hidden activation, always ``tanh``, so :meth:`load` can refuse
+        a checkpoint of any other network."""
         arrays = {f"actor_w{i}": w for i, w in enumerate(self.actor.parameters)}
         arrays.update({f"critic_w{i}": w for i, w in enumerate(self.critic.parameters)})
         arrays["meta"] = np.array([self.obs_dim, self.num_actions])
-        arrays["activation"] = np.array(self.actor.activation)
+        arrays["activation"] = np.array("tanh")
         np.savez(Path(path), **arrays)
 
     @classmethod
@@ -265,8 +265,9 @@ class ActorCriticPolicy:
 
         Raises:
             FileNotFoundError: No file at ``path``.
-            ValueError: The file is truncated, not an ``.npz`` archive or
-                misses an array; the message starts with ``path`` and the
+            ValueError: The file is truncated, not an ``.npz`` archive,
+                misses an array or names a hidden activation other than
+                ``tanh``; the message starts with ``path`` and the
                 reader's own exception is chained as ``__cause__``.
         """
         try:
@@ -279,15 +280,15 @@ class ActorCriticPolicy:
                     raise ValueError("checkpoint holds no actor weights")
                 actor = [data[f"actor_w{i}"] for i in range(num_layers)]
                 critic = [data[f"critic_w{i}"] for i in range(num_layers)]
-                activation = (
-                    str(data["activation"]) if "activation" in data.files else "tanh"
-                )
+                if "activation" in data.files:
+                    activation = str(data["activation"])
+                    if activation != "tanh":
+                        raise ValueError(f"hidden activation {activation!r} is not tanh")
         except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
             raise ValueError(f"{path}: unreadable policy checkpoint ({exc!r})") from exc
         return cls(
             obs_dim,
             num_actions,
             hidden=[int(w.shape[1]) for w in actor[:-1]],
-            activation=activation,
             parameters=(actor, critic),
         )

@@ -21,7 +21,7 @@ flushes (saturation), and leave all counters in ``engine.stats``.
 from __future__ import annotations
 
 import time
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -90,7 +90,7 @@ def serve_workload(
     observations: np.ndarray,
     *,
     requests: int,
-    rate: Optional[float] = None,
+    rate: float = 0.0,
     config: ServingConfig = ServingConfig(),
     arrival_seed: int = 0,
     swap_every: int = 0,
@@ -102,8 +102,8 @@ def serve_workload(
         policy: Policy to serve (version 0).
         observations: ``(P, obs_dim)`` pool of request payloads, cycled.
         requests: Number of requests to generate.
-        rate: Open-loop Poisson arrival rate in requests/sec; ``None``
-            or 0 switches to closed-loop saturation (peak throughput).
+        rate: Open-loop Poisson arrival rate in requests/sec; 0 (the
+            default) is closed-loop saturation (peak throughput).
         config: Engine knobs (batch, deadline, queue capacity).
         arrival_seed: Seed of the Poisson arrival process.
         swap_every: Install a hot-swapped clone of the serving policy
@@ -127,6 +127,8 @@ def serve_workload(
         raise ValueError(f"requests must be >= 1, got {requests}")
     if swap_every < 0:
         raise ValueError(f"swap_every must be >= 0, got {swap_every}")
+    if not rate >= 0.0:
+        raise ValueError(f"rate must be >= 0, got {rate}")
     start = time.perf_counter()
 
     def clock() -> float:
@@ -134,13 +136,13 @@ def serve_workload(
 
     engine = ServingEngine(policy, config, clock=clock, recorder=recorder)
     drive_start = engine.clock()
-    if rate is not None and rate > 0.0:
+    if rate > 0.0:
         arrivals = poisson_arrivals(rate, requests, arrival_seed)
         _run_open_loop(engine, observations, arrivals, swap_every)
     else:
         _run_saturated(engine, observations, requests, swap_every)
     engine.stats.wall_seconds = engine.clock() - drive_start
-    engine.emit_telemetry(rate=float(rate) if rate else 0.0)
+    engine.emit_telemetry(rate=float(rate))
     return engine
 
 

@@ -16,15 +16,14 @@ class SimulationConfig:
 
     Attributes:
         horizon: Simulated time span ``T``; events after it are not
-            processed (the paper uses T = 20000 time steps).
+            processed (the paper uses T = 20000 time steps).  Flows still
+            in flight at the horizon are not counted, matching the
+            paper's objective over *finished* flows; they surface as
+            ``flows_active`` in the final
+            :class:`~repro.sim.metrics.SimulationMetrics`.
         keep_duration: How long a fully processed flow waits at a node when
             the agent keeps it there (action 0 with ``c_f = ∅``); the paper
             says "one time step".
-        drop_active_at_horizon: When True, flows still in flight at the
-            horizon are counted as dropped; when False (default, matching
-            the paper's objective over *finished* flows) they are simply
-            not counted — they surface as ``flows_active`` in the final
-            :class:`~repro.sim.metrics.SimulationMetrics`.
         check_invariants: Run state-invariant assertions after every event.
             Slow; meant for tests and debugging.
         faults: Optional fault scenario (link failures, node outages,
@@ -37,7 +36,6 @@ class SimulationConfig:
 
     horizon: float = 20000.0
     keep_duration: float = 1.0
-    drop_active_at_horizon: bool = False
     check_invariants: bool = False
     faults: Optional[FaultScenarioConfig] = None
 

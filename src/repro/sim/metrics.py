@@ -27,7 +27,6 @@ class DropReason:
     LINK_CAPACITY = "link_capacity"
     INVALID_ACTION = "invalid_action"
     DEADLINE_EXPIRED = "deadline_expired"
-    HORIZON_REACHED = "horizon_reached"
     NETWORK_FAILURE = "network_failure"
 
     ALL = (
@@ -35,7 +34,6 @@ class DropReason:
         LINK_CAPACITY,
         INVALID_ACTION,
         DEADLINE_EXPIRED,
-        HORIZON_REACHED,
         NETWORK_FAILURE,
     )
 
@@ -50,10 +48,9 @@ class SimulationMetrics:
             within their deadline.
         flows_dropped: Flows dropped for any reason.
         flows_active: Flows still in flight when the run was finalized.
-            Non-zero only when ``drop_active_at_horizon=False``; those
-            flows are *excluded* from ``success_ratio`` (Eq. 1 divides
-            by finished flows only), so this field is the record of how
-            many outcomes the objective did not see.
+            Those flows are *excluded* from ``success_ratio`` (Eq. 1
+            divides by finished flows only), so this field is the record
+            of how many outcomes the objective did not see.
         drop_reasons: Per-reason drop counts.
         success_ratio: ``|F_succ| / (|F_succ| + |F_drop|)`` — the paper's
             objective ``o_f`` over *finished* flows.  0.0 both when every
@@ -192,10 +189,8 @@ class MetricsCollector:
         finished (nothing to divide by) and when every finished flow was
         dropped.  Callers that must distinguish them should inspect
         ``flows_succeeded + flows_dropped`` or :attr:`flows_active`.
-        In-flight flows never count — with
-        ``drop_active_at_horizon=False`` they are silently excluded from
-        the objective (they surface as ``flows_active`` in
-        :class:`SimulationMetrics`).
+        In-flight flows never count: they are excluded from the objective
+        (they surface as ``flows_active`` in :class:`SimulationMetrics`).
         """
         finished = self.flows_succeeded + self.flows_dropped
         return self.flows_succeeded / finished if finished else 0.0

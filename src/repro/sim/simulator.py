@@ -209,7 +209,6 @@ class Simulator:
         # instance's busy count.
         self._evicted_tail_debt: Dict[tuple, int] = {}
         self._last_injection_time = 0.0
-        self._finalized = False
         #: Sanitizer mode: run the full invariant sweep after every event.
         #: Enabled by ``config.check_invariants`` or the
         #: ``REPRO_CHECK_INVARIANTS=1`` environment flag; pure observation,
@@ -356,16 +355,8 @@ class Simulator:
         return metrics
 
     def finalize(self) -> SimulationMetrics:
-        """Close the run and return summary metrics.
-
-        With ``config.drop_active_at_horizon`` every still-active flow is
-        counted as dropped; otherwise unfinished flows stay uncounted.
-        """
-        if not self._finalized:
-            self._finalized = True
-            if self.config.drop_active_at_horizon:
-                for flow in list(self._active_flows.values()):
-                    self._drop(flow, DropReason.HORIZON_REACHED)
+        """Close the run and return summary metrics; unfinished flows stay
+        uncounted (``flows_active``)."""
         return self.metrics.finalize(self.config.horizon)
 
     @property

@@ -95,38 +95,35 @@ def _slug(label: str) -> str:
 class JsonlRecorder(Recorder):
     """Appends one JSON object per event to a ``.jsonl`` stream.
 
+    Every record is validated against the schema at emit time (cheap), so
+    a malformed record fails at the source instead of at summarize time.
+
     Args:
         path: Stream file; parent directories are created on first emit.
-        validate: Validate each record against the schema at emit time
-            (cheap; on by default so malformed records fail at the
-            source instead of at summarize time).
     """
 
     enabled = True
 
-    def __init__(self, path: os.PathLike, validate: bool = True) -> None:
+    def __init__(self, path: os.PathLike) -> None:
         self.path = Path(path)
-        self.validate = validate
         self._fh: Optional[IO[str]] = None
 
     # -- pickling: worker-local recorders cross the process boundary ----
 
     def __getstate__(self) -> Dict[str, Any]:
-        return {"path": self.path, "validate": self.validate}
+        return {"path": self.path}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.path = state["path"]
-        self.validate = state["validate"]
         self._fh = None
 
     # -------------------------------------------------------------------
 
     def emit(self, kind: str, **fields: Any) -> None:
-        record = {"kind": kind, **fields}
-        if self.validate:
-            from repro.telemetry.schema import validate_record
+        from repro.telemetry.schema import validate_record
 
-            validate_record(record)
+        record = {"kind": kind, **fields}
+        validate_record(record)
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "a", encoding="utf-8")
@@ -140,7 +137,7 @@ class JsonlRecorder(Recorder):
         writes it) agree without communicating.
         """
         sibling = self.path.with_name(f"{self.path.stem}.{_slug(label)}.jsonl")
-        return JsonlRecorder(sibling, validate=self.validate)
+        return JsonlRecorder(sibling)
 
     def absorb(self, child: Recorder) -> None:
         """Append a finished child stream's records here, then delete it.

@@ -25,8 +25,8 @@ from repro.telemetry.schema import SchemaError, validate_record
 __all__ = ["load_stream", "summarize_run"]
 
 
-def load_stream(path: os.PathLike, validate: bool = True) -> List[Dict[str, Any]]:
-    """Load a JSONL stream; validates every record by default.
+def load_stream(path: os.PathLike) -> List[Dict[str, Any]]:
+    """Load a JSONL stream and validate every record against the schema.
 
     A last line without its newline is read like any other line: a
     record cut at a boundary loads, one cut mid-record is invalid JSON.
@@ -48,11 +48,10 @@ def load_stream(path: os.PathLike, validate: bool = True) -> List[Dict[str, Any]
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            if validate:
-                try:
-                    validate_record(record)
-                except SchemaError as exc:
-                    raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+            try:
+                validate_record(record)
+            except SchemaError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
             records.append(record)
     return records
 

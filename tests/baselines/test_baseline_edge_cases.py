@@ -1,8 +1,6 @@
 """Additional behavioural tests for the baseline policies."""
 
-import pytest
-
-from repro.baselines.central_drl import CentralDRLConfig, CentralDRLPolicy, RuleExecutor
+from repro.baselines.central_drl import CentralDRLPolicy, RuleExecutor
 from repro.baselines.gcasp import GCASPPolicy
 from repro.rl.policy import ActorCriticPolicy
 from repro.topology import Link, Network, Node, line_network
@@ -56,18 +54,12 @@ class TestCentralStochasticRules:
 
     def test_deterministic_rules_install_targets(self):
         net, catalog, policy_net = self.make_parts()
-        policy = CentralDRLPolicy(
-            net, catalog, policy_net, CentralDRLConfig(update_interval=50.0)
-        )
+        policy = CentralDRLPolicy(net, catalog, policy_net)
         sim = make_simulator(net, catalog, make_flow_specs([1.0]))
         sim.run(policy)
         assert set(policy.executor.targets) == {"c1"}
         assert policy.executor.targets["c1"] in net.node_names
         assert len(policy.rule_update_seconds) >= 1
-
-    def test_invalid_update_interval(self):
-        with pytest.raises(ValueError):
-            CentralDRLConfig(update_interval=0.0)
 
 
 class TestRuleExecutorSpillMemory:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.invariants import InvariantViolation
+from repro.baselines import central_drl
 from repro.baselines.central_drl import (
-    CentralDRLConfig,
     CentralDRLPolicy,
     CentralizedCoordinationEnv,
     RuleExecutor,
@@ -23,6 +23,12 @@ from tests.conftest import (
     make_simulator,
     record_peaks,
 )
+
+
+@pytest.fixture
+def interval(monkeypatch):
+    """Sets the rule-refresh interval I for one test."""
+    return lambda value: monkeypatch.setattr(central_drl, "UPDATE_INTERVAL", value)
 
 
 def setup(num_components=1, horizon=100.0):
@@ -92,7 +98,7 @@ class TestRuleExecutor:
 class TestCentralizedEnv:
     def test_micro_step_structure(self):
         net, catalog, config = setup(num_components=2, horizon=200.0)
-        env = CentralizedCoordinationEnv(config, CentralDRLConfig(50.0), seed=0)
+        env = CentralizedCoordinationEnv(config, seed=0)
         obs = env.reset()
         assert obs.shape == (env.observation_size,)
         assert env.observation_size == 2 * 3 + 2 + 1
@@ -104,9 +110,10 @@ class TestCentralizedEnv:
         obs, reward, done, info = env.step(1)
         assert not done
 
-    def test_episode_runs_to_completion(self):
+    def test_episode_runs_to_completion(self, interval):
+        interval(25.0)
         net, catalog, config = setup(horizon=100.0)
-        env = CentralizedCoordinationEnv(config, CentralDRLConfig(25.0), seed=0)
+        env = CentralizedCoordinationEnv(config, seed=0)
         env.reset()
         done = False
         steps = 0
@@ -117,9 +124,10 @@ class TestCentralizedEnv:
         assert "success_ratio" in info
         assert info["flows_generated"] > 0
 
-    def test_good_rules_succeed(self):
+    def test_good_rules_succeed(self, interval):
+        interval(25.0)
         net, catalog, config = setup(horizon=100.0)
-        env = CentralizedCoordinationEnv(config, CentralDRLConfig(25.0), seed=0)
+        env = CentralizedCoordinationEnv(config, seed=0)
         env.reset()
         done = False
         info = {}
@@ -134,11 +142,12 @@ class TestCentralizedEnv:
         with pytest.raises(ValueError, match="index a node"):
             env.step(99)
 
-    def test_snapshot_is_delayed(self):
+    def test_snapshot_is_delayed(self, interval):
         """The utilisation snapshot visible at refresh k reflects the end
         of interval k-1 (periodic monitoring delay)."""
+        interval(15.0)
         net, catalog, config = setup(horizon=100.0)
-        env = CentralizedCoordinationEnv(config, CentralDRLConfig(15.0), seed=0)
+        env = CentralizedCoordinationEnv(config, seed=0)
         obs = env.reset()
         # Before any interval ran, the snapshot is all-zero.
         assert np.allclose(obs[3:6], 0.0)
@@ -153,8 +162,7 @@ class TestCentralDRLPolicy:
     def test_refreshes_rules_periodically(self):
         net, catalog, config = setup(horizon=200.0)
         policy_net = ActorCriticPolicy(2 * 3 + 1 + 1, 3, hidden=(8,), rng=0)
-        policy = CentralDRLPolicy(net, catalog, policy_net,
-                                  CentralDRLConfig(update_interval=50.0))
+        policy = CentralDRLPolicy(net, catalog, policy_net)
         sim = make_simulator(net, catalog, make_flow_specs([1.0, 60.0, 120.0]),
                              horizon=200.0)
         sim.run(policy)
@@ -162,10 +170,13 @@ class TestCentralDRLPolicy:
         assert len(policy.rule_update_seconds) == 3
         assert policy.mean_rule_update_seconds > 0.0
 
-    def test_progress_is_the_next_boundary_over_the_sims_horizon(self, monkeypatch):
+    def test_progress_is_the_next_boundary_over_the_sims_horizon(
+        self, monkeypatch, interval
+    ):
         """Each refresh feeds progress (B+I)/T, T read from the simulator;
         the interval [40, 60) passes without a decision and gets no
         refresh of its own."""
+        interval(20.0)
         net, catalog, _ = setup()
         policy_net = ActorCriticPolicy(2 * 3 + 1 + 1, 3, hidden=(8,), rng=0)
         rows = []
@@ -175,8 +186,7 @@ class TestCentralDRLPolicy:
             "act_single",
             lambda self, obs: rows.append(obs.copy()) or act_single(self, obs),
         )
-        policy = CentralDRLPolicy(net, catalog, policy_net,
-                                  CentralDRLConfig(update_interval=20.0))
+        policy = CentralDRLPolicy(net, catalog, policy_net)
         sim = make_simulator(net, catalog, make_flow_specs([1.0, 30.0, 60.0]),
                              horizon=100.0)
         sim.run(policy)
@@ -226,11 +236,13 @@ def _refresh_targets(policy, times=(1.0, 30.0, 60.0, 90.0)):
 
 
 class TestCentralDRLDeploysAFrozenSnapshot:
+    @pytest.fixture(autouse=True)
+    def _refresh_every_20(self, interval):
+        interval(20.0)
+
     def _deploy(self, policy_net):
         net, catalog, _ = setup()
-        return CentralDRLPolicy(
-            net, catalog, policy_net, CentralDRLConfig(update_interval=20.0)
-        )
+        return CentralDRLPolicy(net, catalog, policy_net)
 
     def test_later_writes_to_the_source_change_no_rule(self):
         policy_net = _sharpened()
@@ -287,11 +299,11 @@ class TestCentralDRLDeploysAFrozenSnapshot:
 
 
 class TestTrainCentral:
-    def test_training_pipeline_runs(self):
+    def test_training_pipeline_runs(self, interval):
+        interval(25.0)
         net, catalog, config = setup(horizon=100.0)
         policy, multi = train_central_coordinator(
             config,
-            CentralDRLConfig(25.0),
             ACKTRConfig(n_steps=8, n_envs=2),
             seeds=(0,),
             updates_per_seed=3,

@@ -150,12 +150,12 @@ class TestWritablePoliciesDecideInFloat64:
         assert policy.certified_workspace is workspace
         assert workspace.fallbacks == 1
 
-    def test_relu_snapshot_gets_no_cast(self, monkeypatch):
+    def test_snapshot_without_a_finite_bound_gets_no_cast(self, monkeypatch):
+        # Weights this large could overflow a float32 sum: no bound.
         scenario = base_scenario(horizon=200.0)
         adapter = ObservationAdapter(scenario.network, scenario.catalog)
-        policy = ActorCriticPolicy(
-            adapter.size, scenario.network.degree + 1, activation="relu", rng=0
-        )
+        policy = ActorCriticPolicy(adapter.size, scenario.network.degree + 1, rng=0)
+        policy.actor.set_parameters([w * 1e35 for w in policy.actor.parameters])
         coordinator = DistributedCoordinator(
             scenario.network, scenario.catalog, policy
         )

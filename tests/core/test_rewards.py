@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.invariants import InvariantViolation
-from repro.core.rewards import RewardConfig, RewardFunction
+from repro.core.rewards import DROP_PENALTY, SUCCESS_REWARD, RewardFunction
 from repro.sim.simulator import Outcome, OutcomeKind
 from repro.topology import line_network
 
@@ -16,7 +16,7 @@ def outcome(kind, **kwargs):
 @pytest.fixture
 def reward_fn():
     # line-4 diameter = 3 link delays of 1.0 each.
-    return RewardFunction(line_network(4), RewardConfig())
+    return RewardFunction(line_network(4), shaping=True)
 
 
 class TestPaperValues:
@@ -57,7 +57,7 @@ class TestPaperValues:
 
 class TestShapingToggle:
     def test_shaping_off_keeps_terminal_rewards(self):
-        fn = RewardFunction(line_network(4), RewardConfig(enable_shaping=False))
+        fn = RewardFunction(line_network(4), shaping=False)
         assert fn.outcome_reward(outcome(OutcomeKind.FLOW_SUCCESS)) == 10.0
         assert fn.outcome_reward(
             outcome(OutcomeKind.FLOW_DROP, drop_reason="x")
@@ -70,46 +70,32 @@ class TestShapingToggle:
             assert fn.outcome_reward(outcome(kind, **kwargs)) == 0.0
 
 
-class TestShapingGuard:
-    def test_too_strong_instance_bonus_rejected(self):
-        with pytest.raises(ValueError, match="weak signal"):
-            RewardFunction(
-                line_network(4),
-                RewardConfig(instance_bonus_scale=6.0),
-            )
+class TestShapingIsWeak:
+    """Sec. IV-B3: each shaped signal has unit weight, which stays below
+    half of either terminal reward, so shaping cannot rival completing or
+    dropping a flow."""
 
-    def test_too_strong_link_penalty_rejected(self):
-        with pytest.raises(ValueError, match="link penalty"):
-            RewardFunction(line_network(4), RewardConfig(link_penalty_scale=6.0))
+    @pytest.mark.parametrize("chain_length", [1, 2, 3, 7])
+    def test_a_whole_chain_of_bonuses_stays_below_half_the_success_reward(
+        self, reward_fn, chain_length
+    ):
+        chain = [
+            outcome(OutcomeKind.INSTANCE_TRAVERSED, chain_length=chain_length)
+        ] * chain_length
+        assert reward_fn.total(chain) == pytest.approx(1.0)
+        assert reward_fn.total(chain) < 0.5 * SUCCESS_REWARD
 
-    def test_too_strong_keep_penalty_rejected(self):
-        with pytest.raises(ValueError, match="keep penalty"):
-            RewardFunction(line_network(4), RewardConfig(keep_penalty_scale=6.0))
+    def test_link_and_keep_penalties_stay_below_half_the_drop_penalty(self):
+        # D_G = 1: a link as long as the diameter, and the keep penalty
+        # at its unit weight.
+        fn = RewardFunction(line_network(2, link_delay=1.0), shaping=True)
+        longest_link = outcome(OutcomeKind.LINK_TRAVERSED, link_delay=1.0)
+        assert fn.outcome_reward(longest_link) == -1.0
+        assert fn.outcome_reward(outcome(OutcomeKind.FLOW_KEPT)) == -1.0
+        assert 1.0 < 0.5 * abs(DROP_PENALTY)
 
-    def test_keep_penalty_below_guard_accepted(self):
-        RewardFunction(line_network(4), RewardConfig(keep_penalty_scale=4.9))
-
-    def test_guard_skipped_when_shaping_off(self):
-        RewardFunction(
-            line_network(4),
-            RewardConfig(
-                enable_shaping=False,
-                instance_bonus_scale=100.0,
-                keep_penalty_scale=100.0,
-            ),
-        )
-
-    def test_custom_scales_applied(self):
-        fn = RewardFunction(
-            line_network(4),
-            RewardConfig(instance_bonus_scale=2.0, link_penalty_scale=0.5),
-        )
-        assert fn.outcome_reward(
-            outcome(OutcomeKind.INSTANCE_TRAVERSED, chain_length=2)
-        ) == pytest.approx(1.0)
-        assert fn.outcome_reward(
-            outcome(OutcomeKind.LINK_TRAVERSED, link_delay=3.0)
-        ) == pytest.approx(-0.5)
+    def test_terminal_rewards_are_the_papers(self):
+        assert (SUCCESS_REWARD, DROP_PENALTY) == (10.0, -10.0)
 
 
 class TestTotalIsTheInOrderSum:
@@ -118,10 +104,7 @@ class TestTotalIsTheInOrderSum:
 
     @pytest.mark.parametrize("shaping", [True, False])
     def test_bitwise_equal_to_summing_outcome_reward(self, shaping):
-        fn = RewardFunction(
-            line_network(5, link_delay=0.7),
-            RewardConfig(enable_shaping=shaping, link_penalty_scale=0.3),
-        )
+        fn = RewardFunction(line_network(5, link_delay=0.7), shaping=shaping)
         rng = np.random.default_rng(0)
         makers = [
             lambda: outcome(OutcomeKind.FLOW_SUCCESS),

@@ -4,6 +4,7 @@ import pytest
 
 from repro.eval.scenarios import build_network
 from repro.faults import FaultKind, FaultScenarioConfig, FaultSchedule, FaultSpec
+from repro.faults.schedule import DEGRADATION_FACTOR, ONSET_WINDOW
 from repro.topology import line_network
 
 
@@ -83,10 +84,8 @@ class TestFaultSchedule:
 class TestFaultScenarioConfig:
     @pytest.mark.parametrize("kwargs", [
         {"link_failures": -1},
-        {"mean_downtime": 0.0},
-        {"degradation_factor": 1.0},
-        {"onset_window": (0.5, 0.5)},
-        {"onset_window": (0.2, 1.5)},
+        {"node_outages": -1},
+        {"degradations": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -123,9 +122,8 @@ class TestFaultScenarioConfig:
 
     def test_onsets_inside_window_fractions(self):
         net = build_network(num_ingress=2)
-        config = FaultScenarioConfig(
-            seed=0, link_failures=10, onset_window=(0.25, 0.6)
-        )
+        config = FaultScenarioConfig(seed=0, link_failures=10)
+        assert ONSET_WINDOW == (0.25, 0.6)
         for spec in config.build_schedule(net, horizon=1000.0).specs:
             assert 250.0 <= spec.start <= 600.0
 
@@ -142,13 +140,11 @@ class TestFaultScenarioConfig:
 
     def test_degradations_carry_factor(self):
         net = build_network(num_ingress=2)
-        config = FaultScenarioConfig(
-            seed=0, degradations=4, degradation_factor=0.25
-        )
+        config = FaultScenarioConfig(seed=0, degradations=4)
         specs = config.build_schedule(net, horizon=1000.0).specs
         assert len(specs) == 4
         assert all(s.kind is FaultKind.CAPACITY_DEGRADATION for s in specs)
-        assert all(s.factor == pytest.approx(0.25) for s in specs)
+        assert all(s.factor == DEGRADATION_FACTOR == 0.5 for s in specs)
         # Alternating node and link targets.
         assert any(isinstance(s.target, str) for s in specs)
         assert any(isinstance(s.target, tuple) for s in specs)

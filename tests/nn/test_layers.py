@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn.init import orthogonal, xavier_uniform
-from repro.nn.layers import Dense, Identity, ReLU, Tanh
+from repro.nn.init import orthogonal
+from repro.nn.layers import Dense, Identity, Tanh
 
 
 class TestInit:
@@ -23,16 +23,11 @@ class TestInit:
         wide = orthogonal((4, 10), rng=0)
         assert np.allclose(wide @ wide.T, np.eye(4), atol=1e-10)
 
-    def test_xavier_bounds(self):
-        w = xavier_uniform((100, 50), rng=0)
-        limit = np.sqrt(6.0 / 150)
-        assert np.all(np.abs(w) <= limit)
-
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
             orthogonal((3,))
         with pytest.raises(ValueError):
-            xavier_uniform((3, 3, 3))
+            orthogonal((3, 3, 3))
 
 
 class TestDense:
@@ -76,29 +71,17 @@ class TestDense:
         # Input gradient: d(sum z*dz)/dx = dz @ W_core^T.
         assert np.allclose(dx, dz @ layer.weight[:-1].T)
 
-    def test_backward_accumulate(self):
-        layer = Dense(2, 2, rng=0)
-        x = np.ones((1, 2))
-        dz = np.ones((1, 2))
-        layer.forward(x)
-        layer.backward(dz)
-        once = layer.grad.copy()
-        layer.forward(x)
-        layer.backward(dz, accumulate=True)
-        assert np.allclose(layer.grad, 2 * once)
-
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             Dense(0, 3)
         with pytest.raises(ValueError):
-            Dense(3, 2, init="mystery")
+            Dense(3, 0)
 
 
 @pytest.mark.parametrize(
     "activation,fn,dfn",
     [
         (Tanh(), np.tanh, lambda x: 1 - np.tanh(x) ** 2),
-        (ReLU(), lambda x: np.maximum(x, 0), lambda x: (x > 0).astype(float)),
         (Identity(), lambda x: x, lambda x: np.ones_like(x)),
     ],
 )

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.trainer import CoordinationEnvBuilder
 from repro.parallel import CountingEnvFactory
+from repro.rl import a2c
 from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
 from repro.topology import line_network
@@ -15,16 +16,17 @@ from tests.rl.toy_envs import ContextualBanditEnv, mean_recent_episode_reward
 
 class TestA2CConfig:
     def test_defaults_match_paper(self):
+        assert a2c.GAMMA == 0.99
+        assert a2c.ENTROPY_COEF == 0.01
+        assert a2c.VALUE_LOSS_COEF == 0.25
+        assert a2c.MAX_GRAD_NORM == 0.5
         cfg = A2CConfig()
-        assert cfg.gamma == 0.99
-        assert cfg.entropy_coef == 0.01
-        assert cfg.value_loss_coef == 0.25
-        assert cfg.max_grad_norm == 0.5
+        assert cfg.learning_rate == 0.25
         assert cfg.n_envs == 4
 
     @pytest.mark.parametrize("kwargs", [
-        {"gamma": 0.0},
-        {"gamma": 1.5},
+        {"learning_rate": 0.0},
+        {"learning_rate": -1.0},
         {"n_steps": 0},
         {"n_envs": 0},
     ])

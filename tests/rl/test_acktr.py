@@ -18,15 +18,20 @@ from tests.rl.toy_envs import ContextualBanditEnv, mean_recent_episode_reward
 
 class TestACKTRConfig:
     def test_paper_defaults(self):
-        cfg = ACKTRConfig()
-        assert cfg.learning_rate == 0.25
-        assert cfg.kl_clip == 0.001
-        assert cfg.fisher_coef == 1.0
-        assert cfg.gamma == 0.99
+        """Both K-FAC optimisers run on the paper's coefficients."""
+        assert ACKTRConfig().learning_rate == 0.25
+        trainer = _bandit_trainer()
+        for kfac in (trainer.actor_kfac, trainer.critic_kfac):
+            assert kfac.lr == 0.25
+            assert kfac.kl_clip == 0.001
+            assert kfac.max_grad_norm == 0.5
+            assert (kfac.damping, kfac.stat_decay, kfac.inversion_interval) == (
+                0.01, 0.95, 10
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ACKTRConfig(kl_clip=0.0)
+            ACKTRConfig(stat_interval=0)
 
 
 class TestACKTRTrainer:
@@ -155,9 +160,7 @@ class TestOptimizerPathBitIdentity:
         trainer = _bandit_trainer()
         batch = trainer.config.n_steps * trainer.config.n_envs
         assert trainer.fused_backward_active is all(
-            fused_backward_is_exact(
-                net.in_dim, net.hidden, net.out_dim, batch, net.activation
-            )
+            fused_backward_is_exact(net.in_dim, net.hidden, net.out_dim, batch)
             for net in (trainer.policy.actor, trainer.policy.critic)
         )
 

@@ -4,7 +4,7 @@ protocol the RL stack trains against, with consistent spaces."""
 import numpy as np
 import pytest
 
-from repro.baselines.central_drl import CentralDRLConfig, CentralizedCoordinationEnv
+from repro.baselines.central_drl import CentralizedCoordinationEnv
 from repro.core.env import ServiceCoordinationEnv
 from repro.topology import line_network
 
@@ -16,9 +16,7 @@ def env_instances():
     catalog = make_simple_catalog(processing_delay=1.0)
     config = make_env_config(net, catalog, horizon=100.0)
     yield "coordination", ServiceCoordinationEnv(config, seed=0)
-    yield "centralized", CentralizedCoordinationEnv(
-        config, CentralDRLConfig(update_interval=25.0), seed=0
-    )
+    yield "centralized", CentralizedCoordinationEnv(config, seed=0)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.core.env import ServiceCoordinationEnv
-from repro.nn.layers import ReLU, Tanh
 from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.policy import ActorCriticPolicy
@@ -162,12 +161,12 @@ class TestInferenceRouting:
         assert np.array_equal(last, snapshot)
 
 
-def _collected(n_envs, activation, n_steps=6):
+def _collected(n_envs, n_steps=6):
     envs = [
         ContextualBanditEnv(num_states=5, episode_length=1000, seed=i)
         for i in range(n_envs)
     ]
-    policy = ActorCriticPolicy(5, 5, hidden=(64, 32), activation=activation, rng=1)
+    policy = ActorCriticPolicy(5, 5, hidden=(64, 32), rng=1)
     runner = ParallelRunner(envs, policy, n_steps, np.random.default_rng(2))
     buffer = RolloutBuffer(n_steps, n_envs, 5)
     runner.collect(buffer)
@@ -175,23 +174,18 @@ def _collected(n_envs, activation, n_steps=6):
 
 
 def _backward_caches(actor):
+    # The hidden tanh layers cache their outputs; the identity head nothing.
     caches = [dense.last_input_aug for dense in actor.dense_layers]
-    for act in actor.activations:
-        if isinstance(act, Tanh):
-            caches.append(act._out)
-        elif isinstance(act, ReLU):
-            caches.append(act._mask)
-    return caches
+    return caches + [act._out for act in actor.activations[:-1]]
 
 
 class TestRolloutIsTrainingForward:
     """After collect() the actor workspace holds what ``actor.forward`` on
     the flattened rollout would have cached, so the update skips it."""
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("n_envs", [1, 2, 4, 8])
-    def test_workspace_equals_batch_forward_caches(self, n_envs, activation):
-        policy, runner, buffer = _collected(n_envs, activation)
+    def test_workspace_equals_batch_forward_caches(self, n_envs):
+        policy, runner, buffer = _collected(n_envs)
         logits = runner.training_logits()
         reference = policy.clone().actor
         expected_logits = reference.forward(buffer.flat_obs)
@@ -215,7 +209,7 @@ class TestRolloutIsTrainingForward:
         assert np.shares_memory(logits, workspace._out[-1])
 
     def test_gradients_through_adopted_caches_equal_a_reforward(self):
-        policy, runner, buffer = _collected(4, "tanh")
+        policy, runner, buffer = _collected(4)
         dout = np.random.default_rng(3).normal(size=(24, 5))
         runner.training_logits()
         policy.actor.backward(dout)
@@ -226,7 +220,7 @@ class TestRolloutIsTrainingForward:
             assert np.array_equal(got, want)
 
     def test_workspace_grows_once_and_collect_does_not_allocate(self):
-        policy, runner, buffer = _collected(4, "tanh", n_steps=16)
+        policy, runner, buffer = _collected(4, n_steps=16)
         workspace = runner._actor_inference
         buffers = workspace._aug + workspace._out
         workspace_bytes = sum(b.nbytes for b in buffers)

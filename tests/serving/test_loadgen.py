@@ -79,7 +79,7 @@ class TestServeWorkload:
     def test_saturated_serves_every_request(self):
         policy, pool = self._pool()
         engine = serve_workload(
-            policy, pool, requests=300, rate=None,
+            policy, pool, requests=300, rate=0.0,
             config=ServingConfig(max_batch=16),
         )
         stats = engine.stats
@@ -116,7 +116,7 @@ class TestServeWorkload:
     def test_swap_every_installs_under_load(self):
         policy, pool = self._pool()
         engine = serve_workload(
-            policy, pool, requests=300, rate=None,
+            policy, pool, requests=300, rate=0.0,
             config=ServingConfig(max_batch=16), swap_every=100,
         )
         assert engine.stats.swaps == 3
@@ -130,7 +130,7 @@ class TestServeWorkload:
         policy, pool = self._pool()
         run = start_run(tmp_path / "run", name="loadgen", config={}, seeds=())
         serve_workload(
-            policy, pool, requests=64, rate=None,
+            policy, pool, requests=64, rate=0.0,
             config=ServingConfig(max_batch=8), recorder=run.recorder,
         )
         run.close()
@@ -148,3 +148,6 @@ class TestServeWorkload:
             serve_workload(policy, pool, requests=1, swap_every=-1)
         with pytest.raises(ValueError, match="observations"):
             serve_workload(policy, pool[0], requests=1)
+        for rate in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="rate must be >= 0"):
+                serve_workload(policy, pool, requests=1, rate=rate)

@@ -342,17 +342,6 @@ class TestValidationAndConfig:
         metrics = sim.run(process_then_forward_policy(line3, simple_catalog))
         assert metrics.flows_generated == 1
 
-    def test_drop_active_at_horizon(self, line3, simple_catalog):
-        flows = make_flow_specs([99.0], deadline=500.0)
-        sim = make_simulator(
-            line3, simple_catalog, flows, horizon=100.0, drop_active_at_horizon=True
-        )
-        sim.next_decision()
-        sim.apply_action(0)  # processing finishes after the horizon
-        sim.next_decision()
-        metrics = sim.finalize()
-        assert metrics.drop_reasons == {DropReason.HORIZON_REACHED: 1}
-
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             SimulationConfig(horizon=0.0)

@@ -33,10 +33,11 @@ class TestLoadStream:
         with pytest.raises(SchemaError, match=r":1: note record missing"):
             load_stream(path)
 
-    def test_validation_can_be_disabled(self, tmp_path):
+    def test_unknown_kind_names_line(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        _write_lines(path, ['{"kind": "mystery"}'])
-        assert load_stream(path, validate=False) == [{"kind": "mystery"}]
+        _write_lines(path, ['{"kind": "note", "message": "a"}', '{"kind": "mystery"}'])
+        with pytest.raises(SchemaError, match=r":2: .*mystery"):
+            load_stream(path)
 
 
 class TestSummarizeRun:

@@ -25,6 +25,9 @@ _NUMERIC_ARGUMENTS = [
     ("evaluate --algorithm sp", "--ingress", "2", ("0", "-3"), ">= 1"),
     ("evaluate --algorithm sp", "--horizon", "300", ("0", "-1", "nan"), "> 0"),
     ("evaluate --algorithm sp", "--deadline", "50", ("0", "nan"), "> 0"),
+    ("evaluate --algorithm sp", "--capacity-seed", "3", ("-1",), ">= 0"),
+    ("evaluate --algorithm sp", "--fault-seed", "3", ("-1",), ">= 0"),
+    ("serve-bench", "--arrival-seed", "3", ("-1",), ">= 0"),
 ]
 
 
@@ -77,8 +80,10 @@ class TestParser:
         selection with a bare ``max()`` error, ``--eval-seeds 0`` printed
         all-``n/a`` rows and exited 0, and ``--updates -3`` trained nothing
         and saved; ``--requests 0``, ``--workers 0`` or ``--horizon nan``
-        ended in a ``ValueError`` traceback once the run was built, and
-        ``--rate -5`` or ``nan`` silently ran closed-loop saturation."""
+        ended in a ``ValueError`` traceback once the run was built, as a
+        negative ``--capacity-seed``, ``--fault-seed`` or
+        ``--arrival-seed`` did in numpy's seeding, and ``--rate -5`` or
+        ``nan`` silently ran closed-loop saturation."""
         parser = build_parser()
         parsed = getattr(parser.parse_args(command.split() + [flag, good]),
                          flag[2:].replace("-", "_"))
@@ -227,3 +232,49 @@ class TestTelemetryCommand:
         out = capsys.readouterr().out
         assert "simulation: 2 runs" in out
         assert "evaluation[sp]: 2 seeds" in out
+
+
+def _write_truncated_policy(path):
+    from repro.rl.policy import ActorCriticPolicy
+
+    ActorCriticPolicy(16, 4, hidden=(8,), rng=0).save(path)
+    path.write_bytes(path.read_bytes()[:100])
+
+
+class TestBadInputFiles:
+    """A missing or malformed input file ends the command with exit 2
+    and the reader's message (naming the file) on one stderr line; it
+    used to end in a traceback with exit 1."""
+
+    def _fails_cleanly(self, argv, capsys, path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert "Traceback" not in captured.err + captured.out
+        assert len(err.splitlines()) == 1
+        assert err.startswith("repro: error: ")
+        assert str(path) in err
+        return err
+
+    def test_summarize_a_missing_directory(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-run"
+        self._fails_cleanly(["telemetry", "summarize", str(missing)], capsys, missing)
+
+    def test_summarize_a_stream_with_an_unknown_kind(self, tmp_path, capsys):
+        stream = tmp_path / "metrics.jsonl"
+        stream.write_text('{"kind": "mystery"}\n')
+        err = self._fails_cleanly(
+            ["telemetry", "summarize", str(tmp_path)], capsys, stream
+        )
+        assert ":1:" in err and "mystery" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "serve-bench"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_policy_flag_on_a_bad_checkpoint(self, tmp_path, capsys, command, damage):
+        path = tmp_path / "policy.npz"
+        if damage == "truncated":
+            _write_truncated_policy(path)
+        argv = [command, "--policy", str(path), "--horizon", "100"]
+        self._fails_cleanly(argv, capsys, path)

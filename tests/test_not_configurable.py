@@ -20,7 +20,12 @@ no inference path takes one (``ServingConfig.dtype`` survives as a field
 that accepts only ``"f64"``).
 ``repro lint`` has one text report and runs every
 rule: its format, output, subset and explain flags, the matching
-``run_lint`` keywords and the config object are gone.  The names below
+``run_lint`` keywords and the config object are gone.  The values the
+paper fixes — the tanh networks, the A2C/ACKTR coefficients, the
+rewards — and the fault-window shape, the central DRL's refresh
+interval and three scenario/telemetry switches that only their defaults
+reached are module constants, or went with the code only another value
+ran.  The names below
 may appear only here and in ``tests/test_stay_deleted.py``, whose tree
 scan looks for them everywhere else.
 """
@@ -34,22 +39,32 @@ import numpy as np
 import pytest
 
 from repro.analysis.linter import lint_paths, lint_source, run_lint
+from repro.baselines import central_drl
 from repro.baselines.central_drl import (
-    CentralDRLConfig,
     CentralDRLPolicy,
+    CentralizedCoordinationEnv,
+    CentralizedEnvBuilder,
     train_central_coordinator,
 )
 from repro.cli import build_parser
 from repro.core.agent import DistributedCoordinator
-from repro.core.env import ServiceCoordinationEnv
+from repro.core import rewards
+from repro.core.env import CoordinationEnvConfig, ServiceCoordinationEnv
+from repro.core.rewards import RewardFunction
 from repro.core.trainer import TrainingConfig
 from repro.eval.runner import (
     AlgorithmSuite,
     SuiteConfig,
     _EvalSeedTask,
     _run_grid,
+    build_algorithm_suite,
     evaluate_policy_on_scenario,
 )
+from repro.eval.scenarios import base_scenario, build_network, make_traffic_factory
+from repro.faults import FaultScenarioConfig
+from repro.nn import init, layers, mlp
+from repro.nn.layers import Dense
+from repro.nn.mlp import MLP, fused_backward_is_exact
 from repro.parallel import run_tasks
 from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.acktr import ACKTRConfig
@@ -58,7 +73,9 @@ from repro.rl.policy import ActorCriticPolicy
 from repro.rl.training import _SeedTask, evaluate_policy, train_multi_seed
 from repro.serving import ServingConfig, ServingEngine, serve_workload
 from repro.sim.config import SimulationConfig
+from repro.sim.metrics import DropReason
 from repro.sim.simulator import Simulator
+from repro.telemetry import JsonlRecorder, load_stream
 from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_flow_specs, make_simple_catalog
@@ -184,8 +201,12 @@ class TestOneConfigCarriesTheHyperparameters:
 
 class TestOptionsOnlyTestsSet:
     def test_central_rules_are_always_argmax_targets(self):
+        config = _env_config()
+        policy = ActorCriticPolicy(2 * 3 + 1 + 1, 3, hidden=(4,), rng=0)
         with pytest.raises(TypeError):
-            CentralDRLConfig(stochastic_rules=True)
+            CentralDRLPolicy(
+                config.network, config.catalog, policy, stochastic_rules=True
+            )
 
     def test_success_series_has_no_cap(self):
         with pytest.raises(TypeError):
@@ -265,9 +286,7 @@ def test_deployed_central_drl_takes_no_horizon():
     config = _env_config()
     policy = ActorCriticPolicy(2 * 3 + 1 + 1, 3, hidden=(4,), rng=0)
     with pytest.raises(TypeError):
-        CentralDRLPolicy(
-            config.network, config.catalog, policy, CentralDRLConfig(), horizon=100.0
-        )
+        CentralDRLPolicy(config.network, config.catalog, policy, horizon=100.0)
 
 
 class TestInferenceDecidesGreedily:
@@ -363,3 +382,110 @@ class TestInferenceHasNoPrecisionSwitch:
         for dtype in ("f32", "float64"):
             with pytest.raises(ValueError, match="ServingConfig.dtype"):
                 ServingConfig(dtype=dtype)
+
+
+class TestThePapersFixedValuesAreConstants:
+    """Each value below was a keyword or a field that nothing but its
+    default reached: passing it is a ``TypeError`` now, and a removed
+    class or member is gone."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MLP(3, (4,), 2, activation="tanh"),
+            lambda: ActorCriticPolicy(3, 2, hidden=(4,), activation="tanh"),
+            lambda: fused_backward_is_exact(3, (4,), 2, 8, "tanh"),
+            lambda: Dense(3, 2, init="orthogonal"),
+        ],
+        ids=["MLP", "ActorCriticPolicy", "fused_backward_is_exact", "Dense-init"],
+    )
+    def test_the_networks_are_tanh_with_one_initialiser(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_the_network_helpers_for_other_activations_are_gone(self):
+        assert not hasattr(layers, "ReLU")
+        assert not hasattr(mlp, "_ACTIVATIONS")
+        assert not hasattr(init, "xavier_uniform")
+        assert not hasattr(init, "zeros")
+
+    def test_backward_does_not_accumulate(self):
+        net = MLP(3, (4,), 2, rng=0)
+        net.forward(np.zeros((1, 3)))
+        with pytest.raises(TypeError):
+            net.backward(np.zeros((1, 2)), accumulate=True)
+        with pytest.raises(TypeError):
+            net.dense_layers[0].backward(np.zeros((1, 4)), accumulate=True)
+
+    @pytest.mark.parametrize(
+        "field", ["gamma", "entropy_coef", "value_loss_coef", "max_grad_norm"]
+    )
+    def test_a2c_coefficients_are_not_fields(self, field):
+        for config_cls in (A2CConfig, ACKTRConfig):
+            with pytest.raises(TypeError):
+                config_cls(**{field: 0.5})
+
+    @pytest.mark.parametrize(
+        "field",
+        ["kl_clip", "fisher_coef", "damping", "stat_decay", "inversion_interval"],
+    )
+    def test_kfac_coefficients_are_not_fields(self, field):
+        with pytest.raises(TypeError):
+            ACKTRConfig(**{field: 1})
+
+    def test_rewards_have_one_switch(self):
+        assert not hasattr(rewards, "RewardConfig")
+        assert not hasattr(RewardFunction, "validate_shaping")
+        assert "reward" not in _field_names(CoordinationEnvConfig)
+        with pytest.raises(TypeError):
+            base_scenario(reward=None)
+        assert "shaping" in _field_names(CoordinationEnvConfig)
+
+    def test_the_simulator_never_drops_at_the_horizon(self):
+        with pytest.raises(TypeError):
+            SimulationConfig(drop_active_at_horizon=True)
+        assert not hasattr(DropReason, "HORIZON_REACHED")
+        assert "horizon_reached" not in DropReason.ALL
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mean_downtime", 100.0),
+            ("min_downtime", 5.0),
+            ("degradation_factor", 0.25),
+            ("onset_window", (0.1, 0.9)),
+        ],
+    )
+    def test_the_fault_window_shape_is_not_a_field(self, field, value):
+        with pytest.raises(TypeError):
+            FaultScenarioConfig(**{field: value})
+
+    def test_the_central_refresh_interval_is_a_constant(self):
+        assert central_drl.UPDATE_INTERVAL == 50.0
+        assert not hasattr(central_drl, "CentralDRLConfig")
+        for fn in (
+            CentralizedCoordinationEnv,
+            CentralDRLPolicy,
+            CentralizedEnvBuilder,
+            train_central_coordinator,
+            AlgorithmSuite.factories_for,
+            build_algorithm_suite,
+        ):
+            assert "central_config" not in inspect.signature(fn).parameters
+
+    @pytest.mark.parametrize("keyword", ["catalog", "mean_interval", "trace"])
+    def test_the_base_scenario_has_fixed_traffic_and_catalog(self, keyword):
+        with pytest.raises(TypeError):
+            base_scenario(**{keyword: None})
+
+    @pytest.mark.parametrize("keyword", ["mean_interval", "trace"])
+    def test_the_traffic_factory_has_fixed_traffic(self, keyword):
+        with pytest.raises(TypeError):
+            make_traffic_factory(build_network(), **{keyword: None})
+
+    def test_telemetry_is_always_validated(self, tmp_path):
+        with pytest.raises(TypeError):
+            JsonlRecorder(tmp_path / "m.jsonl", validate=False)
+        (tmp_path / "m.jsonl").write_text("")
+        with pytest.raises(TypeError):
+            load_stream(tmp_path / "m.jsonl", validate=False)

@@ -1,24 +1,23 @@
-"""Config fields that must be positive refuse NaN too, and multi-seed
-training refuses an empty seed list and a negative update count.
+"""Config fields that must be positive refuse NaN too, trainer counts
+must be integers, and multi-seed training refuses an empty seed list and
+a negative update count.
 
 Every comparison with NaN is false, so a guard spelled ``x <= 0`` lets
 NaN through: a NaN horizon made the event queue's ``head > horizon``
-never true and the run ignored its end; a NaN update interval never
-refreshed the central rules; a NaN ``kl_clip``, ``damping`` or learning
-rate turned the actor weights into NaN; a NaN ``max_grad_norm`` switched
-gradient clipping off (``total > nan`` is never true); a NaN mean
-downtime gave every fault the minimum window (``max(min, nan)`` is
-``min``).  The guards are spelled ``not x > 0`` (``not x >= 0`` where 0
-is allowed).
+never true and the run ignored its end; a NaN learning rate turned the
+actor weights into NaN.  The guards are spelled ``not x > 0`` (``not
+x >= 0`` where 0 is allowed, ``not x >= 1`` for counts).  A count also
+has to be an integer: a NaN ``stat_interval`` made ``updates % nan == 0``
+never true, so every update silently skipped the Fisher refresh, and a
+NaN or fractional ``n_steps`` failed later, inside ``range()``.
 """
 
 import math
 
 import pytest
 
-from repro.baselines.central_drl import CentralDRLConfig
 from repro.core.trainer import CoordinationEnvBuilder
-from repro.faults import FaultKind, FaultScenarioConfig, FaultSpec
+from repro.faults import FaultKind, FaultSpec
 from repro.rl import training
 from repro.rl.a2c import A2CConfig
 from repro.rl.acktr import ACKTRConfig
@@ -33,19 +32,30 @@ from tests.conftest import make_env_config, make_simple_catalog
     [
         (SimulationConfig, "horizon"),
         (SimulationConfig, "keep_duration"),
-        (CentralDRLConfig, "update_interval"),
-        (ACKTRConfig, "kl_clip"),
-        (ACKTRConfig, "damping"),
         (A2CConfig, "learning_rate"),
-        (A2CConfig, "max_grad_norm"),
-        (FaultScenarioConfig, "mean_downtime"),
-        (FaultScenarioConfig, "min_downtime"),
     ],
     ids=lambda p: p if isinstance(p, str) else p.__name__,
 )
 def test_positive_field_refuses_nan(config_cls, field):
     with pytest.raises(ValueError, match=f"{field} must be > 0"):
         config_cls(**{field: math.nan})
+
+
+@pytest.mark.parametrize(
+    "config_cls, field",
+    [
+        (A2CConfig, "n_steps"),
+        (A2CConfig, "n_envs"),
+        (ACKTRConfig, "n_steps"),
+        (ACKTRConfig, "n_envs"),
+        (ACKTRConfig, "stat_interval"),
+    ],
+    ids=lambda p: p if isinstance(p, str) else p.__name__,
+)
+@pytest.mark.parametrize("value", [math.nan, 2.5, 0], ids=["nan", "fraction", "zero"])
+def test_count_field_must_be_an_integer_of_at_least_one(config_cls, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        config_cls(**{field: value})
 
 
 @pytest.mark.parametrize(

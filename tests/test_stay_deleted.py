@@ -21,7 +21,12 @@ followed: ``freeze()`` makes it once, on read-only weights, so nothing
 re-casts, re-points or casts for a driver.  The observation oracle and
 ``SGD`` left the package for the tests that use them, and
 ``tests/test_every_name_has_a_caller.py`` keeps every public name in
-``src/`` called.  The names below may
+``src/`` called.  The paper's fixed values followed: the networks are
+tanh only (``ReLU``, the activation table and the Xavier initialiser
+are gone), the trainer coefficients, the rewards, the fault-window
+shape and the central DRL's refresh interval are module constants, and
+``RewardConfig``, ``CentralDRLConfig`` and the simulator's horizon drop
+went with them.  The names below may
 appear only here and in ``tests/test_not_configurable.py``;
 :func:`test_deleted_names_stay_out_of_the_tree` scans for them
 everywhere else.
@@ -70,9 +75,9 @@ REMOVED_EXPORTS = {
     ],
     "repro.sim": ["DecisionRecord", "FlowTrace", "TracingPolicy"],
     "repro.eval": ["ascii_chart", "chart_sweep"],
-    "repro.core": ["ActionAdapter", "NodeAgent", "ObservationParts"],
-    "repro.nn": ["Adam", "SGD"],
-    "repro.baselines": ["CoordinationPolicy"],
+    "repro.core": ["ActionAdapter", "NodeAgent", "ObservationParts", "RewardConfig"],
+    "repro.nn": ["Adam", "SGD", "ReLU", "xavier_uniform", "zeros"],
+    "repro.baselines": ["CoordinationPolicy", "CentralDRLConfig"],
     "repro.telemetry": ["PhaseTimer"],
     "repro.analysis": [
         "analyze_paths", "FLOW_RULES", "Finding", "LintConfig", "RULES",
@@ -201,6 +206,17 @@ DELETED_NAMES = {
     # The float32 cast is made once, by ``freeze()``, on read-only
     # weights: nothing re-casts, re-points or casts on a driver's behalf.
     "second-cast": r"\brebind\b|refresh_weights|\b_cast\b",
+    # The paper's fixed values are constants next to their one reader:
+    # the hidden activation, the initialiser, the trainer and reward
+    # coefficients, the fault-window shape and the refresh interval I.
+    "fixed-values": (
+        r"\bRewardConfig\b|validate_shaping|enable_shaping|\binstance_bonus_scale\b"
+        r"|link_penalty_scale|keep_penalty_scale|drop_active_at_horizon"
+        r"|HORIZON_REACHED|CentralDRLConfig|central_config|xavier_uniform"
+        r"|_ACTIVATIONS|\bReLU\b|fisher_coef|mean_downtime|min_downtime"
+        r"|degradation_factor|onset_window|entropy_coef|value_loss_coef"
+        r"|accumulate=|activation="
+    ),
 }
 
 #: Files inside the scanned tree a family's scan skips.
