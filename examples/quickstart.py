@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines import ShortestPathPolicy
-from repro.core import TrainingConfig, train_coordinator
+from repro.core import DistributedCoordinator, TrainingConfig, train_coordinator
 from repro.eval import base_scenario
 from repro.rl import ACKTRConfig
 from repro.sim import Simulator
@@ -44,7 +44,8 @@ def main() -> None:
 
     print("\nEvaluating on fresh traffic (3 seeds):")
     for label, policy_factory in (
-        ("Distributed DRL", result.coordinator.fresh),
+        ("Distributed DRL",
+         lambda: DistributedCoordinator(network, catalog, result.coordinator.policy)),
         ("Shortest path  ", lambda: ShortestPathPolicy(network, catalog)),
     ):
         ratios = []

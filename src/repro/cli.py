@@ -9,7 +9,6 @@ Gives downstream users the full pipeline without writing Python::
     python -m repro compare --pattern poisson --ingress 3
     python -m repro train ... --telemetry runs/exp1   # structured JSONL
     python -m repro telemetry summarize runs/exp1     # render run report
-    python -m repro lint                              # determinism linter
 
 All scenario knobs mirror :func:`repro.eval.scenarios.base_scenario`
 (topology, traffic pattern, number of ingresses, deadline, horizon,
@@ -22,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional, TypeVar
+from typing import Any, Callable, Iterator, List, NoReturn, Optional, TypeVar
 
 
 __all__ = ["main", "build_parser"]
@@ -83,15 +82,37 @@ def _add_telemetry_arg(parser: argparse.ArgumentParser) -> None:
                              "stream into DIR (see 'repro telemetry summarize')")
 
 
+def _usage_error(message: object) -> NoReturn:
+    """End the command as a bad argument does: one ``repro: error:``
+    stderr line and exit status 2, instead of a traceback."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _read_input(read: Callable[[Any], T], path: str) -> T:
-    """``read(path)``; a missing or malformed input file ends the command
-    with the reader's message (which names the file) as one stderr line
-    and exit status 2, as a bad argument does, instead of a traceback."""
+    """``read(path)``; a missing or malformed input file is a usage error
+    whose message is the reader's (which names the file)."""
     try:
         return read(path)
     except (OSError, ValueError) as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(exc)
+
+
+def _load_policy(path: str, scenario):
+    """The policy saved at ``path``, if it fits ``scenario``: its input
+    width must be the scenario's observation size (``4 Δ_G + 4``), else
+    the command ends with a usage error naming both sizes."""
+    from repro.core.observations import ObservationAdapter
+    from repro.rl.policy import ActorCriticPolicy
+
+    policy = _read_input(ActorCriticPolicy.load, path)
+    size = ObservationAdapter(scenario.network, scenario.catalog).size
+    if policy.obs_dim != size:
+        _usage_error(
+            f"{path}: the policy takes {policy.obs_dim}-value observations, "
+            f"but {scenario.network.name} gives {size}-value ones"
+        )
+    return policy
 
 
 @contextmanager
@@ -118,8 +139,10 @@ def _telemetry(args: argparse.Namespace, name: str, seeds=()) -> Iterator:
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--topology", default="Abilene",
-                        help="Abilene, 'BT Europe', 'China Telecom', Interroute")
+    from repro.topology.zoo import TOPOLOGY_NAMES
+
+    parser.add_argument("--topology", default="Abilene", choices=TOPOLOGY_NAMES,
+                        help="Table I topology")
     parser.add_argument("--pattern", default="poisson",
                         choices=["fixed", "poisson", "mmpp", "trace"],
                         help="flow arrival pattern (Fig. 6)")
@@ -158,6 +181,8 @@ def _scenario_from_args(args: argparse.Namespace):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.topology.zoo import TOPOLOGY_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Distributed DRL service coordination (ICDCS 2021 reproduction)",
@@ -165,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     topo = sub.add_parser("topology", help="print Table I topology statistics")
-    topo.add_argument("--name", default=None,
+    topo.add_argument("--name", default=None, choices=TOPOLOGY_NAMES,
                       help="show one topology's details instead of the table")
 
     train = sub.add_parser("train", help="train the distributed DRL coordinator")
@@ -237,14 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "as request payloads")
     _add_telemetry_arg(serve)
 
-    lint = sub.add_parser(
-        "lint",
-        help="run the determinism linter (rules REP001-REP008) over the project",
-    )
-    lint.add_argument("paths", nargs="*", default=["src/repro", "benchmarks"],
-                      help="files or directories to lint "
-                           "(default: src/repro benchmarks)")
-
     telemetry = sub.add_parser(
         "telemetry", help="inspect structured telemetry from a previous run"
     )
@@ -306,12 +323,11 @@ def _build_policy(args: argparse.Namespace, scenario):
 
     from repro.baselines import GCASPPolicy, RandomPolicy, ShortestPathPolicy
     from repro.core.agent import DistributedCoordinator
-    from repro.rl.policy import ActorCriticPolicy
 
     # partial() rather than lambdas: the factory must pickle so the
     # per-seed evaluation can fan out across worker processes.
     if args.policy is not None:
-        trained = _read_input(ActorCriticPolicy.load, args.policy)
+        trained = _load_policy(args.policy, scenario)
         return partial(
             DistributedCoordinator,
             scenario.network,
@@ -392,18 +408,21 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         serve_workload,
     )
 
+    try:
+        config = ServingConfig(
+            max_batch=args.serve_batch,
+            deadline_s=args.serve_deadline_ms / 1000.0,
+            queue_capacity=args.queue_capacity,
+        )
+    except ValueError as exc:
+        _usage_error(exc)
     scenario = _scenario_from_args(args)
     if args.policy is not None:
-        policy = _read_input(ActorCriticPolicy.load, args.policy)
+        policy = _load_policy(args.policy, scenario)
     else:
         probe = ServiceCoordinationEnv(scenario, seed=0)
         policy = ActorCriticPolicy(probe.observation_size, probe.num_actions, rng=0)
     observations = collect_observation_pool(scenario, policy, args.pool)
-    config = ServingConfig(
-        max_batch=args.serve_batch,
-        deadline_s=args.serve_deadline_ms / 1000.0,
-        queue_capacity=args.queue_capacity,
-    )
     with _telemetry(args, "serve-bench") as recorder:
         engine = serve_workload(
             policy,
@@ -434,14 +453,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.linter import run_lint
-
-    code, report = run_lint(args.paths)
-    print(report)
-    return code
-
-
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     from repro.telemetry import summarize_run
 
@@ -457,7 +468,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "evaluate": _cmd_evaluate,
         "compare": _cmd_compare,
         "serve-bench": _cmd_serve_bench,
-        "lint": _cmd_lint,
         "telemetry": _cmd_telemetry,
     }
     return handlers[args.command](args)

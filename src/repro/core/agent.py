@@ -104,13 +104,6 @@ class DistributedCoordinator:
                 violation.message, node=decision.node, **violation.context
             ) from violation
 
-    def fresh(self) -> "DistributedCoordinator":
-        """A new coordinator over the same trained weights (its own frozen
-        snapshot) with reset decision counters."""
-        return DistributedCoordinator(
-            self.network, self.adapter.catalog, self.policy
-        )
-
     def decision_counts(self) -> Dict[str, int]:
         """Per-node decision counts (how evenly load spreads over agents)."""
         return dict(self._counts)

@@ -3,8 +3,7 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, cast
+from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -208,34 +207,6 @@ class MLP:
     def num_parameters(self) -> int:
         return sum(w.size for w in self.parameters)
 
-    def set_parameters(self, params: Sequence[np.ndarray]) -> None:
-        """Overwrite all weights of an existing network with copies
-        (shape-checked) — e.g. loading a saved checkpoint."""
-        if len(params) != len(self.dense_layers):
-            raise ValueError(
-                f"expected {len(self.dense_layers)} parameter arrays, got {len(params)}"
-            )
-        for dense, new in zip(self.dense_layers, params):
-            if new.shape != dense.weight.shape:
-                raise ValueError(
-                    f"parameter shape mismatch: {new.shape} vs {dense.weight.shape}"
-                )
-            dense.weight = new.copy()
-
-    # ------------------------------------------------------------------
-
-    def save(self, path: "Union[str, Path]") -> None:
-        """Serialise weights to an ``.npz`` file."""
-        arrays = {f"w{i}": w for i, w in enumerate(self.parameters)}
-        np.savez(Path(path), **arrays)
-
-    def load(self, path: "Union[str, Path]") -> None:
-        """Load weights saved by :meth:`save` into this (same-shape) MLP."""
-        with np.load(Path(path)) as data:
-            self.set_parameters(
-                [data[f"w{i}"] for i in range(len(self.dense_layers))]
-            )
-
 
 #: Cache of probe results keyed by (in_dim, hidden, out_dim, batch) —
 #: the probe builds scratch networks and runs real GEMMs, so each
@@ -325,8 +296,8 @@ class MLPInference:
     dtype:
         ``np.float64`` (default) computes exactly what ``MLP.forward``
         computes for the same batch — same ufuncs, same GEMM — and reads
-        the live weight references on every forward, so it tracks both
-        in-place optimiser updates and ``set_parameters`` rebinding.
+        the live weight references on every forward, so it tracks
+        in-place optimiser updates.
         ``np.float32`` casts the weights once, at construction, and runs
         the whole forward in single precision — roughly 2x less memory
         traffic.  Its logits differ from float64 ones by at most

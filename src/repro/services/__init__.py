@@ -4,24 +4,18 @@ from repro.services.service import (
     Component,
     Service,
     ServiceCatalog,
-    linear_resource,
 )
 from repro.services.catalog import (
     default_catalog,
     ml_inference_pipeline,
-    single_component_service,
     video_streaming_service,
-    web_service,
 )
 
 __all__ = [
     "Component",
     "Service",
     "ServiceCatalog",
-    "linear_resource",
     "default_catalog",
     "ml_inference_pipeline",
-    "single_component_service",
     "video_streaming_service",
-    "web_service",
 ]

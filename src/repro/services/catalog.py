@@ -6,9 +6,7 @@ from repro.services.service import Component, Service, ServiceCatalog
 
 __all__ = [
     "video_streaming_service",
-    "web_service",
     "ml_inference_pipeline",
-    "single_component_service",
     "default_catalog",
 ]
 
@@ -33,17 +31,6 @@ def video_streaming_service(
     return Service("video-streaming", [make("FW"), make("IDS"), make("video")])
 
 
-def web_service(processing_delay: float = 3.0) -> Service:
-    """A two-component web service <LB, app> for multi-service scenarios."""
-    return Service(
-        "web",
-        [
-            Component("LB", processing_delay=processing_delay, resource_coefficient=0.5),
-            Component("app", processing_delay=2 * processing_delay, resource_coefficient=1.0),
-        ],
-    )
-
-
 def ml_inference_pipeline(processing_delay: float = 4.0) -> Service:
     """A four-stage ML pipeline <ingest, preprocess, model, postprocess>.
 
@@ -61,16 +48,6 @@ def ml_inference_pipeline(processing_delay: float = 4.0) -> Service:
             make("model", 1.2),
             make("postprocess", 0.4),
         ],
-    )
-
-
-def single_component_service(
-    name: str = "passthrough",
-    processing_delay: float = 1.0,
-) -> Service:
-    """A one-component service — the minimal chain, handy in unit tests."""
-    return Service(
-        name, [Component(f"{name}-c1", processing_delay=processing_delay)]
     )
 
 

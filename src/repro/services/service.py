@@ -19,22 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["Component", "Service", "ServiceCatalog", "linear_resource"]
-
-
-def linear_resource(coefficient: float = 1.0) -> Callable[[float], float]:
-    """Resource function ``r_c(λ) = coefficient * λ``.
-
-    The paper's base scenario uses components whose resource demand is
-    linear in the processed data rate.  Non-linear profiles (e.g. learned
-    via benchmarking + supervised learning [31]) can be plugged in as any
-    callable ``λ -> resources``.
-    """
-
-    def resource(rate: float) -> float:
-        return coefficient * rate
-
-    return resource
+__all__ = ["Component", "Service", "ServiceCatalog"]
 
 
 @dataclass(frozen=True)

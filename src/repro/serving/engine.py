@@ -244,13 +244,6 @@ class ServingEngine:
             return []
         return self._flush("forced")
 
-    def drain(self) -> List[Decision]:
-        """Force flushes until the queue is empty; returns all decisions."""
-        decisions: List[Decision] = []
-        while len(self._queue):
-            decisions.extend(self._flush("forced"))
-        return decisions
-
     # ------------------------------------------------------------------
 
     def install(

@@ -21,11 +21,6 @@ class SimulationConfig:
             paper's objective over *finished* flows; they surface as
             ``flows_active`` in the final
             :class:`~repro.sim.metrics.SimulationMetrics`.
-        keep_duration: How long a fully processed flow waits at a node when
-            the agent keeps it there (action 0 with ``c_f = ∅``); the paper
-            says "one time step".
-        check_invariants: Run state-invariant assertions after every event.
-            Slow; meant for tests and debugging.
         faults: Optional fault scenario (link failures, node outages,
             capacity degradations) injected into the run; the concrete
             schedule is derived deterministically from this config, the
@@ -35,12 +30,8 @@ class SimulationConfig:
     """
 
     horizon: float = 20000.0
-    keep_duration: float = 1.0
-    check_invariants: bool = False
     faults: Optional[FaultScenarioConfig] = None
 
     def __post_init__(self) -> None:
         if not self.horizon > 0:
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
-        if not self.keep_duration > 0:
-            raise ValueError(f"keep_duration must be > 0, got {self.keep_duration}")

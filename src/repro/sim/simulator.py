@@ -62,6 +62,7 @@ from repro.traffic.flows import Flow, FlowSpec, FlowStatus
 
 __all__ = [
     "ACTION_PROCESS_LOCALLY",
+    "KEEP_DURATION",
     "DecisionPoint",
     "OutcomeKind",
     "Outcome",
@@ -70,6 +71,11 @@ __all__ = [
 
 #: Action 0 = process the flow locally (or keep it, when fully processed).
 ACTION_PROCESS_LOCALLY = 0
+
+#: How long a fully processed flow waits at a node when the agent keeps
+#: it there (action 0 with ``c_f = ∅``): the paper's "one time step".
+#: Read when a flow is kept.
+KEEP_DURATION = 1.0
 
 
 class DecisionPoint(NamedTuple):
@@ -210,10 +216,9 @@ class Simulator:
         self._evicted_tail_debt: Dict[tuple, int] = {}
         self._last_injection_time = 0.0
         #: Sanitizer mode: run the full invariant sweep after every event.
-        #: Enabled by ``config.check_invariants`` or the
-        #: ``REPRO_CHECK_INVARIANTS=1`` environment flag; pure observation,
-        #: so enabling it cannot perturb a seeded run.
-        self._sanitize = bool(config.check_invariants) or invariants_enabled()
+        #: Enabled by the ``REPRO_CHECK_INVARIANTS=1`` environment flag;
+        #: pure observation, so enabling it cannot perturb a seeded run.
+        self._sanitize = invariants_enabled()
         #: Mean wall-clock seconds per policy call of the last :meth:`run`
         #: with ``time_decisions=True`` (Fig. 9b).
         self.mean_decision_seconds: float = 0.0
@@ -522,9 +527,7 @@ class Simulator:
         """Action 0 on a fully processed flow away from its egress: the flow
         waits one time step and the agent is queried again (small penalty)."""
         self._outcomes.append(Outcome(_FLOW_KEPT, self.now, flow.flow_id))
-        self._queue.push(
-            Event(self.now + self.config.keep_duration, _DECISION, flow)
-        )
+        self._queue.push(Event(self.now + KEEP_DURATION, _DECISION, flow))
 
     def _process_locally(self, flow: Flow, node: str) -> None:
         if self.faults is not None and self.faults.node_is_failed(node):

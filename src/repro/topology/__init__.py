@@ -19,11 +19,7 @@ from repro.topology.zoo import (
 )
 from repro.topology.generators import (
     grid_network,
-    line_network,
     random_geometric_network,
-    ring_network,
-    star_network,
-    triangle_network,
 )
 
 __all__ = [
@@ -41,9 +37,5 @@ __all__ = [
     "table1_stats",
     "topology_by_name",
     "grid_network",
-    "line_network",
     "random_geometric_network",
-    "ring_network",
-    "star_network",
-    "triangle_network",
 ]

@@ -380,10 +380,6 @@ class Network:
         hop = self._next_hop.item(self.node_index[source], self.node_index[target])
         return None if hop < 0 else self._node_name_list[hop]
 
-    def is_connected(self) -> bool:
-        """True when every node can reach every other node."""
-        return bool(np.isfinite(self._dist).all())
-
     def stats(self) -> "TopologyStats":
         """Topology statistics as reported in Table I of the paper."""
         return TopologyStats(

@@ -13,8 +13,6 @@ from repro.traffic.arrival import (
 from repro.traffic.traces import (
     RateTrace,
     TraceArrival,
-    load_trace,
-    save_trace,
     synthetic_abilene_trace,
 )
 
@@ -31,7 +29,5 @@ __all__ = [
     "TrafficSource",
     "RateTrace",
     "TraceArrival",
-    "load_trace",
-    "save_trace",
     "synthetic_abilene_trace",
 ]

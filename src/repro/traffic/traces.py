@@ -10,19 +10,14 @@ redistributable in this offline environment, so this module provides:
    What matters for the experiments is *non-stationarity and burstiness* —
    traffic that no single fixed rule set fits — and the synthetic trace
    preserves exactly that (see DESIGN.md, "Substitutions").
-2. :class:`TraceArrival` — an arrival process replaying any rate trace
-   (synthetic or loaded from disk) through non-homogeneous Poisson
-   thinning.
-3. :func:`save_trace` / :func:`load_trace` — a tiny CSV format
-   (``time,rate`` rows) so users can plug in real SNDlib-derived traces.
+2. :class:`TraceArrival` — an arrival process replaying any
+   :class:`RateTrace` through non-homogeneous Poisson thinning.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -33,8 +28,6 @@ __all__ = [
     "RateTrace",
     "synthetic_abilene_trace",
     "TraceArrival",
-    "save_trace",
-    "load_trace",
 ]
 
 
@@ -154,31 +147,3 @@ class TraceArrival(ArrivalProcess):
 
     def next_arrival(self, after: float) -> Optional[float]:
         return self._inner.next_arrival(after)
-
-
-def save_trace(trace: RateTrace, path) -> None:
-    """Write a trace as ``time,rate`` CSV (with header)."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time", "rate"])
-        for t, r in zip(trace.times, trace.rates):
-            writer.writerow([f"{t:.6f}", f"{r:.6f}"])
-
-
-def load_trace(path) -> RateTrace:
-    """Read a trace written by :func:`save_trace` (or any time,rate CSV)."""
-    path = Path(path)
-    times: List[float] = []
-    rates: List[float] = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty trace file")
-        for row in reader:
-            if len(row) != 2:
-                raise ValueError(f"{path}: expected 'time,rate' rows, got {row!r}")
-            times.append(float(row[0]))
-            rates.append(float(row[1]))
-    return RateTrace(tuple(times), tuple(rates))

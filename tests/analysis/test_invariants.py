@@ -9,6 +9,8 @@ it off, on the paper's default Abilene scenario.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.analysis.invariants import (
@@ -18,6 +20,7 @@ from repro.analysis.invariants import (
 )
 from repro.baselines import ShortestPathPolicy
 from repro.eval import base_scenario, evaluate_policy_on_scenario
+from repro.parallel import WorkerTaskError
 from repro.sim import SimulationConfig, Simulator
 from repro.sim.events import Event, EventKind, EventQueue
 
@@ -79,21 +82,43 @@ class TestEventQueueValidate:
         assert exc_info.value.context["recount"] == 1
 
 
+class _RefusesTheSweep:
+    """A policy that fails any run whose simulator sweeps its invariants."""
+
+    def __call__(self, decision, sim):
+        if sim._sanitize:
+            raise RuntimeError("this simulator sweeps its invariants")
+        return 0
+
+
 class TestSimulatorSanitizer:
     @staticmethod
-    def _build(line3, check_invariants):
+    def _build(line3):
         catalog = make_simple_catalog()
-        config = SimulationConfig(horizon=50.0, check_invariants=check_invariants)
+        config = SimulationConfig(horizon=50.0)
         return Simulator(line3, catalog, make_flow_specs([1.0]), config)
 
     def test_env_flag_enables_sweep_without_config(self, monkeypatch, line3):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        assert self._build(line3, check_invariants=False)._sanitize
+        assert self._build(line3)._sanitize
 
-    def test_flag_off_respects_config(self, monkeypatch, line3):
+    def test_flag_off_builds_no_sweep(self, monkeypatch, line3):
         monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
-        assert not self._build(line3, check_invariants=False)._sanitize
-        assert self._build(line3, check_invariants=True)._sanitize
+        assert not self._build(line3)._sanitize
+
+    def test_pool_workers_read_the_flag_from_their_environment(self, monkeypatch):
+        """Nothing pickled to a worker carries the switch: a worker's
+        simulator sweeps because the worker inherited the variable."""
+        scenario = base_scenario(pattern="poisson", num_ingress=1, horizon=50.0)
+        evaluate = partial(
+            evaluate_policy_on_scenario, scenario, _RefusesTheSweep, "refuses",
+            eval_seeds=(0, 1), workers=2,
+        )
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+        assert evaluate().timing.mode == "process-pool"
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        with pytest.raises(WorkerTaskError, match="sweeps its invariants"):
+            evaluate()
 
     def test_sanitized_episode_runs_clean(self, line3):
         """A full episode under the sweep: every decision point passes the

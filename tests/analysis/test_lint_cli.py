@@ -1,4 +1,5 @@
-"""End-to-end tests of ``repro lint``: file discovery, the report, CLI.
+"""End-to-end tests of ``tools/lint.py``: file discovery, the report,
+the command line.
 
 Includes the self-lint acceptance check: the repository's own source tree
 must be clean.
@@ -6,19 +7,18 @@ must be clean.
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.linter import (
+from tools.lint import (
     lint_paths,
     lint_source,
+    main,
     run_lint,
 )
-from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -80,11 +80,11 @@ class TestRunLint:
 
 
 class TestCliCommand:
-    def test_lint_subcommand_exit_codes(self, bad_tree, capsys):
-        code = main(["lint", str(bad_tree / "pkg" / "bad.py")])
+    def test_lint_command_exit_codes(self, bad_tree, capsys):
+        code = main([str(bad_tree / "pkg" / "bad.py")])
         assert code == 1
         assert "REP001" in capsys.readouterr().out
-        code = main(["lint", str(bad_tree / "pkg" / "clean.py")])
+        code = main([str(bad_tree / "pkg" / "clean.py")])
         assert code == 0
 
 
@@ -97,13 +97,13 @@ class TestSelfLint:
         assert report == "repro lint: no findings"
 
     def test_module_invocation_matches(self):
-        # The exact command the CI lint job runs.
+        # The exact command the CI lint job runs; the linter needs no
+        # PYTHONPATH, it imports nothing from the package.
         result = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", "src/repro", "benchmarks"],
+            [sys.executable, "tools/lint.py", "src/repro", "benchmarks"],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert result.stdout == "repro lint: no findings\n"
@@ -114,11 +114,11 @@ class TestSelfFlowLint:
 
     def test_flow_module_invocation_is_clean(self):
         workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
-        prefix = "run: PYTHONPATH=src python "
+        prefix = "run: python "
         commands = [
             line.strip()[len(prefix):].split()
             for line in workflow.splitlines()
-            if line.strip().startswith(prefix + "-m repro lint")
+            if line.strip().startswith(prefix + "tools/lint.py")
         ]
         assert len(commands) == 1, workflow
         result = subprocess.run(
@@ -126,7 +126,6 @@ class TestSelfFlowLint:
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert result.stdout == "repro lint: no findings\n"

@@ -13,7 +13,7 @@ import textwrap
 from pathlib import Path
 from typing import List
 
-from repro.analysis.linter import Finding, RULES, lint_source
+from tools.lint import Finding, RULES, lint_source
 
 
 def rules_of(findings: List[Finding]) -> List[str]:

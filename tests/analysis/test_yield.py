@@ -1,4 +1,4 @@
-"""Yield test of ``repro lint``: every rule must catch a seeded mutation
+"""Yield test of the linter: every rule must catch a seeded mutation
 of code this tree actually has.
 
 The bad/good fixtures in ``test_linter.py`` prove each rule fires on a
@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.analysis.linter import RULES, lint_paths
+from tools.lint import RULES, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 

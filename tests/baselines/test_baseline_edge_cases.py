@@ -3,7 +3,7 @@
 from repro.baselines.central_drl import CentralDRLPolicy, RuleExecutor
 from repro.baselines.gcasp import GCASPPolicy
 from repro.rl.policy import ActorCriticPolicy
-from repro.topology import Link, Network, Node, line_network
+from repro.topology import Link, Network, Node
 
 from tests.conftest import (
     make_flow_specs,
@@ -11,6 +11,7 @@ from tests.conftest import (
     make_simulator,
     record_peaks,
 )
+from tests.topology.networks import line_network
 
 
 class TestGCASPLoopAvoidance:

@@ -14,7 +14,6 @@ from repro.baselines.central_drl import (
 from repro.nn.mlp import MLPInference
 from repro.rl.acktr import ACKTRConfig
 from repro.rl.policy import ActorCriticPolicy
-from repro.topology import line_network
 
 from tests.conftest import (
     make_env_config,
@@ -23,6 +22,7 @@ from tests.conftest import (
     make_simulator,
     record_peaks,
 )
+from tests.topology.networks import line_network
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 
 from repro.baselines.gcasp import GCASPPolicy
-from repro.topology import Link, Network, Node, line_network
+from repro.topology import Link, Network, Node
 
 from tests.conftest import (
     make_flow_specs,
@@ -10,6 +10,7 @@ from tests.conftest import (
     make_simulator,
     record_peaks,
 )
+from tests.topology.networks import line_network
 
 
 def diamond(fast_capacity=10.0, node_caps=None):

@@ -2,9 +2,9 @@
 
 
 from repro.baselines.random_policy import RandomPolicy
-from repro.topology import star_network
 
 from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
+from tests.topology.networks import star_network
 
 
 class TestRandomPolicy:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.shortest_path import ShortestPathPolicy
-from repro.topology import Link, Network, Node, line_network
+from repro.topology import Link, Network, Node
 
 from tests.conftest import (
     make_flow_specs,
@@ -11,6 +11,7 @@ from tests.conftest import (
     make_simulator,
     record_peaks,
 )
+from tests.topology.networks import line_network
 
 
 class TestShortestPathPolicy:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
+import os
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -11,9 +13,45 @@ from repro.core.env import CoordinationEnvConfig
 from repro.services import Component, Service, ServiceCatalog
 from repro.sim import SimulationConfig, Simulator
 from repro.sim.state import Allocation, NetworkState
-from repro.topology import Network, line_network, triangle_network
+from repro.topology import Network
 from repro.topology.network import link_key
 from repro.traffic import FixedArrival, FlowSpec, FlowTemplate, TrafficSource
+
+from tests.topology.networks import line_network, triangle_network
+
+#: The sanitizer switch.  A simulator reads it once, when it is built, and
+#: sweeps its invariants after every event if it was on; a policy reads
+#: it when it is built too, and then cross-checks each certified decision
+#: in float64.
+SANITIZER = "REPRO_CHECK_INVARIANTS"
+_SANITIZER_AT_START = os.environ.get(SANITIZER)
+
+
+def _set_sanitizer(value: Optional[str]) -> None:
+    if value is None:
+        os.environ.pop(SANITIZER, None)
+    else:
+        os.environ[SANITIZER] = value
+
+
+@contextmanager
+def sanitizer_on() -> Iterator[None]:
+    """The sanitizer switch on inside the block, as it was after it."""
+    before = os.environ.get(SANITIZER)
+    os.environ[SANITIZER] = "1"
+    try:
+        yield
+    finally:
+        _set_sanitizer(before)
+
+
+@pytest.fixture(autouse=True)
+def _sanitizer_is_per_test() -> Iterator[None]:
+    """A :func:`make_env_config` scenario turns the sanitizer on for the
+    rest of the test that draws its traffic; every test ends with the
+    switch as the session found it."""
+    yield
+    _set_sanitizer(_SANITIZER_AT_START)
 
 
 def make_simple_catalog(
@@ -69,8 +107,9 @@ def make_simulator(
     **config_kwargs,
 ) -> Simulator:
     """Simulator with invariant checking on (tests always verify state)."""
-    config = SimulationConfig(horizon=horizon, check_invariants=True, **config_kwargs)
-    return Simulator(network, catalog, list(flows), config)
+    config = SimulationConfig(horizon=horizon, **config_kwargs)
+    with sanitizer_on():
+        return Simulator(network, catalog, list(flows), config)
 
 
 class LoadPeaks(NamedTuple):
@@ -134,11 +173,16 @@ def make_env_config(
     interval: float = 10.0,
     deadline: float = 100.0,
 ) -> CoordinationEnvConfig:
-    """Env config with deterministic fixed-interval traffic on all ingresses."""
+    """Env config with deterministic fixed-interval traffic on all
+    ingresses.  Its traffic factory turns the sanitizer on: an env builds
+    each episode's simulator right after it draws the traffic, so every
+    simulator built from this config sweeps its invariants (tests always
+    verify state)."""
     service = catalog.services[0].name
     egress = network.egress[0]
 
     def traffic_factory(rng: np.random.Generator):
+        os.environ[SANITIZER] = "1"
         processes = {ing: FixedArrival(interval) for ing in network.ingress}
         template = FlowTemplate(service=service, egress=egress, deadline=deadline)
         return TrafficSource(processes, template).flows_until(horizon)
@@ -147,5 +191,5 @@ def make_env_config(
         network=network,
         catalog=catalog,
         traffic_factory=traffic_factory,
-        sim_config=SimulationConfig(horizon=horizon, check_invariants=True),
+        sim_config=SimulationConfig(horizon=horizon),
     )

@@ -1,6 +1,7 @@
 """Tests for distributed inference (one agent per node, one snapshot)."""
 
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from repro.core.observations import ObservationAdapter
 from repro.eval.scenarios import base_scenario
 from repro.rl.policy import ActorCriticPolicy
 from repro.sim.simulator import Simulator
-from repro.topology import line_network
 
 from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
+from tests.topology.networks import line_network
 
 
 def setup():
@@ -113,11 +114,10 @@ class TestDistributedCoordinator:
         assert len(payload) < 2 * len(pickle.dumps(policy))
         restored = pickle.loads(payload)
         assert _deployed_actions(restored, obs) == _deployed_actions(coordinator, obs)
-        # What the pool actually calls on the far side.
-        rebuilt = pickle.loads(pickle.dumps(coordinator.fresh))()
-        assert _deployed_actions(rebuilt, obs) == _deployed_actions(
-            coordinator.fresh(), obs
-        )
+        # What the pool actually calls on the far side: the CLI's factory.
+        factory = partial(DistributedCoordinator, net, catalog, policy)
+        rebuilt = pickle.loads(pickle.dumps(factory))()
+        assert _deployed_actions(rebuilt, obs) == _deployed_actions(factory(), obs)
 
     def test_f32_agents_share_one_cast_and_workspace(self):
         net, catalog, adapter, policy = setup()
@@ -199,7 +199,7 @@ class TestDistributedCoordinator:
         sim = make_simulator(net, catalog, make_flow_specs([1.0]))
         sim.run(coordinator)
         assert sum(coordinator.decision_counts().values()) > 0
-        fresh = coordinator.fresh()
+        fresh = DistributedCoordinator(net, catalog, coordinator.policy)
         assert sum(fresh.decision_counts().values()) == 0
         obs = np.zeros((1, adapter.size))
         assert fresh.policy is not coordinator.policy

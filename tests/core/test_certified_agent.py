@@ -62,7 +62,9 @@ class TestFallbackShare:
             scenario.network, scenario.catalog, ActorCriticPolicy.load(FIXTURE)
         )
         _run(scenario, coordinator)
-        fresh = coordinator.fresh()
+        fresh = DistributedCoordinator(
+            scenario.network, scenario.catalog, coordinator.policy
+        )
         assert fresh.policy.certified_workspace is not None
         assert fresh.policy.certified_workspace.fallbacks == 0
 
@@ -155,7 +157,8 @@ class TestWritablePoliciesDecideInFloat64:
         scenario = base_scenario(horizon=200.0)
         adapter = ObservationAdapter(scenario.network, scenario.catalog)
         policy = ActorCriticPolicy(adapter.size, scenario.network.degree + 1, rng=0)
-        policy.actor.set_parameters([w * 1e35 for w in policy.actor.parameters])
+        for w in policy.actor.parameters:
+            w *= 1e35
         coordinator = DistributedCoordinator(
             scenario.network, scenario.catalog, policy
         )

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.env import ServiceCoordinationEnv
-from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_simple_catalog
+from tests.topology.networks import line_network
 
 
 def make_env(horizon=100.0, interval=10.0, **net_kwargs) -> ServiceCoordinationEnv:

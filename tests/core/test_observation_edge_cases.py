@@ -4,10 +4,11 @@
 import numpy as np
 
 from repro.core.observations import ObservationAdapter
-from repro.topology import Link, Network, Node, line_network
+from repro.topology import Link, Network, Node
 from tests.core.reference_observation import build_parts
 
 from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
+from tests.topology.networks import line_network
 
 
 class TestUnreachableEgress:

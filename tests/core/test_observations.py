@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from repro.core.observations import ObservationAdapter
-from repro.topology import Link, Network, Node, line_network, star_network
+from repro.topology import Link, Network, Node
 from tests.core.reference_observation import build_parts
 
 from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
+from tests.topology.networks import line_network, star_network
 
 
 def setup_line(num_components=1, node_capacity=4.0, link_capacity=8.0,

@@ -6,7 +6,8 @@ import pytest
 from repro.analysis.invariants import InvariantViolation
 from repro.core.rewards import DROP_PENALTY, SUCCESS_REWARD, RewardFunction
 from repro.sim.simulator import Outcome, OutcomeKind
-from repro.topology import line_network
+
+from tests.topology.networks import line_network
 
 
 def outcome(kind, **kwargs):

@@ -21,10 +21,10 @@ from repro.sim.metrics import DropReason
 from repro.sim.simulator import ACTION_PROCESS_LOCALLY
 from repro.sim.state import NetworkState
 from repro.telemetry import Recorder, validate_record
-from repro.topology import line_network
 from tests.core.reference_observation import build_parts
 
 from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
+from tests.topology.networks import line_network
 
 
 def sp_policy(network):

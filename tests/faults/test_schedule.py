@@ -5,7 +5,8 @@ import pytest
 from repro.eval.scenarios import build_network
 from repro.faults import FaultKind, FaultScenarioConfig, FaultSchedule, FaultSpec
 from repro.faults.schedule import DEGRADATION_FACTOR, ONSET_WINDOW
-from repro.topology import line_network
+
+from tests.topology.networks import line_network
 
 
 def link_failure(u="v1", v="v2", start=10.0, duration=5.0):

@@ -26,10 +26,10 @@ from repro.rl.policy import ActorCriticPolicy
 from repro.services import Component, Service, ServiceCatalog
 from repro.sim import SimulationConfig
 from repro.sim.simulator import Simulator
-from repro.topology import line_network
 from repro.traffic import FlowTemplate, PoissonArrival, TrafficSource
 
 from tests.conftest import make_env_config, make_simple_catalog
+from tests.topology.networks import line_network
 
 
 def _sparse_line():

@@ -19,10 +19,10 @@ from repro.core import (
 from repro.eval import base_scenario, evaluate_policy_on_scenario
 from repro.rl.acktr import ACKTRConfig
 from repro.sim import Simulator
-from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_simple_catalog
 from tests.rl.toy_envs import mean_recent_episode_reward
+from tests.topology.networks import line_network
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ class TestTrainingPipeline:
                 ratios.append(sim.run(policy).success_ratio)
             return float(np.mean(ratios))
 
-        drl = run(result.coordinator.fresh())
+        drl = run(DistributedCoordinator(net, catalog, result.coordinator.policy))
         rnd = run(RandomPolicy(net, seed=0))
         assert drl > rnd + 0.2, f"DRL ({drl:.2f}) did not beat random ({rnd:.2f})"
 
@@ -65,7 +65,7 @@ class TestTrainingPipeline:
         net, catalog, config, result = trained
         traffic = config.traffic_factory(np.random.default_rng(99))
         sim = Simulator(net, catalog, traffic, config.sim_config)
-        metrics = sim.run(result.coordinator.fresh())
+        metrics = sim.run(DistributedCoordinator(net, catalog, result.coordinator.policy))
         assert metrics.success_ratio > 0.5
 
     def test_policy_survives_save_load_roundtrip(self, trained, tmp_path):
@@ -82,7 +82,9 @@ class TestTrainingPipeline:
 
         traffic = config.traffic_factory(np.random.default_rng(123))
         sim_b = Simulator(net, catalog, traffic, config.sim_config)
-        ratio_b = sim_b.run(result.coordinator.fresh()).success_ratio
+        ratio_b = sim_b.run(
+            DistributedCoordinator(net, catalog, result.coordinator.policy)
+        ).success_ratio
         assert ratio_a == pytest.approx(ratio_b)
 
 

@@ -16,9 +16,9 @@ from repro.core import CoordinationEnvConfig, TrainingConfig, train_coordinator
 from repro.rl.acktr import ACKTRConfig
 from repro.services import Component, Service, ServiceCatalog
 from repro.sim import SimulationConfig, Simulator
-from repro.topology import line_network
 from repro.traffic import FixedArrival, FlowTemplate, TrafficSource
 from tests.core.reference_observation import build_parts
+from tests.topology.networks import line_network
 
 
 @pytest.fixture(scope="module")

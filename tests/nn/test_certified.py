@@ -108,7 +108,8 @@ def tanh_mlps(draw):
     scale = draw(st.sampled_from([0.05, 0.3, 1.0, 3.0, 10.0]))
     seed = draw(st.integers(0, 2**16))
     mlp = MLP(in_dim, hidden, out_dim, out_gain=1.0, rng=seed)
-    mlp.set_parameters([w * scale for w in mlp.parameters])
+    for w in mlp.parameters:
+        w *= scale
     return mlp, seed
 
 
@@ -133,14 +134,16 @@ class TestGeneratedNetworks:
         tanh = MLP(5, (7, 7), 3, rng=0)
         assert np.isfinite(logit_error_bound(tanh)).all()
         assert (logit_error_bound(tanh) > 0).all()
-        tanh.set_parameters([w * 1e35 for w in tanh.parameters])
+        for w in tanh.parameters:
+            w *= 1e35
         assert np.isinf(logit_error_bound(tanh)).all()
         # No hidden layer: one GEMM, no activation to bound.
         assert np.isfinite(logit_error_bound(MLP(5, (), 3, rng=0))).all()
 
     def test_weights_a_float32_sum_could_overflow_get_no_bound(self):
         mlp = MLP(4, (3,), 2, rng=0)
-        mlp.set_parameters([w * 1e35 for w in mlp.parameters])
+        for w in mlp.parameters:
+            w *= 1e35
         assert np.isinf(logit_error_bound(mlp)).all()
         workspace = MLPInference(mlp, np.float32)
         assert workspace.certified_argmax(np.zeros(4)) == -1

@@ -13,18 +13,20 @@ The heap path is forced from here, by patching the queue's "anything due
 now" predicate; the simulator has no switch for it.
 """
 
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.sim import simulator
 from repro.sim.config import SimulationConfig
 from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
 from repro.topology.network import Link, Network, Node
 from repro.traffic import FlowSpec
 
-from tests.conftest import link_load, make_flow_specs, make_simple_catalog
+from tests.conftest import link_load, make_flow_specs, make_simple_catalog, sanitizer_on
 
 HORIZON = 90.0
 
@@ -34,7 +36,7 @@ def always_due():
     return mock.patch.object(EventQueue, "has_due", lambda self, now: True)
 
 
-def run(network, catalog, flows, action_seed, keep_duration, check_invariants=False):
+def run(network, catalog, flows, action_seed, sanitize=False):
     """Drive one simulation with seeded pseudo-random actions.
 
     Returns the ``(time, flow, node)`` decision sequence, the drained
@@ -42,16 +44,10 @@ def run(network, catalog, flows, action_seed, keep_duration, check_invariants=Fa
     rebased to the run's first flow (ids come from a process-wide
     counter).
     """
-    sim = Simulator(
-        network,
-        catalog,
-        list(flows),
-        SimulationConfig(
-            horizon=HORIZON,
-            keep_duration=keep_duration,
-            check_invariants=check_invariants,
-        ),
-    )
+    with sanitizer_on() if sanitize else nullcontext():
+        sim = Simulator(
+            network, catalog, list(flows), SimulationConfig(horizon=HORIZON)
+        )
     rng = np.random.default_rng(action_seed)
     decisions, outcomes = [], []
     while (decision := sim.next_decision()) is not None:
@@ -123,16 +119,16 @@ class TestHandOffEqualsHeap:
     @given(scenario=tie_heavy_scenarios(), action_seed=st.integers(0, 2**31 - 1))
     def test_same_decisions_outcomes_and_metrics(self, scenario, action_seed):
         network, catalog, flows, keep_duration = scenario
-        handed = run(network, catalog, flows, action_seed, keep_duration)
-        with always_due():
-            heaped = run(network, catalog, flows, action_seed, keep_duration)
-        assert handed == heaped
-        # The sanitizer sweeps after every event, so it sees one event
-        # fewer per handed-off decision; it must stay pure observation.
-        assert handed == run(
-            network, catalog, flows, action_seed, keep_duration,
-            check_invariants=True,
-        )
+        # A kept flow waits one time step in the paper; two makes kept
+        # flows meet integer-timed arrivals at other instants too.
+        with mock.patch.object(simulator, "KEEP_DURATION", keep_duration):
+            handed = run(network, catalog, flows, action_seed)
+            with always_due():
+                heaped = run(network, catalog, flows, action_seed)
+            assert handed == heaped
+            # The sanitizer sweeps after every event, so it sees one event
+            # fewer per handed-off decision; it must stay pure observation.
+            assert handed == run(network, catalog, flows, action_seed, sanitize=True)
 
     def test_integer_timed_traffic_takes_both_branches(self):
         """Guards the oracle itself: such traffic must send some
@@ -154,7 +150,7 @@ class TestHandOffEqualsHeap:
             return answers[-1]
 
         with mock.patch.object(EventQueue, "has_due", recording):
-            run(network, catalog, flows, 3, 1.0)
+            run(network, catalog, flows, 3)
         assert True in answers and False in answers
 
 
@@ -187,12 +183,13 @@ class TestSharedTimestamp:
              Link("v2", "v3", delay=1.0, capacity=1.0)],
             ingress=["v1"], egress=["v3"],
         )
-        sim = Simulator(
-            network,
-            make_simple_catalog(processing_delay=1.0),
-            make_flow_specs([0.0, 2.0], deadline=50.0),
-            SimulationConfig(horizon=60.0, check_invariants=True),
-        )
+        with sanitizer_on():
+            sim = Simulator(
+                network,
+                make_simple_catalog(processing_delay=1.0),
+                make_flow_specs([0.0, 2.0], deadline=50.0),
+                SimulationConfig(horizon=60.0),
+            )
         log, labels = [], {}
         while (decision := sim.next_decision()) is not None:
             flow, node = decision.flow, decision.node

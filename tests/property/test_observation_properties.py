@@ -10,10 +10,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.observations import ObservationAdapter
-from repro.topology import random_geometric_network, ring_network, star_network
+from repro.topology import random_geometric_network
 from tests.core.reference_observation import build_parts
 
 from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
+from tests.topology.networks import ring_network, star_network
 
 
 def observe_through_random_run(network, catalog, flows, action_seed, horizon=200.0):

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.metrics import DropReason
-from repro.topology import random_geometric_network, ring_network, star_network
+from repro.topology import random_geometric_network
 
 from tests.conftest import (
     link_load,
@@ -18,6 +18,7 @@ from tests.conftest import (
     make_simple_catalog,
     make_simulator,
 )
+from tests.topology.networks import ring_network, star_network
 
 
 def run_with_random_actions(network, catalog, flows, action_seed, horizon=300.0):
@@ -56,7 +57,8 @@ class TestRandomPolicyInvariants:
         flows = make_flow_specs(
             times, ingress="v1", egress="v3", deadline=deadline
         )
-        # check_invariants=True in make_simulator asserts after every event.
+        # make_simulator builds the simulator with the sanitizer on: it
+        # asserts the invariants after every event.
         sim, metrics, decision_times = run_with_random_actions(
             network, catalog, flows, action_seed
         )

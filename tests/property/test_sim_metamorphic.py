@@ -15,10 +15,10 @@ from repro.faults import FaultKind, FaultScenarioConfig, FaultSpec
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import DropReason
 from repro.sim.simulator import DecisionPoint, Outcome, OutcomeKind, Simulator
-from repro.topology import line_network
 from repro.traffic.flows import Flow
 
-from tests.conftest import make_flow_specs, make_simple_catalog
+from tests.conftest import make_flow_specs, make_simple_catalog, sanitizer_on
+from tests.topology.networks import line_network
 
 
 def play(scenario, traffic_seed, faults):
@@ -75,10 +75,11 @@ class TestVanishingLinkFailure:
         flows = make_flow_specs([1.0, 100.0], deadline=40.0)
 
         def run(faults):
-            sim = Simulator(
-                network, catalog, list(flows),
-                SimulationConfig(horizon=200.0, check_invariants=True, faults=faults),
-            )
+            with sanitizer_on():
+                sim = Simulator(
+                    network, catalog, list(flows),
+                    SimulationConfig(horizon=200.0, faults=faults),
+                )
             policy = ShortestPathPolicy(network, catalog)
             decisions = []
             while (decision := sim.next_decision()) is not None:

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.analysis.invariants import invariants_enabled
 from repro.core.trainer import CoordinationEnvBuilder
 from repro.parallel import CountingEnvFactory
 from repro.rl import a2c
 from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
-from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_simple_catalog
 from tests.rl.toy_envs import ContextualBanditEnv, mean_recent_episode_reward
+from tests.topology.networks import line_network
 
 
 class TestA2CConfig:
@@ -125,7 +126,6 @@ class TestOneForwardPerObservation:
     def test_weights_bitwise_equal_a_reforwarding_trainer(self, trainer_cls, config):
         network = line_network(3, node_capacity=10.0, link_capacity=10.0)
         env_config = make_env_config(network, make_simple_catalog(), horizon=100.0)
-        assert env_config.sim_config.check_invariants
 
         def trained(cls):
             trainer = cls(
@@ -141,6 +141,7 @@ class TestOneForwardPerObservation:
         reference = trained(_reforwarding(trainer_cls))
         assert all(np.array_equal(a, b) for a, b in zip(weights, reference))
         assert all(np.isfinite(w).all() for w in weights)
+        assert invariants_enabled()  # every simulator swept its invariants
 
     def test_update_runs_each_network_once_over_the_batch(self, monkeypatch):
         """32 actor windows + 1 bootstrap through the workspaces, one

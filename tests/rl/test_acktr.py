@@ -5,15 +5,16 @@ import os
 import numpy as np
 import pytest
 
+from repro.analysis.invariants import invariants_enabled
 from repro.core.trainer import CoordinationEnvBuilder
 from repro.nn.mlp import fused_backward_is_exact
 from repro.parallel import CountingEnvFactory
 from repro.rl import acktr
 from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
-from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_simple_catalog
 from tests.rl.toy_envs import ContextualBanditEnv, mean_recent_episode_reward
+from tests.topology.networks import line_network
 
 
 class TestACKTRConfig:
@@ -151,8 +152,8 @@ class TestOptimizerPathBitIdentity:
     @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_schedule_matrix_bitwise(self, env_config, serial_two_pass, threads, fused):
-        assert env_config.sim_config.check_invariants
         weights = _scheduled_weights(env_config, threads, fused)
+        assert invariants_enabled()
         for a, b in zip(serial_two_pass, weights):
             assert np.array_equal(a, b)
 

@@ -29,9 +29,9 @@ from repro.rl.training import (
 )
 from repro.telemetry import validate_record
 from repro.telemetry.recorder import JsonlRecorder
-from repro.topology import line_network, star_network
 
 from tests.conftest import make_env_config, make_simple_catalog
+from tests.topology.networks import line_network, star_network
 
 
 def make_env(seed=0, horizon=120.0, interval=7.0, branches=None):

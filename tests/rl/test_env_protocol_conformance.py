@@ -6,9 +6,9 @@ import pytest
 
 from repro.baselines.central_drl import CentralizedCoordinationEnv
 from repro.core.env import ServiceCoordinationEnv
-from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_simple_catalog
+from tests.topology.networks import line_network
 
 
 def env_instances():

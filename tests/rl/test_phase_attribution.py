@@ -10,9 +10,9 @@ from repro.profiling import PHASE_NAMES
 from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
 from repro.telemetry import JsonlRecorder, load_stream
-from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_simple_catalog
+from tests.topology.networks import line_network
 
 TRAINERS = [(A2CTrainer, A2CConfig), (ACKTRTrainer, ACKTRConfig)]
 

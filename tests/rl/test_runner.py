@@ -11,10 +11,10 @@ from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.runner import ParallelRunner
-from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_simple_catalog
 from tests.rl.toy_envs import ContextualBanditEnv, FixedEpisodeEnv
+from tests.topology.networks import line_network
 
 
 def make_runner(envs, n_steps=4, seed=0, **kwargs):

@@ -20,9 +20,10 @@ from repro.rl.batched import BatchedEpisodeRunner
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.training import evaluate_policy
 from repro.serving import ServingConfig, ServingEngine
-from repro.topology import star_network
 
 from tests.conftest import make_env_config, make_simple_catalog
+from tests.serving.test_engine import flush_all
+from tests.topology.networks import star_network
 
 WIDTHS = [1, 2, 3, 8, 32]
 
@@ -90,7 +91,7 @@ def drive_engine(policy, env, width, rows=None):
     )
     for row in rows:
         engine.submit(row)
-    assert len(engine.drain()) == len(rows)
+    assert len(flush_all(engine)) == len(rows)
     return engine.stats.tie_fallbacks
 
 
@@ -152,7 +153,8 @@ def test_without_a_cast_every_row_is_decided_in_float64(frozen):
     declined."""
     policy = ActorCriticPolicy(6, 3, hidden=(8,), rng=0)
     if frozen:
-        policy.actor.set_parameters([w * 1e35 for w in policy.actor.parameters])
+        for w in policy.actor.parameters:
+            w *= 1e35
     reference = policy.clone()
     if frozen:
         policy.freeze()
@@ -199,7 +201,7 @@ class TestOneCast:
             engine.install(policy)
             for row in rows:
                 engine.submit(row)
-            engine.drain()
+            flush_all(engine)
         assert len(casts) == len(policies)
         assert engine.policy is policies[-1]
 

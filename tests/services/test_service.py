@@ -5,11 +5,9 @@ import pytest
 from repro.services.catalog import (
     default_catalog,
     ml_inference_pipeline,
-    single_component_service,
     video_streaming_service,
-    web_service,
 )
-from repro.services.service import Component, Service, ServiceCatalog, linear_resource
+from repro.services.service import Component, Service, ServiceCatalog
 
 
 class TestComponent:
@@ -46,10 +44,6 @@ class TestComponent:
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             Component("fw", **kwargs)
-
-    def test_linear_resource_helper(self):
-        fn = linear_resource(0.5)
-        assert fn(4.0) == 2.0
 
 
 class TestService:
@@ -119,9 +113,6 @@ class TestPrebuiltServices:
         cat = default_catalog()
         assert cat.service("video-streaming").length == 3
 
-    def test_web_service(self):
-        assert web_service().length == 2
-
     def test_ml_pipeline(self):
         svc = ml_inference_pipeline()
         assert svc.length == 4
@@ -129,6 +120,3 @@ class TestPrebuiltServices:
         model = svc.components[2]
         assert model.name == "model"
         assert model.resources(1.0) > svc.components[0].resources(1.0)
-
-    def test_single_component_service(self):
-        assert single_component_service().length == 1

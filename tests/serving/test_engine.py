@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.rl.policy import ActorCriticPolicy
-from repro.serving import Decision, ServingConfig, ServingEngine
+from repro.serving import ServingConfig, ServingEngine
 
 OBS_DIM = 12
 NUM_ACTIONS = 5
@@ -61,6 +61,14 @@ def make_engine(policy=None, clock=None, **config):
         clock=clock or FakeClock(),
         **kwargs,
     )
+
+
+def flush_all(engine):
+    """Force flushes until the queue is empty; every decision, in order."""
+    decisions = []
+    while engine.pending:
+        decisions.extend(engine.flush())
+    return decisions
 
 
 def serial_actions(policy, observations):
@@ -112,7 +120,7 @@ class TestTriggers:
         assert engine.pending == 10
         first = engine.flush()
         assert len(first) == 4 and all(d.trigger == "forced" for d in first)
-        rest = engine.drain()
+        rest = flush_all(engine)
         assert len(rest) == 6
         assert engine.pending == 0
         ids = [d.request_id for d in first + rest]
@@ -134,7 +142,7 @@ class TestBitIdentity:
                 clock.advance(0.002)
             for d in engine.poll():
                 got[d.request_id] = d.action
-        for d in engine.drain():
+        for d in flush_all(engine):
             got[d.request_id] = d.action
         expected = serial_actions(policy, obs)
         assert [got[i] for i in range(len(obs))] == expected
@@ -149,7 +157,7 @@ class TestBitIdentity:
         obs = make_obs(16)
         for row in obs:
             engine.submit(row)
-        decisions = engine.drain()
+        decisions = flush_all(engine)
         expected = serial_actions(policy, obs)
         assert [d.action for d in decisions] == expected
         assert engine.stats.tie_fallbacks == len(obs)
@@ -298,7 +306,7 @@ class TestHotSwap:
             if round_ % 5 == 2:
                 engine.install(policy.clone())
             served.extend(engine.poll())
-        served.extend(engine.drain())
+        served.extend(flush_all(engine))
         assert [d.request_id for d in served] == list(range(submitted))
         assert engine.stats.swaps == 4
         # Each flush is served by exactly one policy version.
@@ -335,7 +343,7 @@ class TestHotSwap:
             sys.setswitchinterval(interval)
         assert not thread.is_alive()
         assert engine.submit(obs[0]) == requests  # flushes the last staged swap
-        served.extend(engine.drain())
+        served.extend(flush_all(engine))
 
         assert [d.request_id for d in served] == list(range(requests + 1))
         versions = [d.policy_version for d in served]
@@ -360,14 +368,14 @@ class TestBackpressure:
         assert engine.stats.shed == 2
         assert engine.stats.max_queue_depth == 4
         # Queued requests survive the shed pressure untouched.
-        assert [d.request_id for d in engine.drain()] == [0, 1, 2, 3]
+        assert [d.request_id for d in flush_all(engine)] == [0, 1, 2, 3]
 
     def test_shed_requests_never_get_ids_or_decisions(self):
         engine = make_engine(max_batch=2, queue_capacity=2)
         obs = make_obs(5)
         accepted = [engine.submit(row) for row in obs[:2]]
         assert engine.submit(obs[2]) is None
-        engine.drain()
+        flush_all(engine)
         # Ids continue densely after the shed request.
         assert engine.submit(obs[3]) == accepted[-1] + 1
 
@@ -382,7 +390,7 @@ class TestBackpressure:
             engine.submit(payload)
         assert engine.stats.submitted == 0
         assert engine.submit(make_obs(1)[0]) == 0
-        engine.drain()
+        flush_all(engine)
         stats = engine.stats
         assert (stats.submitted, stats.served, stats.shed, engine.pending) == (1, 1, 0, 0)
         assert stats.served + stats.shed + engine.pending == stats.submitted
@@ -401,7 +409,7 @@ class TestBackpressure:
             engine.submit(payload)
         assert (engine.stats.submitted, engine.pending) == (1, 1)
         assert engine.submit(obs[1]) == 1
-        decisions = engine.drain()
+        decisions = flush_all(engine)
         assert [d.request_id for d in decisions] == [0, 1]
         assert [d.action for d in decisions] == serial_actions(policy, obs)
 

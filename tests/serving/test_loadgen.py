@@ -11,9 +11,9 @@ from repro.serving import (
     poisson_arrivals,
     serve_workload,
 )
-from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_simple_catalog
+from tests.topology.networks import line_network
 
 
 def make_scenario(horizon=200.0):

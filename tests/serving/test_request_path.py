@@ -8,6 +8,7 @@ and malformed submits leave no trace; and the clock may misbehave.
 """
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.serving import ServingConfig, ServingEngine
 
-from tests.serving.test_engine import OBS_DIM, FakeClock, make_obs, make_policy
+from tests.serving.test_engine import (
+    OBS_DIM,
+    FakeClock,
+    flush_all,
+    make_obs,
+    make_policy,
+)
 
 MAX_BATCH = 3
 CAPACITY = 5
@@ -88,9 +95,9 @@ class TestImplicitIds:
                 engine.install(POLICIES[arg])
             else:
                 decisions += {"poll": engine.poll, "flush": engine.flush,
-                              "drain": engine.drain}[op]()
+                              "drain": partial(flush_all, engine)}[op]()
             versions[engine.policy_version] = engine.policy
-        decisions += engine.drain()
+        decisions += flush_all(engine)
         versions[engine.policy_version] = engine.policy
 
         assert [d.request_id for d in decisions] == list(range(len(accepted)))
@@ -119,7 +126,7 @@ class TestSubmitValidation:
             assert engine.submit(payload) == 0
             assert engine.submit(payload.tolist()) == 1
         assert engine.pending == 2
-        assert [d.request_id for d in engine.drain()] == [0, 1]
+        assert [d.request_id for d in flush_all(engine)] == [0, 1]
 
     @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -140,7 +147,7 @@ class TestSubmitValidation:
                     engine.submit(sent)
         assert (engine.stats.submitted, engine.stats.shed, engine.pending) == before
         # The queued rows were not touched by the rejected copies.
-        decisions = engine.drain()
+        decisions = flush_all(engine)
         assert [d.action for d in decisions] == [
             POLICIES[0].act_single(row) for row in ROWS[:queued]
         ]

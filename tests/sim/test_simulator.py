@@ -12,10 +12,10 @@ import pytest
 from repro.sim.metrics import DropReason
 from repro.sim.simulator import ACTION_PROCESS_LOCALLY, OutcomeKind
 from repro.sim.config import SimulationConfig
-from repro.topology import line_network
 from repro.traffic import FlowSpec
 
 from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
+from tests.topology.networks import line_network
 
 
 def process_then_forward_policy(network, catalog):
@@ -345,8 +345,6 @@ class TestValidationAndConfig:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             SimulationConfig(horizon=0.0)
-        with pytest.raises(ValueError):
-            SimulationConfig(keep_duration=0.0)
 
     def test_run_times_decisions(self, line3, simple_catalog):
         sim = make_simulator(line3, simple_catalog, make_flow_specs([5.0]))

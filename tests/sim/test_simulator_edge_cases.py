@@ -4,7 +4,7 @@
 from repro.services import Component, Service, ServiceCatalog
 from repro.sim.metrics import DropReason
 from repro.sim.simulator import ACTION_PROCESS_LOCALLY, OutcomeKind
-from repro.topology import Link, Network, Node, line_network
+from repro.topology import Link, Network, Node
 from repro.traffic import FlowSpec
 
 from tests.conftest import (
@@ -13,6 +13,7 @@ from tests.conftest import (
     make_simple_catalog,
     make_simulator,
 )
+from tests.topology.networks import line_network
 
 
 class TestMultiService:

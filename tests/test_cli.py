@@ -278,3 +278,52 @@ class TestBadInputFiles:
             _write_truncated_policy(path)
         argv = [command, "--policy", str(path), "--horizon", "100"]
         self._fails_cleanly(argv, capsys, path)
+
+
+class TestBadArguments:
+    """A topology the zoo does not have, a serving config the engine
+    refuses and a policy trained for another observation size end the
+    command as a bad argument does: exit 2 and one ``error:`` line, no
+    traceback."""
+
+    def _usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        return captured.err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["topology", "--name", "Nope"],
+            ["topology", "--name", "abilene"],
+            ["evaluate", "--algorithm", "sp", "--topology", "Nope"],
+        ],
+        ids=["topology-unknown", "topology-lowercase", "evaluate-unknown"],
+    )
+    def test_unknown_topology(self, argv, capsys):
+        err = self._usage_error(argv, capsys)
+        assert "invalid choice" in err
+        assert "'Abilene', 'BT Europe', 'China Telecom', 'Interroute'" in err
+
+    def test_serving_config_the_engine_refuses(self, capsys):
+        argv = ["serve-bench", "--queue-capacity", "4", "--serve-batch", "32"]
+        err = self._usage_error(argv, capsys)
+        assert err == "repro: error: queue_capacity (4) must be >= max_batch (32)"
+
+    @pytest.mark.parametrize("command", ["evaluate", "serve-bench"])
+    def test_policy_for_another_observation_size(self, tmp_path, capsys, command):
+        from repro.rl.policy import ActorCriticPolicy
+
+        # Abilene's degree is 3: 4 * 3 + 4 observation values, 4 actions.
+        path = tmp_path / "abilene.npz"
+        ActorCriticPolicy(16, 4, hidden=(8,), rng=0).save(path)
+        argv = [command, "--policy", str(path), "--topology", "Interroute",
+                "--horizon", "100"]
+        err = self._usage_error(argv, capsys)
+        assert err == (
+            f"repro: error: {path}: the policy takes 16-value observations, "
+            "but Interroute gives 32-value ones"
+        )

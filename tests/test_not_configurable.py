@@ -18,14 +18,16 @@ neither the coordinator, its agents nor ``repro evaluate`` take a dtype;
 lockstep evaluation and serving decide through the same certificate, so
 no inference path takes one (``ServingConfig.dtype`` survives as a field
 that accepts only ``"f64"``).
-``repro lint`` has one text report and runs every
+The linter (``tools/lint.py``) has one text report and runs every
 rule: its format, output, subset and explain flags, the matching
 ``run_lint`` keywords and the config object are gone.  The values the
 paper fixes — the tanh networks, the A2C/ACKTR coefficients, the
 rewards — and the fault-window shape, the central DRL's refresh
 interval and three scenario/telemetry switches that only their defaults
 reached are module constants, or went with the code only another value
-ran.  The names below
+ran.  So are the simulator's keep duration and its sanitizer field:
+``REPRO_CHECK_INVARIANTS`` is the one sanitizer switch.  The linter left
+the package, so ``repro lint`` is no command.  The names below
 may appear only here and in ``tests/test_stay_deleted.py``, whose tree
 scan looks for them everywhere else.
 """
@@ -38,7 +40,6 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.analysis.linter import lint_paths, lint_source, run_lint
 from repro.baselines import central_drl
 from repro.baselines.central_drl import (
     CentralDRLPolicy,
@@ -76,10 +77,12 @@ from repro.sim.config import SimulationConfig
 from repro.sim.metrics import DropReason
 from repro.sim.simulator import Simulator
 from repro.telemetry import JsonlRecorder, load_stream
-from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_flow_specs, make_simple_catalog
 from tests.rl.toy_envs import ContextualBanditEnv
+from tools.lint import build_parser as lint_parser
+from tools.lint import lint_paths, lint_source, run_lint
+from tests.topology.networks import line_network
 
 
 def _square(task, recorder):
@@ -136,7 +139,7 @@ class TestLintHasNoBaseline:
     )
     def test_removed_flags_are_argparse_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["lint", "src/repro", *flag])
+            lint_parser().parse_args(["src/repro", *flag])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -216,7 +219,7 @@ class TestOptionsOnlyTestsSet:
 class TestLintHasOneMode:
     def test_flow_flag_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["lint", "src/repro", "--flow"])
+            lint_parser().parse_args(["src/repro", "--flow"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -238,7 +241,7 @@ class TestLintHasOneReport:
     )
     def test_removed_flags_are_argparse_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["lint", "src/repro", *flag])
+            lint_parser().parse_args(["src/repro", *flag])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -489,3 +492,23 @@ class TestThePapersFixedValuesAreConstants:
         (tmp_path / "m.jsonl").write_text("")
         with pytest.raises(TypeError):
             load_stream(tmp_path / "m.jsonl", validate=False)
+
+
+class TestTheSanitizerAndTheKeepAreNotOptions:
+    """One sanitizer switch, ``REPRO_CHECK_INVARIANTS``, and the paper's
+    one-step keep: neither is a simulator field.  The linter is a tool
+    beside the package, not a ``repro`` command."""
+
+    def test_the_sweep_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            SimulationConfig(check_invariants=True)
+
+    def test_the_keep_duration_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            SimulationConfig(keep_duration=2.0)
+
+    def test_lint_is_not_a_repro_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["lint", "src/repro"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err

@@ -22,16 +22,15 @@ from repro.rl import training
 from repro.rl.a2c import A2CConfig
 from repro.rl.acktr import ACKTRConfig
 from repro.sim.config import SimulationConfig
-from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_simple_catalog
+from tests.topology.networks import line_network
 
 
 @pytest.mark.parametrize(
     "config_cls, field",
     [
         (SimulationConfig, "horizon"),
-        (SimulationConfig, "keep_duration"),
         (A2CConfig, "learning_rate"),
     ],
     ids=lambda p: p if isinstance(p, str) else p.__name__,

@@ -26,7 +26,12 @@ tanh only (``ReLU``, the activation table and the Xavier initialiser
 are gone), the trainer coefficients, the rewards, the fault-window
 shape and the central DRL's refresh interval are module constants, and
 ``RewardConfig``, ``CentralDRLConfig`` and the simulator's horizon drop
-went with them.  The names below may
+went with them.  The linter left the package for ``tools/lint.py``, the
+simulator lost its sanitizer field and keep duration, and the public
+names nothing called went: the trace CSV reader and writer, three
+catalog factories, ``ServingEngine.drain``, ``Network.is_connected``,
+the MLP's own checkpoint format and ``DistributedCoordinator.fresh``;
+the small test networks moved beside their tests.  The names below may
 appear only here and in ``tests/test_not_configurable.py``;
 :func:`test_deleted_names_stay_out_of_the_tree` scans for them
 everywhere else.
@@ -35,25 +40,25 @@ everywhere else.
 from __future__ import annotations
 
 import importlib
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import linter
-from repro.analysis.linter import RULES, Finding, lint_source
+from repro.core.agent import DistributedCoordinator
 from repro.core.env import CoordinationEnvConfig, ServiceCoordinationEnv
 from repro.core.observations import ObservationAdapter
 from repro.eval.scenarios import base_scenario
+from repro.nn.mlp import MLP
 from repro.rl.policy import ActorCriticPolicy
+from repro.serving import ServingEngine
 from repro.sim.metrics import MetricsCollector
 from repro.telemetry import RECORD_SCHEMAS, TIMING_KINDS
-from repro.topology import line_network
 
 from tests.conftest import make_env_config, make_simple_catalog
+from tests.topology.networks import line_network
+from tools import lint as linter
+from tools.lint import RULES, Finding, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,6 +72,7 @@ REMOVED_MODULES = [
     "repro.analysis.flow",
     "repro.analysis.sarif",
     "repro.analysis.explain",
+    "repro.analysis.linter",
 ]
 
 REMOVED_EXPORTS = {
@@ -79,6 +85,9 @@ REMOVED_EXPORTS = {
     "repro.nn": ["Adam", "SGD", "ReLU", "xavier_uniform", "zeros"],
     "repro.baselines": ["CoordinationPolicy", "CentralDRLConfig"],
     "repro.telemetry": ["PhaseTimer"],
+    "repro.topology": ["line_network", "ring_network", "star_network", "triangle_network"],
+    "repro.traffic": ["save_trace", "load_trace"],
+    "repro.services": ["web_service", "single_component_service", "linear_resource"],
     "repro.analysis": [
         "analyze_paths", "FLOW_RULES", "Finding", "LintConfig", "RULES",
         "RULE_DOCS", "lint_paths", "lint_source", "render_explanation",
@@ -125,6 +134,11 @@ def test_members_without_callers_are_gone():
     assert not hasattr(config.network, "_neighbor_node_ids")
     assert not hasattr(MetricsCollector(), "record_decision")
     assert not hasattr(CoordinationEnvConfig, "with_network")
+    assert not hasattr(config.network, "is_connected")
+    for member in ("save", "load", "set_parameters"):
+        assert not hasattr(MLP, member)
+    assert not hasattr(DistributedCoordinator, "fresh")
+    assert not hasattr(ServingEngine, "drain")
 
 
 def test_the_phase_record_kind_is_gone():
@@ -144,23 +158,6 @@ def test_the_lint_has_one_report():
         assert not hasattr(linter, name)
     assert "fingerprint" not in dir(Finding)
     assert "to_json" not in dir(Finding)
-
-
-def test_the_simulator_does_not_load_the_linter():
-    # The runtime needs only repro.analysis.invariants; the linter (and
-    # its ast import) is a development tool.
-    probe = (
-        "import sys, repro.sim.simulator; "
-        "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-        check=True,
-    )
-    assert result.stdout.strip() == "['repro.analysis', 'repro.analysis.invariants']"
 
 
 #: Where a deleted name must not come back: code, docs, CI and the
@@ -206,6 +203,12 @@ DELETED_NAMES = {
     # The float32 cast is made once, by ``freeze()``, on read-only
     # weights: nothing re-casts, re-points or casts on a driver's behalf.
     "second-cast": r"\brebind\b|refresh_weights|\b_cast\b",
+    # Public names nothing called, and the linter's old home.
+    "uncalled": (
+        r"\bsave_trace\b|\bload_trace\b|\bweb_service\b|single_component_service"
+        r"|linear_resource|is_connected|set_parameters|check_invariants="
+        r"|keep_duration|-m repro lint|analysis\.linter|analysis/linter"
+    ),
     # The paper's fixed values are constants next to their one reader:
     # the hidden activation, the initialiser, the trainer and reward
     # coefficients, the fault-window shape and the refresh interval I.

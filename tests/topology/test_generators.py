@@ -2,16 +2,10 @@
 
 import pytest
 
-from repro.topology.generators import (
-    grid_network,
-    line_network,
-    random_geometric_network,
-    ring_network,
-    star_network,
-    triangle_network,
-)
+from repro.topology.generators import grid_network, random_geometric_network
 
-from tests.topology.reference_paths import shortest_path
+from tests.topology.networks import line_network, ring_network, star_network, triangle_network
+from tests.topology.reference_paths import is_connected, shortest_path
 
 
 class TestLine:
@@ -88,7 +82,7 @@ class TestRandomGeometric:
     def test_connected_for_various_seeds(self):
         for seed in range(5):
             net = random_geometric_network(20, radius=25.0, seed=seed)
-            assert net.is_connected(), f"seed {seed} disconnected"
+            assert is_connected(net), f"seed {seed} disconnected"
 
     def test_deterministic(self):
         a = random_geometric_network(15, seed=3)

@@ -12,7 +12,7 @@ from repro.topology.network import (
     link_key,
 )
 
-from tests.topology.reference_paths import shortest_path
+from tests.topology.reference_paths import is_connected, shortest_path
 
 
 def small_net(**kwargs) -> Network:
@@ -147,7 +147,7 @@ class TestShortestPaths:
         assert net.next_hop("a", "c") is None
         with pytest.raises(ValueError, match="unreachable"):
             shortest_path(net, "a", "c")
-        assert not net.is_connected()
+        assert not is_connected(net)
 
     def test_dijkstra_picks_lower_delay_route(self):
         # a-b-c with a direct (but slow) a-c link: path via b wins.

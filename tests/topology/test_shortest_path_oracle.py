@@ -15,13 +15,10 @@ from repro.topology import (
     Network,
     Node,
     grid_network,
-    line_network,
-    ring_network,
-    star_network,
-    triangle_network,
 )
 from repro.topology.zoo import TOPOLOGY_NAMES
 
+from tests.topology.networks import line_network, ring_network, star_network, triangle_network
 from tests.topology.reference_paths import assert_tables_match, network_digest
 
 #: Few distinct delays, so equal-delay routes and zero-delay links are common.

@@ -1,13 +1,10 @@
 """Tests for trace-driven traffic."""
 
-import numpy as np
 import pytest
 
 from repro.traffic.traces import (
     RateTrace,
     TraceArrival,
-    load_trace,
-    save_trace,
     synthetic_abilene_trace,
 )
 from tests.traffic.arrival_times import arrivals_until
@@ -92,25 +89,3 @@ class TestTraceArrival:
         first = sum(1 for t in times if t <= 1000.0)
         second = len(times) - first
         assert first > 4 * second
-
-
-class TestTraceIO:
-    def test_roundtrip(self, tmp_path):
-        trace = synthetic_abilene_trace(horizon=500.0, seed=9)
-        path = tmp_path / "trace.csv"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert np.allclose(loaded.times, trace.times)
-        assert np.allclose(loaded.rates, trace.rates)
-
-    def test_load_rejects_bad_rows(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("time,rate\n1.0\n")
-        with pytest.raises(ValueError, match="expected"):
-            load_trace(path)
-
-    def test_load_rejects_empty(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
-            load_trace(path)

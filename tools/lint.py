@@ -1,4 +1,12 @@
-"""AST-based determinism linter (``repro lint``).
+"""AST-based determinism linter for the ``repro`` package.
+
+Run from the repository root::
+
+    python tools/lint.py src/repro benchmarks
+
+It prints one text report and exits 1 on any finding, 0 on none.  The
+linter is a development tool: it imports nothing from ``repro``, and
+``repro`` does not import it.
 
 The rules encode the repo's reproducibility contract — bit-identical
 results across the serial, process-parallel, and batched-inference
@@ -23,8 +31,10 @@ it.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -36,6 +46,8 @@ __all__ = [
     "lint_paths",
     "render_text",
     "run_lint",
+    "build_parser",
+    "main",
 ]
 
 #: rule id -> one-line description.
@@ -558,3 +570,27 @@ def run_lint(
     """
     findings = lint_paths(paths, root=root)
     return (1 if findings else 0), render_text(findings)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tools/lint.py",
+        description="determinism linter (rules REP001-REP008)",
+    )
+    parser.add_argument("paths", nargs="*", default=["src/repro", "benchmarks"],
+                        help="files or directories to lint "
+                             "(default: src/repro benchmarks)")
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Lint the paths on the command line, print the report and return
+    the exit status."""
+    args = build_parser().parse_args(argv)
+    code, report = run_lint(args.paths)
+    print(report)
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())
