@@ -46,7 +46,6 @@ def _train(scenario, algorithm: str):
         config=config,
         seeds=tuple(SCALE.train_seeds),
         updates_per_seed=SCALE.train_updates,
-        algorithm=algorithm,
         workers=WORKERS,
     )
     policy = multi.best_policy

@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 
 from _config import SCALE, suite_config
+from repro.baselines.central_drl import CentralDRLPolicy
 from repro.eval.runner import (
     ALL_ALGORITHMS,
     CENTRAL_DRL,
@@ -64,11 +65,14 @@ def _run_scalability(phases: list):
         timing.add(DISTRIBUTED_DRL, results[DISTRIBUTED_DRL].mean_decision_ms)
         # The central approach's decision-making cost is the rule refresh
         # (its per-flow work is rule lookup); measure one refresh directly.
+        # One in-process run (workers=1): the refresh times are read off
+        # this very instance afterwards.
         central = suite.central
         assert central is not None
-        fresh = central.fresh()
+        fresh = CentralDRLPolicy(scenario.network, scenario.catalog, central.policy)
         evaluate_policy_on_scenario(
-            scenario, lambda: fresh, CENTRAL_DRL, eval_seeds=_eval_seeds()[:1]
+            scenario, lambda: fresh, CENTRAL_DRL, eval_seeds=_eval_seeds()[:1],
+            workers=1,
         )
         phases += [
             {"name": f"train[{topology}]", "seconds": trained - start},

@@ -350,12 +350,6 @@ class CentralDRLPolicy:
             self._refresh_rules(decision, sim)
         return self.executor(decision, sim)
 
-    def fresh(self) -> "CentralDRLPolicy":
-        """A new inference instance over the same trained weights (its own
-        frozen snapshot) with clean runtime state (rules, snapshots, spill
-        memory) — use one per evaluation run."""
-        return CentralDRLPolicy(self.network, self.catalog, self.policy)
-
     @property
     def mean_rule_update_seconds(self) -> float:
         if not self.rule_update_seconds:
@@ -379,8 +373,6 @@ def train_central_coordinator(
     rl_config: ACKTRConfig = ACKTRConfig(),
     seeds: Sequence[int] = (0, 1),
     updates_per_seed: int = 60,
-    algorithm: str = "acktr",
-    verbose: bool = False,
     workers: Optional[int] = None,
 ) -> Tuple[CentralDRLPolicy, MultiSeedResult]:
     """Train the central rule-setting agent and wrap it for inference."""
@@ -389,8 +381,6 @@ def train_central_coordinator(
         config=rl_config,
         seeds=seeds,
         updates_per_seed=updates_per_seed,
-        algorithm=algorithm,
-        verbose=verbose,
         workers=workers,
     )
     policy = CentralDRLPolicy(

@@ -22,18 +22,11 @@ class RandomPolicy:
     Args:
         network: Supplies the action-space size.
         seed: Reproducible sampling.
-        valid_only: Restrict to actions that do not point at dummy
-            neighbors (still uniformly random among those).
     """
 
-    def __init__(self, network: Network, seed: int = 0, valid_only: bool = False) -> None:
+    def __init__(self, network: Network, seed: int = 0) -> None:
         self.network = network
         self.rng = np.random.default_rng(seed)
-        self.valid_only = valid_only
 
     def __call__(self, decision: DecisionPoint, sim: Simulator) -> int:
-        if self.valid_only:
-            high = self.network.degree_of(decision.node) + 1
-        else:
-            high = self.network.degree + 1
-        return int(self.rng.integers(high))
+        return int(self.rng.integers(self.network.degree + 1))

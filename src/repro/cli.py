@@ -293,14 +293,18 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.core.trainer import TrainingConfig, train_coordinator
+    from repro.rl.a2c import A2CConfig
     from repro.rl.acktr import ACKTRConfig
 
     scenario = _scenario_from_args(args)
+    if args.algorithm == "a2c":
+        rl = A2CConfig(n_steps=64)
+    else:
+        rl = ACKTRConfig(n_steps=64, stat_interval=args.stat_interval)
     config = TrainingConfig(
-        algorithm=args.algorithm,
         seeds=tuple(range(args.seeds)),
         updates_per_seed=args.updates,
-        rl=ACKTRConfig(n_steps=64, stat_interval=args.stat_interval),
+        rl=rl,
         eval_episodes=args.eval_episodes,
         workers=args.workers,
     )
@@ -399,6 +403,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+#: What sets each :class:`~repro.serving.ServingConfig` field on the
+#: ``serve-bench`` command line, so that a refused config names the flags.
+_SERVING_FLAGS = {
+    "queue_capacity": "--queue-capacity",
+    "max_batch": "--serve-batch",
+    "deadline_s": "--serve-deadline-ms / 1000",
+}
+
+
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.core.env import ServiceCoordinationEnv
     from repro.rl.policy import ActorCriticPolicy
@@ -415,7 +428,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             queue_capacity=args.queue_capacity,
         )
     except ValueError as exc:
-        _usage_error(exc)
+        message = str(exc)
+        for field, flag in _SERVING_FLAGS.items():
+            message = message.replace(field, flag)
+        _usage_error(message)
     scenario = _scenario_from_args(args)
     if args.policy is not None:
         policy = _load_policy(args.policy, scenario)

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 from repro.core.agent import DistributedCoordinator
 from repro.core.env import CoordinationEnvConfig, ServiceCoordinationEnv
 from repro.parallel import EnvBuilder
+from repro.rl.a2c import A2CConfig
 from repro.rl.acktr import ACKTRConfig
 from repro.rl.training import MultiSeedResult, train_multi_seed
 from repro.telemetry import NULL_RECORDER, Recorder
@@ -47,22 +48,22 @@ class TrainingConfig:
     Sec. V-A2).
 
     Attributes:
-        algorithm: ``"acktr"`` (paper) or ``"a2c"`` (ablation).
         seeds: Training seeds (paper: k = 10).
         updates_per_seed: Gradient updates per seed.
-        rl: Trainer hyperparameters (:class:`~repro.rl.acktr.ACKTRConfig`;
+        rl: Trainer hyperparameters, whose type picks the trainer: an
+            :class:`~repro.rl.acktr.ACKTRConfig` trains with ACKTR (paper;
             the defaults are the paper's: l = 4 env copies, α = 0.25,
-            γ = 0.99, KL clip 0.001, ...).
+            γ = 0.99, KL clip 0.001, ...), a plain
+            :class:`~repro.rl.a2c.A2CConfig` with A2C (ablation).
         eval_episodes: Greedy episodes per seed for best-agent selection
             (>= 1; the evaluation's lockstep width follows from it).
         workers: Worker processes for the per-seed fan-out (None reads
             ``REPRO_WORKERS``; 1 = serial).
     """
 
-    algorithm: str = "acktr"
     seeds: Sequence[int] = tuple(range(10))
     updates_per_seed: int = 60
-    rl: ACKTRConfig = ACKTRConfig()
+    rl: A2CConfig = ACKTRConfig()
     eval_episodes: int = 1
     workers: Optional[int] = None
 
@@ -104,7 +105,6 @@ def train_coordinator(
         seeds=training.seeds,
         updates_per_seed=training.updates_per_seed,
         eval_episodes=training.eval_episodes,
-        algorithm=training.algorithm,
         verbose=verbose,
         workers=training.workers,
         recorder=recorder,

@@ -17,7 +17,6 @@ carry a timing report quantifying the fan-out's speedup.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -31,7 +30,6 @@ from repro.baselines.shortest_path import ShortestPathPolicy
 from repro.core.agent import DistributedCoordinator
 from repro.core.env import CoordinationEnvConfig
 from repro.core.trainer import TrainingConfig, train_coordinator
-from repro.faults import FaultScenarioConfig
 from repro.parallel import TimingReport, run_tasks
 from repro.sim.simulator import Simulator
 from repro.telemetry import NULL_RECORDER, Recorder
@@ -257,7 +255,6 @@ def evaluate_policy_on_scenario(
     time_decisions: bool = False,
     workers: Optional[int] = None,
     recorder: Recorder = NULL_RECORDER,
-    faults: Optional[FaultScenarioConfig] = None,
 ) -> AlgorithmResult:
     """Run one algorithm over several traffic realisations of a scenario.
 
@@ -270,16 +267,7 @@ def evaluate_policy_on_scenario(
     are bit-identical to a serial run either way.  An enabled
     ``recorder`` streams one ``sim_run`` record per seed (merged in seed
     order), fan-out timing, and the final ``eval_aggregate``.
-
-    ``faults`` overrides the scenario's fault configuration for this
-    evaluation only — the fault schedule rides inside the (pickled) sim
-    config, so every seed sees the identical fault sequence.
     """
-    if faults is not None:
-        env_config = dataclasses.replace(
-            env_config,
-            sim_config=dataclasses.replace(env_config.sim_config, faults=faults),
-        )
     return _run_grid(
         env_config,
         {name: policy_factory},
@@ -356,22 +344,16 @@ class AlgorithmSuite:
             factories[SP] = partial(ShortestPathPolicy, network, catalog)
         return factories
 
-    @property
-    def factories(self) -> Dict[str, PolicyFactory]:
-        """The suite's factories on the scenario it was trained on."""
-        return self.factories_for(self.env_config)
-
     def compare(
         self,
         env_config: Optional[CoordinationEnvConfig] = None,
         eval_seeds: Sequence[int] = (0, 1, 2),
         time_decisions: bool = False,
-        algorithms: Optional[Sequence[str]] = None,
         workers: Optional[int] = None,
         recorder: Recorder = NULL_RECORDER,
     ) -> Dict[str, AlgorithmResult]:
-        """Evaluate (a subset of) the suite, optionally on a *different*
-        scenario than it was trained on (generalization experiments).
+        """Evaluate the suite, optionally on a *different* scenario than
+        it was trained on (generalization experiments).
 
         The algorithms × evaluation seeds grid is flattened into one task
         batch, so a single worker pool covers the whole comparison; the
@@ -381,8 +363,6 @@ class AlgorithmSuite:
         """
         env_config = env_config or self.env_config
         factories = self.factories_for(env_config)
-        if algorithms:
-            factories = {name: factories[name] for name in algorithms}
         results, self.last_timing = _run_grid(
             env_config,
             factories,
@@ -399,7 +379,6 @@ def build_algorithm_suite(
     env_config: CoordinationEnvConfig,
     suite: SuiteConfig = SuiteConfig(),
     include: Sequence[str] = ALL_ALGORITHMS,
-    verbose: bool = False,
 ) -> AlgorithmSuite:
     """Train the two DRL approaches on a scenario and wrap all algorithms.
 
@@ -412,16 +391,13 @@ def build_algorithm_suite(
     coordinator = None
     central = None
     if DISTRIBUTED_DRL in include:
-        coordinator = train_coordinator(
-            env_config, training, verbose=verbose
-        ).coordinator
+        coordinator = train_coordinator(env_config, training).coordinator
     if CENTRAL_DRL in include:
         central, _ = train_central_coordinator(
             env_config,
             training.rl,
             seeds=tuple(training.seeds),
             updates_per_seed=suite.central_train_updates,
-            verbose=verbose,
             workers=training.workers,
         )
     return AlgorithmSuite(

@@ -18,7 +18,7 @@ from the per-episode generator the environment supplies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +57,9 @@ TRAFFIC_PATTERNS = ("fixed", "poisson", "mmpp", "trace")
 SERVICE_NAME = "video-streaming"
 
 #: Paper values.
+_EGRESS = ("v8",)
+_NODE_CAPACITY_RANGE = (0.0, 2.0)
+_LINK_CAPACITY_RANGE = (1.0, 5.0)
 _MEAN_INTERVAL = 10.0
 _MMPP_SLOW = 12.0
 _MMPP_FAST = 8.0
@@ -67,16 +70,13 @@ _MMPP_SWITCH_PROBABILITY = 0.05
 def build_network(
     topology: str = "Abilene",
     num_ingress: int = 2,
-    egress: Sequence[str] = ("v8",),
     capacity_seed: int = 0,
-    node_capacity_range: Sequence[float] = (0.0, 2.0),
-    link_capacity_range: Sequence[float] = (1.0, 5.0),
 ) -> Network:
     """One of the Table I topologies with the paper's random capacities.
 
     Node capacities ~ U[0, 2] and link capacities ~ U[1, 5], drawn
     deterministically from ``capacity_seed``.  Ingresses are ``v1..vk``
-    (the paper varies 1-5) and the egress defaults to ``v8``.  Builds
+    (the paper varies 1-5) and the egress is ``v8``.  Builds
     exactly one :class:`Network`, so the all-pairs tables are computed
     once per scenario.
     """
@@ -87,8 +87,8 @@ def build_network(
     # the draw order (and thus the scenario) is independent of the layout's
     # node and link order.
     layout = topology_layout(topology)
-    lo_n, hi_n = node_capacity_range
-    lo_l, hi_l = link_capacity_range
+    lo_n, hi_n = _NODE_CAPACITY_RANGE
+    lo_l, hi_l = _LINK_CAPACITY_RANGE
     node_caps: Dict[str, float] = {
         name: float(rng.uniform(lo_n, hi_n)) for name in sorted(layout.node_names)
     }
@@ -99,7 +99,7 @@ def build_network(
         node_capacity=node_caps.__getitem__,
         link_capacity=lambda u, v: link_caps[link_key(u, v)],
         ingress=[f"v{i + 1}" for i in range(num_ingress)],
-        egress=list(egress),
+        egress=list(_EGRESS),
     )
 
 

@@ -14,7 +14,7 @@ The natural gradient is then cheap:
     (A ⊗ G)⁻¹ vec(∇W)  =  vec(A⁻¹ ∇W G⁻¹)
 
 On top, ACKTR applies a trust region: the raw step is rescaled so the
-predicted KL change ``½ Δθᵀ F Δθ`` stays below ``kl_clip``.
+predicted KL change ``½ Δθᵀ F Δθ`` stays below :data:`KL_CLIP`.
 
 Usage inside a trainer — one forward serves both backward passes::
 
@@ -36,7 +36,19 @@ from repro.analysis.invariants import InvariantViolation
 from repro.nn.mlp import MLP
 from repro.nn.optim import MAX_GRAD_NORM, clip_grads_by_norm
 
-__all__ = ["KFAC"]
+__all__ = ["KFAC", "KL_CLIP", "DAMPING", "STAT_DECAY", "INVERSION_INTERVAL"]
+
+#: Trust-region bound on the predicted KL of one update (paper Sec. V-A2:
+#: KL clipping 0.001).
+KL_CLIP = 0.001
+#: Tikhonov damping λ added to the factors before inversion
+#: (stable-baselines' value).
+DAMPING = 0.01
+#: EMA decay of the running Kronecker factors (stable-baselines' value).
+STAT_DECAY = 0.95
+#: Recompute the factor inverses every this many steps (inversion is the
+#: expensive part of K-FAC; stable-baselines' value).
+INVERSION_INTERVAL = 10
 
 
 class KFAC:
@@ -45,42 +57,20 @@ class KFAC:
     Args:
         model: The network to optimise (parameters updated in place).
         lr: Maximum learning rate η_max (paper: 0.25 initial).
-        kl_clip: Trust-region bound on the predicted KL per update
-            (paper: 0.001).
-        damping: Tikhonov damping λ added to the factors before inversion.
-        stat_decay: EMA decay for the running Kronecker factors.
-        inversion_interval: Recompute the factor inverses every this many
-            steps (inversion is the expensive part of K-FAC).
-        max_grad_norm: Optional global gradient-norm clip applied to the
-            incoming raw gradients (paper: 0.5).
 
-    The defaults are the values :class:`~repro.rl.acktr.ACKTRTrainer`
-    trains with; it sets only ``lr``.  The paper's Fisher coefficient is
-    1.0, so the sampled-Fisher gradients enter :meth:`update_stats`
-    unscaled.
+    The coefficients are module constants, read when a step uses them:
+    :data:`KL_CLIP`, :data:`DAMPING`, :data:`STAT_DECAY`,
+    :data:`INVERSION_INTERVAL`, and the gradient clip
+    :data:`~repro.nn.optim.MAX_GRAD_NORM` applied to the incoming raw
+    gradients.  The paper's Fisher coefficient is 1.0, so the
+    sampled-Fisher gradients enter :meth:`update_stats` unscaled.
     """
 
-    def __init__(
-        self,
-        model: MLP,
-        lr: float = 0.25,
-        kl_clip: float = 0.001,
-        damping: float = 0.01,
-        stat_decay: float = 0.95,
-        inversion_interval: int = 10,
-        max_grad_norm: Optional[float] = MAX_GRAD_NORM,
-    ) -> None:
-        if not (lr > 0 and kl_clip > 0 and damping > 0):
-            raise ValueError("lr, kl_clip, and damping must all be > 0")
-        if not 0.0 < stat_decay < 1.0:
-            raise ValueError(f"stat_decay must be in (0, 1), got {stat_decay}")
+    def __init__(self, model: MLP, lr: float = 0.25) -> None:
+        if not lr > 0:
+            raise ValueError(f"lr must be > 0, got {lr}")
         self.model = model
         self.lr = lr
-        self.kl_clip = kl_clip
-        self.damping = damping
-        self.stat_decay = stat_decay
-        self.inversion_interval = max(1, inversion_interval)
-        self.max_grad_norm = max_grad_norm
 
         layers = model.dense_layers
         self._A: List[np.ndarray] = [np.eye(d.weight.shape[0]) for d in layers]
@@ -111,11 +101,11 @@ class KFAC:
         #: the raw natural-gradient step already satisfied the KL bound).
         self.last_scale: float = 1.0
         #: Predicted KL ``½ Δθᵀ F Δθ`` of the most recently *applied*
-        #: (rescaled) step; ≤ ``kl_clip`` by construction.
+        #: (rescaled) step; ≤ :data:`KL_CLIP` by construction.
         self.last_predicted_kl: float = 0.0
         #: Global gradient norm *before* clipping of the most recent
-        #: :meth:`step` (0.0 until the first step, or when clipping is
-        #: disabled) — surfaced as ``grad_norm`` in training telemetry.
+        #: :meth:`step` (0.0 until the first step) — surfaced as
+        #: ``grad_norm`` in training telemetry.
         self.last_grad_norm: float = 0.0
         #: Wall-clock split of the most recent :meth:`step` (factor
         #: inversions / everything after), read by the trainer's phase
@@ -133,7 +123,7 @@ class KFAC:
         ``last_input_aug`` and ``last_output_grad`` of each Dense layer.
         """
         self._stat_updates += 1
-        decay = self.stat_decay
+        decay = STAT_DECAY
         for i, dense in enumerate(self.model.dense_layers):
             aug = dense.last_input_aug
             g = dense.last_output_grad
@@ -164,8 +154,8 @@ class KFAC:
             tr_a = max(np.trace(a) / a.shape[0], 1e-12)
             tr_g = max(np.trace(g) / g.shape[0], 1e-12)
             pi = np.sqrt(tr_a / tr_g)
-            eps_a = np.sqrt(self.damping) * pi
-            eps_g = np.sqrt(self.damping) / pi
+            eps_a = np.sqrt(DAMPING) * pi
+            eps_g = np.sqrt(DAMPING) / pi
             self._A_inv[i] = np.linalg.inv(a + eps_a * self._eye_A[i])
             self._G_inv[i] = np.linalg.inv(g + eps_g * self._eye_G[i])
 
@@ -186,11 +176,10 @@ class KFAC:
         for buf, g in zip(self._grad_scratch, grads):
             np.copyto(buf, g)
         grads = self._grad_scratch
-        if self.max_grad_norm is not None:
-            self.last_grad_norm = clip_grads_by_norm(grads, self.max_grad_norm)
+        self.last_grad_norm = clip_grads_by_norm(grads, MAX_GRAD_NORM)
 
         t0 = time.perf_counter()
-        if self._steps % self.inversion_interval == 0:
+        if self._steps % INVERSION_INTERVAL == 0:
             self._refresh_inverses()
         self._steps += 1
         t1 = time.perf_counter()
@@ -213,7 +202,7 @@ class KFAC:
             np.matmul(self._t_buf[layer_index], g_inv, out=updates[layer_index])
 
         # Trust region: predicted KL ≈ ½ η² Σ tr(uᵀ A u G); rescale so the
-        # actual step's predicted KL stays below kl_clip.
+        # actual step's predicted KL stays below KL_CLIP.
         quad = 0.0
         for u, a, g, tmp, prod in zip(
             updates, self._A, self._G, self._t_buf, self._q_buf
@@ -223,7 +212,7 @@ class KFAC:
             np.multiply(u, prod, out=tmp)
             quad += float(np.sum(tmp))
         quad = max(quad, 1e-12)
-        scale = min(1.0, np.sqrt(2.0 * self.kl_clip / (self.lr**2 * quad)))
+        scale = min(1.0, np.sqrt(2.0 * KL_CLIP / (self.lr**2 * quad)))
         self.last_scale = float(scale)
         self.last_predicted_kl = float(0.5 * (self.lr * scale) ** 2 * quad)
 

@@ -11,11 +11,23 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["MAX_GRAD_NORM", "Optimizer", "RMSprop", "clip_grads_by_norm"]
+__all__ = [
+    "MAX_GRAD_NORM",
+    "RMSPROP_DECAY",
+    "RMSPROP_EPSILON",
+    "Optimizer",
+    "RMSprop",
+    "clip_grads_by_norm",
+]
 
 #: The paper's gradient clip ("max. gradient 0.5", Sec. V-A2): both
-#: trainers clip to it, A2C directly and ACKTR through ``KFAC``'s default.
+#: trainers clip to it, A2C directly and ACKTR inside ``KFAC.step``.
 MAX_GRAD_NORM = 0.5
+
+#: RMSprop's running-average decay and denominator epsilon
+#: (stable-baselines' values).
+RMSPROP_DECAY = 0.99
+RMSPROP_EPSILON = 1e-5
 
 
 def clip_grads_by_norm(grads: Sequence[np.ndarray], max_norm: float) -> float:
@@ -55,24 +67,15 @@ class Optimizer:
 
 
 class RMSprop(Optimizer):
-    """RMSprop (Tieleman & Hinton) — the paper's optimiser."""
+    """RMSprop (Tieleman & Hinton) — the paper's optimiser, with decay
+    :data:`RMSPROP_DECAY` and epsilon :data:`RMSPROP_EPSILON`."""
 
-    def __init__(
-        self,
-        params: Sequence[np.ndarray],
-        lr: float = 0.25,
-        decay: float = 0.99,
-        epsilon: float = 1e-5,
-    ) -> None:
+    def __init__(self, params: Sequence[np.ndarray], lr: float = 0.25) -> None:
         super().__init__(params, lr)
-        if not 0.0 < decay < 1.0:
-            raise ValueError(f"decay must be in (0, 1), got {decay}")
-        self.decay = decay
-        self.epsilon = epsilon
         self._mean_square = [np.zeros_like(p) for p in self.params]
 
     def _step(self, grads: List[np.ndarray]) -> None:
         for p, g, ms in zip(self.params, grads, self._mean_square):
-            ms *= self.decay
-            ms += (1.0 - self.decay) * g**2
-            p -= self.lr * g / (np.sqrt(ms) + self.epsilon)
+            ms *= RMSPROP_DECAY
+            ms += (1.0 - RMSPROP_DECAY) * g**2
+            p -= self.lr * g / (np.sqrt(ms) + RMSPROP_EPSILON)

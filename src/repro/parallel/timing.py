@@ -86,15 +86,11 @@ class TimingReport:
             "note": self.note,
         }
 
-    def render(self, per_task: bool = False) -> str:
-        """Human-readable summary (one line, or one line per task)."""
-        lines = [
+    def render(self) -> str:
+        """Human-readable one-line summary."""
+        return (
             f"{self.name}: {len(self.tasks)} tasks in {self.total_seconds:.2f}s "
             f"({self.mode}, workers={self.workers}) "
             f"speedup={self.speedup:.2f}x utilization={self.utilization:.0%}"
             + (f" [{self.note}]" if self.note else "")
-        ]
-        if per_task:
-            for t in self.tasks:
-                lines.append(f"  {t.label}: {t.seconds:.2f}s")
-        return "\n".join(lines)
+        )

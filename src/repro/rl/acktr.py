@@ -54,6 +54,7 @@ from repro.nn.mlp import MLP, fused_backward_is_exact
 from repro.parallel import usable_cpus
 from repro.profiling import PhaseAccumulator
 from repro.rl.a2c import A2CConfig, A2CTrainer, UpdateStats, require_count
+from repro.telemetry import NULL_RECORDER, Recorder
 
 __all__ = ["ACKTRConfig", "ACKTRTrainer"]
 
@@ -131,7 +132,7 @@ class ACKTRConfig(A2CConfig):
     The K-FAC coefficients the paper fixes (Sec. V-A2: KL clip 0.001,
     Fisher coefficient 1.0) and the stable-baselines ones (damping 0.01,
     factor EMA decay 0.95, re-inversion every 10 updates) are
-    :class:`~repro.nn.kfac.KFAC`'s defaults, which both networks'
+    :mod:`repro.nn.kfac`'s module constants, which both networks'
     optimisers use.
 
     Attributes (beyond :class:`A2CConfig`):
@@ -165,11 +166,8 @@ class ACKTRTrainer(A2CTrainer):
     config: ACKTRConfig
 
     def __init__(self, env_factory, config: ACKTRConfig = ACKTRConfig(), seed: int = 0,
-                 policy=None, recorder=None) -> None:
-        from repro.telemetry import NULL_RECORDER
-
-        super().__init__(env_factory, config, seed=seed, policy=policy,
-                         recorder=recorder if recorder is not None else NULL_RECORDER)
+                 policy=None, recorder: Recorder = NULL_RECORDER) -> None:
+        super().__init__(env_factory, config, seed=seed, policy=policy, recorder=recorder)
 
     def _build_optimizers(self) -> None:
         cfg: ACKTRConfig = self.config  # type: ignore[assignment]

@@ -13,7 +13,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple, cast
 import numpy as np
 
 from repro.analysis.invariants import InvariantViolation, invariants_enabled
-from repro.nn.distributions import Categorical
 from repro.nn.mlp import MLP, MLPInference
 
 __all__ = ["ActorCriticPolicy"]
@@ -66,37 +65,10 @@ class ActorCriticPolicy:
 
     # ------------------------------------------------------------------
 
-    def distribution(self, obs: np.ndarray) -> Categorical:
-        """Action distribution π(·|obs) for a batch of observations — with
-        :meth:`values` and :meth:`act`, the allocating reference that the
-        workspace paths every driver runs are tested against."""
-        return Categorical(self.actor.forward(obs))
-
-    def values(self, obs: np.ndarray) -> np.ndarray:
-        """State-value estimates V_φ(obs), shape (N,)."""
-        return self.critic.forward(obs)[:, 0]
-
-    def act(
-        self,
-        obs: np.ndarray,
-        rng: np.random.Generator,
-        deterministic: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Select actions for a batch of observations.
-
-        Returns ``(actions, values, log_probs)``.  With
-        ``deterministic=True`` the mode (argmax) action is taken — the
-        usual choice for online inference after training.
-        """
-        dist = self.distribution(obs)
-        actions = dist.mode() if deterministic else dist.sample(rng)
-        values = self.values(obs)
-        return actions, values, dist.log_prob(actions)
-
     def act_single(self, obs: np.ndarray, deterministic: bool = True) -> int:
         """The greedy action for a single observation vector (inference):
         the argmax of :meth:`logits_single`.  Sampling is exploration
-        during training (:meth:`act`): the keyword is kept for callers
+        inside the trainers: the keyword is kept for callers
         that spell out ``deterministic=True``, and ``False`` raises
         ``ValueError``.
 

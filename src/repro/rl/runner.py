@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Protocol, Sequence, Tuple
+from typing import Any, Dict, List, Protocol, Tuple
 
 import numpy as np
 
@@ -43,9 +43,9 @@ class Env(Protocol):
 class EpisodeRecord:
     """Summary of one finished episode.
 
-    ``info`` holds only the terminal-info fields the runner was asked to
-    keep (:class:`ParallelRunner` ``info_keys``), not a copy of the env's
-    whole info dict.
+    ``info`` holds only the terminal-info fields the runner keeps
+    (:attr:`ParallelRunner.info_keys`), not a copy of the env's whole
+    info dict.
     """
 
     total_reward: float
@@ -68,11 +68,6 @@ class ParallelRunner:
         n_steps: Transitions per environment per rollout (mini-batch b has
             ``l * n_steps`` experiences).
         rng: Generator for action sampling.
-        info_keys: Terminal-info fields copied into each
-            :class:`EpisodeRecord` (default: just ``success_ratio``, the
-            only field the training pipeline consumes).  Episodes end
-            thousands of times per run, so the runner materialises these
-            few fields instead of copying the env's whole info dict.
     """
 
     def __init__(
@@ -81,7 +76,6 @@ class ParallelRunner:
         policy: ActorCriticPolicy,
         n_steps: int,
         rng: np.random.Generator,
-        info_keys: Sequence[str] = ("success_ratio",),
     ) -> None:
         if not envs:
             raise ValueError("need at least one environment")
@@ -98,7 +92,13 @@ class ParallelRunner:
         self.policy = policy
         self.n_steps = n_steps
         self.rng = rng
-        self.info_keys = tuple(info_keys)
+        #: Terminal-info fields copied into each :class:`EpisodeRecord`:
+        #: just ``success_ratio``, the only field the training pipeline
+        #: consumes.  Episodes end thousands of times per run, so the
+        #: runner materialises these few fields instead of copying the
+        #: env's whole info dict.  A plain attribute: a caller that wants
+        #: other fields assigns it.
+        self.info_keys: Tuple[str, ...] = ("success_ratio",)
         #: Optional :class:`repro.profiling.PhaseAccumulator`; when set,
         #: collect() attributes the per-step actor forwards with their
         #: action sampling, and the bootstrap critic forward, to the

@@ -148,24 +148,34 @@ def evaluate_policy(
     return out
 
 
+def _algorithm(config: A2CConfig) -> str:
+    """The telemetry name of the trainer ``config`` picks."""
+    return "acktr" if isinstance(config, ACKTRConfig) else "a2c"
+
+
 @dataclass(frozen=True)
 class _SeedTask:
     """Everything one worker needs to train and evaluate one seed."""
 
     env_factory: Callable[[], Env]
     config: A2CConfig
-    algorithm: str
     seed: int
     updates: int
     eval_episodes: int
 
 
 def _run_seed_task(task: _SeedTask, recorder: Recorder) -> SeedResult:
-    """Train one seed; runs in a worker process or in-process (serial)."""
-    trainer_cls = ACKTRTrainer if task.algorithm == "acktr" else A2CTrainer
-    trainer = trainer_cls(
-        task.env_factory, task.config, seed=task.seed, recorder=recorder
-    )
+    """Train one seed; runs in a worker process or in-process (serial).
+    An :class:`ACKTRConfig` trains with :class:`ACKTRTrainer`, any other
+    config with :class:`A2CTrainer`."""
+    if isinstance(task.config, ACKTRConfig):
+        trainer = ACKTRTrainer(
+            task.env_factory, task.config, seed=task.seed, recorder=recorder
+        )
+    else:
+        trainer = A2CTrainer(
+            task.env_factory, task.config, seed=task.seed, recorder=recorder
+        )
     trainer.train(task.updates)
     evaluation = evaluate_policy(
         trainer.policy,
@@ -179,7 +189,7 @@ def _run_seed_task(task: _SeedTask, recorder: Recorder) -> SeedResult:
             seed=task.seed,
             mean_episode_reward=evaluation["mean_episode_reward"],
             episodes=len(trainer.episode_history),
-            algorithm=task.algorithm,
+            algorithm=_algorithm(task.config),
         )
     return SeedResult(
         seed=task.seed,
@@ -195,7 +205,6 @@ def train_multi_seed(
     seeds: Sequence[int] = tuple(range(10)),
     updates_per_seed: int = 50,
     eval_episodes: int = 1,
-    algorithm: str = "acktr",
     verbose: bool = False,
     workers: Optional[int] = None,
     recorder: Recorder = NULL_RECORDER,
@@ -206,13 +215,14 @@ def train_multi_seed(
         env_factory: An :class:`~repro.parallel.protocol.EnvBuilder`;
             creates fresh environment copies (used for both training and
             evaluation), each seed replaying its own slice of env seeds.
-        config: Trainer hyperparameters (k seeds x l parallel envs).
+        config: Trainer hyperparameters (k seeds x l parallel envs); an
+            :class:`~repro.rl.acktr.ACKTRConfig` trains with ACKTR (paper),
+            a plain :class:`~repro.rl.a2c.A2CConfig` with A2C (ablation).
         seeds: Training seeds (paper: k = 10).
         updates_per_seed: Gradient updates per seed.
         eval_episodes: Greedy evaluation episodes for agent selection
             (>= 1; :func:`evaluate_policy` derives the lockstep width
             from it).
-        algorithm: ``"acktr"`` (paper) or ``"a2c"`` (ablation).
         verbose: Print one line per seed.
         workers: Worker processes for the per-seed fan-out (default:
             ``REPRO_WORKERS``, serial when unset).
@@ -231,10 +241,6 @@ def train_multi_seed(
             "env_factory must be a repro.parallel.EnvBuilder (a picklable "
             f"seed-to-environment factory), got {type(env_factory).__name__}"
         )
-    if algorithm not in ("acktr", "a2c"):
-        raise ValueError(f"unknown algorithm {algorithm!r}; use 'acktr' or 'a2c'")
-    if algorithm == "acktr" and not isinstance(config, ACKTRConfig):
-        config = ACKTRConfig(**config.__dict__)
     if eval_episodes < 1:
         raise ValueError(f"eval_episodes must be >= 1, got {eval_episodes}")
     if updates_per_seed < 0:
@@ -251,7 +257,6 @@ def train_multi_seed(
         _SeedTask(
             env_factory=CountingEnvFactory(env_factory, offset=index * calls_per_seed),
             config=config,
-            algorithm=algorithm,
             seed=seed,
             updates=updates_per_seed,
             eval_episodes=eval_episodes,
@@ -263,7 +268,7 @@ def train_multi_seed(
         tasks,
         workers=workers,
         labels=[f"seed {seed}" for seed in seeds],
-        name=f"train[{algorithm}]",
+        name=f"train[{_algorithm(config)}]",
         recorder=recorder,
     )
 
@@ -278,7 +283,7 @@ def train_multi_seed(
     if recorder.enabled:
         recorder.emit(
             "train_summary",
-            algorithm=algorithm,
+            algorithm=_algorithm(config),
             seeds=len(seeds),
             best_seed=best.seed,
             best_reward=best.mean_episode_reward,

@@ -11,21 +11,25 @@ __all__ = [
 ]
 
 
-def video_streaming_service(
-    processing_delay: float = 5.0,
-    startup_delay: float = 0.0,
-    idle_timeout: float = 100.0,
-) -> Service:
+#: The base scenario's component timings (Sec. V-A1): 5 ms processing,
+#: no startup delay, an instance removed after 100 idle time units.
+PROCESSING_DELAY = 5.0
+STARTUP_DELAY = 0.0
+IDLE_TIMEOUT = 100.0
+
+
+def video_streaming_service() -> Service:
     """The paper's base-scenario service ``s`` with ``C_s = <FW, IDS, video>``.
 
-    All three components have the same processing delay (5 ms in the paper)
-    and resource demand linear in the flow's data rate.
+    All three components have the same processing delay
+    (:data:`PROCESSING_DELAY`, 5 ms in the paper) and resource demand
+    linear in the flow's data rate.
     """
     make = lambda name: Component(
         name,
-        processing_delay=processing_delay,
-        startup_delay=startup_delay,
-        idle_timeout=idle_timeout,
+        processing_delay=PROCESSING_DELAY,
+        startup_delay=STARTUP_DELAY,
+        idle_timeout=IDLE_TIMEOUT,
         resource_coefficient=1.0,
     )
     return Service("video-streaming", [make("FW"), make("IDS"), make("video")])

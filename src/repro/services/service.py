@@ -17,7 +17,7 @@ idle for the component's timeout ``δ_c`` are removed automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = ["Component", "Service", "ServiceCatalog"]
 
@@ -35,10 +35,8 @@ class Component:
             instance.
         idle_timeout: ``δ_c`` — an instance that has processed no flow for
             this long is removed (scale-in).
-        resource_coefficient: Slope of the default linear resource function
+        resource_coefficient: Slope of the linear resource function
             ``r_c(λ) = resource_coefficient * λ``.
-        resource_fn: Optional override; any callable mapping data rate to
-            resource demand.  Takes precedence over ``resource_coefficient``.
     """
 
     name: str
@@ -46,7 +44,6 @@ class Component:
     startup_delay: float = 0.0
     idle_timeout: float = 100.0
     resource_coefficient: float = 1.0
-    resource_fn: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
         if self.processing_delay < 0:
@@ -60,8 +57,6 @@ class Component:
         """Resource demand ``r_c(λ)`` for processing a flow of data rate ``λ``."""
         if rate < 0:
             raise ValueError(f"data rate must be >= 0, got {rate}")
-        if self.resource_fn is not None:
-            return self.resource_fn(rate)
         return self.resource_coefficient * rate
 
 
@@ -135,10 +130,6 @@ class ServiceCatalog:
     def component(self, name: str) -> Component:
         """Look up a component by name across all services (KeyError if absent)."""
         return self._components[name]
-
-    @property
-    def services(self) -> List[Service]:
-        return list(self._services.values())
 
     @property
     def components(self) -> List[Component]:

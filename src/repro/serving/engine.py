@@ -58,7 +58,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class ServingEngine:
         self.stats = ServingStats()
         self._policy = self._freeze(policy)
         self._version = 0
-        self._staged: Optional[Tuple[ActorCriticPolicy, Optional[int]]] = None
+        self._staged: Optional[ActorCriticPolicy] = None
         self._swap_lock = threading.Lock()
         self._queue = RingBufferQueue(
             config.effective_queue_capacity, policy.obs_dim
@@ -246,14 +246,12 @@ class ServingEngine:
 
     # ------------------------------------------------------------------
 
-    def install(
-        self, policy: ActorCriticPolicy, version: Optional[int] = None
-    ) -> None:
+    def install(self, policy: ActorCriticPolicy) -> None:
         """Stage a policy hot-swap; applied atomically at the start of
-        the next flush (never mid-batch).  Thread-safe: a trainer thread
-        may call this while the serving loop runs.  ``version`` labels
-        the new policy (default: current version + 1 at apply time).
-        Staging twice between flushes keeps only the latest policy.
+        the next flush (never mid-batch), where the policy version goes
+        up by one.  Thread-safe: a trainer thread may call this while the
+        serving loop runs.  Staging twice between flushes keeps only the
+        latest policy.
 
         ``policy`` is frozen here, in place and outside the swap lock, so
         every row of a flush — certified by its float32 cast or decided in
@@ -272,7 +270,7 @@ class ServingEngine:
             )
         self._freeze(policy)
         with self._swap_lock:
-            self._staged = (policy, version)
+            self._staged = policy
 
     def _apply_staged_swap(self) -> None:
         with self._swap_lock:
@@ -280,8 +278,8 @@ class ServingEngine:
             self._staged = None
         if staged is None:
             return
-        self._policy, version = staged
-        self._version = self._version + 1 if version is None else version
+        self._policy = staged
+        self._version += 1
         self.stats.swaps += 1
 
     # ------------------------------------------------------------------

@@ -72,14 +72,13 @@ class Event:
         kind: EventKind,
         payload: Any = None,
         node: Optional[str] = None,
-        cancelled: bool = False,
     ) -> None:
         self.time = time
         self.kind = kind
         self.payload = payload
         #: Extra context (e.g. the node for PROCESSING_DONE / LINK_ARRIVAL).
         self.node = node
-        self._cancelled = bool(cancelled)
+        self._cancelled = False
         self._queue: Optional["EventQueue"] = None
 
     @property

@@ -167,16 +167,6 @@ class NetworkState:
     # ------------------------------------------------------------------
 
     @property
-    def node_loads(self) -> np.ndarray:
-        """Current node loads indexed by node id.  Treat as read-only."""
-        return self._node_loads
-
-    @property
-    def link_loads(self) -> np.ndarray:
-        """Current link loads indexed by link id.  Treat as read-only."""
-        return self._link_loads
-
-    @property
     def loads_vector(self) -> np.ndarray:
         """All loads in one vector: link id ``i`` at slot ``i``, node id
         ``j`` at slot ``num_links + j``.  Treat as read-only."""

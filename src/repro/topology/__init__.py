@@ -10,10 +10,6 @@ from repro.topology.network import (
 )
 from repro.topology.zoo import (
     TOPOLOGY_NAMES,
-    abilene,
-    bt_europe,
-    china_telecom,
-    interroute,
     table1_stats,
     topology_by_name,
 )
@@ -30,10 +26,6 @@ __all__ = [
     "euclidean_delay",
     "link_key",
     "TOPOLOGY_NAMES",
-    "abilene",
-    "bt_europe",
-    "china_telecom",
-    "interroute",
     "table1_stats",
     "topology_by_name",
     "grid_network",

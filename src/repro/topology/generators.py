@@ -18,6 +18,10 @@ __all__ = [
     "random_geometric_network",
 ]
 
+#: Link delay per unit of plane distance in :func:`random_geometric_network`
+#: (a link's delay is at least 0.5).
+_DELAY_PER_UNIT = 0.05
+
 
 def _names(n: int) -> List[str]:
     return [f"v{i + 1}" for i in range(n)]
@@ -58,7 +62,6 @@ def random_geometric_network(
     seed: int = 0,
     node_capacity_range: Sequence[float] = (0.0, 2.0),
     link_capacity_range: Sequence[float] = (1.0, 5.0),
-    delay_per_unit: float = 0.05,
     ingress: Optional[Sequence[str]] = None,
     egress: Optional[Sequence[str]] = None,
 ) -> Network:
@@ -129,7 +132,7 @@ def random_geometric_network(
     links = [
         Link(
             u, v,
-            delay=max(0.5, dist(u, v) * delay_per_unit),
+            delay=max(0.5, dist(u, v) * _DELAY_PER_UNIT),
             capacity=rng.uniform(lo_l, hi_l),
         )
         for u, v in sorted(edges)

@@ -83,14 +83,6 @@ class Link:
         """Canonical (sorted) endpoint pair identifying this undirected link."""
         return link_key(self.u, self.v)
 
-    def other(self, node: str) -> str:
-        """Return the endpoint opposite to ``node``."""
-        if node == self.u:
-            return self.v
-        if node == self.v:
-            return self.u
-        raise KeyError(f"node {node!r} is not an endpoint of link ({self.u},{self.v})")
-
 
 def link_key(u: str, v: str) -> Tuple[str, str]:
     """Canonical undirected key for the link between ``u`` and ``v``."""
@@ -265,10 +257,6 @@ class Network:
         forwards a flow to it.
         """
         return list(self._adjacency[name])
-
-    def degree_of(self, name: str) -> int:
-        """Number of neighbors of node ``name``."""
-        return len(self._adjacency[name])
 
     # ------------------------------------------------------------------
     # Integer-indexed hot-path accessors (see _build_index_tables)

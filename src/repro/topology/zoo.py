@@ -38,10 +38,6 @@ from repro.analysis.invariants import InvariantViolation
 from repro.topology.network import Link, Network, Node, euclidean_delay, link_key
 
 __all__ = [
-    "abilene",
-    "bt_europe",
-    "china_telecom",
-    "interroute",
     "topology_by_name",
     "topology_layout",
     "TopologyLayout",
@@ -161,23 +157,6 @@ def _abilene_layout() -> TopologyLayout:
     return TopologyLayout("Abilene", nodes, tuple(links))
 
 
-def abilene(
-    node_capacity: Callable[[str], float] = lambda name: 1.0,
-    link_capacity: Callable[[str, str], float] = lambda u, v: 1.0,
-    ingress: Sequence[str] = ("v1",),
-    egress: Sequence[str] = ("v8",),
-) -> Network:
-    """The Abilene backbone (11 nodes, 14 edges) with distance-derived delays.
-
-    Args:
-        node_capacity: ``cap_v`` per node id (paper: uniform in [0, 2]).
-        link_capacity: ``cap_l`` per node-id pair (paper: uniform in [1, 5]).
-        ingress: Ingress set (paper varies v1..v5).
-        egress: Egress set (paper uses v8).
-    """
-    return _abilene_layout().network(node_capacity, link_capacity, ingress, egress)
-
-
 # ---------------------------------------------------------------------------
 # Statistical reconstructions (BT Europe, China Telecom, Interroute)
 # ---------------------------------------------------------------------------
@@ -293,47 +272,6 @@ def _reconstruct(
     return TopologyLayout(name, tuple((n, positions[n]) for n in names), links)
 
 
-def bt_europe(
-    node_capacity: Callable[[str], float] = lambda name: 1.0,
-    link_capacity: Callable[[str, str], float] = lambda u, v: 1.0,
-    ingress: Sequence[str] = ("v1", "v2"),
-    egress: Sequence[str] = ("v8",),
-) -> Network:
-    """BT Europe reconstruction: 24 nodes, 37 edges, degree 1/13/3.08."""
-    return topology_layout("BT Europe").network(
-        node_capacity, link_capacity, ingress, egress
-    )
-
-
-def china_telecom(
-    node_capacity: Callable[[str], float] = lambda name: 1.0,
-    link_capacity: Callable[[str, str], float] = lambda u, v: 1.0,
-    ingress: Sequence[str] = ("v1", "v2"),
-    egress: Sequence[str] = ("v8",),
-) -> Network:
-    """China Telecom reconstruction: 42 nodes, 66 edges, degree 1/20/3.14.
-
-    The paper highlights this network's highly skewed node degree, which
-    inflates the padded observation/action spaces; the reconstruction
-    reproduces the 20-neighbor hub.
-    """
-    return topology_layout("China Telecom").network(
-        node_capacity, link_capacity, ingress, egress
-    )
-
-
-def interroute(
-    node_capacity: Callable[[str], float] = lambda name: 1.0,
-    link_capacity: Callable[[str, str], float] = lambda u, v: 1.0,
-    ingress: Sequence[str] = ("v1", "v2"),
-    egress: Sequence[str] = ("v8",),
-) -> Network:
-    """Interroute reconstruction: 110 nodes, 158 edges, degree 1/7/2.87."""
-    return topology_layout("Interroute").network(
-        node_capacity, link_capacity, ingress, egress
-    )
-
-
 TOPOLOGY_NAMES: Tuple[str, ...] = (
     "Abilene",
     "BT Europe",
@@ -348,38 +286,31 @@ _LAYOUTS: Dict[str, Callable[[], TopologyLayout]] = {
     "Interroute": lambda: _reconstruct("Interroute", 110, 158, 7, seed=2023),
 }
 
-_FACTORIES = {
-    "Abilene": abilene,
-    "BT Europe": bt_europe,
-    "China Telecom": china_telecom,
-    "Interroute": interroute,
-}
-
-
-def _lookup(table: Dict[str, Callable], name: str) -> Callable:
-    try:
-        return table[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown topology {name!r}; available: {', '.join(TOPOLOGY_NAMES)}"
-        ) from None
-
 
 def topology_layout(name: str) -> TopologyLayout:
     """The layout of one of the four Table I topologies, by name.
 
     Raises ``KeyError`` with the valid names for typos.
     """
-    return _lookup(_LAYOUTS, name)()
+    try:
+        layout = _LAYOUTS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown topology {name!r}; available: {', '.join(TOPOLOGY_NAMES)}"
+        ) from None
+    return layout()
 
 
-def topology_by_name(name: str, **kwargs) -> Network:
-    """Build one of the four Table I topologies by name.
+def topology_by_name(name: str) -> Network:
+    """One of the four Table I topologies, by name, with unit node and
+    link capacities, ingress v1 and egress v8 (a scenario picks its own
+    capacities and endpoints through :meth:`TopologyLayout.network`).
 
-    Keyword arguments are forwarded to the factory (capacities, ingress,
-    egress).  Raises ``KeyError`` with the valid names for typos.
+    Raises ``KeyError`` with the valid names for typos.
     """
-    return _lookup(_FACTORIES, name)(**kwargs)
+    return topology_layout(name).network(
+        lambda node: 1.0, lambda u, v: 1.0, ("v1",), ("v8",)
+    )
 
 
 def table1_stats() -> List:

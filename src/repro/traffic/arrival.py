@@ -194,7 +194,9 @@ class RateFunctionArrival(ArrivalProcess):
             unit); must satisfy ``0 <= rate_fn(t) <= max_rate``.
         max_rate: Upper bound on ``rate_fn`` (> 0).
         rng: Numpy random generator (or seed).
-        horizon: Optional time after which no more arrivals are produced.
+
+    The process has no end of its own: a :class:`TrafficSource` stops at
+    its horizon.
     """
 
     def __init__(
@@ -202,21 +204,17 @@ class RateFunctionArrival(ArrivalProcess):
         rate_fn: Callable[[float], float],
         max_rate: float,
         rng=None,
-        horizon: Optional[float] = None,
     ) -> None:
         if max_rate <= 0:
             raise ValueError(f"max_rate must be > 0, got {max_rate}")
         self.rate_fn = rate_fn
         self.max_rate = max_rate
-        self.horizon = horizon
         self._rng = np.random.default_rng(rng)
 
     def next_arrival(self, after: float) -> Optional[float]:
         t = after
         while True:
             t += self._rng.exponential(1.0 / self.max_rate)
-            if self.horizon is not None and t > self.horizon:
-                return None
             rate = self.rate_fn(t)
             if rate < 0 or rate > self.max_rate * (1 + 1e-9):
                 raise ValueError(

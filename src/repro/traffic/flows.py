@@ -164,13 +164,6 @@ class Flow:
         """True once the flow traversed the last component (``c_f = ∅``)."""
         return self.component_index is None
 
-    @property
-    def progress(self) -> float:
-        """Chain progress ``p̂_f ∈ [0, 1]`` (observation F_f)."""
-        if self.component_index is None:
-            return 1.0
-        return self.component_index / self.chain_length
-
     def advance_component(self) -> None:
         """Mark the current component as traversed, moving to the next one."""
         if self.component_index is None:

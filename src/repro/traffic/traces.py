@@ -30,6 +30,20 @@ __all__ = [
     "TraceArrival",
 ]
 
+# The synthetic trace's shape, read by :func:`synthetic_abilene_trace`: a
+# rate sample every SAMPLE_INTERVAL time units; a diurnal sine of period
+# DIURNAL_PERIOD and relative amplitude DIURNAL_AMPLITUDE; a burst of
+# BURST_MULTIPLIER times the rate with probability BURST_PROBABILITY per
+# sample; Gaussian noise of relative std NOISE_STD; the rng seeded with
+# TRACE_SEED.
+SAMPLE_INTERVAL = 50.0
+DIURNAL_PERIOD = 4000.0
+DIURNAL_AMPLITUDE = 0.5
+BURST_PROBABILITY = 0.05
+BURST_MULTIPLIER = 2.5
+NOISE_STD = 0.1
+TRACE_SEED = 0
+
 
 @dataclass(frozen=True)
 class RateTrace:
@@ -71,55 +85,37 @@ class RateTrace:
     def max_rate(self) -> float:
         return max(self.rates)
 
-    @property
-    def mean_rate(self) -> float:
-        """Time-weighted mean rate over the trace's sampled span."""
-        if len(self.times) == 1:
-            return self.rates[0]
-        total = 0.0
-        for i in range(len(self.times) - 1):
-            total += self.rates[i] * (self.times[i + 1] - self.times[i])
-        return total / (self.times[-1] - self.times[0])
 
-
-def synthetic_abilene_trace(
-    horizon: float = 20000.0,
-    mean_rate: float = 0.1,
-    sample_interval: float = 50.0,
-    diurnal_period: float = 4000.0,
-    diurnal_amplitude: float = 0.5,
-    burst_probability: float = 0.05,
-    burst_multiplier: float = 2.5,
-    noise_std: float = 0.1,
-    seed: int = 0,
-) -> RateTrace:
+def synthetic_abilene_trace(horizon: float = 20000.0, mean_rate: float = 0.1) -> RateTrace:
     """Deterministic synthetic trace shaped like measured backbone demand.
 
-    The rate at sample ``i`` is::
+    The rate at sample ``i`` (every :data:`SAMPLE_INTERVAL`) is::
 
-        rate_i = mean_rate * (1 + diurnal_amplitude * sin(2π t_i / period))
+        rate_i = mean_rate * (1 + DIURNAL_AMPLITUDE * sin(2π t_i / DIURNAL_PERIOD))
                            * burst_i * (1 + noise_i)
 
-    where ``burst_i`` is ``burst_multiplier`` with probability
-    ``burst_probability`` (demand spikes) and 1 otherwise, and ``noise_i``
-    is zero-mean Gaussian measurement noise.  Rates are clipped at 0.
+    where ``burst_i`` is :data:`BURST_MULTIPLIER` with probability
+    :data:`BURST_PROBABILITY` (demand spikes) and 1 otherwise, and
+    ``noise_i`` is zero-mean Gaussian measurement noise of std
+    :data:`NOISE_STD`.  Rates are clipped at 0.
 
-    Defaults give a mean inter-arrival time of ~10 time steps per ingress,
-    matching the load level of the paper's other traffic patterns.
+    The default ``mean_rate`` gives a mean inter-arrival time of ~10 time
+    steps per ingress, matching the load level of the paper's other
+    traffic patterns.
     """
-    if horizon <= 0 or sample_interval <= 0:
-        raise ValueError("horizon and sample_interval must be > 0")
-    rng = np.random.default_rng(seed)
+    if horizon <= 0:
+        raise ValueError(f"horizon must be > 0, got {horizon}")
+    rng = np.random.default_rng(TRACE_SEED)
     times: List[float] = []
     rates: List[float] = []
     t = 0.0
     while t <= horizon:
-        diurnal = 1.0 + diurnal_amplitude * math.sin(2 * math.pi * t / diurnal_period)
-        burst = burst_multiplier if rng.random() < burst_probability else 1.0
-        noise = 1.0 + rng.normal(0.0, noise_std)
+        diurnal = 1.0 + DIURNAL_AMPLITUDE * math.sin(2 * math.pi * t / DIURNAL_PERIOD)
+        burst = BURST_MULTIPLIER if rng.random() < BURST_PROBABILITY else 1.0
+        noise = 1.0 + rng.normal(0.0, NOISE_STD)
         rates.append(max(0.0, mean_rate * diurnal * burst * noise))
         times.append(t)
-        t += sample_interval
+        t += SAMPLE_INTERVAL
     return RateTrace(tuple(times), tuple(rates))
 
 
@@ -132,18 +128,16 @@ class TraceArrival(ArrivalProcess):
     Args:
         trace: The rate trace to replay.
         rng: Numpy random generator (or seed) for the thinning draws.
-        horizon: Optional hard stop; defaults to unbounded (the trace's
-            last rate extends forever).
+
+    The replay has no end: the trace's last rate extends forever.
     """
 
-    def __init__(self, trace: RateTrace, rng=None, horizon: Optional[float] = None) -> None:
+    def __init__(self, trace: RateTrace, rng=None) -> None:
         self.trace = trace
         max_rate = trace.max_rate
         if max_rate <= 0:
             raise ValueError("trace has zero rate everywhere; no arrivals possible")
-        self._inner = RateFunctionArrival(
-            trace.rate_at, max_rate=max_rate, rng=rng, horizon=horizon
-        )
+        self._inner = RateFunctionArrival(trace.rate_at, max_rate=max_rate, rng=rng)
 
     def next_arrival(self, after: float) -> Optional[float]:
         return self._inner.next_arrival(after)

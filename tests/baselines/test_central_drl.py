@@ -204,7 +204,7 @@ class TestCentralDRLPolicy:
         policy = CentralDRLPolicy(net, catalog, policy_net)
         sim = make_simulator(net, catalog, make_flow_specs([1.0]))
         sim.run(policy)
-        fresh = policy.fresh()
+        fresh = CentralDRLPolicy(net, catalog, policy.policy)
         assert fresh.policy is not policy.policy
         assert fresh.policy.certified_workspace is not None
         for ours, theirs in zip(fresh.policy.actor.parameters, policy_net.actor.parameters):

@@ -28,12 +28,3 @@ class TestRandomPolicy:
         sim = make_simulator(net, catalog, list(flows), horizon=100.0)
         metrics = sim.run(RandomPolicy(net, seed=0))
         assert metrics.drop_reasons.get("invalid_action", 0) > 0
-
-    def test_valid_only_never_hits_dummies(self):
-        net = star_network(4, node_capacity=5.0, link_capacity=5.0)
-        catalog = make_simple_catalog()
-        flows = make_flow_specs([float(t) for t in range(1, 40)],
-                                ingress="v2", egress="v5", deadline=20.0)
-        sim = make_simulator(net, catalog, list(flows), horizon=100.0)
-        metrics = sim.run(RandomPolicy(net, seed=0, valid_only=True))
-        assert metrics.drop_reasons.get("invalid_action", 0) == 0

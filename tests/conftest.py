@@ -137,17 +137,17 @@ def record_peaks(state: NetworkState) -> LoadPeaks:
         return allocate_and_record
 
     state.allocate_node_id = recording(  # type: ignore[method-assign]
-        state.allocate_node_id, peaks.node, state.node_loads
+        state.allocate_node_id, peaks.node, state._node_loads
     )
     state.allocate_link_id = recording(  # type: ignore[method-assign]
-        state.allocate_link_id, peaks.link, state.link_loads
+        state.allocate_link_id, peaks.link, state._link_loads
     )
     return peaks
 
 
 def link_load(state: NetworkState, u: str, v: str) -> float:
     """Current data rate on the undirected link (u, v)."""
-    return float(state.link_loads[state.network.link_index[link_key(u, v)]])
+    return float(state._link_loads[state.network.link_index[link_key(u, v)]])
 
 
 @pytest.fixture
@@ -178,7 +178,7 @@ def make_env_config(
     each episode's simulator right after it draws the traffic, so every
     simulator built from this config sweeps its invariants (tests always
     verify state)."""
-    service = catalog.services[0].name
+    service = next(iter(catalog._services))
     egress = network.egress[0]
 
     def traffic_factory(rng: np.random.Generator):

@@ -62,11 +62,18 @@ def build_parts(
     )
 
 
+def chain_progress(flow: Flow) -> float:
+    """Chain progress ``p̂_f ∈ [0, 1]``: the share of the chain traversed."""
+    if flow.component_index is None:
+        return 1.0
+    return flow.component_index / flow.chain_length
+
+
 def _flow_attributes(flow: Flow, now: float) -> np.ndarray:
     """F_f = <p̂_f, τ̂_f>: chain progress and remaining time over the
     deadline, clipped at 0."""
     return np.array(
-        [flow.progress, max(0.0, flow.remaining_time(now) / flow.deadline)],
+        [chain_progress(flow), max(0.0, flow.remaining_time(now) / flow.deadline)],
         dtype=np.float64,
     )
 

@@ -140,13 +140,13 @@ class TestRepeatedSeedTelemetry:
 
 class TestSuite:
     def test_builds_all_four_algorithms(self, suite):
-        assert set(suite.factories) == set(ALL_ALGORITHMS)
+        assert set(suite.factories_for(suite.env_config)) == set(ALL_ALGORITHMS)
         assert suite.coordinator is not None
         assert suite.central is not None
 
     def test_compare_returns_results(self, suite):
-        results = suite.compare(eval_seeds=(5,), algorithms=(SP, GCASP))
-        assert set(results) == {SP, GCASP}
+        results = suite.compare(eval_seeds=(5,))
+        assert list(results) == list(ALL_ALGORITHMS)
         assert all(isinstance(r, AlgorithmResult) for r in results.values())
 
     def test_factories_for_other_scenario_redeploys(self, suite, scenario):
@@ -175,9 +175,8 @@ class TestSuite:
             )
 
     def test_factories_for_same_scenario_is_identity(self, suite):
-        """On the training scenario ``factories_for`` is what ``factories``
-        and ``compare`` deploy — there is no second construction."""
-        assert list(suite.factories) == list(suite.factories_for(suite.env_config))
+        """On the training scenario ``factories_for`` is what ``compare``
+        deploys — there is no second construction."""
         self._assert_factories_match_compare(suite, suite.env_config)
 
     def test_factories_for_other_scenario_match_compare(self, suite):
@@ -186,5 +185,5 @@ class TestSuite:
 
     def test_subset_include(self, scenario):
         subset = build_algorithm_suite(scenario, TINY, include=(SP, GCASP))
-        assert set(subset.factories) == {SP, GCASP}
+        assert set(subset.factories_for(scenario)) == {SP, GCASP}
         assert subset.coordinator is None

@@ -1,11 +1,21 @@
 """Tests for the K-FAC natural-gradient optimiser."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.nn.kfac import KFAC
+from repro.nn import kfac as kfac_module
+from repro.nn.kfac import DAMPING, INVERSION_INTERVAL, KFAC, KL_CLIP, STAT_DECAY
 from repro.nn.mlp import MLP
-from repro.nn.optim import clip_grads_by_norm
+from repro.nn.optim import MAX_GRAD_NORM, clip_grads_by_norm
+
+
+def set_coefficients(monkeypatch, **values):
+    """Give K-FAC's module constants (``KL_CLIP=...``) other values for
+    one test; :class:`KFAC` reads them when a step uses them."""
+    for name, value in values.items():
+        monkeypatch.setattr(kfac_module, name, value)
 
 
 class ReferenceKFAC:
@@ -15,8 +25,9 @@ class ReferenceKFAC:
     bitwise — its buffer reuse is an allocation strategy, not a change of
     math."""
 
-    def __init__(self, model, lr=0.25, kl_clip=0.001, damping=0.01,
-                 stat_decay=0.95, inversion_interval=10, max_grad_norm=0.5):
+    def __init__(self, model, lr=0.25, kl_clip=KL_CLIP, damping=DAMPING,
+                 stat_decay=STAT_DECAY, inversion_interval=INVERSION_INTERVAL,
+                 max_grad_norm=MAX_GRAD_NORM):
         self.model = model
         self.lr = lr
         self.kl_clip = kl_clip
@@ -53,8 +64,7 @@ class ReferenceKFAC:
 
     def step(self, grads):
         grads = [g.copy() for g in grads]
-        if self.max_grad_norm is not None:
-            clip_grads_by_norm(grads, self.max_grad_norm)
+        clip_grads_by_norm(grads, self.max_grad_norm)
         if self._steps % self.inversion_interval == 0:
             self._refresh_inverses()
         self._steps += 1
@@ -105,15 +115,12 @@ class TestKFACMechanics:
         mlp = MLP(3, [4], 2, rng=0)
         with pytest.raises(ValueError):
             KFAC(mlp, lr=0.0)
-        with pytest.raises(ValueError):
-            KFAC(mlp, kl_clip=-1.0)
-        with pytest.raises(ValueError):
-            KFAC(mlp, stat_decay=1.0)
 
-    def test_trust_region_scale_in_unit_interval(self):
+    def test_trust_region_scale_in_unit_interval(self, monkeypatch):
+        set_coefficients(monkeypatch, KL_CLIP=1e-4)
         rng = np.random.default_rng(1)
         mlp = MLP(4, [8], 3, rng=0)
-        kfac = KFAC(mlp, lr=0.5, kl_clip=1e-4)
+        kfac = KFAC(mlp, lr=0.5)
         x = rng.normal(size=(16, 4))
         target = rng.normal(size=(16, 3))
         out = mlp.forward(x)
@@ -136,10 +143,11 @@ class TestKFACMechanics:
 
 
 class TestKFACOptimisation:
-    def test_regression_loss_decreases(self):
+    def test_regression_loss_decreases(self, monkeypatch):
+        set_coefficients(monkeypatch, KL_CLIP=0.01)
         rng = np.random.default_rng(3)
         mlp = MLP(5, [16], 2, rng=4)
-        kfac = KFAC(mlp, lr=0.2, kl_clip=0.01)
+        kfac = KFAC(mlp, lr=0.2)
         x = rng.normal(size=(64, 5))
         true_w = rng.normal(size=(5, 2))
         target = x @ true_w
@@ -148,13 +156,16 @@ class TestKFACOptimisation:
             f"K-FAC failed to fit a linear map: {losses[0]:.4f} -> {losses[-1]:.4f}"
         )
 
-    def test_preconditioning_differs_from_raw_gradient(self):
+    def test_preconditioning_differs_from_raw_gradient(self, monkeypatch):
         """With anisotropic input statistics the K-FAC step must differ in
         direction from the raw gradient step."""
+        set_coefficients(
+            monkeypatch, KL_CLIP=1e6, DAMPING=1e-3, MAX_GRAD_NORM=math.inf,
+            INVERSION_INTERVAL=1,
+        )
         rng = np.random.default_rng(5)
         mlp = MLP(4, [], 2, rng=6)  # single linear layer
-        kfac = KFAC(mlp, lr=1.0, kl_clip=1e6, damping=1e-3,
-                    max_grad_norm=None, inversion_interval=1)
+        kfac = KFAC(mlp, lr=1.0)
         # Strongly anisotropic inputs.
         x = rng.normal(size=(256, 4)) * np.array([10.0, 1.0, 0.1, 0.01])
         target = rng.normal(size=(256, 2))
@@ -171,20 +182,17 @@ class TestKFACOptimisation:
 
 
 class TestKFACExactness:
-    def test_updates_bitwise_match_reference(self):
+    def test_updates_bitwise_match_reference(self, monkeypatch):
         """The scratch-buffer KFAC must be bitwise identical to the naive
         allocate-per-call reference across many steps, including an
         inversion-interval boundary."""
-        hyper = dict(
-            lr=0.25, kl_clip=0.001, damping=0.01, stat_decay=0.95,
-            inversion_interval=5, max_grad_norm=0.5,
-        )
+        set_coefficients(monkeypatch, INVERSION_INTERVAL=5)
         fast_mlp = MLP(4, [8], 3, rng=0)
         ref_mlp = MLP(4, [8], 3, rng=0)
         for a, b in zip(fast_mlp.parameters, ref_mlp.parameters):
             assert np.array_equal(a, b)
-        fast = KFAC(fast_mlp, **hyper)
-        ref = ReferenceKFAC(ref_mlp, **hyper)
+        fast = KFAC(fast_mlp, lr=0.25)
+        ref = ReferenceKFAC(ref_mlp, lr=0.25, inversion_interval=5)
 
         rng = np.random.default_rng(7)
         for it in range(12):  # crosses the interval-5 refresh twice
@@ -212,12 +220,13 @@ class TestKFACExactness:
             for li, (a, b) in enumerate(zip(fast._G, ref._G)):
                 assert np.array_equal(a, b), f"G factor {li} diverged at {it}"
 
-    def test_step_does_not_mutate_caller_gradients(self):
+    def test_step_does_not_mutate_caller_gradients(self, monkeypatch):
         """step() clips into its scratch buffers, never the caller arrays."""
+        # Tiny clip norm guarantees clipping actually rescales.
+        set_coefficients(monkeypatch, MAX_GRAD_NORM=1e-3)
         rng = np.random.default_rng(9)
         mlp = MLP(4, [8], 3, rng=0)
-        # Tiny clip norm guarantees clipping actually rescales.
-        kfac = KFAC(mlp, max_grad_norm=1e-3)
+        kfac = KFAC(mlp)
         x = rng.normal(size=(16, 4))
         out = mlp.forward(x)
         mlp.backward(rng.normal(size=out.shape))
@@ -231,12 +240,13 @@ class TestKFACExactness:
 
 
 class TestInversionInterval:
-    def test_interval_longer_than_run_inverts_once(self):
-        """With inversion_interval beyond the step count, the first step
+    def test_interval_longer_than_run_inverts_once(self, monkeypatch):
+        """With INVERSION_INTERVAL beyond the step count, the first step
         computes the factor inverses and every later step reuses them."""
+        set_coefficients(monkeypatch, INVERSION_INTERVAL=1000)
         rng = np.random.default_rng(11)
         mlp = MLP(4, [8], 3, rng=0)
-        kfac = KFAC(mlp, inversion_interval=1000)
+        kfac = KFAC(mlp)
         x = rng.normal(size=(16, 4))
         fit_step(mlp, kfac, x, rng.normal(size=(16, 3)))
         first_ids = [id(a) for a in kfac._A_inv] + [id(g) for g in kfac._G_inv]
@@ -246,11 +256,12 @@ class TestInversionInterval:
         later_ids = [id(a) for a in kfac._A_inv] + [id(g) for g in kfac._G_inv]
         assert later_ids == first_ids, "inverses were recomputed mid-interval"
 
-    def test_grad_norm_recorded_pre_clip(self):
+    def test_grad_norm_recorded_pre_clip(self, monkeypatch):
         """last_grad_norm is the global norm *before* clipping."""
+        set_coefficients(monkeypatch, MAX_GRAD_NORM=1e-3)  # clipping always fires
         rng = np.random.default_rng(13)
         mlp = MLP(4, [8], 3, rng=0)
-        kfac = KFAC(mlp, max_grad_norm=1e-3)  # small: clipping always fires
+        kfac = KFAC(mlp)
         x = rng.normal(size=(16, 4))
         out = mlp.forward(x)
         mlp.backward(rng.normal(size=out.shape))

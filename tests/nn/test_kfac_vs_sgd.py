@@ -7,8 +7,12 @@ magnitude and checks K-FAC fits it dramatically faster than plain SGD at
 its best stable learning rate.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 
+from repro.nn import kfac as kfac_module
 from repro.nn.kfac import KFAC
 from repro.nn.mlp import MLP
 
@@ -44,14 +48,17 @@ def train_kfac(x, y, steps):
     # The KL trust region is a policy-gradient safeguard; for pure
     # regression it only throttles, so it is effectively disabled here to
     # isolate the preconditioning effect.
-    kfac = KFAC(mlp, lr=1.0, kl_clip=1e9, damping=1e-6,
-                stat_decay=0.9, inversion_interval=1, max_grad_norm=None)
-    for _ in range(steps):
-        out = mlp.forward(x)
-        mlp.backward(rng.normal(size=out.shape))
-        kfac.update_stats()
-        mlp.backward((out - y) / x.shape[0])
-        kfac.step(mlp.gradients)
+    kfac = KFAC(mlp, lr=1.0)
+    with mock.patch.multiple(
+        kfac_module, KL_CLIP=1e9, DAMPING=1e-6, STAT_DECAY=0.9,
+        INVERSION_INTERVAL=1, MAX_GRAD_NORM=math.inf,
+    ):
+        for _ in range(steps):
+            out = mlp.forward(x)
+            mlp.backward(rng.normal(size=out.shape))
+            kfac.update_stats()
+            mlp.backward((out - y) / x.shape[0])
+            kfac.step(mlp.gradients)
     return loss_of(mlp, x, y)
 
 

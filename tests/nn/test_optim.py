@@ -44,7 +44,7 @@ class TestMechanics:
     @pytest.mark.parametrize("cls,kwargs", [
         (SGD, {"lr": 0.0}),
         (SGD, {"lr": 0.1, "momentum": 1.0}),
-        (RMSprop, {"lr": 0.1, "decay": 0.0}),
+        (RMSprop, {"lr": 0.0}),
     ])
     def test_invalid_hyperparameters(self, cls, kwargs):
         with pytest.raises(ValueError):

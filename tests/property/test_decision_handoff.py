@@ -54,7 +54,7 @@ def run(network, catalog, flows, action_seed, sanitize=False):
         decisions.append((decision.time, decision.flow.flow_id, decision.node))
         # Mostly valid actions, so flows live long enough to interleave;
         # every tenth or so points past the action space's populated part.
-        valid = network.degree_of(decision.node) + 1
+        valid = len(network.neighbors(decision.node)) + 1
         action = int(rng.integers(valid))
         if rng.random() < 0.1:
             action = network.degree

@@ -89,7 +89,7 @@ def test_padding_consistent_at_every_node(action_seed):
     rng = np.random.default_rng(action_seed)
     while (decision := sim.next_decision()) is not None:
         parts = build_parts(adapter, decision, sim)
-        n_neighbors = network.degree_of(decision.node)
+        n_neighbors = len(network.neighbors(decision.node))
         pad = network.degree - n_neighbors
         assert np.sum(parts.link_utilization == -1.0) >= pad
         assert list(parts.delays_to_egress[n_neighbors:]) == [-1.0] * pad

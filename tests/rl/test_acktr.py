@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.invariants import invariants_enabled
 from repro.core.trainer import CoordinationEnvBuilder
+from repro.nn import kfac as kfac_module
 from repro.nn.mlp import fused_backward_is_exact
 from repro.parallel import CountingEnvFactory
 from repro.rl import acktr
@@ -24,11 +25,11 @@ class TestACKTRConfig:
         trainer = _bandit_trainer()
         for kfac in (trainer.actor_kfac, trainer.critic_kfac):
             assert kfac.lr == 0.25
-            assert kfac.kl_clip == 0.001
-            assert kfac.max_grad_norm == 0.5
-            assert (kfac.damping, kfac.stat_decay, kfac.inversion_interval) == (
-                0.01, 0.95, 10
-            )
+        assert kfac_module.KL_CLIP == 0.001
+        assert kfac_module.MAX_GRAD_NORM == 0.5
+        assert (
+            kfac_module.DAMPING, kfac_module.STAT_DECAY, kfac_module.INVERSION_INTERVAL
+        ) == (0.01, 0.95, 10)
 
     def test_validation(self):
         with pytest.raises(ValueError):

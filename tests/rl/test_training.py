@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.rl.acktr import ACKTRConfig
+from repro.rl.a2c import A2CConfig, A2CTrainer
+from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.training import evaluate_policy, train_multi_seed
 
@@ -53,21 +54,27 @@ class TestTrainMultiSeed:
         assert result.best.mean_episode_reward == best_reward
         assert result.best_policy is result.best.policy
 
-    def test_a2c_algorithm_choice(self):
-        result = train_multi_seed(
-            BanditBuilder(),
-            config=ACKTRConfig(learning_rate=0.003, n_steps=10, n_envs=2),
-            seeds=(0,),
-            updates_per_seed=5,
-            algorithm="a2c",
-        )
-        assert len(result.results) == 1
+    def test_a2c_algorithm_choice(self, monkeypatch):
+        """The config's type picks the trainer: a plain A2CConfig trains
+        with A2CTrainer, an ACKTRConfig with ACKTRTrainer."""
+        built = []
+        init = A2CTrainer.__init__
 
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            train_multi_seed(
-                BanditBuilder(), seeds=(0,), algorithm="ppo"
+        def spy(trainer, *args, **kwargs):
+            built.append(type(trainer))
+            init(trainer, *args, **kwargs)
+
+        monkeypatch.setattr(A2CTrainer, "__init__", spy)
+        for config in (
+            A2CConfig(learning_rate=0.003, n_steps=10, n_envs=2),
+            ACKTRConfig(n_steps=10, n_envs=2),
+        ):
+            result = train_multi_seed(
+                BanditBuilder(), config=config, seeds=(0,), updates_per_seed=5,
+                workers=1,
             )
+            assert len(result.results) == 1
+        assert built == [A2CTrainer, ACKTRTrainer]
 
     @pytest.mark.parametrize("eval_episodes", [0, -3])
     def test_eval_episodes_below_one_rejected(self, eval_episodes):

@@ -21,14 +21,6 @@ class TestComponent:
         assert c.resources(1.5) == 3.0
         assert c.resources(0.0) == 0.0
 
-    def test_custom_resource_fn(self):
-        c = Component("fw", resource_fn=lambda rate: rate**2 + 1)
-        assert c.resources(2.0) == 5.0
-
-    def test_resource_fn_overrides_coefficient(self):
-        c = Component("fw", resource_coefficient=100.0, resource_fn=lambda r: r)
-        assert c.resources(1.0) == 1.0
-
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="data rate"):
             Component("fw").resources(-1.0)

@@ -25,6 +25,8 @@ import pytest
 from repro.rl.policy import ActorCriticPolicy
 from repro.serving import ServingConfig, ServingEngine
 
+from tests.rl.reference_policy import act
+
 OBS_DIM = 12
 NUM_ACTIONS = 5
 
@@ -72,10 +74,10 @@ def flush_all(engine):
 
 
 def serial_actions(policy, observations):
-    """The serial reference: one greedy policy.act call per observation."""
+    """The serial reference: one greedy allocating ``act`` per observation."""
     actions = []
     for row in observations:
-        a, _, _ = policy.act(row[None, :], np.random.default_rng(0), deterministic=True)
+        a, _, _ = act(policy, row[None, :], np.random.default_rng(0), deterministic=True)
         actions.append(int(a[0]))
     return actions
 
@@ -202,14 +204,14 @@ class TestHotSwap:
     def test_staging_twice_keeps_latest(self):
         engine = make_engine(max_batch=4)
         middle, latest = make_policy(rng=5), make_policy(rng=6)
-        engine.install(middle, version=10)
-        engine.install(latest, version=20)
+        engine.install(middle)
+        engine.install(latest)
         for row in make_obs(4):
             engine.submit(row)
         decisions = engine.flush()
         assert engine.policy is latest
-        assert engine.policy_version == 20
-        assert {d.policy_version for d in decisions} == {20}
+        assert engine.policy_version == 1
+        assert {d.policy_version for d in decisions} == {1}
         assert engine.stats.swaps == 1
 
     @pytest.mark.parametrize("dtype", ["f64", "f32"])
@@ -316,17 +318,27 @@ class TestHotSwap:
         assert all(len(v) == 1 for v in by_flush.values())
 
     def test_install_from_a_real_thread(self):
-        """A trainer thread stages K versioned installs while this thread
-        submits and polls: every request is answered once, versions never
-        go back, and the last staged version is the one left applied."""
+        """A trainer thread stages K installs while this thread submits
+        and polls: every request is answered once, versions go up by one
+        per applied swap, and the last staged policy is the one left
+        applied."""
         installs, requests = 40, 400
         policies = [make_policy(rng=seed) for seed in range(4)]
         engine = make_engine(policy=policies[0], max_batch=4, queue_capacity=requests)
         obs = make_obs(requests)
+        # The policy each version names, recorded as each swap is applied.
+        applied = {0: engine.policy}
+        apply_staged_swap = engine._apply_staged_swap
+
+        def recording_apply():
+            apply_staged_swap()
+            applied[engine.policy_version] = engine.policy
+
+        engine._apply_staged_swap = recording_apply
 
         def trainer():
-            for version in range(1, installs + 1):
-                engine.install(policies[version % len(policies)], version=version)
+            for index in range(1, installs + 1):
+                engine.install(policies[index % len(policies)])
                 time.sleep(0)
 
         thread = threading.Thread(target=trainer)
@@ -348,12 +360,14 @@ class TestHotSwap:
         assert [d.request_id for d in served] == list(range(requests + 1))
         versions = [d.policy_version for d in served]
         assert versions == sorted(versions)
-        assert versions[-1] == engine.policy_version == installs
+        assert versions[-1] == engine.policy_version == engine.stats.swaps
+        assert sorted(applied) == list(range(engine.stats.swaps + 1))
+        assert 1 <= engine.stats.swaps <= installs
         assert engine.policy is policies[installs % len(policies)]
         # Each answer comes from the policy its version names.
         rows = np.vstack([obs, obs[:1]])
         for d in served:
-            policy = policies[d.policy_version % len(policies)]
+            policy = applied[d.policy_version]
             assert [d.action] == serial_actions(policy, rows[d.request_id:d.request_id + 1])
 
 

@@ -140,7 +140,9 @@ class TestCancellationAccounting:
     def test_push_already_cancelled_event_not_counted(self):
         q = EventQueue()
         q.push(ev(2.0, "kept"))
-        q.push(Event(1.0, EventKind.DECISION, "dead", cancelled=True))
+        dead = Event(1.0, EventKind.DECISION, "dead")
+        dead.cancelled = True
+        q.push(dead)
         assert len(q) == 1
         assert q.pop().payload == "kept"
         assert len(q) == 0

@@ -96,8 +96,8 @@ class TestScalarAccountingIsTheArrayArithmetic:
                 else:
                     held.append((kind, i, amount, allocate[kind](i, amount, step)))
                     loads[kind][i] += amount
-            assert state.node_loads.tobytes() == loads["node"].tobytes()
-            assert state.link_loads.tobytes() == loads["link"].tobytes()
+            assert state._node_loads.tobytes() == loads["node"].tobytes()
+            assert state._link_loads.tobytes() == loads["link"].tobytes()
         assert refused > 100 and held
 
     def test_allocation_record_names_the_slot(self, state):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -116,6 +118,34 @@ class TestTopologyCommand:
         out = capsys.readouterr().out
         assert "11 nodes, 14 links" in out
         assert "v8" in out
+
+    @pytest.mark.parametrize(
+        "argv, first_line, digest",
+        [
+            ([], "== Table I: Real-world network topologies ==",
+             "5fa1a763af1327b0b037678d39081aae28fde95756e8cd101b209fa0e2db395d"),
+            (["--name", "Abilene"],
+             "Abilene: 11 nodes, 14 links, degree 2/3/2.55, diameter 7.45",
+             "0b454e63490091d8c47c1f7495aa285a1cf1870ff563902d1b2997221c2c04d7"),
+            (["--name", "BT Europe"],
+             "BT Europe: 24 nodes, 37 links, degree 1/13/3.08, diameter 22.08",
+             "d8ae91a468915c160bff09cdde92dc366350aa181550b524c9ab2a88a4aabded"),
+            (["--name", "China Telecom"],
+             "China Telecom: 42 nodes, 66 links, degree 1/20/3.14, diameter 30.73",
+             "58df7beec352dacdc1a6160241593ca2a1a5aa18909fd3986e03a898614b5a3c"),
+            (["--name", "Interroute"],
+             "Interroute: 110 nodes, 158 links, degree 1/7/2.87, diameter 36.33",
+             "367db0d2889062ac44ba0ed9a00db61739a8764e0c199b691e8ea63fea582f78"),
+        ],
+        ids=["table", "Abilene", "BT Europe", "China Telecom", "Interroute"],
+    )
+    def test_output_is_pinned(self, argv, first_line, digest, capsys):
+        """The whole printout, byte for byte: the table, and per topology
+        its unit capacities and each node's neighbours."""
+        assert main(["topology", *argv]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == first_line
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 class TestEvaluateCommand:
@@ -311,7 +341,13 @@ class TestBadArguments:
     def test_serving_config_the_engine_refuses(self, capsys):
         argv = ["serve-bench", "--queue-capacity", "4", "--serve-batch", "32"]
         err = self._usage_error(argv, capsys)
-        assert err == "repro: error: queue_capacity (4) must be >= max_batch (32)"
+        assert err == "repro: error: --queue-capacity (4) must be >= --serve-batch (32)"
+
+    def test_a_deadline_too_small_for_seconds_names_the_flag(self, capsys):
+        """1e-321 ms passes the flag's > 0 check but is 0.0 in seconds."""
+        argv = ["serve-bench", "--serve-deadline-ms", "1e-321"]
+        err = self._usage_error(argv, capsys)
+        assert err == "repro: error: --serve-deadline-ms / 1000 must be > 0, got 0.0"
 
     @pytest.mark.parametrize("command", ["evaluate", "serve-bench"])
     def test_policy_for_another_observation_size(self, tmp_path, capsys, command):

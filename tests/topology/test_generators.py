@@ -28,7 +28,7 @@ class TestRing:
         net = ring_network(6)
         assert net.num_nodes == 6
         assert net.num_links == 6
-        assert all(net.degree_of(n) == 2 for n in net.node_names)
+        assert all(len(net.neighbors(n)) == 2 for n in net.node_names)
 
     def test_two_disjoint_routes(self):
         net = ring_network(6)
@@ -45,8 +45,8 @@ class TestStar:
         net = star_network(5)
         assert net.num_nodes == 6
         assert net.degree == 5
-        assert net.degree_of("v1") == 5
-        assert all(net.degree_of(f"v{i}") == 1 for i in range(2, 7))
+        assert len(net.neighbors("v1")) == 5
+        assert all(len(net.neighbors(f"v{i}")) == 1 for i in range(2, 7))
 
     def test_leaf_to_leaf_via_hub(self):
         net = star_network(4)
@@ -71,7 +71,7 @@ class TestGrid:
 
     def test_corner_degree(self):
         net = grid_network(2, 2)
-        assert all(net.degree_of(n) == 2 for n in net.node_names)
+        assert all(len(net.neighbors(n)) == 2 for n in net.node_names)
 
     def test_rejects_single_node(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,6 @@ import pytest
 
 from repro.topology.zoo import (
     TOPOLOGY_NAMES,
-    abilene,
-    bt_europe,
-    china_telecom,
-    interroute,
     table1_stats,
     topology_by_name,
     topology_layout,
@@ -39,9 +35,11 @@ def test_topologies_are_connected(name):
     assert is_connected(topology_by_name(name))
 
 
-@pytest.mark.parametrize("factory", [abilene, bt_europe, china_telecom, interroute])
-def test_reconstruction_is_deterministic(factory):
-    first, second = factory(), factory()
+@pytest.mark.parametrize(
+    "name", TOPOLOGY_NAMES, ids=["abilene", "bt_europe", "china_telecom", "interroute"]
+)
+def test_reconstruction_is_deterministic(name):
+    first, second = topology_by_name(name), topology_by_name(name)
     assert first.node_names == second.node_names
     assert {l.key for l in first.links} == {l.key for l in second.links}
     assert [l.delay for l in first.links] == [l.delay for l in second.links]
@@ -72,11 +70,19 @@ def test_layout_is_the_factory_network_without_capacities(name):
     assert [delay for _, _, delay in layout.links] == [link.delay for link in net.links]
 
 
+def abilene(ingress=("v1",), node_capacity=lambda name: 1.0,
+            link_capacity=lambda u, v: 1.0):
+    """The Abilene backbone with egress v8, unit capacities by default."""
+    return topology_layout("Abilene").network(
+        node_capacity, link_capacity, ingress, ("v8",)
+    )
+
+
 class TestAbilene:
     def test_deadline_regime(self):
         """Fig. 7 calibration: with 3x 5ms components, the best case from
         either base ingress exceeds 20ms but stays under 30ms."""
-        net = abilene(ingress=["v1", "v2"], egress=["v8"])
+        net = abilene(ingress=["v1", "v2"])
         for ingress in ("v1", "v2"):
             path_delay = net.shortest_path_delay(ingress, "v8")
             assert 5.0 < path_delay < 15.0
@@ -107,7 +113,7 @@ class TestAbilene:
         assert all(net.node(n).position is not None for n in net.node_names)
 
     def test_custom_endpoints(self):
-        net = abilene(ingress=["v1", "v2", "v3"], egress=["v8"])
+        net = abilene(ingress=["v1", "v2", "v3"])
         assert net.ingress == ("v1", "v2", "v3")
         assert net.egress == ("v8",)
 
@@ -116,15 +122,15 @@ class TestReconstructions:
     def test_china_telecom_is_skewed(self):
         """The paper highlights this network's degree skew: a 20-neighbor
         hub in a 42-node graph."""
-        net = china_telecom()
+        net = topology_by_name("China Telecom")
         assert net.degree == 20
         assert net.avg_degree < 3.2
 
     def test_reconstruction_has_leaf(self):
-        for factory in (bt_europe, china_telecom, interroute):
-            assert factory().min_degree == 1
+        for name in ("BT Europe", "China Telecom", "Interroute"):
+            assert topology_by_name(name).min_degree == 1
 
     def test_distinct_seeds_give_distinct_graphs(self):
-        bt = bt_europe()
-        ct = china_telecom()
+        bt = topology_by_name("BT Europe")
+        ct = topology_by_name("China Telecom")
         assert {l.key for l in bt.links} != {l.key for l in ct.links}

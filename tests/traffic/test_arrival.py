@@ -104,11 +104,6 @@ class TestRateFunctionArrival:
         times = arrivals_until(proc, 1000.0)
         assert not [t for t in times if 100 <= t < 200]
 
-    def test_horizon_exhausts(self):
-        proc = RateFunctionArrival(lambda t: 1.0, max_rate=1.0, rng=0, horizon=10.0)
-        assert all(t <= 10.0 for t in arrivals_until(proc, 100.0))
-        assert proc.next_arrival(10.0) is None
-
     def test_rate_above_bound_rejected(self):
         proc = RateFunctionArrival(lambda t: 2.0, max_rate=1.0, rng=0)
         with pytest.raises(ValueError, match="outside"):

@@ -6,6 +6,8 @@ import pytest
 
 from repro.traffic.flows import Flow, FlowSpec, FlowStatus
 
+from tests.core.reference_observation import chain_progress
+
 
 def spec(**kwargs) -> FlowSpec:
     defaults = dict(
@@ -58,7 +60,7 @@ class TestFlowLifecycle:
         assert f.component_index == 0
         assert f.current_node == "v1"
         assert not f.fully_processed
-        assert f.progress == 0.0
+        assert chain_progress(f) == 0.0
 
     def test_unique_ids(self):
         a, b = Flow(spec(), 1), Flow(spec(), 1)
@@ -72,15 +74,15 @@ class TestFlowLifecycle:
 
     def test_advance_component_progress(self):
         f = Flow(spec(), chain_length=2)
-        assert f.progress == 0.0
+        assert chain_progress(f) == 0.0
         f.advance_component()
         assert f.component_index == 1
-        assert f.progress == 0.5
+        assert chain_progress(f) == 0.5
         assert f.instances_traversed == 1
         f.advance_component()
         assert f.fully_processed
         assert f.component_index is None
-        assert f.progress == 1.0
+        assert chain_progress(f) == 1.0
 
     def test_advance_past_end_raises(self):
         f = Flow(spec(), chain_length=1)

@@ -2,12 +2,23 @@
 
 import pytest
 
+from repro.traffic import traces
 from repro.traffic.traces import (
     RateTrace,
     TraceArrival,
     synthetic_abilene_trace,
 )
 from tests.traffic.arrival_times import arrivals_until
+
+
+def mean_rate(trace):
+    """Time-weighted mean rate over the trace's sampled span."""
+    if len(trace.times) == 1:
+        return trace.rates[0]
+    total = 0.0
+    for i in range(len(trace.times) - 1):
+        total += trace.rates[i] * (trace.times[i + 1] - trace.times[i])
+    return total / (trace.times[-1] - trace.times[0])
 
 
 class TestRateTrace:
@@ -24,7 +35,7 @@ class TestRateTrace:
         trace = RateTrace((0.0, 10.0), (1.0, 3.0))
         assert trace.max_rate == 3.0
         # Only [0, 10) is sampled span; mean over it is rate[0].
-        assert trace.mean_rate == 1.0
+        assert mean_rate(trace) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -39,31 +50,34 @@ class TestRateTrace:
 
 class TestSyntheticTrace:
     def test_deterministic(self):
-        a = synthetic_abilene_trace(horizon=1000.0, seed=5)
-        b = synthetic_abilene_trace(horizon=1000.0, seed=5)
+        a = synthetic_abilene_trace(horizon=1000.0)
+        b = synthetic_abilene_trace(horizon=1000.0)
         assert a.times == b.times
         assert a.rates == b.rates
 
-    def test_different_seeds_differ(self):
-        a = synthetic_abilene_trace(horizon=1000.0, seed=1)
-        b = synthetic_abilene_trace(horizon=1000.0, seed=2)
+    def test_different_seeds_differ(self, monkeypatch):
+        monkeypatch.setattr(traces, "TRACE_SEED", 1)
+        a = synthetic_abilene_trace(horizon=1000.0)
+        monkeypatch.setattr(traces, "TRACE_SEED", 2)
+        b = synthetic_abilene_trace(horizon=1000.0)
         assert a.rates != b.rates
 
     def test_mean_rate_near_target(self):
-        trace = synthetic_abilene_trace(horizon=50000.0, mean_rate=0.1, seed=0)
+        trace = synthetic_abilene_trace(horizon=50000.0, mean_rate=0.1)
         # Diurnal + bursts + noise average out near (slightly above, because
         # bursts only multiply upward) the configured mean.
-        assert 0.08 < trace.mean_rate < 0.16
+        assert 0.08 < mean_rate(trace) < 0.16
 
-    def test_rates_nonnegative(self):
-        trace = synthetic_abilene_trace(horizon=5000.0, noise_std=1.0, seed=0)
+    def test_rates_nonnegative(self, monkeypatch):
+        monkeypatch.setattr(traces, "NOISE_STD", 1.0)
+        trace = synthetic_abilene_trace(horizon=5000.0)
         assert all(r >= 0.0 for r in trace.rates)
 
-    def test_has_bursts(self):
-        trace = synthetic_abilene_trace(
-            horizon=20000.0, burst_probability=0.1, burst_multiplier=3.0, seed=0
-        )
-        assert trace.max_rate > 2.0 * trace.mean_rate
+    def test_has_bursts(self, monkeypatch):
+        monkeypatch.setattr(traces, "BURST_PROBABILITY", 0.1)
+        monkeypatch.setattr(traces, "BURST_MULTIPLIER", 3.0)
+        trace = synthetic_abilene_trace(horizon=20000.0)
+        assert trace.max_rate > 2.0 * mean_rate(trace)
 
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
