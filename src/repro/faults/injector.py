@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.faults.schedule import FaultKind, FaultSchedule, FaultSpec
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import EventKind, EventQueue
 from repro.sim.state import NetworkState
 from repro.topology.network import Network
 
@@ -64,8 +64,8 @@ class FaultInjector:
     def schedule_into(self, queue: EventQueue) -> None:
         """Push one onset and one recovery event per fault spec."""
         for spec in self.schedule.specs:
-            queue.push(Event(spec.start, EventKind.FAULT, (spec, True)))
-            queue.push(Event(spec.end, EventKind.FAULT, (spec, False)))
+            queue.push(spec.start, EventKind.FAULT, (spec, True))
+            queue.push(spec.end, EventKind.FAULT, (spec, False))
 
     # ------------------------------------------------------------------
     # Queries (simulator guards)

@@ -1,7 +1,7 @@
 """Flow-level discrete-event simulator (coord-sim equivalent)."""
 
 from repro.sim.config import SimulationConfig
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import EventKind, EventQueue
 from repro.sim.metrics import DropReason, MetricsCollector, SimulationMetrics
 from repro.sim.simulator import (
     ACTION_PROCESS_LOCALLY,
@@ -14,7 +14,6 @@ from repro.sim.state import Allocation, CapacityError, InstanceState, NetworkSta
 
 __all__ = [
     "SimulationConfig",
-    "Event",
     "EventKind",
     "EventQueue",
     "DropReason",

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import time as _time
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum, auto
 from typing import (
+    Any,
     Callable,
     DefaultDict,
     Dict,
@@ -53,7 +53,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultKind, FaultSpec
 from repro.services.service import ServiceCatalog
 from repro.sim.config import SimulationConfig
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import EventKind, EventQueue
 from repro.sim.metrics import DropReason, MetricsCollector, SimulationMetrics
 from repro.sim.state import Allocation, CapacityError, NetworkState
 from repro.telemetry import NULL_RECORDER, Recorder
@@ -145,18 +145,13 @@ _LINK_TRAVERSED = OutcomeKind.LINK_TRAVERSED
 _FLOW_KEPT = OutcomeKind.FLOW_KEPT
 
 
-@dataclass(slots=True)
-class _Residence:
-    """Tracks a flow currently resident in an instance (for drop cleanup)."""
-
-    node: str
-    component: str
-    done_event: Event
-    release_event: Event
-
-
 class Simulator:
     """The stepped flow-level simulator.
+
+    Events wait on one :class:`EventQueue`, and each pops in its turn.  A
+    flow that succeeds or is dropped frees what it holds at once; the
+    events it left queued fall through handlers that ignore a finished
+    flow or a released allocation.
 
     Args:
         network: Substrate topology (capacities, delays, ingress/egress).
@@ -206,8 +201,9 @@ class Simulator:
         self._pending: Optional[DecisionPoint] = None
         self._outcomes: List[Outcome] = []
         self._allocations: DefaultDict[int, List[Allocation]] = defaultdict(list)
-        self._residences: Dict[int, _Residence] = {}
-        self._expiry_events: Dict[int, Event] = {}
+        # Per resident flow, the ``(node, component)`` instance processing
+        # it (for drop cleanup).
+        self._residences: Dict[int, Tuple[str, str]] = {}
         self._active_flows: Dict[int, Flow] = {}
         # Tail-leave sentinels still in flight for instances that a node
         # outage force-evicted: each pending sentinel for (node, component)
@@ -242,15 +238,16 @@ class Simulator:
         horizon = self.config.horizon
         sanitize = self._sanitize
         while True:
-            event = pop_due(horizon)
-            if event is None:
+            entry = pop_due(horizon)
+            if entry is None:
                 return None
+            time, _, kind, payload, node = entry
             if sanitize:
-                check(event.time >= self.now,
+                check(time >= self.now,
                       "event time moved backwards (monotonicity broken)",
-                      event_time=event.time, now=self.now, kind=event.kind.name)
-            self.now = event.time
-            self._dispatch(event)
+                      event_time=time, now=self.now, kind=kind.name)
+            self.now = time
+            self._dispatch(kind, payload, node)
             if sanitize:
                 self._check_invariants()
             # Set either by a DECISION event or, when nothing else was due
@@ -372,14 +369,12 @@ class Simulator:
     def _check_invariants(self) -> None:
         """Sanitizer sweep run after every event when enabled.
 
-        Covers capacity conservation (:meth:`NetworkState.check_invariants`),
-        event-queue live-count consistency (:meth:`EventQueue.validate`),
+        Covers capacity conservation (:meth:`NetworkState.check_invariants`)
         and flow accounting: the simulator's active-flow table must agree
-        with the metrics counters, and every auxiliary table (residences,
-        expiry handles) may only reference active flows.
+        with the metrics counters, and the residence table may only
+        reference active flows.
         """
         self.state.check_invariants()
-        self._queue.validate()
         check(
             len(self._active_flows) == self.metrics.flows_active,
             "active-flow table disagrees with metrics flow accounting",
@@ -388,43 +383,39 @@ class Simulator:
             succeeded=self.metrics.flows_succeeded,
             dropped=self.metrics.flows_dropped,
         )
-        for table_name, table in (
-            ("residences", self._residences),
-            ("expiry_events", self._expiry_events),
-        ):
-            stale = [fid for fid in table if fid not in self._active_flows]
-            check(not stale, "auxiliary table references finished flows",
-                  table=table_name, flow_ids=stale)
+        stale = [fid for fid in self._residences if fid not in self._active_flows]
+        check(not stale, "residence table references finished flows",
+              flow_ids=stale)
 
     # ------------------------------------------------------------------
     # Event dispatch
     # ------------------------------------------------------------------
 
-    def _dispatch(self, event: Event) -> None:
+    def _dispatch(self, kind: EventKind, payload: Any, node: Optional[str]) -> None:
         # Branches ordered by observed event frequency (decisions dominate,
         # then link traffic and releases); dispatch order has no semantic
-        # effect since kinds are disjoint.
-        kind = event.kind
+        # effect since kinds are disjoint.  A finished flow's leftover
+        # events end here as no-ops: every flow handler returns early
+        # unless the flow is active, and releasing a released allocation
+        # does nothing.
         if kind is _DECISION:
-            flow: Flow = event.payload
-            if flow.status is _ACTIVE:
-                self._pending = DecisionPoint(self.now, flow, flow.current_node)
+            if payload.status is _ACTIVE:
+                self._pending = DecisionPoint(self.now, payload, payload.current_node)
         elif kind is _LINK_ARRIVAL:
-            self._link_arrival(event.payload, event.node)
+            self._link_arrival(payload, node)
         elif kind is _RELEASE_NODE or kind is _RELEASE_LINK:
-            self.state.release(event.payload)
+            self.state.release(payload)
         elif kind is _PROCESSING_DONE:
-            self._processing_done(event.payload)
+            self._processing_done(payload)
         elif kind is _INSTANCE_TIMEOUT:
-            self._instance_timeout(*event.payload)
+            self._instance_timeout(*payload)
         elif kind is _FLOW_INJECTION:
-            self._inject(event.payload)
+            self._inject(payload)
         elif kind is _FLOW_EXPIRY:
-            flow = event.payload
-            if flow.status is _ACTIVE:
-                self._drop(flow, DropReason.DEADLINE_EXPIRED)
+            if payload.status is _ACTIVE:
+                self._drop(payload, DropReason.DEADLINE_EXPIRED)
         elif kind is _FAULT:
-            self._apply_fault(*event.payload)
+            self._apply_fault(*payload)
         else:  # pragma: no cover - taxonomy is closed
             raise ValueError(f"unhandled event kind {kind}")
 
@@ -444,7 +435,7 @@ class Simulator:
                 f"t={self._last_injection_time}"
             )
         self._last_injection_time = spec.arrival_time
-        self._queue.push(Event(spec.arrival_time, _FLOW_INJECTION, spec))
+        self._queue.push(spec.arrival_time, _FLOW_INJECTION, spec)
 
     def _inject(self, spec: FlowSpec) -> None:
         # Keep exactly one future injection scheduled: lazy merge with the
@@ -458,9 +449,7 @@ class Simulator:
         flow = Flow(spec, chain_length=service.length, service=service)
         self._active_flows[flow.flow_id] = flow
         self.metrics.record_generated(flow)
-        self._expiry_events[flow.flow_id] = self._queue.push(
-            Event(spec.arrival_time + spec.deadline, _FLOW_EXPIRY, flow)
-        )
+        self._queue.push(spec.arrival_time + spec.deadline, _FLOW_EXPIRY, flow)
         if self.faults is not None and self.faults.node_is_failed(spec.ingress):
             # Injection at a dead ingress: the flow is generated (it
             # counts against the objective) but immediately lost.
@@ -479,7 +468,7 @@ class Simulator:
         if queue.has_due(now):
             # Other events share this instant: the decision queues up
             # behind them, as simultaneous events resolve in FIFO order.
-            queue.push(Event(now, _DECISION, flow))
+            queue.push(now, _DECISION, flow)
         else:
             # Nothing else can fire before the decision would be popped
             # again, so next_decision() returns it without the heap
@@ -495,17 +484,18 @@ class Simulator:
         )
 
     def _drop(self, flow: Flow, reason: str) -> None:
+        """Drop ``flow`` and free everything it still blocks at once (paper:
+        expiry "frees any currently blocked resources").  Its queued
+        events stay queued and become no-ops when popped (see
+        :meth:`_dispatch`)."""
         flow.mark_dropped(self.now, reason)
-        # Free everything the flow still blocks (paper: expiry "frees any
-        # currently blocked resources") and neutralise its future events.
         for allocation in self._allocations.pop(flow.flow_id, []):
             self.state.release(allocation)
         residence = self._residences.pop(flow.flow_id, None)
         if residence is not None:
-            residence.done_event.cancelled = True
-            residence.release_event.cancelled = True
-            self.state.instance_end_flow(residence.node, residence.component, self.now)
-            self._maybe_schedule_instance_timeout(residence.node, residence.component)
+            node, component = residence
+            self.state.instance_end_flow(node, component, self.now)
+            self._maybe_schedule_instance_timeout(node, component)
         self._finish(flow)
         self.metrics.record_drop(flow, reason)
         self._outcomes.append(
@@ -513,10 +503,9 @@ class Simulator:
         )
 
     def _finish(self, flow: Flow) -> None:
+        """Forget a flow that succeeded or was dropped; its pending
+        ``FLOW_EXPIRY`` fires later as a no-op."""
         self._active_flows.pop(flow.flow_id, None)
-        expiry = self._expiry_events.pop(flow.flow_id, None)
-        if expiry is not None:
-            expiry.cancelled = True
         self._allocations.pop(flow.flow_id, None)
 
     # ------------------------------------------------------------------
@@ -527,7 +516,7 @@ class Simulator:
         """Action 0 on a fully processed flow away from its egress: the flow
         waits one time step and the agent is queried again (small penalty)."""
         self._outcomes.append(Outcome(_FLOW_KEPT, self.now, flow.flow_id))
-        self._queue.push(Event(self.now + KEEP_DURATION, _DECISION, flow))
+        self._queue.push(self.now + KEEP_DURATION, _DECISION, flow)
 
     def _process_locally(self, flow: Flow, node: str) -> None:
         if self.faults is not None and self.faults.node_is_failed(node):
@@ -576,12 +565,10 @@ class Simulator:
 
         state.instance_begin_flow(node, name)
         push = self._queue.push
-        done_event = push(Event(done_time, _PROCESSING_DONE, flow))
-        release_event = push(Event(release_time, _RELEASE_NODE, allocation))
+        push(done_time, _PROCESSING_DONE, flow)
+        push(release_time, _RELEASE_NODE, allocation)
         self._allocations[flow_id].append(allocation)
-        self._residences[flow_id] = _Residence(
-            node, name, done_event, release_event
-        )
+        self._residences[flow_id] = (node, name)
 
     def _processing_done(self, flow: Flow) -> None:
         if flow.status is not _ACTIVE:
@@ -593,17 +580,14 @@ class Simulator:
                 "flow finished processing with no residence record",
                 flow_id=flow_id, node=flow.current_node,
             )
+        node, component = residence
         # The instance stays busy until the flow's tail leaves, one flow
         # duration from now: an INSTANCE_TIMEOUT event with the sentinel
         # due time -1 means "tail left; decrement busy and maybe arm the
         # idle timer".
         now = self.now
         self._queue.push(
-            Event(
-                now + flow.spec.duration,
-                _INSTANCE_TIMEOUT,
-                (residence.node, residence.component, -1.0),
-            )
+            now + flow.spec.duration, _INSTANCE_TIMEOUT, (node, component, -1.0)
         )
         flow.advance_component()
         self._outcomes.append(
@@ -633,9 +617,9 @@ class Simulator:
             return
         self._allocations[flow_id].append(allocation)
         now = self.now
-        push = self._queue.push
-        push(Event(now + link_delay, _LINK_ARRIVAL, flow, hops[0][neighbor_index]))
-        push(Event(now + link_delay + spec.duration, _RELEASE_LINK, allocation))
+        queue = self._queue
+        queue.push(now + link_delay, _LINK_ARRIVAL, flow, hops[0][neighbor_index])
+        queue.push(now + link_delay + spec.duration, _RELEASE_LINK, allocation)
         self._outcomes.append(
             Outcome(_LINK_TRAVERSED, now, flow_id, None, link_delay)
         )
@@ -716,7 +700,7 @@ class Simulator:
             residence = self._residences.get(flow_id)
             if (
                 flow.current_node == node
-                or (residence is not None and residence.node == node)
+                or (residence is not None and residence[0] == node)
                 or any(
                     a.kind == "node" and not a.released and a.index == node_id
                     for a in self._allocations.get(flow_id, ())
@@ -778,10 +762,5 @@ class Simulator:
         if instance is None or instance.idle_since is None:
             return
         timeout = self.catalog.component(component).idle_timeout
-        self._queue.push(
-            Event(
-                instance.idle_since + timeout,
-                _INSTANCE_TIMEOUT,
-                (node, component, instance.idle_since + timeout),
-            )
-        )
+        due = instance.idle_since + timeout
+        self._queue.push(due, _INSTANCE_TIMEOUT, (node, component, due))

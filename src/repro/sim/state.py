@@ -48,18 +48,17 @@ class Allocation:
         key: Node name, or canonical link key tuple.
         amount: Resources (node) or data rate (link) held.
         flow_id: Flow holding the allocation.
-        released: Set once released; further releases are no-ops.
         index: Integer node/link id of ``key`` in the network's index
-            tables; lets release() update the load array without a name
-            lookup.
+            tables; release() updates the load array at it.
+        released: Set once released; further releases are no-ops.
     """
 
     kind: str
     key: Union[str, Tuple[str, str]]
     amount: float
     flow_id: int
+    index: int
     released: bool = False
-    index: int = -1
 
 
 @dataclass(slots=True)
@@ -215,7 +214,7 @@ class NetworkState:
             )
         loads[node_id] = new_load
         return Allocation(
-            "node", self._node_names[node_id], amount, flow_id, False, node_id
+            "node", self._node_names[node_id], amount, flow_id, node_id
         )
 
     def allocate_link_id(self, link_id: int, rate: float, flow_id: int) -> Allocation:
@@ -232,7 +231,7 @@ class NetworkState:
             )
         loads[link_id] = new_load
         return Allocation(
-            "link", self._link_keys[link_id], rate, flow_id, False, link_id
+            "link", self._link_keys[link_id], rate, flow_id, link_id
         )
 
     def release(self, allocation: Allocation) -> None:
@@ -243,20 +242,8 @@ class NetworkState:
         kind = allocation.kind
         i = allocation.index
         if kind == "node":
-            if i < 0:
-                if not isinstance(allocation.key, str):
-                    raise InvariantViolation(
-                        "node allocation key must be a node name", key=allocation.key
-                    )
-                i = self._node_index[allocation.key]
             loads = self._node_loads
         elif kind == "link":
-            if i < 0:
-                if not isinstance(allocation.key, tuple):
-                    raise InvariantViolation(
-                        "link allocation key must be a link tuple", key=allocation.key
-                    )
-                i = self._link_index[allocation.key]
             loads = self._link_loads
         else:  # pragma: no cover - allocation kinds are fixed above
             raise ValueError(f"unknown allocation kind {kind!r}")

@@ -1,10 +1,10 @@
 """Tests for the runtime invariant sanitizer (`REPRO_CHECK_INVARIANTS`).
 
 Covers the primitives (``check``/``InvariantViolation``/
-``invariants_enabled``), the deep sweeps they feed (event-queue counter
-validation, simulator cross-table accounting), and the acceptance
-property: a seeded run with the sanitizer on is bit-identical to one with
-it off, on the paper's default Abilene scenario.
+``invariants_enabled``), the deep sweep they feed (simulator cross-table
+accounting), and the acceptance property: a seeded run with the
+sanitizer on is bit-identical to one with it off, on the paper's
+default Abilene scenario.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.baselines import ShortestPathPolicy
 from repro.eval import base_scenario, evaluate_policy_on_scenario
 from repro.parallel import WorkerTaskError
 from repro.sim import SimulationConfig, Simulator
-from repro.sim.events import Event, EventKind, EventQueue
 
 from tests.conftest import make_flow_specs, make_simple_catalog, make_simulator
 
@@ -59,27 +58,6 @@ class TestPrimitives:
         assert not invariants_enabled()
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         assert invariants_enabled()
-
-
-class TestEventQueueValidate:
-    def test_consistent_queue_passes(self):
-        queue = EventQueue()
-        events = [
-            queue.push(Event(float(t), EventKind.DECISION)) for t in range(5)
-        ]
-        events[2].cancelled = True
-        queue.validate()
-
-    def test_corrupted_counter_is_detected(self):
-        queue = EventQueue()
-        queue.push(Event(1.0, EventKind.DECISION))
-        # Simulate the class of bug the counter cache could hide: flipping
-        # the flag behind the queue's back desynchronises the O(1) count.
-        queue._live += 1
-        with pytest.raises(InvariantViolation) as exc_info:
-            queue.validate()
-        assert exc_info.value.context["counter"] == 2
-        assert exc_info.value.context["recount"] == 1
 
 
 class _RefusesTheSweep:

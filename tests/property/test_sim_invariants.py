@@ -3,14 +3,17 @@
 Whatever a policy does — including adversarially bad action sequences —
 the simulator must never corrupt its state: loads stay within [0,
 capacity], every flow ends in exactly one bucket, time never goes
-backwards, and all resources eventually drain.
+backwards, and all resources eventually drain, with or without faults.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.faults import FaultKind, FaultScenarioConfig, FaultSpec
+from repro.services import Component, Service, ServiceCatalog
 from repro.sim.metrics import DropReason
 from repro.topology import random_geometric_network
+from repro.traffic import FlowSpec
 
 from tests.conftest import (
     link_load,
@@ -122,3 +125,81 @@ class TestResourceDrainage:
             assert sim.state.node_load(node) == 0.0
         for link in network.links:
             assert link_load(sim.state, link.u, link.v) == 0.0
+
+
+RING = ring_network(5, node_capacity=2.0, link_capacity=2.0)
+TWO_SERVICES = ServiceCatalog([
+    Service("short", [Component("s1", processing_delay=2.0, idle_timeout=5.0)]),
+    Service("long", [
+        Component("l1", processing_delay=1.0, idle_timeout=5.0),
+        Component("l2", processing_delay=3.0, idle_timeout=5.0),
+    ]),
+])
+
+
+@st.composite
+def faulted_two_service_runs(draw):
+    """Two-service traffic on a five-node ring, plus one link failure, one
+    outage of a node that is neither ingress nor egress, and one
+    degradation, each over a window drawn across the traffic."""
+    count = draw(st.integers(min_value=1, max_value=20))
+    gaps = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
+            min_size=count, max_size=count,
+        )
+    )
+    times = np.cumsum(np.array(gaps) + 0.1)
+    deadline = draw(st.floats(min_value=5.0, max_value=60.0))
+    flows = [
+        FlowSpec(
+            service=draw(st.sampled_from(["short", "long"])),
+            ingress="v1", egress="v3", data_rate=1.0,
+            arrival_time=float(t), duration=1.0, deadline=deadline,
+        )
+        for t in times
+    ]
+    links = sorted(link.key for link in RING.links)
+
+    def window():
+        start = draw(st.floats(min_value=0.0, max_value=float(times[-1]) + 10.0))
+        return start, draw(st.floats(min_value=1.0, max_value=40.0))
+
+    specs = (
+        FaultSpec(FaultKind.LINK_FAILURE, draw(st.sampled_from(links)), *window()),
+        FaultSpec(FaultKind.NODE_OUTAGE, draw(st.sampled_from(["v2", "v4", "v5"])),
+                  *window()),
+        FaultSpec(FaultKind.CAPACITY_DEGRADATION,
+                  draw(st.sampled_from(list(RING.node_names) + links)),
+                  *window(), factor=0.5),
+    )
+    return flows, specs
+
+
+class TestRandomPolicyUnderFaults:
+    @settings(max_examples=30, deadline=None)
+    @given(run=faulted_two_service_runs(), action_seed=st.integers(0, 2**31 - 1))
+    def test_accounting_holds_and_loads_drain(self, run, action_seed):
+        flows, specs = run
+        # Past every deadline and every fault window: the run quiesces.
+        sim = make_simulator(
+            RING, TWO_SERVICES, flows, horizon=500.0,
+            faults=FaultScenarioConfig(specs=specs),
+        )
+        rng = np.random.default_rng(action_seed)
+        while sim.next_decision() is not None:
+            sim.apply_action(int(rng.integers(RING.degree + 1)))
+        metrics = sim.finalize()
+        assert len(sim.faults.log) == 2 * len(specs)
+        assert set(metrics.drop_reasons) <= set(DropReason.ALL)
+        assert sum(metrics.drop_reasons.values()) == metrics.flows_dropped
+        assert metrics.flows_generated == len(flows)
+        assert (
+            metrics.flows_succeeded
+            + sum(metrics.drop_reasons.values())
+            + sim.active_flow_count
+            == metrics.flows_generated
+        )
+        assert sim.active_flow_count == 0
+        loads = sim.state.loads_vector.tolist()
+        assert loads == [0.0] * len(loads)

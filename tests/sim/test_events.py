@@ -4,159 +4,94 @@ import math
 
 import pytest
 
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import EventKind, EventQueue
 
 
-def ev(time: float, payload=None) -> Event:
-    return Event(time, EventKind.DECISION, payload)
+def push(q: EventQueue, time: float, payload=None) -> None:
+    q.push(time, EventKind.DECISION, payload)
+
+
+def drain(q: EventQueue, horizon: float = math.inf) -> list:
+    """Every entry due by ``horizon``, in pop order."""
+    entries = []
+    while (entry := q.pop_due(horizon)) is not None:
+        entries.append(entry)
+    return entries
 
 
 class TestEventQueue:
     def test_pops_in_time_order(self):
         q = EventQueue()
-        q.push(ev(5.0, "b"))
-        q.push(ev(1.0, "a"))
-        q.push(ev(9.0, "c"))
-        assert [q.pop().payload for _ in range(3)] == ["a", "b", "c"]
+        push(q, 5.0, "b")
+        push(q, 1.0, "a")
+        push(q, 9.0, "c")
+        assert [entry[3] for entry in drain(q)] == ["a", "b", "c"]
 
     def test_fifo_tie_break(self):
         q = EventQueue()
-        q.push(ev(1.0, "first"))
-        q.push(ev(1.0, "second"))
-        q.push(ev(1.0, "third"))
-        assert [q.pop().payload for _ in range(3)] == ["first", "second", "third"]
+        push(q, 1.0, "first")
+        push(q, 1.0, "second")
+        push(q, 1.0, "third")
+        assert [entry[3] for entry in drain(q)] == ["first", "second", "third"]
+
+    def test_entry_is_a_plain_tuple(self):
+        q = EventQueue()
+        q.push(2.0, EventKind.LINK_ARRIVAL, "flow", "v2")
+        time, _, kind, payload, node = q.pop_due(2.0)
+        assert (time, kind, payload, node) == (
+            2.0, EventKind.LINK_ARRIVAL, "flow", "v2"
+        )
 
     def test_empty_pop_returns_none(self):
-        assert EventQueue().pop() is None
+        assert EventQueue().pop_due(math.inf) is None
 
-    def test_cancelled_events_skipped(self):
+    def test_entry_beyond_the_horizon_stays_queued(self):
         q = EventQueue()
-        first = q.push(ev(1.0, "cancelled"))
-        q.push(ev(2.0, "kept"))
-        first.cancelled = True
-        assert q.pop().payload == "kept"
-        assert q.pop() is None
-
-    def test_len_and_bool_exclude_cancelled(self):
-        q = EventQueue()
-        assert not q
-        a = q.push(ev(1.0))
-        q.push(ev(2.0))
-        assert len(q) == 2 and q
-        a.cancelled = True
-        assert len(q) == 1
-        q.pop()
-        assert len(q) == 0 and not q
+        push(q, 3.0, "later")
+        assert q.pop_due(2.999) is None
+        assert q.has_due(3.0)
+        assert q.pop_due(3.0)[3] == "later"
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            EventQueue().push(ev(-1.0))
+            push(EventQueue(), -1.0)
 
     @pytest.mark.parametrize("time", [math.nan, -math.inf])
     def test_unordered_or_negative_infinite_time_rejected(self, time):
         # NaN compares false both ways: accepted, it sat in the heap
         # unordered and popped as [0.5, nan, 1.0].
         q = EventQueue()
-        q.push(ev(0.5))
+        push(q, 0.5)
         with pytest.raises(ValueError, match="negative or NaN"):
-            q.push(ev(time))
-        q.push(ev(1.0))
-        assert [q.pop().time for _ in range(2)] == [0.5, 1.0]
-        assert q.pop() is None
+            push(q, time)
+        push(q, 1.0)
+        assert [entry[0] for entry in drain(q)] == [0.5, 1.0]
 
     def test_positive_infinite_time_sorts_last_and_is_never_due(self):
         q = EventQueue()
-        q.push(ev(math.inf, "never"))
-        q.push(ev(2.0, "finite"))
-        assert q.pop_due(1e300).payload == "finite"
+        push(q, math.inf, "never")
+        push(q, 2.0, "finite")
+        assert q.pop_due(1e300)[3] == "finite"
         assert q.pop_due(1e300) is None
-        assert len(q) == 1
+        assert not q.has_due(1e300)
+        assert q.pop_due(math.inf)[3] == "never"
 
     def test_has_due_reads_the_head_time(self):
         q = EventQueue()
         assert not q.has_due(5.0)
-        q.push(ev(3.0))
+        push(q, 3.0)
         assert not q.has_due(2.999)
         assert q.has_due(3.0)
         assert q.has_due(4.0)
-        q.pop()
+        q.pop_due(4.0)
         assert not q.has_due(4.0)
 
-    def test_has_due_counts_a_cancelled_head(self):
-        # Conservative on purpose: the caller then takes the heap path,
-        # where lazy deletion skips the dead entry.
+    def test_has_due_counts_a_dead_head(self):
+        # An entry a finished flow left behind is still queued, so it is
+        # due: the caller then takes the heap path, where the entry pops
+        # first and its handler ignores it.
         q = EventQueue()
-        q.push(ev(1.0)).cancelled = True
-        assert len(q) == 0
+        q.push(1.0, EventKind.FLOW_EXPIRY, "finished flow")
         assert q.has_due(1.0)
-
-    def test_push_returns_handle(self):
-        q = EventQueue()
-        event = q.push(ev(1.0))
-        assert isinstance(event, Event)
-        event.cancelled = True
-        assert q.pop() is None
-
-
-class TestCancellationAccounting:
-    """The live-event counter behind O(1) ``len``/``bool`` must track every
-    way an event's cancelled flag can change, not just the happy path."""
-
-    def test_len_is_constant_time_counter(self):
-        q = EventQueue()
-        events = [q.push(ev(float(t))) for t in range(100)]
-        assert len(q) == 100
-        for event in events[::2]:
-            event.cancelled = True
-        assert len(q) == 50
-
-    def test_double_cancel_decrements_once(self):
-        q = EventQueue()
-        event = q.push(ev(1.0))
-        q.push(ev(2.0))
-        event.cancelled = True
-        event.cancelled = True
-        assert len(q) == 1
-
-    def test_uncancel_restores_count(self):
-        q = EventQueue()
-        event = q.push(ev(1.0))
-        event.cancelled = True
-        assert len(q) == 0
-        event.cancelled = False
-        assert len(q) == 1
-        assert q.pop() is event
-
-    def test_cancel_after_pop_does_not_corrupt_count(self):
-        q = EventQueue()
-        first = q.push(ev(1.0))
-        q.push(ev(2.0))
-        assert q.pop() is first
-        first.cancelled = True  # too late: already delivered
-        assert len(q) == 1
-        assert q.pop().time == 2.0
-        assert len(q) == 0
-
-    def test_push_already_cancelled_event_not_counted(self):
-        q = EventQueue()
-        q.push(ev(2.0, "kept"))
-        dead = Event(1.0, EventKind.DECISION, "dead")
-        dead.cancelled = True
-        q.push(dead)
-        assert len(q) == 1
-        assert q.pop().payload == "kept"
-        assert len(q) == 0
-
-    def test_rejects_double_scheduling(self):
-        q = EventQueue()
-        event = q.push(ev(1.0))
-        with pytest.raises(ValueError, match="already scheduled"):
-            q.push(event)
-
-    def test_event_can_be_requeued_after_pop(self):
-        q = EventQueue()
-        event = q.push(ev(1.0))
-        assert q.pop() is event
-        q.push(event)
-        assert len(q) == 1
-        assert q.pop() is event
+        assert q.pop_due(1.0)[3] == "finished flow"
+        assert not q.has_due(1.0)

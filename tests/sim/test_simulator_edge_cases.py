@@ -1,6 +1,7 @@
 """Edge-case behavioural tests for the simulator."""
 
 
+from repro.faults import FaultKind, FaultScenarioConfig, FaultSpec
 from repro.services import Component, Service, ServiceCatalog
 from repro.sim.metrics import DropReason
 from repro.sim.simulator import ACTION_PROCESS_LOCALLY, OutcomeKind
@@ -133,6 +134,81 @@ class TestDropCleanup:
         # Either already timed out and removed, or idle with zero busy flows.
         if instance is not None:
             assert instance.busy_flows == 0
+
+
+class TestLeftoverEvents:
+    """A finished flow's queued events change nothing when they fire.
+
+    Line v1 - v2 - v3, link delay 10, processing delay 10, flow duration 1:
+
+    - t=1    A is processed at v1: PROCESSING_DONE@11, RELEASE_NODE@12.
+    - t=2    B is forwarded from v1: LINK_ARRIVAL@12, RELEASE_LINK@13.
+    - t=3    link v1-v2 fails under B's head: B dropped (FLOW_EXPIRY@22 left).
+    - t=6    A's deadline expires while it is resident: A dropped.
+    - t=6.5  C takes an action past v1's one neighbour: C dropped
+             (FLOW_EXPIRY@36.5 left).
+
+    Everything after t=6.5 up to the horizon belongs to a dropped flow, and
+    the idle instance A left at v1 times out only at t=1006.
+    """
+
+    def play(self):
+        net = line_network(3, node_capacity=10.0, link_capacity=10.0,
+                           link_delay=10.0)
+        catalog = make_simple_catalog(processing_delay=10.0, idle_timeout=1000.0)
+        flows = [
+            *make_flow_specs([1.0], deadline=5.0),
+            *make_flow_specs([2.0], deadline=20.0),
+            *make_flow_specs([6.5], deadline=30.0),
+        ]
+        link_failure = FaultSpec(FaultKind.LINK_FAILURE, ("v1", "v2"), 3.0, 1.0)
+        sim = make_simulator(
+            net, catalog, flows, horizon=100.0,
+            faults=FaultScenarioConfig(specs=(link_failure,)),
+        )
+        for action in (ACTION_PROCESS_LOCALLY, 1, net.degree):
+            sim.next_decision()
+            sim.apply_action(action)
+        return sim
+
+    @staticmethod
+    def snapshot(sim):
+        instances = sorted(
+            (i.node, i.component, i.busy_flows, i.idle_since)
+            for i in sim.state.placed_instances
+        )
+        return sim.state.loads_vector.tolist(), instances, sim.finalize()
+
+    def test_drops_free_everything_at_once(self):
+        sim = self.play()
+        loads, instances, metrics = self.snapshot(sim)
+        assert sim.active_flow_count == 0
+        assert loads == [0.0] * len(loads)
+        assert instances == [("v1", "c1", 0, 6.0)]
+        assert metrics.drop_reasons == {
+            DropReason.NETWORK_FAILURE: 1,
+            DropReason.DEADLINE_EXPIRED: 1,
+            DropReason.INVALID_ACTION: 1,
+        }
+        drops = [
+            (o.time, o.drop_reason) for o in sim.drain_outcomes()
+            if o.kind is OutcomeKind.FLOW_DROP
+        ]
+        assert drops == [
+            (3.0, DropReason.NETWORK_FAILURE),
+            (6.0, DropReason.DEADLINE_EXPIRED),
+            (6.5, DropReason.INVALID_ACTION),
+        ]
+
+    def test_leftover_events_change_nothing(self):
+        sim = self.play()
+        sim.drain_outcomes()
+        before = self.snapshot(sim)
+        # Runs through t=11, 12, 12, 13, 22 and 36.5 to the horizon.
+        assert sim.next_decision() is None
+        assert self.snapshot(sim) == before
+        assert sim.drain_outcomes() == []
+        assert sim.finalize().decisions == 3
 
 
 class TestInstanceTimeoutRearming:
