@@ -77,11 +77,9 @@ class KFAC:
         self._G: List[np.ndarray] = [np.eye(d.weight.shape[1]) for d in layers]
         self._A_inv: List[Optional[np.ndarray]] = [None] * len(layers)
         self._G_inv: List[Optional[np.ndarray]] = [None] * len(layers)
-        # Hot-loop scratch, allocated once: the damping identities reused
-        # by every _refresh_inverses, per-layer buffers for the new factor
-        # statistics, and gradient copies for step()'s in-place clipping.
-        self._eye_A: List[np.ndarray] = [np.eye(d.weight.shape[0]) for d in layers]
-        self._eye_G: List[np.ndarray] = [np.eye(d.weight.shape[1]) for d in layers]
+        # Hot-loop scratch, allocated once: per-layer buffers for the new
+        # factor statistics, and gradient copies for step()'s in-place
+        # clipping.
         self._A_new: List[np.ndarray] = [np.empty_like(a) for a in self._A]
         self._G_new: List[np.ndarray] = [np.empty_like(g) for g in self._G]
         self._grad_scratch: List[np.ndarray] = [
@@ -156,8 +154,10 @@ class KFAC:
             pi = np.sqrt(tr_a / tr_g)
             eps_a = np.sqrt(DAMPING) * pi
             eps_g = np.sqrt(DAMPING) / pi
-            self._A_inv[i] = np.linalg.inv(a + eps_a * self._eye_A[i])
-            self._G_inv[i] = np.linalg.inv(g + eps_g * self._eye_G[i])
+            # Identities built per refresh (every INVERSION_INTERVAL
+            # steps): the damped sum allocates its temporaries anyway.
+            self._A_inv[i] = np.linalg.inv(a + eps_a * np.eye(a.shape[0]))
+            self._G_inv[i] = np.linalg.inv(g + eps_g * np.eye(g.shape[0]))
 
     # ------------------------------------------------------------------
 

@@ -689,18 +689,18 @@ class Simulator:
         return dropped
 
     def _drop_flows_at_node(self, node: str) -> int:
-        """Drop every active flow whose head, residence, or compute hold
-        is at a node that just went down."""
+        """Drop every active flow whose head or compute hold is at a node
+        that just went down.  A flow resident at ``node`` is caught by
+        both: it holds the node allocation until its tail leaves, after
+        its residence ends."""
         node_id = self.network.node_index[node]
         dropped = 0
         for flow_id in sorted(self._active_flows):
             flow = self._active_flows.get(flow_id)
             if flow is None or flow.status is not _ACTIVE:
                 continue
-            residence = self._residences.get(flow_id)
             if (
                 flow.current_node == node
-                or (residence is not None and residence[0] == node)
                 or any(
                     a.kind == "node" and not a.released and a.index == node_id
                     for a in self._allocations.get(flow_id, ())

@@ -168,6 +168,44 @@ class TestNodeOutage:
         assert metrics.phase_success["pre_failure"]["succeeded"] == 1.0
         assert metrics.phase_success["post_recovery"]["succeeded"] == 1.0
 
+    def test_outage_drops_a_flow_whose_tail_holds_compute_there(self, line3):
+        # Processed at v1 over [1, 3], it holds v1's compute until its
+        # tail leaves at 3 + 5 = 8; at the onset (4.5) its head is on the
+        # v2 -> v3 link, so only that held allocation ties it to v1.
+        catalog = make_simple_catalog(processing_delay=2.0)
+        outage = FaultSpec(FaultKind.NODE_OUTAGE, "v1", 4.5, 10.0)
+        sim = make_simulator(
+            line3,
+            catalog,
+            make_flow_specs([1.0], duration=5.0),
+            faults=faults_for(outage),
+        )
+        metrics = sim.run(process_at_policy(line3, "v1"))
+        assert metrics.flows_succeeded == 0
+        assert metrics.drop_reasons == {DropReason.NETWORK_FAILURE: 1}
+        assert sim.faults.log[0]["flows_dropped"] == 1
+
+    def test_outage_drops_a_flow_whose_head_waits_there(self, line3):
+        # Processed at v1, the flow reaches v2 at 4 and keeps waiting
+        # there; its v1 compute and v1-v2 link holds end at 4 and 5, so
+        # at the onset (6) only its head ties it to v2.
+        catalog = make_simple_catalog(processing_delay=2.0)
+        outage = FaultSpec(FaultKind.NODE_OUTAGE, "v2", 6.0, 10.0)
+
+        def policy(decision, sim):
+            if decision.node == "v1":
+                if not decision.flow.fully_processed:
+                    return ACTION_PROCESS_LOCALLY
+                return line3.neighbors("v1").index("v2") + 1
+            return ACTION_PROCESS_LOCALLY  # keep: processed, not at egress
+
+        sim = make_simulator(
+            line3, catalog, make_flow_specs([1.0]), faults=faults_for(outage)
+        )
+        metrics = sim.run(policy)
+        assert metrics.drop_reasons == {DropReason.NETWORK_FAILURE: 1}
+        assert sim.faults.log[0]["flows_dropped"] == 1
+
     def test_injection_at_failed_ingress_drops(self, line3):
         catalog = make_simple_catalog(processing_delay=2.0)
         outage = FaultSpec(FaultKind.NODE_OUTAGE, "v1", 5.0, 10.0)

@@ -1,4 +1,4 @@
-"""Metamorphic relations of the simulator's event core (ROADMAP item 4).
+"""Metamorphic relations of the simulator's event core (ROADMAP item 6).
 
 Relations that must hold independent of any golden snapshot: a fault
 configuration that schedules nothing is the same as no configuration, a

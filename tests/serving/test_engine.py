@@ -473,3 +473,71 @@ class TestStatsAndTelemetry:
         assert "latency_p99_ms" in record
         rendered = summarize_run(tmp_path / "run")
         assert "serving:" in rendered and "4 requests" in rendered
+
+
+class TestLatencyStore:
+    """``ServingStats.latencies`` keeps one machine double per served
+    request, bit for bit the latency its ``Decision`` reports."""
+
+    def serve(self, engine, clock, n, seed=3):
+        """Submit ``n`` requests at irregular virtual times, flushing
+        whenever a trigger fires; every decision, in order."""
+        gaps = np.random.default_rng(seed).exponential(1e-4, size=n)
+        decisions = []
+        for row, gap in zip(make_obs(n, seed=seed), gaps):
+            clock.advance(float(gap))
+            engine.submit(row)
+            decisions.extend(engine.poll())
+        clock.advance(1e-3)
+        decisions.extend(flush_all(engine))
+        return decisions
+
+    def test_samples_are_eight_byte_doubles(self):
+        clock = FakeClock(1000.0)
+        engine = make_engine(clock=clock, max_batch=4, deadline_s=0.0005)
+        self.serve(engine, clock, 10)
+        latencies = engine.stats.latencies
+        assert latencies.itemsize == 8 and latencies.typecode == "d"
+        assert len(latencies) == 10
+
+    def test_each_sample_is_its_decisions_latency_bit_for_bit(self):
+        clock = FakeClock(1000.0)
+        engine = make_engine(clock=clock, max_batch=4, deadline_s=0.0005)
+        decisions = self.serve(engine, clock, 23)
+        assert [v.hex() for v in engine.stats.latencies] == [
+            (d.completion_time - d.enqueue_time).hex() for d in decisions
+        ]
+
+    def test_percentiles_match_numpy_over_a_list(self):
+        clock = FakeClock(1000.0)
+        engine = make_engine(clock=clock, max_batch=4, deadline_s=0.0005)
+        self.serve(engine, clock, 23)
+        values = list(engine.stats.latencies)
+        pct = engine.stats.latency_percentiles_ms()
+        p50, p95, p99 = np.percentile(values, [50.0, 95.0, 99.0])
+        assert pct == {
+            "p50": float(p50) * 1e3,
+            "p95": float(p95) * 1e3,
+            "p99": float(p99) * 1e3,
+            "max": max(values) * 1e3,
+        }
+        # Reading the percentiles leaves the store growable.
+        self.serve(engine, clock, 5, seed=4)
+        assert len(engine.stats.latencies) == 28
+
+    def test_cap_keeps_the_first_samples_and_counts_the_rest(self, monkeypatch):
+        from repro.serving import records
+
+        monkeypatch.setattr(records, "_MAX_LATENCY_SAMPLES", 6)
+        clock = FakeClock(1000.0)
+        engine = make_engine(clock=clock, max_batch=4, deadline_s=10.0)
+        decisions = self.serve(engine, clock, 11)
+        stats = engine.stats
+        # Flushes of 4, 4 and 3: the second overflows the cap by 2.
+        assert [d.batch_size for d in decisions[::4]] == [4, 4, 3]
+        assert [v.hex() for v in stats.latencies] == [
+            (d.completion_time - d.enqueue_time).hex() for d in decisions[:6]
+        ]
+        assert stats.latency_samples_dropped == 5
+        assert stats.served == 11
+        assert stats.to_record()["latency_samples_dropped"] == 5
