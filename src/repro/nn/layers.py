@@ -9,7 +9,7 @@ moments form the Kronecker factors ``A = E[ā āᵀ]`` and ``G = E[g gᵀ]``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -28,7 +28,8 @@ class Dense:
 
     Attributes:
         weight: Parameter matrix ``(in_dim + 1, out_dim)``.
-        grad: Gradient of the loss w.r.t. ``weight`` after backward().
+        grad: Gradient of the loss w.r.t. ``weight`` after backward();
+            ``None`` until the first backward allocates it.
         last_input_aug: Cached ``ā`` from the last forward pass.
         last_output_grad: Cached ``g = dL/dz`` from the last backward pass.
 
@@ -61,9 +62,10 @@ class Dense:
         else:
             core = orthogonal((in_dim, out_dim), gain=gain, rng=rng)
             self.weight = np.vstack([core, np.zeros((1, out_dim))])
-        # np.zeros, not zeros_like: calloc'd pages stay untouched until a
-        # backward pass writes them, which an inference-only copy never does.
-        self.grad = np.zeros(self.weight.shape)
+        # Made by the first backward and rewritten in place by every later
+        # one: an inference-only copy (clone, checkpoint, frozen snapshot)
+        # holds its weights and nothing weight-sized besides.
+        self.grad: Optional[np.ndarray] = None
         self.last_input_aug: Optional[np.ndarray] = None
         self.last_output_grad: Optional[np.ndarray] = None
         # Reusable bias-augmented input buffers, keyed by batch size: the
@@ -73,7 +75,18 @@ class Dense:
         # Consequence: ``last_input_aug`` holds the buffer, whose contents
         # are only valid until the next same-batch-size forward — which is
         # exactly the lifetime backward() and KFAC.update_stats() rely on.
-        self._aug_buffers: dict = {}
+        self._aug_buffers: Dict[int, np.ndarray] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A pickled layer ships its weights only: the gradient and the
+        # forward/backward caches are training scratch.
+        return {
+            **self.__dict__,
+            "grad": None,
+            "last_input_aug": None,
+            "last_output_grad": None,
+            "_aug_buffers": {},
+        }
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """``z = [x, 1] W`` for a batch ``x`` of shape (N, in_dim)."""
@@ -92,15 +105,16 @@ class Dense:
         return aug @ self.weight
 
     def backward(self, dz: np.ndarray) -> np.ndarray:
-        """Given ``dL/dz``, set ``self.grad`` and return ``dL/dx``.
+        """Given ``dL/dz``, write ``self.grad`` and return ``dL/dx``.
 
         Gradients are averaged over the batch (dz is assumed to already be
-        per-example loss gradients).
+        per-example loss gradients).  ``grad`` is one buffer, made by the
+        first call and overwritten by each later one.
         """
         if self.last_input_aug is None:
             raise RuntimeError("Dense.backward() called before forward()")
         self.last_output_grad = dz
-        self.grad = self.last_input_aug.T @ dz
+        self._write_grad(self.last_input_aug, dz)
         # Drop the bias row when propagating to the input.
         return dz @ self.weight[:-1].T
 
@@ -126,8 +140,15 @@ class Dense:
                 f"(2*{batch}, {self.out_dim}) stacked gradient, got {dz_pair.shape}"
             )
         self.last_output_grad = dz_pair[:batch]
-        self.grad = self.last_input_aug.T @ dz_pair[batch:]
+        self._write_grad(self.last_input_aug, dz_pair[batch:])
         return dz_pair @ self.weight[:-1].T
+
+    def _write_grad(self, aug: np.ndarray, dz: np.ndarray) -> None:
+        """``grad = āᵀ dz``, into the buffer the first call makes."""
+        if self.grad is None:
+            self.grad = aug.T @ dz
+        else:
+            np.matmul(aug.T, dz, out=self.grad)
 
 
 class Activation:
@@ -157,6 +178,9 @@ class Tanh(Activation):
 
     def __init__(self) -> None:
         self._out: Optional[np.ndarray] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {**self.__dict__, "_out": None}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._out = np.tanh(x)

@@ -125,6 +125,10 @@ class MLP:
         # shape (the training loop calls it with one fixed batch size).
         self._pair_buffers: Dict[Tuple[int, int], np.ndarray] = {}
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # Weights only (each layer drops its own scratch too).
+        return {**self.__dict__, "_pair_buffers": {}}
+
     # ------------------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -202,7 +206,12 @@ class MLP:
 
     @property
     def gradients(self) -> List[np.ndarray]:
-        return [d.grad for d in self.dense_layers]
+        """Live references to each layer's gradient buffer, which the
+        first backward allocates and every later one overwrites."""
+        grads = [d.grad for d in self.dense_layers]
+        if any(g is None for g in grads):
+            raise RuntimeError("MLP.gradients read before backward()")
+        return cast(List[np.ndarray], grads)
 
     def num_parameters(self) -> int:
         return sum(w.size for w in self.parameters)
@@ -254,12 +263,14 @@ def fused_backward_is_exact(
     ref.backward(fisher_dout)
     ref_stats = [d.last_output_grad.copy() for d in ref.dense_layers]  # type: ignore[union-attr]
     ref_dx = ref.backward(loss_dout)
-    ref_grads = [d.grad.copy() for d in ref.dense_layers]
+    ref_grads = [g.copy() for g in ref.gradients]
     fused_dx = fused.backward_pair(fisher_dout, loss_dout)
     exact = all(
-        np.array_equal(fd.grad, rg)
+        np.array_equal(fg, rg)
         and np.array_equal(fd.last_output_grad, rs)  # type: ignore[arg-type]
-        for fd, rg, rs in zip(fused.dense_layers, ref_grads, ref_stats)
+        for fd, fg, rg, rs in zip(
+            fused.dense_layers, fused.gradients, ref_grads, ref_stats
+        )
     ) and np.array_equal(fused_dx[batch:], ref_dx)
     _FUSED_EXACTNESS_CACHE[key] = exact
     return exact

@@ -111,7 +111,7 @@ class TestDistributedCoordinator:
         obs = np.random.default_rng(4).normal(size=(6, adapter.size))
         coordinator = DistributedCoordinator(net, catalog, policy)
         payload = pickle.dumps(coordinator)
-        assert len(payload) < 2 * len(pickle.dumps(policy))
+        assert len(payload) < 1.1 * len(pickle.dumps(policy))
         restored = pickle.loads(payload)
         assert _deployed_actions(restored, obs) == _deployed_actions(coordinator, obs)
         # What the pool actually calls on the far side: the CLI's factory.

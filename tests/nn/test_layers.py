@@ -1,5 +1,7 @@
 """Tests for dense layers and activations (including numerical gradients)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,55 @@ class TestDense:
             Dense(0, 3)
         with pytest.raises(ValueError):
             Dense(3, 0)
+
+
+class TestGradientBuffer:
+    """``grad`` is made by the first backward and rewritten by every later
+    one: a layer that never trains holds no weight-sized gradient."""
+
+    def test_backward_writes_one_buffer(self):
+        rng = np.random.default_rng(3)
+        layer = Dense(5, 4, rng=0)
+        assert layer.grad is None
+        buffers = []
+        for rows in (6, 9):  # the buffer does not depend on the batch size
+            layer.forward(rng.normal(size=(rows, 5)))
+            dz = rng.normal(size=(rows, 4))
+            layer.backward(dz)
+            buffers.append(layer.grad)
+            assert np.array_equal(layer.grad, layer.last_input_aug.T @ dz)
+        assert buffers[0] is buffers[1]
+        assert buffers[0].shape == layer.weight.shape
+
+    def test_backward_pair_writes_one_buffer(self):
+        rng = np.random.default_rng(4)
+        layer = Dense(5, 4, rng=0)
+        buffers = []
+        for _ in range(2):
+            layer.forward(rng.normal(size=(6, 5)))
+            dz_pair = rng.normal(size=(12, 4))
+            layer.backward_pair(dz_pair)
+            buffers.append(layer.grad)
+            assert np.array_equal(layer.grad, layer.last_input_aug.T @ dz_pair[6:])
+        assert buffers[0] is buffers[1]
+
+    def test_pickle_ships_the_weights_only(self):
+        rng = np.random.default_rng(6)
+        layer = Dense(64, 32, rng=0)
+        act = Tanh()
+        act.forward(layer.forward(rng.normal(size=(16, 64))))
+        layer.backward(rng.normal(size=(16, 32)))
+        restored, restored_act = pickle.loads(pickle.dumps((layer, act)))
+        assert restored.grad is None
+        assert restored.last_input_aug is None
+        assert restored.last_output_grad is None
+        assert restored._aug_buffers == {}
+        assert restored_act._out is None
+        assert np.array_equal(restored.weight, layer.weight)
+        assert len(pickle.dumps(layer)) < layer.weight.nbytes + 1024
+        # Pickling took nothing from the original.
+        assert layer.grad is not None and act._out is not None
+        assert 16 in layer._aug_buffers
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.mlp import MLP
+from repro.rl.policy import ActorCriticPolicy
 
 
 class TestForward:
@@ -74,6 +75,36 @@ class TestParameters:
             MLP(3, [4], 2, weights=[np.zeros((2, 2)), np.zeros((5, 2))])
         with pytest.raises(ValueError, match="expected"):
             MLP(3, [4], 2, weights=[np.zeros((4, 4))])
+
+
+class TestGradientStorage:
+    """Only training allocates gradients (``Dense.grad`` is ``None`` until
+    the first backward); a deployed copy holds its weights and its cast."""
+
+    def test_inference_copies_hold_no_gradient(self, tmp_path):
+        policy = ActorCriticPolicy(6, 4, hidden=(16, 16), rng=0)
+        policy.save(tmp_path / "p.npz")
+        copies = {
+            "fresh": policy,
+            "clone": policy.clone(),
+            "load": ActorCriticPolicy.load(tmp_path / "p.npz"),
+            "freeze": policy.clone().freeze(),
+        }
+        for name, copy in copies.items():
+            layers = copy.actor.dense_layers + copy.critic.dense_layers
+            grads = [d.grad for d in layers]
+            assert len(grads) == 6
+            assert all(g is None for g in grads), name
+
+    def test_gradients_before_backward_raise(self):
+        mlp = MLP(4, [8], 2, rng=0)
+        with pytest.raises(RuntimeError, match="before backward"):
+            mlp.gradients
+        mlp.forward(np.ones((3, 4)))
+        with pytest.raises(RuntimeError, match="before backward"):
+            mlp.gradients
+        mlp.backward(np.ones((3, 2)))
+        assert [g.shape for g in mlp.gradients] == [(5, 8), (9, 2)]
 
 
 class TestMLPInference:

@@ -78,6 +78,37 @@ class TestA2CTrainer:
         # 5 updates x 10 steps = 50 steps/env; 10 episodes/env.
         assert len(trainer.episode_history) == 20
 
+    def test_clipped_gradients_are_what_the_optimizers_step_with(self, monkeypatch):
+        """``clip_grads_by_norm`` scales the networks' gradient buffers in
+        place, and the optimisers step with those very buffers."""
+        monkeypatch.setattr(a2c, "MAX_GRAD_NORM", 1e-6)
+        trainer = A2CTrainer(
+            lambda: ContextualBanditEnv(),
+            A2CConfig(n_steps=8, n_envs=2),
+            seed=0,
+        )
+        stepped = []
+        for network, optimizer in (
+            (trainer.policy.actor, trainer.actor_optimizer),
+            (trainer.policy.critic, trainer.critic_optimizer),
+        ):
+            def spy(grads, network=network, step=optimizer.step):
+                assert all(g is d.grad for g, d in zip(grads, network.dense_layers))
+                norm = np.sqrt(sum(float(np.sum(g**2)) for g in grads))
+                stepped.append((list(grads), norm))
+                step(grads)
+
+            monkeypatch.setattr(optimizer, "step", spy)
+        stats = trainer.update()
+        trainer.update()
+        assert stats.grad_norm > 1e-6
+        assert len(stepped) == 4
+        for grads, norm in stepped:
+            assert norm == pytest.approx(1e-6, rel=1e-9)
+        # Both updates stepped with the same buffers.
+        for (first, _), (second, _) in zip(stepped[:2], stepped[2:]):
+            assert all(a is b for a, b in zip(first, second))
+
     def test_custom_policy_accepted(self):
         from repro.rl.policy import ActorCriticPolicy
 

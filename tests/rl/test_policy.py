@@ -327,6 +327,36 @@ class TestBatchOneWorkspace:
             tracemalloc.stop()
         assert peak - baseline < 256 * 8
 
+    def test_pickled_trained_policy_ships_its_weights_only(self, tmp_path):
+        """A trained policy leaves its gradients and layer caches behind
+        (``run_tasks`` returns each seed's trained policy by pickle), and
+        the far side holds the same weights."""
+        from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
+
+        from tests.rl.toy_envs import ContextualBanditEnv
+
+        trainer = ACKTRTrainer(
+            lambda: ContextualBanditEnv(), ACKTRConfig(n_steps=8, n_envs=4), seed=0
+        )
+        trainer.train(2)
+        policy = trainer.policy
+        assert policy.actor.hidden == (256, 256)
+        weights = policy.actor.parameters + policy.critic.parameters
+        weight_bytes = sum(w.nbytes for w in weights)
+        payload = pickle.dumps(policy)
+        assert len(payload) <= weight_bytes + 64 * 1024
+        restored = pickle.loads(payload)
+        policy.save(tmp_path / "a.npz")
+        restored.save(tmp_path / "b.npz")
+        with zipfile.ZipFile(tmp_path / "a.npz") as a, zipfile.ZipFile(
+            tmp_path / "b.npz"
+        ) as b:
+            assert a.namelist() == b.namelist()
+            for name in a.namelist():
+                assert a.read(name) == b.read(name), name
+        # Pickling left the trainer's own buffers and caches in place.
+        trainer.update()
+
     def test_clone_and_pickle_leave_the_workspace_behind(self):
         policy = self._policy()
         obs = np.random.default_rng(10).normal(size=6)
