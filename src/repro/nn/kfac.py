@@ -77,22 +77,25 @@ class KFAC:
         self._G: List[np.ndarray] = [np.eye(d.weight.shape[1]) for d in layers]
         self._A_inv: List[Optional[np.ndarray]] = [None] * len(layers)
         self._G_inv: List[Optional[np.ndarray]] = [None] * len(layers)
-        # Hot-loop scratch, allocated once: per-layer buffers for the new
-        # factor statistics, and gradient copies for step()'s in-place
-        # clipping.
-        self._A_new: List[np.ndarray] = [np.empty_like(a) for a in self._A]
-        self._G_new: List[np.ndarray] = [np.empty_like(g) for g in self._G]
+        # Everything else step() and update_stats() touch is scratch,
+        # allocated once.  ``_grad_scratch`` takes the clipped gradient
+        # copies and, once the natural gradients exist, the trust-region
+        # product ``A u G``; ``_u_buf`` holds the natural gradients and
+        # ``_t_buf`` the GEMM-chain temporaries.  ``_factor_scratch`` is
+        # one flat array the size of the largest factor: each layer's new
+        # statistics and each damped factor are built in an ``(n, n)``
+        # view of it, so neither the EMA nor a refresh allocates a
+        # factor-sized temporary.  The out= forms produce bitwise the
+        # floats of the allocating expressions they replace (DESIGN §8b,
+        # "K-FAC footprint").
         self._grad_scratch: List[np.ndarray] = [
             np.empty_like(d.weight) for d in layers
         ]
-        # step() works through three weight-shaped buffers per layer
-        # (natural gradient, GEMM-chain temporary, trust-region product)
-        # so the per-update preconditioning allocates nothing; out=
-        # matmul/multiply produce bitwise-identical floats to the
-        # allocating expressions they replace.
         self._u_buf: List[np.ndarray] = [np.empty_like(d.weight) for d in layers]
         self._t_buf: List[np.ndarray] = [np.empty_like(d.weight) for d in layers]
-        self._q_buf: List[np.ndarray] = [np.empty_like(d.weight) for d in layers]
+        self._factor_scratch = np.empty(
+            max(f.size for f in self._A + self._G), dtype=np.float64
+        )
         self._steps = 0
         self._stat_updates = 0
         #: Trust-region rescale of the most recent :meth:`step` (1.0 when
@@ -132,18 +135,35 @@ class KFAC:
                 )
             batch = aug.shape[0]
             # In-place EMA into the running factors; elementwise identical
-            # to ``decay * A + (1 - decay) * (aug.T @ aug / batch)`` but
-            # without allocating fresh factor-sized arrays per update.
-            a_new = np.matmul(aug.T, aug, out=self._A_new[i])
+            # to ``decay * A + (1 - decay) * (aug.T @ aug / batch)``.
+            a_new = np.matmul(aug.T, aug, out=self._factor_view(aug.shape[1]))
             a_new /= batch
-            g_new = np.matmul(g.T, g, out=self._G_new[i])
-            g_new /= batch
-            self._A[i] *= decay
             a_new *= 1.0 - decay
+            self._A[i] *= decay
             self._A[i] += a_new
-            self._G[i] *= decay
+            g_new = np.matmul(g.T, g, out=self._factor_view(g.shape[1]))
+            g_new /= batch
             g_new *= 1.0 - decay
+            self._G[i] *= decay
             self._G[i] += g_new
+
+    def _factor_view(self, n: int) -> np.ndarray:
+        """An ``(n, n)`` C-contiguous view of the factor scratch."""
+        return self._factor_scratch[: n * n].reshape(n, n)
+
+    def _damped_inverse(self, factor: np.ndarray, eps: float) -> np.ndarray:
+        """``inv(factor + eps * I)``, the damped sum built in the scratch.
+
+        ``factor + 0.0`` then ``+ eps`` on the diagonal is bitwise
+        ``factor + eps * np.eye(n)``: off the diagonal both add ``0.0``,
+        and on it ``(x + 0.0) + eps == x + eps`` because ``x + 0.0``
+        differs from ``x`` only at ``x = -0.0``.  A plain copy would keep
+        an off-diagonal ``-0.0`` that the sum turns into ``+0.0``.
+        """
+        n = factor.shape[0]
+        damped = np.add(factor, 0.0, out=self._factor_view(n))
+        damped.reshape(-1)[:: n + 1] += eps
+        return np.linalg.inv(damped)
 
     def _refresh_inverses(self) -> None:
         for i, (a, g) in enumerate(zip(self._A, self._G)):
@@ -154,10 +174,10 @@ class KFAC:
             pi = np.sqrt(tr_a / tr_g)
             eps_a = np.sqrt(DAMPING) * pi
             eps_g = np.sqrt(DAMPING) / pi
-            # Identities built per refresh (every INVERSION_INTERVAL
-            # steps): the damped sum allocates its temporaries anyway.
-            self._A_inv[i] = np.linalg.inv(a + eps_a * np.eye(a.shape[0]))
-            self._G_inv[i] = np.linalg.inv(g + eps_g * np.eye(g.shape[0]))
+            # Drop the stale pair first, so a refresh never holds two.
+            self._A_inv[i] = self._G_inv[i] = None
+            self._A_inv[i] = self._damped_inverse(a, eps_a)
+            self._G_inv[i] = self._damped_inverse(g, eps_g)
 
     # ------------------------------------------------------------------
 
@@ -202,10 +222,12 @@ class KFAC:
             np.matmul(self._t_buf[layer_index], g_inv, out=updates[layer_index])
 
         # Trust region: predicted KL ≈ ½ η² Σ tr(uᵀ A u G); rescale so the
-        # actual step's predicted KL stays below KL_CLIP.
+        # actual step's predicted KL stays below KL_CLIP.  The clipped
+        # gradients are dead once ``u`` exists, so their buffers take the
+        # product ``A u G``.
         quad = 0.0
         for u, a, g, tmp, prod in zip(
-            updates, self._A, self._G, self._t_buf, self._q_buf
+            updates, self._A, self._G, self._t_buf, self._grad_scratch
         ):
             np.matmul(a, u, out=tmp)
             np.matmul(tmp, g, out=prod)

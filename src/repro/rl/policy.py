@@ -238,9 +238,12 @@ class ActorCriticPolicy:
         Raises:
             FileNotFoundError: No file at ``path``.
             ValueError: The file is truncated, not an ``.npz`` archive,
-                misses an array or names a hidden activation other than
-                ``tanh``; the message starts with ``path`` and the
-                reader's own exception is chained as ``__cause__``.
+                misses an array, holds a non-numeric or non-finite
+                weight, a critic with another layer count than the
+                actor, weight shapes that disagree with ``meta`` or each
+                other, or names a hidden activation other than ``tanh``;
+                the message starts with ``path`` and the reader's own
+                exception is chained as ``__cause__``.
         """
         try:
             # Our own handle: np.load leaks the one it opens when the
@@ -250,17 +253,26 @@ class ActorCriticPolicy:
                 num_layers = len([k for k in data.files if k.startswith("actor_w")])
                 if num_layers < 1:
                     raise ValueError("checkpoint holds no actor weights")
+                critic_layers = len([k for k in data.files if k.startswith("critic_w")])
+                if critic_layers != num_layers:
+                    raise ValueError(
+                        f"critic has {critic_layers} layers, actor {num_layers}"
+                    )
                 actor = [data[f"actor_w{i}"] for i in range(num_layers)]
                 critic = [data[f"critic_w{i}"] for i in range(num_layers)]
+                for net, weights in (("actor", actor), ("critic", critic)):
+                    for i, weight in enumerate(weights):
+                        if not np.isfinite(weight).all():
+                            raise ValueError(f"{net}_w{i} holds non-finite weights")
                 if "activation" in data.files:
                     activation = str(data["activation"])
                     if activation != "tanh":
                         raise ValueError(f"hidden activation {activation!r} is not tanh")
-        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+            return cls(
+                obs_dim,
+                num_actions,
+                hidden=[int(w.shape[1]) for w in actor[:-1]],
+                parameters=(actor, critic),
+            )
+        except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: unreadable policy checkpoint ({exc!r})") from exc
-        return cls(
-            obs_dim,
-            num_actions,
-            hidden=[int(w.shape[1]) for w in actor[:-1]],
-            parameters=(actor, critic),
-        )

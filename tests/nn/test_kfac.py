@@ -1,6 +1,7 @@
 """Tests for the K-FAC natural-gradient optimiser."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,41 +185,66 @@ class TestKFACOptimisation:
 class TestKFACExactness:
     def test_updates_bitwise_match_reference(self, monkeypatch):
         """The scratch-buffer KFAC must be bitwise identical to the naive
-        allocate-per-call reference across many steps, including an
-        inversion-interval boundary."""
-        set_coefficients(monkeypatch, INVERSION_INTERVAL=5)
-        fast_mlp = MLP(4, [8], 3, rng=0)
-        ref_mlp = MLP(4, [8], 3, rng=0)
-        for a, b in zip(fast_mlp.parameters, ref_mlp.parameters):
-            assert np.array_equal(a, b)
-        fast = KFAC(fast_mlp, lr=0.25)
-        ref = ReferenceKFAC(ref_mlp, lr=0.25, inversion_interval=5)
+        allocate-per-call reference after every step: weights, factors,
+        inverses and the trust-region outputs.  A small net at interval 5
+        crosses the refresh twice; the paper's 16→(256, 256)→4 actor at the
+        default interval refreshes at steps 0, 10 and 20, each time building
+        its damped factors in the scratch that the same update's EMA folds
+        wrote just before."""
+        cases = [
+            (4, (8,), 3, 16, 12, 5),
+            (16, (256, 256), 4, 32, 25, INVERSION_INTERVAL),
+        ]
+        for in_dim, hidden, out_dim, batch, steps, interval in cases:
+            set_coefficients(monkeypatch, INVERSION_INTERVAL=interval)
+            fast_mlp = MLP(in_dim, list(hidden), out_dim, rng=0)
+            ref_mlp = MLP(in_dim, list(hidden), out_dim, rng=0)
+            fast = KFAC(fast_mlp, lr=0.25)
+            ref = ReferenceKFAC(ref_mlp, lr=0.25, inversion_interval=interval)
+            rng = np.random.default_rng(7)
+            for it in range(steps):
+                x = rng.normal(size=(batch, in_dim))
+                target = rng.normal(size=(batch, out_dim))
+                fisher_noise = rng.normal(size=(batch, out_dim))
+                for mlp, opt in ((fast_mlp, fast), (ref_mlp, ref)):
+                    out = mlp.forward(x)
+                    mlp.backward(fisher_noise)
+                    opt.update_stats()
+                    mlp.backward((out - target) / batch)
+                    opt.step(mlp.gradients)
+                where = f"{hidden} at step {it}"
+                assert fast.last_scale == ref.last_scale, where
+                assert fast.last_predicted_kl == ref.last_predicted_kl, where
+                pairs = {
+                    "weights": (fast_mlp.parameters, ref_mlp.parameters),
+                    "A": (fast._A, ref._A),
+                    "G": (fast._G, ref._G),
+                    "A_inv": (fast._A_inv, ref._A_inv),
+                    "G_inv": (fast._G_inv, ref._G_inv),
+                }
+                for name, (ours, theirs) in pairs.items():
+                    for li, (a, b) in enumerate(zip(ours, theirs)):
+                        assert np.array_equal(a, b), f"{name}[{li}], {where}"
 
-        rng = np.random.default_rng(7)
-        for it in range(12):  # crosses the interval-5 refresh twice
-            x = rng.normal(size=(16, 4))
-            target = rng.normal(size=(16, 3))
-            fisher_noise = rng.normal(size=(16, 3))
-            for mlp, opt in ((fast_mlp, fast), (ref_mlp, ref)):
-                out = mlp.forward(x)
-                mlp.backward(fisher_noise)
-                opt.update_stats()
-                mlp.backward((out - target) / x.shape[0])
-                opt.step(mlp.gradients)
-            assert fast.last_scale == ref.last_scale, f"scale diverged at {it}"
-            assert fast.last_predicted_kl == ref.last_predicted_kl, (
-                f"predicted KL diverged at {it}"
-            )
-            for li, (a, b) in enumerate(
-                zip(fast_mlp.parameters, ref_mlp.parameters)
-            ):
-                assert np.array_equal(a, b), (
-                    f"layer {li} weights diverged bitwise at iteration {it}"
-                )
-            for li, (a, b) in enumerate(zip(fast._A, ref._A)):
-                assert np.array_equal(a, b), f"A factor {li} diverged at {it}"
-            for li, (a, b) in enumerate(zip(fast._G, ref._G)):
-                assert np.array_equal(a, b), f"G factor {li} diverged at {it}"
+    def test_damping_equals_the_identity_sum_bitwise(self):
+        """The damped factor is bitwise ``a + eps * np.eye(n)`` even where
+        ``a`` holds a ``-0.0``: the sum turns an off-diagonal ``-0.0``
+        into ``+0.0``, which a plain copy of ``a`` would keep."""
+        kfac = KFAC(MLP(5, [], 3, rng=0))
+        rng = np.random.default_rng(19)
+        base = rng.normal(size=(6, 6))
+        factor = base @ base.T
+        factor[0, 1] = factor[1, 0] = -0.0
+        factor[2, 2] = -0.0
+        eps = float(np.sqrt(DAMPING) * 0.75)
+        expected = factor + eps * np.eye(6)
+        inverse = kfac._damped_inverse(factor, eps)
+        damped = kfac._factor_view(6)
+        assert np.signbit(factor[0, 1]) and not np.signbit(expected[0, 1])
+        assert np.array_equal(damped.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(
+            inverse.view(np.uint64), np.linalg.inv(expected).view(np.uint64)
+        )
 
     def test_step_does_not_mutate_caller_gradients(self, monkeypatch):
         """step() clips into its scratch buffers, never the caller arrays."""
@@ -272,3 +298,67 @@ class TestInversionInterval:
         kfac.step(grads)
         assert kfac.last_grad_norm == expected
         assert kfac.last_grad_norm > 1e-3
+
+
+def held_arrays(kfac):
+    """Every array a :class:`KFAC` keeps between steps (its model aside)."""
+    for name, value in vars(kfac).items():
+        if name != "model":
+            items = value if isinstance(value, list) else [value]
+            yield from (a for a in items if isinstance(a, np.ndarray))
+
+
+class TestFootprint:
+    """K-FAC holds its state and one scratch; a refresh allocates no
+    factor-sized temporary beyond the inverses it replaces."""
+
+    @staticmethod
+    def paper_actor_step(mlp, kfac, rng):
+        """Forward, Fisher pass, stats, loss pass; returns the gradients
+        for the caller to hand to ``kfac.step``."""
+        x = rng.normal(size=(32, 16))
+        mlp.forward(x)
+        mlp.backward(rng.normal(size=(32, 4)))
+        kfac.update_stats()
+        mlp.backward(rng.normal(size=(32, 4)) / 32)
+        return mlp.gradients
+
+    def test_held_arrays_are_state_and_one_scratch(self):
+        mlp = MLP(16, [256, 256], 4, rng=0)
+        kfac = KFAC(mlp)
+        rng = np.random.default_rng(23)
+        kfac.step(self.paper_actor_step(mlp, kfac, rng))
+        factors = kfac._A + kfac._G
+        factor_bytes = sum(f.nbytes for f in factors)
+        weight_bytes = sum(w.nbytes for w in mlp.parameters)
+        expected = (
+            2 * factor_bytes  # A, G and their inverses
+            + max(f.nbytes for f in factors)  # the one scratch
+            + 3 * weight_bytes  # clipped copies, natural gradients, temporaries
+        )
+        assert sum(a.nbytes for a in held_arrays(kfac)) == expected
+
+    def test_refresh_step_peaks_no_higher_than_an_ordinary_step(self):
+        """Traced from construction on, so the inverses a refresh
+        replaces count as freed: the refresh (step 10) peaks no higher
+        than the ordinary step before it, whose peak is the clip's
+        weight-sized ``g**2``.  Building the damped sum from ``np.eye``
+        peaked a full largest factor higher."""
+        rng = np.random.default_rng(29)
+        tracemalloc.start()
+        try:
+            mlp = MLP(16, [256, 256], 4, rng=0)
+            kfac = KFAC(mlp)
+            peaks = []
+            for _ in range(INVERSION_INTERVAL + 1):
+                grads = self.paper_actor_step(mlp, kfac, rng)
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                kfac.step(grads)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        ordinary, refresh = peaks[-2], peaks[-1]
+        largest = max(f.nbytes for f in kfac._A + kfac._G)
+        assert ordinary > largest // 2  # the clip's g**2 is traced
+        assert refresh <= ordinary, (refresh / largest, ordinary / largest)

@@ -2,19 +2,28 @@
 
 Relations that must hold independent of any golden snapshot: a fault
 configuration that schedules nothing is the same as no configuration, a
-link failure that nothing touches changes no flow's fate, and the
+link failure that nothing touches changes no flow's fate, scaling every
+capacity and every flow's data rate by one factor changes nothing for
+the learned agents or the heuristics, with or without churn, and the
 per-event records stay plain immutable values.
 """
+
+import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.baselines import GCASPPolicy
 from repro.baselines.shortest_path import ShortestPathPolicy
+from repro.core.agent import DistributedCoordinator
 from repro.eval.scenarios import base_scenario
 from repro.faults import FaultKind, FaultScenarioConfig, FaultSpec
+from repro.rl.policy import ActorCriticPolicy
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import DropReason
 from repro.sim.simulator import DecisionPoint, Outcome, OutcomeKind, Simulator
+from repro.topology.network import Network
 from repro.traffic.flows import Flow
 
 from tests.conftest import make_flow_specs, make_simple_catalog, sanitizer_on
@@ -101,6 +110,92 @@ class TestVanishingLinkFailure:
                       "success_ratio", "avg_end_to_end_delay", "avg_hops",
                       "decisions", "flows_active"):
             assert getattr(failed, field) == getattr(plain, field), field
+
+
+FIXTURE = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks" / "perf" / "fixtures" / "abilene_acktr.npz"
+)
+
+
+def scaled(scenario, node_factor, rate_factor):
+    """``scenario`` with every node and link capacity times
+    ``node_factor`` and every flow's data rate times ``rate_factor``.
+
+    Powers of two keep every product, and so every load and every
+    remaining capacity the simulator derives from them, exact."""
+    net = scenario.network
+    twin = Network(
+        net.name,
+        [dataclasses.replace(n, capacity=n.capacity * node_factor)
+         for n in map(net.node, net.node_names)],
+        [dataclasses.replace(link, capacity=link.capacity * node_factor)
+         for link in net.links],
+        net.ingress,
+        net.egress,
+    )
+    traffic = scenario.traffic_factory
+    template = dataclasses.replace(
+        traffic.template, data_rate=traffic.template.data_rate * rate_factor
+    )
+    return dataclasses.replace(
+        scenario,
+        network=twin,
+        traffic_factory=dataclasses.replace(traffic, template=template),
+    )
+
+
+@pytest.fixture(scope="module")
+def algorithms():
+    """Each algorithm as a ``(network, catalog) -> simulator policy``
+    builder; the learned one deploys the committed Abilene fixture."""
+    policy = ActorCriticPolicy.load(FIXTURE)
+    return {
+        "DRL": lambda net, catalog: DistributedCoordinator(net, catalog, policy),
+        "GCASP": GCASPPolicy,
+        "SP": ShortestPathPolicy,
+    }
+
+
+def run_metrics(scenario, build_policy, seed):
+    sim = Simulator(
+        scenario.network,
+        scenario.catalog,
+        scenario.traffic_factory(np.random.default_rng(seed)),
+        scenario.sim_config,
+    )
+    return sim.run(build_policy(scenario.network, scenario.catalog))
+
+
+class TestCapacityAndRateScaling:
+    """``r_c(λ)`` is linear, and every capacity check and observation
+    compares a load with a capacity, so capacities and data rates scaled
+    together decide every flow alike (ROADMAP item 6)."""
+
+    @pytest.mark.parametrize("faults", [None, "churn"])
+    @pytest.mark.parametrize("algorithm", ["DRL", "GCASP", "SP"])
+    @pytest.mark.parametrize("factor", [2.0, 0.5])
+    def test_scaled_twin_gives_equal_metrics(self, algorithms, algorithm,
+                                             faults, factor):
+        scenario = base_scenario(pattern="poisson", num_ingress=2,
+                                 horizon=2000.0, faults=faults)
+        twin = scaled(scenario, factor, factor)
+        for seed in (0, 1, 2):
+            plain = run_metrics(scenario, algorithms[algorithm], seed)
+            scaled_run = run_metrics(twin, algorithms[algorithm], seed)
+            assert scaled_run == plain, (algorithm, faults, factor, seed)
+            assert plain.flows_dropped > 0  # capacity decides some flows
+            if faults:
+                assert plain.drop_reasons.get(DropReason.NETWORK_FAILURE, 0) > 0
+
+    @pytest.mark.parametrize("algorithm", ["DRL", "GCASP", "SP"])
+    def test_scaling_capacities_alone_changes_the_run(self, algorithms, algorithm):
+        """The relation has teeth: doubled capacities under unchanged
+        data rates change the run."""
+        scenario = base_scenario(pattern="poisson", num_ingress=2, horizon=2000.0)
+        plain = run_metrics(scenario, algorithms[algorithm], 0)
+        roomy = run_metrics(scaled(scenario, 2.0, 1.0), algorithms[algorithm], 0)
+        assert roomy != plain
 
 
 class TestEventRecordsAreValues:

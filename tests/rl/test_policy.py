@@ -136,16 +136,63 @@ class TestActorCriticPolicy:
         policy.clone()
         ActorCriticPolicy.load(path)
 
-    def test_load_rejects_mismatched_layer_shapes(self, tmp_path):
-        policy = ActorCriticPolicy(5, 3, hidden=(8,), rng=0)
-        path = tmp_path / "bad.npz"
-        policy.save(path)
+    @staticmethod
+    def resave(path, **changes):
+        """Rewrite the checkpoint at ``path`` with ``changes`` applied (a
+        ``None`` value drops that array)."""
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
-        arrays["critic_w0"] = np.zeros((6, 9))
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="shape mismatch"):
+        arrays.update(changes)
+        np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+
+    def test_load_rejects_mismatched_layer_shapes(self, tmp_path):
+        """A critic that disagrees with the actor, and a ``meta`` that
+        disagrees with both, fail in the network constructor; the
+        message still names the file."""
+        policy = ActorCriticPolicy(5, 3, hidden=(8,), rng=0)
+        path = tmp_path / "bad.npz"
+        for changes in ({"critic_w0": np.zeros((6, 9))}, {"meta": np.array([9, 3])}):
+            policy.save(path)
+            self.resave(path, **changes)
+            with pytest.raises(ValueError, match="shape mismatch") as caught:
+                ActorCriticPolicy.load(path)
+            assert str(caught.value).startswith(str(path))
+
+    @pytest.mark.parametrize("name", ["actor_w1", "critic_w0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_is_refused_by_name(self, tmp_path, name, bad):
+        """A diverged or corrupted weight would load, freeze without a
+        finite bound and answer every observation alike; it is refused
+        instead, naming the array."""
+        policy = ActorCriticPolicy(5, 3, hidden=(8,), rng=0)
+        path = tmp_path / "diverged.npz"
+        policy.save(path)
+        weights = dict(zip(["actor_w0", "actor_w1"], policy.actor.parameters))
+        weights.update(zip(["critic_w0", "critic_w1"], policy.critic.parameters))
+        corrupted = weights[name].copy()
+        corrupted[1, 0] = bad
+        self.resave(path, **{name: corrupted})
+        with pytest.raises(ValueError, match=f"{name} holds non-finite") as caught:
             ActorCriticPolicy.load(path)
+        assert str(caught.value).startswith(str(path))
+
+    def test_non_numeric_weight_names_its_file(self, tmp_path):
+        policy = ActorCriticPolicy(5, 3, hidden=(8,), rng=0)
+        path = tmp_path / "text.npz"
+        policy.save(path)
+        self.resave(path, actor_w0=np.full((6, 8), "a"))
+        with pytest.raises(ValueError) as caught:
+            ActorCriticPolicy.load(path)
+        assert str(caught.value).startswith(str(path))
+
+    def test_critic_layer_count_must_match_the_actor(self, tmp_path):
+        policy = ActorCriticPolicy(5, 3, hidden=(8,), rng=0)
+        path = tmp_path / "deep_critic.npz"
+        policy.save(path)
+        self.resave(path, critic_w2=np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="critic has 3 layers, actor 2") as caught:
+            ActorCriticPolicy.load(path)
+        assert str(caught.value).startswith(str(path))
 
     @pytest.mark.parametrize(
         "keep, cause",
