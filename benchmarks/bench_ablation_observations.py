@@ -61,17 +61,17 @@ class MaskedCoordinator(DistributedCoordinator):
         super().__init__(*args, **kwargs)
         slices = self.adapter.part_slices
         self._slices = [slices[p] for p in masked_parts]
-        original_build = self.adapter.build
+        original_values = self.adapter.values
 
-        def masked_build(decision, sim, out=None):
-            # The agent builds into its workspace row (out=), so the mask
-            # is applied in place on the row it decides on.
-            obs = original_build(decision, sim, out=out)
+        def masked_values(decision, sim):
+            # The agent decides on this list (and build() writes it), so
+            # the mask lands on every row it decides on.
+            values = original_values(decision, sim)
             for s in self._slices:
-                obs[s] = 0.0
-            return obs
+                values[s] = [0.0] * (s.stop - s.start)
+            return values
 
-        self.adapter.build = masked_build  # type: ignore[method-assign]
+        self.adapter.values = masked_values  # type: ignore[method-assign]
 
 
 @dataclass(frozen=True)

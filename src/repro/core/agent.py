@@ -12,11 +12,13 @@ a weight, so every node decides on one frozen snapshot held by the
 :class:`DistributedCoordinator` and decides bit-for-bit as a private copy
 would, while deployment costs one array copy whatever the network size.
 A node's agent is the coordinator's decision for that node: the node's
-local observation, then the snapshot's ``act_single``.  The snapshot's
-actor is cast to float32 once; a decision is taken on that cast when a
-certified error bound proves the float32 argmax is the float64 one, and
-in float64 otherwise, so every action is the float64 action (DESIGN.md
-§14).
+local observation, then the snapshot's ``act_single``, in one pass — the
+observation's python floats go straight into the float32 input row.
+The snapshot's actor is cast to float32 once; a decision is taken on
+that cast when a certified error bound proves the float32 argmax is the
+float64 one, and in float64 otherwise (the same floats, written into
+the float64 row only then), so every action is the float64 action
+(DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -39,15 +41,17 @@ class DistributedCoordinator:
     Construction takes **one** snapshot of ``policy`` — a copy decoupled
     from the trainer's live weights, every array marked read-only, its
     actor cast to float32 once — and exposes it as :attr:`policy`; every
-    node decides on it.  A decision builds the node's observation
-    straight into the input row of the snapshot's float64 workspace and
-    returns the snapshot's :meth:`~repro.rl.policy.ActorCriticPolicy.act_single`
-    on that row, so nothing is copied.  Nodes share no state that
-    outlives a decision: the snapshot's two actor workspaces are
-    overwritten by every decision, and ``write=False`` turns the one thing
-    that could couple them (an in-place write to a deployed weight, e.g.
-    an optimiser stepping the wrong object) into a ``ValueError`` at the
-    write — which also keeps the float32 cast current.  One thread drives
+    node decides on it.  A decision computes the node's observation as
+    a list of python floats (``ObservationAdapter.values``) and returns
+    the snapshot's :meth:`~repro.rl.policy.ActorCriticPolicy.act_single`
+    on it: the list is written once, into the float32 input row, and
+    into the float64 row only when the float32 forward declines.  Nodes
+    share no state that outlives a decision: the snapshot's two actor
+    workspaces are overwritten by every decision, and ``write=False``
+    turns the one thing that could couple them (an in-place write to a
+    deployed weight, e.g. an optimiser stepping the wrong object) into a
+    ``ValueError`` at the write — which also keeps the float32 cast
+    current.  One thread drives
     a coordinator.  Deployment cost and resident weights are therefore
     independent of network size, while decisions are those of the
     paper's one-network-per-node deployment.
@@ -94,11 +98,8 @@ class DistributedCoordinator:
     def __call__(self, decision: DecisionPoint, sim: Simulator) -> int:
         """The greedy action of the agent at the decision's node."""
         self._counts[decision.node] += 1  # KeyError: not this network's node
-        policy = self.policy
-        rows = policy.workspace.input_rows(1)
-        self.adapter.build(decision, sim, out=rows[0])
         try:
-            return policy.act_single(rows)
+            return self.policy.act_single(self.adapter.values(decision, sim))
         except InvariantViolation as violation:
             raise InvariantViolation(
                 violation.message, node=decision.node, **violation.context

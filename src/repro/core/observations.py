@@ -22,7 +22,7 @@ is what allows training a single network from all agents' experience.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,17 +54,18 @@ class ObservationAdapter:
         # max_{v'' in V} cap_{v''}: node observations are normalised by the
         # network-wide maximum so agents can spot absolutely large nodes.
         self._max_node_capacity = max(network.max_node_capacity, 1e-12)
-        # Cached neighbor tuples: build() assembles the row as a list of
-        # python floats and writes it to its destination in one
-        # assignment, instead of five parts plus their clipped/concatenated
-        # intermediates.
+        # Cached neighbor tuples: values() assembles the row as a list of
+        # python floats, instead of five parts plus their
+        # clipped/concatenated intermediates.
         self._neighbors = {v: tuple(network.neighbors(v)) for v in network.node_names}
-        # Integer gather tables per node, one dict lookup per build():
+        # Integer gather tables per node, one dict lookup per values():
         # (degree k, combined gather ids, capacities as a python-float
         # tuple, link norm, self+neighbor node ids).  The combined ids
         # address NetworkState.loads_vector — k outgoing-link slots
         # followed by 1+k node slots — so one gather fetches every load
-        # the observation needs; the arithmetic then runs on python floats
+        # the observation needs (and, under faults, one gather from
+        # NetworkState.capacities_vector, laid out alike, every effective
+        # capacity); the arithmetic then runs on python floats
         # (via ``tolist``), which beats a pile of length-≤5 ufunc
         # dispatches while performing the exact same IEEE operations per
         # element as the scalar, one-part-at-a-time reference the tests
@@ -88,11 +89,8 @@ class ObservationAdapter:
             )
             for v in network.node_names
         }
-        # Scratch for effective capacities under fault injection; the
-        # fault-free hot path never touches it (static cached caps).
-        self._caps_scratch = np.empty(2 * self.degree + 1, dtype=np.float64)
         # Per-(node, egress) shortest-path-via-neighbor delays, filled
-        # lazily on first use: build() then reads one cached tuple instead
+        # lazily on first use: values() then reads one cached tuple instead
         # of doing a dict lookup per neighbor per decision.  Each entry is
         # (via_delays as python floats, non_finite_indices_or_None).
         self._delay_via: Dict[
@@ -120,22 +118,19 @@ class ObservationAdapter:
     def _delays_via(
         self, node: str, egress: str
     ) -> Tuple[Tuple[float, ...], Optional[Tuple[int, ...]]]:
-        """Cached ``link(node, nb).delay + spd(nb, egress)`` per neighbor,
-        plus the indices of non-finite entries (unreachable egress), or
-        None when all entries are finite (the common case)."""
-        key = (node, egress)
-        entry = self._delay_via.get(key)
-        if entry is None:
-            via = tuple(
-                float(
-                    self.network.link(node, nb).delay
-                    + self.network.shortest_path_delay(nb, egress)
-                )
-                for nb in self._neighbors[node]
+        """``link(node, nb).delay + spd(nb, egress)`` per neighbor, plus
+        the indices of non-finite entries (unreachable egress), or None
+        when all entries are finite (the common case); computed once per
+        ``(node, egress)`` and cached, :meth:`values` reads the cache."""
+        via = tuple(
+            float(
+                self.network.link(node, nb).delay
+                + self.network.shortest_path_delay(nb, egress)
             )
-            bad = tuple(j for j, value in enumerate(via) if not np.isfinite(value))
-            entry = (via, bad if bad else None)
-            self._delay_via[key] = entry
+            for nb in self._neighbors[node]
+        )
+        bad = tuple(j for j, value in enumerate(via) if not np.isfinite(value))
+        entry = self._delay_via[(node, egress)] = (via, bad if bad else None)
         return entry
 
     def build(
@@ -144,32 +139,44 @@ class ObservationAdapter:
         sim: Simulator,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Observation vector for a pending decision.
+        """Observation vector for a pending decision: :meth:`values`
+        written as one float64 row.
 
-        Computed on python floats and written to the destination as one
-        row, with no per-part arrays; bitwise the concatenation of the
-        five parts computed one by one from their formulas (the oracle in
-        ``tests/core/reference_observation.py``).
-
-        One hand-off for every driver: the driver owns the destination
-        row and ``build`` writes into it — the training runner's rollout
-        storage, the lockstep evaluation runner's rows, and the input row
-        ``policy.workspace.input_rows(1)[0]`` of a deployed
-        ``DistributedCoordinator``'s snapshot.
+        The hand-off for every driver that owns a row: ``build`` writes
+        into it through the environment's observation — the training
+        runner's rollout storage, the lockstep evaluation runner's rows,
+        the closed-loop serving clients' requests.  A deployed
+        ``DistributedCoordinator`` owns no row and takes :meth:`values`
+        itself.
 
         Args:
             out: Destination vector of shape ``(size,)``, written in place
                 and returned.  Without it the result is a fresh array the
                 caller owns (no adapter state is shared between calls).
         """
-        now, flow, node = decision
-        d = self.degree
         if out is None:
             out = np.empty(self.size, dtype=np.float64)
         elif out.shape != (self.size,):
             raise ValueError(
                 f"observation out= must have shape ({self.size},), got {out.shape}"
             )
+        out[:] = self.values(decision, sim)
+        return out
+
+    def values(self, decision: DecisionPoint, sim: Simulator) -> List[float]:
+        """Observation for a pending decision as a list of ``size`` python
+        floats.
+
+        Computed on python floats with no per-part arrays; bitwise the
+        concatenation of the five parts computed one by one from their
+        formulas (the oracle in ``tests/core/reference_observation.py``).
+        The deployed decision hands this list straight to
+        ``ActorCriticPolicy.act_single``, which writes it into the
+        float32 input row (and into the float64 one only when the float32
+        forward declines), so no float64 row is built per decision.
+        """
+        now, flow, node = decision
+        d = self.degree
         state = sim.state
         k, combo_ids, caps, link_norm, sn_ids = self._node_tables[node]
 
@@ -181,16 +188,13 @@ class ObservationAdapter:
         loads = state.loads_vector[combo_ids].tolist()
 
         # Under fault injection the static capacity cache is replaced by
-        # the state's *effective* capacities: a failed neighbor link/node
-        # has capacity 0, so it reads as fully utilised (<= -λ̂ margin)
-        # and agents learn to route around it.  Delay entries stay static
-        # — topology knowledge, not load observation (Sec. IV-B1d).
+        # the state's *effective* capacities, gathered the same way: a
+        # failed neighbor link/node has capacity 0, so it reads as fully
+        # utilised (<= -λ̂ margin) and agents learn to route around it.
+        # Delay entries stay static — topology knowledge, not load
+        # observation (Sec. IV-B1d).
         if sim.faults is not None:
-            eff = self._caps_scratch[: 2 * k + 1]
-            state.effective_link_capacities.take(combo_ids[:k], out=eff[:k])
-            state.effective_node_capacities.take(sn_ids, out=eff[k:])
-            caps = eff.tolist()
-
+            caps = state.capacities_vector[combo_ids].tolist()
         spec = flow.spec
         ci = flow.component_index
         deadline = spec.deadline
@@ -199,8 +203,6 @@ class ObservationAdapter:
         # each per-neighbor part.
         pad = [DUMMY] * (d - k)
 
-        # The row is assembled as a list of python floats and written to
-        # the target in one assignment at the end.
         # F_f = <p̂_f, τ̂_f>
         values = [
             1.0 if ci is None else ci / flow.chain_length,
@@ -240,7 +242,10 @@ class ObservationAdapter:
         if remaining <= 0:
             values += [-1.0] * k
         else:
-            via, bad = self._delays_via(node, spec.egress)
+            egress = spec.egress
+            via, bad = self._delay_via.get((node, egress)) or self._delays_via(
+                node, egress
+            )
             if bad is None:
                 for delay in via:
                     value = (remaining - delay) / remaining
@@ -263,6 +268,4 @@ class ObservationAdapter:
         else:
             values += presence[sn_ids].tolist()
         values += pad
-
-        out[:] = values
-        return out
+        return values

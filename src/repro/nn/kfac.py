@@ -196,7 +196,8 @@ class KFAC:
         for buf, g in zip(self._grad_scratch, grads):
             np.copyto(buf, g)
         grads = self._grad_scratch
-        self.last_grad_norm = clip_grads_by_norm(grads, MAX_GRAD_NORM)
+        # ``_t_buf`` is free until preconditioning: it takes the squares.
+        self.last_grad_norm = clip_grads_by_norm(grads, MAX_GRAD_NORM, self._t_buf)
 
         t0 = time.perf_counter()
         if self._steps % INVERSION_INTERVAL == 0:

@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
@@ -341,7 +341,9 @@ class MLPInference:
             self._certificate = list(enumerate(self.logit_bound.tolist()))
 
     def certified_argmax(
-        self, x: np.ndarray, actions: Optional[np.ndarray] = None
+        self,
+        x: Union[np.ndarray, List[float]],
+        actions: Optional[np.ndarray] = None,
     ) -> int:
         """The float64 argmax of each row of ``x``, read off one float32
         forward — or -1 for a row the forward cannot prove.
@@ -352,8 +354,12 @@ class MLPInference:
         of any float64 forward of that row.  Every declined row counts
         one in :attr:`fallbacks`; its caller decides it in float64.
 
-        - ``actions`` omitted: ``x`` is one float64 row, ``(in_dim,)`` or
-          ``(1, in_dim)``; returns a or -1.
+        - ``actions`` omitted: ``x`` is one row — a list of python floats
+          (a deployed agent's observation) or a float64 array of shape
+          ``(in_dim,)`` or ``(1, in_dim)``, read as its list; returns a
+          or -1.  The list is checked and written into the float32
+          input row in one assignment, which rounds each double exactly
+          as casting a float64 row does.
         - ``actions`` given: ``x`` is ``(n, in_dim)`` float64; writes a or
           -1 into ``actions[j]`` for each row and returns how many rows
           declined.
@@ -367,14 +373,16 @@ class MLPInference:
             if len(x) == 1:
                 actions[0] = action = self.certified_argmax(x)
                 return int(action < 0)
-            return self._certify_rows(x, actions)
-        certificate = self._certificate
-        row = x.ravel()
-        for value in row.tolist():
+            return self._certify_rows(cast(np.ndarray, x), actions)
+        values = x if isinstance(x, list) else x.ravel().tolist()
+        for value in values:
             if not -1.0 <= value <= 1.0:  # NaN fails too
                 self.fallbacks += 1
                 return -1
-        logits = self.forward(row[None])[0].tolist()
+        rows = (self._plans.get(1) or self._plan(1))[0]
+        rows[0] = values
+        logits = self.forward(rows)[0].tolist()
+        certificate = self._certificate
         top = max(logits)
         action = logits.index(top)
         floor = top - certificate[action][1]

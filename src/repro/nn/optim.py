@@ -30,14 +30,25 @@ RMSPROP_DECAY = 0.99
 RMSPROP_EPSILON = 1e-5
 
 
-def clip_grads_by_norm(grads: Sequence[np.ndarray], max_norm: float) -> float:
+def clip_grads_by_norm(
+    grads: Sequence[np.ndarray], max_norm: float, squares: Sequence[np.ndarray]
+) -> float:
     """Scale ``grads`` in place so the global L2 norm is <= ``max_norm``.
+
+    ``squares`` holds one caller-owned buffer per gradient, of its shape
+    (scratch: its contents are overwritten).  Each gradient is squared
+    into its buffer, so a step allocates no gradient-sized temporary, and
+    the buffer's sum is bitwise ``np.sum(g**2)``: the same products,
+    summed in numpy's pairwise order over the same contiguous shape.
 
     Returns the pre-clip norm.  The trainers pass :data:`MAX_GRAD_NORM`.
     """
     if not max_norm > 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
-    total = float(np.sqrt(sum(float(np.sum(g**2)) for g in grads)))
+    if len(squares) != len(grads):
+        raise ValueError(f"got {len(squares)} square buffers for {len(grads)} gradients")
+    sums = [float(np.multiply(g, g, out=s).sum()) for g, s in zip(grads, squares)]
+    total = float(np.sqrt(sum(sums)))
     if total > max_norm and total > 0:
         scale = max_norm / total
         for g in grads:

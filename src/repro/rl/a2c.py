@@ -178,6 +178,11 @@ class A2CTrainer:
         self.critic_optimizer = RMSprop(
             self.policy.critic.parameters, lr=self.config.learning_rate
         )
+        # The gradient clip's square buffers, one set per network.
+        self._squares = tuple(
+            [np.empty_like(w) for w in net.parameters]
+            for net in (self.policy.actor, self.policy.critic)
+        )
 
     # ------------------------------------------------------------------
 
@@ -268,12 +273,12 @@ class A2CTrainer:
         )
         self.policy.actor.backward(dlogits)
         actor_grads = self.policy.actor.gradients
-        stats.grad_norm = clip_grads_by_norm(actor_grads, MAX_GRAD_NORM)
+        stats.grad_norm = clip_grads_by_norm(actor_grads, MAX_GRAD_NORM, self._squares[0])
         self.actor_optimizer.step(actor_grads)
 
         self.policy.critic.backward(dvalues)
         critic_grads = self.policy.critic.gradients
-        clip_grads_by_norm(critic_grads, MAX_GRAD_NORM)
+        clip_grads_by_norm(critic_grads, MAX_GRAD_NORM, self._squares[1])
         self.critic_optimizer.step(critic_grads)
         return stats
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import zipfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple, cast
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
@@ -65,17 +65,20 @@ class ActorCriticPolicy:
 
     # ------------------------------------------------------------------
 
-    def act_single(self, obs: np.ndarray, deterministic: bool = True) -> int:
-        """The greedy action for a single observation vector (inference):
-        the argmax of :meth:`logits_single`.  Sampling is exploration
+    def act_single(
+        self, obs: Union[np.ndarray, List[float]], deterministic: bool = True
+    ) -> int:
+        """The greedy action for a single observation (inference): the
+        argmax of :meth:`logits_single`.  Sampling is exploration
         inside the trainers: the keyword is kept for callers
         that spell out ``deterministic=True``, and ``False`` raises
         ``ValueError``.
 
-        A frozen policy decides on its :attr:`certified_workspace`, which
-        answers only when
-        :meth:`~repro.nn.mlp.MLPInference.certified_argmax` proves its
-        argmax is the float64 one; otherwise the float64
+        ``obs`` is a float64 vector or, as a deployed agent passes it, a
+        list of python floats (``ObservationAdapter.values``).  A frozen
+        policy decides on its :attr:`certified_workspace`, which answers
+        only when :meth:`~repro.nn.mlp.MLPInference.certified_argmax`
+        proves its argmax is the float64 one; otherwise the float64
         :meth:`logits_single` decides on the same ``obs``.  A writable
         policy decides in float64.  The answer is therefore always the
         float64 one.  Under ``REPRO_CHECK_INVARIANTS`` every certified
@@ -89,19 +92,22 @@ class ActorCriticPolicy:
             action = certified.certified_argmax(obs)
             if action >= 0:
                 if self._sanitize:
-                    self.cross_check(obs.reshape(1, -1), (action,))
+                    rows = self.workspace.input_rows(1)
+                    rows[0] = obs
+                    self.cross_check(rows, (action,))
                 return action
         return int(self.logits_single(obs).argmax())
 
-    def logits_single(self, obs: np.ndarray) -> np.ndarray:
+    def logits_single(self, obs: Union[np.ndarray, List[float]]) -> np.ndarray:
         """Actor logits for one observation through the exact float64
         batch-1 forward that :meth:`act_single` runs — bitwise
         ``actor.forward(obs[None, :])[0]``, and so the reference that
         decides every row a certified float32 forward declines.
 
-        Runs on :attr:`workspace`.  Pass its ``input_rows(1)``, filled in
-        place, and nothing is copied; the result is a view, valid until
-        its next forward.
+        Runs on :attr:`workspace`: ``obs`` (an array or a list of python
+        floats) is written into its input row, unless it is that row,
+        ``input_rows(1)``, filled in place; the result is a view, valid
+        until its next forward.
         """
         workspace = self.workspace
         rows = workspace.input_rows(1)

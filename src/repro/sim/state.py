@@ -92,16 +92,19 @@ class NetworkState:
         # allocation records carry the name next to the id.
         self._node_names: Tuple[str, ...] = tuple(self._node_index)
         self._link_keys: Tuple[Tuple[str, str], ...] = tuple(self._link_index)
-        # Effective capacities start out *aliasing* the network's static
-        # arrays; :meth:`enable_capacity_overrides` swaps in private
-        # copies so fault injection can mask entries without touching the
-        # shared topology.  Invariant checks always compare against the
-        # base arrays: a degradation may legitimately strand load above
-        # the (reduced) effective capacity, never above the base one.
+        # Effective capacities live in one links-then-nodes vector that
+        # mirrors :attr:`loads_vector`, with private per-kind views (as
+        # the loads have).  It starts out
+        # *aliasing* the network's static vector;
+        # :meth:`enable_capacity_overrides` swaps in a private copy so
+        # fault injection can mask entries without touching the shared
+        # topology.  Invariant checks always compare against the base
+        # arrays: a degradation may legitimately strand load above the
+        # (reduced) effective capacity, never above the base one.
+        self._base_caps = network.capacities_vector
         self._base_node_caps = network.node_capacities
         self._base_link_caps = network.link_capacities
-        self._node_caps = self._base_node_caps
-        self._link_caps = self._base_link_caps
+        self._point_capacities(self._base_caps)
         # One backing buffer for all loads — links first, then nodes — so
         # the observation adapter can gather a whole neighborhood (links +
         # self-and-neighbor nodes) with a single fancy index into
@@ -122,20 +125,24 @@ class NetworkState:
     # Effective-capacity overrides (fault injection)
     # ------------------------------------------------------------------
 
-    def enable_capacity_overrides(self) -> None:
-        """Switch to private, writable capacity arrays.  Idempotent.
+    def _point_capacities(self, caps: np.ndarray) -> None:
+        num_links = self.network.num_links
+        self._caps = caps
+        self._link_caps = caps[:num_links]
+        self._node_caps = caps[num_links:]
 
-        Fault-free runs never call this, so their capacity arrays stay
-        the network's own (zero copies, bit-identical behaviour).
+    def enable_capacity_overrides(self) -> None:
+        """Switch to a private, writable capacity vector.  Idempotent.
+
+        Fault-free runs never call this, so their capacities stay the
+        network's own (zero copies, bit-identical behaviour).
         """
-        if self._node_caps is self._base_node_caps:
-            self._node_caps = self._base_node_caps.copy()
-        if self._link_caps is self._base_link_caps:
-            self._link_caps = self._base_link_caps.copy()
+        if self._caps is self._base_caps:
+            self._point_capacities(self._base_caps.copy())
 
     def set_node_capacity_id(self, node_id: int, capacity: float) -> None:
         """Set the effective capacity of one node (requires overrides)."""
-        if self._node_caps is self._base_node_caps:
+        if self._caps is self._base_caps:
             raise InvariantViolation(
                 "capacity override before enable_capacity_overrides()",
                 node_id=node_id,
@@ -144,7 +151,7 @@ class NetworkState:
 
     def set_link_capacity_id(self, link_id: int, capacity: float) -> None:
         """Set the effective capacity of one link (requires overrides)."""
-        if self._link_caps is self._base_link_caps:
+        if self._caps is self._base_caps:
             raise InvariantViolation(
                 "capacity override before enable_capacity_overrides()",
                 link_id=link_id,
@@ -152,14 +159,11 @@ class NetworkState:
         self._link_caps[link_id] = capacity
 
     @property
-    def effective_node_capacities(self) -> np.ndarray:
-        """Node capacities as currently seen by admission (read-only)."""
-        return self._node_caps
-
-    @property
-    def effective_link_capacities(self) -> np.ndarray:
-        """Link capacities as currently seen by admission (read-only)."""
-        return self._link_caps
+    def capacities_vector(self) -> np.ndarray:
+        """Capacities as currently seen by admission, in
+        :attr:`loads_vector`'s layout: link id ``i`` at slot ``i``, node
+        id ``j`` at slot ``num_links + j``.  Treat as read-only."""
+        return self._caps
 
     # ------------------------------------------------------------------
     # Load queries

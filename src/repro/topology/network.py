@@ -174,15 +174,15 @@ class Network:
         self.node_index: Dict[str, int] = {
             name: i for i, name in enumerate(self._node_name_list)
         }
-        self._node_capacities = np.array(
-            [node.capacity for node in self._nodes.values()], dtype=np.float64
-        )
         self._link_key_list: Tuple[Tuple[str, str], ...] = tuple(self._links)
         self.link_index: Dict[Tuple[str, str], int] = {
             key: i for i, key in enumerate(self._link_key_list)
         }
-        self._link_capacities = np.array(
-            [link.capacity for link in self._links.values()], dtype=np.float64
+        # Links first, then nodes: the layout of NetworkState.loads_vector.
+        self._capacities = np.array(
+            [link.capacity for link in self._links.values()]
+            + [node.capacity for node in self._nodes.values()],
+            dtype=np.float64,
         )
         idx = self.node_index
         #: Per-node ``(neighbor names, link delays, link ids)``, each
@@ -202,12 +202,12 @@ class Network:
             self._self_and_neighbor_ids[name] = np.concatenate(
                 [np.array([idx[name]], dtype=np.intp), node_ids]
             )
-            self._neighbor_link_caps[name] = self._link_capacities[
+            self._neighbor_link_caps[name] = self.link_capacities[
                 self._neighbor_link_ids[name]
-            ].copy()
-            self._self_and_neighbor_caps[name] = self._node_capacities[
+            ]
+            self._self_and_neighbor_caps[name] = self.node_capacities[
                 self._self_and_neighbor_ids[name]
-            ].copy()
+            ]
             self._hop_table[name] = (
                 tuple(adjacent),
                 tuple(self._links[link_key(name, nb)].delay for nb in adjacent),
@@ -279,14 +279,22 @@ class Network:
         return self._node_name_list[node_id]
 
     @property
+    def capacities_vector(self) -> np.ndarray:
+        """All capacities in one vector: link id ``i`` at slot ``i``, node
+        id ``j`` at slot ``num_links + j``.  Treat as read-only."""
+        return self._capacities
+
+    @property
     def node_capacities(self) -> np.ndarray:
-        """Node capacities indexed by node id.  Treat as read-only."""
-        return self._node_capacities
+        """Node capacities indexed by node id, a view of
+        :attr:`capacities_vector`.  Treat as read-only."""
+        return self._capacities[len(self._links) :]
 
     @property
     def link_capacities(self) -> np.ndarray:
-        """Link capacities indexed by link id.  Treat as read-only."""
-        return self._link_capacities
+        """Link capacities indexed by link id, a view of
+        :attr:`capacities_vector`.  Treat as read-only."""
+        return self._capacities[: len(self._links)]
 
     def neighbor_link_ids(self, name: str) -> np.ndarray:
         """Link ids of ``name``'s incident links, in sorted-neighbor order."""

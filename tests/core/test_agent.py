@@ -134,15 +134,17 @@ class TestDistributedCoordinator:
         decision = sims[0].next_decision()
         obs = adapter.build(decision, sims[0]).copy()
         assert coordinator(sims[1].next_decision(), sims[1]) == policy.act_single(obs)
-        # The observation went straight into the float64 workspace's
-        # input row, and the float32 forward read that very row.
-        assert np.array_equal(coordinator.policy.workspace.input_rows(1)[0], obs)
+        # The observation's floats went straight into the float32
+        # forward's input row; a certified decision builds no float64 row
+        # (the float64 workspace is made on its first use, a decline).
         assert np.array_equal(shared.input_rows(1)[0], obs.astype(np.float32))
+        assert shared.fallbacks == 0
+        assert coordinator.policy._workspace is None
 
     def test_agent_act_equals_act_single_on_a_built_observation(self):
-        """A full Abilene episode: building the observation in place in
-        the shared workspace and deciding there (certified float32, else
-        float64) equals the exact float64 decision on a private copy."""
+        """A full Abilene episode: deciding on the observation's floats
+        in the shared snapshot (certified float32, else float64) equals
+        the exact float64 decision on a private copy."""
         scenario = base_scenario(pattern="poisson", num_ingress=2, horizon=1000.0)
         net, catalog = scenario.network, scenario.catalog
         adapter = ObservationAdapter(net, catalog)
@@ -173,7 +175,7 @@ class TestDistributedCoordinator:
         coordinator = DistributedCoordinator(net, catalog, policy)
         sim = make_simulator(net, catalog, make_flow_specs([1.0]))
         coordinator(sim.next_decision(), sim)
-        assert coordinator.policy._workspace is not None
+        assert coordinator.policy.workspace is not None  # made on first use
         restored = pickle.loads(pickle.dumps(coordinator))
         assert restored.policy._workspace is None
         assert restored.decision_counts() == coordinator.decision_counts()

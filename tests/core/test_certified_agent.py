@@ -26,10 +26,8 @@ from repro.nn.mlp import MLPInference
 from repro.rl.policy import ActorCriticPolicy
 from repro.sim.simulator import Simulator
 
-FIXTURE = (
-    Path(__file__).resolve().parents[2]
-    / "benchmarks" / "perf" / "fixtures" / "abilene_acktr.npz"
-)
+FIXTURES = Path(__file__).resolve().parents[2] / "benchmarks" / "perf" / "fixtures"
+FIXTURE = FIXTURES / "abilene_acktr.npz"
 
 
 def _run(scenario, policy, seed=0):
@@ -67,6 +65,75 @@ class TestFallbackShare:
         )
         assert fresh.policy.certified_workspace is not None
         assert fresh.policy.certified_workspace.fallbacks == 0
+
+
+class TestOnePassDecision:
+    """The coordinator hands the observation's python floats straight to
+    the certified float32 forward; no float64 row is built per decision.
+    That must change no action and no decline."""
+
+    @pytest.mark.parametrize(
+        "scenario_kwargs,fixture",
+        [
+            (dict(topology="Abilene", horizon=1000.0), "abilene_acktr.npz"),
+            (
+                dict(topology="Interroute", pattern="mmpp", num_ingress=3,
+                     faults="churn", horizon=300.0),
+                "interroute_acktr.npz",
+            ),
+        ],
+        ids=["abilene", "interroute-churn"],
+    )
+    def test_every_action_and_decline_is_the_array_paths(
+        self, scenario_kwargs, fixture
+    ):
+        """Every decision equals the float64 argmax of the built row, and
+        the list path declines exactly the decisions the float64-row path
+        (``certified_argmax(row)`` on a cast of the same weights)
+        declines."""
+        scenario = base_scenario(**scenario_kwargs)
+        policy = ActorCriticPolicy.load(FIXTURES / fixture)
+        coordinator = DistributedCoordinator(
+            scenario.network, scenario.catalog, policy
+        )
+        array_path = MLPInference(coordinator.policy.actor, np.float32)
+        decided = []
+
+        def checked(decision, sim):
+            row = coordinator.adapter.build(decision, sim)
+            action = coordinator(decision, sim)
+            assert action == int(policy.logits_single(row).argmax())
+            assert array_path.certified_argmax(row) in (-1, action)
+            decided.append(action)
+            return action
+
+        metrics = _run(scenario, checked)
+        assert len(decided) == metrics.decisions > 1000
+        # 7 of 2,372 and 8 of 2,413 decisions decline.
+        assert coordinator.policy.certified_workspace.fallbacks == array_path.fallbacks > 0
+
+    def test_a_planted_disagreement_on_list_input_names_the_node(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        scenario = base_scenario(horizon=300.0)
+        policy = ActorCriticPolicy.load(FIXTURE)
+        coordinator = DistributedCoordinator(
+            scenario.network, scenario.catalog, policy
+        )
+        honest = MLPInference.certified_argmax
+        inputs = []
+
+        def planted(workspace, x):
+            inputs.append(type(x))
+            action = honest(workspace, x)
+            return action if action < 0 else (action + 1) % policy.num_actions
+
+        monkeypatch.setattr(MLPInference, "certified_argmax", planted)
+        with pytest.raises(InvariantViolation) as info:
+            _run(scenario, coordinator)
+        assert set(inputs) == {list}
+        assert info.value.context["node"] in scenario.network.node_names
 
 
 class TestSanitizerCrossCheck:

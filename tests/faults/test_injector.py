@@ -9,7 +9,9 @@ metrics, telemetry, and observations.
 import numpy as np
 import pytest
 
+from repro.baselines import GCASPPolicy
 from repro.core.observations import ObservationAdapter
+from repro.eval.scenarios import base_scenario, fault_preset
 from repro.faults import (
     FaultInjector,
     FaultKind,
@@ -18,7 +20,7 @@ from repro.faults import (
     FaultSpec,
 )
 from repro.sim.metrics import DropReason
-from repro.sim.simulator import ACTION_PROCESS_LOCALLY
+from repro.sim.simulator import ACTION_PROCESS_LOCALLY, Simulator
 from repro.sim.state import NetworkState
 from repro.telemetry import Recorder, validate_record
 from tests.core.reference_observation import build_parts
@@ -107,7 +109,7 @@ class TestLinkFailure:
     def test_capacity_restored_after_recovery(self, line3):
         sim, _ = self.run_smoke(line3)
         np.testing.assert_array_equal(
-            sim.state.effective_link_capacities, line3.link_capacities
+            sim.state.capacities_vector, line3.capacities_vector
         )
         assert not sim.faults.link_is_failed(line3.link_index[("v1", "v2")])
 
@@ -264,6 +266,9 @@ class TestInjectorComposition:
     def injector(self, *specs):
         return FaultInjector(self.net, self.state, FaultSchedule(tuple(specs)))
 
+    def node_capacity(self):
+        return self.state.capacities_vector[self.net.num_links + self.node_id]
+
     def test_overlapping_failures_compose(self):
         a = FaultSpec(FaultKind.LINK_FAILURE, ("v1", "v2"), 5.0, 20.0)
         b = FaultSpec(FaultKind.LINK_FAILURE, ("v1", "v2"), 10.0, 30.0)
@@ -273,10 +278,10 @@ class TestInjectorComposition:
         inj.apply(a, False)
         # Still failed: b's window is open.
         assert inj.link_is_failed(self.link_id)
-        assert self.state.effective_link_capacities[self.link_id] == 0.0
+        assert self.state.capacities_vector[self.link_id] == 0.0
         inj.apply(b, False)
         assert not inj.link_is_failed(self.link_id)
-        assert self.state.effective_link_capacities[self.link_id] == 10.0
+        assert self.state.capacities_vector[self.link_id] == 10.0
 
     def test_degradation_factors_multiply(self):
         a = FaultSpec(
@@ -287,13 +292,13 @@ class TestInjectorComposition:
         )
         inj = self.injector(a, b)
         inj.apply(a, True)
-        assert self.state.effective_node_capacities[self.node_id] == pytest.approx(5.0)
+        assert self.node_capacity() == pytest.approx(5.0)
         inj.apply(b, True)
-        assert self.state.effective_node_capacities[self.node_id] == pytest.approx(2.5)
+        assert self.node_capacity() == pytest.approx(2.5)
         inj.apply(a, False)
-        assert self.state.effective_node_capacities[self.node_id] == pytest.approx(5.0)
+        assert self.node_capacity() == pytest.approx(5.0)
         inj.apply(b, False)
-        assert self.state.effective_node_capacities[self.node_id] == pytest.approx(10.0)
+        assert self.node_capacity() == pytest.approx(10.0)
 
     def test_failure_wins_over_degradation(self):
         fail = FaultSpec(FaultKind.NODE_OUTAGE, "v2", 5.0, 10.0)
@@ -303,10 +308,10 @@ class TestInjectorComposition:
         inj = self.injector(fail, degrade)
         inj.apply(degrade, True)
         inj.apply(fail, True)
-        assert self.state.effective_node_capacities[self.node_id] == 0.0
+        assert self.node_capacity() == 0.0
         inj.apply(fail, False)
         # Outage over, degradation still active.
-        assert self.state.effective_node_capacities[self.node_id] == pytest.approx(5.0)
+        assert self.node_capacity() == pytest.approx(5.0)
 
 
 class TestObservationsUnderFaults:
@@ -326,6 +331,47 @@ class TestObservationsUnderFaults:
         np.testing.assert_array_equal(obs, parts.concatenate())
         # v1's only neighbor link is dead: free 0 minus the flow's rate.
         assert parts.link_utilization[0] < 0.0
+
+    @pytest.mark.parametrize(
+        "topology,fault_seed", [("Abilene", 0), ("Abilene", 5), ("BT Europe", 3)]
+    )
+    def test_generated_schedule_observations_equal_the_reference(
+        self, topology, fault_seed
+    ):
+        """A generated churn schedule (link failures, a node outage,
+        degradations): at every decision the list ``values`` hands a
+        deployed agent, and the row ``build`` writes, are bitwise the
+        scalar reference, which reads each effective capacity on its own
+        (``link_free`` / ``node_free``) where the adapter gathers them
+        all from ``capacities_vector`` at once."""
+        scenario = base_scenario(
+            topology=topology, horizon=600.0, faults=fault_preset("churn", fault_seed)
+        )
+        net = scenario.network
+        adapter = ObservationAdapter(net, scenario.catalog)
+        gcasp = GCASPPolicy(net, scenario.catalog)
+        masked = []
+
+        def checked(decision, sim):
+            expected = build_parts(adapter, decision, sim).concatenate().view(np.uint64)
+            values = np.array(adapter.values(decision, sim)).view(np.uint64)
+            row = adapter.build(decision, sim).view(np.uint64)
+            assert values.tolist() == expected.tolist() == row.tolist()
+            masked.append(
+                not np.array_equal(sim.state.capacities_vector, net.capacities_vector)
+            )
+            return gcasp(decision, sim)
+
+        sim = Simulator(
+            net,
+            scenario.catalog,
+            scenario.traffic_factory(np.random.default_rng(fault_seed)),
+            scenario.sim_config,
+        )
+        metrics = sim.run(checked)
+        assert len(masked) == metrics.decisions > 100
+        # Decisions were taken both under a fault and without one.
+        assert any(masked) and not all(masked)
 
     def test_fault_free_simulator_has_no_injector(self, line3):
         catalog = make_simple_catalog()

@@ -2,10 +2,10 @@
 
 ``benchmarks/bench_ablation_observations.py`` masks observation parts in
 training (``MaskedObservationEnv``) and in deployment
-(``MaskedCoordinator``).  The deployed agent builds its observation into
-its workspace row with ``build(..., out=row)``, so the masked build must
-zero the parts in that very row, or the agent decides on an unmasked
-observation (or, with a two-argument build, not at all).
+(``MaskedCoordinator``).  The deployed agent decides on the list of
+floats ``ObservationAdapter.values`` returns, so the masked adapter must
+zero the parts in that very list, or the agent decides on an unmasked
+observation.
 """
 
 from __future__ import annotations

@@ -170,6 +170,55 @@ class TestDomain:
             assert policy.act_single(x) == _exact(mlp)(x)
             assert policy.certified_workspace.fallbacks == 1
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, 1.0 + 2.0**-52, -1.0 - 2.0**-52]
+    )
+    def test_a_list_outside_the_domain_falls_back_once(self, bad):
+        """A deployed agent passes its observation as a list of python
+        floats: the domain check runs on those floats, before any cast
+        (1 + 2**-52 rounds to 1.0 in float32, but is outside)."""
+        _, workspace = self._workspace()
+        values = [0.25] * 6
+        values[2] = float(bad)
+        assert workspace.certified_argmax(values) == -1
+        assert workspace.fallbacks == 1
+
+    def test_a_list_decides_as_its_float64_row(self):
+        mlp, workspace = self._workspace()
+        rows = np.random.default_rng(5).uniform(-1.0, 1.0, (200, 6))
+        rows[:20] = np.sign(rows[:20])  # the edges of the domain
+        list_answers = [workspace.certified_argmax(row.tolist()) for row in rows]
+        array_answers = [workspace.certified_argmax(row) for row in rows]
+        assert list_answers == array_answers
+        assert workspace.fallbacks == 2 * list_answers.count(-1)
+
+    def test_writing_a_list_rounds_as_the_array_cast(self):
+        """``certified_argmax`` writes the list into the float32 input
+        row in one assignment; each double must round exactly as ``astype(np.float32)`` rounds
+        it, ties to even included.  Compared as bits."""
+        _, workspace = self._workspace()
+        rng = np.random.default_rng(9)
+        singles = rng.uniform(-1.0, 1.0, 4000).astype(np.float32)
+        above = np.nextafter(singles, np.float32(np.inf))
+        # Exact halfway points between neighbouring float32 values (ties),
+        # a hair either side of them, and plain random doubles.
+        ties = (singles.astype(np.float64) + above.astype(np.float64)) / 2
+        doubles = np.concatenate(
+            [
+                ties,
+                np.nextafter(ties, np.inf),
+                np.nextafter(ties, -np.inf),
+                rng.uniform(-1.0, 1.0, 4000),
+                [0.0, -0.0, 1.0, -1.0, 2.0**-140, -(2.0**-149), 2.0**-150],
+            ]
+        )
+        rows = workspace.input_rows(1)
+        for start in range(0, len(doubles) - 5, 6):
+            values = doubles[start : start + 6]
+            workspace.certified_argmax(values.tolist())
+            expected = np.asarray(values).astype(np.float32)
+            assert rows[0].view(np.uint32).tolist() == expected.view(np.uint32).tolist()
+
     def test_domain_edges_are_inside(self):
         mlp, workspace = self._workspace()
         exact = _exact(mlp)

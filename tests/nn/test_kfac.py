@@ -65,7 +65,7 @@ class ReferenceKFAC:
 
     def step(self, grads):
         grads = [g.copy() for g in grads]
-        clip_grads_by_norm(grads, self.max_grad_norm)
+        clip_grads_by_norm(grads, self.max_grad_norm, [np.empty_like(g) for g in grads])
         if self._steps % self.inversion_interval == 0:
             self._refresh_inverses()
         self._steps += 1
@@ -294,7 +294,8 @@ class TestInversionInterval:
         kfac.update_stats()
         mlp.backward((out - rng.normal(size=out.shape)) / 16)
         grads = mlp.gradients
-        expected = clip_grads_by_norm([g.copy() for g in grads], 1e-3)
+        copies = [g.copy() for g in grads]
+        expected = clip_grads_by_norm(copies, 1e-3, [np.empty_like(g) for g in grads])
         kfac.step(grads)
         assert kfac.last_grad_norm == expected
         assert kfac.last_grad_norm > 1e-3
@@ -340,10 +341,13 @@ class TestFootprint:
 
     def test_refresh_step_peaks_no_higher_than_an_ordinary_step(self):
         """Traced from construction on, so the inverses a refresh
-        replaces count as freed: the refresh (step 10) peaks no higher
-        than the ordinary step before it, whose peak is the clip's
-        weight-sized ``g**2``.  Building the damped sum from ``np.eye``
-        peaked a full largest factor higher."""
+        replaces count as freed: neither the ordinary step (step 9) nor
+        the refresh (step 10) allocates anything weight- or factor-sized.
+        The clip squares into ``_t_buf`` (its ``g**2`` once peaked a
+        weight matrix, 527,912 B), and building the damped sum from
+        ``np.eye`` peaked a full largest factor higher still; what is
+        left is about 1.5 KB of Python bookkeeping, and a refresh's
+        inversion adds a few hundred bytes to it."""
         rng = np.random.default_rng(29)
         tracemalloc.start()
         try:
@@ -360,5 +364,7 @@ class TestFootprint:
             tracemalloc.stop()
         ordinary, refresh = peaks[-2], peaks[-1]
         largest = max(f.nbytes for f in kfac._A + kfac._G)
-        assert ordinary > largest // 2  # the clip's g**2 is traced
-        assert refresh <= ordinary, (refresh / largest, ordinary / largest)
+        weight = max(w.nbytes for w in mlp.parameters)
+        assert peaks[0] > largest  # the first inversion is traced
+        assert ordinary < weight // 100, ordinary  # no g**2
+        assert refresh - ordinary < largest // 100, (refresh, ordinary)

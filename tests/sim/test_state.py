@@ -1,5 +1,7 @@
 """Tests for mutable network runtime state."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,62 @@ class TestPresence:
         assert presence[state.network.node_index["b"]] == 0.0
         state.remove_instance("a", "c1")
         assert presence[state.network.node_index["a"]] == 0.0
+
+
+class TestCapacityVector:
+    """Effective capacities live in one links-then-nodes vector, laid out
+    like ``loads_vector``, with the per-kind arrays as views of it."""
+
+    def test_fault_free_state_aliases_the_network(self, state):
+        net = state.network
+        assert state.capacities_vector is net.capacities_vector
+        assert np.shares_memory(state._node_caps, net.node_capacities)
+        assert np.shares_memory(state._link_caps, net.link_capacities)
+        np.testing.assert_array_equal(state.capacities_vector, [3.0, 2.0, 1.0])
+
+    def test_a_pickled_network_keeps_one_capacity_buffer(self, state):
+        net = pickle.loads(pickle.dumps(state.network))
+        fresh = NetworkState(net)
+        assert np.shares_memory(fresh._node_caps, net.node_capacities)
+        assert np.shares_memory(net.link_capacities, net.capacities_vector)
+
+    def test_overrides_copy_once_and_re_point_both_views(self, state):
+        net = state.network
+        state.enable_capacity_overrides()
+        caps = state.capacities_vector
+        assert not np.shares_memory(caps, net.capacities_vector)
+        for view in (state._node_caps, state._link_caps):
+            assert np.shares_memory(view, caps)
+        state.enable_capacity_overrides()  # idempotent: no second copy
+        assert state.capacities_vector is caps
+
+    def test_setters_write_through_to_the_vector_and_both_views(self, state):
+        net = state.network
+        state.enable_capacity_overrides()
+        b, ab = net.node_index["b"], net.link_index[link_key("a", "b")]
+        state.set_node_capacity_id(b, 0.25)
+        state.set_link_capacity_id(ab, 0.5)
+        assert state.capacities_vector[net.num_links + b] == 0.25
+        assert state.capacities_vector[ab] == 0.5
+        assert state._node_caps[b] == 0.25
+        assert state._link_caps[ab] == 0.5
+        assert state.node_free("b") == 0.25 and state.link_free("a", "b") == 0.5
+        # The network's own capacities are untouched.
+        np.testing.assert_array_equal(net.capacities_vector, [3.0, 2.0, 1.0])
+
+    def test_setters_refuse_before_overrides(self, state):
+        with pytest.raises(AssertionError, match="enable_capacity_overrides"):
+            state.set_node_capacity_id(0, 0.0)
+        with pytest.raises(AssertionError, match="enable_capacity_overrides"):
+            state.set_link_capacity_id(0, 0.0)
+
+    def test_invariants_compare_against_the_base_capacities(self, state):
+        """A degradation may strand admitted load above the effective
+        capacity (it drains); load above the physical one is a bug."""
+        state.enable_capacity_overrides()
+        allocate_node(state, "a", 1.5, flow_id=1)
+        state.set_node_capacity_id(state.network.node_index["a"], 0.5)
+        state.check_invariants()
+        state._node_loads[state.network.node_index["a"]] = 2.5
+        with pytest.raises(AssertionError, match="capacity bounds"):
+            state.check_invariants()
